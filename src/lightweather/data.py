@@ -7,9 +7,11 @@ File formats (UTF-8, comma-separated, header required):
   observations CSV:  timestamp,station_id,var_0[,var_1,...]
 
 Observation timestamps are ISO-8601 on a uniform hourly or daily grid, in
-long format (one row per timestamp and station). Missing cells are forward
+long format (one row per timestamp and station); they are either all
+timezone-aware or all naive. Missing cells (empty or `nan`) are forward
 filled within a station; a station missing more than 10% of its cells, or
-missing its very first value, is an ingestion error.
+missing its very first value, is an ingestion error, and so is an infinite
+value.
 """
 
 from __future__ import annotations
@@ -157,7 +159,15 @@ def load_observations_csv(
 
     if not cells:
         raise IngestionError(f"{path}: no observations")
-    timestamps = sorted(cells)
+    try:
+        timestamps = sorted(cells)
+    except TypeError as exc:  # aware and naive datetimes do not compare
+        aware = next(ts for ts in cells if ts.tzinfo is not None)
+        naive = next(ts for ts in cells if ts.tzinfo is None)
+        raise IngestionError(
+            f"{path}: timestamps mix timezone-aware ({aware.isoformat()}) and "
+            f"naive ({naive.isoformat()}) values"
+        ) from exc
     if len(timestamps) < 2:
         raise IngestionError(f"{path}: need at least 2 timestamps to fix the interval")
     interval = timestamps[1] - timestamps[0]
@@ -175,6 +185,13 @@ def load_observations_csv(
     for t, ts in enumerate(timestamps):
         for si, vals in cells[ts].items():
             values[t, si, :] = vals
+    infinite = np.argwhere(np.isinf(values))
+    if len(infinite):
+        t, si, vi = infinite[0]
+        raise IngestionError(
+            f"{path}: station {station_ids[si]}: variable {var_names[vi]}: "
+            f"non-finite value {values[t, si, vi]} at {timestamps[t].isoformat()}"
+        )
 
     # forward fill per station/variable, bounded by the 10% rule
     max_missing = 0.10 * n_steps * n_vars

@@ -27,6 +27,7 @@ from .numerics import (
     LinearLayer,
     linear_backward,
     linear_forward,
+    linear_param_grads,
     relu,
     relu_backward,
 )
@@ -393,7 +394,14 @@ def forward_batch(
 
     history: [B, T_h, N, C]; coords_norm: normalized [N, 3]; hours/days/
     months: per-window calendar indices [B]. Returns predictions
-    [B, T_f, N, C] and, when requested, the cache needed by backward_batch.
+    [B, T_f, N, C] and, when want_cache is set, the cache backward_batch
+    needs (else None). Rows are (window, station, variable). The cache
+    holds the input rows x_rows [B*N*C, T_h] (a view of `history` when that
+    needs no copy), the calendar indices, the normalized coordinates,
+    z_list (each residual block's input [B*N*C, d], then the head's input)
+    and r_list (each block's ReLU output, which is also fc2's input). Its
+    arrays are read, never written, by backward_batch. Without want_cache
+    the residual blocks keep none of their outputs.
     """
     cfg = params.config
     history = np.asarray(history, dtype=np.float64)
@@ -439,12 +447,16 @@ def forward_batch(
 
     z = h4.reshape(-1, cfg.d)
     z_list = [z]
-    a_list = []
+    r_list = []
     for layer in params.encoder:
-        a = linear_forward(z, layer.fc1)
-        z = linear_forward(relu(a), layer.fc2) + z
-        a_list.append(a)
-        z_list.append(z)
+        r = linear_forward(z, layer.fc1)
+        relu(r, out=r)
+        y = linear_forward(r, layer.fc2)
+        y += z  # residual path
+        z = y
+        if want_cache:
+            r_list.append(r)
+            z_list.append(z)
 
     y_rows = linear_forward(z, params.fc_regress)
     pred = np.ascontiguousarray(
@@ -459,7 +471,7 @@ def forward_batch(
         "days": days,
         "months": months,
         "z_list": z_list,
-        "a_list": a_list,
+        "r_list": r_list,
         "dims": (n_batch, n_stations, n_vars),
     }
     return pred, cache
@@ -484,15 +496,16 @@ def backward_batch(grad_pred: np.ndarray, cache: dict, params: ModelParams) -> d
 
     for i in reversed(range(cfg.n_layers)):
         layer = params.encoder[i]
-        a = cache["a_list"][i]
-        gs, gw2, gb2 = linear_backward(relu(a), layer.fc2, gz)
-        ga = relu_backward(a, gs)
+        r = cache["r_list"][i]
+        gs, gw2, gb2 = linear_backward(r, layer.fc2, gz)
+        ga = relu_backward(r, gs, out=gs)
         gz_in, gw1, gb1 = linear_backward(cache["z_list"][i], layer.fc1, ga)
         grads[f"encoder.{i}.fc1.weight"] = gw1
         grads[f"encoder.{i}.fc1.bias"] = gb1
         grads[f"encoder.{i}.fc2.weight"] = gw2
         grads[f"encoder.{i}.fc2.bias"] = gb2
-        gz = gz_in + gz  # residual path
+        gz_in += gz  # residual path
+        gz = gz_in
 
     gh4 = gz.reshape(n_batch, n_stations, n_vars, cfg.d)
 
@@ -509,13 +522,13 @@ def backward_batch(grad_pred: np.ndarray, cache: dict, params: ModelParams) -> d
 
     if cfg.spatial_encoding == "absolute":
         g_station = gh4.sum(axis=(0, 2))  # [N, d]
-        _, gw_s, gb_s = linear_backward(cache["coords_norm"], params.fc_spatial, g_station)
+        gw_s, gb_s = linear_param_grads(cache["coords_norm"], g_station)
         grads["fc_spatial.weight"] = gw_s
         grads["fc_spatial.bias"] = gb_s
     elif cfg.spatial_encoding == "relative":
         grads["station_table"] = gh4.sum(axis=(0, 2))
 
-    _, gw_e, gb_e = linear_backward(cache["x_rows"], params.fc_embed, gz)
+    gw_e, gb_e = linear_param_grads(cache["x_rows"], gz)
     grads["fc_embed.weight"] = gw_e
     grads["fc_embed.bias"] = gb_e
     return grads
@@ -564,7 +577,9 @@ def loss_and_grads(
     future = np.asarray(future, dtype=np.float64)
     if future.shape != pred.shape:
         raise ShapeError(f"future shape {future.shape} != pred shape {pred.shape}")
-    diff = pred - future
+    diff = pred  # pred is fresh and not in the cache
+    diff -= future
     loss = float(np.abs(diff).sum() / diff.size)
-    grad_pred = np.sign(diff) / diff.size
+    grad_pred = np.sign(diff, out=diff)
+    grad_pred /= diff.size
     return loss, backward_batch(grad_pred, cache, params)

@@ -3,9 +3,16 @@ forward/backward rules, the ReLU activation, the Adam optimizer, and a
 central finite-difference gradient checker.
 
 All raw math lives here. Matrices are C-contiguous float64 numpy arrays
-(row-major); vectors are 1-D arrays. Every function is deterministic and
-pure except adam_step, which updates its AdamState in place (single
-writer: one training loop owns one state).
+(row-major); vectors are 1-D arrays. Every function is deterministic.
+
+Results are freshly allocated and never share memory with an argument:
+linear_forward, linear_backward and linear_param_grads always, relu and
+relu_backward unless given `out`. As in numpy, `out` is the array that
+receives the result and is returned; passing an input there (relu(a,
+out=a), relu_backward(r, g, out=g)) overwrites that input in place, which
+the batch path does on buffers it owns to avoid a second full-size array.
+Nothing else writes to its arguments except adam_step, which updates its
+AdamState in place (single writer: one training loop owns one state).
 """
 
 from __future__ import annotations
@@ -59,16 +66,37 @@ def linear_forward(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
         raise ShapeError(
             f"input has {x.shape[-1]} features, layer expects {layer.d_in}"
         )
-    return x @ layer.weight.T + layer.bias
+    out = x @ layer.weight.T
+    out += layer.bias  # same bits as `x @ W.T + b`, without a second array
+    return out
+
+
+def linear_param_grads(
+    x: np.ndarray, grad_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weight and bias gradients of linear_forward, without grad_x.
+
+    grad_weight = grad_out outer x, grad_bias = grad_out; for stacked rows
+    [n, d] both sum over the stack. For a layer whose input needs no
+    gradient (the model's input embeddings).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    if x.ndim != grad_out.ndim or x.shape[:-1] != grad_out.shape[:-1]:
+        raise ShapeError(
+            f"x shape {x.shape} and grad_out shape {grad_out.shape} disagree"
+        )
+    if x.ndim == 1:
+        return np.outer(grad_out, x), grad_out.copy()
+    return grad_out.T @ x, grad_out.sum(axis=0)
 
 
 def linear_backward(
     x: np.ndarray, layer: LinearLayer, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reverse-mode rule for linear_forward.
+    """Reverse-mode rule for linear_forward: (grad_x, grad_weight, grad_bias).
 
-    grad_weight = grad_out outer x, grad_bias = grad_out, grad_x = W^T grad_out.
-    For stacked rows [n, d] the weight/bias gradients sum over the stack.
+    grad_x = W^T grad_out; the weight/bias gradients are linear_param_grads.
     """
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -78,32 +106,37 @@ def linear_backward(
         raise ShapeError(
             f"grad_out has {grad_out.shape[-1]} features, expected {layer.d_out}"
         )
-    if x.ndim != grad_out.ndim or x.shape[:-1] != grad_out.shape[:-1]:
-        raise ShapeError(
-            f"x shape {x.shape} and grad_out shape {grad_out.shape} disagree"
-        )
-    if x.ndim == 1:
-        grad_weight = np.outer(grad_out, x)
-        grad_bias = grad_out.copy()
-    else:
-        grad_weight = grad_out.T @ x
-        grad_bias = grad_out.sum(axis=0)
+    grad_weight, grad_bias = linear_param_grads(x, grad_out)
     grad_x = grad_out @ layer.weight
     return grad_x, grad_weight, grad_bias
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(0, x)."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise max(0, x), written to `out` when given."""
+    return np.maximum(np.asarray(x, dtype=np.float64), 0.0, out=out)
 
 
-def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Pass gradient where x > 0; the subgradient at exactly 0 is 0."""
+def relu_backward(
+    x: np.ndarray, grad_out: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Pass gradient where x > 0; the subgradient at exactly 0 is 0.
+
+    x may be the ReLU input or its output: both are > 0 at the same places.
+    The result is written to `out` (float64) when given, which may be x or
+    grad_out. Same bits as np.where(x > 0, grad_out, 0.0), NaN included:
+    the gradient's bit pattern, as an integer, is multiplied by the mask
+    (1 keeps it, 0 gives +0.0), which is faster than np.where or a masked
+    copy and needs no full-size temporary beyond the bool mask.
+    """
     x = np.asarray(x, dtype=np.float64)
     grad_out = np.asarray(grad_out, dtype=np.float64)
     if x.shape != grad_out.shape:
         raise ShapeError(f"x shape {x.shape} != grad_out shape {grad_out.shape}")
-    return np.where(x > 0.0, grad_out, 0.0)
+    keep = np.asarray(x > 0.0)
+    if out is None:
+        out = np.empty_like(grad_out)
+    np.multiply(grad_out.view(np.int64), keep, out=out.view(np.int64))
+    return out
 
 
 @dataclass

@@ -110,6 +110,32 @@ def test_ingest_check(synth_dir, tmp_path, capsys):
     assert "stations: 2" in out and "steps: 220" in out
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: [row[0] + "+00:00"] + row[1:], "timezone-aware"),
+        (lambda row: row[:2] + ["-inf"], "non-finite value -inf"),
+    ],
+    ids=["mixed-timezones", "infinite-value"],
+)
+def test_bad_observation_is_one_line_exit_2(synth_dir, tmp_path, capsys, edit, message):
+    with open(synth_dir / "observations.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[5] = edit(rows[5])
+    with open(tmp_path / "obs.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    cfg = write_config(
+        tmp_path / "chk.cfg",
+        TINY,
+        stations_csv=synth_dir / "stations.csv",
+        observations_csv=tmp_path / "obs.csv",
+    )
+    assert cli.main(["ingest-check", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ingestion error: ") and message in err
+    assert err.count("\n") == 1
+
+
 # --- train -----------------------------------------------------------------
 
 

@@ -169,6 +169,38 @@ def test_leading_gap_rejected(tmp_path):
         load_observations_csv(p, *STATIONS)
 
 
+def test_mixed_timezones_rejected(tmp_path):
+    rows = two_station_rows()
+    rows[2] = ("2020-01-01T01:00:00+00:00", "s1", 2.0)
+    p = write(tmp_path / "o.csv", obs_csv_text(rows))
+    with pytest.raises(IngestionError, match="timezone-aware .* naive"):
+        load_observations_csv(p, *STATIONS)
+
+
+def gap_rows(s2_value_at_7):
+    """20 steps; s2's cell at step 7 holds the given raw text."""
+    rows = []
+    for k in range(20):
+        ts = f"2020-01-01T{k:02d}:00:00"
+        rows.append((ts, "s1", float(k)))
+        rows.append((ts, "s2", s2_value_at_7 if k == 7 else 10.0 + k))
+    return rows
+
+
+@pytest.mark.parametrize("raw", ["inf", "-inf", "Infinity"])
+def test_infinite_value_rejected(tmp_path, raw):
+    p = write(tmp_path / "o.csv", obs_csv_text(gap_rows(raw)))
+    with pytest.raises(IngestionError, match="s2: variable var_0: .*inf at 2020-01-01T07:00"):
+        load_observations_csv(p, *STATIONS)
+
+
+@pytest.mark.parametrize("raw", ["nan", ""])
+def test_nan_and_empty_are_missing(tmp_path, raw):
+    p = write(tmp_path / "o.csv", obs_csv_text(gap_rows(raw)))
+    obs = load_observations_csv(p, *STATIONS)
+    assert obs.values[7, 1, 0] == obs.values[6, 1, 0] == 16.0
+
+
 def test_ingestion_idempotent(tmp_path):
     p = write(tmp_path / "o.csv", obs_csv_text(two_station_rows()))
     a = load_observations_csv(p, *STATIONS)

@@ -1,6 +1,8 @@
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -25,7 +27,7 @@ from lightweather.model import (
     parameter_count,
     tensor_shapes,
 )
-from lightweather.numerics import finite_diff_check
+from lightweather.numerics import finite_diff_check, linear_forward, relu
 
 
 def small_config(**kw):
@@ -327,6 +329,185 @@ def test_doubling_loss_scale_doubles_gradients():
     grads2 = backward_batch(2.0 * g, cache, p)
     for name in grads1:
         assert_array_equal(grads2[name], 2.0 * grads1[name])
+
+
+# --- same bits as the definitional math ------------------------------------
+# An unfused reference written from the primitives' definitions: every step
+# allocates its result, ReLU is recomputed in backward and its gradient is
+# np.where, and every linear backward computes grad_x. The batch path reuses
+# buffers and skips unused work, but must perform the same floating-point
+# operations in the same order, so its results must match bit for bit.
+
+ENCODINGS = [
+    ("absolute", "absolute"),
+    ("relative", "absolute"),
+    ("none", "absolute"),
+    ("absolute", "none"),
+    ("none", "none"),
+]
+
+
+def _ref_linear(x, layer):
+    return x @ layer.weight.T + layer.bias
+
+
+def _ref_linear_backward(x, layer, g):
+    return g @ layer.weight, g.T @ x, g.sum(axis=0)
+
+
+def _ref_pred_loss_grads(p, hist, fut, cn, hours, days, months):
+    cfg = p.config
+    n_batch, t_h, n_st, n_vars = hist.shape
+    x_rows = np.ascontiguousarray(hist.transpose(0, 2, 3, 1).reshape(-1, t_h))
+    h4 = _ref_linear(x_rows, p.fc_embed).reshape(n_batch, n_st, n_vars, cfg.d)
+    if cfg.spatial_encoding == "absolute":
+        h4 += _ref_linear(cn, p.fc_spatial)[None, :, None, :]
+    elif cfg.spatial_encoding == "relative":
+        h4 += p.station_table[None, :, None, :]
+    if cfg.temporal_encoding == "absolute":
+        time_rows = p.table_hour[hours] + p.table_day[days] + p.table_month[months]
+        h4 += time_rows[:, None, None, :]
+    zs, pre = [h4.reshape(-1, cfg.d)], []
+    for layer in p.encoder:
+        pre.append(_ref_linear(zs[-1], layer.fc1))
+        zs.append(_ref_linear(np.maximum(pre[-1], 0.0), layer.fc2) + zs[-1])
+    y_rows = _ref_linear(zs[-1], p.fc_regress)
+    pred = np.ascontiguousarray(
+        y_rows.reshape(n_batch, n_st, n_vars, cfg.t_f).transpose(0, 3, 1, 2)
+    )
+    diff = pred - fut
+    loss = float(np.abs(diff).sum() / diff.size)
+    grad_pred = np.sign(diff) / diff.size
+    g_rows = np.ascontiguousarray(grad_pred.transpose(0, 2, 3, 1).reshape(-1, cfg.t_f))
+
+    g = {}
+    gz, g["fc_regress.weight"], g["fc_regress.bias"] = _ref_linear_backward(
+        zs[-1], p.fc_regress, g_rows
+    )
+    for i in reversed(range(cfg.n_layers)):
+        layer, a = p.encoder[i], pre[i]
+        gs, g[f"encoder.{i}.fc2.weight"], g[f"encoder.{i}.fc2.bias"] = (
+            _ref_linear_backward(np.maximum(a, 0.0), layer.fc2, gz)
+        )
+        ga = np.where(a > 0.0, gs, 0.0)
+        gz_in, g[f"encoder.{i}.fc1.weight"], g[f"encoder.{i}.fc1.bias"] = (
+            _ref_linear_backward(zs[i], layer.fc1, ga)
+        )
+        gz = gz_in + gz
+    gh4 = gz.reshape(n_batch, n_st, n_vars, cfg.d)
+    if cfg.temporal_encoding == "absolute":
+        g_window = gh4.sum(axis=(1, 2))
+        for name, idx in (("table_hour", hours), ("table_day", days), ("table_month", months)):
+            g[name] = np.zeros_like(getattr(p, name))
+            np.add.at(g[name], idx, g_window)
+    if cfg.spatial_encoding == "absolute":
+        _, g["fc_spatial.weight"], g["fc_spatial.bias"] = _ref_linear_backward(
+            cn, p.fc_spatial, gh4.sum(axis=(0, 2))
+        )
+    elif cfg.spatial_encoding == "relative":
+        g["station_table"] = gh4.sum(axis=(0, 2))
+    _, g["fc_embed.weight"], g["fc_embed.bias"] = _ref_linear_backward(x_rows, p.fc_embed, gz)
+    return pred, loss, g
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype == np.float64
+    assert_array_equal(
+        np.ascontiguousarray(actual).view(np.uint64),
+        np.ascontiguousarray(expected).view(np.uint64),
+    )
+
+
+def _random_batch(cfg, n_batch, n_st, seed):
+    rng = np.random.default_rng(seed)
+    hist = rng.normal(size=(n_batch, cfg.t_h, n_st, cfg.n_vars))
+    fut = rng.normal(size=(n_batch, cfg.t_f, n_st, cfg.n_vars))
+    cn = normalize_coords(random_coords(n_st, seed))
+    calendar = [rng.integers(0, hi, size=n_batch) for hi in (24, 31, 12)]
+    return hist, fut, cn, *calendar
+
+
+@pytest.mark.parametrize("spatial,temporal", ENCODINGS)
+@pytest.mark.parametrize("n_batch,n_st,n_vars", [(3, 5, 2), (1, 1, 1)])
+def test_batch_path_same_bits_as_reference(spatial, temporal, n_batch, n_st, n_vars):
+    cfg = small_config(
+        d=16, n_vars=n_vars, spatial_encoding=spatial, temporal_encoding=temporal,
+        n_stations=n_st,
+    )
+    p = init_params(cfg, seed=31)
+    batch = _random_batch(cfg, n_batch, n_st, seed=32)
+    hist, fut, cn, hours, days, months = batch
+    ref_pred, ref_loss, ref_grads = _ref_pred_loss_grads(p, *batch)
+
+    pred, _ = forward_batch(hist, cn, hours, days, months, p)
+    assert_same_bits(pred, ref_pred)
+    loss, grads = loss_and_grads(p, *batch)
+    assert loss.hex() == ref_loss.hex()
+    assert grads.keys() == ref_grads.keys() == dict(p.named_tensors()).keys()
+    for name, g in grads.items():
+        assert_same_bits(g, ref_grads[name])
+
+
+# --- the batch path writes only to buffers it allocated --------------------
+
+
+def _assert_unchanged(before, after):
+    """`after` holds the same bits as `before`, a deep copy of it."""
+    if isinstance(before, np.ndarray):
+        assert after.dtype == before.dtype and after.shape == before.shape
+        assert after.tobytes() == before.tobytes()
+    elif isinstance(before, dict):
+        assert before.keys() == after.keys()
+        for k in before:
+            _assert_unchanged(before[k], after[k])
+    elif isinstance(before, (list, tuple)):
+        assert len(before) == len(after)
+        for b, a in zip(before, after):
+            _assert_unchanged(b, a)
+    else:
+        assert before == after
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_batch=st.integers(1, 3),
+    n_st=st.integers(1, 3),
+    n_vars=st.integers(1, 2),
+    encoding=st.sampled_from(ENCODINGS),
+    seed=st.integers(0, 2**16),
+)
+@example(n_batch=1, n_st=1, n_vars=1, encoding=("absolute", "absolute"), seed=0)
+def test_batch_path_mutates_nothing(n_batch, n_st, n_vars, encoding, seed):
+    cfg = small_config(
+        n_vars=n_vars, spatial_encoding=encoding[0], temporal_encoding=encoding[1],
+        n_stations=n_st,
+    )
+    p = init_params(cfg, seed=seed)
+    batch = _random_batch(cfg, n_batch, n_st, seed)
+    hist, fut, cn, hours, days, months = batch
+    inputs_before = copy.deepcopy(batch)
+    params_before = copy.deepcopy(dict(p.named_tensors()))
+
+    plain, no_cache = forward_batch(hist, cn, hours, days, months, p)
+    pred, cache = forward_batch(hist, cn, hours, days, months, p, want_cache=True)
+    assert no_cache is None
+    assert_same_bits(plain, pred)
+    if n_batch == n_st == n_vars == 1:
+        assert np.shares_memory(cache["x_rows"], hist)  # the aliasing case
+    cache_before = copy.deepcopy(cache)
+    loss_and_grads(p, *batch)
+    backward_batch(np.sign(pred - fut) / pred.size, cache, p)
+
+    _assert_unchanged(inputs_before, batch)
+    _assert_unchanged(params_before, dict(p.named_tensors()))
+    _assert_unchanged(cache_before, cache)
+
+    rows = cache["x_rows"]
+    y = linear_forward(rows, p.fc_embed)
+    for arg in (rows, hist, p.fc_embed.weight, p.fc_embed.bias):
+        assert not np.shares_memory(y, arg)
+    out = np.empty_like(y)
+    assert relu(y, out=out) is out and not np.shares_memory(out, y)
 
 
 # --- parameter counting ----------------------------------------------------

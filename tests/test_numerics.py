@@ -12,6 +12,7 @@ from lightweather.numerics import (
     finite_diff_check,
     linear_backward,
     linear_forward,
+    linear_param_grads,
     relu,
     relu_backward,
 )
@@ -100,6 +101,50 @@ def test_relu_subgradient_at_zero_is_zero():
 def test_relu_idempotent(xs):
     x = np.array(xs)
     assert_array_equal(relu(relu(x)), relu(x))
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan])
+
+
+@given(st.lists(st.tuples(SPECIAL, SPECIAL), min_size=1, max_size=20))
+def test_relu_backward_same_bits_as_where(pairs):
+    a, g = (np.array(v) for v in zip(*pairs))
+    expected = np.where(a > 0.0, g, 0.0).view(np.uint64)
+    for x in (a, relu(a)):  # masking on the input or the output agrees
+        assert_array_equal(relu_backward(x, g).view(np.uint64), expected)
+        buf = g.copy()
+        assert relu_backward(x, buf, out=buf) is buf
+        assert_array_equal(buf.view(np.uint64), expected)
+
+
+def test_out_argument_writes_only_out():
+    a = np.array([-2.0, 0.5, 3.0])
+    g = np.array([1.0, 2.0, 3.0])
+    buf = np.empty(3)
+    assert relu(a, out=buf) is buf and not np.shares_memory(buf, a)
+    assert relu_backward(a, g, out=buf) is buf
+    assert_array_equal(buf, [0.0, 2.0, 3.0])
+    x = a.copy()
+    assert relu_backward(x, g, out=x) is x  # the mask is taken before writing
+    assert_array_equal(x, [0.0, 2.0, 3.0])
+    assert_array_equal(a, [-2.0, 0.5, 3.0])
+    assert_array_equal(g, [1.0, 2.0, 3.0])
+    assert not np.shares_memory(relu(a), a)
+    assert not np.shares_memory(relu_backward(a, g), g)
+
+
+def test_linear_param_grads_match_linear_backward():
+    rng = np.random.default_rng(3)
+    layer = LinearLayer(weight=rng.normal(size=(4, 3)), bias=rng.normal(size=4))
+    for shape in ((3,), (5, 3)):
+        x = rng.normal(size=shape)
+        g = rng.normal(size=shape[:-1] + (4,))
+        _, gw, gb = linear_backward(x, layer, g)
+        pw, pb = linear_param_grads(x, g)
+        assert_array_equal(pw, gw)
+        assert_array_equal(pb, gb)
+    with pytest.raises(ShapeError):
+        linear_param_grads(np.zeros((5, 3)), np.zeros((6, 4)))
 
 
 def test_adam_zero_grad_keeps_param():
