@@ -3,8 +3,10 @@
 Layout: magic bytes "LWCKPT1", a little-endian uint32 manifest length, a
 UTF-8 JSON manifest (model config plus one entry per tensor: name, shape,
 element type), then the raw tensor data little-endian in manifest order.
-Round-trips are bit-exact; a truncated or inconsistent file fails before
-anything is loaded.
+The writer lists tensors in model.tensor_spec order; the reader accepts
+them in any order and returns them in spec order. Round-trips are
+bit-exact; a truncated or inconsistent file fails before anything is
+loaded.
 """
 
 from __future__ import annotations
@@ -16,21 +18,24 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import CheckpointError
-from .model import ModelConfig, ModelParams, init_params, tensor_shapes
+from .model import ModelConfig, ModelParams, tensor_spec
 
 MAGIC = b"LWCKPT1"
 _DTYPES = {"float64": "<f8", "float32": "<f4"}
 
 
+def _shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    return {name: shape for name, shape, _ in tensor_spec(config)}
+
+
 def checkpoint_save(path, params: ModelParams, dtype: str = "float64") -> None:
     if dtype not in _DTYPES:
         raise CheckpointError(f"unsupported element type {dtype!r}")
-    tensors = params.named_tensors()
     manifest = {
         "config": asdict(params.config),
         "tensors": [
             {"name": name, "shape": list(arr.shape), "dtype": dtype}
-            for name, arr in tensors
+            for name, arr in params.tensors.items()
         ],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
@@ -38,7 +43,7 @@ def checkpoint_save(path, params: ModelParams, dtype: str = "float64") -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for _, arr in tensors:
+        for arr in params.tensors.values():
             fh.write(np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes())
 
 
@@ -56,16 +61,16 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelPa
         manifest = json.loads(raw[body : body + mlen].decode("utf-8"))
         config = ModelConfig(**manifest["config"])
         entries = manifest["tensors"]
+        declared = {e["name"]: tuple(e["shape"]) for e in entries}
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad manifest: {exc}") from exc
 
-    declared = {e["name"]: tuple(e["shape"]) for e in entries}
-    expected_own = dict(tensor_shapes(config))
+    expected_own = _shapes(config)
     if declared != expected_own:
         odd = sorted(set(declared.items()) ^ set(expected_own.items()))
         raise CheckpointError(f"{path}: manifest inconsistent with its config: {odd}")
     if expected_config is not None:
-        wanted = dict(tensor_shapes(expected_config))
+        wanted = _shapes(expected_config)
         bad = sorted(
             name
             for name in set(declared) | set(wanted)
@@ -88,7 +93,7 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelPa
             f"{path}: size {len(raw)} does not match manifest total {total}"
         )
 
-    params = init_params(config, seed=0)
+    loaded = {}
     offset = body + mlen
     for e in entries:
         dt = np.dtype(_DTYPES[e["dtype"]])
@@ -97,5 +102,5 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelPa
             e["shape"]
         )
         offset += count * dt.itemsize
-        params.set_tensor(e["name"], arr.astype(np.float64))
-    return params
+        loaded[e["name"]] = arr.astype(np.float64)
+    return ModelParams(config, {name: loaded[name] for name in expected_own})

@@ -127,19 +127,12 @@ def parse_run_config(path) -> RunConfig:
     return cfg
 
 
-def _int_list(raw: str, what: str) -> list[int]:
-    items = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not items:
-        raise ConfigError(f"{what} must be a non-empty comma-separated list")
+def _list(raw: str, what: str, kind: type) -> list:
+    """Comma-separated values of type `kind`; blank items are skipped."""
     try:
-        return [int(tok) for tok in items]
+        return [kind(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad {what}: {exc}") from exc
-
-
-def _float_list(raw: str) -> tuple[float, ...]:
-    items = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    return tuple(float(tok) for tok in items)
 
 
 def _model_config(cfg: RunConfig, n_vars: int, n_stations: int | None) -> ModelConfig:
@@ -169,17 +162,28 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
     return tc
 
 
+def _input_file(label: str, path: str) -> str:
+    if not path:
+        raise ConfigError(f"{label} not set in config")
+    if not Path(path).is_file():
+        raise IngestionError(f"{label} file not found: {path}")
+    return path
+
+
 def _load_dataset(cfg: RunConfig):
-    for label, path in (
-        ("stations_csv", cfg.stations_csv),
-        ("observations_csv", cfg.observations_csv),
-    ):
-        if not path:
-            raise ConfigError(f"{label} not set in config")
-        if not Path(path).is_file():
-            raise IngestionError(f"{label} file not found: {path}")
-    ids, coords = load_stations_csv(cfg.stations_csv)
-    return load_observations_csv(cfg.observations_csv, ids, coords)
+    stations = _input_file("stations_csv", cfg.stations_csv)
+    observations = _input_file("observations_csv", cfg.observations_csv)
+    ids, coords = load_stations_csv(stations)
+    return load_observations_csv(observations, ids, coords)
+
+
+def prepare(cfg: RunConfig):
+    """Load the dataset and derive what every model command starts from:
+    (observations, model config, chronological splits, normalized coords)."""
+    obs = _load_dataset(cfg)
+    model_cfg = _model_config(cfg, obs.n_vars, obs.n_stations)
+    prepared = split_windows(obs, model_cfg.t_h, model_cfg.t_f, cfg.normalize)
+    return obs, model_cfg, prepared, normalize_coords(obs.coords)
 
 
 def _checkpoint_path(cfg: RunConfig, flag: str | None) -> Path:
@@ -191,7 +195,10 @@ def _checkpoint_path(cfg: RunConfig, flag: str | None) -> Path:
 
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot create out_dir {out}: {exc.strerror}") from exc
     return out
 
 
@@ -214,7 +221,7 @@ def cmd_synth(cfg: RunConfig) -> int:
         n_stations=cfg.synth_stations,
         n_steps=cfg.synth_steps,
         interval_hours=cfg.synth_interval_hours,
-        alpha=_float_list(cfg.synth_alpha),
+        alpha=tuple(_list(cfg.synth_alpha, "synth_alpha", float)),
         amp_diurnal=cfg.synth_amp_diurnal,
         amp_annual=cfg.synth_amp_annual,
         amp_elev=cfg.synth_amp_elev,
@@ -245,11 +252,8 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    obs = _load_dataset(cfg)
-    model_cfg = _model_config(cfg, obs.n_vars, obs.n_stations)
+    _, model_cfg, prepared, coords_norm = prepare(cfg)
     train_cfg = _train_config(cfg)
-    prepared = split_windows(obs, model_cfg.t_h, model_cfg.t_f, cfg.normalize)
-    coords_norm = normalize_coords(obs.coords)
     params = init_params(model_cfg, cfg.seed)
     result = fit(
         params, prepared.train, prepared.val, coords_norm, train_cfg, prepared.normalizer
@@ -264,17 +268,9 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_eval_bits(cfg: RunConfig, checkpoint_flag: str | None):
-    obs = _load_dataset(cfg)
-    model_cfg = _model_config(cfg, obs.n_vars, obs.n_stations)
-    params = checkpoint_load(_checkpoint_path(cfg, checkpoint_flag), model_cfg)
-    prepared = split_windows(obs, model_cfg.t_h, model_cfg.t_f, cfg.normalize)
-    return obs, model_cfg, params, prepared
-
-
 def cmd_evaluate(cfg: RunConfig, checkpoint_flag: str | None) -> int:
-    obs, model_cfg, params, prepared = _load_eval_bits(cfg, checkpoint_flag)
-    coords_norm = normalize_coords(obs.coords)
+    _, model_cfg, prepared, coords_norm = prepare(cfg)
+    params = checkpoint_load(_checkpoint_path(cfg, checkpoint_flag), model_cfg)
     model_metrics = evaluate(
         params, prepared.test, coords_norm, prepared.normalizer, cfg.batch_size
     )
@@ -294,8 +290,7 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_flag: str | None) -> int:
 
 
 def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) -> int:
-    obs = _load_dataset(cfg)
-    model_cfg = _model_config(cfg, obs.n_vars, obs.n_stations)
+    obs, model_cfg, prepared, coords_norm = prepare(cfg)
     params = checkpoint_load(_checkpoint_path(cfg, checkpoint_flag), model_cfg)
     try:
         when = datetime.fromisoformat(timestamp)
@@ -308,8 +303,6 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
             f"steps inside the observation range"
         )
     idx = index[when]
-
-    prepared = split_windows(obs, model_cfg.t_h, model_cfg.t_f, cfg.normalize)
     values = (
         normalize_apply(obs.values, prepared.normalizer)
         if prepared.normalizer is not None
@@ -318,7 +311,7 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
     tf = TimeFeature.from_timestamp(when)
     pred, _ = forward_batch(
         values[idx - model_cfg.t_h : idx][None],
-        normalize_coords(obs.coords),
+        coords_norm,
         np.array([tf.hour]),
         np.array([tf.day_index]),
         np.array([tf.month_index]),
@@ -349,7 +342,7 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
-    seeds = _int_list(cfg.ablate_seeds, "ablate_seeds")
+    seeds = _list(cfg.ablate_seeds, "ablate_seeds", int)
     obs = _load_dataset(cfg)
     model_cfg = _model_config(cfg, obs.n_vars, obs.n_stations)
     rows = run_ablation_suite(obs, model_cfg, _train_config(cfg), seeds, cfg.normalize)
@@ -371,11 +364,11 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    d_list = _int_list(cfg.sweep_d, "sweep_d")
-    layers_list = _int_list(cfg.sweep_layers, "sweep_layers")
-    obs = _load_dataset(cfg)
-    prepared = split_windows(obs, cfg.t_h, cfg.t_f, cfg.normalize)
-    coords_norm = normalize_coords(obs.coords)
+    d_list = _list(cfg.sweep_d, "sweep_d", int)
+    layers_list = _list(cfg.sweep_layers, "sweep_layers", int)
+    if not d_list or not layers_list:
+        raise ConfigError("sweep_d and sweep_layers must be non-empty comma-separated lists")
+    _, base_cfg, prepared, coords_norm = prepare(cfg)
     train_cfg = _train_config(cfg)
     out = _out_dir(cfg)
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
@@ -383,8 +376,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         writer.writerow(["d", "layers", "val_mse", "val_mae", "params", "epoch_seconds"])
         for d in d_list:
             for n_layers in layers_list:
-                point = replace(cfg, d=d, layers=n_layers)
-                model_cfg = _model_config(point, obs.n_vars, obs.n_stations)
+                model_cfg = replace(base_cfg, d=d, n_layers=n_layers)
                 n_params = parameter_count(model_cfg)
                 try:
                     result = fit(
@@ -415,10 +407,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_param_count(cfg: RunConfig) -> int:
     n_stations = None
-    if cfg.spatial == "relative":
-        if not cfg.stations_csv:
-            raise ConfigError("relative spatial encoding needs stations_csv to fix N")
-        ids, _ = load_stations_csv(cfg.stations_csv)
+    if cfg.spatial == "relative":  # the station table's size needs N
+        ids, _ = load_stations_csv(_input_file("stations_csv", cfg.stations_csv))
         n_stations = len(ids)
     model_cfg = _model_config(cfg, 1, n_stations)
     print(f"enumerated: {parameter_count(model_cfg)}")

@@ -13,10 +13,16 @@ spatial_encoding may be "absolute" (a 3 -> d layer over normalized
 lat/lon/elevation), "relative" (a learnable station-index table), or
 "none"; temporal_encoding may be "absolute" (hour/day/month tables) or
 "none".
+
+tensor_spec(config) is the only place the parameter layout is written:
+names, shapes and init bounds, in the order that init_params draws them and
+that the LWCKPT1 checkpoint manifest lists them. ModelParams holds the
+tensors in a dict in that order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -124,76 +130,56 @@ def normalize_coords(coords) -> np.ndarray:
     return raw / np.array([90.0, 180.0, 10000.0])
 
 
-@dataclass
-class EncoderLayer:
-    fc1: LinearLayer
-    fc2: LinearLayer
+def tensor_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
+    """Every tensor of the configured variant as (name, shape, init_bound).
+
+    The one description of the parameter layout. Its order is the LWCKPT1
+    manifest order and the order init_params draws from its generator.
+    Linear layers are `<name>.weight` [d_out, d_in] and `<name>.bias`
+    [d_out], both bounded by 1/sqrt(d_in); embedding tables by 1/sqrt(d).
+    """
+    config.validate()
+    d = config.d
+    table_bound = 1.0 / np.sqrt(d)
+
+    def linear(name: str, d_out: int, d_in: int):
+        bound = 1.0 / np.sqrt(d_in)
+        return [(f"{name}.weight", (d_out, d_in), bound), (f"{name}.bias", (d_out,), bound)]
+
+    spec = linear("fc_embed", d, config.t_h)
+    if config.spatial_encoding == "absolute":
+        spec += linear("fc_spatial", d, 3)
+    elif config.spatial_encoding == "relative":
+        spec.append(("station_table", (config.n_stations, d), table_bound))
+    if config.temporal_encoding == "absolute":
+        spec += [
+            ("table_hour", (HOURS_PER_DAY, d), table_bound),
+            ("table_day", (DAYS_PER_MONTH, d), table_bound),
+            ("table_month", (MONTHS_PER_YEAR, d), table_bound),
+        ]
+    for i in range(config.n_layers):
+        spec += linear(f"encoder.{i}.fc1", d, d) + linear(f"encoder.{i}.fc2", d, d)
+    spec += linear("fc_regress", config.t_f, d)
+    return spec
 
 
 @dataclass
 class ModelParams:
-    """Every learnable tensor of the network, addressable by name."""
+    """Every learnable tensor of the network, keyed by name in tensor_spec
+    order."""
 
     config: ModelConfig
-    fc_embed: LinearLayer
-    fc_regress: LinearLayer
-    encoder: list[EncoderLayer]
-    fc_spatial: LinearLayer | None = None
-    station_table: np.ndarray | None = None
-    table_hour: np.ndarray | None = None
-    table_day: np.ndarray | None = None
-    table_month: np.ndarray | None = None
+    tensors: dict[str, np.ndarray]
 
-    def named_tensors(self) -> list[tuple[str, np.ndarray]]:
-        """Canonical (name, array) list; also the checkpoint manifest order."""
-        out = [
-            ("fc_embed.weight", self.fc_embed.weight),
-            ("fc_embed.bias", self.fc_embed.bias),
-        ]
-        if self.fc_spatial is not None:
-            out.append(("fc_spatial.weight", self.fc_spatial.weight))
-            out.append(("fc_spatial.bias", self.fc_spatial.bias))
-        if self.station_table is not None:
-            out.append(("station_table", self.station_table))
-        if self.table_hour is not None:
-            out.append(("table_hour", self.table_hour))
-            out.append(("table_day", self.table_day))
-            out.append(("table_month", self.table_month))
-        for i, layer in enumerate(self.encoder):
-            out.append((f"encoder.{i}.fc1.weight", layer.fc1.weight))
-            out.append((f"encoder.{i}.fc1.bias", layer.fc1.bias))
-            out.append((f"encoder.{i}.fc2.weight", layer.fc2.weight))
-            out.append((f"encoder.{i}.fc2.bias", layer.fc2.bias))
-        out.append(("fc_regress.weight", self.fc_regress.weight))
-        out.append(("fc_regress.bias", self.fc_regress.bias))
-        return out
-
-    def set_tensor(self, name: str, value: np.ndarray) -> None:
-        value = np.ascontiguousarray(value, dtype=np.float64)
-        if name == "station_table":
-            self.station_table = value
-            return
-        if name in ("table_hour", "table_day", "table_month"):
-            setattr(self, name, value)
-            return
-        parts = name.split(".")
-        if parts[0] == "encoder":
-            layer = getattr(self.encoder[int(parts[1])], parts[2])
-            setattr(layer, parts[3], value)
-            return
-        if parts[0] in ("fc_embed", "fc_spatial", "fc_regress") and len(parts) == 2:
-            setattr(getattr(self, parts[0]), parts[1], value)
-            return
-        raise KeyError(f"unknown tensor name {name!r}")
+    def layer(self, prefix: str) -> LinearLayer:
+        """The linear layer `<prefix>.weight`/`.bias`; shares their arrays."""
+        return LinearLayer(self.tensors[f"{prefix}.weight"], self.tensors[f"{prefix}.bias"])
 
     def copy(self) -> "ModelParams":
-        clone = init_params(self.config, seed=0)
-        for name, arr in self.named_tensors():
-            clone.set_tensor(name, arr.copy())
-        return clone
+        return ModelParams(self.config, {n: a.copy() for n, a in self.tensors.items()})
 
     def n_params(self) -> int:
-        return sum(arr.size for _, arr in self.named_tensors())
+        return sum(arr.size for arr in self.tensors.values())
 
 
 def parameter_count(config: ModelConfig) -> int:
@@ -202,47 +188,7 @@ def parameter_count(config: ModelConfig) -> int:
     For the base (absolute/absolute) variant this is
     d(T_h+1) + 4d + 67d + 2*L*d*(d+1) + T_f(d+1).
     """
-    config.validate()
-    d = config.d
-    n = d * (config.t_h + 1)
-    if config.spatial_encoding == "absolute":
-        n += 4 * d
-    elif config.spatial_encoding == "relative":
-        n += config.n_stations * d
-    if config.temporal_encoding == "absolute":
-        n += (HOURS_PER_DAY + DAYS_PER_MONTH + MONTHS_PER_YEAR) * d
-    n += 2 * config.n_layers * d * (d + 1)
-    n += config.t_f * (d + 1)
-    return n
-
-
-def tensor_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Shapes of every tensor the configured variant owns, in canonical order."""
-    config.validate()
-    d = config.d
-    shapes: list[tuple[str, tuple[int, ...]]] = [
-        ("fc_embed.weight", (d, config.t_h)),
-        ("fc_embed.bias", (d,)),
-    ]
-    if config.spatial_encoding == "absolute":
-        shapes += [("fc_spatial.weight", (d, 3)), ("fc_spatial.bias", (d,))]
-    elif config.spatial_encoding == "relative":
-        shapes.append(("station_table", (config.n_stations, d)))
-    if config.temporal_encoding == "absolute":
-        shapes += [
-            ("table_hour", (HOURS_PER_DAY, d)),
-            ("table_day", (DAYS_PER_MONTH, d)),
-            ("table_month", (MONTHS_PER_YEAR, d)),
-        ]
-    for i in range(config.n_layers):
-        shapes += [
-            (f"encoder.{i}.fc1.weight", (d, d)),
-            (f"encoder.{i}.fc1.bias", (d,)),
-            (f"encoder.{i}.fc2.weight", (d, d)),
-            (f"encoder.{i}.fc2.bias", (d,)),
-        ]
-    shapes += [("fc_regress.weight", (config.t_f, d)), ("fc_regress.bias", (config.t_f,))]
-    return shapes
+    return sum(math.prod(shape) for _, shape, _ in tensor_spec(config))
 
 
 def closed_form_count(config: ModelConfig) -> int:
@@ -257,53 +203,15 @@ def closed_form_count(config: ModelConfig) -> int:
     )
 
 
-def _uniform(rng: np.random.Generator, bound: float, shape) -> np.ndarray:
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def _init_linear(rng: np.random.Generator, d_out: int, d_in: int) -> LinearLayer:
-    bound = 1.0 / np.sqrt(d_in)
-    return LinearLayer(
-        weight=_uniform(rng, bound, (d_out, d_in)),
-        bias=_uniform(rng, bound, d_out),
-    )
-
-
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
-    """Deterministic initialization: linear layers uniform in +-1/sqrt(fan_in),
-    embedding tables uniform in +-1/sqrt(d)."""
-    config.validate()
+    """Deterministic initialization: each tensor_spec entry uniform in
+    +-init_bound, drawn in spec order from one generator seeded by `seed`."""
     rng = np.random.default_rng(seed)
-    d = config.d
-    fc_embed = _init_linear(rng, d, config.t_h)
-    fc_spatial = None
-    station_table = None
-    if config.spatial_encoding == "absolute":
-        fc_spatial = _init_linear(rng, d, 3)
-    elif config.spatial_encoding == "relative":
-        station_table = _uniform(rng, 1.0 / np.sqrt(d), (config.n_stations, d))
-    table_hour = table_day = table_month = None
-    if config.temporal_encoding == "absolute":
-        bound = 1.0 / np.sqrt(d)
-        table_hour = _uniform(rng, bound, (HOURS_PER_DAY, d))
-        table_day = _uniform(rng, bound, (DAYS_PER_MONTH, d))
-        table_month = _uniform(rng, bound, (MONTHS_PER_YEAR, d))
-    encoder = [
-        EncoderLayer(fc1=_init_linear(rng, d, d), fc2=_init_linear(rng, d, d))
-        for _ in range(config.n_layers)
-    ]
-    fc_regress = _init_linear(rng, config.t_f, d)
-    return ModelParams(
-        config=config,
-        fc_embed=fc_embed,
-        fc_regress=fc_regress,
-        encoder=encoder,
-        fc_spatial=fc_spatial,
-        station_table=station_table,
-        table_hour=table_hour,
-        table_day=table_day,
-        table_month=table_month,
-    )
+    tensors = {
+        name: rng.uniform(-bound, bound, size=shape)
+        for name, shape, bound in tensor_spec(config)
+    }
+    return ModelParams(config, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -317,27 +225,28 @@ def embed_data(x: np.ndarray, params: ModelParams) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.config.t_h,):
         raise ShapeError(f"history shape {x.shape}, expected ({params.config.t_h},)")
-    return linear_forward(x, params.fc_embed)
+    return linear_forward(x, params.layer("fc_embed"))
 
 
 def encode_spatial(coord: StationCoord, params: ModelParams) -> np.ndarray:
     """Encode one station's normalized coordinates to a d-vector."""
-    if params.fc_spatial is None:
+    if params.config.spatial_encoding != "absolute":
         raise ConfigError("model has no coordinate-based spatial encoder")
     coord.validate()
-    return linear_forward(normalize_coords([coord])[0], params.fc_spatial)
+    return linear_forward(normalize_coords([coord])[0], params.layer("fc_spatial"))
 
 
 def lookup_temporal(
     tf: TimeFeature, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row lookups into the hour/day/month tables."""
-    if params.table_hour is None:
+    if params.config.temporal_encoding != "absolute":
         raise ConfigError("model has no temporal encoding tables")
+    t = params.tensors
     return (
-        params.table_hour[tf.hour].copy(),
-        params.table_day[tf.day_index].copy(),
-        params.table_month[tf.month_index].copy(),
+        t["table_hour"][tf.hour].copy(),
+        t["table_day"][tf.day_index].copy(),
+        t["table_month"][tf.month_index].copy(),
     )
 
 
@@ -355,8 +264,9 @@ def encoder_forward(h: np.ndarray, params: ModelParams) -> np.ndarray:
     z = np.asarray(h, dtype=np.float64)
     if z.shape[-1] != params.config.d:
         raise ShapeError(f"encoder input width {z.shape[-1]} != d {params.config.d}")
-    for layer in params.encoder:
-        z = linear_forward(relu(linear_forward(z, layer.fc1)), layer.fc2) + z
+    for i in range(params.config.n_layers):
+        fc1, fc2 = params.layer(f"encoder.{i}.fc1"), params.layer(f"encoder.{i}.fc2")
+        z = linear_forward(relu(linear_forward(z, fc1)), fc2) + z
     return z
 
 
@@ -419,7 +329,8 @@ def forward_batch(
     x_rows = np.ascontiguousarray(
         history.transpose(0, 2, 3, 1).reshape(-1, t_h)
     )  # row = (window, station, variable)
-    e = linear_forward(x_rows, params.fc_embed)
+    t = params.tensors
+    e = linear_forward(x_rows, params.layer("fc_embed"))
     h4 = e.reshape(n_batch, n_stations, n_vars, cfg.d)
 
     if cfg.spatial_encoding == "absolute":
@@ -428,37 +339,32 @@ def forward_batch(
             raise ShapeError(
                 f"coords shape {coords_norm.shape}, expected ({n_stations}, 3)"
             )
-        s_rows = linear_forward(coords_norm, params.fc_spatial)
+        s_rows = linear_forward(coords_norm, params.layer("fc_spatial"))
         h4 += s_rows[None, :, None, :]
     elif cfg.spatial_encoding == "relative":
-        if n_stations != params.station_table.shape[0]:
-            raise ShapeError(
-                f"{n_stations} stations but table holds "
-                f"{params.station_table.shape[0]}"
-            )
-        s_rows = params.station_table
+        s_rows = t["station_table"]
+        if n_stations != s_rows.shape[0]:
+            raise ShapeError(f"{n_stations} stations but table holds {s_rows.shape[0]}")
         h4 += s_rows[None, :, None, :]
 
     if cfg.temporal_encoding == "absolute":
-        time_rows = (
-            params.table_hour[hours] + params.table_day[days] + params.table_month[months]
-        )
+        time_rows = t["table_hour"][hours] + t["table_day"][days] + t["table_month"][months]
         h4 += time_rows[:, None, None, :]
 
     z = h4.reshape(-1, cfg.d)
     z_list = [z]
     r_list = []
-    for layer in params.encoder:
-        r = linear_forward(z, layer.fc1)
+    for i in range(cfg.n_layers):
+        r = linear_forward(z, params.layer(f"encoder.{i}.fc1"))
         relu(r, out=r)
-        y = linear_forward(r, layer.fc2)
+        y = linear_forward(r, params.layer(f"encoder.{i}.fc2"))
         y += z  # residual path
         z = y
         if want_cache:
             r_list.append(r)
             z_list.append(z)
 
-    y_rows = linear_forward(z, params.fc_regress)
+    y_rows = linear_forward(z, params.layer("fc_regress"))
     pred = np.ascontiguousarray(
         y_rows.reshape(n_batch, n_stations, n_vars, cfg.t_f).transpose(0, 3, 1, 2)
     )
@@ -478,7 +384,7 @@ def forward_batch(
 
 
 def backward_batch(grad_pred: np.ndarray, cache: dict, params: ModelParams) -> dict:
-    """Reverse-mode pass; returns gradients keyed like named_tensors().
+    """Reverse-mode pass; returns gradients keyed like ModelParams.tensors.
 
     Temporal-table gradients are nonzero only at rows indexed by the batch.
     """
@@ -490,16 +396,17 @@ def backward_batch(grad_pred: np.ndarray, cache: dict, params: ModelParams) -> d
     )
     grads: dict[str, np.ndarray] = {}
 
-    gz, gw, gb = linear_backward(cache["z_list"][-1], params.fc_regress, g_rows)
+    gz, gw, gb = linear_backward(cache["z_list"][-1], params.layer("fc_regress"), g_rows)
     grads["fc_regress.weight"] = gw
     grads["fc_regress.bias"] = gb
 
     for i in reversed(range(cfg.n_layers)):
-        layer = params.encoder[i]
         r = cache["r_list"][i]
-        gs, gw2, gb2 = linear_backward(r, layer.fc2, gz)
+        gs, gw2, gb2 = linear_backward(r, params.layer(f"encoder.{i}.fc2"), gz)
         ga = relu_backward(r, gs, out=gs)
-        gz_in, gw1, gb1 = linear_backward(cache["z_list"][i], layer.fc1, ga)
+        gz_in, gw1, gb1 = linear_backward(
+            cache["z_list"][i], params.layer(f"encoder.{i}.fc1"), ga
+        )
         grads[f"encoder.{i}.fc1.weight"] = gw1
         grads[f"encoder.{i}.fc1.bias"] = gb1
         grads[f"encoder.{i}.fc2.weight"] = gw2

@@ -55,9 +55,6 @@ class LinearLayer:
     def d_out(self) -> int:
         return self.weight.shape[0]
 
-    def n_params(self) -> int:
-        return self.weight.size + self.bias.size
-
 
 def linear_forward(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
     """W x + b for a single vector [d_in] or a stack of rows [n, d_in]."""

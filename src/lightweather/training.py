@@ -135,9 +135,7 @@ def fit(
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise ConfigError("train and val splits must both contain windows")
 
-    states = {
-        name: AdamState.zeros_like(arr) for name, arr in params.named_tensors()
-    }
+    states = {name: AdamState.zeros_like(arr) for name, arr in params.tensors.items()}
     best_params = params.copy()
     best_val = np.inf
     best_epoch = -1
@@ -166,10 +164,9 @@ def fit(
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {bi}"
                 )
-            for name, tensor in params.named_tensors():
-                params.set_tensor(
-                    name, adam_step(tensor, grads[name], states[name], config.lr, name)
-                )
+            tensors = params.tensors
+            for name, tensor in tensors.items():
+                tensors[name] = adam_step(tensor, grads[name], states[name], config.lr, name)
             abs_err_sum += loss * len(idx)
             n_samples += len(idx)
 

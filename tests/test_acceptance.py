@@ -80,7 +80,7 @@ def test_criterion_1_gradient_fidelity():
         return loss_and_grads(params, hist, fut, cn, hours, days, months)
 
     t0 = time.perf_counter()
-    err = finite_diff_check(lg, dict(params.named_tensors()), 1e-6)
+    err = finite_diff_check(lg, params.tensors, 1e-6)
     elapsed = time.perf_counter() - t0
     check(
         1,

@@ -86,11 +86,11 @@ def test_variant_none_none_is_embedding_only():
     params = build_variant(spec, cfg, seed=0)
     base = init_params(cfg, seed=0)
     # zeroing the base model's encoding tensors reproduces the variant's H = E
-    base.fc_spatial.weight[:] = 0.0
-    base.fc_spatial.bias[:] = 0.0
-    base.table_hour[:] = 0.0
-    base.table_day[:] = 0.0
-    base.table_month[:] = 0.0
+    base.tensors["fc_spatial.weight"][:] = 0.0
+    base.tensors["fc_spatial.bias"][:] = 0.0
+    base.tensors["table_hour"][:] = 0.0
+    base.tensors["table_day"][:] = 0.0
+    base.tensors["table_month"][:] = 0.0
     # align shared tensors drawn later in the init stream
     for name in (
         "fc_embed.weight",
@@ -102,7 +102,7 @@ def test_variant_none_none_is_embedding_only():
         "fc_regress.weight",
         "fc_regress.bias",
     ):
-        base.set_tensor(name, dict(params.named_tensors())[name].copy())
+        base.tensors[name] = params.tensors[name].copy()
     rng = np.random.default_rng(2)
     hist = rng.normal(size=(2, cfg.t_h, 3, cfg.n_vars))
     cn = normalize_coords(dataset().coords)
@@ -116,7 +116,7 @@ def test_variant_absolute_absolute_equals_base_model():
     spec = AblationSpec(spatial="absolute", temporal="absolute")
     params = build_variant(spec, SMALL, seed=9)
     base = init_params(SMALL, seed=9)
-    for (na, a), (nb, b) in zip(params.named_tensors(), base.named_tensors()):
+    for (na, a), (nb, b) in zip(params.tensors.items(), base.tensors.items()):
         assert na == nb
         assert_array_equal(a, b)
 

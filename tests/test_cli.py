@@ -82,6 +82,34 @@ def test_usage_error_exit_code_1():
     assert cli.main([]) == 1
 
 
+@pytest.mark.parametrize(
+    "command, extra, out, code, prefix",
+    [
+        (
+            "param-count",
+            dict(spatial="relative", stations_csv="nope.csv"),
+            None,
+            2,
+            "ingestion error: stations_csv file not found",
+        ),
+        ("synth", dict(synth_alpha="a,b"), None, 1, "config error: bad synth_alpha"),
+        ("synth", {}, "a_file", 1, "config error: cannot create out_dir"),
+    ],
+    ids=["relative-param-count-missing-stations", "non-numeric-alpha", "out-is-a-file"],
+)
+def test_bad_input_is_one_line_error(tmp_path, capsys, command, extra, out, code, prefix):
+    extra = {k: tmp_path / v if k == "stations_csv" else v for k, v in extra.items()}
+    cfg = write_config(tmp_path / "bad.cfg", TINY, out_dir=tmp_path / "out", **extra)
+    argv = [command, "--config", str(cfg)]
+    if out:
+        (tmp_path / out).write_text("")
+        argv += ["--out", str(tmp_path / out)]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert out is None or str(tmp_path / out) in err
+
+
 # --- synth -----------------------------------------------------------------
 
 

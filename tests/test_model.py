@@ -25,7 +25,7 @@ from lightweather.model import (
     loss_and_grads,
     normalize_coords,
     parameter_count,
-    tensor_shapes,
+    tensor_spec,
 )
 from lightweather.numerics import finite_diff_check, linear_forward, relu
 
@@ -53,14 +53,14 @@ def random_coords(n, seed=0):
 
 def test_embed_zero_history_zero_bias():
     p = init_params(small_config(), seed=0)
-    p.fc_embed.bias[:] = 0.0
+    p.tensors["fc_embed.bias"][:] = 0.0
     assert_array_equal(embed_data(np.zeros(6), p), np.zeros(8))
 
 
 def test_embed_selects_inputs_with_identity_rows():
     p = init_params(small_config(d=2, t_h=2), seed=0)
-    p.fc_embed.weight[:] = np.eye(2)
-    p.fc_embed.bias[:] = 0.0
+    p.tensors["fc_embed.weight"][:] = np.eye(2)
+    p.tensors["fc_embed.bias"][:] = 0.0
     assert_array_equal(embed_data(np.array([4.0, -7.0]), p), [4.0, -7.0])
 
 
@@ -83,9 +83,9 @@ def test_spatial_same_coords_same_encoding():
 
 def test_spatial_zero_weight_gives_bias_everywhere():
     p = init_params(small_config(), seed=3)
-    p.fc_spatial.weight[:] = 0.0
+    p.tensors["fc_spatial.weight"][:] = 0.0
     for c in random_coords(5):
-        assert_array_equal(encode_spatial(c, p), p.fc_spatial.bias)
+        assert_array_equal(encode_spatial(c, p), p.tensors["fc_spatial.bias"])
 
 
 def test_spatial_origin_maps_to_bias():
@@ -93,7 +93,9 @@ def test_spatial_origin_maps_to_bias():
     assert_array_equal(
         normalize_coords([StationCoord(0.0, 0.0, 0.0)])[0], np.zeros(3)
     )
-    assert_array_equal(encode_spatial(StationCoord(0.0, 0.0, 0.0), p), p.fc_spatial.bias)
+    assert_array_equal(
+        encode_spatial(StationCoord(0.0, 0.0, 0.0), p), p.tensors["fc_spatial.bias"]
+    )
 
 
 def test_spatial_out_of_range_coordinate():
@@ -110,9 +112,9 @@ def test_spatial_out_of_range_coordinate():
 def test_lookup_hour_zero_is_row_zero():
     p = init_params(small_config(), seed=6)
     t, d, m = lookup_temporal(TimeFeature(hour=0, day_index=3, month_index=7), p)
-    assert_array_equal(t, p.table_hour[0])
-    assert_array_equal(d, p.table_day[3])
-    assert_array_equal(m, p.table_month[7])
+    assert_array_equal(t, p.tensors["table_hour"][0])
+    assert_array_equal(d, p.tensors["table_day"][3])
+    assert_array_equal(m, p.tensors["table_month"][7])
 
 
 def test_lookup_is_pure():
@@ -179,19 +181,19 @@ def test_fuse_shape_mismatch():
 
 def test_encoder_residual_identity_when_fc2_zeroed():
     p = init_params(small_config(n_layers=3), seed=11)
-    for layer in p.encoder:
-        layer.fc2.weight[:] = 0.0
-        layer.fc2.bias[:] = 0.0
+    for i in range(p.config.n_layers):
+        p.layer(f"encoder.{i}.fc2").weight[:] = 0.0
+        p.layer(f"encoder.{i}.fc2").bias[:] = 0.0
     h = np.random.default_rng(12).normal(size=8)
     assert_array_equal(encoder_forward(h, p), h)
 
 
 def test_encoder_scalar_case():
     p = init_params(small_config(d=1, n_layers=1, t_h=1, t_f=1), seed=13)
-    p.encoder[0].fc1.weight[:] = 1.0
-    p.encoder[0].fc1.bias[:] = 0.0
-    p.encoder[0].fc2.weight[:] = 1.0
-    p.encoder[0].fc2.bias[:] = 0.0
+    p.layer("encoder.0.fc1").weight[:] = 1.0
+    p.layer("encoder.0.fc1").bias[:] = 0.0
+    p.layer("encoder.0.fc2").weight[:] = 1.0
+    p.layer("encoder.0.fc2").bias[:] = 0.0
     assert_array_equal(encoder_forward(np.array([2.0]), p), [4.0])
 
 
@@ -292,7 +294,7 @@ def test_full_model_gradient_check():
     def lg(_):
         return loss_and_grads(p, hist, fut, cn, hours, days, months)
 
-    err = finite_diff_check(lg, dict(p.named_tensors()), 1e-6)
+    err = finite_diff_check(lg, p.tensors, 1e-6)
     assert err < 1e-4
 
 
@@ -305,7 +307,7 @@ def test_variant_gradient_check(spatial, temporal):
     def lg(_):
         return loss_and_grads(p, hist, fut, cn, hours, days, months)
 
-    err = finite_diff_check(lg, dict(p.named_tensors()), 1e-6)
+    err = finite_diff_check(lg, p.tensors, 1e-6)
     assert err < 1e-4
 
 
@@ -359,19 +361,20 @@ def _ref_pred_loss_grads(p, hist, fut, cn, hours, days, months):
     cfg = p.config
     n_batch, t_h, n_st, n_vars = hist.shape
     x_rows = np.ascontiguousarray(hist.transpose(0, 2, 3, 1).reshape(-1, t_h))
-    h4 = _ref_linear(x_rows, p.fc_embed).reshape(n_batch, n_st, n_vars, cfg.d)
+    t = p.tensors
+    h4 = _ref_linear(x_rows, p.layer("fc_embed")).reshape(n_batch, n_st, n_vars, cfg.d)
     if cfg.spatial_encoding == "absolute":
-        h4 += _ref_linear(cn, p.fc_spatial)[None, :, None, :]
+        h4 += _ref_linear(cn, p.layer("fc_spatial"))[None, :, None, :]
     elif cfg.spatial_encoding == "relative":
-        h4 += p.station_table[None, :, None, :]
+        h4 += t["station_table"][None, :, None, :]
     if cfg.temporal_encoding == "absolute":
-        time_rows = p.table_hour[hours] + p.table_day[days] + p.table_month[months]
+        time_rows = t["table_hour"][hours] + t["table_day"][days] + t["table_month"][months]
         h4 += time_rows[:, None, None, :]
     zs, pre = [h4.reshape(-1, cfg.d)], []
-    for layer in p.encoder:
-        pre.append(_ref_linear(zs[-1], layer.fc1))
-        zs.append(_ref_linear(np.maximum(pre[-1], 0.0), layer.fc2) + zs[-1])
-    y_rows = _ref_linear(zs[-1], p.fc_regress)
+    for i in range(cfg.n_layers):
+        pre.append(_ref_linear(zs[-1], p.layer(f"encoder.{i}.fc1")))
+        zs.append(_ref_linear(np.maximum(pre[-1], 0.0), p.layer(f"encoder.{i}.fc2")) + zs[-1])
+    y_rows = _ref_linear(zs[-1], p.layer("fc_regress"))
     pred = np.ascontiguousarray(
         y_rows.reshape(n_batch, n_st, n_vars, cfg.t_f).transpose(0, 3, 1, 2)
     )
@@ -382,31 +385,33 @@ def _ref_pred_loss_grads(p, hist, fut, cn, hours, days, months):
 
     g = {}
     gz, g["fc_regress.weight"], g["fc_regress.bias"] = _ref_linear_backward(
-        zs[-1], p.fc_regress, g_rows
+        zs[-1], p.layer("fc_regress"), g_rows
     )
     for i in reversed(range(cfg.n_layers)):
-        layer, a = p.encoder[i], pre[i]
+        a = pre[i]
         gs, g[f"encoder.{i}.fc2.weight"], g[f"encoder.{i}.fc2.bias"] = (
-            _ref_linear_backward(np.maximum(a, 0.0), layer.fc2, gz)
+            _ref_linear_backward(np.maximum(a, 0.0), p.layer(f"encoder.{i}.fc2"), gz)
         )
         ga = np.where(a > 0.0, gs, 0.0)
         gz_in, g[f"encoder.{i}.fc1.weight"], g[f"encoder.{i}.fc1.bias"] = (
-            _ref_linear_backward(zs[i], layer.fc1, ga)
+            _ref_linear_backward(zs[i], p.layer(f"encoder.{i}.fc1"), ga)
         )
         gz = gz_in + gz
     gh4 = gz.reshape(n_batch, n_st, n_vars, cfg.d)
     if cfg.temporal_encoding == "absolute":
         g_window = gh4.sum(axis=(1, 2))
         for name, idx in (("table_hour", hours), ("table_day", days), ("table_month", months)):
-            g[name] = np.zeros_like(getattr(p, name))
+            g[name] = np.zeros_like(t[name])
             np.add.at(g[name], idx, g_window)
     if cfg.spatial_encoding == "absolute":
         _, g["fc_spatial.weight"], g["fc_spatial.bias"] = _ref_linear_backward(
-            cn, p.fc_spatial, gh4.sum(axis=(0, 2))
+            cn, p.layer("fc_spatial"), gh4.sum(axis=(0, 2))
         )
     elif cfg.spatial_encoding == "relative":
         g["station_table"] = gh4.sum(axis=(0, 2))
-    _, g["fc_embed.weight"], g["fc_embed.bias"] = _ref_linear_backward(x_rows, p.fc_embed, gz)
+    _, g["fc_embed.weight"], g["fc_embed.bias"] = _ref_linear_backward(
+        x_rows, p.layer("fc_embed"), gz
+    )
     return pred, loss, g
 
 
@@ -443,7 +448,7 @@ def test_batch_path_same_bits_as_reference(spatial, temporal, n_batch, n_st, n_v
     assert_same_bits(pred, ref_pred)
     loss, grads = loss_and_grads(p, *batch)
     assert loss.hex() == ref_loss.hex()
-    assert grads.keys() == ref_grads.keys() == dict(p.named_tensors()).keys()
+    assert grads.keys() == ref_grads.keys() == p.tensors.keys()
     for name, g in grads.items():
         assert_same_bits(g, ref_grads[name])
 
@@ -486,7 +491,7 @@ def test_batch_path_mutates_nothing(n_batch, n_st, n_vars, encoding, seed):
     batch = _random_batch(cfg, n_batch, n_st, seed)
     hist, fut, cn, hours, days, months = batch
     inputs_before = copy.deepcopy(batch)
-    params_before = copy.deepcopy(dict(p.named_tensors()))
+    params_before = copy.deepcopy(p.tensors)
 
     plain, no_cache = forward_batch(hist, cn, hours, days, months, p)
     pred, cache = forward_batch(hist, cn, hours, days, months, p, want_cache=True)
@@ -499,12 +504,12 @@ def test_batch_path_mutates_nothing(n_batch, n_st, n_vars, encoding, seed):
     backward_batch(np.sign(pred - fut) / pred.size, cache, p)
 
     _assert_unchanged(inputs_before, batch)
-    _assert_unchanged(params_before, dict(p.named_tensors()))
+    _assert_unchanged(params_before, p.tensors)
     _assert_unchanged(cache_before, cache)
 
     rows = cache["x_rows"]
-    y = linear_forward(rows, p.fc_embed)
-    for arg in (rows, hist, p.fc_embed.weight, p.fc_embed.bias):
+    y = linear_forward(rows, p.layer("fc_embed"))
+    for arg in (rows, hist, p.tensors["fc_embed.weight"], p.tensors["fc_embed.bias"]):
         assert not np.shares_memory(y, arg)
     out = np.empty_like(y)
     assert relu(y, out=out) is out and not np.shares_memory(out, y)
@@ -563,7 +568,7 @@ def test_init_deterministic_in_seed():
     cfg = small_config()
     a = init_params(cfg, seed=77)
     b = init_params(cfg, seed=77)
-    for (na, ta), (nb, tb) in zip(a.named_tensors(), b.named_tensors()):
+    for (na, ta), (nb, tb) in zip(a.tensors.items(), b.tensors.items()):
         assert na == nb
         assert_array_equal(ta, tb)
 
@@ -574,29 +579,43 @@ def test_init_different_seeds_differ():
     b = init_params(cfg, seed=2)
     assert any(
         not np.array_equal(ta, tb)
-        for (_, ta), (_, tb) in zip(a.named_tensors(), b.named_tensors())
+        for ta, tb in zip(a.tensors.values(), b.tensors.values())
     )
 
 
 def test_init_respects_bounds():
     cfg = small_config(d=16, t_h=9)
     p = init_params(cfg, seed=33)
-    assert np.abs(p.fc_embed.weight).max() <= 1 / np.sqrt(cfg.t_h)
-    assert np.abs(p.fc_spatial.weight).max() <= 1 / np.sqrt(3)
-    assert np.abs(p.table_hour).max() <= 1 / np.sqrt(cfg.d)
-    for layer in p.encoder:
-        assert np.abs(layer.fc1.weight).max() <= 1 / np.sqrt(cfg.d)
-    assert np.abs(p.fc_regress.weight).max() <= 1 / np.sqrt(cfg.d)
+    t = p.tensors
+    assert np.abs(t["fc_embed.weight"]).max() <= 1 / np.sqrt(cfg.t_h)
+    assert np.abs(t["fc_spatial.weight"]).max() <= 1 / np.sqrt(3)
+    assert np.abs(t["table_hour"]).max() <= 1 / np.sqrt(cfg.d)
+    for i in range(cfg.n_layers):
+        assert np.abs(t[f"encoder.{i}.fc1.weight"]).max() <= 1 / np.sqrt(cfg.d)
+    assert np.abs(t["fc_regress.weight"]).max() <= 1 / np.sqrt(cfg.d)
 
 
-def test_tensor_shapes_match_init():
-    for cfg in (
-        small_config(),
-        small_config(spatial_encoding="relative", n_stations=4),
-        small_config(spatial_encoding="none", temporal_encoding="none"),
-    ):
-        p = init_params(cfg, seed=0)
-        assert [(n, t.shape) for n, t in p.named_tensors()] == tensor_shapes(cfg)
+def test_tensor_spec_pins_the_checkpoint_manifest_order():
+    # LWCKPT1 manifests list tensors in this order; existing checkpoints rely on it
+    assert [(name, shape) for name, shape, _ in tensor_spec(small_config())] == [
+        ("fc_embed.weight", (8, 6)),
+        ("fc_embed.bias", (8,)),
+        ("fc_spatial.weight", (8, 3)),
+        ("fc_spatial.bias", (8,)),
+        ("table_hour", (24, 8)),
+        ("table_day", (31, 8)),
+        ("table_month", (12, 8)),
+        ("encoder.0.fc1.weight", (8, 8)),
+        ("encoder.0.fc1.bias", (8,)),
+        ("encoder.0.fc2.weight", (8, 8)),
+        ("encoder.0.fc2.bias", (8,)),
+        ("encoder.1.fc1.weight", (8, 8)),
+        ("encoder.1.fc1.bias", (8,)),
+        ("encoder.1.fc2.weight", (8, 8)),
+        ("encoder.1.fc2.bias", (8,)),
+        ("fc_regress.weight", (3, 8)),
+        ("fc_regress.bias", (3,)),
+    ]
 
 
 def test_config_validation():

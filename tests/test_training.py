@@ -1,3 +1,7 @@
+import json
+import struct
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
-from lightweather.checkpoint import checkpoint_load, checkpoint_save
+from lightweather.checkpoint import MAGIC, checkpoint_load, checkpoint_save
 from lightweather.data import split_windows
 from lightweather.errors import (
     CheckpointError,
@@ -13,7 +17,7 @@ from lightweather.errors import (
     EvaluationError,
     TrainingError,
 )
-from lightweather.model import ModelConfig, init_params, normalize_coords
+from lightweather.model import ModelConfig, init_params, normalize_coords, tensor_spec
 from lightweather.synthetic import SynthConfig, generate, random_station_coords
 from lightweather.training import (
     MetricAccumulator,
@@ -108,7 +112,7 @@ def test_fit_lr_zero_keeps_params():
     prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
     cn = normalize_coords(obs.coords)
     params = init_params(SMALL, seed=1)
-    before = {n: a.copy() for n, a in params.named_tensors()}
+    before = {n: a.copy() for n, a in params.tensors.items()}
     result = fit(
         params,
         prepared.train,
@@ -117,7 +121,7 @@ def test_fit_lr_zero_keeps_params():
         TrainConfig(lr=0.0, max_epochs=2, patience=2, seed=0),
         prepared.normalizer,
     )
-    for name, arr in result.params.named_tensors():
+    for name, arr in result.params.tensors.items():
         assert_array_equal(arr, before[name])
 
 
@@ -182,7 +186,7 @@ def test_fit_aborts_on_nonfinite_loss():
     obs = tiny_dataset()
     prepared = split_windows(obs, SMALL.t_h, SMALL.t_f, normalize=False)
     params = init_params(SMALL, seed=2)
-    params.fc_regress.bias[0] = np.inf  # finite inputs, poisoned parameter
+    params.tensors["fc_regress.bias"][0] = np.inf  # finite inputs, poisoned parameter
     with pytest.raises(TrainingError, match=r"epoch 0, batch 0"):
         fit(
             params,
@@ -222,13 +226,42 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "ck.bin"
     checkpoint_save(path, params)
     loaded = checkpoint_load(path, SMALL)
-    for (na, a), (nb, b) in zip(params.named_tensors(), loaded.named_tensors()):
+    for (na, a), (nb, b) in zip(params.tensors.items(), loaded.tensors.items()):
         assert na == nb
         assert_array_equal(a, b)
     # saving the loaded params byte-identical to the first file
     path2 = tmp_path / "ck2.bin"
     checkpoint_save(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_checkpoint_with_permuted_manifest_loads_in_spec_order(tmp_path):
+    params = init_params(SMALL, seed=15)
+    canonical = tmp_path / "ck.bin"
+    checkpoint_save(canonical, params)
+    names = list(params.tensors)[::-1]
+    manifest = {
+        "config": asdict(SMALL),
+        "tensors": [
+            {"name": n, "shape": list(params.tensors[n].shape), "dtype": "float64"}
+            for n in names
+        ],
+    }
+    blob = json.dumps(manifest).encode("utf-8")
+    permuted = tmp_path / "permuted.bin"
+    permuted.write_bytes(
+        MAGIC
+        + struct.pack("<I", len(blob))
+        + blob
+        + b"".join(params.tensors[n].astype("<f8").tobytes() for n in names)
+    )
+    loaded = checkpoint_load(permuted, SMALL)
+    assert list(loaded.tensors) == [name for name, _, _ in tensor_spec(SMALL)]
+    for name, arr in params.tensors.items():
+        assert_array_equal(loaded.tensors[name], arr)
+    resaved = tmp_path / "resaved.bin"
+    checkpoint_save(resaved, loaded)
+    assert resaved.read_bytes() == canonical.read_bytes()
 
 
 def test_checkpoint_wrong_d_names_offending_tensor(tmp_path):
@@ -262,7 +295,7 @@ def test_checkpoint_float32_storage(tmp_path):
     path = tmp_path / "ck32.bin"
     checkpoint_save(path, params, dtype="float32")
     loaded = checkpoint_load(path, SMALL)
-    for (_, a), (_, b) in zip(params.named_tensors(), loaded.named_tensors()):
+    for a, b in zip(params.tensors.values(), loaded.tensors.values()):
         assert_array_equal(b, a.astype(np.float32).astype(np.float64))
     path2 = tmp_path / "ck32b.bin"
     checkpoint_save(path2, loaded, dtype="float32")
