@@ -12,6 +12,7 @@ loaded.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 
@@ -60,11 +61,11 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelPa
     try:
         manifest = json.loads(raw[body : body + mlen].decode("utf-8"))
         config = ModelConfig(**manifest["config"])
-        entries = manifest["tensors"]
-        declared = {e["name"]: tuple(e["shape"]) for e in entries}
+        entries = [(e["name"], tuple(e["shape"]), e["dtype"]) for e in manifest["tensors"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: bad manifest: {exc}") from exc
 
+    declared = {name: shape for name, shape, _ in entries}
     expected_own = _shapes(config)
     if declared != expected_own:
         odd = sorted(set(declared.items()) ^ set(expected_own.items()))
@@ -83,11 +84,10 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelPa
             raise CheckpointError(f"{path}: config mismatch: {details}")
 
     total = body + mlen
-    for e in entries:
-        if e["dtype"] not in _DTYPES:
-            raise CheckpointError(f"{path}: unsupported element type {e['dtype']!r}")
-        itemsize = np.dtype(_DTYPES[e["dtype"]]).itemsize
-        total += int(np.prod(e["shape"], dtype=np.int64)) * itemsize
+    for _, shape, dtype in entries:
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
+            raise CheckpointError(f"{path}: unsupported element type {dtype!r}")
+        total += math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize
     if len(raw) != total:
         raise CheckpointError(
             f"{path}: size {len(raw)} does not match manifest total {total}"
@@ -95,12 +95,10 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelPa
 
     loaded = {}
     offset = body + mlen
-    for e in entries:
-        dt = np.dtype(_DTYPES[e["dtype"]])
-        count = int(np.prod(e["shape"], dtype=np.int64))
-        arr = np.frombuffer(raw, dtype=dt, count=count, offset=offset).reshape(
-            e["shape"]
-        )
+    for name, shape, dtype in entries:
+        dt = np.dtype(_DTYPES[dtype])
+        count = math.prod(shape)
+        arr = np.frombuffer(raw, dtype=dt, count=count, offset=offset).reshape(shape)
         offset += count * dt.itemsize
-        loaded[e["name"]] = arr.astype(np.float64)
+        loaded[name] = arr.astype(np.float64)
     return ModelParams(config, {name: loaded[name] for name in expected_own})

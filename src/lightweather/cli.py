@@ -194,11 +194,14 @@ def _checkpoint_path(cfg: RunConfig, flag: str | None) -> Path:
 
 
 def _out_dir(cfg: RunConfig) -> Path:
+    """out_dir, checked before any data is read, generated or fitted: its
+    nearest existing ancestor, or itself, must be a directory. Commands
+    create it only when they write their outputs, so a failed command
+    leaves no directory behind."""
     out = Path(cfg.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"cannot create out_dir {out}: {exc.strerror}") from exc
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"cannot create out_dir {out}: {existing} is not a directory")
     return out
 
 
@@ -213,6 +216,7 @@ def cmd_ingest_check(cfg: RunConfig) -> int:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
+    out = _out_dir(cfg)
     try:
         start = datetime.fromisoformat(cfg.synth_start)
     except ValueError as exc:
@@ -232,7 +236,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     sc.validate(cfg.t_h, cfg.t_f)
     ids, coords = random_station_coords(sc.n_stations, sc.seed)
     obs = generate(sc, coords)
-    out = _out_dir(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     write_stations_csv(out / "stations.csv", ids, coords)
     write_observations_csv(out / "observations.csv", obs)
     with open(out / "synth_meta.txt", "w", encoding="utf-8") as fh:
@@ -252,13 +256,14 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    out = _out_dir(cfg)
     _, model_cfg, prepared, coords_norm = prepare(cfg)
     train_cfg = _train_config(cfg)
     params = init_params(model_cfg, cfg.seed)
     result = fit(
         params, prepared.train, prepared.val, coords_norm, train_cfg, prepared.normalizer
     )
-    out = _out_dir(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     checkpoint_save(out / "checkpoint.bin", result.params)
     write_history_csv(out / "history.csv", result.history)
     print(f"best_epoch: {result.best_epoch}")
@@ -269,13 +274,14 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, checkpoint_flag: str | None) -> int:
+    out = _out_dir(cfg)
     _, model_cfg, prepared, coords_norm = prepare(cfg)
     params = checkpoint_load(_checkpoint_path(cfg, checkpoint_flag), model_cfg)
     model_metrics = evaluate(
         params, prepared.test, coords_norm, prepared.normalizer, cfg.batch_size
     )
     hi_metrics = evaluate_hi(prepared.test, cfg.batch_size)
-    out = _out_dir(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "mse", "mae", "n_points"])
@@ -290,6 +296,7 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_flag: str | None) -> int:
 
 
 def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) -> int:
+    out = _out_dir(cfg)
     obs, model_cfg, prepared, coords_norm = prepare(cfg)
     params = checkpoint_load(_checkpoint_path(cfg, checkpoint_flag), model_cfg)
     try:
@@ -321,7 +328,7 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
     if prepared.normalizer is not None:
         pred = normalize_invert(pred, prepared.normalizer)
 
-    out = _out_dir(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "forecasts.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["station_id", "step", "var", "value"])
@@ -342,11 +349,12 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
+    out = _out_dir(cfg)
     seeds = _list(cfg.ablate_seeds, "ablate_seeds", int)
     obs = _load_dataset(cfg)
     model_cfg = _model_config(cfg, obs.n_vars, obs.n_stations)
     rows = run_ablation_suite(obs, model_cfg, _train_config(cfg), seeds, cfg.normalize)
-    out = _out_dir(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["spatial", "temporal", "seed", "mse", "mae"])
@@ -364,13 +372,14 @@ def cmd_ablate(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    out = _out_dir(cfg)
     d_list = _list(cfg.sweep_d, "sweep_d", int)
     layers_list = _list(cfg.sweep_layers, "sweep_layers", int)
     if not d_list or not layers_list:
         raise ConfigError("sweep_d and sweep_layers must be non-empty comma-separated lists")
     _, base_cfg, prepared, coords_norm = prepare(cfg)
     train_cfg = _train_config(cfg)
-    out = _out_dir(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["d", "layers", "val_mse", "val_mae", "params", "epoch_seconds"])

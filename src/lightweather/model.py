@@ -18,6 +18,11 @@ tensor_spec(config) is the only place the parameter layout is written:
 names, shapes and init bounds, in the order that init_params draws them and
 that the LWCKPT1 checkpoint manifest lists them. ModelParams holds the
 tensors in a dict in that order.
+
+The batch path (forward_batch, backward_batch, loss_and_grads) computes in
+the dtype of the params' tensors, float64 as initialized and loaded or a
+float32 copy from ModelParams.astype; its inputs are cast to that dtype and
+the loss is summed in float64 either way.
 """
 
 from __future__ import annotations
@@ -175,8 +180,17 @@ class ModelParams:
         """The linear layer `<prefix>.weight`/`.bias`; shares their arrays."""
         return LinearLayer(self.tensors[f"{prefix}.weight"], self.tensors[f"{prefix}.bias"])
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the batch path computes in; every tensor has it."""
+        return self.tensors["fc_embed.weight"].dtype
+
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {n: a.copy() for n, a in self.tensors.items()})
+
+    def astype(self, dtype) -> "ModelParams":
+        """A copy with every tensor cast to `dtype`."""
+        return ModelParams(self.config, {n: a.astype(dtype) for n, a in self.tensors.items()})
 
     def n_params(self) -> int:
         return sum(arr.size for arr in self.tensors.values())
@@ -304,17 +318,21 @@ def forward_batch(
 
     history: [B, T_h, N, C]; coords_norm: normalized [N, 3]; hours/days/
     months: per-window calendar indices [B]. Returns predictions
-    [B, T_f, N, C] and, when want_cache is set, the cache backward_batch
-    needs (else None). Rows are (window, station, variable). The cache
-    holds the input rows x_rows [B*N*C, T_h] (a view of `history` when that
-    needs no copy), the calendar indices, the normalized coordinates,
+    [B, T_f, N, C] in params.dtype and, when want_cache is set, the cache
+    backward_batch needs (else None). history and coords_norm are cast to
+    params.dtype, and history must be finite after the cast: a value that
+    overflows float32 is a ValidationError. Rows are (window, station,
+    variable). The cache holds the input rows x_rows [B*N*C, T_h] (a view
+    of `history` when that needs no copy or cast), the calendar indices,
+    the normalized coordinates,
     z_list (each residual block's input [B*N*C, d], then the head's input)
     and r_list (each block's ReLU output, which is also fc2's input). Its
     arrays are read, never written, by backward_batch. Without want_cache
     the residual blocks keep none of their outputs.
     """
     cfg = params.config
-    history = np.asarray(history, dtype=np.float64)
+    dtype = params.dtype
+    history = np.asarray(history)
     if history.ndim != 4:
         raise ShapeError(f"history must be [B, T_h, N, C], got {history.shape}")
     n_batch, t_h, n_stations, n_vars = history.shape
@@ -322,19 +340,20 @@ def forward_batch(
         raise ShapeError(
             f"history {history.shape} inconsistent with T_h={cfg.t_h}, C={cfg.n_vars}"
         )
-    if not np.isfinite(history).all():
-        raise ValidationError("history contains non-finite values")
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        x_rows = np.ascontiguousarray(
+            history.transpose(0, 2, 3, 1).reshape(-1, t_h), dtype=dtype
+        )  # row = (window, station, variable)
+    if not np.isfinite(x_rows).all():
+        raise ValidationError(f"history contains values that are not finite in {dtype}")
     hours, days, months = _check_time_indices(hours, days, months, n_batch)
 
-    x_rows = np.ascontiguousarray(
-        history.transpose(0, 2, 3, 1).reshape(-1, t_h)
-    )  # row = (window, station, variable)
     t = params.tensors
     e = linear_forward(x_rows, params.layer("fc_embed"))
     h4 = e.reshape(n_batch, n_stations, n_vars, cfg.d)
 
     if cfg.spatial_encoding == "absolute":
-        coords_norm = np.asarray(coords_norm, dtype=np.float64)
+        coords_norm = np.asarray(coords_norm, dtype=dtype)
         if coords_norm.shape != (n_stations, 3):
             raise ShapeError(
                 f"coords shape {coords_norm.shape}, expected ({n_stations}, 3)"
@@ -390,7 +409,7 @@ def backward_batch(grad_pred: np.ndarray, cache: dict, params: ModelParams) -> d
     """
     cfg = params.config
     n_batch, n_stations, n_vars = cache["dims"]
-    grad_pred = np.asarray(grad_pred, dtype=np.float64)
+    grad_pred = np.asarray(grad_pred, dtype=params.dtype)
     g_rows = np.ascontiguousarray(
         grad_pred.transpose(0, 2, 3, 1).reshape(-1, cfg.t_f)
     )
@@ -423,7 +442,7 @@ def backward_batch(grad_pred: np.ndarray, cache: dict, params: ModelParams) -> d
             ("table_day", cache["days"], DAYS_PER_MONTH),
             ("table_month", cache["months"], MONTHS_PER_YEAR),
         ):
-            g_table = np.zeros((rows, cfg.d))
+            g_table = np.zeros((rows, cfg.d), dtype=params.dtype)
             np.add.at(g_table, idx, g_window)
             grads[name] = g_table
 
@@ -476,17 +495,18 @@ def loss_and_grads(
 
     The loss is the plain mean of |pred - truth| over all batch elements,
     i.e. the per-window 1/(N*C*T_f) normalization averaged over windows, so
-    batch gradients are averages of per-window gradients.
+    batch gradients are averages of per-window gradients. The sum is taken
+    in float64; the gradients are in params.dtype.
     """
     pred, cache = forward_batch(
         history, coords_norm, hours, days, months, params, want_cache=True
     )
-    future = np.asarray(future, dtype=np.float64)
+    future = np.asarray(future, dtype=pred.dtype)
     if future.shape != pred.shape:
         raise ShapeError(f"future shape {future.shape} != pred shape {pred.shape}")
     diff = pred  # pred is fresh and not in the cache
     diff -= future
-    loss = float(np.abs(diff).sum() / diff.size)
+    loss = float(np.abs(diff).sum(dtype=np.float64) / diff.size)
     grad_pred = np.sign(diff, out=diff)
     grad_pred /= diff.size
     return loss, backward_batch(grad_pred, cache, params)

@@ -2,8 +2,16 @@
 forward/backward rules, the ReLU activation, the Adam optimizer, and a
 central finite-difference gradient checker.
 
-All raw math lives here. Matrices are C-contiguous float64 numpy arrays
+All raw math lives here. Matrices are C-contiguous numpy arrays
 (row-major); vectors are 1-D arrays. Every function is deterministic.
+
+Arrays are float32 or float64, and each function computes in its inputs'
+dtype: linear_forward in the layer weight's (x is cast to it), the others
+in their arguments' own. Any other input (integers, lists) is taken as
+float64. Training computes in float32 on a float32 copy of float64 master
+weights; adam_step then applies the float32 gradient in the master
+weights' float64 (see training.py). finite_diff_check and the single-vector
+model functions run in float64.
 
 Results are freshly allocated and never share memory with an argument:
 linear_forward, linear_backward and linear_param_grads always, relu and
@@ -25,8 +33,11 @@ import numpy as np
 from .errors import OptimizerError, ShapeError
 
 
-def as_f64(a) -> np.ndarray:
-    return np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+def as_float(a) -> np.ndarray:
+    """`a` as an array of float32 or float64, whichever it already is;
+    anything else becomes float64. Never copies a float array."""
+    a = np.asarray(a)
+    return a if a.dtype in (np.float32, np.float64) else a.astype(np.float64)
 
 
 @dataclass
@@ -37,8 +48,8 @@ class LinearLayer:
     bias: np.ndarray
 
     def __post_init__(self):
-        self.weight = as_f64(self.weight)
-        self.bias = as_f64(self.bias)
+        self.weight = np.ascontiguousarray(as_float(self.weight))
+        self.bias = np.ascontiguousarray(as_float(self.bias))
         if self.weight.ndim != 2:
             raise ShapeError(f"weight must be 2-D, got shape {self.weight.shape}")
         if self.bias.shape != (self.weight.shape[0],):
@@ -57,8 +68,9 @@ class LinearLayer:
 
 
 def linear_forward(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
-    """W x + b for a single vector [d_in] or a stack of rows [n, d_in]."""
-    x = np.asarray(x, dtype=np.float64)
+    """W x + b for a single vector [d_in] or a stack of rows [n, d_in], in
+    the weight's dtype."""
+    x = np.asarray(x, dtype=layer.weight.dtype)
     if x.shape[-1] != layer.d_in:
         raise ShapeError(
             f"input has {x.shape[-1]} features, layer expects {layer.d_in}"
@@ -77,8 +89,8 @@ def linear_param_grads(
     [n, d] both sum over the stack. For a layer whose input needs no
     gradient (the model's input embeddings).
     """
-    x = np.asarray(x, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    x = as_float(x)
+    grad_out = as_float(grad_out)
     if x.ndim != grad_out.ndim or x.shape[:-1] != grad_out.shape[:-1]:
         raise ShapeError(
             f"x shape {x.shape} and grad_out shape {grad_out.shape} disagree"
@@ -95,8 +107,8 @@ def linear_backward(
 
     grad_x = W^T grad_out; the weight/bias gradients are linear_param_grads.
     """
-    x = np.asarray(x, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    x = as_float(x)
+    grad_out = as_float(grad_out)
     if x.shape[-1] != layer.d_in:
         raise ShapeError(f"x has {x.shape[-1]} features, expected {layer.d_in}")
     if grad_out.shape[-1] != layer.d_out:
@@ -110,7 +122,7 @@ def linear_backward(
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise max(0, x), written to `out` when given."""
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0, out=out)
+    return np.maximum(as_float(x), 0.0, out=out)
 
 
 def relu_backward(
@@ -119,20 +131,24 @@ def relu_backward(
     """Pass gradient where x > 0; the subgradient at exactly 0 is 0.
 
     x may be the ReLU input or its output: both are > 0 at the same places.
-    The result is written to `out` (float64) when given, which may be x or
-    grad_out. Same bits as np.where(x > 0, grad_out, 0.0), NaN included:
-    the gradient's bit pattern, as an integer, is multiplied by the mask
+    The result, in grad_out's dtype, is written to `out` when given, which
+    may be x or grad_out. Same bits as np.where(x > 0, grad_out, 0.0), NaN
+    included: the gradient's bit pattern, as a signed integer of its item
+    size (int64 for float64, int32 for float32), is multiplied by the mask
     (1 keeps it, 0 gives +0.0), which is faster than np.where or a masked
     copy and needs no full-size temporary beyond the bool mask.
     """
-    x = np.asarray(x, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    x = as_float(x)
+    grad_out = as_float(grad_out)
     if x.shape != grad_out.shape:
         raise ShapeError(f"x shape {x.shape} != grad_out shape {grad_out.shape}")
     keep = np.asarray(x > 0.0)
     if out is None:
         out = np.empty_like(grad_out)
-    np.multiply(grad_out.view(np.int64), keep, out=out.view(np.int64))
+    elif out.dtype != grad_out.dtype:
+        raise ShapeError(f"out dtype {out.dtype} != grad_out dtype {grad_out.dtype}")
+    bits = np.dtype(f"i{grad_out.itemsize}")
+    np.multiply(grad_out.view(bits), keep, out=out.view(bits))
     return out
 
 
@@ -162,7 +178,9 @@ def adam_step(
     """One Adam update with bias-corrected moments; returns the new param.
 
     The state is advanced in place (step incremented before bias correction).
+    The update is computed in the param's dtype, whatever the grad's.
     """
+    grad = np.asarray(grad, dtype=param.dtype)
     if param.shape != grad.shape or param.shape != state.m.shape:
         raise ShapeError(
             f"{name}: param {param.shape}, grad {grad.shape}, "

@@ -2,6 +2,13 @@
 early stopping, streaming MSE/MAE evaluation in original data units, and
 the training-history CSV.
 
+Precision: fit and evaluate compute in COMPUTE_DTYPE (float32), which
+halves the bytes every activation moves, on float64 master weights. Each
+batch runs the model on a float32 copy of the params; adam_step applies the
+float32 gradients to the float64 params and Adam moments in float64 math.
+Metrics are accumulated in float64 and in original data units. The params
+fit returns, and so every checkpoint, stay float64, as do the windows.
+
 Determinism contract: with a fixed config and seed, batch order, every
 update, and the resulting best checkpoint are all reproducible exactly.
 The only non-reproducible history column is the per-epoch wall time.
@@ -22,6 +29,7 @@ from .numerics import AdamState, adam_step
 from . import model as model_ops
 
 HISTORY_HEADER = ["epoch", "train_mae", "val_mae", "val_mse", "seconds"]
+COMPUTE_DTYPE = np.float32  # of the batch path inside fit and evaluate
 
 
 @dataclass
@@ -81,6 +89,18 @@ def mae_loss(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.abs(pred - truth).mean())
 
 
+def _first_nonfinite(tensors: dict, grads: dict) -> str:
+    """Where a non-finite loss comes from: the first tensor, in tensor_spec
+    order, whose value is non-finite, else the first whose gradient is. A
+    non-finite value is checked first because it can leave every gradient
+    finite (the loss's sign of +inf is 1)."""
+    for what, arrays in (("value", tensors), ("gradient", grads)):
+        for name in tensors:
+            if not np.isfinite(arrays[name]).all():
+                return f"first non-finite {what}: {name}"
+    return "every value and gradient is finite"
+
+
 def _batches(n: int, batch_size: int, perm: np.ndarray | None = None):
     order = perm if perm is not None else np.arange(n)
     for lo in range(0, n, batch_size):
@@ -94,9 +114,11 @@ def evaluate(
     normalizer: Normalizer | None,
     batch_size: int = 32,
 ) -> Metrics:
-    """Pooled test metrics in original data units."""
+    """Pooled test metrics in original data units, from a COMPUTE_DTYPE copy
+    of the params."""
     if len(windows) == 0:
         raise EvaluationError("empty split: no windows to evaluate")
+    params = params.astype(COMPUTE_DTYPE)
     acc = MetricAccumulator()
     for idx in _batches(len(windows), batch_size):
         b = windows.batch(idx)
@@ -127,8 +149,9 @@ def fit(
 ) -> FitResult:
     """Epochs of seeded shuffled mini-batches; returns the best-val params.
 
-    Per-batch gradients are averages over the batch's windows. Validation
-    MAE (original units) drives early stopping: training stops after
+    Per-batch gradients are averages over the batch's windows, computed in
+    COMPUTE_DTYPE and applied to the float64 params. Validation MAE
+    (original units) drives early stopping: training stops after
     `patience` epochs without strict improvement or at max_epochs.
     """
     config.validate()
@@ -151,8 +174,10 @@ def fit(
         n_samples = 0
         for bi, idx in enumerate(_batches(len(train_windows), config.batch_size, perm)):
             b = train_windows.batch(idx)
+            with np.errstate(over="ignore"):  # an overflow is named below
+                compute = params.astype(COMPUTE_DTYPE)
             loss, grads = loss_and_grads(
-                params,
+                compute,
                 b["history"],
                 b["future"],
                 coords_norm,
@@ -162,7 +187,8 @@ def fit(
             )
             if not np.isfinite(loss):
                 raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {bi}"
+                    f"non-finite loss at epoch {epoch}, batch {bi}; "
+                    f"{_first_nonfinite(compute.tensors, grads)}"
                 )
             tensors = params.tensors
             for name, tensor in tensors.items():

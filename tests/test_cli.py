@@ -1,10 +1,13 @@
 import csv
+import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lightweather import cli
+from lightweather.checkpoint import MAGIC
 from lightweather.data import load_observations_csv, load_stations_csv
 
 TINY = """
@@ -94,15 +97,39 @@ def test_usage_error_exit_code_1():
         ),
         ("synth", dict(synth_alpha="a,b"), None, 1, "config error: bad synth_alpha"),
         ("synth", {}, "a_file", 1, "config error: cannot create out_dir"),
+        # no data files are set: the out_dir check must come first
+        ("train", {}, "a_file", 1, "config error: cannot create out_dir"),
+        ("evaluate", {}, "a_file/sub", 1, "config error: cannot create out_dir"),
+        ("forecast", {}, "a_file", 1, "config error: cannot create out_dir"),
+        ("ablate", {}, "a_file", 1, "config error: cannot create out_dir"),
+        ("sweep", {}, "a_file/sub", 1, "config error: cannot create out_dir"),
     ],
-    ids=["relative-param-count-missing-stations", "non-numeric-alpha", "out-is-a-file"],
+    ids=[
+        "relative-param-count-missing-stations",
+        "non-numeric-alpha",
+        "out-is-a-file",
+        "train-out-is-a-file",
+        "evaluate-out-under-a-file",
+        "forecast-out-is-a-file",
+        "ablate-out-is-a-file",
+        "sweep-out-under-a-file",
+    ],
 )
-def test_bad_input_is_one_line_error(tmp_path, capsys, command, extra, out, code, prefix):
+def test_bad_input_is_one_line_error(
+    tmp_path, capsys, monkeypatch, command, extra, out, code, prefix
+):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("expensive work ran before the input checks")
+
+    for name in ("generate", "fit", "_load_dataset"):
+        monkeypatch.setattr(cli, name, must_not_run)
     extra = {k: tmp_path / v if k == "stations_csv" else v for k, v in extra.items()}
     cfg = write_config(tmp_path / "bad.cfg", TINY, out_dir=tmp_path / "out", **extra)
     argv = [command, "--config", str(cfg)]
+    if command == "forecast":
+        argv += ["--timestamp", "2019-01-05T04:00:00"]
     if out:
-        (tmp_path / out).write_text("")
+        (tmp_path / "a_file").write_text("")
         argv += ["--out", str(tmp_path / out)]
     assert cli.main(argv) == code
     err = capsys.readouterr().err
@@ -227,6 +254,24 @@ def test_evaluate_mismatched_checkpoint_dims(synth_dir, trained_dir, tmp_path, c
     )
     assert cli.main(["evaluate", "--config", str(cfg)]) == 4
     assert "checkpoint error" in capsys.readouterr().err
+
+
+def test_evaluate_checkpoint_without_dtype_is_one_line_error(
+    synth_dir, trained_dir, tmp_path, capsys
+):
+    raw = (trained_dir / "run" / "checkpoint.bin").read_bytes()
+    body = len(MAGIC) + 4
+    (mlen,) = struct.unpack("<I", raw[len(MAGIC) : body])
+    manifest = json.loads(raw[body : body + mlen])
+    for entry in manifest["tensors"]:
+        del entry["dtype"]
+    blob = json.dumps(manifest).encode("utf-8")
+    path = tmp_path / "no_dtype.bin"
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[body + mlen :])
+    cfg = data_config(synth_dir, tmp_path / "e.cfg", out_dir=tmp_path / "out")
+    assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and "dtype" in err and err.count("\n") == 1
 
 
 # --- forecast --------------------------------------------------------------

@@ -473,21 +473,36 @@ def _assert_unchanged(before, after):
         assert before == after
 
 
-@settings(max_examples=25, deadline=None)
-@given(
+BATCH_CASES = dict(
     n_batch=st.integers(1, 3),
     n_st=st.integers(1, 3),
     n_vars=st.integers(1, 2),
     encoding=st.sampled_from(ENCODINGS),
     seed=st.integers(0, 2**16),
 )
-@example(n_batch=1, n_st=1, n_vars=1, encoding=("absolute", "absolute"), seed=0)
+ALIASING_CASE = dict(n_batch=1, n_st=1, n_vars=1, encoding=("absolute", "absolute"), seed=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**BATCH_CASES)
+@example(**ALIASING_CASE)
 def test_batch_path_mutates_nothing(n_batch, n_st, n_vars, encoding, seed):
+    _check_batch_path_mutates_nothing(n_batch, n_st, n_vars, encoding, seed, np.float64)
+
+
+@settings(max_examples=25, deadline=None)
+@given(**BATCH_CASES)
+@example(**ALIASING_CASE)
+def test_float32_batch_path_mutates_nothing(n_batch, n_st, n_vars, encoding, seed):
+    _check_batch_path_mutates_nothing(n_batch, n_st, n_vars, encoding, seed, np.float32)
+
+
+def _check_batch_path_mutates_nothing(n_batch, n_st, n_vars, encoding, seed, dtype):
     cfg = small_config(
         n_vars=n_vars, spatial_encoding=encoding[0], temporal_encoding=encoding[1],
         n_stations=n_st,
     )
-    p = init_params(cfg, seed=seed)
+    p = init_params(cfg, seed=seed).astype(dtype)
     batch = _random_batch(cfg, n_batch, n_st, seed)
     hist, fut, cn, hours, days, months = batch
     inputs_before = copy.deepcopy(batch)
@@ -496,8 +511,9 @@ def test_batch_path_mutates_nothing(n_batch, n_st, n_vars, encoding, seed):
     plain, no_cache = forward_batch(hist, cn, hours, days, months, p)
     pred, cache = forward_batch(hist, cn, hours, days, months, p, want_cache=True)
     assert no_cache is None
-    assert_same_bits(plain, pred)
-    if n_batch == n_st == n_vars == 1:
+    assert plain.dtype == pred.dtype == dtype
+    assert plain.tobytes() == pred.tobytes()
+    if dtype == np.float64 and n_batch == n_st == n_vars == 1:
         assert np.shares_memory(cache["x_rows"], hist)  # the aliasing case
     cache_before = copy.deepcopy(cache)
     loss_and_grads(p, *batch)
@@ -513,6 +529,53 @@ def test_batch_path_mutates_nothing(n_batch, n_st, n_vars, encoding, seed):
         assert not np.shares_memory(y, arg)
     out = np.empty_like(y)
     assert relu(y, out=out) is out and not np.shares_memory(out, y)
+
+
+# --- float32 compute on a float32 copy of the params ----------------------
+# Float32 rounding through these few d=16 layers measured at most 2.3
+# float32 epsilons of each array's largest entry; float16 would be ~8000.
+F32_TOL = 50 * np.finfo(np.float32).eps
+
+
+def _assert_close_f32(actual, expected):
+    assert actual.dtype == np.float32 and expected.dtype == np.float64
+    scale = max(float(np.abs(expected).max()), 1e-30)
+    assert_allclose(actual, expected, rtol=0, atol=F32_TOL * scale)
+
+
+@pytest.mark.parametrize("spatial,temporal", ENCODINGS)
+def test_float32_batch_path_agrees_with_float64(spatial, temporal):
+    cfg = small_config(
+        d=16, n_vars=2, spatial_encoding=spatial, temporal_encoding=temporal, n_stations=5
+    )
+    p64 = init_params(cfg, seed=41)
+    p32 = p64.astype(np.float32)
+    assert p32.dtype == np.float32 and p64.dtype == np.float64
+    assert list(p32.tensors) == list(p64.tensors)
+    assert not any(np.shares_memory(p32.tensors[n], p64.tensors[n]) for n in p64.tensors)
+    batch = _random_batch(cfg, 3, 5, seed=42)
+    hist, fut, cn, hours, days, months = batch
+
+    pred64, _ = forward_batch(hist, cn, hours, days, months, p64)
+    pred32, _ = forward_batch(hist, cn, hours, days, months, p32)
+    _assert_close_f32(pred32, pred64)
+    loss64, grads64 = loss_and_grads(p64, *batch)
+    loss32, grads32 = loss_and_grads(p32, *batch)
+    assert isinstance(loss32, float)
+    assert loss32 == pytest.approx(loss64, rel=F32_TOL, abs=0)
+    assert grads32.keys() == grads64.keys()
+    for name, g in grads32.items():
+        _assert_close_f32(g, grads64[name])
+
+
+def test_float32_history_overflow_is_validation_error():
+    cfg = small_config()
+    p = init_params(cfg, seed=43)
+    hist, _, cn, hours, days, months = _random_batch(cfg, 2, 2, seed=44)
+    hist[1, 0, 1, 0] = 1e39  # finite in float64, inf in float32
+    forward_batch(hist, cn, hours, days, months, p)
+    with pytest.raises(ValidationError, match="float32"):
+        forward_batch(hist, cn, hours, days, months, p.astype(np.float32))
 
 
 # --- parameter counting ----------------------------------------------------

@@ -117,6 +117,56 @@ def test_relu_backward_same_bits_as_where(pairs):
         assert_array_equal(buf.view(np.uint64), expected)
 
 
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+SPECIAL_F32 = st.sampled_from(
+    [0.0, -0.0, 1.5, -1.5, np.inf, -np.inf, np.nan, F32_TINY, -F32_TINY, 3 * F32_TINY]
+)
+
+
+@given(st.lists(st.tuples(SPECIAL_F32, SPECIAL_F32), min_size=1, max_size=20))
+def test_relu_backward_float32_same_bits_as_where(pairs):
+    # float32 masks its int32 bit pattern; subnormals must keep their bits too
+    a, g = (np.array(v, dtype=np.float32) for v in zip(*pairs))
+    expected = np.where(a > 0, g, np.float32(0)).view(np.uint32)
+    for x in (a, relu(a)):
+        result = relu_backward(x, g)
+        assert result.dtype == np.float32
+        assert_array_equal(result.view(np.uint32), expected)
+        buf = g.copy()
+        assert relu_backward(x, buf, out=buf) is buf
+        assert_array_equal(buf.view(np.uint32), expected)
+    with pytest.raises(ShapeError, match="dtype"):
+        relu_backward(a, g, out=np.empty(a.shape))
+
+
+def test_primitives_keep_float32():
+    rng = np.random.default_rng(4)
+    layer = LinearLayer(
+        weight=rng.normal(size=(4, 3)).astype(np.float32),
+        bias=rng.normal(size=4).astype(np.float32),
+    )
+    x = rng.normal(size=(5, 3))  # float64 rows are cast to the weight's dtype
+    y = linear_forward(x, layer)
+    assert y.dtype == np.float32
+    assert relu(y).dtype == np.float32
+    g = rng.normal(size=(5, 4)).astype(np.float32)
+    assert all(a.dtype == np.float32 for a in linear_backward(y[:, :3], layer, g))
+    assert all(a.dtype == np.float32 for a in linear_param_grads(y[:, :3], g))
+    assert linear_forward([1, 2, 3], layer).dtype == np.float32
+    assert relu([1, -2]).dtype == np.float64  # non-float input is taken as float64
+
+
+def test_adam_applies_float32_grad_in_param_dtype():
+    param = np.array([1.0, -2.0])
+    grad32 = np.array([0.1, 0.3], dtype=np.float32)
+    s32, s64 = AdamState.zeros_like(param), AdamState.zeros_like(param)
+    new32 = adam_step(param, grad32, s32, lr=0.01)
+    new64 = adam_step(param, grad32.astype(np.float64), s64, lr=0.01)
+    assert new32.dtype == s32.m.dtype == s32.v.dtype == np.float64
+    assert new32.tobytes() == new64.tobytes()
+    assert s32.v.tobytes() == s64.v.tobytes()
+
+
 def test_out_argument_writes_only_out():
     a = np.array([-2.0, 0.5, 3.0])
     g = np.array([1.0, 2.0, 3.0])

@@ -17,7 +17,14 @@ from lightweather.errors import (
     EvaluationError,
     TrainingError,
 )
-from lightweather.model import ModelConfig, init_params, normalize_coords, tensor_spec
+from lightweather import training
+from lightweather.model import (
+    ModelConfig,
+    init_params,
+    loss_and_grads,
+    normalize_coords,
+    tensor_spec,
+)
 from lightweather.synthetic import SynthConfig, generate, random_station_coords
 from lightweather.training import (
     MetricAccumulator,
@@ -196,6 +203,74 @@ def test_fit_aborts_on_nonfinite_loss():
             TrainConfig(lr=5e-4, max_epochs=1, patience=1, seed=0),
             None,
         )
+
+
+@pytest.mark.parametrize("poison", [np.inf, 1e39])  # 1e39 is inf only in float32
+def test_fit_nonfinite_loss_names_the_tensor(poison):
+    obs = tiny_dataset()
+    prepared = split_windows(obs, SMALL.t_h, SMALL.t_f, normalize=False)
+    params = init_params(SMALL, seed=2)
+    params.tensors["fc_regress.bias"][0] = poison
+    with pytest.raises(TrainingError, match=r"epoch 0, batch 0; first non-finite value: fc_regress\.bias"):
+        fit(
+            params,
+            prepared.train,
+            prepared.val,
+            normalize_coords(obs.coords),
+            TrainConfig(lr=5e-4, max_epochs=1, patience=1, seed=0),
+            None,
+        )
+
+
+def test_fit_nonfinite_loss_names_the_first_nonfinite_gradient(monkeypatch):
+    def nan_tail(params, *batch):
+        _, grads = loss_and_grads(params, *batch)
+        for name in ("fc_regress.bias", "encoder.1.fc2.bias", "fc_regress.weight"):
+            grads[name] = np.full_like(grads[name], np.nan)
+        return np.nan, grads
+
+    monkeypatch.setattr(training, "loss_and_grads", nan_tail)
+    obs = tiny_dataset()
+    prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
+    with pytest.raises(TrainingError, match=r"first non-finite gradient: encoder\.1\.fc2\.bias"):
+        fit(
+            init_params(SMALL, seed=2),
+            prepared.train,
+            prepared.val,
+            normalize_coords(obs.coords),
+            TrainConfig(lr=5e-4, max_epochs=1, patience=1, seed=0),
+            prepared.normalizer,
+        )
+
+
+def test_fit_computes_in_float32_and_returns_float64(tmp_path, monkeypatch):
+    seen = set()
+    forward_batch = training.model_ops.forward_batch
+
+    def recording_forward(*args, **kwargs):
+        pred, cache = forward_batch(*args, **kwargs)
+        seen.add(pred.dtype)
+        return pred, cache
+
+    monkeypatch.setattr(training.model_ops, "forward_batch", recording_forward)
+    obs = tiny_dataset()
+    prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
+    checkpoints = []
+    for run in range(2):
+        result = fit(
+            init_params(SMALL, seed=5),
+            prepared.train,
+            prepared.val,
+            normalize_coords(obs.coords),
+            TrainConfig(lr=5e-4, max_epochs=2, patience=2, seed=5),
+            prepared.normalizer,
+        )
+        assert all(a.dtype == np.float64 for a in result.params.tensors.values())
+        path = tmp_path / f"run{run}.bin"
+        checkpoint_save(path, result.params)
+        checkpoints.append(path.read_bytes())
+    assert checkpoints[0] == checkpoints[1]
+    assert seen == {np.dtype(np.float32)}  # training batches and validation
 
 
 def test_train_config_validation():
