@@ -32,29 +32,29 @@ class AblationSpec:
 def hi_forecast(history: np.ndarray, t_f: int) -> np.ndarray:
     """Copy the most recent t_f steps forward as the forecast.
 
-    Accepts [T_h, N, C] or a batch [B, T_h, N, C]; the time axis is the
-    one with length T_h.
+    Accepts [T_h, N, C] or a batch [B, T_h, N, C]; time is axis -3.
     """
     history = np.asarray(history, dtype=np.float64)
-    axis = 0 if history.ndim == 3 else 1
-    t_h = history.shape[axis]
+    t_h = history.shape[-3]
     if t_f > t_h:
         raise ConfigError(f"hi_forecast needs T_f <= T_h, got {t_f} > {t_h}")
-    if axis == 0:
-        return history[t_h - t_f :].copy()
-    return history[:, t_h - t_f :].copy()
+    return history[..., t_h - t_f :, :, :].copy()
 
 
 def evaluate_hi(windows, batch_size: int = 32) -> Metrics:
-    """Pooled HI metrics over a window set, in original data units."""
+    """Pooled HI metrics over a window set, in original data units.
+
+    Each batch gathers from raw_values only the steps HI reads: the last
+    T_f history steps, then the T_f future steps.
+    """
     if len(windows) == 0:
         raise ConfigError("empty split: no windows for the HI baseline")
+    n_hist = min(windows.t_f, windows.t_h)  # fewer than T_f: hi_forecast raises
+    steps = np.arange(windows.t_h - n_hist, windows.t_h + windows.t_f)
     acc = MetricAccumulator()
     for idx in _batches(len(windows), batch_size):
-        b = windows.batch(idx)
-        hist_steps = windows.starts[idx][:, None] + np.arange(windows.t_h)
-        raw_history = windows.raw_values[hist_steps]
-        acc.add(hi_forecast(raw_history, windows.t_f), b["future_raw"])
+        raw = windows.raw_values[windows.starts[idx][:, None] + steps]
+        acc.add(hi_forecast(raw[:, :n_hist], windows.t_f), raw[:, n_hist:])
     return acc.result()
 
 

@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .model import ModelConfig, ModelParams, tensor_spec
 
 MAGIC = b"LWCKPT1"
@@ -61,12 +61,12 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelPa
     try:
         manifest = json.loads(raw[body : body + mlen].decode("utf-8"))
         config = ModelConfig(**manifest["config"])
+        expected_own = _shapes(config)  # validates the config
         entries = [(e["name"], tuple(e["shape"]), e["dtype"]) for e in manifest["tensors"]]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: bad manifest: {exc}") from exc
 
     declared = {name: shape for name, shape, _ in entries}
-    expected_own = _shapes(config)
     if declared != expected_own:
         odd = sorted(set(declared.items()) ^ set(expected_own.items()))
         raise CheckpointError(f"{path}: manifest inconsistent with its config: {odd}")

@@ -23,7 +23,6 @@ from .checkpoint import checkpoint_load, checkpoint_save
 from .data import (
     load_observations_csv,
     load_stations_csv,
-    normalize_apply,
     normalize_invert,
     split_windows,
     write_observations_csv,
@@ -44,7 +43,7 @@ from .model import (
     ModelConfig,
     TimeFeature,
     closed_form_count,
-    forward_batch,
+    forward,
     init_params,
     normalize_coords,
     parameter_count,
@@ -297,7 +296,7 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_flag: str | None) -> int:
 
 def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) -> int:
     out = _out_dir(cfg)
-    obs, model_cfg, prepared, coords_norm = prepare(cfg)
+    obs, model_cfg, prepared, _ = prepare(cfg)
     params = checkpoint_load(_checkpoint_path(cfg, checkpoint_flag), model_cfg)
     try:
         when = datetime.fromisoformat(timestamp)
@@ -310,21 +309,9 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
             f"steps inside the observation range"
         )
     idx = index[when]
-    values = (
-        normalize_apply(obs.values, prepared.normalizer)
-        if prepared.normalizer is not None
-        else obs.values
-    )
-    tf = TimeFeature.from_timestamp(when)
-    pred, _ = forward_batch(
-        values[idx - model_cfg.t_h : idx][None],
-        coords_norm,
-        np.array([tf.hour]),
-        np.array([tf.day_index]),
-        np.array([tf.month_index]),
-        params,
-    )
-    pred = pred[0]  # [T_f, N, C]
+    # every split's `values` is the whole series, normalized when that is on
+    history = prepared.test.values[idx - model_cfg.t_h : idx]
+    pred = forward(history, obs.coords, TimeFeature.from_timestamp(when), params)
     if prepared.normalizer is not None:
         pred = normalize_invert(pred, prepared.normalizer)
 

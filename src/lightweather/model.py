@@ -4,9 +4,12 @@ regression head.
 
 Every (station, variable) series is processed independently by shared
 weights; spatial information enters only through the coordinate encoding,
-so the parameter count does not depend on the station count. The forward
-pass follows the sequence transpose -> embed -> encode -> regress ->
-transpose, vectorized over all (window, station, variable) rows of a batch.
+so the parameter count does not depend on the station count. forward_batch
+is the one forward pass, vectorized over all (window, station, variable)
+rows of a batch: transpose -> embed (fc_embed) -> add spatial_rows and
+temporal_rows -> encoder_forward -> regress (fc_regress) -> transpose. The
+three stage kernels are public so that each stage can be checked on its
+own; forward is forward_batch on one window.
 
 Variants used by the ablation harness are expressed through ModelConfig:
 spatial_encoding may be "absolute" (a 3 -> d layer over normalized
@@ -66,8 +69,11 @@ class ModelConfig:
 
     def validate(self) -> None:
         for name in ("d", "n_layers", "t_h", "t_f", "n_vars"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.spatial_encoding not in SPATIAL_MODES:
             raise ConfigError(f"unknown spatial_encoding {self.spatial_encoding!r}")
         if self.temporal_encoding not in TEMPORAL_MODES:
@@ -229,63 +235,7 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# Single-vector operations (the definitional contracts; the batch path below
-# is the same math over row stacks).
-# ---------------------------------------------------------------------------
-
-
-def embed_data(x: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Map one station-variable history of length T_h to a d-vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.config.t_h,):
-        raise ShapeError(f"history shape {x.shape}, expected ({params.config.t_h},)")
-    return linear_forward(x, params.layer("fc_embed"))
-
-
-def encode_spatial(coord: StationCoord, params: ModelParams) -> np.ndarray:
-    """Encode one station's normalized coordinates to a d-vector."""
-    if params.config.spatial_encoding != "absolute":
-        raise ConfigError("model has no coordinate-based spatial encoder")
-    coord.validate()
-    return linear_forward(normalize_coords([coord])[0], params.layer("fc_spatial"))
-
-
-def lookup_temporal(
-    tf: TimeFeature, params: ModelParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row lookups into the hour/day/month tables."""
-    if params.config.temporal_encoding != "absolute":
-        raise ConfigError("model has no temporal encoding tables")
-    t = params.tensors
-    return (
-        t["table_hour"][tf.hour].copy(),
-        t["table_day"][tf.day_index].copy(),
-        t["table_month"][tf.month_index].copy(),
-    )
-
-
-def fuse(e, s, t, d, m) -> np.ndarray:
-    """Elementwise sum of the five d-vectors."""
-    vecs = [np.asarray(v, dtype=np.float64) for v in (e, s, t, d, m)]
-    for v in vecs[1:]:
-        if v.shape != vecs[0].shape:
-            raise ShapeError(f"fuse shapes disagree: {v.shape} vs {vecs[0].shape}")
-    return vecs[0] + vecs[1] + vecs[2] + vecs[3] + vecs[4]
-
-
-def encoder_forward(h: np.ndarray, params: ModelParams) -> np.ndarray:
-    """L residual blocks z <- fc2(relu(fc1(z))) + z."""
-    z = np.asarray(h, dtype=np.float64)
-    if z.shape[-1] != params.config.d:
-        raise ShapeError(f"encoder input width {z.shape[-1]} != d {params.config.d}")
-    for i in range(params.config.n_layers):
-        fc1, fc2 = params.layer(f"encoder.{i}.fc1"), params.layer(f"encoder.{i}.fc2")
-        z = linear_forward(relu(linear_forward(z, fc1)), fc2) + z
-    return z
-
-
-# ---------------------------------------------------------------------------
-# Batched forward / backward
+# Stage kernels and the batched forward / backward
 # ---------------------------------------------------------------------------
 
 
@@ -305,6 +255,52 @@ def _check_time_indices(hours, days, months, batch: int):
     return arrs
 
 
+def spatial_rows(coords_norm: np.ndarray, params: ModelParams) -> np.ndarray | None:
+    """The spatial encoding's [N, d] rows, in params.dtype: fc_spatial over
+    normalized [N, 3] coordinates (absolute), the station table itself
+    (relative), or None (none)."""
+    cfg = params.config
+    if cfg.spatial_encoding == "absolute":
+        coords_norm = np.asarray(coords_norm)
+        if coords_norm.ndim != 2 or coords_norm.shape[1] != 3:
+            raise ShapeError(f"coords shape {coords_norm.shape}, expected [N, 3]")
+        return linear_forward(coords_norm, params.layer("fc_spatial"))
+    if cfg.spatial_encoding == "relative":
+        return params.tensors["station_table"]
+    return None
+
+
+def temporal_rows(hours, days, months, params: ModelParams) -> np.ndarray | None:
+    """The temporal encoding's [B, d] rows, hour + day + month table rows
+    for each window's calendar indices (in range: forward_batch checks
+    them), or None when the model has none."""
+    if params.config.temporal_encoding != "absolute":
+        return None
+    t = params.tensors
+    return t["table_hour"][hours] + t["table_day"][days] + t["table_month"][months]
+
+
+def encoder_forward(z: np.ndarray, params: ModelParams, cache: dict | None = None):
+    """The L residual blocks z <- fc2(relu(fc1(z))) + z over rows [..., d],
+    in params.dtype. With a cache, appends each block's ReLU output (fc2's
+    input) to cache["r_list"] and its output to cache["z_list"]; without
+    one, keeps none of them."""
+    cfg = params.config
+    z = np.asarray(z, dtype=params.dtype)
+    if z.shape[-1] != cfg.d:
+        raise ShapeError(f"encoder input width {z.shape[-1]} != d {cfg.d}")
+    for i in range(cfg.n_layers):
+        r = linear_forward(z, params.layer(f"encoder.{i}.fc1"))
+        relu(r, out=r)
+        y = linear_forward(r, params.layer(f"encoder.{i}.fc2"))
+        y += z  # residual path
+        z = y
+        if cache is not None:
+            cache["r_list"].append(r)
+            cache["z_list"].append(z)
+    return z
+
+
 def forward_batch(
     history: np.ndarray,
     coords_norm: np.ndarray,
@@ -314,7 +310,8 @@ def forward_batch(
     params: ModelParams,
     want_cache: bool = False,
 ):
-    """Forward pass over a batch of windows.
+    """Forward pass over a batch of windows: embed, add spatial_rows and
+    temporal_rows, encoder_forward, then the regression head.
 
     history: [B, T_h, N, C]; coords_norm: normalized [N, 3]; hours/days/
     months: per-window calendar indices [B]. Returns predictions
@@ -327,8 +324,7 @@ def forward_batch(
     the normalized coordinates,
     z_list (each residual block's input [B*N*C, d], then the head's input)
     and r_list (each block's ReLU output, which is also fc2's input). Its
-    arrays are read, never written, by backward_batch. Without want_cache
-    the residual blocks keep none of their outputs.
+    arrays are read, never written, by backward_batch.
     """
     cfg = params.config
     dtype = params.dtype
@@ -347,58 +343,36 @@ def forward_batch(
     if not np.isfinite(x_rows).all():
         raise ValidationError(f"history contains values that are not finite in {dtype}")
     hours, days, months = _check_time_indices(hours, days, months, n_batch)
+    coords_norm = (
+        np.asarray(coords_norm, dtype=dtype) if cfg.spatial_encoding == "absolute" else None
+    )
 
-    t = params.tensors
     e = linear_forward(x_rows, params.layer("fc_embed"))
     h4 = e.reshape(n_batch, n_stations, n_vars, cfg.d)
-
-    if cfg.spatial_encoding == "absolute":
-        coords_norm = np.asarray(coords_norm, dtype=dtype)
-        if coords_norm.shape != (n_stations, 3):
-            raise ShapeError(
-                f"coords shape {coords_norm.shape}, expected ({n_stations}, 3)"
-            )
-        s_rows = linear_forward(coords_norm, params.layer("fc_spatial"))
+    s_rows = spatial_rows(coords_norm, params)
+    if s_rows is not None:
+        if s_rows.shape[0] != n_stations:
+            raise ShapeError(f"{n_stations} stations but {s_rows.shape[0]} spatial rows")
         h4 += s_rows[None, :, None, :]
-    elif cfg.spatial_encoding == "relative":
-        s_rows = t["station_table"]
-        if n_stations != s_rows.shape[0]:
-            raise ShapeError(f"{n_stations} stations but table holds {s_rows.shape[0]}")
-        h4 += s_rows[None, :, None, :]
-
-    if cfg.temporal_encoding == "absolute":
-        time_rows = t["table_hour"][hours] + t["table_day"][days] + t["table_month"][months]
+    time_rows = temporal_rows(hours, days, months, params)
+    if time_rows is not None:
         h4 += time_rows[:, None, None, :]
 
     z = h4.reshape(-1, cfg.d)
-    z_list = [z]
-    r_list = []
-    for i in range(cfg.n_layers):
-        r = linear_forward(z, params.layer(f"encoder.{i}.fc1"))
-        relu(r, out=r)
-        y = linear_forward(r, params.layer(f"encoder.{i}.fc2"))
-        y += z  # residual path
-        z = y
-        if want_cache:
-            r_list.append(r)
-            z_list.append(z)
-
-    y_rows = linear_forward(z, params.layer("fc_regress"))
+    cache = {"z_list": [z], "r_list": []} if want_cache else None
+    y_rows = linear_forward(encoder_forward(z, params, cache), params.layer("fc_regress"))
     pred = np.ascontiguousarray(
         y_rows.reshape(n_batch, n_stations, n_vars, cfg.t_f).transpose(0, 3, 1, 2)
     )
-    if not want_cache:
-        return pred, None
-    cache = {
-        "x_rows": x_rows,
-        "coords_norm": coords_norm if cfg.spatial_encoding == "absolute" else None,
-        "hours": hours,
-        "days": days,
-        "months": months,
-        "z_list": z_list,
-        "r_list": r_list,
-        "dims": (n_batch, n_stations, n_vars),
-    }
+    if cache is not None:
+        cache.update(
+            x_rows=x_rows,
+            coords_norm=coords_norm,
+            hours=hours,
+            days=days,
+            months=months,
+            dims=(n_batch, n_stations, n_vars),
+        )
     return pred, cache
 
 

@@ -10,8 +10,8 @@ dtype: linear_forward in the layer weight's (x is cast to it), the others
 in their arguments' own. Any other input (integers, lists) is taken as
 float64. Training computes in float32 on a float32 copy of float64 master
 weights; adam_step then applies the float32 gradient in the master
-weights' float64 (see training.py). finite_diff_check and the single-vector
-model functions run in float64.
+weights' float64 (see training.py). finite_diff_check runs in float64; the
+model's stage kernels compute in their params' dtype.
 
 Results are freshly allocated and never share memory with an argument:
 linear_forward, linear_backward and linear_param_grads always, relu and

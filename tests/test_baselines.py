@@ -77,6 +77,26 @@ def test_evaluate_hi_on_constant_series_is_exact():
     assert metrics.mse == 0.0 and metrics.mae == 0.0
 
 
+def test_evaluate_hi_equals_numpy_on_raw_values():
+    prepared = split_windows(dataset(), 6, 3, normalize=True)
+    ws = prepared.test
+    assert not np.array_equal(ws.values, ws.raw_values)
+    starts = ws.starts[:, None]
+    diff = ws.raw_values[starts + np.arange(3, 6)] - ws.raw_values[starts + np.arange(6, 9)]
+    metrics = evaluate_hi(ws, batch_size=len(ws))
+    assert metrics.n_points == diff.size
+    assert metrics.mse.hex() == (float((diff * diff).sum()) / diff.size).hex()
+    assert metrics.mae.hex() == (float(np.abs(diff).sum()) / diff.size).hex()
+    batched = evaluate_hi(ws, batch_size=5)
+    assert batched.mse == pytest.approx(metrics.mse, rel=1e-12)
+    assert batched.mae == pytest.approx(metrics.mae, rel=1e-12)
+
+
+def test_hi_zero_horizon_is_empty():
+    assert hi_forecast(np.ones((4, 2, 1)), 0).shape == (0, 2, 1)
+    assert hi_forecast(np.ones((3, 4, 2, 1)), 0).shape == (3, 0, 2, 1)
+
+
 # --- variants ---------------------------------------------------------------
 
 

@@ -256,22 +256,44 @@ def test_evaluate_mismatched_checkpoint_dims(synth_dir, trained_dir, tmp_path, c
     assert "checkpoint error" in capsys.readouterr().err
 
 
-def test_evaluate_checkpoint_without_dtype_is_one_line_error(
-    synth_dir, trained_dir, tmp_path, capsys
-):
+def edited_checkpoint(trained_dir, path, edit):
+    """The trained checkpoint written to `path` with `edit` applied to its
+    manifest."""
     raw = (trained_dir / "run" / "checkpoint.bin").read_bytes()
     body = len(MAGIC) + 4
     (mlen,) = struct.unpack("<I", raw[len(MAGIC) : body])
     manifest = json.loads(raw[body : body + mlen])
-    for entry in manifest["tensors"]:
-        del entry["dtype"]
+    edit(manifest)
     blob = json.dumps(manifest).encode("utf-8")
-    path = tmp_path / "no_dtype.bin"
     path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[body + mlen :])
+    return path
+
+
+def test_evaluate_checkpoint_without_dtype_is_one_line_error(
+    synth_dir, trained_dir, tmp_path, capsys
+):
+    def drop_dtype(manifest):
+        for entry in manifest["tensors"]:
+            del entry["dtype"]
+
+    path = edited_checkpoint(trained_dir, tmp_path / "no_dtype.bin", drop_dtype)
     cfg = data_config(synth_dir, tmp_path / "e.cfg", out_dir=tmp_path / "out")
     assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error:") and "dtype" in err and err.count("\n") == 1
+
+
+def test_evaluate_checkpoint_with_malformed_config_is_one_line_error(
+    synth_dir, trained_dir, tmp_path, capsys
+):
+    def d_as_string(manifest):
+        manifest["config"]["d"] = "4"
+
+    path = edited_checkpoint(trained_dir, tmp_path / "bad_config.bin", d_as_string)
+    cfg = data_config(synth_dir, tmp_path / "e.cfg", out_dir=tmp_path / "out")
+    assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error:") and err.count("\n") == 1
 
 
 # --- forecast --------------------------------------------------------------
@@ -319,7 +341,13 @@ def test_forecast_out_of_range_timestamp(synth_dir, trained_dir, tmp_path, capsy
 def test_forecast_matches_evaluate_window(synth_dir, trained_dir, tmp_path):
     from lightweather.checkpoint import checkpoint_load
     from lightweather.data import split_windows
-    from lightweather.model import ModelConfig, forward_batch, normalize_coords
+    from lightweather.model import (
+        ModelConfig,
+        TimeFeature,
+        forward,
+        forward_batch,
+        normalize_coords,
+    )
     from lightweather.data import normalize_invert
 
     cfg = data_config(
@@ -351,6 +379,15 @@ def test_forecast_matches_evaluate_window(synth_dir, trained_dir, tmp_path):
     for si, sid in enumerate(obs.station_ids):
         for step in range(3):
             assert got[(sid, step)] == pytest.approx(expected[step, si, 0], rel=1e-12)
+
+    # the command is model.forward on the window, to the bit
+    one = forward(b["history"][0], obs.coords, TimeFeature.from_timestamp(when), params)
+    exact = normalize_invert(one, prepared.normalizer)
+    again = load_observations_csv(tmp_path / "fc3" / "forecast_obs.csv", ids, coords)
+    for si, sid in enumerate(obs.station_ids):
+        for step in range(3):
+            assert got[(sid, step)] == exact[step, si, 0]
+            assert again.values[step, si, 0] == exact[step, si, 0]
 
 
 # --- ablate / sweep / param-count -------------------------------------------

@@ -14,17 +14,15 @@ from lightweather.model import (
     TimeFeature,
     backward_batch,
     closed_form_count,
-    embed_data,
-    encode_spatial,
     encoder_forward,
     forward,
     forward_batch,
-    fuse,
     init_params,
-    lookup_temporal,
     loss_and_grads,
     normalize_coords,
     parameter_count,
+    spatial_rows,
+    temporal_rows,
     tensor_spec,
 )
 from lightweather.numerics import finite_diff_check, linear_forward, relu
@@ -48,30 +46,38 @@ def random_coords(n, seed=0):
     ]
 
 
-# --- embedding -------------------------------------------------------------
+# --- embedding: fc_embed, as forward_batch applies it ----------------------
+
+
+def embed(x, p):
+    return linear_forward(x, p.layer("fc_embed"))
 
 
 def test_embed_zero_history_zero_bias():
     p = init_params(small_config(), seed=0)
     p.tensors["fc_embed.bias"][:] = 0.0
-    assert_array_equal(embed_data(np.zeros(6), p), np.zeros(8))
+    assert_array_equal(embed(np.zeros(6), p), np.zeros(8))
 
 
 def test_embed_selects_inputs_with_identity_rows():
     p = init_params(small_config(d=2, t_h=2), seed=0)
     p.tensors["fc_embed.weight"][:] = np.eye(2)
     p.tensors["fc_embed.bias"][:] = 0.0
-    assert_array_equal(embed_data(np.array([4.0, -7.0]), p), [4.0, -7.0])
+    assert_array_equal(embed(np.array([4.0, -7.0]), p), [4.0, -7.0])
 
 
 def test_embed_output_length_is_d():
     p = init_params(small_config(), seed=1)
-    assert embed_data(np.arange(6.0), p).shape == (8,)
+    assert embed(np.arange(6.0), p).shape == (8,)
     with pytest.raises(ShapeError):
-        embed_data(np.arange(5.0), p)
+        embed(np.arange(5.0), p)
 
 
-# --- spatial encoding ------------------------------------------------------
+# --- spatial encoding: spatial_rows ----------------------------------------
+
+
+def encode_spatial(coord, p):
+    return spatial_rows(normalize_coords([coord]), p)[0]
 
 
 def test_spatial_same_coords_same_encoding():
@@ -106,35 +112,67 @@ def test_spatial_out_of_range_coordinate():
         encode_spatial(StationCoord(0.0, -200.0, 0.0), p)
 
 
-# --- temporal encoding -----------------------------------------------------
+def test_spatial_rows_per_variant():
+    coords = normalize_coords(random_coords(3))
+    rel = init_params(small_config(spatial_encoding="relative", n_stations=3), seed=6)
+    assert spatial_rows(coords, rel) is rel.tensors["station_table"]
+    assert spatial_rows(coords, init_params(small_config(spatial_encoding="none"), 6)) is None
+    with pytest.raises(ShapeError):
+        spatial_rows(coords[:, :2], init_params(small_config(), seed=6))
+
+
+# --- temporal encoding: temporal_rows --------------------------------------
+
+TABLES = ("table_hour", "table_day", "table_month")
+
+
+def lookup(tf, p):
+    """temporal_rows for one window at `tf`: hour + day + month rows."""
+    return temporal_rows([tf.hour], [tf.day_index], [tf.month_index], p)[0]
+
+
+def only(p, table):
+    """A copy of p whose temporal tables other than `table` are zero, so
+    that lookup returns that table's row."""
+    q = p.copy()
+    for name in TABLES:
+        if name != table:
+            q.tensors[name][:] = 0.0
+    return q
 
 
 def test_lookup_hour_zero_is_row_zero():
     p = init_params(small_config(), seed=6)
-    t, d, m = lookup_temporal(TimeFeature(hour=0, day_index=3, month_index=7), p)
-    assert_array_equal(t, p.tensors["table_hour"][0])
-    assert_array_equal(d, p.tensors["table_day"][3])
-    assert_array_equal(m, p.tensors["table_month"][7])
+    tf = TimeFeature(hour=0, day_index=3, month_index=7)
+    assert_array_equal(lookup(tf, only(p, "table_hour")), p.tensors["table_hour"][0])
+    assert_array_equal(lookup(tf, only(p, "table_day")), p.tensors["table_day"][3])
+    assert_array_equal(lookup(tf, only(p, "table_month")), p.tensors["table_month"][7])
+    t = p.tensors
+    assert_array_equal(lookup(tf, p), t["table_hour"][0] + t["table_day"][3] + t["table_month"][7])
 
 
 def test_lookup_is_pure():
     p = init_params(small_config(), seed=7)
+    tables = copy.deepcopy(p.tensors)
     tf = TimeFeature(hour=13, day_index=30, month_index=11)
-    for a, b in zip(lookup_temporal(tf, p), lookup_temporal(tf, p)):
-        assert_array_equal(a, b)
+    for q in (p, *(only(p, name) for name in TABLES)):
+        assert_array_equal(lookup(tf, q), lookup(tf, q))
+    _assert_unchanged(tables, p.tensors)
 
 
 def test_daily_resolution_has_constant_hour_row():
     from datetime import datetime, timedelta
 
-    p = init_params(small_config(), seed=8)
+    p = only(init_params(small_config(), seed=8), "table_hour")
     day0 = datetime(2020, 3, 1)
-    rows = [
-        lookup_temporal(TimeFeature.from_timestamp(day0 + timedelta(days=k)), p)[0]
-        for k in range(5)
-    ]
+    rows = [lookup(TimeFeature.from_timestamp(day0 + timedelta(days=k)), p) for k in range(5)]
     for row in rows[1:]:
         assert_array_equal(row, rows[0])
+
+
+def test_temporal_rows_none_without_tables():
+    p = init_params(small_config(temporal_encoding="none"), seed=8)
+    assert temporal_rows([1], [2], [3], p) is None
 
 
 def test_time_feature_ranges():
@@ -146,37 +184,56 @@ def test_time_feature_ranges():
         TimeFeature(hour=0, day_index=0, month_index=12)
 
 
-# --- fusion ----------------------------------------------------------------
+# --- fusion: the encoder input forward_batch caches as z_list[0] ------------
+
+
+def fusion(p, seed, n_batch=2, n_st=3):
+    """forward_batch's fused rows z_list[0] [B*N*C, d] and its five addends,
+    each written out from the tensors and broadcast to the same rows: the
+    embedding, the spatial row and the hour, day and month rows."""
+    cfg = p.config
+    hist, _, cn, hours, days, months = _random_batch(cfg, n_batch, n_st, seed)
+    _, cache = forward_batch(hist, cn, hours, days, months, p, want_cache=True)
+    shape = (n_batch, n_st, cfg.n_vars, cfg.d)
+    x_rows = hist.transpose(0, 2, 3, 1).reshape(-1, cfg.t_h)
+    e = (x_rows @ p.tensors["fc_embed.weight"].T + p.tensors["fc_embed.bias"]).reshape(shape)
+    s = cn @ p.tensors["fc_spatial.weight"].T + p.tensors["fc_spatial.bias"]
+    terms = [e, np.broadcast_to(s[None, :, None, :], shape)]
+    for name, idx in zip(TABLES, (hours, days, months)):
+        terms.append(np.broadcast_to(p.tensors[name][idx][:, None, None, :], shape))
+    return cache["z_list"][0], [a.reshape(-1, cfg.d) for a in terms]
 
 
 def test_fuse_zeros_give_back_embedding():
-    e = np.arange(4.0)
-    z = np.zeros(4)
-    assert_array_equal(fuse(e, z, z, z, z), e)
+    p = init_params(small_config(), seed=9)
+    for name in ("fc_spatial.weight", "fc_spatial.bias", *TABLES):
+        p.tensors[name][:] = 0.0
+    z, (e, *_) = fusion(p, seed=9)
+    assert_array_equal(z, e)
 
 
 def test_fuse_permutation_invariant():
-    rng = np.random.default_rng(9)
-    vecs = [rng.normal(size=6) for _ in range(5)]
-    out = fuse(*vecs)
-    perm = [vecs[i] for i in (3, 0, 4, 2, 1)]
-    assert_allclose(fuse(*perm), out, rtol=0, atol=1e-12)
+    z, terms = fusion(init_params(small_config(), seed=9), seed=10)
+    assert_array_equal(z, (terms[0] + terms[1]) + (terms[2] + terms[3] + terms[4]))
+    perm = [terms[i] for i in (3, 0, 4, 2, 1)]
+    assert_allclose(perm[0] + perm[1] + perm[2] + perm[3] + perm[4], z, rtol=0, atol=1e-12)
 
 
 def test_fuse_readd_and_subtract():
-    rng = np.random.default_rng(10)
-    vecs = [rng.normal(size=8) for _ in range(5)]
-    h = fuse(*vecs)
-    residue = h - vecs[0] - vecs[1] - vecs[2] - vecs[3] - vecs[4]
-    assert_allclose(residue, np.zeros(8), rtol=0, atol=1e-12)
+    z, terms = fusion(init_params(small_config(), seed=10), seed=11)
+    residue = z - terms[0] - terms[1] - terms[2] - terms[3] - terms[4]
+    assert_allclose(residue, np.zeros_like(z), rtol=0, atol=1e-12)
 
 
 def test_fuse_shape_mismatch():
-    with pytest.raises(ShapeError):
-        fuse(np.zeros(3), np.zeros(4), np.zeros(3), np.zeros(3), np.zeros(3))
+    cfg = small_config(spatial_encoding="relative", n_stations=4)
+    hist, _, cn, hours, days, months = _random_batch(cfg, 2, 3, seed=12)
+    for p in (init_params(small_config(), 12), init_params(cfg, 12)):
+        with pytest.raises(ShapeError):  # 4 coordinate or table rows, 3 stations
+            forward_batch(hist, normalize_coords(random_coords(4)), hours, days, months, p)
 
 
-# --- encoder ---------------------------------------------------------------
+# --- encoder: encoder_forward on one row -----------------------------------
 
 
 def test_encoder_residual_identity_when_fc2_zeroed():
@@ -204,6 +261,16 @@ def test_encoder_finite_over_random_draws():
         p = init_params(cfg, seed=seed)
         out = encoder_forward(h, p)
         assert np.isfinite(out).all()
+
+
+def test_encoder_row_equals_its_row_in_a_stack():
+    p = init_params(small_config(), seed=14)
+    rows = np.random.default_rng(15).normal(size=(5, 8))
+    stacked = encoder_forward(rows, p)
+    for k in range(5):  # a vector product and a matrix product may round differently
+        assert_allclose(encoder_forward(rows[k], p), stacked[k], rtol=0, atol=1e-12)
+    with pytest.raises(ShapeError):
+        encoder_forward(np.zeros(7), p)
 
 
 # --- full forward ----------------------------------------------------------

@@ -365,6 +365,32 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
         checkpoint_load(path)
 
 
+def write_with_config(path, params, **config):
+    """params saved with these keys of the manifest's config replaced."""
+    checkpoint_save(path, params)
+    raw = path.read_bytes()
+    body = len(MAGIC) + 4
+    (mlen,) = struct.unpack("<I", raw[len(MAGIC) : body])
+    manifest = json.loads(raw[body : body + mlen])
+    manifest["config"].update(config)
+    blob = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[body + mlen :])
+
+
+@pytest.mark.parametrize(
+    "config",
+    [dict(d="8"), dict(d=8.0), dict(d=0), dict(spatial_encoding="polar")],
+    ids=["d-string", "d-float", "d-zero", "unknown-encoding"],
+)
+def test_checkpoint_with_malformed_config_is_checkpoint_error(tmp_path, config):
+    path = tmp_path / "ck.bin"
+    write_with_config(path, init_params(SMALL, seed=16), **config)
+    with pytest.raises(CheckpointError, match="bad manifest"):
+        checkpoint_load(path)
+    with pytest.raises(CheckpointError, match="bad manifest"):
+        checkpoint_load(path, SMALL)
+
+
 def test_checkpoint_float32_storage(tmp_path):
     params = init_params(SMALL, seed=14)
     path = tmp_path / "ck32.bin"
