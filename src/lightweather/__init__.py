@@ -7,7 +7,6 @@ from .checkpoint import checkpoint_load, checkpoint_save
 from .data import (
     Normalizer,
     ObservationSet,
-    WindowSample,
     chronological_split,
     load_observations_csv,
     load_stations_csv,
@@ -25,6 +24,6 @@ from .model import (
     parameter_count,
 )
 from .synthetic import SynthConfig, g_function, generate, random_station_coords
-from .training import FitResult, Metrics, TrainConfig, evaluate, fit, mae_loss
+from .training import FitResult, Metrics, TrainConfig, evaluate, fit
 
 __version__ = "0.1.0"

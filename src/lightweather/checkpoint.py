@@ -29,13 +29,12 @@ def _shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return {name: shape for name, shape, _ in tensor_spec(config)}
 
 
-def checkpoint_save(path, params: ModelParams, dtype: str = "float64") -> None:
-    if dtype not in _DTYPES:
-        raise CheckpointError(f"unsupported element type {dtype!r}")
+def checkpoint_save(path, params: ModelParams) -> None:
+    """Write every tensor as float64; the reader also accepts float32."""
     manifest = {
         "config": asdict(params.config),
         "tensors": [
-            {"name": name, "shape": list(arr.shape), "dtype": dtype}
+            {"name": name, "shape": list(arr.shape), "dtype": "float64"}
             for name, arr in params.tensors.items()
         ],
     }
@@ -45,7 +44,7 @@ def checkpoint_save(path, params: ModelParams, dtype: str = "float64") -> None:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for arr in params.tensors.values():
-            fh.write(np.ascontiguousarray(arr, dtype=_DTYPES[dtype]).tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelParams:

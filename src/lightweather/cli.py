@@ -23,6 +23,7 @@ from .checkpoint import checkpoint_load, checkpoint_save
 from .data import (
     load_observations_csv,
     load_stations_csv,
+    normalize_apply,
     normalize_invert,
     split_windows,
     write_observations_csv,
@@ -107,7 +108,7 @@ def parse_run_config(path) -> RunConfig:
     cfg = RunConfig()
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -256,8 +257,8 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
-    _, model_cfg, prepared, coords_norm = prepare(cfg)
     train_cfg = _train_config(cfg)
+    _, model_cfg, prepared, coords_norm = prepare(cfg)
     params = init_params(model_cfg, cfg.seed)
     result = fit(
         params, prepared.train, prepared.val, coords_norm, train_cfg, prepared.normalizer
@@ -309,8 +310,9 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
             f"steps inside the observation range"
         )
     idx = index[when]
-    # every split's `values` is the whole series, normalized when that is on
-    history = prepared.test.values[idx - model_cfg.t_h : idx]
+    history = obs.values[idx - model_cfg.t_h : idx]  # float64, as the checkpoint
+    if prepared.normalizer is not None:
+        history = normalize_apply(history, prepared.normalizer)
     pred = forward(history, obs.coords, TimeFeature.from_timestamp(when), params)
     if prepared.normalizer is not None:
         pred = normalize_invert(pred, prepared.normalizer)
@@ -338,9 +340,10 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
 def cmd_ablate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     seeds = _list(cfg.ablate_seeds, "ablate_seeds", int)
+    train_cfg = _train_config(cfg)
     obs = _load_dataset(cfg)
     model_cfg = _model_config(cfg, obs.n_vars, obs.n_stations)
-    rows = run_ablation_suite(obs, model_cfg, _train_config(cfg), seeds, cfg.normalize)
+    rows = run_ablation_suite(obs, model_cfg, train_cfg, seeds, cfg.normalize)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -364,8 +367,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     layers_list = _list(cfg.sweep_layers, "sweep_layers", int)
     if not d_list or not layers_list:
         raise ConfigError("sweep_d and sweep_layers must be non-empty comma-separated lists")
-    _, base_cfg, prepared, coords_norm = prepare(cfg)
     train_cfg = _train_config(cfg)
+    _, base_cfg, prepared, coords_norm = prepare(cfg)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -17,23 +17,42 @@ value.
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, IngestionError
-from .model import StationCoord, TimeFeature
+from .errors import ConfigError, IngestionError, ValidationError
+from .model import COMPUTE_DTYPE, StationCoord, TimeFeature
 
 STATIONS_HEADER = ["station_id", "lat", "lon", "elev"]
+_STORE_BLOCK = 256  # steps series_rows normalizes at a time
+
+
+@contextmanager
+def _utf8_text(path):
+    """`path` opened as UTF-8 text for csv; bytes that do not decode are
+    an IngestionError naming the first line that holds them."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise IngestionError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
 
 
 def load_stations_csv(path) -> tuple[list[str], list[StationCoord]]:
     """Read the station table; order is preserved."""
     ids: list[str] = []
     coords: list[StationCoord] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != STATIONS_HEADER:
@@ -112,7 +131,7 @@ def load_observations_csv(
     order but each (timestamp, station) pair at most once.
     """
     sid_index = {sid: i for i, sid in enumerate(station_ids)}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _utf8_text(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if (
@@ -256,30 +275,41 @@ def chronological_split(
     return train, val, test
 
 
-@dataclass
-class WindowSample:
-    """One training example: contiguous history and future slices."""
+def _window_starts(span: range, t_h: int, t_f: int) -> np.ndarray:
+    """First steps of every stride-1 window fully inside `span`:
+    count = len - T_h - T_f + 1."""
+    n = len(span) - t_h - t_f + 1
+    return np.arange(span.start, span.start + max(n, 0))
 
-    history: np.ndarray  # [T_h, N, C]
-    future: np.ndarray  # [T_f, N, C]
-    time_feature: TimeFeature  # of the first forecast step
+
+def _windows(rows: np.ndarray, width: int) -> np.ndarray:
+    """[R, T] rows -> a read-only [T - width + 1, R, width] view of every
+    stride-1 window (no windows when width > T)."""
+    if width > rows.shape[1]:
+        return np.empty((0, rows.shape[0], width), rows.dtype)
+    return sliding_window_view(rows, width, axis=1).transpose(1, 0, 2)
 
 
 class WindowSet:
     """Sliding windows over one split, served as index-gathered batches.
 
-    `values` feeds the model (normalized when normalization is on);
-    `raw_values` keeps original units for metric computation. Windows are
-    views: nothing is materialized until a batch is requested.
+    `store` is the series the model reads, normalized when normalization
+    is on: COMPUTE_DTYPE rows [N*C, T], one per (station, variable), shared
+    by the splits of one dataset. `raw_values` keeps the original float64
+    [T, N, C] series for metrics and the HI baseline. Windows are strided
+    views of the store; a batch copies each window's rows once, already in
+    the (window, station, variable) row order of model.forward_rows.
     """
 
-    def __init__(self, values, raw_values, timestamps, starts, t_h: int, t_f: int):
-        self.values = values
+    def __init__(self, store, raw_values, timestamps, starts, t_h: int, t_f: int):
+        self.store = store
         self.raw_values = raw_values
         self.timestamps = timestamps
         self.starts = np.asarray(starts, dtype=np.intp)
         self.t_h = t_h
         self.t_f = t_f
+        self._history = _windows(store, t_h)  # [s] -> rows of steps s .. s+T_h-1
+        self._future = _windows(store[:, t_h:], t_f)  # [s] -> s+T_h .. s+T_h+T_f-1
         feats = [TimeFeature.from_timestamp(timestamps[s + t_h]) for s in self.starts]
         self.hours = np.array([f.hour for f in feats], dtype=np.intp)
         self.days = np.array([f.day_index for f in feats], dtype=np.intp)
@@ -290,39 +320,49 @@ class WindowSet:
 
     @property
     def n_stations(self) -> int:
-        return self.values.shape[1]
+        return self.raw_values.shape[1]
 
     @property
     def n_vars(self) -> int:
-        return self.values.shape[2]
+        return self.raw_values.shape[2]
 
-    def batch(self, idx) -> dict:
-        """Gather windows idx -> history/future tensors plus calendar indices."""
+    def batch(self, idx, raw_future: bool = False) -> dict:
+        """Gather windows idx: "history", the model's rows [B*N*C, T_h]
+        ordered (window, station, variable); the calendar indices "hours",
+        "days" and "months" [B]; and either "future", the target rows
+        [B*N*C, T_f] that fit's loss reads, or with raw_future
+        "future_raw", the original-unit float64 [B, T_f, N, C] that
+        evaluate scores."""
         idx = np.asarray(idx, dtype=np.intp)
         s = self.starts[idx]
-        hist_steps = s[:, None] + np.arange(self.t_h)
-        fut_steps = s[:, None] + self.t_h + np.arange(self.t_f)
-        return {
-            "history": self.values[hist_steps],
-            "future": self.values[fut_steps],
-            "future_raw": self.raw_values[fut_steps],
-            "hours": self.hours[idx],
-            "days": self.days[idx],
-            "months": self.months[idx],
-        }
+        out = {"history": self._history[s].reshape(-1, self.t_h)}
+        if raw_future:
+            out["future_raw"] = self.raw_values[s[:, None] + self.t_h + np.arange(self.t_f)]
+        else:
+            out["future"] = self._future[s].reshape(-1, self.t_f)
+        out.update(hours=self.hours[idx], days=self.days[idx], months=self.months[idx])
+        return out
 
-    def iter_samples(self) -> Iterator[WindowSample]:
-        for k in range(len(self)):
-            b = self.batch([k])
-            yield WindowSample(
-                history=b["history"][0],
-                future=b["future"][0],
-                time_feature=TimeFeature(
-                    hour=int(b["hours"][0]),
-                    day_index=int(b["days"][0]),
-                    month_index=int(b["months"][0]),
-                ),
-            )
+
+def series_rows(values: np.ndarray, norm: Normalizer | None = None) -> np.ndarray:
+    """The model's copy of a [T, N, C] series: COMPUTE_DTYPE rows [N*C, T],
+    one per (station, variable), z-scored with `norm` when given. Built a
+    block of steps at a time through one reused float64 buffer, so no
+    float64 copy of the whole series is made; each value is normalized in
+    float64 and then rounded, as normalize_apply followed by a cast would.
+    A value that overflows COMPUTE_DTYPE becomes inf (split_windows
+    rejects it)."""
+    n_steps = values.shape[0]
+    rows = np.empty((values[0].size, n_steps), dtype=COMPUTE_DTYPE)
+    if norm is not None:
+        buf = np.empty((min(_STORE_BLOCK, n_steps), *values.shape[1:]))
+    with np.errstate(over="ignore"):
+        for lo in range(0, n_steps, _STORE_BLOCK):
+            block = values[lo : lo + _STORE_BLOCK]
+            if norm is not None:
+                block = normalize_apply(block, norm, out=buf[: len(block)])
+            rows[:, lo : lo + len(block)] = block.reshape(len(block), -1).T
+    return rows
 
 
 def make_windows(
@@ -333,14 +373,14 @@ def make_windows(
     t_f: int,
     raw_values: np.ndarray | None = None,
 ) -> WindowSet:
-    """All stride-1 windows fully inside `span`: count = len - T_h - T_f + 1."""
-    n = len(span) - t_h - t_f + 1
-    starts = np.arange(span.start, span.start + max(n, 0))
+    """All stride-1 windows fully inside `span` over the model series
+    `values` [T, N, C] (stored as series_rows); metrics read `raw_values`,
+    by default `values` itself."""
     return WindowSet(
-        values=values,
+        store=series_rows(values),
         raw_values=values if raw_values is None else raw_values,
         timestamps=timestamps,
-        starts=starts,
+        starts=_window_starts(span, t_h, t_f),
         t_h=t_h,
         t_f=t_f,
     )
@@ -364,8 +404,11 @@ def normalize_fit(values: np.ndarray, span: range | None = None) -> Normalizer:
     return Normalizer(mean=mean, std=std)
 
 
-def normalize_apply(values: np.ndarray, norm: Normalizer) -> np.ndarray:
-    return (values - norm.mean) / norm.std
+def normalize_apply(values: np.ndarray, norm: Normalizer, out=None) -> np.ndarray:
+    """(values - mean) / std, written into `out` when given."""
+    out = np.subtract(values, norm.mean, out=out)
+    out /= norm.std
+    return out
 
 
 def normalize_invert(values: np.ndarray, norm: Normalizer) -> np.ndarray:
@@ -383,12 +426,27 @@ class PreparedData:
 def split_windows(
     obs: ObservationSet, t_h: int, t_f: int, normalize: bool = True
 ) -> PreparedData:
-    """Split 7:1:2, fit the normalizer on train, and window every split."""
+    """Split 7:1:2, fit the normalizer on train, store the model's series
+    once (series_rows) and window every split over it.
+
+    A value that is finite in float64 but not in COMPUTE_DTYPE once
+    normalized (above about 3.4e38 for float32) is a ValidationError that
+    names its station, variable and timestamp.
+    """
     train_span, val_span, test_span = chronological_split(obs.n_steps, t_h, t_f)
     norm = normalize_fit(obs.values, train_span) if normalize else None
-    model_values = normalize_apply(obs.values, norm) if normalize else obs.values
+    store = series_rows(obs.values, norm)
+    if not np.isfinite(store).all():
+        t, row = np.argwhere(~np.isfinite(store.T))[0]  # the earliest step first
+        si, vi = divmod(int(row), obs.n_vars)
+        raise ValidationError(
+            f"station {obs.station_ids[si]}: variable {obs.var_names[vi]}: value "
+            f"{float(obs.values[t, si, vi])!r} at {obs.timestamps[t].isoformat()} is not "
+            f"finite in {np.dtype(COMPUTE_DTYPE)}"
+            + (" after normalization" if normalize else "")
+        )
     sets = [
-        make_windows(model_values, obs.timestamps, span, t_h, t_f, raw_values=obs.values)
+        WindowSet(store, obs.values, obs.timestamps, _window_starts(span, t_h, t_f), t_h, t_f)
         for span in (train_span, val_span, test_span)
     ]
     return PreparedData(train=sets[0], val=sets[1], test=sets[2], normalizer=norm)

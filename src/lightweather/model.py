@@ -4,12 +4,17 @@ regression head.
 
 Every (station, variable) series is processed independently by shared
 weights; spatial information enters only through the coordinate encoding,
-so the parameter count does not depend on the station count. forward_batch
-is the one forward pass, vectorized over all (window, station, variable)
-rows of a batch: transpose -> embed (fc_embed) -> add spatial_rows and
-temporal_rows -> encoder_forward -> regress (fc_regress) -> transpose. The
-three stage kernels are public so that each stage can be checked on its
-own; forward is forward_batch on one window.
+so the parameter count does not depend on the station count. The math is
+written once, over rows: one row is one (window, station, variable) series,
+and a batch of B windows is [B*N*C, T] rows in that order. forward_rows
+embeds (fc_embed), adds spatial_rows and temporal_rows, runs
+encoder_forward and regresses (fc_regress); backward_rows and
+loss_and_grads_rows are its gradient and its training step. fit and
+evaluate feed them the rows WindowSet.batch gathers. forward_batch,
+backward_batch and loss_and_grads take [B, T, N, C] tensors instead and
+only convert layout (batch_to_rows, rows_to_batch) around the row code.
+The three stage kernels are public so that each stage can be checked on
+its own; forward is forward_batch on one window.
 
 Variants used by the ablation harness are expressed through ModelConfig:
 spatial_encoding may be "absolute" (a 3 -> d layer over normalized
@@ -22,10 +27,9 @@ names, shapes and init bounds, in the order that init_params draws them and
 that the LWCKPT1 checkpoint manifest lists them. ModelParams holds the
 tensors in a dict in that order.
 
-The batch path (forward_batch, backward_batch, loss_and_grads) computes in
-the dtype of the params' tensors, float64 as initialized and loaded or a
-float32 copy from ModelParams.astype; its inputs are cast to that dtype and
-the loss is summed in float64 either way.
+The batch path computes in the dtype of the params' tensors, float64 as
+initialized and loaded or a COMPUTE_DTYPE copy from ModelParams.astype; its
+inputs are cast to that dtype and the loss is summed in float64 either way.
 """
 
 from __future__ import annotations
@@ -52,6 +56,10 @@ TEMPORAL_MODES = ("absolute", "none")
 HOURS_PER_DAY = 24
 DAYS_PER_MONTH = 31
 MONTHS_PER_YEAR = 12
+
+# The dtype fit and evaluate run the batch path in, on float64 master
+# weights, and so the dtype of the model's stored copy of the series.
+COMPUTE_DTYPE = np.float32
 
 
 @dataclass
@@ -301,8 +309,22 @@ def encoder_forward(z: np.ndarray, params: ModelParams, cache: dict | None = Non
     return z
 
 
-def forward_batch(
-    history: np.ndarray,
+def batch_to_rows(a: np.ndarray) -> np.ndarray:
+    """[B, T, N, C] -> rows [B*N*C, T], ordered (window, station, variable);
+    a copy unless `a` is already laid out so."""
+    a = np.asarray(a)
+    return a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1])
+
+
+def rows_to_batch(rows: np.ndarray, n_batch: int, n_stations: int, n_vars: int) -> np.ndarray:
+    """Rows [B*N*C, T] -> a contiguous [B, T, N, C]; inverse of batch_to_rows."""
+    return np.ascontiguousarray(
+        rows.reshape(n_batch, n_stations, n_vars, -1).transpose(0, 3, 1, 2)
+    )
+
+
+def forward_rows(
+    x_rows: np.ndarray,
     coords_norm: np.ndarray,
     hours,
     days,
@@ -310,39 +332,34 @@ def forward_batch(
     params: ModelParams,
     want_cache: bool = False,
 ):
-    """Forward pass over a batch of windows: embed, add spatial_rows and
+    """The forward pass over rows: embed, add spatial_rows and
     temporal_rows, encoder_forward, then the regression head.
 
-    history: [B, T_h, N, C]; coords_norm: normalized [N, 3]; hours/days/
-    months: per-window calendar indices [B]. Returns predictions
-    [B, T_f, N, C] in params.dtype and, when want_cache is set, the cache
-    backward_batch needs (else None). history and coords_norm are cast to
-    params.dtype, and history must be finite after the cast: a value that
-    overflows float32 is a ValidationError. Rows are (window, station,
-    variable). The cache holds the input rows x_rows [B*N*C, T_h] (a view
-    of `history` when that needs no copy or cast), the calendar indices,
-    the normalized coordinates,
-    z_list (each residual block's input [B*N*C, d], then the head's input)
-    and r_list (each block's ReLU output, which is also fc2's input). Its
-    arrays are read, never written, by backward_batch.
+    x_rows: [B*N*C, T_h] history rows ordered (window, station, variable),
+    where B = len(hours) and C = config.n_vars; coords_norm: normalized
+    [N, 3]; hours/days/months: per-window calendar indices [B]. Returns
+    prediction rows [B*N*C, T_f] in params.dtype and, when want_cache is
+    set, the cache backward_rows needs (else None). x_rows and coords_norm
+    are cast to params.dtype (no copy when they have it); x_rows must be
+    finite in it, which split_windows checks once for the whole series and
+    forward_batch for each batch. The cache holds
+    x_rows, the calendar indices, the normalized coordinates, z_list (each
+    residual block's input [B*N*C, d], then the head's input) and r_list
+    (each block's ReLU output, which is also fc2's input). Its arrays are
+    read, never written, by backward_rows.
     """
     cfg = params.config
     dtype = params.dtype
-    history = np.asarray(history)
-    if history.ndim != 4:
-        raise ShapeError(f"history must be [B, T_h, N, C], got {history.shape}")
-    n_batch, t_h, n_stations, n_vars = history.shape
-    if t_h != cfg.t_h or n_vars != cfg.n_vars:
+    x_rows = np.asarray(x_rows, dtype=dtype)
+    hours, days, months = _check_time_indices(hours, days, months, np.size(hours))
+    n_batch, n_vars = len(hours), cfg.n_vars
+    if x_rows.ndim != 2 or x_rows.shape[1] != cfg.t_h or n_batch == 0:
+        raise ShapeError(f"history rows {x_rows.shape} for {n_batch} windows, T_h={cfg.t_h}")
+    n_stations, odd = divmod(x_rows.shape[0], n_batch * n_vars)
+    if odd:
         raise ShapeError(
-            f"history {history.shape} inconsistent with T_h={cfg.t_h}, C={cfg.n_vars}"
+            f"{x_rows.shape[0]} history rows are not {n_batch} windows x C={n_vars}"
         )
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        x_rows = np.ascontiguousarray(
-            history.transpose(0, 2, 3, 1).reshape(-1, t_h), dtype=dtype
-        )  # row = (window, station, variable)
-    if not np.isfinite(x_rows).all():
-        raise ValidationError(f"history contains values that are not finite in {dtype}")
-    hours, days, months = _check_time_indices(hours, days, months, n_batch)
     coords_norm = (
         np.asarray(coords_norm, dtype=dtype) if cfg.spatial_encoding == "absolute" else None
     )
@@ -361,9 +378,6 @@ def forward_batch(
     z = h4.reshape(-1, cfg.d)
     cache = {"z_list": [z], "r_list": []} if want_cache else None
     y_rows = linear_forward(encoder_forward(z, params, cache), params.layer("fc_regress"))
-    pred = np.ascontiguousarray(
-        y_rows.reshape(n_batch, n_stations, n_vars, cfg.t_f).transpose(0, 3, 1, 2)
-    )
     if cache is not None:
         cache.update(
             x_rows=x_rows,
@@ -373,20 +387,18 @@ def forward_batch(
             months=months,
             dims=(n_batch, n_stations, n_vars),
         )
-    return pred, cache
+    return y_rows, cache
 
 
-def backward_batch(grad_pred: np.ndarray, cache: dict, params: ModelParams) -> dict:
-    """Reverse-mode pass; returns gradients keyed like ModelParams.tensors.
+def backward_rows(g_rows: np.ndarray, cache: dict, params: ModelParams) -> dict:
+    """Reverse-mode pass from the gradient of the prediction rows
+    [B*N*C, T_f]; returns gradients keyed like ModelParams.tensors.
 
     Temporal-table gradients are nonzero only at rows indexed by the batch.
     """
     cfg = params.config
     n_batch, n_stations, n_vars = cache["dims"]
-    grad_pred = np.asarray(grad_pred, dtype=params.dtype)
-    g_rows = np.ascontiguousarray(
-        grad_pred.transpose(0, 2, 3, 1).reshape(-1, cfg.t_f)
-    )
+    g_rows = np.asarray(g_rows, dtype=params.dtype)
     grads: dict[str, np.ndarray] = {}
 
     gz, gw, gb = linear_backward(cache["z_list"][-1], params.layer("fc_regress"), g_rows)
@@ -434,6 +446,86 @@ def backward_batch(grad_pred: np.ndarray, cache: dict, params: ModelParams) -> d
     return grads
 
 
+def loss_and_grads_rows(
+    params: ModelParams,
+    x_rows: np.ndarray,
+    future_rows: np.ndarray,
+    coords_norm: np.ndarray,
+    hours,
+    days,
+    months,
+) -> tuple[float, dict]:
+    """Mean absolute error of a batch of rows and its gradients for every
+    tensor: history rows [B*N*C, T_h] and target rows [B*N*C, T_f], laid
+    out as forward_rows reads them.
+
+    The loss is the plain mean of |pred - truth| over all batch elements,
+    i.e. the per-window 1/(N*C*T_f) normalization averaged over windows, so
+    batch gradients are averages of per-window gradients. The sum is taken
+    in float64; the gradients are in params.dtype.
+    """
+    pred, cache = forward_rows(x_rows, coords_norm, hours, days, months, params, want_cache=True)
+    future_rows = np.asarray(future_rows, dtype=pred.dtype)
+    if future_rows.shape != pred.shape:
+        raise ShapeError(f"future shape {future_rows.shape} != pred shape {pred.shape}")
+    diff = pred  # pred is fresh and not in the cache
+    diff -= future_rows
+    loss = float(np.abs(diff).sum(dtype=np.float64) / diff.size)
+    grad_pred = np.sign(diff, out=diff)
+    grad_pred /= diff.size
+    return loss, backward_rows(grad_pred, cache, params)
+
+
+def _history_rows(history: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Check a [B, T_h, N, C] history and lay it out as rows in
+    params.dtype; a value that is not finite after the cast (one that
+    overflows float32) is a ValidationError."""
+    cfg = params.config
+    history = np.asarray(history)
+    if history.ndim != 4:
+        raise ShapeError(f"history must be [B, T_h, N, C], got {history.shape}")
+    if history.shape[1] != cfg.t_h or history.shape[3] != cfg.n_vars:
+        raise ShapeError(
+            f"history {history.shape} inconsistent with T_h={cfg.t_h}, C={cfg.n_vars}"
+        )
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        x_rows = np.ascontiguousarray(batch_to_rows(history), dtype=params.dtype)
+    if not np.isfinite(x_rows).all():
+        raise ValidationError(f"history contains values that are not finite in {params.dtype}")
+    return x_rows
+
+
+def forward_batch(
+    history: np.ndarray,
+    coords_norm: np.ndarray,
+    hours,
+    days,
+    months,
+    params: ModelParams,
+    want_cache: bool = False,
+):
+    """forward_rows on a batch of windows in [B, T, N, C] layout.
+
+    history: [B, T_h, N, C]; coords_norm: normalized [N, 3]; hours/days/
+    months: per-window calendar indices [B]. Returns predictions
+    [B, T_f, N, C] in params.dtype and, when want_cache is set, the cache
+    backward_batch needs (else None). history is cast to params.dtype and
+    must be finite after the cast: a value that overflows float32 is a
+    ValidationError.
+    """
+    x_rows = _history_rows(history, params)
+    n_batch, _, n_stations, n_vars = np.shape(history)
+    hours, days, months = _check_time_indices(hours, days, months, n_batch)
+    y_rows, cache = forward_rows(x_rows, coords_norm, hours, days, months, params, want_cache)
+    return rows_to_batch(y_rows, n_batch, n_stations, n_vars), cache
+
+
+def backward_batch(grad_pred: np.ndarray, cache: dict, params: ModelParams) -> dict:
+    """backward_rows from the gradient of [B, T_f, N, C] predictions."""
+    grad_pred = np.asarray(grad_pred, dtype=params.dtype)
+    return backward_rows(np.ascontiguousarray(batch_to_rows(grad_pred)), cache, params)
+
+
 def forward(
     history: np.ndarray,
     coords: list[StationCoord],
@@ -465,22 +557,17 @@ def loss_and_grads(
     days,
     months,
 ) -> tuple[float, dict]:
-    """Mean absolute error of a batch and its gradients for every tensor.
-
-    The loss is the plain mean of |pred - truth| over all batch elements,
-    i.e. the per-window 1/(N*C*T_f) normalization averaged over windows, so
-    batch gradients are averages of per-window gradients. The sum is taken
-    in float64; the gradients are in params.dtype.
-    """
-    pred, cache = forward_batch(
-        history, coords_norm, hours, days, months, params, want_cache=True
+    """loss_and_grads_rows on [B, T_h, N, C] history and [B, T_f, N, C]
+    future; history is checked as forward_batch checks it."""
+    x_rows = _history_rows(history, params)
+    n_batch, _, n_stations, n_vars = np.shape(history)
+    future = np.asarray(future)
+    if future.shape != (n_batch, params.config.t_f, n_stations, n_vars):
+        raise ShapeError(
+            f"future shape {future.shape} != pred shape "
+            f"{(n_batch, params.config.t_f, n_stations, n_vars)}"
+        )
+    hours, days, months = _check_time_indices(hours, days, months, n_batch)
+    return loss_and_grads_rows(
+        params, x_rows, batch_to_rows(future), coords_norm, hours, days, months
     )
-    future = np.asarray(future, dtype=pred.dtype)
-    if future.shape != pred.shape:
-        raise ShapeError(f"future shape {future.shape} != pred shape {pred.shape}")
-    diff = pred  # pred is fresh and not in the cache
-    diff -= future
-    loss = float(np.abs(diff).sum(dtype=np.float64) / diff.size)
-    grad_pred = np.sign(diff, out=diff)
-    grad_pred /= diff.size
-    return loss, backward_batch(grad_pred, cache, params)

@@ -4,10 +4,12 @@ the training-history CSV.
 
 Precision: fit and evaluate compute in COMPUTE_DTYPE (float32), which
 halves the bytes every activation moves, on float64 master weights. Each
-batch runs the model on a float32 copy of the params; adam_step applies the
-float32 gradients to the float64 params and Adam moments in float64 math.
-Metrics are accumulated in float64 and in original data units. The params
-fit returns, and so every checkpoint, stay float64, as do the windows.
+batch runs the model on a float32 copy of the params, over float32 rows
+that WindowSet.batch gathers from the split's stored series; adam_step
+applies the float32 gradients to the float64 params and Adam moments in
+float64 math. Metrics are accumulated in float64 and in original data
+units, against the float64 raw series. The params fit returns, and so
+every checkpoint, stay float64.
 
 Determinism contract: with a fixed config and seed, batch order, every
 update, and the resulting best checkpoint are all reproducible exactly.
@@ -17,6 +19,7 @@ The only non-reproducible history column is the per-epoch wall time.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 
@@ -24,12 +27,11 @@ import numpy as np
 
 from .data import Normalizer, WindowSet, normalize_invert
 from .errors import ConfigError, EvaluationError, TrainingError
-from .model import ModelParams, loss_and_grads
+from .model import COMPUTE_DTYPE, ModelParams, loss_and_grads_rows
 from .numerics import AdamState, adam_step
 from . import model as model_ops
 
 HISTORY_HEADER = ["epoch", "train_mae", "val_mae", "val_mse", "seconds"]
-COMPUTE_DTYPE = np.float32  # of the batch path inside fit and evaluate
 
 
 @dataclass
@@ -41,8 +43,8 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 1:
@@ -80,15 +82,6 @@ class MetricAccumulator:
         return Metrics(mse=self.sum_sq / self.n, mae=self.sum_abs / self.n, n_points=self.n)
 
 
-def mae_loss(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Mean of |pred - truth| over all T_f * N * C entries."""
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if pred.shape != truth.shape:
-        raise ConfigError(f"pred shape {pred.shape} != truth shape {truth.shape}")
-    return float(np.abs(pred - truth).mean())
-
-
 def _first_nonfinite(tensors: dict, grads: dict) -> str:
     """Where a non-finite loss comes from: the first tensor, in tensor_spec
     order, whose value is non-finite, else the first whose gradient is. A
@@ -121,10 +114,11 @@ def evaluate(
     params = params.astype(COMPUTE_DTYPE)
     acc = MetricAccumulator()
     for idx in _batches(len(windows), batch_size):
-        b = windows.batch(idx)
-        pred, _ = model_ops.forward_batch(
+        b = windows.batch(idx, raw_future=True)
+        y_rows, _ = model_ops.forward_rows(
             b["history"], coords_norm, b["hours"], b["days"], b["months"], params
         )
+        pred = model_ops.rows_to_batch(y_rows, len(idx), windows.n_stations, windows.n_vars)
         if normalizer is not None:
             pred = normalize_invert(pred, normalizer)
         acc.add(pred, b["future_raw"])
@@ -176,7 +170,7 @@ def fit(
             b = train_windows.batch(idx)
             with np.errstate(over="ignore"):  # an overflow is named below
                 compute = params.astype(COMPUTE_DTYPE)
-            loss, grads = loss_and_grads(
+            loss, grads = loss_and_grads_rows(
                 compute,
                 b["history"],
                 b["future"],

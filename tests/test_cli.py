@@ -103,6 +103,11 @@ def test_usage_error_exit_code_1():
         ("forecast", {}, "a_file", 1, "config error: cannot create out_dir"),
         ("ablate", {}, "a_file", 1, "config error: cannot create out_dir"),
         ("sweep", {}, "a_file/sub", 1, "config error: cannot create out_dir"),
+        # no data files are set: the training config is checked before ingestion
+        ("train", dict(lr="nan"), None, 1, "config error: lr must be finite"),
+        ("train", dict(lr="inf"), None, 1, "config error: lr must be finite"),
+        ("sweep", dict(lr="nan"), None, 1, "config error: lr must be finite"),
+        ("ablate", dict(lr="-inf"), None, 1, "config error: lr must be finite"),
     ],
     ids=[
         "relative-param-count-missing-stations",
@@ -113,6 +118,10 @@ def test_usage_error_exit_code_1():
         "forecast-out-is-a-file",
         "ablate-out-is-a-file",
         "sweep-out-under-a-file",
+        "train-lr-nan",
+        "train-lr-inf",
+        "sweep-lr-nan",
+        "ablate-lr-minus-inf",
     ],
 )
 def test_bad_input_is_one_line_error(
@@ -135,6 +144,7 @@ def test_bad_input_is_one_line_error(
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1
     assert out is None or str(tmp_path / out) in err
+    assert not (tmp_path / "out").exists()
 
 
 # --- synth -----------------------------------------------------------------
@@ -189,6 +199,57 @@ def test_bad_observation_is_one_line_exit_2(synth_dir, tmp_path, capsys, edit, m
     err = capsys.readouterr().err
     assert err.startswith("ingestion error: ") and message in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name, edit, extra, code, message",
+    [
+        (
+            "stations.csv",
+            lambda line: b"\xff" + line,
+            {},
+            2,
+            "ingestion error: {path}: line 3: not UTF-8",
+        ),
+        (
+            "observations.csv",
+            lambda line: line.replace(b",", b",\xe9", 1),
+            {},
+            2,
+            "ingestion error: {path}: line 3: not UTF-8",
+        ),
+        # finite in float64, so ingestion accepts it; the model's float32 copy cannot
+        (
+            "observations.csv",
+            lambda line: line.rsplit(b",", 1)[0] + b",1e39\r\n",
+            dict(normalize="false"),
+            4,
+            "validation error: station {sid}: variable {var}: value 1e+39 at {ts} is "
+            "not finite in float32",
+        ),
+    ],
+    ids=["stations-not-utf8", "observations-not-utf8", "value-overflows-float32"],
+)
+def test_bad_data_file_is_one_line_error_before_training(
+    synth_dir, tmp_path, capsys, name, edit, extra, code, message
+):
+    lines = (synth_dir / name).read_bytes().splitlines(keepends=True)
+    ts, sid = lines[2].decode("utf-8").split(",")[:2]
+    var = lines[0].decode("utf-8").strip().split(",")[-1]
+    lines[2] = edit(lines[2])
+    path = tmp_path / name
+    path.write_bytes(b"".join(lines))
+    files = {
+        "stations_csv": synth_dir / "stations.csv",
+        "observations_csv": synth_dir / "observations.csv",
+    }
+    files[name.replace(".", "_")] = path
+    cfg = write_config(tmp_path / "t.cfg", TINY, out_dir=tmp_path / "out", **files, **extra)
+    assert cli.main(["train", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(path=path, ts=ts, sid=sid, var=var)), err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 # --- train -----------------------------------------------------------------
@@ -344,11 +405,12 @@ def test_forecast_matches_evaluate_window(synth_dir, trained_dir, tmp_path):
     from lightweather.model import (
         ModelConfig,
         TimeFeature,
+        batch_to_rows,
         forward,
         forward_batch,
         normalize_coords,
     )
-    from lightweather.data import normalize_invert
+    from lightweather.data import normalize_apply, normalize_invert
 
     cfg = data_config(
         synth_dir,
@@ -366,9 +428,12 @@ def test_forecast_matches_evaluate_window(synth_dir, trained_dir, tmp_path):
     prepared = split_windows(obs, 6, 3)
     ws = prepared.test
     k = int(np.where(ws.starts == 190 - 6)[0][0])
-    b = ws.batch([k])
+    start = ws.starts[k]
+    history = normalize_apply(obs.values[start : start + 6], prepared.normalizer)
+    b = ws.batch([k])  # the window evaluate scores is this history, in float32 rows
+    assert b["history"].tobytes() == batch_to_rows(history[None]).astype(np.float32).tobytes()
     pred, _ = forward_batch(
-        b["history"], normalize_coords(obs.coords), b["hours"], b["days"], b["months"], params
+        history[None], normalize_coords(obs.coords), b["hours"], b["days"], b["months"], params
     )
     expected = normalize_invert(pred[0], prepared.normalizer)
 
@@ -381,7 +446,7 @@ def test_forecast_matches_evaluate_window(synth_dir, trained_dir, tmp_path):
             assert got[(sid, step)] == pytest.approx(expected[step, si, 0], rel=1e-12)
 
     # the command is model.forward on the window, to the bit
-    one = forward(b["history"][0], obs.coords, TimeFeature.from_timestamp(when), params)
+    one = forward(history, obs.coords, TimeFeature.from_timestamp(when), params)
     exact = normalize_invert(one, prepared.normalizer)
     again = load_observations_csv(tmp_path / "fc3" / "forecast_obs.csv", ids, coords)
     for si, sid in enumerate(obs.station_ids):

@@ -19,7 +19,7 @@ from lightweather.data import (
     write_observations_csv,
     write_stations_csv,
 )
-from lightweather.errors import ConfigError, IngestionError
+from lightweather.errors import ConfigError, IngestionError, ValidationError
 from lightweather.model import StationCoord
 
 
@@ -256,10 +256,10 @@ def test_single_window_when_exact_fit():
     values = np.arange(9.0).reshape(9, 1, 1)
     ws = make_windows(values, hourly_timestamps(9), range(0, 9), t_h=6, t_f=3)
     assert len(ws) == 1
-    sample = next(ws.iter_samples())
-    assert_array_equal(sample.history[:, 0, 0], np.arange(6.0))
-    assert_array_equal(sample.future[:, 0, 0], [6.0, 7.0, 8.0])
-    assert sample.time_feature.hour == 6
+    b = ws.batch([0])
+    assert_array_equal(b["history"], [np.arange(6.0)])
+    assert_array_equal(b["future"], [[6.0, 7.0, 8.0]])
+    assert b["hours"][0] == 6
 
 
 def test_window_count_100_48_24():
@@ -271,8 +271,8 @@ def test_window_count_100_48_24():
 def test_consecutive_windows_overlap():
     values = np.arange(12.0).reshape(12, 1, 1)
     ws = make_windows(values, hourly_timestamps(12), range(0, 12), t_h=6, t_f=3)
-    samples = list(ws.iter_samples())
-    assert_array_equal(samples[0].history[1:, 0, 0], samples[1].history[:-1, 0, 0])
+    history = ws.batch(np.arange(len(ws)))["history"]
+    assert_array_equal(history[0, 1:], history[1, :-1])
 
 
 @settings(max_examples=50, deadline=None)
@@ -351,8 +351,80 @@ def test_split_windows_pipeline():
     assert len(prepared.train) == 84 - 9 + 1
     assert prepared.normalizer is not None
     # model-space values are normalized, metric-space values are original
-    b = prepared.test.batch([0])
+    b = prepared.test.batch([0], raw_future=True)
     start = prepared.test.starts[0]
     assert_allclose(
         b["future_raw"][0], obs.values[start + 6 : start + 9], rtol=0, atol=0
     )
+
+
+def observation_set(values, start=datetime(2020, 1, 1)):
+    n_steps, n_stations, n_vars = values.shape
+    return ObservationSet(
+        timestamps=hourly_timestamps(n_steps, start),
+        station_ids=[f"s{i}" for i in range(n_stations)],
+        coords=[StationCoord(0.0, 0.0, 0.0)] * n_stations,
+        values=values,
+        var_names=[f"var_{i}" for i in range(n_vars)],
+        interval=timedelta(hours=1),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_stations=st.integers(1, 4),
+    n_vars=st.integers(1, 3),
+    t_h=st.integers(1, 5),
+    t_f=st.integers(1, 4),
+    extra=st.integers(0, 40),
+    normalize=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_batch_rows_equal_the_series_slices(
+    n_stations, n_vars, t_h, t_f, extra, normalize, seed, data
+):
+    # every split's history and future rows are the model series' [T, N, C]
+    # slices as (window, station, variable) rows in float32, to the bit
+    n_steps = 10 * (t_h + t_f) + extra
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n_steps, n_stations, n_vars)) * 5.0 + rng.normal(size=n_vars)
+    obs = observation_set(raw)
+    prepared = split_windows(obs, t_h, t_f, normalize=normalize)
+    model_values = normalize_apply(raw, prepared.normalizer) if normalize else raw
+    for ws in (prepared.train, prepared.val, prepared.test):
+        drawn = data.draw(st.lists(st.integers(0, len(ws) - 1), max_size=4))
+        idx = np.array([0, len(ws) - 1] + drawn)
+        b = ws.batch(idx)
+        b_raw = ws.batch(idx, raw_future=True)
+        s = ws.starts[idx][:, None]
+        hist = model_values[s + np.arange(t_h)]  # [B, T_h, N, C]
+        fut = model_values[s + t_h + np.arange(t_f)]
+        for got, want, steps in ((b["history"], hist, t_h), (b["future"], fut, t_f)):
+            rows = want.transpose(0, 2, 3, 1).reshape(-1, steps).astype(np.float32)
+            assert got.dtype == np.float32 and got.shape == rows.shape
+            assert got.tobytes() == rows.tobytes()
+        assert_array_equal(b_raw["history"], b["history"])
+        assert b_raw["future_raw"].dtype == np.float64
+        assert b_raw["future_raw"].tobytes() == raw[s + t_h + np.arange(t_f)].tobytes()
+        assert "future" not in b_raw and "future_raw" not in b
+        for key in ("hours", "days", "months"):
+            assert_array_equal(b[key], getattr(ws, key)[idx])
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_value_overflowing_float32_is_validation_error(normalize):
+    # raw: 1e39 is finite in float64 only; normalized: a train split of
+    # spread ~1e-100 scales a later 1.0 to ~1e100
+    raw = np.zeros((120, 2, 2))
+    if normalize:
+        raw[:84:2] = 1e-100
+        raw[100, 1, 1] = 1.0
+    else:
+        raw[100, 1, 1] = 1e39
+    obs = observation_set(raw)
+    with pytest.raises(ValidationError) as err:
+        split_windows(obs, 6, 3, normalize=normalize)
+    msg = str(err.value)
+    assert "station s1" in msg and "variable var_1" in msg
+    assert obs.timestamps[100].isoformat() in msg and "float32" in msg

@@ -13,10 +13,12 @@ from lightweather.model import (
     StationCoord,
     TimeFeature,
     backward_batch,
+    batch_to_rows,
     closed_form_count,
     encoder_forward,
     forward,
     forward_batch,
+    forward_rows,
     init_params,
     loss_and_grads,
     normalize_coords,
@@ -445,10 +447,11 @@ def _ref_pred_loss_grads(p, hist, fut, cn, hours, days, months):
     pred = np.ascontiguousarray(
         y_rows.reshape(n_batch, n_st, n_vars, cfg.t_f).transpose(0, 3, 1, 2)
     )
-    diff = pred - fut
+    # the loss is summed over rows, in (window, station, variable) order
+    fut_rows = np.ascontiguousarray(fut.transpose(0, 2, 3, 1).reshape(-1, cfg.t_f))
+    diff = y_rows - fut_rows
     loss = float(np.abs(diff).sum() / diff.size)
-    grad_pred = np.sign(diff) / diff.size
-    g_rows = np.ascontiguousarray(grad_pred.transpose(0, 2, 3, 1).reshape(-1, cfg.t_f))
+    g_rows = np.sign(diff) / diff.size
 
     g = {}
     gz, g["fc_regress.weight"], g["fc_regress.bias"] = _ref_linear_backward(
@@ -643,6 +646,20 @@ def test_float32_history_overflow_is_validation_error():
     forward_batch(hist, cn, hours, days, months, p)
     with pytest.raises(ValidationError, match="float32"):
         forward_batch(hist, cn, hours, days, months, p.astype(np.float32))
+
+
+def test_forward_rows_takes_whole_windows_of_rows():
+    cfg = small_config(n_vars=2)
+    p = init_params(cfg, seed=45)
+    hist, _, cn, hours, days, months = _random_batch(cfg, 2, 3, seed=46)
+    x_rows = batch_to_rows(hist)
+    y_rows, _ = forward_rows(x_rows, cn, hours, days, months, p)
+    pred, _ = forward_batch(hist, cn, hours, days, months, p)
+    assert_same_bits(y_rows, batch_to_rows(pred))
+    with pytest.raises(ShapeError, match="not 2 windows"):
+        forward_rows(x_rows[:-1], cn, hours, days, months, p)
+    with pytest.raises(ShapeError, match="T_h=6"):
+        forward_rows(x_rows[:, 1:], cn, hours, days, months, p)
 
 
 # --- parameter counting ----------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
 from lightweather.checkpoint import MAGIC, checkpoint_load, checkpoint_save
-from lightweather.data import split_windows
+from lightweather.data import normalize_apply, split_windows
 from lightweather.errors import (
     CheckpointError,
     ConfigError,
@@ -22,16 +22,17 @@ from lightweather.model import (
     ModelConfig,
     init_params,
     loss_and_grads,
+    loss_and_grads_rows,
     normalize_coords,
     tensor_spec,
 )
+from lightweather.numerics import AdamState, adam_step
 from lightweather.synthetic import SynthConfig, generate, random_station_coords
 from lightweather.training import (
     MetricAccumulator,
     TrainConfig,
     evaluate,
     fit,
-    mae_loss,
     write_history_csv,
 )
 
@@ -47,27 +48,6 @@ def tiny_dataset(n_stations=2, n_steps=300, noise=0.2, seed=0, alpha=()):
 
 
 # --- loss and metrics ------------------------------------------------------
-
-
-def test_mae_zero_for_exact_prediction():
-    x = np.random.default_rng(0).normal(size=(3, 2, 1))
-    assert mae_loss(x, x) == 0.0
-
-
-def test_mae_one_for_unit_offset():
-    x = np.zeros((3, 2, 2))
-    assert mae_loss(x + 1.0, x) == 1.0
-
-
-def test_mae_hand_average():
-    pred = np.array([1.0, 3.0]).reshape(2, 1, 1)
-    truth = np.zeros((2, 1, 1))
-    assert mae_loss(pred, truth) == 2.0
-
-
-def test_mae_shape_mismatch():
-    with pytest.raises(ConfigError):
-        mae_loss(np.zeros((2, 1, 1)), np.zeros((3, 1, 1)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,12 +204,12 @@ def test_fit_nonfinite_loss_names_the_tensor(poison):
 
 def test_fit_nonfinite_loss_names_the_first_nonfinite_gradient(monkeypatch):
     def nan_tail(params, *batch):
-        _, grads = loss_and_grads(params, *batch)
+        _, grads = loss_and_grads_rows(params, *batch)
         for name in ("fc_regress.bias", "encoder.1.fc2.bias", "fc_regress.weight"):
             grads[name] = np.full_like(grads[name], np.nan)
         return np.nan, grads
 
-    monkeypatch.setattr(training, "loss_and_grads", nan_tail)
+    monkeypatch.setattr(training, "loss_and_grads_rows", nan_tail)
     obs = tiny_dataset()
     prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
     with pytest.raises(TrainingError, match=r"first non-finite gradient: encoder\.1\.fc2\.bias"):
@@ -245,14 +225,14 @@ def test_fit_nonfinite_loss_names_the_first_nonfinite_gradient(monkeypatch):
 
 def test_fit_computes_in_float32_and_returns_float64(tmp_path, monkeypatch):
     seen = set()
-    forward_batch = training.model_ops.forward_batch
+    forward_rows = training.model_ops.forward_rows
 
     def recording_forward(*args, **kwargs):
-        pred, cache = forward_batch(*args, **kwargs)
+        pred, cache = forward_rows(*args, **kwargs)
         seen.add(pred.dtype)
         return pred, cache
 
-    monkeypatch.setattr(training.model_ops, "forward_batch", recording_forward)
+    monkeypatch.setattr(training.model_ops, "forward_rows", recording_forward)
     obs = tiny_dataset()
     prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
     checkpoints = []
@@ -273,9 +253,48 @@ def test_fit_computes_in_float32_and_returns_float64(tmp_path, monkeypatch):
     assert seen == {np.dtype(np.float32)}  # training batches and validation
 
 
+def test_fit_epoch_equals_a_hand_loop_on_the_float64_gather():
+    # one epoch of fit, on the float32 row store, changes no bit against
+    # loss_and_grads on the normalized float64 [B, T, N, C] windows with
+    # float32 params, followed by adam_step
+    obs = tiny_dataset(n_stations=3)
+    prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
+    train = prepared.train
+    coords_norm = normalize_coords(obs.coords)
+    config = TrainConfig(lr=5e-4, batch_size=16, max_epochs=1, patience=1, seed=3)
+    result = fit(
+        init_params(SMALL, seed=4), train, prepared.val, coords_norm, config, prepared.normalizer
+    )
+
+    values = normalize_apply(obs.values, prepared.normalizer)
+    params = init_params(SMALL, seed=4)
+    states = {name: AdamState.zeros_like(arr) for name, arr in params.tensors.items()}
+    perm = np.random.default_rng([config.seed, 0]).permutation(len(train))
+    abs_err_sum = 0.0
+    for lo in range(0, len(train), config.batch_size):
+        idx = perm[lo : lo + config.batch_size]
+        s = train.starts[idx][:, None]
+        loss, grads = loss_and_grads(
+            params.astype(np.float32),
+            values[s + np.arange(SMALL.t_h)],
+            values[s + SMALL.t_h + np.arange(SMALL.t_f)],
+            coords_norm,
+            train.hours[idx],
+            train.days[idx],
+            train.months[idx],
+        )
+        abs_err_sum += loss * len(idx)
+        for name, tensor in params.tensors.items():
+            params.tensors[name] = adam_step(tensor, grads[name], states[name], config.lr, name)
+    for name, arr in params.tensors.items():
+        assert arr.tobytes() == result.params.tensors[name].tobytes(), name
+    assert result.history[0]["train_mae"] == abs_err_sum / len(train)
+
+
 def test_train_config_validation():
-    with pytest.raises(ConfigError):
-        TrainConfig(lr=-1.0).validate()
+    for lr in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="lr"):
+            TrainConfig(lr=lr).validate()
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0).validate()
     with pytest.raises(ConfigError):
@@ -310,26 +329,31 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def write_by_hand(path, tensors: dict, dtype: str):
+    """An LWCKPT1 file of SMALL's `tensors` in their dict order, as `dtype`."""
+    manifest = {
+        "config": asdict(SMALL),
+        "tensors": [
+            {"name": n, "shape": list(a.shape), "dtype": dtype} for n, a in tensors.items()
+        ],
+    }
+    blob = json.dumps(manifest).encode("utf-8")
+    little = {"float64": "<f8", "float32": "<f4"}[dtype]
+    path.write_bytes(
+        MAGIC
+        + struct.pack("<I", len(blob))
+        + blob
+        + b"".join(a.astype(little).tobytes() for a in tensors.values())
+    )
+
+
 def test_checkpoint_with_permuted_manifest_loads_in_spec_order(tmp_path):
     params = init_params(SMALL, seed=15)
     canonical = tmp_path / "ck.bin"
     checkpoint_save(canonical, params)
     names = list(params.tensors)[::-1]
-    manifest = {
-        "config": asdict(SMALL),
-        "tensors": [
-            {"name": n, "shape": list(params.tensors[n].shape), "dtype": "float64"}
-            for n in names
-        ],
-    }
-    blob = json.dumps(manifest).encode("utf-8")
     permuted = tmp_path / "permuted.bin"
-    permuted.write_bytes(
-        MAGIC
-        + struct.pack("<I", len(blob))
-        + blob
-        + b"".join(params.tensors[n].astype("<f8").tobytes() for n in names)
-    )
+    write_by_hand(permuted, {n: params.tensors[n] for n in names}, "float64")
     loaded = checkpoint_load(permuted, SMALL)
     assert list(loaded.tensors) == [name for name, _, _ in tensor_spec(SMALL)]
     for name, arr in params.tensors.items():
@@ -392,12 +416,14 @@ def test_checkpoint_with_malformed_config_is_checkpoint_error(tmp_path, config):
 
 
 def test_checkpoint_float32_storage(tmp_path):
+    # checkpoint_save writes float64 only; a float32 file is built by hand
     params = init_params(SMALL, seed=14)
     path = tmp_path / "ck32.bin"
-    checkpoint_save(path, params, dtype="float32")
+    write_by_hand(path, params.tensors, "float32")
     loaded = checkpoint_load(path, SMALL)
     for a, b in zip(params.tensors.values(), loaded.tensors.values()):
+        assert b.dtype == np.float64
         assert_array_equal(b, a.astype(np.float32).astype(np.float64))
     path2 = tmp_path / "ck32b.bin"
-    checkpoint_save(path2, loaded, dtype="float32")
+    write_by_hand(path2, loaded.tensors, "float32")
     assert path.read_bytes() == path2.read_bytes()
