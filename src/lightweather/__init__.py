@@ -2,7 +2,7 @@
 positional encodings and a residual MLP, trained with a from-scratch
 reverse-mode gradient stack."""
 
-from .baselines import AblationSpec, build_variant, hi_forecast, run_ablation_suite
+from .baselines import hi_forecast, run_ablation_suite
 from .checkpoint import checkpoint_load, checkpoint_save
 from .data import (
     Normalizer,

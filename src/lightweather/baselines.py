@@ -5,13 +5,13 @@ temporal encoding absolute / none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .data import ObservationSet, split_windows
 from .errors import ConfigError
-from .model import ModelConfig, ModelParams, init_params, normalize_coords
+from .model import ModelConfig, init_params, normalize_coords
 from .training import Metrics, MetricAccumulator, TrainConfig, _batches, evaluate, fit
 
 # Ablation rows in reporting order: each tuple is (spatial, temporal).
@@ -21,12 +21,6 @@ ABLATION_GRID = [
     ("relative", "absolute"),
     ("absolute", "absolute"),
 ]
-
-
-@dataclass(frozen=True)
-class AblationSpec:
-    spatial: str  # absolute | relative | none
-    temporal: str  # absolute | none
 
 
 def hi_forecast(history: np.ndarray, t_f: int) -> np.ndarray:
@@ -58,20 +52,6 @@ def evaluate_hi(windows, batch_size: int = 32) -> Metrics:
     return acc.result()
 
 
-def build_variant(spec: AblationSpec, config: ModelConfig, seed: int) -> ModelParams:
-    """Instantiate the configured encoding variant.
-
-    (absolute, absolute) reproduces the base model exactly; "none" drops
-    the corresponding term from the additive fusion; relative spatial
-    replaces the coordinate layer with a learnable station-index table.
-    """
-    variant = replace(
-        config, spatial_encoding=spec.spatial, temporal_encoding=spec.temporal
-    )
-    variant.validate()
-    return init_params(variant, seed)
-
-
 def run_ablation_suite(
     obs: ObservationSet,
     config: ModelConfig,
@@ -91,12 +71,11 @@ def run_ablation_suite(
     coords_norm = normalize_coords(obs.coords)
     rows = []
     for spatial, temporal in ABLATION_GRID:
-        spec = AblationSpec(spatial=spatial, temporal=temporal)
+        variant = replace(base, spatial_encoding=spatial, temporal_encoding=temporal)
         for seed in seeds:
             try:
-                params = build_variant(spec, base, seed)
                 result = fit(
-                    params,
+                    init_params(variant, seed),
                     prepared.train,
                     prepared.val,
                     coords_norm,

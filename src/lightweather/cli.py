@@ -1,16 +1,17 @@
 """Command-line pipeline.
 
-Commands: ingest-check, synth, train, evaluate, forecast, ablate, sweep,
-param-count. Configuration is a flat key=value text file (# comments and
-blank lines allowed; unknown keys rejected); --seed and --out override the
-file. Exit codes: 0 success, 1 usage/config, 2 ingestion, 3 training,
-4 evaluation. Errors print one line to stderr: "<category>: <detail>".
+Commands are listed in COMMANDS. Configuration is a flat key=value text
+file (# comments and blank lines allowed; unknown keys rejected); --seed and
+--out override the file. Exit codes: 0 success, 1 usage/config, 2 ingestion,
+3 training, 4 evaluation. Errors print one line to stderr: "<category>:
+<detail>"; each error class in errors.py carries its own code and category.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from datetime import datetime
@@ -32,12 +33,8 @@ from .data import (
 from .errors import (
     CheckpointError,
     ConfigError,
-    EvaluationError,
     IngestionError,
     LightWeatherError,
-    OptimizerError,
-    ShapeError,
-    TrainingError,
     ValidationError,
 )
 from .model import (
@@ -165,7 +162,7 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
 def _input_file(label: str, path: str) -> str:
     if not path:
         raise ConfigError(f"{label} not set in config")
-    if not Path(path).is_file():
+    if not os.path.isfile(path):  # False, not OSError, for a name too long
         raise IngestionError(f"{label} file not found: {path}")
     return path
 
@@ -188,7 +185,7 @@ def prepare(cfg: RunConfig):
 
 def _checkpoint_path(cfg: RunConfig, flag: str | None) -> Path:
     path = Path(flag or cfg.checkpoint or Path(cfg.out_dir) / "checkpoint.bin")
-    if not path.is_file():
+    if not os.path.isfile(path):
         raise CheckpointError(f"checkpoint not found: {path}")
     return path
 
@@ -199,7 +196,10 @@ def _out_dir(cfg: RunConfig) -> Path:
     create it only when they write their outputs, so a failed command
     leaves no directory behind."""
     out = Path(cfg.out_dir)
-    existing = next(p for p in (out, *out.parents) if p.exists())
+    try:
+        existing = next(p for p in (out, *out.parents) if p.exists())
+    except OSError as exc:  # e.g. a name too long for the file system
+        raise ConfigError(f"cannot create out_dir {out}: {exc.strerror}") from exc
     if not existing.is_dir():
         raise ConfigError(f"cannot create out_dir {out}: {existing} is not a directory")
     return out
@@ -415,16 +415,24 @@ def cmd_param_count(cfg: RunConfig) -> int:
     return 0
 
 
-_ERROR_MAP = [
-    (ConfigError, 1, "config error"),
-    (ShapeError, 1, "config error"),
-    (IngestionError, 2, "ingestion error"),
-    (TrainingError, 3, "training error"),
-    (OptimizerError, 3, "training error"),
-    (EvaluationError, 4, "evaluation error"),
-    (CheckpointError, 4, "checkpoint error"),
-    (ValidationError, 4, "validation error"),
-]
+# Every command with the flags it takes beyond --config, --seed and --out.
+# main runs cmd_<name> (dashes as underscores) with the run config, then each
+# flag's value in this order; it looks the handler up by name when the command
+# runs, so a wrapper bound to that name in this module is the one called.
+_CHECKPOINT_FLAG = ("--checkpoint", dict(help="checkpoint path override"))
+COMMANDS = {
+    "ingest-check": (),
+    "synth": (),
+    "train": (),
+    "evaluate": (_CHECKPOINT_FLAG,),
+    "forecast": (
+        _CHECKPOINT_FLAG,
+        ("--timestamp", dict(required=True, help="ISO-8601 first forecast step")),
+    ),
+    "ablate": (),
+    "sweep": (),
+    "param-count": (),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,26 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Station-based weather forecasting pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_ckpt in (
-        ("ingest-check", False),
-        ("synth", False),
-        ("train", False),
-        ("evaluate", True),
-        ("forecast", True),
-        ("ablate", False),
-        ("sweep", False),
-        ("param-count", False),
-    ):
+    for name, flags in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value run configuration file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the config out_dir")
-        if needs_ckpt:
-            p.add_argument("--checkpoint", help="checkpoint path override")
-        if name == "forecast":
-            p.add_argument(
-                "--timestamp", required=True, help="ISO-8601 first forecast step"
-            )
+        for flag, options in flags:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -473,31 +468,11 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.out:
             cfg.out_dir = args.out
-
-        if args.command == "ingest-check":
-            return cmd_ingest_check(cfg)
-        if args.command == "synth":
-            return cmd_synth(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.checkpoint)
-        if args.command == "forecast":
-            return cmd_forecast(cfg, args.checkpoint, args.timestamp)
-        if args.command == "ablate":
-            return cmd_ablate(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "param-count":
-            return cmd_param_count(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        return handler(cfg, *(getattr(args, f[2:]) for f, _ in COMMANDS[args.command]))
     except LightWeatherError as exc:
-        for klass, code, label in _ERROR_MAP:
-            if isinstance(exc, klass):
-                print(f"{label}: {exc}", file=sys.stderr)
-                return code
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -206,9 +206,6 @@ class ModelParams:
         """A copy with every tensor cast to `dtype`."""
         return ModelParams(self.config, {n: a.astype(dtype) for n, a in self.tensors.items()})
 
-    def n_params(self) -> int:
-        return sum(arr.size for arr in self.tensors.values())
-
 
 def parameter_count(config: ModelConfig) -> int:
     """Exact enumerated parameter count for the configured variant.

@@ -32,6 +32,11 @@ import numpy as np
 
 from .errors import OptimizerError, ShapeError
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def as_float(a) -> np.ndarray:
     """`a` as an array of float32 or float64, whichever it already is;
@@ -159,13 +164,10 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def zeros_like(cls, param: np.ndarray, **kwargs) -> "AdamState":
-        return cls(m=np.zeros_like(param), v=np.zeros_like(param), **kwargs)
+    def zeros_like(cls, param: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(param), v=np.zeros_like(param))
 
 
 def adam_step(
@@ -189,11 +191,11 @@ def adam_step(
     if not np.all(np.isfinite(grad)):
         raise OptimizerError(f"non-finite gradient for parameter '{name}'")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1**state.step)
-    v_hat = state.v / (1.0 - state.beta2**state.step)
-    return param - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1**state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2**state.step)
+    return param - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 LossAndGrad = Callable[[dict], tuple[float, dict]]

@@ -1,10 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from lightweather.baselines import (
-    AblationSpec,
-    build_variant,
     evaluate_hi,
     hi_forecast,
     run_ablation_suite,
@@ -102,8 +102,7 @@ def test_hi_zero_horizon_is_empty():
 
 def test_variant_none_none_is_embedding_only():
     cfg = SMALL
-    spec = AblationSpec(spatial="none", temporal="none")
-    params = build_variant(spec, cfg, seed=0)
+    params = init_params(replace(cfg, spatial_encoding="none", temporal_encoding="none"), seed=0)
     base = init_params(cfg, seed=0)
     # zeroing the base model's encoding tensors reproduces the variant's H = E
     base.tensors["fc_spatial.weight"][:] = 0.0
@@ -133,8 +132,9 @@ def test_variant_none_none_is_embedding_only():
 
 
 def test_variant_absolute_absolute_equals_base_model():
-    spec = AblationSpec(spatial="absolute", temporal="absolute")
-    params = build_variant(spec, SMALL, seed=9)
+    params = init_params(
+        replace(SMALL, spatial_encoding="absolute", temporal_encoding="absolute"), seed=9
+    )
     base = init_params(SMALL, seed=9)
     for (na, a), (nb, b) in zip(params.tensors.items(), base.tensors.items()):
         assert na == nb
@@ -144,15 +144,16 @@ def test_variant_absolute_absolute_equals_base_model():
 def test_relative_variant_parameter_excess():
     n = 11
     cfg = ModelConfig(d=8, n_layers=1, t_h=6, t_f=3, n_vars=1, n_stations=n)
-    rel = build_variant(AblationSpec("relative", "absolute"), cfg, seed=0)
-    base = build_variant(AblationSpec("absolute", "absolute"), cfg, seed=0)
-    assert rel.n_params() - base.n_params() == n * cfg.d - 4 * cfg.d
+    rel = init_params(replace(cfg, spatial_encoding="relative"), seed=0)
+    base = init_params(replace(cfg, spatial_encoding="absolute"), seed=0)
+    sizes = [sum(a.size for a in p.tensors.values()) for p in (rel, base)]
+    assert sizes[0] - sizes[1] == n * cfg.d - 4 * cfg.d
     assert parameter_count(rel.config) - parameter_count(base.config) == n * cfg.d - 4 * cfg.d
 
 
 def test_relative_variant_needs_station_count():
     with pytest.raises(ConfigError):
-        build_variant(AblationSpec("relative", "absolute"), SMALL, seed=0)
+        init_params(replace(SMALL, spatial_encoding="relative"), seed=0)
 
 
 # --- suite -----------------------------------------------------------------

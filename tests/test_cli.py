@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lightweather import cli
+from lightweather import cli, errors
 from lightweather.checkpoint import MAGIC
 from lightweather.data import load_observations_csv, load_stations_csv
+
+LONG_NAME = "n" * 300  # longer than any file system allows one name to be
 
 TINY = """
 # tiny end-to-end configuration
@@ -80,6 +82,47 @@ def test_malformed_line_rejected(tmp_path):
     assert cli.main(["param-count", "--config", str(cfg)]) == 1
 
 
+# the documented exit code and stderr label of every error class
+ERROR_TABLE = [
+    ("ConfigError", 1, "config error"),
+    ("ShapeError", 1, "config error"),
+    ("IngestionError", 2, "ingestion error"),
+    ("TrainingError", 3, "training error"),
+    ("OptimizerError", 3, "training error"),
+    ("EvaluationError", 4, "evaluation error"),
+    ("CheckpointError", 4, "checkpoint error"),
+    ("ValidationError", 4, "validation error"),
+    ("LightWeatherError", 1, "error"),
+]
+
+
+def test_error_table_names_every_error_class():
+    classes = {errors.LightWeatherError, *errors.LightWeatherError.__subclasses__()}
+    assert {c.__name__ for c in classes} == {name for name, _, _ in ERROR_TABLE}
+
+
+@pytest.mark.parametrize("name, code, label", ERROR_TABLE, ids=[r[0] for r in ERROR_TABLE])
+def test_error_class_gives_its_exit_code_and_one_labelled_line(
+    monkeypatch, capsys, name, code, label
+):
+    def raise_it(cfg):
+        raise getattr(errors, name)("detail")
+
+    monkeypatch.setattr(cli, "_load_dataset", raise_it)
+    assert cli.main(["ingest-check"]) == code
+    assert capsys.readouterr().err == f"{label}: detail\n"
+
+
+def test_main_calls_the_handler_bound_to_the_command_name(monkeypatch):
+    for name in cli.COMMANDS:
+        assert callable(getattr(cli, "cmd_" + name.replace("-", "_")))
+    # a tracer replaces cli.cmd_<name> with a wrapper; main must call the wrapper
+    calls = []
+    monkeypatch.setattr(cli, "cmd_forecast", lambda *args: calls.append(args[1:]) or 0)
+    assert cli.main(["forecast", "--checkpoint", "c.bin", "--timestamp", "t"]) == 0
+    assert calls == [("c.bin", "t")]
+
+
 def test_usage_error_exit_code_1():
     assert cli.main(["no-such-command"]) == 1
     assert cli.main([]) == 1
@@ -108,6 +151,9 @@ def test_usage_error_exit_code_1():
         ("train", dict(lr="inf"), None, 1, "config error: lr must be finite"),
         ("sweep", dict(lr="nan"), None, 1, "config error: lr must be finite"),
         ("ablate", dict(lr="-inf"), None, 1, "config error: lr must be finite"),
+        # a name the file system rejects must not escape as an OSError
+        ("synth", {}, LONG_NAME, 1, "config error: cannot create out_dir"),
+        ("train", {}, LONG_NAME, 1, "config error: cannot create out_dir"),
     ],
     ids=[
         "relative-param-count-missing-stations",
@@ -122,6 +168,8 @@ def test_usage_error_exit_code_1():
         "train-lr-inf",
         "sweep-lr-nan",
         "ablate-lr-minus-inf",
+        "synth-out-name-too-long",
+        "train-out-name-too-long",
     ],
 )
 def test_bad_input_is_one_line_error(
@@ -249,6 +297,29 @@ def test_bad_data_file_is_one_line_error_before_training(
     err = capsys.readouterr().err
     assert err.startswith(message.format(path=path, ts=ts, sid=sid, var=var)), err
     assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, code, prefix",
+    [
+        ("ingest-check", "stations_csv", 2, "ingestion error: stations_csv file not found"),
+        ("evaluate", "checkpoint", 4, "checkpoint error: checkpoint not found"),
+    ],
+    ids=["ingest-check-stations-name-too-long", "evaluate-checkpoint-name-too-long"],
+)
+def test_overlong_file_name_is_one_line_error(
+    synth_dir, tmp_path, capsys, command, key, code, prefix
+):
+    files = dict(
+        stations_csv=synth_dir / "stations.csv",
+        observations_csv=synth_dir / "observations.csv",
+    )
+    files[key] = tmp_path / LONG_NAME
+    cfg = write_config(tmp_path / "t.cfg", TINY, out_dir=tmp_path / "out", **files)
+    assert cli.main([command, "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and LONG_NAME in err and err.count("\n") == 1, err
     assert not (tmp_path / "out").exists()
 
 
