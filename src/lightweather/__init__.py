@@ -10,7 +10,6 @@ from .data import (
     chronological_split,
     load_observations_csv,
     load_stations_csv,
-    make_windows,
     split_windows,
 )
 from .model import (

@@ -46,7 +46,7 @@ def evaluate_hi(windows, batch_size: int = 32) -> Metrics:
     n_hist = min(windows.t_f, windows.t_h)  # fewer than T_f: hi_forecast raises
     steps = np.arange(windows.t_h - n_hist, windows.t_h + windows.t_f)
     acc = MetricAccumulator()
-    for idx in _batches(len(windows), batch_size):
+    for idx in _batches(np.arange(len(windows)), batch_size):
         raw = windows.raw_values[windows.starts[idx][:, None] + steps]
         acc.add(hi_forecast(raw[:, :n_hist], windows.t_f), raw[:, n_hist:])
     return acc.result()

@@ -5,8 +5,8 @@ UTF-8 JSON manifest (model config plus one entry per tensor: name, shape,
 element type), then the raw tensor data little-endian in manifest order.
 The writer lists tensors in model.tensor_spec order; the reader accepts
 them in any order and returns them in spec order. Round-trips are
-bit-exact; a truncated or inconsistent file fails before anything is
-loaded.
+bit-exact. A truncated or malformed file, shapes unlike its config's or
+the caller's, or a value not finite in float32 is a CheckpointError.
 """
 
 from __future__ import annotations
@@ -48,7 +48,9 @@ def checkpoint_save(path, params: ModelParams) -> None:
 
 
 def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelParams:
-    """Load and validate; `expected_config` mismatches name offending tensors."""
+    """Load and validate; shapes unlike `expected_config`'s name the offending
+    tensors. The params carry `expected_config` when given: its shapes are
+    theirs, and n_vars sizes no tensor."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < len(MAGIC) + 4 or raw[: len(MAGIC)] != MAGIC:
@@ -62,31 +64,29 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelPa
         config = ModelConfig(**manifest["config"])
         expected_own = _shapes(config)  # validates the config
         entries = [(e["name"], tuple(e["shape"]), e["dtype"]) for e in manifest["tensors"]]
+        declared = {name: shape for name, shape, _ in entries}
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: bad manifest: {exc}") from exc
 
-    declared = {name: shape for name, shape, _ in entries}
-    if declared != expected_own:
-        odd = sorted(set(declared.items()) ^ set(expected_own.items()))
-        raise CheckpointError(f"{path}: manifest inconsistent with its config: {odd}")
+    checks = [("manifest inconsistent with its config", expected_own)]
     if expected_config is not None:
-        wanted = _shapes(expected_config)
+        checks.append(("config mismatch", _shapes(expected_config)))
+    for label, wanted in checks:
         bad = sorted(
-            name
-            for name in set(declared) | set(wanted)
-            if declared.get(name) != wanted.get(name)
+            (n for n in {*declared, *wanted} if declared.get(n) != wanted.get(n)), key=str
         )
         if bad:
             details = ", ".join(
                 f"{n}: file {declared.get(n)} vs config {wanted.get(n)}" for n in bad
             )
-            raise CheckpointError(f"{path}: config mismatch: {details}")
+            raise CheckpointError(f"{path}: {label}: {details}")
 
+    # read the spec's shapes: a shape [8.0, 6] equals (8, 6) but sizes no array
     total = body + mlen
-    for _, shape, dtype in entries:
+    for name, _, dtype in entries:
         if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise CheckpointError(f"{path}: unsupported element type {dtype!r}")
-        total += math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize
+        total += math.prod(expected_own[name]) * np.dtype(_DTYPES[dtype]).itemsize
     if len(raw) != total:
         raise CheckpointError(
             f"{path}: size {len(raw)} does not match manifest total {total}"
@@ -94,10 +94,11 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelPa
 
     loaded = {}
     offset = body + mlen
-    for name, shape, dtype in entries:
-        dt = np.dtype(_DTYPES[dtype])
-        count = math.prod(shape)
-        arr = np.frombuffer(raw, dtype=dt, count=count, offset=offset).reshape(shape)
-        offset += count * dt.itemsize
+    for name, _, dtype in entries:
+        shape = expected_own[name]
+        arr = np.frombuffer(raw, _DTYPES[dtype], math.prod(shape), offset).reshape(shape)
+        offset += arr.nbytes
+        if not (np.abs(arr) <= np.finfo(np.float32).max).all():  # NaN fails too
+            raise CheckpointError(f"{path}: tensor {name} is not finite in float32")
         loaded[name] = arr.astype(np.float64)
-    return ModelParams(config, {name: loaded[name] for name in expected_own})
+    return ModelParams(expected_config or config, {name: loaded[name] for name in expected_own})

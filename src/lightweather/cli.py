@@ -33,6 +33,7 @@ from .data import (
 from .errors import (
     CheckpointError,
     ConfigError,
+    EvaluationError,
     IngestionError,
     LightWeatherError,
     ValidationError,
@@ -277,9 +278,12 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_flag: str | None) -> int:
     out = _out_dir(cfg)
     _, model_cfg, prepared, coords_norm = prepare(cfg)
     params = checkpoint_load(_checkpoint_path(cfg, checkpoint_flag), model_cfg)
-    model_metrics = evaluate(
-        params, prepared.test, coords_norm, prepared.normalizer, cfg.batch_size
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        model_metrics = evaluate(
+            params, prepared.test, coords_norm, prepared.normalizer, cfg.batch_size
+        )
+    if not np.isfinite([model_metrics.mse, model_metrics.mae]).all():
+        raise EvaluationError(f"non-finite metrics from the checkpoint: {model_metrics}")
     hi_metrics = evaluate_hi(prepared.test, cfg.batch_size)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
@@ -310,12 +314,12 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
             f"steps inside the observation range"
         )
     idx = index[when]
-    history = obs.values[idx - model_cfg.t_h : idx]  # float64, as the checkpoint
-    if prepared.normalizer is not None:
-        history = normalize_apply(history, prepared.normalizer)
-    pred = forward(history, obs.coords, TimeFeature.from_timestamp(when), params)
-    if prepared.normalizer is not None:
+    history = normalize_apply(obs.values[idx - model_cfg.t_h : idx], prepared.normalizer)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        pred = forward(history, obs.coords, TimeFeature.from_timestamp(when), params)
         pred = normalize_invert(pred, prepared.normalizer)
+    if not np.isfinite(pred).all():
+        raise EvaluationError("non-finite forecast from the checkpoint")
 
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "forecasts.csv", "w", newline="", encoding="utf-8") as fh:

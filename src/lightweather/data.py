@@ -1,5 +1,5 @@
 """Station/observation CSV ingestion, chronological splits, sliding-window
-samples, and per-variable z-score normalization.
+samples, and per-variable z-score normalization (or the identity).
 
 File formats (UTF-8, comma-separated, header required):
 
@@ -8,10 +8,10 @@ File formats (UTF-8, comma-separated, header required):
 
 Observation timestamps are ISO-8601 on a uniform hourly or daily grid, in
 long format (one row per timestamp and station); they are either all
-timezone-aware or all naive. Missing cells (empty or `nan`) are forward
-filled within a station; a station missing more than 10% of its cells, or
-missing its very first value, is an ingestion error, and so is an infinite
-value.
+timezone-aware or all naive. Missing cells (empty or `nan`) take the last
+observed value of their station and variable; a station missing more than
+10% of its cells, or its very first value, is an ingestion error, and so
+is an infinite value.
 """
 
 from __future__ import annotations
@@ -212,26 +212,25 @@ def load_observations_csv(
             f"non-finite value {values[t, si, vi]} at {timestamps[t].isoformat()}"
         )
 
-    # forward fill per station/variable, bounded by the 10% rule
-    max_missing = 0.10 * n_steps * n_vars
-    for si, sid in enumerate(station_ids):
-        missing = int(np.isnan(values[:, si, :]).sum())
-        if missing > max_missing:
-            raise IngestionError(
-                f"{path}: station {sid}: {missing} missing cells exceed 10%"
-            )
-        if missing == 0:
-            continue
-        for vi in range(n_vars):
-            col = values[:, si, vi]
-            if np.isnan(col[0]):
+    # forward fill, bounded by the 10% rule (min propagates NaN: no full-size
+    # temporary for a file without gaps)
+    if np.isnan(values.min()):
+        missing = np.isnan(values)
+        counts = missing.sum(axis=(0, 2))
+        too_many = counts > 0.10 * n_steps * n_vars
+        for si in np.flatnonzero(too_many | missing[0].any(axis=1)):  # the first raises
+            if too_many[si]:
                 raise IngestionError(
-                    f"{path}: station {sid}: variable {var_names[vi]} missing at the "
-                    f"first timestamp; cannot forward fill"
+                    f"{path}: station {station_ids[si]}: {counts[si]} missing cells exceed 10%"
                 )
-            for t in range(1, n_steps):
-                if np.isnan(col[t]):
-                    col[t] = col[t - 1]
+            vi = np.flatnonzero(missing[0, si])[0]
+            raise IngestionError(
+                f"{path}: station {station_ids[si]}: variable {var_names[vi]} missing at the "
+                f"first timestamp; cannot forward fill"
+            )
+        last = np.where(missing, 0, np.arange(n_steps)[:, None, None])  # observed steps
+        np.maximum.accumulate(last, axis=0, out=last)  # the last at or before each cell
+        values = np.take_along_axis(values, last, axis=0)
 
     return ObservationSet(
         timestamps=timestamps,
@@ -275,13 +274,6 @@ def chronological_split(
     return train, val, test
 
 
-def _window_starts(span: range, t_h: int, t_f: int) -> np.ndarray:
-    """First steps of every stride-1 window fully inside `span`:
-    count = len - T_h - T_f + 1."""
-    n = len(span) - t_h - t_f + 1
-    return np.arange(span.start, span.start + max(n, 0))
-
-
 def _windows(rows: np.ndarray, width: int) -> np.ndarray:
     """[R, T] rows -> a read-only [T - width + 1, R, width] view of every
     stride-1 window (no windows when width > T)."""
@@ -291,21 +283,22 @@ def _windows(rows: np.ndarray, width: int) -> np.ndarray:
 
 
 class WindowSet:
-    """Sliding windows over one split, served as index-gathered batches.
+    """Every stride-1 window fully inside one split's `span` of steps
+    (len - T_h - T_f + 1 of them), served as index-gathered batches.
 
-    `store` is the series the model reads, normalized when normalization
-    is on: COMPUTE_DTYPE rows [N*C, T], one per (station, variable), shared
-    by the splits of one dataset. `raw_values` keeps the original float64
-    [T, N, C] series for metrics and the HI baseline. Windows are strided
-    views of the store; a batch copies each window's rows once, already in
-    the (window, station, variable) row order of model.forward_rows.
+    `store` is the series the model reads (series_rows): COMPUTE_DTYPE rows
+    [N*C, T], one per (station, variable), shared by the splits of one
+    dataset. `raw_values` keeps the original float64 [T, N, C] series for
+    metrics and the HI baseline. Windows are strided views of the store; a
+    batch copies each window's rows once, already in the (window, station,
+    variable) row order of model.forward_rows.
     """
 
-    def __init__(self, store, raw_values, timestamps, starts, t_h: int, t_f: int):
+    def __init__(self, store, raw_values, timestamps, span: range, t_h: int, t_f: int):
         self.store = store
         self.raw_values = raw_values
-        self.timestamps = timestamps
-        self.starts = np.asarray(starts, dtype=np.intp)
+        n_windows = max(len(span) - t_h - t_f + 1, 0)
+        self.starts = np.arange(span.start, span.start + n_windows, dtype=np.intp)
         self.t_h = t_h
         self.t_f = t_f
         self._history = _windows(store, t_h)  # [s] -> rows of steps s .. s+T_h-1
@@ -344,46 +337,22 @@ class WindowSet:
         return out
 
 
-def series_rows(values: np.ndarray, norm: Normalizer | None = None) -> np.ndarray:
+def series_rows(values: np.ndarray, norm: Normalizer) -> np.ndarray:
     """The model's copy of a [T, N, C] series: COMPUTE_DTYPE rows [N*C, T],
-    one per (station, variable), z-scored with `norm` when given. Built a
-    block of steps at a time through one reused float64 buffer, so no
-    float64 copy of the whole series is made; each value is normalized in
-    float64 and then rounded, as normalize_apply followed by a cast would.
-    A value that overflows COMPUTE_DTYPE becomes inf (split_windows
-    rejects it)."""
+    one per (station, variable), z-scored with `norm`. Built a block of
+    steps at a time through one reused float64 buffer, so no float64 copy
+    of the whole series is made; each value is normalized in float64 and
+    then rounded, as normalize_apply followed by a cast would. A value that
+    overflows COMPUTE_DTYPE becomes inf (split_windows rejects it)."""
     n_steps = values.shape[0]
     rows = np.empty((values[0].size, n_steps), dtype=COMPUTE_DTYPE)
-    if norm is not None:
-        buf = np.empty((min(_STORE_BLOCK, n_steps), *values.shape[1:]))
+    buf = np.empty((min(_STORE_BLOCK, n_steps), *values.shape[1:]))
     with np.errstate(over="ignore"):
         for lo in range(0, n_steps, _STORE_BLOCK):
             block = values[lo : lo + _STORE_BLOCK]
-            if norm is not None:
-                block = normalize_apply(block, norm, out=buf[: len(block)])
+            block = normalize_apply(block, norm, out=buf[: len(block)])
             rows[:, lo : lo + len(block)] = block.reshape(len(block), -1).T
     return rows
-
-
-def make_windows(
-    values: np.ndarray,
-    timestamps,
-    span: range,
-    t_h: int,
-    t_f: int,
-    raw_values: np.ndarray | None = None,
-) -> WindowSet:
-    """All stride-1 windows fully inside `span` over the model series
-    `values` [T, N, C] (stored as series_rows); metrics read `raw_values`,
-    by default `values` itself."""
-    return WindowSet(
-        store=series_rows(values),
-        raw_values=values if raw_values is None else raw_values,
-        timestamps=timestamps,
-        starts=_window_starts(span, t_h, t_f),
-        t_h=t_h,
-        t_f=t_f,
-    )
 
 
 @dataclass
@@ -392,6 +361,10 @@ class Normalizer:
 
     mean: np.ndarray  # [C]
     std: np.ndarray  # [C]
+
+    @classmethod
+    def identity(cls, n_vars: int) -> Normalizer:  # applies and inverts exactly
+        return cls(mean=np.zeros(n_vars), std=np.ones(n_vars))
 
 
 def normalize_fit(values: np.ndarray, span: range | None = None) -> Normalizer:
@@ -420,21 +393,22 @@ class PreparedData:
     train: WindowSet
     val: WindowSet
     test: WindowSet
-    normalizer: Normalizer | None
+    normalizer: Normalizer
 
 
 def split_windows(
     obs: ObservationSet, t_h: int, t_f: int, normalize: bool = True
 ) -> PreparedData:
-    """Split 7:1:2, fit the normalizer on train, store the model's series
-    once (series_rows) and window every split over it.
+    """Split 7:1:2, fit the normalizer on train (the identity when
+    `normalize` is off), store the model's series once (series_rows) and
+    window every split over it.
 
     A value that is finite in float64 but not in COMPUTE_DTYPE once
     normalized (above about 3.4e38 for float32) is a ValidationError that
     names its station, variable and timestamp.
     """
     train_span, val_span, test_span = chronological_split(obs.n_steps, t_h, t_f)
-    norm = normalize_fit(obs.values, train_span) if normalize else None
+    norm = normalize_fit(obs.values, train_span) if normalize else Normalizer.identity(obs.n_vars)
     store = series_rows(obs.values, norm)
     if not np.isfinite(store).all():
         t, row = np.argwhere(~np.isfinite(store.T))[0]  # the earliest step first
@@ -446,7 +420,7 @@ def split_windows(
             + (" after normalization" if normalize else "")
         )
     sets = [
-        WindowSet(store, obs.values, obs.timestamps, _window_starts(span, t_h, t_f), t_h, t_f)
+        WindowSet(store, obs.values, obs.timestamps, span, t_h, t_f)
         for span in (train_span, val_span, test_span)
     ]
     return PreparedData(train=sets[0], val=sets[1], test=sets[2], normalizer=norm)

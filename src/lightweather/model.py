@@ -76,7 +76,8 @@ class ModelConfig:
     n_stations: int | None = None  # required only for relative spatial encoding
 
     def validate(self) -> None:
-        for name in ("d", "n_layers", "t_h", "t_f", "n_vars"):
+        optional = () if self.n_stations is None else ("n_stations",)
+        for name in ("d", "n_layers", "t_h", "t_f", "n_vars", *optional):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -86,7 +87,7 @@ class ModelConfig:
             raise ConfigError(f"unknown spatial_encoding {self.spatial_encoding!r}")
         if self.temporal_encoding not in TEMPORAL_MODES:
             raise ConfigError(f"unknown temporal_encoding {self.temporal_encoding!r}")
-        if self.spatial_encoding == "relative" and not self.n_stations:
+        if self.spatial_encoding == "relative" and self.n_stations is None:
             raise ConfigError("relative spatial encoding requires n_stations")
 
 

@@ -8,8 +8,9 @@ batch runs the model on a float32 copy of the params, over float32 rows
 that WindowSet.batch gathers from the split's stored series; adam_step
 applies the float32 gradients to the float64 params and Adam moments in
 float64 math. Metrics are accumulated in float64 and in original data
-units, against the float64 raw series. The params fit returns, and so
-every checkpoint, stay float64.
+units (predictions inverted through the split's Normalizer, the identity
+when normalization is off), against the float64 raw series. The params
+fit returns, and so every checkpoint, stay float64.
 
 Determinism contract: with a fixed config and seed, batch order, every
 update, and the resulting best checkpoint are all reproducible exactly.
@@ -94,9 +95,8 @@ def _first_nonfinite(tensors: dict, grads: dict) -> str:
     return "every value and gradient is finite"
 
 
-def _batches(n: int, batch_size: int, perm: np.ndarray | None = None):
-    order = perm if perm is not None else np.arange(n)
-    for lo in range(0, n, batch_size):
+def _batches(order: np.ndarray, batch_size: int):
+    for lo in range(0, len(order), batch_size):
         yield order[lo : lo + batch_size]
 
 
@@ -104,7 +104,7 @@ def evaluate(
     params: ModelParams,
     windows: WindowSet,
     coords_norm: np.ndarray,
-    normalizer: Normalizer | None,
+    normalizer: Normalizer,
     batch_size: int = 32,
 ) -> Metrics:
     """Pooled test metrics in original data units, from a COMPUTE_DTYPE copy
@@ -113,15 +113,13 @@ def evaluate(
         raise EvaluationError("empty split: no windows to evaluate")
     params = params.astype(COMPUTE_DTYPE)
     acc = MetricAccumulator()
-    for idx in _batches(len(windows), batch_size):
+    for idx in _batches(np.arange(len(windows)), batch_size):
         b = windows.batch(idx, raw_future=True)
         y_rows, _ = model_ops.forward_rows(
             b["history"], coords_norm, b["hours"], b["days"], b["months"], params
         )
         pred = model_ops.rows_to_batch(y_rows, len(idx), windows.n_stations, windows.n_vars)
-        if normalizer is not None:
-            pred = normalize_invert(pred, normalizer)
-        acc.add(pred, b["future_raw"])
+        acc.add(normalize_invert(pred, normalizer), b["future_raw"])
     return acc.result()
 
 
@@ -139,7 +137,7 @@ def fit(
     val_windows: WindowSet,
     coords_norm: np.ndarray,
     config: TrainConfig,
-    normalizer: Normalizer | None = None,
+    normalizer: Normalizer,
 ) -> FitResult:
     """Epochs of seeded shuffled mini-batches; returns the best-val params.
 
@@ -166,7 +164,7 @@ def fit(
         )
         abs_err_sum = 0.0
         n_samples = 0
-        for bi, idx in enumerate(_batches(len(train_windows), config.batch_size, perm)):
+        for bi, idx in enumerate(_batches(perm, config.batch_size)):
             b = train_windows.batch(idx)
             with np.errstate(over="ignore"):  # an overflow is named below
                 compute = params.astype(COMPUTE_DTYPE)

@@ -10,7 +10,7 @@ from lightweather.baselines import (
     run_ablation_suite,
     summarize_ablation,
 )
-from lightweather.data import series_rows, split_windows
+from lightweather.data import Normalizer, series_rows, split_windows
 from lightweather.errors import ConfigError
 from lightweather.model import (
     ModelConfig,
@@ -80,7 +80,8 @@ def test_evaluate_hi_on_constant_series_is_exact():
 def test_evaluate_hi_equals_numpy_on_raw_values():
     prepared = split_windows(dataset(), 6, 3, normalize=True)
     ws = prepared.test
-    assert not np.array_equal(ws.store, series_rows(ws.raw_values))  # the model's is normalized
+    raw_rows = series_rows(ws.raw_values, Normalizer.identity(ws.n_vars))
+    assert not np.array_equal(ws.store, raw_rows)  # the model's is normalized
     starts = ws.starts[:, None]
     diff = ws.raw_values[starts + np.arange(3, 6)] - ws.raw_values[starts + np.arange(6, 9)]
     metrics = evaluate_hi(ws, batch_size=len(ws))

@@ -1,14 +1,20 @@
 import csv
+import io
 import json
 import struct
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lightweather import cli, errors
-from lightweather.checkpoint import MAGIC
+from lightweather.checkpoint import MAGIC, checkpoint_load, checkpoint_save
 from lightweather.data import load_observations_csv, load_stations_csv
+from lightweather.model import ModelConfig, init_params, tensor_spec
 
 LONG_NAME = "n" * 300  # longer than any file system allows one name to be
 
@@ -27,6 +33,7 @@ synth_stations = 2
 synth_steps = 220
 synth_noise_std = 0.4
 """
+TINY_MODEL = ModelConfig(d=4, n_layers=1, t_h=6, t_f=3, n_vars=1, n_stations=2)
 
 
 def write_config(path: Path, body: str, **extra) -> Path:
@@ -388,17 +395,34 @@ def test_evaluate_mismatched_checkpoint_dims(synth_dir, trained_dir, tmp_path, c
     assert "checkpoint error" in capsys.readouterr().err
 
 
-def edited_checkpoint(trained_dir, path, edit):
-    """The trained checkpoint written to `path` with `edit` applied to its
-    manifest."""
-    raw = (trained_dir / "run" / "checkpoint.bin").read_bytes()
+def edited_checkpoint(source, path, edit):
+    """The checkpoint file `source` written to `path` with `edit` applied to
+    its manifest; `edit` returns the manifest to write."""
+    raw = Path(source).read_bytes()
     body = len(MAGIC) + 4
     (mlen,) = struct.unpack("<I", raw[len(MAGIC) : body])
-    manifest = json.loads(raw[body : body + mlen])
-    edit(manifest)
+    manifest = edit(json.loads(raw[body : body + mlen]))
     blob = json.dumps(manifest).encode("utf-8")
     path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[body + mlen :])
     return path
+
+
+def trained(trained_dir):
+    return trained_dir / "run" / "checkpoint.bin"
+
+
+def fails_in_one_line(synth_dir, tmp_path, capsys, command, checkpoint, **extra):
+    """Run `command` on `checkpoint`; assert exit 4, one stderr line and no
+    out_dir, and return that line."""
+    out = tmp_path / "out"
+    cfg = data_config(synth_dir, tmp_path / "run.cfg", out_dir=out, **extra)
+    argv = [command, "--config", str(cfg), "--checkpoint", str(checkpoint)]
+    if command == "forecast":
+        argv += ["--timestamp", "2019-01-09T00:00:00"]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and not out.exists()
+    return err
 
 
 def test_evaluate_checkpoint_without_dtype_is_one_line_error(
@@ -407,8 +431,9 @@ def test_evaluate_checkpoint_without_dtype_is_one_line_error(
     def drop_dtype(manifest):
         for entry in manifest["tensors"]:
             del entry["dtype"]
+        return manifest
 
-    path = edited_checkpoint(trained_dir, tmp_path / "no_dtype.bin", drop_dtype)
+    path = edited_checkpoint(trained(trained_dir), tmp_path / "no_dtype.bin", drop_dtype)
     cfg = data_config(synth_dir, tmp_path / "e.cfg", out_dir=tmp_path / "out")
     assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(path)]) == 4
     err = capsys.readouterr().err
@@ -420,12 +445,165 @@ def test_evaluate_checkpoint_with_malformed_config_is_one_line_error(
 ):
     def d_as_string(manifest):
         manifest["config"]["d"] = "4"
+        return manifest
 
-    path = edited_checkpoint(trained_dir, tmp_path / "bad_config.bin", d_as_string)
+    path = edited_checkpoint(trained(trained_dir), tmp_path / "bad_config.bin", d_as_string)
     cfg = data_config(synth_dir, tmp_path / "e.cfg", out_dir=tmp_path / "out")
     assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("checkpoint error:") and err.count("\n") == 1
+
+
+def test_evaluate_checkpoint_whose_config_differs_only_in_n_vars_runs(
+    synth_dir, trained_dir, tmp_path
+):
+    def four_vars(manifest):
+        manifest["config"]["n_vars"] = 4
+        return manifest
+
+    path = edited_checkpoint(trained(trained_dir), tmp_path / "ck.bin", four_vars)
+    cfg = data_config(synth_dir, tmp_path / "e.cfg", out_dir=tmp_path / "out")
+    assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(path)]) == 0
+
+
+def first_entry(**fields):
+    """A manifest edit that updates the first tensor entry with `fields`,
+    each a function of that entry."""
+
+    def edit(manifest):
+        entry = manifest["tensors"][0]
+        entry.update({key: make(entry) for key, make in fields.items()})
+        return manifest
+
+    return edit
+
+
+def relative_n_stations(manifest):
+    manifest["config"]["n_stations"] = "3"
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "spatial, edit",
+    [
+        ("absolute", first_entry(shape=lambda e: "ab")),
+        ("absolute", first_entry(shape=lambda e: [[n] for n in e["shape"]])),
+        ("absolute", first_entry(shape=lambda e: [None, *e["shape"][1:]])),
+        ("absolute", first_entry(name=lambda e: [e["name"]])),
+        ("relative", relative_n_stations),
+    ],
+    ids=["shape-string", "shape-nested", "shape-null", "name-list", "relative-n_stations-string"],
+)
+def test_evaluate_checkpoint_with_malformed_manifest_is_one_line_error(
+    synth_dir, tmp_path, capsys, spatial, edit
+):
+    source = tmp_path / "source.bin"
+    checkpoint_save(source, init_params(replace(TINY_MODEL, spatial_encoding=spatial), 0))
+    path = edited_checkpoint(source, tmp_path / "bad.bin", edit)
+    for expected in (None, replace(TINY_MODEL, spatial_encoding=spatial)):
+        with pytest.raises(errors.CheckpointError):
+            checkpoint_load(path, expected)
+    err = fails_in_one_line(synth_dir, tmp_path, capsys, "evaluate", path, spatial=spatial)
+    assert err.startswith("checkpoint error:")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "forecast"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+def test_checkpoint_value_outside_float32_range_is_one_line_error(
+    synth_dir, tmp_path, capsys, command, value
+):
+    params = init_params(TINY_MODEL, 0)
+    params.tensors["fc_regress.bias"][0] = value
+    checkpoint_save(tmp_path / "ck.bin", params)
+    err = fails_in_one_line(synth_dir, tmp_path, capsys, command, tmp_path / "ck.bin")
+    assert err.startswith("checkpoint error:") and "fc_regress.bias" in err
+
+
+def test_evaluate_whose_float32_forward_overflows_is_one_line_error(synth_dir, tmp_path, capsys):
+    params = init_params(TINY_MODEL, 0)
+    params.tensors["fc_embed.weight"][:] = 3e38  # finite in float32, not once summed
+    checkpoint_save(tmp_path / "ck.bin", params)
+    err = fails_in_one_line(synth_dir, tmp_path, capsys, "evaluate", tmp_path / "ck.bin")
+    assert err.startswith("evaluation error:") and "non-finite metrics" in err
+
+
+def test_forecast_whose_float64_forward_overflows_is_one_line_error(synth_dir, tmp_path, capsys):
+    # every value 3e38: each of the 8 linear layers multiplies by about 1e39
+    params = init_params(replace(TINY_MODEL, n_layers=3), 0)
+    for tensor in params.tensors.values():
+        tensor[:] = 3e38
+    checkpoint_save(tmp_path / "ck.bin", params)
+    err = fails_in_one_line(
+        synth_dir, tmp_path, capsys, "forecast", tmp_path / "ck.bin", layers=3
+    )
+    assert err.startswith("evaluation error:") and "non-finite forecast" in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+# where in the trained checkpoint's manifest a generated value goes: the
+# whole manifest, its config or tensor list, one config value, one tensor
+# entry, or one entry's name, shape or dtype
+MANIFEST_PLACES = [
+    (),
+    ("config",),
+    ("tensors",),
+    *(("config", key) for key in asdict(TINY_MODEL)),
+    *(("tensors", i) for i in range(len(tensor_spec(TINY_MODEL)))),
+    *(
+        ("tensors", i, key)
+        for i in range(len(tensor_spec(TINY_MODEL)))
+        for key in ("name", "shape", "dtype")
+    ),
+]
+
+
+def put(manifest, place, value):
+    """`manifest` with the value at `place` replaced by `value`."""
+    if not place:
+        return value
+    parent = manifest
+    for key in place[:-1]:
+        parent = parent[key]
+    parent[place[-1]] = value
+    return manifest
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    corruption=st.one_of(
+        st.tuples(st.just("manifest"), st.sampled_from(MANIFEST_PLACES), JSON_VALUES),
+        st.tuples(st.just("byte"), st.integers(0, 2**32), st.integers(0, 255)),
+    )
+)
+def test_corrupted_checkpoint_exits_0_with_finite_metrics_or_4_in_one_line(
+    synth_dir, trained_dir, tmp_path_factory, corruption
+):
+    work = tmp_path_factory.mktemp("corrupt")
+    kind, where, value = corruption
+    path = work / "checkpoint.bin"
+    if kind == "manifest":
+        edited_checkpoint(trained(trained_dir), path, lambda m: put(m, where, value))
+    else:
+        raw = bytearray(trained(trained_dir).read_bytes())
+        raw[where % len(raw)] = value
+        path.write_bytes(raw)
+    out = work / "out"
+    cfg = data_config(synth_dir, work / "run.cfg", out_dir=out)
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        code = cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(path)])
+    assert code in (0, 4), stderr.getvalue()
+    if code == 4:
+        assert stderr.getvalue().count("\n") == 1 and not out.exists()
+    else:
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(np.isfinite(float(r[k])) for r in rows for k in ("mse", "mae"))
 
 
 # --- forecast --------------------------------------------------------------
@@ -471,10 +649,8 @@ def test_forecast_out_of_range_timestamp(synth_dir, trained_dir, tmp_path, capsy
 
 
 def test_forecast_matches_evaluate_window(synth_dir, trained_dir, tmp_path):
-    from lightweather.checkpoint import checkpoint_load
     from lightweather.data import split_windows
     from lightweather.model import (
-        ModelConfig,
         TimeFeature,
         batch_to_rows,
         forward,

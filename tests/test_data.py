@@ -1,20 +1,24 @@
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lightweather.data import (
+    Normalizer,
     ObservationSet,
+    WindowSet,
     chronological_split,
     load_observations_csv,
     load_stations_csv,
-    make_windows,
     normalize_apply,
     normalize_fit,
     normalize_invert,
+    series_rows,
     split_windows,
     write_observations_csv,
     write_stations_csv,
@@ -201,6 +205,97 @@ def test_nan_and_empty_are_missing(tmp_path, raw):
     assert obs.values[7, 1, 0] == obs.values[6, 1, 0] == 16.0
 
 
+def fill_by_cells(values):
+    """Reference forward fill: each NaN cell, in time order, takes the value
+    one step before it in its station and variable."""
+    out = values.copy()
+    n_steps, n_stations, n_vars = out.shape
+    for si in range(n_stations):
+        for vi in range(n_vars):
+            for t in range(1, n_steps):
+                if np.isnan(out[t, si, vi]):
+                    out[t, si, vi] = out[t - 1, si, vi]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_steps=st.integers(10, 40),
+    n_stations=st.integers(1, 3),
+    n_vars=st.integers(1, 2),
+    data=st.data(),
+)
+def test_forward_fill_equals_a_per_cell_loop(
+    tmp_path_factory, n_steps, n_stations, n_vars, data
+):
+    values = data.draw(
+        arrays(np.float64, (n_steps, n_stations, n_vars), elements=st.floats(-1e6, 1e6))
+    )
+    # gaps anywhere after the first step, at most 10% of each station's cells
+    cells = [(t, vi) for t in range(1, n_steps) for vi in range(n_vars)]
+    limit = int(0.10 * n_steps * n_vars)
+    for si in range(n_stations):
+        for t, vi in data.draw(st.lists(st.sampled_from(cells), unique=True, max_size=limit)):
+            values[t, si, vi] = np.nan
+    ids = [f"s{i}" for i in range(n_stations)]
+    names = [f"v{i}" for i in range(n_vars)]
+    obs = ObservationSet(
+        timestamps=hourly_timestamps(n_steps),
+        station_ids=ids,
+        coords=[StationCoord(0.0, 0.0, 0.0)] * n_stations,
+        values=values,
+        var_names=names,
+        interval=timedelta(hours=1),
+    )
+    path = tmp_path_factory.mktemp("fill") / "o.csv"
+    write_observations_csv(path, obs)  # a NaN cell is written as "nan"
+    loaded = load_observations_csv(path, ids, obs.coords)
+    assert loaded.values.tobytes() == fill_by_cells(values).tobytes()
+
+
+def gappy_csv(path, gaps, n_steps=10, n_vars=1):
+    """Three stations s0..s2 over n_steps hours; `gaps` holds the missing
+    (station, step, variable) cells."""
+    lines = ["timestamp,station_id," + ",".join(f"v{i}" for i in range(n_vars))]
+    for k in range(n_steps):
+        for si in range(3):
+            cells = ["" if (si, k, vi) in gaps else f"{k}.5" for vi in range(n_vars)]
+            lines.append(f"2020-01-01T{k:02d}:00:00,s{si}," + ",".join(cells))
+    return write(path, "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "gaps, n_vars, message",
+    [
+        # s1 misses its first value, s2 too many cells: s1 comes first
+        ({(1, 0, 0), (2, 3, 0), (2, 4, 0)}, 1, "station s1: variable v0 missing at the first"),
+        # s1 too many cells, s2 its first value
+        ({(1, 3, 0), (1, 4, 0), (2, 0, 0)}, 1, "station s1: 2 missing cells exceed 10%"),
+        # s1 both: the 10% rule is checked first
+        ({(1, 0, 0), (1, 4, 0)}, 1, "station s1: 2 missing cells exceed 10%"),
+        # the first variable, in column order, that misses its first value
+        ({(0, 0, 1), (2, 0, 0)}, 2, "station s0: variable v1 missing at the first"),
+    ],
+    ids=["first-step-before-ten-percent", "ten-percent-before-first-step", "both", "variable"],
+)
+def test_first_offending_station_is_reported(tmp_path, gaps, n_vars, message):
+    stations = (["s0", "s1", "s2"], [StationCoord(0.0, 0.0, 0.0)] * 3)
+    path = gappy_csv(tmp_path / "o.csv", gaps, n_vars=n_vars)
+    with pytest.raises(IngestionError) as err:
+        load_observations_csv(path, *stations)
+    assert message in str(err.value)
+
+
+def test_docs_samples_load_with_their_gap_filled():
+    docs = Path(__file__).resolve().parents[1] / "docs"
+    ids, coords = load_stations_csv(docs / "sample_stations.csv")
+    obs = load_observations_csv(docs / "sample_observations.csv", ids, coords)
+    assert ids == ["s0001", "s0002", "s0003"] and obs.n_steps >= 10
+    assert not np.isnan(obs.values).any()
+    # s0002 has no value at 02:00: it keeps 01:00's
+    assert obs.values[2, 1, 0] == obs.values[1, 1, 0] == 4.9
+
+
 def test_ingestion_idempotent(tmp_path):
     p = write(tmp_path / "o.csv", obs_csv_text(two_station_rows()))
     a = load_observations_csv(p, *STATIONS)
@@ -252,9 +347,16 @@ def hourly_timestamps(n, start=datetime(2020, 1, 1)):
     return [start + timedelta(hours=k) for k in range(n)]
 
 
+def window_set(values, timestamps, span, t_h, t_f):
+    """The windows inside `span` over `values` [T, N, C] taken as they are
+    as the model series."""
+    store = series_rows(values, Normalizer.identity(values.shape[-1]))
+    return WindowSet(store, values, timestamps, span, t_h, t_f)
+
+
 def test_single_window_when_exact_fit():
     values = np.arange(9.0).reshape(9, 1, 1)
-    ws = make_windows(values, hourly_timestamps(9), range(0, 9), t_h=6, t_f=3)
+    ws = window_set(values, hourly_timestamps(9), range(0, 9), t_h=6, t_f=3)
     assert len(ws) == 1
     b = ws.batch([0])
     assert_array_equal(b["history"], [np.arange(6.0)])
@@ -264,13 +366,13 @@ def test_single_window_when_exact_fit():
 
 def test_window_count_100_48_24():
     values = np.zeros((100, 1, 1))
-    ws = make_windows(values, hourly_timestamps(100), range(0, 100), 48, 24)
+    ws = window_set(values, hourly_timestamps(100), range(0, 100), 48, 24)
     assert len(ws) == 29
 
 
 def test_consecutive_windows_overlap():
     values = np.arange(12.0).reshape(12, 1, 1)
-    ws = make_windows(values, hourly_timestamps(12), range(0, 12), t_h=6, t_f=3)
+    ws = window_set(values, hourly_timestamps(12), range(0, 12), t_h=6, t_f=3)
     history = ws.batch(np.arange(len(ws)))["history"]
     assert_array_equal(history[0, 1:], history[1, :-1])
 
@@ -283,7 +385,7 @@ def test_consecutive_windows_overlap():
 )
 def test_window_count_formula(length, t_h, t_f):
     values = np.zeros((length, 1, 1))
-    ws = make_windows(values, hourly_timestamps(length), range(0, length), t_h, t_f)
+    ws = window_set(values, hourly_timestamps(length), range(0, length), t_h, t_f)
     assert len(ws) == max(length - t_h - t_f + 1, 0)
 
 
@@ -294,7 +396,7 @@ def test_no_window_crosses_split_boundary():
     t_h, t_f = 12, 6
     train, val, test = chronological_split(n, t_h, t_f)
     for span in (train, val, test):
-        ws = make_windows(values, timestamps, span, t_h, t_f)
+        ws = window_set(values, timestamps, span, t_h, t_f)
         last_future_end = int(ws.starts.max()) + t_h + t_f
         assert ws.starts.min() >= span.start
         assert last_future_end <= span.stop
@@ -309,6 +411,17 @@ def test_normalizer_roundtrip():
     norm = normalize_fit(values)
     back = normalize_invert(normalize_apply(values, norm), norm)
     assert_allclose(back, values, rtol=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(arrays(np.float64, (12, 2, 3), elements=st.floats(-1e300, 1e300)))
+def test_identity_normalizer_round_trips_exactly(values):
+    norm = split_windows(observation_set(np.zeros((40, 2, 3))), 2, 1, normalize=False).normalizer
+    assert norm.mean.tolist() == [0.0] * 3 and norm.std.tolist() == [1.0] * 3
+    assert normalize_apply(values, norm).tobytes() == values.tobytes()
+    back = normalize_invert(normalize_apply(values, norm), norm)
+    assert_array_equal(back, values)  # -0.0 comes back as +0.0, which compares equal
+    assert back.tobytes() == (values + 0.0).tobytes()
 
 
 def test_normalizer_hand_case():

@@ -389,30 +389,101 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
         checkpoint_load(path)
 
 
-def write_with_config(path, params, **config):
-    """params saved with these keys of the manifest's config replaced."""
+def write_edited(path, params, edit):
+    """params saved, then `edit` applied to the manifest."""
     checkpoint_save(path, params)
     raw = path.read_bytes()
     body = len(MAGIC) + 4
     (mlen,) = struct.unpack("<I", raw[len(MAGIC) : body])
     manifest = json.loads(raw[body : body + mlen])
-    manifest["config"].update(config)
+    edit(manifest)
     blob = json.dumps(manifest).encode("utf-8")
     path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[body + mlen :])
 
 
-@pytest.mark.parametrize(
-    "config",
-    [dict(d="8"), dict(d=8.0), dict(d=0), dict(spatial_encoding="polar")],
-    ids=["d-string", "d-float", "d-zero", "unknown-encoding"],
+def write_with_config(path, params, **config):
+    """params saved with these keys of the manifest's config replaced."""
+    write_edited(path, params, lambda manifest: manifest["config"].update(config))
+
+
+RELATIVE = ModelConfig(
+    d=8, n_layers=2, t_h=6, t_f=3, n_vars=1, spatial_encoding="relative", n_stations=3
 )
-def test_checkpoint_with_malformed_config_is_checkpoint_error(tmp_path, config):
+
+
+@pytest.mark.parametrize(
+    "base, config",
+    [
+        (SMALL, dict(d="8")),
+        (SMALL, dict(d=8.0)),
+        (SMALL, dict(d=0)),
+        (SMALL, dict(spatial_encoding="polar")),
+        *((RELATIVE, dict(n_stations=n)) for n in ("3", 3.0, True, -3, [3])),
+    ],
+    ids=[
+        "d-string",
+        "d-float",
+        "d-zero",
+        "unknown-encoding",
+        *(f"n_stations-{kind}" for kind in ("string", "float", "bool", "negative", "list")),
+    ],
+)
+def test_checkpoint_with_malformed_config_is_checkpoint_error(tmp_path, base, config):
     path = tmp_path / "ck.bin"
-    write_with_config(path, init_params(SMALL, seed=16), **config)
+    write_with_config(path, init_params(base, seed=16), **config)
     with pytest.raises(CheckpointError, match="bad manifest"):
         checkpoint_load(path)
     with pytest.raises(CheckpointError, match="bad manifest"):
+        checkpoint_load(path, base)
+
+
+def test_checkpoint_loads_under_the_callers_config(tmp_path):
+    # n_vars sizes no tensor, so a file whose config differs only there fits
+    # the caller's model and runs under the caller's config
+    path = tmp_path / "ck.bin"
+    params = init_params(SMALL, seed=20)
+    write_with_config(path, params, n_vars=4)
+    assert checkpoint_load(path).config.n_vars == 4
+    loaded = checkpoint_load(path, SMALL)
+    assert loaded.config == SMALL
+    for name, arr in params.tensors.items():
+        assert_array_equal(loaded.tensors[name], arr)
+
+
+@pytest.mark.parametrize(
+    "dtype, value",
+    [
+        *(("float64", v) for v in (np.nan, np.inf, -np.inf, 1e300, -3.5e38)),
+        *(("float32", v) for v in (np.nan, np.inf, -np.inf)),
+    ],
+)
+def test_checkpoint_value_outside_float32_range_is_checkpoint_error(tmp_path, dtype, value):
+    params = init_params(SMALL, seed=17)
+    params.tensors["fc_regress.bias"][1] = value
+    path = tmp_path / "ck.bin"
+    write_by_hand(path, params.tensors, dtype)
+    with pytest.raises(CheckpointError, match="tensor fc_regress.bias is not finite in float32"):
         checkpoint_load(path, SMALL)
+    # the largest float32 still loads
+    params.tensors["fc_regress.bias"][1] = np.finfo(np.float32).max
+    write_by_hand(path, params.tensors, dtype)
+    assert checkpoint_load(path, SMALL).tensors["fc_regress.bias"][1] == np.finfo(np.float32).max
+
+
+def test_checkpoint_shape_written_as_floats_loads_with_the_spec_shape(tmp_path):
+    # [8.0, 6.0] equals (8, 6), so the entry is consistent; the spec's
+    # integer shape sizes the array
+    params = init_params(SMALL, seed=19)
+    path = tmp_path / "ck.bin"
+
+    def float_shape(manifest):
+        entry = manifest["tensors"][0]
+        entry["shape"] = [float(n) for n in entry["shape"]]
+
+    write_edited(path, params, float_shape)
+    loaded = checkpoint_load(path, SMALL)
+    for name, arr in params.tensors.items():
+        assert_array_equal(loaded.tensors[name], arr)
 
 
 def test_checkpoint_float32_storage(tmp_path):
