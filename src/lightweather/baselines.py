@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import ObservationSet, split_windows
 from .errors import ConfigError
-from .model import ModelConfig, init_params, normalize_coords
+from .model import ModelConfig, chunk_windows, init_params, normalize_coords
 from .training import Metrics, MetricAccumulator, TrainConfig, _batches, evaluate, fit
 
 # Ablation rows in reporting order: each tuple is (spatial, temporal).
@@ -39,14 +39,17 @@ def evaluate_hi(windows, batch_size: int = 32) -> Metrics:
     """Pooled HI metrics over a window set, in original data units.
 
     Each batch gathers from raw_values only the steps HI reads: the last
-    T_f history steps, then the T_f future steps.
+    T_f history steps, then the T_f future steps. Batches are as evaluate
+    takes them: batch_size windows, or fewer when a chunk of CHUNK_ROWS rows
+    holds fewer.
     """
     if len(windows) == 0:
         raise ConfigError("empty split: no windows for the HI baseline")
     n_hist = min(windows.t_f, windows.t_h)  # fewer than T_f: hi_forecast raises
     steps = np.arange(windows.t_h - n_hist, windows.t_h + windows.t_f)
     acc = MetricAccumulator()
-    for idx in _batches(np.arange(len(windows)), batch_size):
+    step = min(batch_size, chunk_windows(windows.n_stations * windows.n_vars))
+    for idx in _batches(np.arange(len(windows)), step):
         raw = windows.raw_values[windows.starts[idx][:, None] + steps]
         acc.add(hi_forecast(raw[:, :n_hist], windows.t_f), raw[:, n_hist:])
     return acc.result()

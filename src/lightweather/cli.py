@@ -39,6 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    COMPUTE_DTYPE,
     ModelConfig,
     TimeFeature,
     closed_form_count,
@@ -315,11 +316,16 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
         )
     idx = index[when]
     history = normalize_apply(obs.values[idx - model_cfg.t_h : idx], prepared.normalizer)
+    # Written in float64, but it must be finite in COMPUTE_DTYPE, the dtype
+    # evaluate runs the checkpoint in, so both commands reject the same ones.
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         pred = forward(history, obs.coords, TimeFeature.from_timestamp(when), params)
         pred = normalize_invert(pred, prepared.normalizer)
-    if not np.isfinite(pred).all():
-        raise EvaluationError("non-finite forecast from the checkpoint")
+        finite = np.isfinite(pred.astype(COMPUTE_DTYPE)).all()
+    if not finite:
+        raise EvaluationError(
+            f"non-finite forecast from the checkpoint in {np.dtype(COMPUTE_DTYPE)}"
+        )
 
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "forecasts.csv", "w", newline="", encoding="utf-8") as fh:

@@ -30,6 +30,16 @@ tensors in a dict in that order.
 The batch path computes in the dtype of the params' tensors, float64 as
 initialized and loaded or a COMPUTE_DTYPE copy from ModelParams.astype; its
 inputs are cast to that dtype and the loss is summed in float64 either way.
+
+Rows are independent until the parameter-gradient sums, so a training step
+need not hold a whole batch's activations: loss_and_grads_rows runs
+forward_rows and backward_rows on consecutive chunks of whole windows, at
+most CHUNK_ROWS rows each (chunk_windows), and adds up the chunks' float64
+loss sums and their gradients. Activation memory is then bounded by a
+chunk, not by the batch. A batch of one chunk runs exactly one pass; over
+several chunks each gradient is a sum of per-chunk sums, rounded once per
+chunk, so it differs from the one-pass sum in its last bits. CHUNK_ROWS is
+a fixed constant, so the split, and every bit, is the same on every run.
 """
 
 from __future__ import annotations
@@ -60,6 +70,11 @@ MONTHS_PER_YEAR = 12
 # The dtype fit and evaluate run the batch path in, on float64 master
 # weights, and so the dtype of the model's stored copy of the series.
 COMPUTE_DTYPE = np.float32
+
+# The most rows one pass of the batch path holds (loss_and_grads_rows,
+# training.evaluate, baselines.evaluate_hi). Fixed, never derived from free
+# memory or threads, so every run splits each sum alike.
+CHUNK_ROWS = 16384
 
 
 @dataclass
@@ -321,6 +336,24 @@ def rows_to_batch(rows: np.ndarray, n_batch: int, n_stations: int, n_vars: int) 
     )
 
 
+def chunk_windows(rows_per_window: int) -> int:
+    """Whole windows of `rows_per_window` rows (N*C) that fit in
+    CHUNK_ROWS rows; at least one."""
+    return max(1, CHUNK_ROWS // max(1, rows_per_window))
+
+
+def _stations_of_rows(x_rows: np.ndarray, n_batch: int, cfg: ModelConfig) -> int:
+    """N of history rows [B*N*C, T_h] that hold `n_batch` whole windows."""
+    if x_rows.ndim != 2 or x_rows.shape[1] != cfg.t_h or n_batch == 0:
+        raise ShapeError(f"history rows {x_rows.shape} for {n_batch} windows, T_h={cfg.t_h}")
+    n_stations, odd = divmod(x_rows.shape[0], n_batch * cfg.n_vars)
+    if odd:
+        raise ShapeError(
+            f"{x_rows.shape[0]} history rows are not {n_batch} windows x C={cfg.n_vars}"
+        )
+    return n_stations
+
+
 def forward_rows(
     x_rows: np.ndarray,
     coords_norm: np.ndarray,
@@ -351,13 +384,7 @@ def forward_rows(
     x_rows = np.asarray(x_rows, dtype=dtype)
     hours, days, months = _check_time_indices(hours, days, months, np.size(hours))
     n_batch, n_vars = len(hours), cfg.n_vars
-    if x_rows.ndim != 2 or x_rows.shape[1] != cfg.t_h or n_batch == 0:
-        raise ShapeError(f"history rows {x_rows.shape} for {n_batch} windows, T_h={cfg.t_h}")
-    n_stations, odd = divmod(x_rows.shape[0], n_batch * n_vars)
-    if odd:
-        raise ShapeError(
-            f"{x_rows.shape[0]} history rows are not {n_batch} windows x C={n_vars}"
-        )
+    n_stations = _stations_of_rows(x_rows, n_batch, cfg)
     coords_norm = (
         np.asarray(coords_norm, dtype=dtype) if cfg.spatial_encoding == "absolute" else None
     )
@@ -459,19 +486,41 @@ def loss_and_grads_rows(
 
     The loss is the plain mean of |pred - truth| over all batch elements,
     i.e. the per-window 1/(N*C*T_f) normalization averaged over windows, so
-    batch gradients are averages of per-window gradients. The sum is taken
-    in float64; the gradients are in params.dtype.
+    batch gradients are averages of per-window gradients. forward_rows and
+    backward_rows run on consecutive chunks of chunk_windows(N*C) whole
+    windows; each chunk's sign gradient is divided by the whole batch's
+    element count, so the chunks' gradients sum to the batch mean's. The
+    sum of |pred - truth| is taken in float64; the gradients are in
+    params.dtype.
     """
-    pred, cache = forward_rows(x_rows, coords_norm, hours, days, months, params, want_cache=True)
-    future_rows = np.asarray(future_rows, dtype=pred.dtype)
-    if future_rows.shape != pred.shape:
-        raise ShapeError(f"future shape {future_rows.shape} != pred shape {pred.shape}")
-    diff = pred  # pred is fresh and not in the cache
-    diff -= future_rows
-    loss = float(np.abs(diff).sum(dtype=np.float64) / diff.size)
-    grad_pred = np.sign(diff, out=diff)
-    grad_pred /= diff.size
-    return loss, backward_rows(grad_pred, cache, params)
+    cfg = params.config
+    hours, days, months = _check_time_indices(hours, days, months, np.size(hours))
+    x_rows = np.asarray(x_rows)
+    rows = _stations_of_rows(x_rows, len(hours), cfg) * cfg.n_vars
+    future_rows = np.asarray(future_rows)
+    if future_rows.shape != (x_rows.shape[0], cfg.t_f):
+        raise ShapeError(
+            f"future shape {future_rows.shape} != pred shape {(x_rows.shape[0], cfg.t_f)}"
+        )
+    step = chunk_windows(rows)
+    abs_sum = 0.0
+    grads: dict[str, np.ndarray] = {}
+    for lo in range(0, len(hours), step):
+        w, r = slice(lo, lo + step), slice(lo * rows, (lo + step) * rows)
+        pred, cache = forward_rows(
+            x_rows[r], coords_norm, hours[w], days[w], months[w], params, want_cache=True
+        )
+        diff = pred  # pred is fresh and not in the cache
+        diff -= np.asarray(future_rows[r], dtype=pred.dtype)
+        abs_sum += np.abs(diff).sum(dtype=np.float64)
+        grad_pred = np.sign(diff, out=diff)
+        grad_pred /= future_rows.size
+        for name, g in backward_rows(grad_pred, cache, params).items():
+            if name in grads:
+                grads[name] += g
+            else:
+                grads[name] = g
+    return float(abs_sum / future_rows.size), grads
 
 
 def _history_rows(history: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -12,9 +12,16 @@ units (predictions inverted through the split's Normalizer, the identity
 when normalization is off), against the float64 raw series. The params
 fit returns, and so every checkpoint, stay float64.
 
+Chunks: a batch of more than model.CHUNK_ROWS rows (N*C rows per window)
+runs in chunks of whole windows. loss_and_grads_rows sums the chunks'
+gradients, so a multi-chunk batch's gradient is rounded once per chunk and
+differs in its last bits from a one-pass sum; evaluate takes at most a
+chunk of windows per batch, so its float64 sums are split likewise.
+
 Determinism contract: with a fixed config and seed, batch order, every
-update, and the resulting best checkpoint are all reproducible exactly.
-The only non-reproducible history column is the per-epoch wall time.
+update, and the resulting best checkpoint are all reproducible exactly;
+the chunk size is a constant, so chunking keeps this. The only
+non-reproducible history column is the per-epoch wall time.
 """
 
 from __future__ import annotations
@@ -108,12 +115,14 @@ def evaluate(
     batch_size: int = 32,
 ) -> Metrics:
     """Pooled test metrics in original data units, from a COMPUTE_DTYPE copy
-    of the params."""
+    of the params. Windows are taken batch_size at a time, or fewer when a
+    chunk of CHUNK_ROWS rows holds fewer (model.chunk_windows)."""
     if len(windows) == 0:
         raise EvaluationError("empty split: no windows to evaluate")
     params = params.astype(COMPUTE_DTYPE)
     acc = MetricAccumulator()
-    for idx in _batches(np.arange(len(windows)), batch_size):
+    step = min(batch_size, model_ops.chunk_windows(windows.n_stations * windows.n_vars))
+    for idx in _batches(np.arange(len(windows)), step):
         b = windows.batch(idx, raw_future=True)
         y_rows, _ = model_ops.forward_rows(
             b["history"], coords_norm, b["hours"], b["days"], b["months"], params

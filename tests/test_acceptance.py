@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lightweather import cli
+from lightweather import cli, model
 from lightweather.baselines import (
     evaluate_hi,
     hi_forecast,
@@ -322,6 +322,18 @@ def _strip_seconds(history_path):
 
 
 def test_criterion_7_determinism(tmp_path):
+    _check_determinism(tmp_path)
+
+
+def test_criterion_7_determinism_across_chunks(tmp_path, monkeypatch):
+    # 3 stations x 1 variable: chunks of 2 windows, so each 16-window batch
+    # runs in 8 chunks and each evaluate batch holds 2 windows
+    monkeypatch.setattr(model, "CHUNK_ROWS", 6)
+    assert model.chunk_windows(3) == 2
+    _check_determinism(tmp_path)
+
+
+def _check_determinism(tmp_path):
     data_dir = tmp_path / "data"
     cfg_text = textwrap.dedent(
         f"""\

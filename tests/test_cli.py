@@ -519,12 +519,21 @@ def test_checkpoint_value_outside_float32_range_is_one_line_error(
     assert err.startswith("checkpoint error:") and "fc_regress.bias" in err
 
 
-def test_evaluate_whose_float32_forward_overflows_is_one_line_error(synth_dir, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command,message",
+    [("evaluate", "non-finite metrics"), ("forecast", "non-finite forecast")],
+    ids=["evaluate", "forecast"],
+)
+def test_checkpoint_whose_float32_forward_overflows_is_one_line_error(
+    synth_dir, tmp_path, capsys, command, message
+):
+    # forecast runs in float64, where its values (near 5e38) are finite, but
+    # rejects them as evaluate's float32 run does
     params = init_params(TINY_MODEL, 0)
     params.tensors["fc_embed.weight"][:] = 3e38  # finite in float32, not once summed
     checkpoint_save(tmp_path / "ck.bin", params)
-    err = fails_in_one_line(synth_dir, tmp_path, capsys, "evaluate", tmp_path / "ck.bin")
-    assert err.startswith("evaluation error:") and "non-finite metrics" in err
+    err = fails_in_one_line(synth_dir, tmp_path, capsys, command, tmp_path / "ck.bin")
+    assert err.startswith("evaluation error:") and message in err
 
 
 def test_forecast_whose_float64_forward_overflows_is_one_line_error(synth_dir, tmp_path, capsys):

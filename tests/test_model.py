@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import lightweather as lw
+from lightweather import model as lw_model
+from lightweather.baselines import evaluate_hi
+from lightweather.data import split_windows
 from lightweather.errors import ConfigError, ShapeError, ValidationError
 from lightweather.model import (
     ModelConfig,
@@ -21,6 +25,7 @@ from lightweather.model import (
     forward_rows,
     init_params,
     loss_and_grads,
+    loss_and_grads_rows,
     normalize_coords,
     parameter_count,
     spatial_rows,
@@ -28,6 +33,8 @@ from lightweather.model import (
     tensor_spec,
 )
 from lightweather.numerics import finite_diff_check, linear_forward, relu
+from lightweather.synthetic import SynthConfig, generate, random_station_coords
+from lightweather.training import evaluate
 
 
 def small_config(**kw):
@@ -660,6 +667,122 @@ def test_forward_rows_takes_whole_windows_of_rows():
         forward_rows(x_rows[:-1], cn, hours, days, months, p)
     with pytest.raises(ShapeError, match="T_h=6"):
         forward_rows(x_rows[:, 1:], cn, hours, days, months, p)
+
+
+# --- chunks of whole windows ----------------------------------------------
+# A batch of more than model.CHUNK_ROWS rows runs in chunks of
+# chunk_windows(N*C) whole windows. The tests lower CHUNK_ROWS so that tiny
+# batches span several chunks, the last one ragged.
+
+
+def _chunk_sizes(monkeypatch):
+    """Windows per forward_rows call, recorded from now on."""
+    sizes = []
+    forward_rows = lw_model.forward_rows
+
+    def recording(x_rows, coords_norm, hours, *args, **kwargs):
+        sizes.append(len(hours))
+        return forward_rows(x_rows, coords_norm, hours, *args, **kwargs)
+
+    monkeypatch.setattr(lw_model, "forward_rows", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("spatial,temporal", ENCODINGS)
+def test_chunked_step_agrees_with_one_chunk(spatial, temporal, monkeypatch):
+    cfg = small_config(
+        d=16, n_vars=2, spatial_encoding=spatial, temporal_encoding=temporal, n_stations=5
+    )
+    p = init_params(cfg, seed=51).astype(np.float32)
+    batch = _random_batch(cfg, 7, 5, seed=52)  # 7 windows x 10 rows
+    sizes = _chunk_sizes(monkeypatch)
+    loss1, grads1 = loss_and_grads(p, *batch)
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 30)
+    loss3, grads3 = loss_and_grads(p, *batch)
+    assert sizes == [7, 3, 3, 1]
+    assert loss3 == pytest.approx(loss1, rel=F32_TOL, abs=0)
+    assert grads3.keys() == grads1.keys() == p.tensors.keys()
+    for name, g in grads3.items():
+        assert g.dtype == np.float32
+        scale = max(float(np.abs(grads1[name]).max()), 1e-30)
+        assert_allclose(g, grads1[name], rtol=0, atol=F32_TOL * scale, err_msg=name)
+
+
+@pytest.mark.parametrize("spatial,temporal", ENCODINGS)
+def test_chunked_step_passes_the_gradient_check(spatial, temporal, monkeypatch):
+    cfg = small_config(spatial_encoding=spatial, temporal_encoding=temporal, n_stations=2)
+    p = init_params(cfg, seed=GRAD_SEED)
+    # 5 windows x 2 rows; the data seed, like GRAD_SEED, was verified free of
+    # exact-zero analytic entries for every encoding at this chunking
+    batch = _random_batch(cfg, 5, 2, seed=131)
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 4)
+    sizes = _chunk_sizes(monkeypatch)
+
+    def lg(_):
+        return loss_and_grads(p, *batch)
+
+    err = finite_diff_check(lg, p.tensors, 1e-6)
+    assert sizes[:3] == [2, 2, 1]
+    assert err < 1e-4
+
+
+@pytest.mark.parametrize("spatial,temporal", ENCODINGS)
+def test_chunked_evaluate_matches_one_chunk(spatial, temporal, monkeypatch):
+    cfg = SynthConfig(n_stations=4, n_steps=300, noise_std=0.3, seed=53)
+    obs = generate(cfg, random_station_coords(4, 53)[1])
+    prepared = split_windows(obs, 6, 3)
+    model_cfg = small_config(
+        t_h=6, t_f=3, spatial_encoding=spatial, temporal_encoding=temporal, n_stations=4
+    )
+    p = init_params(model_cfg, seed=54)
+    cn = normalize_coords(obs.coords)
+    sizes = _chunk_sizes(monkeypatch)
+
+    def metrics():
+        return [
+            evaluate(p, prepared.test, cn, prepared.normalizer, batch_size=16),
+            evaluate_hi(prepared.test, batch_size=16),
+        ]
+
+    one = metrics()
+    assert set(sizes[:-1]) == {16}
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 20)  # 5 windows of 4 rows
+    sizes.clear()
+    chunked = metrics()
+    assert set(sizes[:-1]) == {5} and 0 < sizes[-1] <= 5
+    for a, b in zip(chunked, one):
+        assert a.n_points == b.n_points
+        assert a.mse == pytest.approx(b.mse, rel=1e-12, abs=0)
+        assert a.mae == pytest.approx(b.mae, rel=1e-12, abs=0)
+
+
+def test_chunked_step_memory_is_bounded_by_a_chunk(monkeypatch):
+    # tracemalloc sees numpy's buffers; the inputs are allocated before it
+    # starts, so each peak is what one loss_and_grads_rows call allocates
+    cfg = ModelConfig(d=64, n_layers=2, t_h=48, t_f=24)
+    p = init_params(cfg, seed=55).astype(np.float32)
+    n_st = 500
+    cn = normalize_coords(random_coords(n_st, 56))
+    rng = np.random.default_rng(57)
+    x_rows = rng.normal(size=(32 * n_st, cfg.t_h)).astype(np.float32)
+    future_rows = rng.normal(size=(32 * n_st, cfg.t_f)).astype(np.float32)
+    calendar = [rng.integers(0, hi, size=32) for hi in (24, 31, 12)]
+
+    def peak(n_batch):
+        rows = slice(0, n_batch * n_st)
+        windows = [c[:n_batch] for c in calendar]
+        tracemalloc.start()
+        try:
+            loss_and_grads_rows(p, x_rows[rows], future_rows[rows], cn, *windows)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 1000)  # 2 windows of 500 rows
+    one_chunk, sixteen_chunks = peak(2), peak(32)
+    assert sixteen_chunks < 2 * one_chunk
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 32 * n_st)  # one chunk again
+    assert peak(32) > 2 * one_chunk  # the bound is not met without chunks
 
 
 # --- parameter counting ----------------------------------------------------
