@@ -69,6 +69,8 @@ def run_ablation_suite(
     """
     if len(seeds) < 3:
         raise ConfigError(f"ablation needs >= 3 seeds, got {len(seeds)}")
+    if min(seeds) < 0:
+        raise ConfigError(f"ablation seeds must be >= 0, got {min(seeds)}")
     base = replace(config, n_stations=obs.n_stations, n_vars=obs.n_vars)
     prepared = split_windows(obs, base.t_h, base.t_f, normalize=normalize)
     coords_norm = normalize_coords(obs.coords)

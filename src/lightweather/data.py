@@ -324,13 +324,14 @@ class WindowSet:
         ordered (window, station, variable); the calendar indices "hours",
         "days" and "months" [B]; and either "future", the target rows
         [B*N*C, T_f] that fit's loss reads, or with raw_future
-        "future_raw", the original-unit float64 [B, T_f, N, C] that
-        evaluate scores."""
+        "future_raw", the original-unit float64 target rows [B*N*C, T_f],
+        in the same row order, that evaluate scores."""
         idx = np.asarray(idx, dtype=np.intp)
         s = self.starts[idx]
         out = {"history": self._history[s].reshape(-1, self.t_h)}
         if raw_future:
-            out["future_raw"] = self.raw_values[s[:, None] + self.t_h + np.arange(self.t_f)]
+            raw = self.raw_values[s[:, None] + self.t_h + np.arange(self.t_f)]
+            out["future_raw"] = np.ascontiguousarray(raw.transpose(0, 2, 3, 1)).reshape(-1, self.t_f)
         else:
             out["future"] = self._future[s].reshape(-1, self.t_f)
         out.update(hours=self.hours[idx], days=self.days[idx], months=self.months[idx])

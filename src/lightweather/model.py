@@ -8,13 +8,14 @@ so the parameter count does not depend on the station count. The math is
 written once, over rows: one row is one (window, station, variable) series,
 and a batch of B windows is [B*N*C, T] rows in that order. forward_rows
 embeds (fc_embed), adds spatial_rows and temporal_rows, runs
-encoder_forward and regresses (fc_regress); backward_rows and
-loss_and_grads_rows are its gradient and its training step. fit and
-evaluate feed them the rows WindowSet.batch gathers. forward_batch,
-backward_batch and loss_and_grads take [B, T, N, C] tensors instead and
-only convert layout (batch_to_rows, rows_to_batch) around the row code.
-The three stage kernels are public so that each stage can be checked on
-its own; forward is forward_batch on one window.
+encoder_forward and regresses (fc_regress); backward_batch is its
+gradient from the prediction rows, and loss_and_grads the training step
+over history and target rows. fit and evaluate feed them the rows
+WindowSet.batch gathers. forward_batch is the one entry that takes a
+[B, T, N, C] history: it checks and casts it, lays it out as rows for
+forward_rows and lays the prediction back out; forward is forward_batch on
+one window. The three stage kernels are public so that each stage can be
+checked on its own.
 
 Variants used by the ablation harness are expressed through ModelConfig:
 spatial_encoding may be "absolute" (a 3 -> d layer over normalized
@@ -32,8 +33,8 @@ initialized and loaded or a COMPUTE_DTYPE copy from ModelParams.astype; its
 inputs are cast to that dtype and the loss is summed in float64 either way.
 
 Rows are independent until the parameter-gradient sums, so a training step
-need not hold a whole batch's activations: loss_and_grads_rows runs
-forward_rows and backward_rows on consecutive chunks of whole windows, at
+need not hold a whole batch's activations: loss_and_grads runs
+forward_rows and backward_batch on consecutive chunks of whole windows, at
 most CHUNK_ROWS rows each (chunk_windows), and adds up the chunks' float64
 loss sums and their gradients. Activation memory is then bounded by a
 chunk, not by the batch. A batch of one chunk runs exactly one pass; over
@@ -71,7 +72,7 @@ MONTHS_PER_YEAR = 12
 # weights, and so the dtype of the model's stored copy of the series.
 COMPUTE_DTYPE = np.float32
 
-# The most rows one pass of the batch path holds (loss_and_grads_rows,
+# The most rows one pass of the batch path holds (loss_and_grads,
 # training.evaluate, baselines.evaluate_hi). Fixed, never derived from free
 # memory or threads, so every run splits each sum alike.
 CHUNK_ROWS = 16384
@@ -98,6 +99,8 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+            if value > np.iinfo(np.intp).max:
+                raise ConfigError(f"{name} {value} is too large to size an array")
         if self.spatial_encoding not in SPATIAL_MODES:
             raise ConfigError(f"unknown spatial_encoding {self.spatial_encoding!r}")
         if self.temporal_encoding not in TEMPORAL_MODES:
@@ -293,8 +296,8 @@ def spatial_rows(coords_norm: np.ndarray, params: ModelParams) -> np.ndarray | N
 
 def temporal_rows(hours, days, months, params: ModelParams) -> np.ndarray | None:
     """The temporal encoding's [B, d] rows, hour + day + month table rows
-    for each window's calendar indices (in range: forward_batch checks
-    them), or None when the model has none."""
+    for each window's calendar indices (in range: the caller checks them,
+    as forward_rows does), or None when the model has none."""
     if params.config.temporal_encoding != "absolute":
         return None
     t = params.tensors
@@ -320,20 +323,6 @@ def encoder_forward(z: np.ndarray, params: ModelParams, cache: dict | None = Non
             cache["r_list"].append(r)
             cache["z_list"].append(z)
     return z
-
-
-def batch_to_rows(a: np.ndarray) -> np.ndarray:
-    """[B, T, N, C] -> rows [B*N*C, T], ordered (window, station, variable);
-    a copy unless `a` is already laid out so."""
-    a = np.asarray(a)
-    return a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1])
-
-
-def rows_to_batch(rows: np.ndarray, n_batch: int, n_stations: int, n_vars: int) -> np.ndarray:
-    """Rows [B*N*C, T] -> a contiguous [B, T, N, C]; inverse of batch_to_rows."""
-    return np.ascontiguousarray(
-        rows.reshape(n_batch, n_stations, n_vars, -1).transpose(0, 3, 1, 2)
-    )
 
 
 def chunk_windows(rows_per_window: int) -> int:
@@ -370,14 +359,14 @@ def forward_rows(
     where B = len(hours) and C = config.n_vars; coords_norm: normalized
     [N, 3]; hours/days/months: per-window calendar indices [B]. Returns
     prediction rows [B*N*C, T_f] in params.dtype and, when want_cache is
-    set, the cache backward_rows needs (else None). x_rows and coords_norm
+    set, the cache backward_batch needs (else None). x_rows and coords_norm
     are cast to params.dtype (no copy when they have it); x_rows must be
     finite in it, which split_windows checks once for the whole series and
     forward_batch for each batch. The cache holds
     x_rows, the calendar indices, the normalized coordinates, z_list (each
     residual block's input [B*N*C, d], then the head's input) and r_list
     (each block's ReLU output, which is also fc2's input). Its arrays are
-    read, never written, by backward_rows.
+    read, never written, by backward_batch.
     """
     cfg = params.config
     dtype = params.dtype
@@ -415,9 +404,10 @@ def forward_rows(
     return y_rows, cache
 
 
-def backward_rows(g_rows: np.ndarray, cache: dict, params: ModelParams) -> dict:
-    """Reverse-mode pass from the gradient of the prediction rows
-    [B*N*C, T_f]; returns gradients keyed like ModelParams.tensors.
+def backward_batch(g_rows: np.ndarray, cache: dict, params: ModelParams) -> dict:
+    """The reverse-mode pass of forward_rows, from the gradient of the
+    prediction rows [B*N*C, T_f] and the cache forward_rows kept; returns
+    gradients keyed like ModelParams.tensors.
 
     Temporal-table gradients are nonzero only at rows indexed by the batch.
     """
@@ -471,7 +461,7 @@ def backward_rows(g_rows: np.ndarray, cache: dict, params: ModelParams) -> dict:
     return grads
 
 
-def loss_and_grads_rows(
+def loss_and_grads(
     params: ModelParams,
     x_rows: np.ndarray,
     future_rows: np.ndarray,
@@ -487,7 +477,7 @@ def loss_and_grads_rows(
     The loss is the plain mean of |pred - truth| over all batch elements,
     i.e. the per-window 1/(N*C*T_f) normalization averaged over windows, so
     batch gradients are averages of per-window gradients. forward_rows and
-    backward_rows run on consecutive chunks of chunk_windows(N*C) whole
+    backward_batch run on consecutive chunks of chunk_windows(N*C) whole
     windows; each chunk's sign gradient is divided by the whole batch's
     element count, so the chunks' gradients sum to the batch mean's. The
     sum of |pred - truth| is taken in float64; the gradients are in
@@ -515,31 +505,12 @@ def loss_and_grads_rows(
         abs_sum += np.abs(diff).sum(dtype=np.float64)
         grad_pred = np.sign(diff, out=diff)
         grad_pred /= future_rows.size
-        for name, g in backward_rows(grad_pred, cache, params).items():
+        for name, g in backward_batch(grad_pred, cache, params).items():
             if name in grads:
                 grads[name] += g
             else:
                 grads[name] = g
     return float(abs_sum / future_rows.size), grads
-
-
-def _history_rows(history: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Check a [B, T_h, N, C] history and lay it out as rows in
-    params.dtype; a value that is not finite after the cast (one that
-    overflows float32) is a ValidationError."""
-    cfg = params.config
-    history = np.asarray(history)
-    if history.ndim != 4:
-        raise ShapeError(f"history must be [B, T_h, N, C], got {history.shape}")
-    if history.shape[1] != cfg.t_h or history.shape[3] != cfg.n_vars:
-        raise ShapeError(
-            f"history {history.shape} inconsistent with T_h={cfg.t_h}, C={cfg.n_vars}"
-        )
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        x_rows = np.ascontiguousarray(batch_to_rows(history), dtype=params.dtype)
-    if not np.isfinite(x_rows).all():
-        raise ValidationError(f"history contains values that are not finite in {params.dtype}")
-    return x_rows
 
 
 def forward_batch(
@@ -551,26 +522,31 @@ def forward_batch(
     params: ModelParams,
     want_cache: bool = False,
 ):
-    """forward_rows on a batch of windows in [B, T, N, C] layout.
+    """forward_rows on a batch of windows in [B, T, N, C] layout, the only
+    entry that takes that layout.
 
     history: [B, T_h, N, C]; coords_norm: normalized [N, 3]; hours/days/
     months: per-window calendar indices [B]. Returns predictions
     [B, T_f, N, C] in params.dtype and, when want_cache is set, the cache
-    backward_batch needs (else None). history is cast to params.dtype and
-    must be finite after the cast: a value that overflows float32 is a
-    ValidationError.
+    backward_batch needs (else None). history is laid out as rows and cast
+    to params.dtype; a value that is not finite after the cast (one that
+    overflows float32) is a ValidationError.
     """
-    x_rows = _history_rows(history, params)
-    n_batch, _, n_stations, n_vars = np.shape(history)
+    cfg = params.config
+    history = np.asarray(history)
+    if history.ndim != 4 or history.shape[1] != cfg.t_h or history.shape[3] != cfg.n_vars:
+        raise ShapeError(f"history {history.shape} is not [B, T_h={cfg.t_h}, N, C={cfg.n_vars}]")
+    n_batch, _, n_stations, n_vars = history.shape
     hours, days, months = _check_time_indices(hours, days, months, n_batch)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        x_rows = np.ascontiguousarray(
+            history.transpose(0, 2, 3, 1).reshape(-1, cfg.t_h), dtype=params.dtype
+        )
+    if not np.isfinite(x_rows).all():
+        raise ValidationError(f"history contains values that are not finite in {params.dtype}")
     y_rows, cache = forward_rows(x_rows, coords_norm, hours, days, months, params, want_cache)
-    return rows_to_batch(y_rows, n_batch, n_stations, n_vars), cache
-
-
-def backward_batch(grad_pred: np.ndarray, cache: dict, params: ModelParams) -> dict:
-    """backward_rows from the gradient of [B, T_f, N, C] predictions."""
-    grad_pred = np.asarray(grad_pred, dtype=params.dtype)
-    return backward_rows(np.ascontiguousarray(batch_to_rows(grad_pred)), cache, params)
+    pred = y_rows.reshape(n_batch, n_stations, n_vars, cfg.t_f).transpose(0, 3, 1, 2)
+    return np.ascontiguousarray(pred), cache
 
 
 def forward(
@@ -593,28 +569,3 @@ def forward(
         params,
     )
     return pred[0]
-
-
-def loss_and_grads(
-    params: ModelParams,
-    history: np.ndarray,
-    future: np.ndarray,
-    coords_norm: np.ndarray,
-    hours,
-    days,
-    months,
-) -> tuple[float, dict]:
-    """loss_and_grads_rows on [B, T_h, N, C] history and [B, T_f, N, C]
-    future; history is checked as forward_batch checks it."""
-    x_rows = _history_rows(history, params)
-    n_batch, _, n_stations, n_vars = np.shape(history)
-    future = np.asarray(future)
-    if future.shape != (n_batch, params.config.t_f, n_stations, n_vars):
-        raise ShapeError(
-            f"future shape {future.shape} != pred shape "
-            f"{(n_batch, params.config.t_f, n_stations, n_vars)}"
-        )
-    hours, days, months = _check_time_indices(hours, days, months, n_batch)
-    return loss_and_grads_rows(
-        params, x_rows, batch_to_rows(future), coords_norm, hours, days, months
-    )

@@ -47,6 +47,8 @@ class SynthConfig:
             raise ConfigError("n_stations, n_steps, interval_hours must be >= 1")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         gain = sum(abs(a) for a in self.alpha)
         if gain >= 1.0:
             raise ConfigError(

@@ -13,7 +13,7 @@ when normalization is off), against the float64 raw series. The params
 fit returns, and so every checkpoint, stay float64.
 
 Chunks: a batch of more than model.CHUNK_ROWS rows (N*C rows per window)
-runs in chunks of whole windows. loss_and_grads_rows sums the chunks'
+runs in chunks of whole windows. loss_and_grads sums the chunks'
 gradients, so a multi-chunk batch's gradient is rounded once per chunk and
 differs in its last bits from a one-pass sum; evaluate takes at most a
 chunk of windows per batch, so its float64 sums are split likewise.
@@ -35,7 +35,7 @@ import numpy as np
 
 from .data import Normalizer, WindowSet, normalize_invert
 from .errors import ConfigError, EvaluationError, TrainingError
-from .model import COMPUTE_DTYPE, ModelParams, loss_and_grads_rows
+from .model import COMPUTE_DTYPE, ModelParams, loss_and_grads
 from .numerics import AdamState, adam_step
 from . import model as model_ops
 
@@ -55,6 +55,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not 1 <= self.patience <= self.max_epochs:
@@ -121,14 +123,16 @@ def evaluate(
         raise EvaluationError("empty split: no windows to evaluate")
     params = params.astype(COMPUTE_DTYPE)
     acc = MetricAccumulator()
-    step = min(batch_size, model_ops.chunk_windows(windows.n_stations * windows.n_vars))
+    n_vars, t_f = windows.n_vars, windows.t_f
+    step = min(batch_size, model_ops.chunk_windows(windows.n_stations * n_vars))
     for idx in _batches(np.arange(len(windows)), step):
         b = windows.batch(idx, raw_future=True)
         y_rows, _ = model_ops.forward_rows(
             b["history"], coords_norm, b["hours"], b["days"], b["months"], params
         )
-        pred = model_ops.rows_to_batch(y_rows, len(idx), windows.n_stations, windows.n_vars)
-        acc.add(normalize_invert(pred, normalizer), b["future_raw"])
+        # rows viewed with the variable axis last, as normalize_invert takes them
+        pred = normalize_invert(y_rows.reshape(-1, n_vars, t_f).swapaxes(1, 2), normalizer)
+        acc.add(pred, b["future_raw"].reshape(-1, n_vars, t_f).swapaxes(1, 2))
     return acc.result()
 
 
@@ -175,17 +179,17 @@ def fit(
         n_samples = 0
         for bi, idx in enumerate(_batches(perm, config.batch_size)):
             b = train_windows.batch(idx)
-            with np.errstate(over="ignore"):  # an overflow is named below
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is named below
                 compute = params.astype(COMPUTE_DTYPE)
-            loss, grads = loss_and_grads_rows(
-                compute,
-                b["history"],
-                b["future"],
-                coords_norm,
-                b["hours"],
-                b["days"],
-                b["months"],
-            )
+                loss, grads = loss_and_grads(
+                    compute,
+                    b["history"],
+                    b["future"],
+                    coords_norm,
+                    b["hours"],
+                    b["days"],
+                    b["months"],
+                )
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {bi}; "

@@ -75,8 +75,12 @@ def test_criterion_1_gradient_fidelity():
     days = rng.integers(0, 31, size=2)
     months = rng.integers(0, 12, size=2)
 
+    # the same draws laid out as (window, station, variable) rows
+    x_rows = hist.transpose(0, 2, 3, 1).reshape(-1, cfg.t_h)
+    fut_rows = fut.transpose(0, 2, 3, 1).reshape(-1, cfg.t_f)
+
     def lg(_):
-        return loss_and_grads(params, hist, fut, cn, hours, days, months)
+        return loss_and_grads(params, x_rows, fut_rows, cn, hours, days, months)
 
     t0 = time.perf_counter()
     err = finite_diff_check(lg, params.tensors, 1e-6)

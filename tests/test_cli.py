@@ -146,6 +146,13 @@ def test_usage_error_exit_code_1():
             "ingestion error: stations_csv file not found",
         ),
         ("synth", dict(synth_alpha="a,b"), None, 1, "config error: bad synth_alpha"),
+        (
+            "param-count",
+            dict(d="99999999999999999999"),
+            None,
+            1,
+            "config error: d 99999999999999999999 is too large to size an array",
+        ),
         ("synth", {}, "a_file", 1, "config error: cannot create out_dir"),
         # no data files are set: the out_dir check must come first
         ("train", {}, "a_file", 1, "config error: cannot create out_dir"),
@@ -165,6 +172,7 @@ def test_usage_error_exit_code_1():
     ids=[
         "relative-param-count-missing-stations",
         "non-numeric-alpha",
+        "param-count-d-too-large-for-an-array",
         "out-is-a-file",
         "train-out-is-a-file",
         "evaluate-out-under-a-file",
@@ -344,6 +352,34 @@ def test_missing_stations_file_is_ingestion_error(tmp_path, capsys):
     assert cli.main(["train", "--config", str(cfg)]) == 2
     assert "ingestion error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # no partial outputs
+
+
+@pytest.mark.parametrize(
+    "command, extra, flags, message",
+    [
+        ("synth", dict(seed=-1), [], "seed must be >= 0, got -1"),
+        ("train", {}, ["--seed", "-2"], "seed must be >= 0, got -2"),
+        ("ablate", dict(ablate_seeds="-1,0,1"), [], "ablation seeds must be >= 0, got -1"),
+    ],
+    ids=["synth-config-seed", "train-seed-flag", "ablate-seeds"],
+)
+def test_negative_seed_is_one_line_config_error(
+    synth_dir, tmp_path, capsys, command, extra, flags, message
+):
+    cfg = data_config(synth_dir, tmp_path / "neg.cfg", out_dir=tmp_path / "out", **extra)
+    assert cli.main([command, "--config", str(cfg), *flags]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_whose_loss_overflows_is_one_line_training_error(synth_dir, tmp_path, capsys):
+    # lr 1e20 sends the float32 forward to inf in the second batch; with
+    # RuntimeWarnings as errors, a warning on the way would be a traceback
+    cfg = data_config(synth_dir, tmp_path / "lr.cfg", out_dir=tmp_path / "out", lr="1e20")
+    assert cli.main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("training error: non-finite loss") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_writes_checkpoint_and_history(trained_dir):
@@ -659,13 +695,7 @@ def test_forecast_out_of_range_timestamp(synth_dir, trained_dir, tmp_path, capsy
 
 def test_forecast_matches_evaluate_window(synth_dir, trained_dir, tmp_path):
     from lightweather.data import split_windows
-    from lightweather.model import (
-        TimeFeature,
-        batch_to_rows,
-        forward,
-        forward_batch,
-        normalize_coords,
-    )
+    from lightweather.model import TimeFeature, forward, forward_batch, normalize_coords
     from lightweather.data import normalize_apply, normalize_invert
 
     cfg = data_config(
@@ -687,7 +717,7 @@ def test_forecast_matches_evaluate_window(synth_dir, trained_dir, tmp_path):
     start = ws.starts[k]
     history = normalize_apply(obs.values[start : start + 6], prepared.normalizer)
     b = ws.batch([k])  # the window evaluate scores is this history, in float32 rows
-    assert b["history"].tobytes() == batch_to_rows(history[None]).astype(np.float32).tobytes()
+    assert b["history"].tobytes() == history.transpose(1, 2, 0).astype(np.float32).tobytes()
     pred, _ = forward_batch(
         history[None], normalize_coords(obs.coords), b["hours"], b["days"], b["months"], params
     )

@@ -467,7 +467,7 @@ def test_split_windows_pipeline():
     b = prepared.test.batch([0], raw_future=True)
     start = prepared.test.starts[0]
     assert_allclose(
-        b["future_raw"][0], obs.values[start + 6 : start + 9], rtol=0, atol=0
+        b["future_raw"][0], obs.values[start + 6 : start + 9, 0, 0], rtol=0, atol=0
     )
 
 
@@ -518,8 +518,10 @@ def test_batch_rows_equal_the_series_slices(
             assert got.dtype == np.float32 and got.shape == rows.shape
             assert got.tobytes() == rows.tobytes()
         assert_array_equal(b_raw["history"], b["history"])
+        raw_rows = raw[s + t_h + np.arange(t_f)].transpose(0, 2, 3, 1).reshape(-1, t_f)
         assert b_raw["future_raw"].dtype == np.float64
-        assert b_raw["future_raw"].tobytes() == raw[s + t_h + np.arange(t_f)].tobytes()
+        assert b_raw["future_raw"].shape == raw_rows.shape
+        assert b_raw["future_raw"].tobytes() == raw_rows.tobytes()
         assert "future" not in b_raw and "future_raw" not in b
         for key in ("hours", "days", "months"):
             assert_array_equal(b[key], getattr(ws, key)[idx])

@@ -17,7 +17,6 @@ from lightweather.model import (
     StationCoord,
     TimeFeature,
     backward_batch,
-    batch_to_rows,
     closed_form_count,
     encoder_forward,
     forward,
@@ -25,7 +24,6 @@ from lightweather.model import (
     forward_rows,
     init_params,
     loss_and_grads,
-    loss_and_grads_rows,
     normalize_coords,
     parameter_count,
     spatial_rows,
@@ -55,7 +53,18 @@ def random_coords(n, seed=0):
     ]
 
 
-# --- embedding: fc_embed, as forward_batch applies it ----------------------
+def to_rows(a):
+    """A [B, T, N, C] draw as rows [B*N*C, T], ordered (window, station,
+    variable) as the model's row code takes them."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1]))
+
+
+def row_batch(hist, fut, cn, hours, days, months):
+    """A [B, T, N, C] batch as loss_and_grads's arguments after the params."""
+    return to_rows(hist), to_rows(fut), cn, hours, days, months
+
+
+# --- embedding: fc_embed, as forward_rows applies it ------------------------
 
 
 def embed(x, p):
@@ -365,10 +374,10 @@ def _batch_for(cfg, n_stations=2, batch=2):
 def test_full_model_gradient_check():
     cfg = small_config()
     p = init_params(cfg, seed=GRAD_SEED)
-    hist, fut, cn, hours, days, months = _batch_for(cfg)
+    batch = row_batch(*_batch_for(cfg))
 
     def lg(_):
-        return loss_and_grads(p, hist, fut, cn, hours, days, months)
+        return loss_and_grads(p, *batch)
 
     err = finite_diff_check(lg, p.tensors, 1e-6)
     assert err < 1e-4
@@ -378,10 +387,10 @@ def test_full_model_gradient_check():
 def test_variant_gradient_check(spatial, temporal):
     cfg = small_config(spatial_encoding=spatial, temporal_encoding=temporal, n_stations=2)
     p = init_params(cfg, seed=GRAD_SEED)
-    hist, fut, cn, hours, days, months = _batch_for(cfg)
+    batch = row_batch(*_batch_for(cfg))
 
     def lg(_):
-        return loss_and_grads(p, hist, fut, cn, hours, days, months)
+        return loss_and_grads(p, *batch)
 
     err = finite_diff_check(lg, p.tensors, 1e-6)
     assert err < 1e-4
@@ -392,7 +401,7 @@ def test_hour_table_gradient_sparsity():
     p = init_params(cfg, seed=24)
     hist, fut, cn, _, days, months = _batch_for(cfg)
     hours = np.array([5, 5])
-    _, grads = loss_and_grads(p, hist, fut, cn, hours, days, months)
+    _, grads = loss_and_grads(p, to_rows(hist), to_rows(fut), cn, hours, days, months)
     nonzero_rows = np.nonzero(np.abs(grads["table_hour"]).sum(axis=1))[0]
     assert_array_equal(nonzero_rows, [5])
 
@@ -401,8 +410,8 @@ def test_doubling_loss_scale_doubles_gradients():
     cfg = small_config()
     p = init_params(cfg, seed=25)
     hist, fut, cn, hours, days, months = _batch_for(cfg)
-    pred, cache = forward_batch(hist, cn, hours, days, months, p, want_cache=True)
-    g = np.sign(pred - fut) / pred.size
+    pred, cache = forward_rows(to_rows(hist), cn, hours, days, months, p, want_cache=True)
+    g = np.sign(pred - to_rows(fut)) / pred.size
     grads1 = backward_batch(g, cache, p)
     grads2 = backward_batch(2.0 * g, cache, p)
     for name in grads1:
@@ -523,7 +532,7 @@ def test_batch_path_same_bits_as_reference(spatial, temporal, n_batch, n_st, n_v
 
     pred, _ = forward_batch(hist, cn, hours, days, months, p)
     assert_same_bits(pred, ref_pred)
-    loss, grads = loss_and_grads(p, *batch)
+    loss, grads = loss_and_grads(p, *row_batch(*batch))
     assert loss.hex() == ref_loss.hex()
     assert grads.keys() == ref_grads.keys() == p.tensors.keys()
     for name, g in grads.items():
@@ -582,7 +591,8 @@ def _check_batch_path_mutates_nothing(n_batch, n_st, n_vars, encoding, seed, dty
     p = init_params(cfg, seed=seed).astype(dtype)
     batch = _random_batch(cfg, n_batch, n_st, seed)
     hist, fut, cn, hours, days, months = batch
-    inputs_before = copy.deepcopy(batch)
+    step_inputs = row_batch(*batch)
+    inputs_before = copy.deepcopy((batch, step_inputs))
     params_before = copy.deepcopy(p.tensors)
 
     plain, no_cache = forward_batch(hist, cn, hours, days, months, p)
@@ -593,16 +603,16 @@ def _check_batch_path_mutates_nothing(n_batch, n_st, n_vars, encoding, seed, dty
     if dtype == np.float64 and n_batch == n_st == n_vars == 1:
         assert np.shares_memory(cache["x_rows"], hist)  # the aliasing case
     cache_before = copy.deepcopy(cache)
-    loss_and_grads(p, *batch)
-    backward_batch(np.sign(pred - fut) / pred.size, cache, p)
+    loss_and_grads(p, *step_inputs)
+    backward_batch(to_rows(np.sign(pred - fut) / pred.size), cache, p)
 
-    _assert_unchanged(inputs_before, batch)
+    _assert_unchanged(inputs_before, (batch, step_inputs))
     _assert_unchanged(params_before, p.tensors)
     _assert_unchanged(cache_before, cache)
 
-    rows = cache["x_rows"]
-    y = linear_forward(rows, p.layer("fc_embed"))
-    for arg in (rows, hist, p.tensors["fc_embed.weight"], p.tensors["fc_embed.bias"]):
+    x_rows = cache["x_rows"]
+    y = linear_forward(x_rows, p.layer("fc_embed"))
+    for arg in (x_rows, hist, p.tensors["fc_embed.weight"], p.tensors["fc_embed.bias"]):
         assert not np.shares_memory(y, arg)
     out = np.empty_like(y)
     assert relu(y, out=out) is out and not np.shares_memory(out, y)
@@ -636,8 +646,8 @@ def test_float32_batch_path_agrees_with_float64(spatial, temporal):
     pred64, _ = forward_batch(hist, cn, hours, days, months, p64)
     pred32, _ = forward_batch(hist, cn, hours, days, months, p32)
     _assert_close_f32(pred32, pred64)
-    loss64, grads64 = loss_and_grads(p64, *batch)
-    loss32, grads32 = loss_and_grads(p32, *batch)
+    loss64, grads64 = loss_and_grads(p64, *row_batch(*batch))
+    loss32, grads32 = loss_and_grads(p32, *row_batch(*batch))
     assert isinstance(loss32, float)
     assert loss32 == pytest.approx(loss64, rel=F32_TOL, abs=0)
     assert grads32.keys() == grads64.keys()
@@ -659,10 +669,10 @@ def test_forward_rows_takes_whole_windows_of_rows():
     cfg = small_config(n_vars=2)
     p = init_params(cfg, seed=45)
     hist, _, cn, hours, days, months = _random_batch(cfg, 2, 3, seed=46)
-    x_rows = batch_to_rows(hist)
+    x_rows = to_rows(hist)
     y_rows, _ = forward_rows(x_rows, cn, hours, days, months, p)
     pred, _ = forward_batch(hist, cn, hours, days, months, p)
-    assert_same_bits(y_rows, batch_to_rows(pred))
+    assert_same_bits(y_rows, to_rows(pred))
     with pytest.raises(ShapeError, match="not 2 windows"):
         forward_rows(x_rows[:-1], cn, hours, days, months, p)
     with pytest.raises(ShapeError, match="T_h=6"):
@@ -694,7 +704,7 @@ def test_chunked_step_agrees_with_one_chunk(spatial, temporal, monkeypatch):
         d=16, n_vars=2, spatial_encoding=spatial, temporal_encoding=temporal, n_stations=5
     )
     p = init_params(cfg, seed=51).astype(np.float32)
-    batch = _random_batch(cfg, 7, 5, seed=52)  # 7 windows x 10 rows
+    batch = row_batch(*_random_batch(cfg, 7, 5, seed=52))  # 7 windows x 10 rows
     sizes = _chunk_sizes(monkeypatch)
     loss1, grads1 = loss_and_grads(p, *batch)
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 30)
@@ -714,7 +724,7 @@ def test_chunked_step_passes_the_gradient_check(spatial, temporal, monkeypatch):
     p = init_params(cfg, seed=GRAD_SEED)
     # 5 windows x 2 rows; the data seed, like GRAD_SEED, was verified free of
     # exact-zero analytic entries for every encoding at this chunking
-    batch = _random_batch(cfg, 5, 2, seed=131)
+    batch = row_batch(*_random_batch(cfg, 5, 2, seed=131))
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 4)
     sizes = _chunk_sizes(monkeypatch)
 
@@ -758,7 +768,7 @@ def test_chunked_evaluate_matches_one_chunk(spatial, temporal, monkeypatch):
 
 def test_chunked_step_memory_is_bounded_by_a_chunk(monkeypatch):
     # tracemalloc sees numpy's buffers; the inputs are allocated before it
-    # starts, so each peak is what one loss_and_grads_rows call allocates
+    # starts, so each peak is what one loss_and_grads call allocates
     cfg = ModelConfig(d=64, n_layers=2, t_h=48, t_f=24)
     p = init_params(cfg, seed=55).astype(np.float32)
     n_st = 500
@@ -769,11 +779,11 @@ def test_chunked_step_memory_is_bounded_by_a_chunk(monkeypatch):
     calendar = [rng.integers(0, hi, size=32) for hi in (24, 31, 12)]
 
     def peak(n_batch):
-        rows = slice(0, n_batch * n_st)
+        kept = slice(0, n_batch * n_st)
         windows = [c[:n_batch] for c in calendar]
         tracemalloc.start()
         try:
-            loss_and_grads_rows(p, x_rows[rows], future_rows[rows], cn, *windows)
+            loss_and_grads(p, x_rows[kept], future_rows[kept], cn, *windows)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -895,3 +905,8 @@ def test_config_validation():
         ModelConfig(spatial_encoding="relative").validate()
     with pytest.raises(ConfigError):
         ModelConfig(spatial_encoding="sideways").validate()
+    biggest = int(np.iinfo(np.intp).max)  # the largest size an array axis can have
+    ModelConfig(d=biggest, n_stations=biggest).validate()
+    for name in ("d", "n_layers", "t_h", "t_f", "n_vars", "n_stations"):
+        with pytest.raises(ConfigError, match=f"{name} {biggest + 1} is too large"):
+            ModelConfig(**{name: biggest + 1}).validate()

@@ -22,7 +22,6 @@ from lightweather.model import (
     ModelConfig,
     init_params,
     loss_and_grads,
-    loss_and_grads_rows,
     normalize_coords,
     tensor_spec,
 )
@@ -204,12 +203,12 @@ def test_fit_nonfinite_loss_names_the_tensor(poison):
 
 def test_fit_nonfinite_loss_names_the_first_nonfinite_gradient(monkeypatch):
     def nan_tail(params, *batch):
-        _, grads = loss_and_grads_rows(params, *batch)
+        _, grads = loss_and_grads(params, *batch)
         for name in ("fc_regress.bias", "encoder.1.fc2.bias", "fc_regress.weight"):
             grads[name] = np.full_like(grads[name], np.nan)
         return np.nan, grads
 
-    monkeypatch.setattr(training, "loss_and_grads_rows", nan_tail)
+    monkeypatch.setattr(training, "loss_and_grads", nan_tail)
     obs = tiny_dataset()
     prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
     with pytest.raises(TrainingError, match=r"first non-finite gradient: encoder\.1\.fc2\.bias"):
@@ -255,8 +254,8 @@ def test_fit_computes_in_float32_and_returns_float64(tmp_path, monkeypatch):
 
 def test_fit_epoch_equals_a_hand_loop_on_the_float64_gather():
     # one epoch of fit, on the float32 row store, changes no bit against
-    # loss_and_grads on the normalized float64 [B, T, N, C] windows with
-    # float32 params, followed by adam_step
+    # loss_and_grads on the normalized float64 [B, T, N, C] windows, laid out
+    # as rows, with float32 params, followed by adam_step
     obs = tiny_dataset(n_stations=3)
     prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
     train = prepared.train
@@ -274,10 +273,12 @@ def test_fit_epoch_equals_a_hand_loop_on_the_float64_gather():
     for lo in range(0, len(train), config.batch_size):
         idx = perm[lo : lo + config.batch_size]
         s = train.starts[idx][:, None]
+        hist = values[s + np.arange(SMALL.t_h)]  # [B, T_h, N, C]
+        fut = values[s + SMALL.t_h + np.arange(SMALL.t_f)]
         loss, grads = loss_and_grads(
             params.astype(np.float32),
-            values[s + np.arange(SMALL.t_h)],
-            values[s + SMALL.t_h + np.arange(SMALL.t_f)],
+            hist.transpose(0, 2, 3, 1).reshape(-1, SMALL.t_h),
+            fut.transpose(0, 2, 3, 1).reshape(-1, SMALL.t_f),
             coords_norm,
             train.hours[idx],
             train.days[idx],
