@@ -3,8 +3,9 @@
 Layout: magic bytes "LWCKPT1", a little-endian uint32 manifest length, a
 UTF-8 JSON manifest (model config plus one entry per tensor: name, shape,
 element type), then the raw tensor data little-endian in manifest order.
-The writer lists tensors in model.tensor_spec order; the reader accepts
-them in any order and returns them in spec order. Round-trips are
+The writer lists tensors in model.tensor_spec order, so its data section
+is the bytes of ModelParams.vector; the reader accepts them in any order
+and fills one vector in spec order. Round-trips are
 bit-exact. A truncated or malformed file, shapes unlike its config's or
 the caller's, or a value not finite in float32 is a CheckpointError.
 """
@@ -43,8 +44,7 @@ def checkpoint_save(path, params: ModelParams) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for arr in params.tensors.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(params.vector, dtype="<f8").tobytes())
 
 
 def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelParams:
@@ -92,7 +92,7 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelPa
             f"{path}: size {len(raw)} does not match manifest total {total}"
         )
 
-    loaded = {}
+    params = ModelParams.zeros(expected_config or config)
     offset = body + mlen
     for name, _, dtype in entries:
         shape = expected_own[name]
@@ -100,5 +100,5 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelPa
         offset += arr.nbytes
         if not (np.abs(arr) <= np.finfo(np.float32).max).all():  # NaN fails too
             raise CheckpointError(f"{path}: tensor {name} is not finite in float32")
-        loaded[name] = arr.astype(np.float64)
-    return ModelParams(expected_config or config, {name: loaded[name] for name in expected_own})
+        params.tensors[name][...] = arr
+    return params

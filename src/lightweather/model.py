@@ -26,7 +26,9 @@ lat/lon/elevation), "relative" (a learnable station-index table), or
 tensor_spec(config) is the only place the parameter layout is written:
 names, shapes and init bounds, in the order that init_params draws them and
 that the LWCKPT1 checkpoint manifest lists them. ModelParams holds the
-tensors in a dict in that order.
+tensors back to back in one flat vector in that order, with a dict of
+named views into it, so a copy, a cast or an optimizer step is one array
+operation.
 
 The batch path computes in the dtype of the params' tensors, float64 as
 initialized and loaded or a COMPUTE_DTYPE copy from ModelParams.astype; its
@@ -46,7 +48,7 @@ a fixed constant, so the split, and every bit, is the same on every run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
@@ -203,11 +205,33 @@ def tensor_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]
 
 @dataclass
 class ModelParams:
-    """Every learnable tensor of the network, keyed by name in tensor_spec
-    order."""
+    """Every learnable tensor of the network in one flat vector.
+
+    `vector` holds the tensors back to back in tensor_spec order, and
+    `tensors` maps each name, in that order, to a view of its slice in its
+    spec shape. A tensor is changed in place (`tensors[name][...] = x`):
+    rebinding a dict entry would detach it from the vector.
+    """
 
     config: ModelConfig
-    tensors: dict[str, np.ndarray]
+    vector: np.ndarray
+    tensors: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size = parameter_count(self.config)
+        if self.vector.shape != (size,):
+            raise ShapeError(f"parameter vector {self.vector.shape} is not ({size},)")
+        self.tensors = {}
+        lo = 0
+        for name, shape, _ in tensor_spec(self.config):
+            hi = lo + math.prod(shape)
+            self.tensors[name] = self.vector[lo:hi].reshape(shape)
+            lo = hi
+
+    @classmethod
+    def zeros(cls, config: ModelConfig) -> "ModelParams":
+        """float64 zeros, to be filled in place."""
+        return cls(config, np.zeros(parameter_count(config)))
 
     def layer(self, prefix: str) -> LinearLayer:
         """The linear layer `<prefix>.weight`/`.bias`; shares their arrays."""
@@ -216,14 +240,14 @@ class ModelParams:
     @property
     def dtype(self) -> np.dtype:
         """The dtype the batch path computes in; every tensor has it."""
-        return self.tensors["fc_embed.weight"].dtype
+        return self.vector.dtype
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, {n: a.copy() for n, a in self.tensors.items()})
+        return ModelParams(self.config, self.vector.copy())
 
     def astype(self, dtype) -> "ModelParams":
-        """A copy with every tensor cast to `dtype`."""
-        return ModelParams(self.config, {n: a.astype(dtype) for n, a in self.tensors.items()})
+        """A copy with the vector cast to `dtype`."""
+        return ModelParams(self.config, self.vector.astype(dtype))
 
 
 def parameter_count(config: ModelConfig) -> int:
@@ -251,11 +275,10 @@ def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Deterministic initialization: each tensor_spec entry uniform in
     +-init_bound, drawn in spec order from one generator seeded by `seed`."""
     rng = np.random.default_rng(seed)
-    tensors = {
-        name: rng.uniform(-bound, bound, size=shape)
-        for name, shape, bound in tensor_spec(config)
-    }
-    return ModelParams(config, tensors)
+    params = ModelParams.zeros(config)
+    for name, shape, bound in tensor_spec(config):
+        params.tensors[name][...] = rng.uniform(-bound, bound, size=shape)
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,10 @@ receives the result and is returned; passing an input there (relu(a,
 out=a), relu_backward(r, g, out=g)) overwrites that input in place, which
 the batch path does on buffers it owns to avoid a second full-size array.
 Nothing else writes to its arguments except adam_step, which updates its
-AdamState in place (single writer: one training loop owns one state).
+AdamState's moments in place (single writer: one training loop owns one
+state) and, given `out`, writes the new param there: training passes the
+flat parameter vector as both param and out, so one call updates the
+whole model in place.
 """
 
 from __future__ import annotations
@@ -159,7 +162,8 @@ def relu_backward(
 
 @dataclass
 class AdamState:
-    """Per-tensor Adam moments. v entries stay >= 0 by construction."""
+    """Adam moments shaped like the param they track (in training, the
+    whole flat parameter vector). v entries stay >= 0 by construction."""
 
     m: np.ndarray
     v: np.ndarray
@@ -176,26 +180,44 @@ def adam_step(
     state: AdamState,
     lr: float,
     name: str = "param",
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One Adam update with bias-corrected moments; returns the new param.
+    """One Adam update with bias-corrected moments; returns the new param,
+    written to `out` when given (param itself for an update in place).
 
-    The state is advanced in place (step incremented before bias correction).
-    The update is computed in the param's dtype, whatever the grad's.
+    The state's m and v are updated in place, and its step incremented
+    before bias correction. The update is computed in the param's dtype,
+    whatever the grad's, with the operations of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+    param - lr*m_hat / (sqrt(v_hat) + eps) in that order, so `out` changes
+    no bit. A non-finite gradient is an OptimizerError naming `name`,
+    raised before anything is written.
     """
     grad = np.asarray(grad, dtype=param.dtype)
-    if param.shape != grad.shape or param.shape != state.m.shape:
+    target = param if out is None else out
+    if not param.shape == grad.shape == state.m.shape == target.shape:
         raise ShapeError(
             f"{name}: param {param.shape}, grad {grad.shape}, "
-            f"state {state.m.shape} disagree"
+            f"state {state.m.shape}, out {target.shape} disagree"
         )
     if not np.all(np.isfinite(grad)):
         raise OptimizerError(f"non-finite gradient for parameter '{name}'")
     state.step += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = state.m / (1.0 - ADAM_BETA1**state.step)
-    v_hat = state.v / (1.0 - ADAM_BETA2**state.step)
-    return param - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    m, v = state.m, state.v
+    tmp = np.multiply(grad, 1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
+    m += tmp
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= grad
+    v *= ADAM_BETA2
+    v += tmp
+    np.divide(v, 1.0 - ADAM_BETA2**state.step, out=tmp)  # v_hat
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    delta = np.divide(m, 1.0 - ADAM_BETA1**state.step)  # m_hat
+    delta *= lr
+    delta /= tmp
+    return np.subtract(param, delta, out=out)
 
 
 LossAndGrad = Callable[[dict], tuple[float, dict]]

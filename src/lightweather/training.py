@@ -4,13 +4,16 @@ the training-history CSV.
 
 Precision: fit and evaluate compute in COMPUTE_DTYPE (float32), which
 halves the bytes every activation moves, on float64 master weights. Each
-batch runs the model on a float32 copy of the params, over float32 rows
-that WindowSet.batch gathers from the split's stored series; adam_step
-applies the float32 gradients to the float64 params and Adam moments in
-float64 math. Metrics are accumulated in float64 and in original data
-units (predictions inverted through the split's Normalizer, the identity
-when normalization is off), against the float64 raw series. The params
-fit returns, and so every checkpoint, stay float64.
+batch runs the model on a float32 copy of the params, cast into one
+buffer that fit allocates once and refills for every batch, over float32
+rows that WindowSet.batch gathers from the split's stored series. fit
+copies the batch's gradients into one reused flat float32 vector, in the
+params' tensor_spec layout, and one adam_step applies it to the float64
+parameter vector and Adam moments in place, in float64 math. Metrics are
+accumulated in float64 and in original data units (predictions inverted
+through the split's Normalizer, the identity when normalization is off),
+against the float64 raw series. The params fit returns, and so every
+checkpoint, stay float64.
 
 Chunks: a batch of more than model.CHUNK_ROWS rows (N*C rows per window)
 runs in chunks of whole windows. loss_and_grads sums the chunks'
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Normalizer, WindowSet, normalize_invert
-from .errors import ConfigError, EvaluationError, TrainingError
+from .errors import ConfigError, EvaluationError, OptimizerError, TrainingError
 from .model import COMPUTE_DTYPE, ModelParams, loss_and_grads
 from .numerics import AdamState, adam_step
 from . import model as model_ops
@@ -155,7 +158,8 @@ def fit(
     """Epochs of seeded shuffled mini-batches; returns the best-val params.
 
     Per-batch gradients are averages over the batch's windows, computed in
-    COMPUTE_DTYPE and applied to the float64 params. Validation MAE
+    COMPUTE_DTYPE and applied to the float64 params in place, by one
+    adam_step on the flat parameter vector. Validation MAE
     (original units) drives early stopping: training stops after
     `patience` epochs without strict improvement or at max_epochs.
     """
@@ -163,7 +167,9 @@ def fit(
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise ConfigError("train and val splits must both contain windows")
 
-    states = {name: AdamState.zeros_like(arr) for name, arr in params.tensors.items()}
+    state = AdamState.zeros_like(params.vector)
+    compute = ModelParams(params.config, np.empty_like(params.vector, COMPUTE_DTYPE))
+    grad = np.empty_like(compute.vector)
     best_params = params.copy()
     best_val = np.inf
     best_epoch = -1
@@ -180,7 +186,7 @@ def fit(
         for bi, idx in enumerate(_batches(perm, config.batch_size)):
             b = train_windows.batch(idx)
             with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is named below
-                compute = params.astype(COMPUTE_DTYPE)
+                np.copyto(compute.vector, params.vector)
                 loss, grads = loss_and_grads(
                     compute,
                     b["history"],
@@ -195,9 +201,12 @@ def fit(
                     f"non-finite loss at epoch {epoch}, batch {bi}; "
                     f"{_first_nonfinite(compute.tensors, grads)}"
                 )
-            tensors = params.tensors
-            for name, tensor in tensors.items():
-                tensors[name] = adam_step(tensor, grads[name], states[name], config.lr, name)
+            np.concatenate([grads[name] for name in compute.tensors], axis=None, out=grad)
+            try:
+                adam_step(params.vector, grad, state, config.lr, out=params.vector)
+            except OptimizerError:
+                name = next(n for n in compute.tensors if not np.isfinite(grads[n]).all())
+                raise OptimizerError(f"non-finite gradient for parameter '{name}'") from None
             abs_err_sum += loss * len(idx)
             n_samples += len(idx)
 

@@ -122,7 +122,7 @@ def test_variant_none_none_is_embedding_only():
         "fc_regress.weight",
         "fc_regress.bias",
     ):
-        base.tensors[name] = params.tensors[name].copy()
+        base.tensors[name][...] = params.tensors[name]
     rng = np.random.default_rng(2)
     hist = rng.normal(size=(2, cfg.t_h, 3, cfg.n_vars))
     cn = normalize_coords(dataset().coords)

@@ -1,4 +1,5 @@
 import copy
+import struct
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,10 @@ from lightweather import model as lw_model
 from lightweather.baselines import evaluate_hi
 from lightweather.data import split_windows
 from lightweather.errors import ConfigError, ShapeError, ValidationError
+from lightweather.checkpoint import MAGIC, checkpoint_load, checkpoint_save
 from lightweather.model import (
     ModelConfig,
+    ModelParams,
     StationCoord,
     TimeFeature,
     backward_batch,
@@ -896,6 +899,56 @@ def test_tensor_spec_pins_the_checkpoint_manifest_order():
         ("fc_regress.weight", (3, 8)),
         ("fc_regress.bias", (3,)),
     ]
+
+
+@pytest.mark.parametrize("spatial,temporal", ENCODINGS)
+def test_params_are_views_of_one_vector_in_spec_order(spatial, temporal, tmp_path):
+    cfg = small_config(spatial_encoding=spatial, temporal_encoding=temporal, n_stations=5)
+    p = init_params(cfg, seed=41)
+    vec = p.vector
+    assert vec.shape == (parameter_count(cfg),) and vec.dtype == np.float64
+    assert list(p.tensors) == [name for name, _, _ in tensor_spec(cfg)]
+    start = vec.__array_interface__["data"][0]
+    offset = 0
+    for name, shape, _ in tensor_spec(cfg):
+        view = p.tensors[name]
+        assert view.shape == shape and view.flags.c_contiguous, name
+        assert view.base is vec and np.shares_memory(view, vec), name
+        # no gap and no overlap: each view starts where the previous one ends
+        assert view.__array_interface__["data"][0] - start == offset * vec.itemsize, name
+        offset += view.size
+    assert offset == vec.size
+
+    before = vec.copy()
+    for twin in (p.copy(), p.astype(np.float32)):
+        assert not np.shares_memory(twin.vector, vec)
+        assert all(np.shares_memory(twin.tensors[n], twin.vector) for n in twin.tensors)
+        twin.vector[:] = 7.0
+        assert vec.tobytes() == before.tobytes()
+    assert p.astype(np.float32).vector.tobytes() == before.astype(np.float32).tobytes()
+
+    path = tmp_path / "ckpt.bin"
+    checkpoint_save(path, p)
+    raw = path.read_bytes()
+    (manifest_len,) = struct.unpack("<I", raw[len(MAGIC) : len(MAGIC) + 4])
+    data = raw[len(MAGIC) + 4 + manifest_len :]
+    assert data == vec.astype("<f8").tobytes()
+    loaded = checkpoint_load(path, cfg)
+    assert loaded.vector.tobytes() == data
+    assert all(np.shares_memory(loaded.tensors[n], loaded.vector) for n in loaded.tensors)
+
+    # a loss read from the vector sees each perturbation made through a view
+    def loss_and_grad(_):
+        return 0.5 * float(vec @ vec), {n: t.copy() for n, t in p.tensors.items()}
+
+    assert finite_diff_check(loss_and_grad, p.tensors, 1e-5) < 1e-6
+    assert vec.tobytes() == before.tobytes()
+
+
+def test_params_reject_a_vector_of_the_wrong_size():
+    cfg = small_config()
+    with pytest.raises(ShapeError, match=str(parameter_count(cfg))):
+        ModelParams(cfg, np.zeros(parameter_count(cfg) + 1))
 
 
 def test_config_validation():

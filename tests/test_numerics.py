@@ -240,6 +240,39 @@ def test_adam_nonfinite_grad_names_param():
         adam_step(p, np.array([np.nan, 0.0]), state, lr=1e-3, name="fc_embed.weight")
 
 
+@pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+def test_adam_out_in_place_same_bits_as_returning_form(grad_dtype):
+    rng = np.random.default_rng(12)
+    p_fresh = rng.normal(size=(3, 5))
+    p_inplace = p_fresh.copy()
+    s_fresh, s_inplace = AdamState.zeros_like(p_fresh), AdamState.zeros_like(p_fresh)
+    for _ in range(3):
+        g = rng.normal(size=(3, 5)).astype(grad_dtype)
+        g_before = g.copy()
+        m, v = s_inplace.m, s_inplace.v
+        p_fresh_before = p_fresh.copy()
+        new = adam_step(p_fresh, g, s_fresh, lr=1e-2)
+        assert not np.shares_memory(new, p_fresh)
+        assert_array_equal(p_fresh, p_fresh_before)  # the returning form leaves param
+        p_fresh = new
+        assert adam_step(p_inplace, g, s_inplace, lr=1e-2, out=p_inplace) is p_inplace
+        assert s_inplace.m is m and s_inplace.v is v  # moments updated in place
+        assert g.tobytes() == g_before.tobytes()
+        assert p_inplace.tobytes() == p_fresh.tobytes()
+        assert s_inplace.m.tobytes() == s_fresh.m.tobytes()
+        assert s_inplace.v.tobytes() == s_fresh.v.tobytes()
+    assert s_inplace.step == s_fresh.step == 3
+
+
+def test_adam_nonfinite_grad_writes_nothing():
+    p = np.ones(3)
+    state = AdamState.zeros_like(p)
+    with pytest.raises(OptimizerError):
+        adam_step(p, np.array([0.5, np.inf, 0.0]), state, lr=1e-3, out=p)
+    assert_array_equal(p, np.ones(3))
+    assert state.step == 0 and not state.m.any() and not state.v.any()
+
+
 def test_adam_v_stays_nonnegative():
     p = np.zeros(4)
     state = AdamState.zeros_like(p)

@@ -1,6 +1,6 @@
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,9 +15,10 @@ from lightweather.errors import (
     CheckpointError,
     ConfigError,
     EvaluationError,
+    OptimizerError,
     TrainingError,
 )
-from lightweather import training
+from lightweather import cli, training
 from lightweather.model import (
     ModelConfig,
     init_params,
@@ -36,6 +37,13 @@ from lightweather.training import (
 )
 
 SMALL = ModelConfig(d=8, n_layers=2, t_h=6, t_f=3, n_vars=1)
+ENCODINGS = [
+    ("absolute", "absolute"),
+    ("relative", "absolute"),
+    ("none", "absolute"),
+    ("absolute", "none"),
+    ("none", "none"),
+]
 
 
 def tiny_dataset(n_stations=2, n_steps=300, noise=0.2, seed=0, alpha=()):
@@ -252,33 +260,35 @@ def test_fit_computes_in_float32_and_returns_float64(tmp_path, monkeypatch):
     assert seen == {np.dtype(np.float32)}  # training batches and validation
 
 
-def test_fit_epoch_equals_a_hand_loop_on_the_float64_gather():
+@pytest.mark.parametrize("spatial,temporal", ENCODINGS)
+def test_fit_epoch_equals_a_hand_loop_on_the_float64_gather(spatial, temporal):
     # one epoch of fit, on the float32 row store, changes no bit against
     # loss_and_grads on the normalized float64 [B, T, N, C] windows, laid out
-    # as rows, with float32 params, followed by adam_step
+    # as rows, with float32 params, followed by one adam_step per tensor
+    cfg = replace(SMALL, spatial_encoding=spatial, temporal_encoding=temporal, n_stations=3)
     obs = tiny_dataset(n_stations=3)
-    prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
+    prepared = split_windows(obs, cfg.t_h, cfg.t_f)
     train = prepared.train
     coords_norm = normalize_coords(obs.coords)
     config = TrainConfig(lr=5e-4, batch_size=16, max_epochs=1, patience=1, seed=3)
     result = fit(
-        init_params(SMALL, seed=4), train, prepared.val, coords_norm, config, prepared.normalizer
+        init_params(cfg, seed=4), train, prepared.val, coords_norm, config, prepared.normalizer
     )
 
     values = normalize_apply(obs.values, prepared.normalizer)
-    params = init_params(SMALL, seed=4)
+    params = init_params(cfg, seed=4)
     states = {name: AdamState.zeros_like(arr) for name, arr in params.tensors.items()}
     perm = np.random.default_rng([config.seed, 0]).permutation(len(train))
     abs_err_sum = 0.0
     for lo in range(0, len(train), config.batch_size):
         idx = perm[lo : lo + config.batch_size]
         s = train.starts[idx][:, None]
-        hist = values[s + np.arange(SMALL.t_h)]  # [B, T_h, N, C]
-        fut = values[s + SMALL.t_h + np.arange(SMALL.t_f)]
+        hist = values[s + np.arange(cfg.t_h)]  # [B, T_h, N, C]
+        fut = values[s + cfg.t_h + np.arange(cfg.t_f)]
         loss, grads = loss_and_grads(
             params.astype(np.float32),
-            hist.transpose(0, 2, 3, 1).reshape(-1, SMALL.t_h),
-            fut.transpose(0, 2, 3, 1).reshape(-1, SMALL.t_f),
+            hist.transpose(0, 2, 3, 1).reshape(-1, cfg.t_h),
+            fut.transpose(0, 2, 3, 1).reshape(-1, cfg.t_f),
             coords_norm,
             train.hours[idx],
             train.days[idx],
@@ -286,10 +296,56 @@ def test_fit_epoch_equals_a_hand_loop_on_the_float64_gather():
         )
         abs_err_sum += loss * len(idx)
         for name, tensor in params.tensors.items():
-            params.tensors[name] = adam_step(tensor, grads[name], states[name], config.lr, name)
+            adam_step(tensor, grads[name], states[name], config.lr, name, out=tensor)
     for name, arr in params.tensors.items():
         assert arr.tobytes() == result.params.tensors[name].tobytes(), name
     assert result.history[0]["train_mae"] == abs_err_sum / len(train)
+
+
+def _nan_gradient_in_encoder_1_fc2_bias(params, *batch):
+    loss, grads = loss_and_grads(params, *batch)
+    grads["encoder.1.fc2.bias"][1] = np.nan
+    return loss, grads
+
+
+def test_fit_finite_loss_with_nonfinite_gradient_names_the_tensor(monkeypatch):
+    monkeypatch.setattr(training, "loss_and_grads", _nan_gradient_in_encoder_1_fc2_bias)
+    obs = tiny_dataset()
+    prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
+    with pytest.raises(
+        OptimizerError, match=r"^non-finite gradient for parameter 'encoder\.1\.fc2\.bias'$"
+    ):
+        fit(
+            init_params(SMALL, seed=2),
+            prepared.train,
+            prepared.val,
+            normalize_coords(obs.coords),
+            TrainConfig(lr=5e-4, max_epochs=1, patience=1, seed=0),
+            prepared.normalizer,
+        )
+
+
+def test_train_with_a_nonfinite_gradient_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(training, "loss_and_grads", _nan_gradient_in_encoder_1_fc2_bias)
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(
+        "d = 8\nlayers = 2\nt_h = 6\nt_f = 3\nsynth_stations = 2\nsynth_steps = 220\n"
+        f"out_dir = {tmp_path / 'data'}\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["synth", "--config", str(cfg)]) == 0
+    with open(cfg, "a", encoding="utf-8") as fh:
+        fh.write(
+            f"stations_csv = {tmp_path / 'data' / 'stations.csv'}\n"
+            f"observations_csv = {tmp_path / 'data' / 'observations.csv'}\n"
+        )
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "training error: non-finite gradient for parameter 'encoder.1.fc2.bias'\n"
+    )
+    assert not out.exists()
 
 
 def test_train_config_validation():
