@@ -13,22 +13,27 @@ weights; adam_step then applies the float32 gradient in the master
 weights' float64 (see training.py). finite_diff_check runs in float64; the
 model's stage kernels compute in their params' dtype.
 
-Results are freshly allocated and never share memory with an argument:
-linear_forward, linear_backward and linear_param_grads always, relu and
-relu_backward unless given `out`. As in numpy, `out` is the array that
-receives the result and is returned; passing an input there (relu(a,
-out=a), relu_backward(r, g, out=g)) overwrites that input in place, which
-the batch path does on buffers it owns to avoid a second full-size array.
-Nothing else writes to its arguments except adam_step, which updates its
-AdamState's moments in place (single writer: one training loop owns one
-state) and, given `out`, writes the new param there: training passes the
-flat parameter vector as both param and out, so one call updates the
-whole model in place.
+Without `out`, results are freshly allocated and never share memory with
+an argument. Every kernel of the batch path (linear_forward,
+linear_backward, linear_weight_grad, row_sum, linear_param_grads, relu,
+relu_backward) also takes `out`: as in numpy, the array or arrays that
+receive the result and are returned, with the same bits as the
+allocating form. model.Workspace holds such buffers for one chunk of
+rows, so a training step reuses its memory instead of allocating it.
+Passing an input there (relu(a, out=a), relu_backward(r, g, out=g))
+overwrites that input in place. Bias gradients are row sums taken as one
+GEMV against a vector of ones (row_sum); callers that sum many rows pass
+a ones vector they keep, the others get one allocated. Nothing else
+writes to its arguments except adam_step, which updates its AdamState's
+moments and scratch vectors in place (single writer: one training loop
+owns one state) and, given `out`, writes the new param there: training
+passes the flat parameter vector as both param and out, so one call
+updates the whole model in place and allocates nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -75,27 +80,67 @@ class LinearLayer:
         return self.weight.shape[0]
 
 
-def linear_forward(x: np.ndarray, layer: LinearLayer) -> np.ndarray:
+def linear_forward(
+    x: np.ndarray, layer: LinearLayer, out: np.ndarray | None = None
+) -> np.ndarray:
     """W x + b for a single vector [d_in] or a stack of rows [n, d_in], in
-    the weight's dtype."""
+    the weight's dtype, written to `out` when given."""
     x = np.asarray(x, dtype=layer.weight.dtype)
     if x.shape[-1] != layer.d_in:
         raise ShapeError(
             f"input has {x.shape[-1]} features, layer expects {layer.d_in}"
         )
-    out = x @ layer.weight.T
+    shape = x.shape[:-1] + (layer.d_out,)
+    if out is not None and out.shape != shape:
+        raise ShapeError(f"out has shape {out.shape}, expected {shape}")
+    out = np.matmul(x, layer.weight.T, out=out)
     out += layer.bias  # same bits as `x @ W.T + b`, without a second array
     return out
 
 
+def row_sum(
+    a: np.ndarray, ones: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The sum of the rows of `a`, [..., n, k] -> [..., k], as `ones @ a`:
+    one GEMV per [n, k] matrix, about three times faster than
+    a.sum(axis=-2) on the batch path's float32 rows. `ones` holds at least
+    n ones in a's dtype (model.Workspace keeps one); one is allocated when
+    it is not given. The bits do not depend on the BLAS thread count
+    (tests/test_numerics.py runs it under 1 and 2 threads)."""
+    a = as_float(a)
+    n = a.shape[-2]
+    ones = np.ones(n, a.dtype) if ones is None else ones[:n]
+    if ones.shape != (n,) or ones.dtype != a.dtype:
+        raise ShapeError(f"ones {ones.shape} {ones.dtype} cannot sum {n} rows of {a.dtype}")
+    return np.matmul(ones, a, out=out)
+
+
+def linear_weight_grad(
+    x: np.ndarray, grad_out: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The weight gradient of linear_forward over stacked rows [n, d]:
+    grad_out^T x, summed over the rows, written to `out` when given."""
+    x = as_float(x)
+    grad_out = as_float(grad_out)
+    if x.ndim != 2 or grad_out.ndim != 2 or x.shape[0] != grad_out.shape[0]:
+        raise ShapeError(
+            f"x shape {x.shape} and grad_out shape {grad_out.shape} disagree"
+        )
+    return np.matmul(grad_out.T, x, out=out)
+
+
 def linear_param_grads(
-    x: np.ndarray, grad_out: np.ndarray
+    x: np.ndarray,
+    grad_out: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
+    ones: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weight and bias gradients of linear_forward, without grad_x.
 
     grad_weight = grad_out outer x, grad_bias = grad_out; for stacked rows
-    [n, d] both sum over the stack. For a layer whose input needs no
-    gradient (the model's input embeddings).
+    [n, d] both sum over the stack (linear_weight_grad and row_sum, which
+    takes `ones`). `out` is (grad_weight, grad_bias) when given. For a
+    layer whose input needs no gradient (the spatial encoding's).
     """
     x = as_float(x)
     grad_out = as_float(grad_out)
@@ -103,17 +148,26 @@ def linear_param_grads(
         raise ShapeError(
             f"x shape {x.shape} and grad_out shape {grad_out.shape} disagree"
         )
+    out_w, out_b = (None, None) if out is None else out
     if x.ndim == 1:
-        return np.outer(grad_out, x), grad_out.copy()
-    return grad_out.T @ x, grad_out.sum(axis=0)
+        grad_bias = np.empty_like(grad_out) if out_b is None else out_b
+        grad_bias[...] = grad_out
+        return np.outer(grad_out, x, out=out_w), grad_bias
+    return linear_weight_grad(x, grad_out, out_w), row_sum(grad_out, ones, out_b)
 
 
 def linear_backward(
-    x: np.ndarray, layer: LinearLayer, grad_out: np.ndarray
+    x: np.ndarray,
+    layer: LinearLayer,
+    grad_out: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ones: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reverse-mode rule for linear_forward: (grad_x, grad_weight, grad_bias).
+    """Reverse-mode rule for linear_forward: (grad_x, grad_weight, grad_bias),
+    written to `out`, the same triple, when given.
 
-    grad_x = W^T grad_out; the weight/bias gradients are linear_param_grads.
+    grad_x = W^T grad_out; the weight/bias gradients are linear_param_grads
+    (which takes `ones`).
     """
     x = as_float(x)
     grad_out = as_float(grad_out)
@@ -123,8 +177,9 @@ def linear_backward(
         raise ShapeError(
             f"grad_out has {grad_out.shape[-1]} features, expected {layer.d_out}"
         )
-    grad_weight, grad_bias = linear_param_grads(x, grad_out)
-    grad_x = grad_out @ layer.weight
+    out_x, out_w, out_b = (None, None, None) if out is None else out
+    grad_weight, grad_bias = linear_param_grads(x, grad_out, (out_w, out_b), ones)
+    grad_x = np.matmul(grad_out, layer.weight, out=out_x)
     return grad_x, grad_weight, grad_bias
 
 
@@ -134,7 +189,10 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def relu_backward(
-    x: np.ndarray, grad_out: np.ndarray, out: np.ndarray | None = None
+    x: np.ndarray,
+    grad_out: np.ndarray,
+    out: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pass gradient where x > 0; the subgradient at exactly 0 is 0.
 
@@ -144,13 +202,14 @@ def relu_backward(
     included: the gradient's bit pattern, as a signed integer of its item
     size (int64 for float64, int32 for float32), is multiplied by the mask
     (1 keeps it, 0 gives +0.0), which is faster than np.where or a masked
-    copy and needs no full-size temporary beyond the bool mask.
+    copy and needs no full-size temporary beyond the bool mask x > 0. That
+    mask is written to `mask`, a bool array of x's shape, when given.
     """
     x = as_float(x)
     grad_out = as_float(grad_out)
     if x.shape != grad_out.shape:
         raise ShapeError(f"x shape {x.shape} != grad_out shape {grad_out.shape}")
-    keep = np.asarray(x > 0.0)
+    keep = np.greater(x, 0.0, out=mask)
     if out is None:
         out = np.empty_like(grad_out)
     elif out.dtype != grad_out.dtype:
@@ -163,11 +222,17 @@ def relu_backward(
 @dataclass
 class AdamState:
     """Adam moments shaped like the param they track (in training, the
-    whole flat parameter vector). v entries stay >= 0 by construction."""
+    whole flat parameter vector). v entries stay >= 0 by construction.
+    `scratch` holds two more vectors of that shape, allocated once, that
+    adam_step works in, so that a step allocates nothing."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def zeros_like(cls, param: np.ndarray) -> "AdamState":
@@ -190,31 +255,35 @@ def adam_step(
     whatever the grad's, with the operations of
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     param - lr*m_hat / (sqrt(v_hat) + eps) in that order, so `out` changes
-    no bit. A non-finite gradient is an OptimizerError naming `name`,
-    raised before anything is written.
+    no bit. The cast gradient and every intermediate live in the state's
+    scratch vectors. A non-finite gradient is an OptimizerError naming
+    `name`, raised before param, out, m, v or step is written.
     """
-    grad = np.asarray(grad, dtype=param.dtype)
+    grad = np.asarray(grad)
     target = param if out is None else out
     if not param.shape == grad.shape == state.m.shape == target.shape:
         raise ShapeError(
             f"{name}: param {param.shape}, grad {grad.shape}, "
             f"state {state.m.shape}, out {target.shape} disagree"
         )
-    if not np.all(np.isfinite(grad)):
+    g, tmp = state.scratch
+    np.copyto(g, grad)  # the gradient in the param's dtype
+    # max |g| is inf or NaN exactly when some entry is (without a bool array)
+    if not np.isfinite(np.abs(g, out=tmp).max(initial=0.0)):
         raise OptimizerError(f"non-finite gradient for parameter '{name}'")
     state.step += 1
     m, v = state.m, state.v
-    tmp = np.multiply(grad, 1.0 - ADAM_BETA1)
+    np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
     m *= ADAM_BETA1
     m += tmp
-    np.multiply(grad, 1.0 - ADAM_BETA2, out=tmp)
-    tmp *= grad
+    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= g
     v *= ADAM_BETA2
     v += tmp
     np.divide(v, 1.0 - ADAM_BETA2**state.step, out=tmp)  # v_hat
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS
-    delta = np.divide(m, 1.0 - ADAM_BETA1**state.step)  # m_hat
+    delta = np.divide(m, 1.0 - ADAM_BETA1**state.step, out=g)  # m_hat; g is spent
     delta *= lr
     delta /= tmp
     return np.subtract(param, delta, out=out)

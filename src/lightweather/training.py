@@ -7,9 +7,11 @@ halves the bytes every activation moves, on float64 master weights. Each
 batch runs the model on a float32 copy of the params, cast into one
 buffer that fit allocates once and refills for every batch, over float32
 rows that WindowSet.batch gathers from the split's stored series. fit
-copies the batch's gradients into one reused flat float32 vector, in the
-params' tensor_spec layout, and one adam_step applies it to the float64
-parameter vector and Adam moments in place, in float64 math. Metrics are
+also makes one model.Workspace, sized for a full chunk, that every batch
+and every validation pass runs in: loss_and_grads leaves the batch's
+gradient in its flat float32 vector, in the params' tensor_spec layout,
+and one adam_step applies that vector to the float64 parameter vector
+and Adam moments in place, in float64 math. Metrics are
 accumulated in float64 and in original data units (predictions inverted
 through the split's Normalizer, the identity when normalization is off),
 against the float64 raw series. The params fit returns, and so every
@@ -21,10 +23,13 @@ gradients, so a multi-chunk batch's gradient is rounded once per chunk and
 differs in its last bits from a one-pass sum; evaluate takes at most a
 chunk of windows per batch, so its float64 sums are split likewise.
 
-Determinism contract: with a fixed config and seed, batch order, every
-update, and the resulting best checkpoint are all reproducible exactly;
-the chunk size is a constant, so chunking keeps this. The only
-non-reproducible history column is the per-epoch wall time.
+Determinism contract: with the same config, seed, BLAS build and thread
+count, batch order, every update, and the resulting best checkpoint are
+all reproducible exactly; the chunk size is a constant, so chunking keeps
+this. The thread count matters because BLAS splits the weight gradients'
+GEMM sums (g.T @ x) by thread: one wide batch's gradient bits differ
+between one and two OpenBLAS threads. The row sums (numerics.row_sum) do
+not. The only non-reproducible history column is the per-epoch wall time.
 """
 
 from __future__ import annotations
@@ -118,20 +123,31 @@ def evaluate(
     coords_norm: np.ndarray,
     normalizer: Normalizer,
     batch_size: int = 32,
+    workspace: model_ops.Workspace | None = None,
 ) -> Metrics:
     """Pooled test metrics in original data units, from a COMPUTE_DTYPE copy
     of the params. Windows are taken batch_size at a time, or fewer when a
-    chunk of CHUNK_ROWS rows holds fewer (model.chunk_windows)."""
+    chunk of CHUNK_ROWS rows holds fewer (model.chunk_windows), and every
+    batch runs in `workspace`, or in one made for this call."""
     if len(windows) == 0:
         raise EvaluationError("empty split: no windows to evaluate")
     params = params.astype(COMPUTE_DTYPE)
     acc = MetricAccumulator()
     n_vars, t_f = windows.n_vars, windows.t_f
-    step = min(batch_size, model_ops.chunk_windows(windows.n_stations * n_vars))
+    rows_per_window = windows.n_stations * n_vars
+    step = min(batch_size, model_ops.chunk_windows(rows_per_window))
+    if workspace is None:
+        workspace = model_ops.Workspace(params.config, step * rows_per_window)
     for idx in _batches(np.arange(len(windows)), step):
         b = windows.batch(idx, raw_future=True)
         y_rows, _ = model_ops.forward_rows(
-            b["history"], coords_norm, b["hours"], b["days"], b["months"], params
+            b["history"],
+            coords_norm,
+            b["hours"],
+            b["days"],
+            b["months"],
+            params,
+            workspace=workspace,
         )
         # rows viewed with the variable axis last, as normalize_invert takes them
         pred = normalize_invert(y_rows.reshape(-1, n_vars, t_f).swapaxes(1, 2), normalizer)
@@ -169,7 +185,9 @@ def fit(
 
     state = AdamState.zeros_like(params.vector)
     compute = ModelParams(params.config, np.empty_like(params.vector, COMPUTE_DTYPE))
-    grad = np.empty_like(compute.vector)
+    rows_per_window = train_windows.n_stations * train_windows.n_vars
+    chunk = min(config.batch_size, model_ops.chunk_windows(rows_per_window))
+    workspace = model_ops.Workspace(params.config, chunk * rows_per_window)
     best_params = params.copy()
     best_val = np.inf
     best_epoch = -1
@@ -195,15 +213,15 @@ def fit(
                     b["hours"],
                     b["days"],
                     b["months"],
+                    workspace,
                 )
             if not np.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, batch {bi}; "
                     f"{_first_nonfinite(compute.tensors, grads)}"
                 )
-            np.concatenate([grads[name] for name in compute.tensors], axis=None, out=grad)
-            try:
-                adam_step(params.vector, grad, state, config.lr, out=params.vector)
+            try:  # grads are views of workspace.grad, one vector in spec layout
+                adam_step(params.vector, workspace.grad.vector, state, config.lr, out=params.vector)
             except OptimizerError:
                 name = next(n for n in compute.tensors if not np.isfinite(grads[n]).all())
                 raise OptimizerError(f"non-finite gradient for parameter '{name}'") from None
@@ -211,7 +229,7 @@ def fit(
             n_samples += len(idx)
 
         val_metrics = evaluate(
-            params, val_windows, coords_norm, normalizer, config.batch_size
+            params, val_windows, coords_norm, normalizer, config.batch_size, workspace
         )
         seconds = time.perf_counter() - t0
         history.append(

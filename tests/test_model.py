@@ -32,6 +32,7 @@ from lightweather.model import (
     spatial_rows,
     temporal_rows,
     tensor_spec,
+    Workspace,
 )
 from lightweather.numerics import finite_diff_check, linear_forward, relu
 from lightweather.synthetic import SynthConfig, generate, random_station_coords
@@ -424,9 +425,12 @@ def test_doubling_loss_scale_doubles_gradients():
 # --- same bits as the definitional math ------------------------------------
 # An unfused reference written from the primitives' definitions: every step
 # allocates its result, ReLU is recomputed in backward and its gradient is
-# np.where, and every linear backward computes grad_x. The batch path reuses
-# buffers and skips unused work, but must perform the same floating-point
-# operations in the same order, so its results must match bit for bit.
+# np.where, and every linear backward computes grad_x. Each sum over rows
+# (a bias, a window's or a station's rows) is a product with a ones vector,
+# the loss's sign is back-propagated unscaled and every gradient is then
+# divided by the element count. The batch path reuses a workspace's buffers and skips
+# unused work, but must perform the same floating-point operations in the
+# same order, so its results must match bit for bit.
 
 ENCODINGS = [
     ("absolute", "absolute"),
@@ -441,8 +445,12 @@ def _ref_linear(x, layer):
     return x @ layer.weight.T + layer.bias
 
 
+def _ref_rows_sum(a):
+    return np.ones(a.shape[-2]) @ a
+
+
 def _ref_linear_backward(x, layer, g):
-    return g @ layer.weight, g.T @ x, g.sum(axis=0)
+    return g @ layer.weight, g.T @ x, _ref_rows_sum(g)
 
 
 def _ref_pred_loss_grads(p, hist, fut, cn, hours, days, months):
@@ -470,7 +478,7 @@ def _ref_pred_loss_grads(p, hist, fut, cn, hours, days, months):
     fut_rows = np.ascontiguousarray(fut.transpose(0, 2, 3, 1).reshape(-1, cfg.t_f))
     diff = y_rows - fut_rows
     loss = float(np.abs(diff).sum() / diff.size)
-    g_rows = np.sign(diff) / diff.size
+    g_rows = np.sign(diff)
 
     g = {}
     gz, g["fc_regress.weight"], g["fc_regress.bias"] = _ref_linear_backward(
@@ -486,21 +494,24 @@ def _ref_pred_loss_grads(p, hist, fut, cn, hours, days, months):
             _ref_linear_backward(zs[i], p.layer(f"encoder.{i}.fc1"), ga)
         )
         gz = gz_in + gz
-    gh4 = gz.reshape(n_batch, n_st, n_vars, cfg.d)
     if cfg.temporal_encoding == "absolute":
-        g_window = gh4.sum(axis=(1, 2))
+        g_window = _ref_rows_sum(gz.reshape(n_batch, n_st * n_vars, cfg.d))
         for name, idx in (("table_hour", hours), ("table_day", days), ("table_month", months)):
             g[name] = np.zeros_like(t[name])
             np.add.at(g[name], idx, g_window)
-    if cfg.spatial_encoding == "absolute":
-        _, g["fc_spatial.weight"], g["fc_spatial.bias"] = _ref_linear_backward(
-            cn, p.layer("fc_spatial"), gh4.sum(axis=(0, 2))
-        )
-    elif cfg.spatial_encoding == "relative":
-        g["station_table"] = gh4.sum(axis=(0, 2))
     _, g["fc_embed.weight"], g["fc_embed.bias"] = _ref_linear_backward(
         x_rows, p.layer("fc_embed"), gz
     )
+    if cfg.spatial_encoding != "none":
+        g_station = _ref_rows_sum(gz.reshape(n_batch, -1)).reshape(n_st, n_vars, cfg.d).sum(1)
+        g["fc_embed.bias"] = _ref_rows_sum(g_station)  # every row's gradient, summed
+    if cfg.spatial_encoding == "absolute":
+        _, g["fc_spatial.weight"], g["fc_spatial.bias"] = _ref_linear_backward(
+            cn, p.layer("fc_spatial"), g_station
+        )
+    elif cfg.spatial_encoding == "relative":
+        g["station_table"] = g_station
+    g = {name: grad / diff.size for name, grad in g.items()}
     return pred, loss, g
 
 
@@ -796,6 +807,95 @@ def test_chunked_step_memory_is_bounded_by_a_chunk(monkeypatch):
     assert sixteen_chunks < 2 * one_chunk
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 32 * n_st)  # one chunk again
     assert peak(32) > 2 * one_chunk  # the bound is not met without chunks
+
+
+def test_warm_step_allocates_less_than_one_chunk_activation(monkeypatch):
+    # the set-up of test_chunked_step_memory_is_bounded_by_a_chunk: 32 windows
+    # of 500 rows in chunks of 2 windows; a second call in the same workspace
+    # reuses its buffers instead of allocating chunk-sized arrays
+    cfg = ModelConfig(d=64, n_layers=2, t_h=48, t_f=24)
+    p = init_params(cfg, seed=55).astype(np.float32)
+    n_st = 500
+    cn = normalize_coords(random_coords(n_st, 56))
+    rng = np.random.default_rng(57)
+    x_rows = rng.normal(size=(32 * n_st, cfg.t_h)).astype(np.float32)
+    future_rows = rng.normal(size=(32 * n_st, cfg.t_f)).astype(np.float32)
+    calendar = [rng.integers(0, hi, size=32) for hi in (24, 31, 12)]
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 1000)
+    ws = Workspace(cfg, 1000, np.float32)
+    loss_and_grads(p, x_rows, future_rows, cn, *calendar, ws)
+    tracemalloc.start()
+    try:
+        loss_and_grads(p, x_rows, future_rows, cn, *calendar, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * cfg.d * 4  # one chunk activation in float32
+
+
+def _workspace_arrays(ws):
+    singles = [ws.y, ws.abs_err, ws.mask, ws.ones, ws.grad.vector, ws.chunk_grad.vector]
+    return [*ws.z, *ws.r, *ws.g, *singles]
+
+
+@pytest.mark.parametrize("spatial,temporal", ENCODINGS)
+def test_reused_workspace_leaves_no_state_behind(spatial, temporal, monkeypatch):
+    cfg = small_config(spatial_encoding=spatial, temporal_encoding=temporal, n_stations=5)
+    p = init_params(cfg, seed=61)
+    p32 = p.astype(np.float32)
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 20)
+    batch_a = row_batch(*_random_batch(cfg, 7, 5, seed=62))  # chunks of 4 + 3 windows
+    # B: 3 stations (chunks of 6 + 1 windows), or 5 (4 + 3) where the
+    # station table fixes the station count
+    batch_b = row_batch(*_random_batch(cfg, 7, 5 if spatial == "relative" else 3, seed=63))
+    synth = SynthConfig(n_stations=5, n_steps=300, noise_std=0.3, seed=64)
+    obs = generate(synth, random_station_coords(5, 64)[1])
+    prepared = split_windows(obs, cfg.t_h, cfg.t_f)
+    cn = normalize_coords(obs.coords)
+
+    def run(batch, workspace=None):
+        loss, grads = loss_and_grads(p32, *batch, workspace)
+        return loss, {name: g.copy() for name, g in grads.items()}
+
+    ws = Workspace(cfg, 20, np.float32)
+    first = run(batch_a, ws)
+    run(batch_b, ws)
+    reused_metrics = evaluate(p, prepared.test, cn, prepared.normalizer, 16, ws)
+    again = run(batch_a, ws)
+    for other in (run(batch_a, Workspace(cfg, 20, np.float32)), run(batch_a)):
+        for got in (first, again):
+            assert got[0].hex() == other[0].hex()
+            assert got[1].keys() == other[1].keys() == p.tensors.keys()
+            for name in other[1]:
+                assert got[1][name].tobytes() == other[1][name].tobytes(), name
+    assert reused_metrics == evaluate(p, prepared.test, cn, prepared.normalizer, 16)
+
+    # results of a call with the workspace are views of it; without one, none is
+    _, grads = loss_and_grads(p32, *batch_a, ws)
+    assert all(np.shares_memory(g, ws.grad.vector) for g in grads.values())
+    x_rows, future_rows, coords, *calendar = batch_a
+    pred, cache = forward_rows(x_rows, coords, *calendar, p32, want_cache=True)
+    plain = [
+        *loss_and_grads(p32, *batch_a)[1].values(),
+        pred,
+        *backward_batch(np.sign(pred - future_rows), cache, p32).values(),
+    ]
+    for result in plain:
+        assert not any(np.shares_memory(result, buf) for buf in _workspace_arrays(ws))
+
+
+def test_workspace_rejects_what_it_was_not_made_for():
+    cfg = small_config()
+    p32 = init_params(cfg, seed=65).astype(np.float32)
+    batch = row_batch(*_random_batch(cfg, 3, 2, seed=66))  # one chunk of 6 rows
+    loss_and_grads(p32, *batch, Workspace(cfg, 6, np.float32))
+    for ws, match in (
+        (Workspace(cfg, 5, np.float32), "6 rows"),
+        (Workspace(cfg, 6, np.float64), "float64"),
+        (Workspace(small_config(d=4), 6, np.float32), "workspace for"),
+    ):
+        with pytest.raises(ShapeError, match=match):
+            loss_and_grads(p32, *batch, ws)
 
 
 # --- parameter counting ----------------------------------------------------

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +21,9 @@ from lightweather.numerics import (
     linear_param_grads,
     relu,
     relu_backward,
+    row_sum,
 )
+import lightweather
 
 
 def test_linear_forward_identity():
@@ -322,3 +330,80 @@ def test_layer_shape_validation():
     layer = LinearLayer(weight=np.zeros((2, 2)), bias=np.zeros(2))
     with pytest.raises(ShapeError):
         linear_backward(np.zeros(2), layer, np.zeros(3))
+
+
+def test_adam_step_in_place_allocates_nothing_when_warm():
+    rng = np.random.default_rng(13)
+    param = rng.normal(size=25_880)  # the default model's parameter vector
+    grad = rng.normal(size=param.size).astype(np.float32)
+    state = AdamState.zeros_like(param)
+    adam_step(param, grad, state, lr=1e-3, out=param)
+    tracemalloc.start()
+    try:
+        adam_step(param, grad, state, lr=1e-3, out=param)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_out_forms_same_bits_as_allocating_forms(dtype):
+    rng = np.random.default_rng(14)
+    layer = LinearLayer(
+        weight=rng.normal(size=(5, 3)).astype(dtype), bias=rng.normal(size=5).astype(dtype)
+    )
+    x = rng.normal(size=(70, 3)).astype(dtype)
+    g = rng.normal(size=(70, 5)).astype(dtype)
+    ones = np.ones(100, dtype)
+
+    def same(got, want, out):
+        assert got is out and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    out = np.empty((70, 5), dtype)
+    same(linear_forward(x, layer, out=out), linear_forward(x, layer), out)
+    outs = (np.empty((70, 3), dtype), np.empty((5, 3), dtype), np.empty(5, dtype))
+    for got, want, o in zip(
+        linear_backward(x, layer, g, out=outs, ones=ones), linear_backward(x, layer, g), outs
+    ):
+        same(got, want, o)
+    out = np.empty(5, dtype)
+    same(row_sum(g, ones, out=out), row_sum(g), out)
+    assert_allclose(row_sum(g), g.sum(axis=0), rtol=10 * np.finfo(dtype).eps * len(g))
+    stacked = g.reshape(7, 10, 5)
+    assert row_sum(stacked, ones).tobytes() == np.stack([row_sum(b) for b in stacked]).tobytes()
+    with pytest.raises(ShapeError):
+        row_sum(g, ones[:69])
+    with pytest.raises(ShapeError):
+        linear_forward(x, layer, out=np.empty((70, 4), dtype))
+
+
+# The reduction runs in a fresh interpreter for each BLAS thread count,
+# which OpenBLAS reads when numpy loads: bias gradients (one [n, d] block),
+# per-window sums ([B, rows, d]) and per-station sums ([B, rows * d]) at the
+# wide benchmark's chunk of 4 windows of 3850 rows.
+_ROW_SUM_DIGEST = """
+import hashlib
+import numpy as np
+from lightweather.numerics import row_sum
+g = np.random.default_rng(15).normal(size=(15_400, 64)).astype(np.float32)
+ones = np.ones(len(g), np.float32)
+sums = [row_sum(g, ones), row_sum(g.reshape(4, 3850, 64), ones), row_sum(g.reshape(4, -1), ones)]
+print(hashlib.sha256(b"".join(s.tobytes() for s in sums)).hexdigest())
+"""
+
+
+def test_row_sum_bits_do_not_depend_on_the_blas_thread_count():
+    src = str(Path(lightweather.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        run = subprocess.run(
+            [sys.executable, "-c", _ROW_SUM_DIGEST],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
