@@ -315,6 +315,39 @@ def test_bad_data_file_is_one_line_error_before_training(
     assert not (tmp_path / "out").exists()
 
 
+FIELD_LIMIT = csv.field_size_limit()
+LONG_FIELD = "1" * 200_000  # longer than csv's field limit
+
+
+@pytest.mark.parametrize(
+    "name, line, edit",
+    [
+        ("stations.csv", 3, lambda row: row[:3] + [LONG_FIELD]),
+        ("observations.csv", 1, lambda row: row[:2] + [LONG_FIELD]),
+        # a quote sends the rows through csv.reader; without one the
+        # columnar parser reads them and must say the same
+        ("observations.csv", 3, lambda row: row[:2] + [f'"{LONG_FIELD}"']),
+        ("observations.csv", 3, lambda row: row[:2] + [LONG_FIELD]),
+    ],
+    ids=["stations-elevation", "observations-header", "observations-quoted", "observations-unquoted"],
+)
+def test_overlong_csv_field_is_one_line_exit_2(synth_dir, tmp_path, capsys, name, line, edit):
+    lines = (synth_dir / name).read_text(encoding="utf-8").splitlines()
+    lines[line - 1] = ",".join(edit(lines[line - 1].split(",")))
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    files = {
+        "stations_csv": synth_dir / "stations.csv",
+        "observations_csv": synth_dir / "observations.csv",
+    }
+    files[name.replace(".", "_")] = path
+    cfg = write_config(tmp_path / "t.cfg", TINY, **files)
+    assert cli.main(["ingest-check", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"ingestion error: {path}: line {line}: field larger than field limit ({FIELD_LIMIT})\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, key, code, prefix",
     [

@@ -1,5 +1,9 @@
-from datetime import datetime, timedelta
+import csv
+import tracemalloc
+from contextlib import contextmanager
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
+from lightweather import data
 from lightweather.data import (
     Normalizer,
     ObservationSet,
@@ -311,6 +316,346 @@ def test_observations_roundtrip(tmp_path):
     again = load_observations_csv(out, *STATIONS)
     assert_array_equal(again.values, obs.values)
     assert again.timestamps == obs.timestamps
+
+
+# --- the columnar parser against the per-row reference ---------------------
+
+
+@contextmanager
+def _reference_utf8_text(path):
+    """`path` opened as UTF-8 text for csv; bytes that do not decode are
+    an IngestionError naming the first line that holds them."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise IngestionError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
+
+
+def _reference_parse_timestamp(raw: str, path, lineno: int) -> datetime:
+    try:
+        return datetime.fromisoformat(raw.strip())
+    except ValueError as exc:
+        raise IngestionError(f"{path}: line {lineno}: bad timestamp {raw!r}") from exc
+
+
+def reference_load_observations_csv(
+    path, station_ids: list[str], coords: list[StationCoord]
+) -> ObservationSet:
+    """The per-row loader that load_observations_csv replaced, kept verbatim
+    (csv.reader, one row at a time) as the reference its results and its
+    errors must equal."""
+    sid_index = {sid: i for i, sid in enumerate(station_ids)}
+    with _reference_utf8_text(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if (
+            header is None
+            or len(header) < 3
+            or header[0].strip() != "timestamp"
+            or header[1].strip() != "station_id"
+        ):
+            raise IngestionError(
+                f"{path}: expected header timestamp,station_id,<var columns>, got {header}"
+            )
+        var_names = [h.strip() for h in header[2:]]
+        n_vars = len(var_names)
+
+        cells: dict[datetime, dict[int, list[float]]] = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2 + n_vars:
+                raise IngestionError(
+                    f"{path}: line {lineno}: expected {2 + n_vars} columns"
+                )
+            ts = _reference_parse_timestamp(row[0], path, lineno)
+            sid = row[1].strip()
+            if sid not in sid_index:
+                raise IngestionError(f"{path}: line {lineno}: unknown station {sid!r}")
+            vals = []
+            for raw in row[2:]:
+                raw = raw.strip()
+                if raw == "":
+                    vals.append(np.nan)  # explicit missing cell
+                    continue
+                try:
+                    vals.append(float(raw))
+                except ValueError as exc:
+                    raise IngestionError(f"{path}: line {lineno}: {exc}") from exc
+            per_ts = cells.setdefault(ts, {})
+            si = sid_index[sid]
+            if si in per_ts:
+                raise IngestionError(
+                    f"{path}: line {lineno}: duplicate ({ts.isoformat()}, {sid})"
+                )
+            per_ts[si] = vals
+
+    if not cells:
+        raise IngestionError(f"{path}: no observations")
+    try:
+        timestamps = sorted(cells)
+    except TypeError as exc:  # aware and naive datetimes do not compare
+        aware = next(ts for ts in cells if ts.tzinfo is not None)
+        naive = next(ts for ts in cells if ts.tzinfo is None)
+        raise IngestionError(
+            f"{path}: timestamps mix timezone-aware ({aware.isoformat()}) and "
+            f"naive ({naive.isoformat()}) values"
+        ) from exc
+    if len(timestamps) < 2:
+        raise IngestionError(f"{path}: need at least 2 timestamps to fix the interval")
+    interval = timestamps[1] - timestamps[0]
+    if interval <= timedelta(0):
+        raise IngestionError(f"{path}: non-increasing timestamps")
+    for a, b in zip(timestamps, timestamps[1:]):
+        if b - a != interval:
+            raise IngestionError(
+                f"{path}: non-uniform timestamp grid at {b.isoformat()} "
+                f"(step {b - a}, expected {interval})"
+            )
+
+    n_steps, n_stations = len(timestamps), len(station_ids)
+    values = np.full((n_steps, n_stations, n_vars), np.nan)
+    for t, ts in enumerate(timestamps):
+        for si, vals in cells[ts].items():
+            values[t, si, :] = vals
+    infinite = np.argwhere(np.isinf(values))
+    if len(infinite):
+        t, si, vi = infinite[0]
+        raise IngestionError(
+            f"{path}: station {station_ids[si]}: variable {var_names[vi]}: "
+            f"non-finite value {values[t, si, vi]} at {timestamps[t].isoformat()}"
+        )
+
+    # forward fill, bounded by the 10% rule (min propagates NaN: no full-size
+    # temporary for a file without gaps)
+    if np.isnan(values.min()):
+        missing = np.isnan(values)
+        counts = missing.sum(axis=(0, 2))
+        too_many = counts > 0.10 * n_steps * n_vars
+        for si in np.flatnonzero(too_many | missing[0].any(axis=1)):  # the first raises
+            if too_many[si]:
+                raise IngestionError(
+                    f"{path}: station {station_ids[si]}: {counts[si]} missing cells exceed 10%"
+                )
+            vi = np.flatnonzero(missing[0, si])[0]
+            raise IngestionError(
+                f"{path}: station {station_ids[si]}: variable {var_names[vi]} missing at the "
+                f"first timestamp; cannot forward fill"
+            )
+        last = np.where(missing, 0, np.arange(n_steps)[:, None, None])  # observed steps
+        np.maximum.accumulate(last, axis=0, out=last)  # the last at or before each cell
+        values = np.take_along_axis(values, last, axis=0)
+
+    return ObservationSet(
+        timestamps=timestamps,
+        station_ids=list(station_ids),
+        coords=list(coords),
+        values=values,
+        var_names=var_names,
+        interval=interval,
+    )
+
+
+# (name, edit of a 20-step file whose s2 cell at 07:00, line 17, reads VAL,
+# then s2's value at 07:00 or the error message's end)
+PITFALLS = [
+    ("quoted-station", lambda t: t.replace(",s2,VAL", ',"s2",1.5'), 1.5),
+    ("unbalanced-quote", lambda t: t.replace(",s2,VAL", ',"s2,1.5'), "line 17: expected 3 columns"),
+    ("nul-in-station", lambda t: t.replace(",s2,VAL", ",s\x002,1.5"), "line 17: unknown station 's\\x002'"),
+    ("nul-after-value", lambda t: t.replace("VAL", "1.5\x00"), "line 17: could not convert string to float: '1.5\\x00'"),
+    ("non-ascii-digits", lambda t: t.replace("VAL", "١٢"), 12.0),
+    ("overflow", lambda t: t.replace("VAL", "1e400"), "non-finite value inf at 2020-01-01T07:00:00"),
+    ("crlf", lambda t: t.replace("VAL", "1.5").replace("\n", "\r\n"), 1.5),
+    ("bare-cr", lambda t: t.replace("VAL", "1.5").replace("\n", "\r"), 1.5),
+    ("blank-lines-counted", lambda t: t.replace("2020-01-01T07:00:00,s2,VAL", "\r\n\n07:00,s2,1"), "line 19: bad timestamp '07:00'"),
+    ("spaces", lambda t: t.replace(",s2,VAL", ", s2 , 1.5 "), 1.5),
+    ("unicode-spaces", lambda t: t.replace(",s2,VAL", ",\xa0s2\u3000,\x1c1.5"), 1.5),
+    ("blank-cell", lambda t: t.replace("VAL", "  "), 16.0),
+    ("long-cell", lambda t: t.replace("VAL", "1.5" + " " * 100), 1.5),
+    ("no-final-newline", lambda t: t.replace("VAL", "1.5").rstrip("\n"), 1.5),
+]
+
+
+@pytest.mark.parametrize("edit, expected", [p[1:] for p in PITFALLS], ids=[p[0] for p in PITFALLS])
+def test_what_bytes_cannot_tell_loads_as_csv_would(tmp_path, edit, expected):
+    path = tmp_path / "o.csv"
+    path.write_bytes(edit(obs_csv_text(gap_rows("VAL"))).encode("utf-8"))
+    if isinstance(expected, str):
+        with pytest.raises(IngestionError) as err:
+            load_observations_csv(path, *STATIONS)
+        assert str(err.value).endswith(expected)
+    else:
+        assert load_observations_csv(path, *STATIONS).values[7, 1, 0] == expected
+
+
+def load_outcome(load, path, station_ids):
+    """What `load` makes of `path`: ("error", message) for an
+    IngestionError, ("csv.Error",) when csv raises past it, or the loaded
+    set's bits."""
+    try:
+        obs = load(path, station_ids, [StationCoord(0.0, 0.0, 0.0)] * len(station_ids))
+    except IngestionError as exc:
+        return "error", str(exc)
+    except csv.Error:
+        return ("csv.Error",)
+    return (
+        "ok",
+        obs.values.tobytes(),
+        obs.values.shape,
+        [ts.isoformat() for ts in obs.timestamps],
+        obs.station_ids,
+        obs.var_names,
+        obs.interval,
+    )
+
+
+# what the splices insert: bytes that change how a line is tokenized, cells
+# that parse differently per parser, and lines that break the table
+SPLICE_TOKENS = [
+    "\x00", '"', "\r", "\r\n", "\n", "\n\n", " ", "  ", "\t", "\xa0", ",",
+    "١٢", "٣", "nan", "inf", "e", "-", "1_0", "+", "zz", "s1", "+00:00", "+01:00",
+]
+
+
+@st.composite
+def spliced_csv(draw):
+    """A small valid observations CSV (3 stations x 12 hourly steps, 1-2
+    variables, LF or CRLF) with 1-3 splices. A splice inserts a token, a
+    copy of a data line or an unknown station's line over 0-2 characters,
+    at any character or where a field starts or ends, or puts one field in
+    quotes."""
+    n_vars = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines = ["timestamp,station_id," + ",".join(f"v{i}" for i in range(n_vars))]
+    for k in range(12):
+        for sid in ("s0", "s1", "s2"):
+            cells = [repr(float(v)) for v in rng.normal(size=n_vars).round(rng.integers(0, 17))]
+            lines.append(f"2020-01-01T{k:02d}:00:00,{sid}," + ",".join(cells))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines) + eol
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["token", "duplicate", "unknown", "quote"]))
+        ends = [i for i, ch in enumerate(text) if ch in ",\r\n"]  # where fields end
+        bounds = [0] + [i + 1 for i, ch in enumerate(text) if ch in ",\n"]  # and start
+        if kind == "quote":  # a field (or a run of them, csv permitting) in quotes
+            lo = int(rng.choice(bounds))
+            hi = min((b - 1 for b in bounds if b > lo), default=len(text))
+            text = text[:lo] + '"' + text[lo:hi] + '"' + text[hi:]
+            continue
+        if kind == "token":
+            token = draw(st.sampled_from(SPLICE_TOKENS))
+        else:
+            line = str(rng.choice(lines[1:]))
+            token = (line if kind == "duplicate" else line.replace(",s", ",x", 1)) + eol
+        at = draw(st.sampled_from(["anywhere", "field start", "field end"]))
+        if at == "anywhere":
+            pos = int(rng.integers(0, len(text) + 1))
+        else:
+            pos = int(rng.choice(bounds if at == "field start" else ends))
+        text = text[:pos] + token + text[pos + draw(st.integers(0, 2)) :]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=spliced_csv(),
+    block=st.sampled_from([data._CSV_BLOCK, 97, 400]),
+    field_width=st.sampled_from([data._FIELD_WIDTH, 12]),
+)
+def test_columnar_parser_equals_the_per_row_reference(tmp_path_factory, text, block, field_width):
+    path = tmp_path_factory.mktemp("splice") / "o.csv"
+    path.write_bytes(text.encode("utf-8"))
+    ids = ["s0", "s1", "s2"]
+    expected = load_outcome(reference_load_observations_csv, path, ids)
+    # small blocks put boundaries (and the switch to csv) mid-file; narrow
+    # fields send every timestamp line through the per-line path
+    with patch.object(data, "_CSV_BLOCK", block), patch.object(data, "_FIELD_WIDTH", field_width):
+        got = load_outcome(load_observations_csv, path, ids)
+    if expected == ("csv.Error",):  # Python 3.10's csv rejects a NUL byte
+        assert got[0] == "error"
+    else:
+        assert got == expected
+
+
+aware_or_naive = st.sampled_from(
+    [None, timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-8))]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_steps=st.integers(10, 30),
+    n_stations=st.integers(1, 3),
+    n_vars=st.integers(1, 3),
+    interval=st.sampled_from([timedelta(hours=1), timedelta(days=1)]),
+    tz=aware_or_naive,
+    data_=st.data(),
+)
+def test_write_then_load_gives_the_same_bits(
+    tmp_path_factory, n_steps, n_stations, n_vars, interval, tz, data_
+):
+    finite = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308]),
+    )
+    values = data_.draw(arrays(np.float64, (n_steps, n_stations, n_vars), elements=finite))
+    cells = [(t, vi) for t in range(1, n_steps) for vi in range(n_vars)]
+    for si in range(n_stations):
+        limit = int(0.10 * n_steps * n_vars)
+        for t, vi in data_.draw(st.lists(st.sampled_from(cells), unique=True, max_size=limit)):
+            values[t, si, vi] = np.nan
+    start = datetime(2020, 2, 28, tzinfo=tz)
+    obs = ObservationSet(
+        timestamps=[start + k * interval for k in range(n_steps)],
+        station_ids=[f"s{i}" for i in range(n_stations)],
+        coords=[StationCoord(0.0, 0.0, 0.0)] * n_stations,
+        values=values,
+        var_names=[f"v{i}" for i in range(n_vars)],
+        interval=interval,
+    )
+    path = tmp_path_factory.mktemp("roundtrip") / "o.csv"
+    write_observations_csv(path, obs)
+    loaded = load_observations_csv(path, obs.station_ids, obs.coords)
+    assert loaded.values.tobytes() == fill_by_cells(values).tobytes()
+    assert loaded.timestamps == obs.timestamps
+    assert [ts.isoformat() for ts in loaded.timestamps] == [ts.isoformat() for ts in obs.timestamps]
+    assert loaded.station_ids == obs.station_ids and loaded.var_names == obs.var_names
+    assert loaded.interval == interval
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loader_peak_memory_is_at_most_half_the_per_row_reference(tmp_path):
+    n_steps, n_stations = 10_000, 10  # 100,000 rows
+    rng = np.random.default_rng(0)
+    obs = ObservationSet(
+        timestamps=hourly_timestamps(n_steps),
+        station_ids=[f"s{i:04d}" for i in range(n_stations)],
+        coords=[StationCoord(0.0, 0.0, 0.0)] * n_stations,
+        values=rng.normal(size=(n_steps, n_stations, 1)),
+        var_names=["v"],
+        interval=timedelta(hours=1),
+    )
+    path = tmp_path / "o.csv"
+    write_observations_csv(path, obs)
+    ids, coords = obs.station_ids, obs.coords
+    new = traced_peak(lambda: load_observations_csv(path, ids, coords))
+    ref = traced_peak(lambda: reference_load_observations_csv(path, ids, coords))
+    assert new <= ref / 2, (new, ref)
 
 
 # --- splits ----------------------------------------------------------------
