@@ -9,13 +9,13 @@ written once, over rows: one row is one (window, station, variable) series,
 and a batch of B windows is [B*N*C, T] rows in that order. forward_rows
 embeds (fc_embed), adds spatial_rows and temporal_rows, runs
 encoder_forward and regresses (fc_regress); backward_batch is its
-gradient from the prediction rows, and loss_and_grads the training step
-over history and target rows. fit and evaluate feed them the rows
-WindowSet.batch gathers. forward_batch is the one entry that takes a
-[B, T, N, C] history: it checks and casts it, lays it out as rows for
-forward_rows and lays the prediction back out; forward is forward_batch on
-one window. The three stage kernels are public so that each stage can be
-checked on its own.
+gradient from the prediction rows and the Workspace the forward ran in,
+and loss_and_grads the training step over history and target rows. fit
+and evaluate feed them the rows WindowSet.batch gathers. forward_batch is
+the one entry that takes a [B, T, N, C] history: it checks and casts it,
+lays it out as rows for forward_rows and lays the prediction back out;
+forward is forward_batch on one window. The three stage kernels are public
+so that each stage can be checked on its own.
 
 Variants used by the ablation harness are expressed through ModelConfig:
 spatial_encoding may be "absolute" (a 3 -> d layer over normalized
@@ -39,14 +39,16 @@ need not hold a whole batch's activations: loss_and_grads runs
 forward_rows and backward_batch on consecutive chunks of whole windows, at
 most CHUNK_ROWS rows each (chunk_windows), and adds up the chunks' float64
 loss sums and their gradients. Activation memory is then bounded by a
-chunk, not by the batch. The chunk's arrays live in a Workspace: training
+chunk, not by the batch. The chunk's arrays live in a Workspace, which is
+also the only record of its forward pass: forward_rows leaves its inputs
+and activations there, and backward_batch reads them back. Training
 makes one per fit, sized for a full chunk, and every chunk, batch and
 validation pass writes into the first rows of the same buffers through
 the numerics kernels' `out=` forms, so a warm step allocates almost
 nothing and its speed does not rest on malloc reusing freed blocks. A
-call without a workspace makes its own, so its results share memory with
-nothing the caller holds. Sums over rows (bias gradients, a window's or a
-station's rows) are row_sum GEMVs against the workspace's ones vector.
+forward without a workspace makes its own, so its results share memory
+with nothing the caller holds. Sums over rows (bias gradients, a window's
+or a station's rows) are row_sum GEMVs against the workspace's ones vector.
 The loss's sign is back-propagated unscaled, and the batch's gradient is
 divided by the element count once. A batch of one chunk runs exactly one
 pass; over several chunks each gradient is a sum of per-chunk sums,
@@ -243,8 +245,14 @@ class ModelParams:
 
     @classmethod
     def zeros(cls, config: ModelConfig) -> "ModelParams":
-        """float64 zeros, to be filled in place."""
-        return cls(config, np.zeros(parameter_count(config)))
+        """float64 zeros, to be filled in place; a ConfigError when numpy
+        cannot allocate that many."""
+        size = parameter_count(config)
+        try:
+            vector = np.zeros(size)
+        except (MemoryError, ValueError):  # ValueError: too big to size at all
+            raise ConfigError(f"a model of {size} parameters is too large to allocate") from None
+        return cls(config, vector)
 
     def layer(self, prefix: str) -> LinearLayer:
         """The linear layer `<prefix>.weight`/`.bias`; shares their arrays."""
@@ -299,12 +307,14 @@ class Workspace:
     `dtype`, reused by every chunk and batch that is given it.
 
     forward_rows writes its activations into z (the embedding, then each
-    residual block's output) and r (each block's ReLU output) and its
-    prediction into y; the training loss takes |pred - truth| into abs_err;
-    backward_batch writes the activation gradients into g (three buffers
-    it rotates through, also borrowed for forward_rows's spatial rows and
-    for the per-window and per-station sums), the ReLU masks into mask, and
-    each chunk's parameter gradients into chunk_grad, from which
+    residual block's output) and r (each block's ReLU output), its
+    prediction into y, and what it ran on into `inputs` (None until then):
+    x_rows, coords_norm, hours, days, months and dims (B, N, C), the record
+    backward_batch reads. The training loss takes |pred - truth| into
+    abs_err; backward_batch writes the activation gradients into g (three
+    buffers it rotates through, also borrowed for forward_rows's spatial
+    rows and for the per-window and per-station sums), the ReLU masks into
+    mask, and each chunk's parameter gradients into chunk_grad, from which
     loss_and_grads accumulates the batch's into grad. Both gradients are
     ModelParams in this dtype: one flat vector in tensor_spec layout with
     named views. `ones` is the ones vector that row_sum reduces against.
@@ -330,6 +340,7 @@ class Workspace:
         self.g = [np.empty((rows, config.d), dtype) for _ in range(3)]
         self.mask = np.empty((rows, config.d), bool)
         self.ones = np.ones(rows, dtype)
+        self.inputs: dict | None = None
 
 
 def _workspace(workspace: Workspace | None, params: ModelParams, rows: int) -> Workspace:
@@ -395,17 +406,11 @@ def temporal_rows(hours, days, months, params: ModelParams) -> np.ndarray | None
     return t["table_hour"][hours] + t["table_day"][days] + t["table_month"][months]
 
 
-def encoder_forward(
-    z: np.ndarray,
-    params: ModelParams,
-    cache: dict | None = None,
-    workspace: Workspace | None = None,
-):
+def encoder_forward(z: np.ndarray, params: ModelParams, workspace: Workspace | None = None):
     """The L residual blocks z <- fc2(relu(fc1(z))) + z over rows [..., d],
-    in params.dtype, written into the workspace's r and z buffers (a fresh
-    workspace when none is given). With a cache, appends each block's ReLU
-    output (fc2's input) to cache["r_list"] and its output to
-    cache["z_list"]."""
+    in params.dtype, written into the workspace's r (each block's ReLU
+    output, fc2's input) and z[1:] (each block's output) buffers, those of
+    a fresh workspace when none is given."""
     cfg = params.config
     z = np.asarray(z, dtype=params.dtype)
     if z.shape[-1] != cfg.d:
@@ -422,9 +427,6 @@ def encoder_forward(
         )
         y += z  # residual path
         z = y
-        if cache is not None:
-            cache["r_list"].append(r)
-            cache["z_list"].append(z)
     return z
 
 
@@ -453,7 +455,6 @@ def forward_rows(
     days,
     months,
     params: ModelParams,
-    want_cache: bool = False,
     workspace: Workspace | None = None,
 ):
     """The forward pass over rows: embed, add spatial_rows and
@@ -462,18 +463,14 @@ def forward_rows(
     x_rows: [B*N*C, T_h] history rows ordered (window, station, variable),
     where B = len(hours) and C = config.n_vars; coords_norm: normalized
     [N, 3]; hours/days/months: per-window calendar indices [B]. Returns
-    prediction rows [B*N*C, T_f] in params.dtype and, when want_cache is
-    set, the cache backward_batch needs (else None). Every activation and
-    the prediction are written into `workspace` (see Workspace), or into a
-    fresh one when it is None, so that without one the results share no
-    memory with anything the caller holds. x_rows and coords_norm
-    are cast to params.dtype (no copy when they have it); x_rows must be
-    finite in it, which split_windows checks once for the whole series and
-    forward_batch for each batch. The cache holds
-    x_rows, the calendar indices, the normalized coordinates, z_list (each
-    residual block's input [B*N*C, d], then the head's input) and r_list
-    (each block's ReLU output, which is also fc2's input). Its arrays are
-    read, never written, by backward_batch.
+    prediction rows [B*N*C, T_f] in params.dtype and the workspace that
+    records the pass for backward_batch: `workspace`, or a fresh one when
+    it is None, so that without one the results share no memory with
+    anything the caller holds. x_rows and coords_norm are cast to
+    params.dtype (no copy when they have it); x_rows must be finite in it,
+    which split_windows checks once for the whole series and forward_batch
+    for each batch. The workspace keeps x_rows as a reference, so the
+    caller must not change it before backward_batch.
     """
     cfg = params.config
     dtype = params.dtype
@@ -499,30 +496,29 @@ def forward_rows(
     if time_rows is not None:
         h4 += time_rows[:, None, None, :]
 
-    cache = {"z_list": [e], "r_list": []} if want_cache else None
     y_rows = linear_forward(
-        encoder_forward(e, params, cache, ws), params.layer("fc_regress"), out=ws.y[:rows]
+        encoder_forward(e, params, ws), params.layer("fc_regress"), out=ws.y[:rows]
     )
-    if cache is not None:
-        cache.update(
-            x_rows=x_rows,
-            coords_norm=coords_norm,
-            hours=hours,
-            days=days,
-            months=months,
-            dims=(n_batch, n_stations, n_vars),
-        )
-    return y_rows, cache
+    ws.inputs = dict(
+        x_rows=x_rows,
+        coords_norm=coords_norm,
+        hours=hours,
+        days=days,
+        months=months,
+        dims=(n_batch, n_stations, n_vars),
+    )
+    return y_rows, ws
 
 
-def backward_batch(
-    g_rows: np.ndarray, cache: dict, params: ModelParams, workspace: Workspace | None = None
-) -> dict:
-    """The reverse-mode pass of forward_rows, from the gradient of the
-    prediction rows [B*N*C, T_f] and the cache forward_rows kept; returns
+def backward_batch(g_rows: np.ndarray, workspace: Workspace, params: ModelParams) -> dict:
+    """The reverse-mode pass of the forward_rows call that `workspace`
+    records, from the gradient of its prediction rows [B*N*C, T_f]; returns
     gradients keyed like ModelParams.tensors, as views of the workspace's
-    chunk_grad vector (of a fresh workspace when none is given).
+    chunk_grad vector.
 
+    The activations are read from the workspace's z and r, and the inputs
+    from its `inputs`; a workspace no forward has run in, or gradient rows
+    of another shape than that forward's prediction, is a ShapeError.
     Activation gradients go to the workspace's g buffers. Each bias
     gradient, and each sum over the rows of a window or of a station, is
     one row_sum GEMV. fc_embed's bias gradient, the sum of every row's, is
@@ -530,10 +526,15 @@ def backward_batch(
     one. Temporal-table gradients are nonzero only at rows indexed by the
     batch.
     """
+    inputs = workspace.inputs
+    if inputs is None:
+        raise ShapeError("backward_batch needs a workspace that forward_rows has run in")
     cfg = params.config
-    n_batch, n_stations, n_vars = cache["dims"]
+    n_batch, n_stations, n_vars = inputs["dims"]
+    rows = n_batch * n_stations * n_vars
     g_rows = np.asarray(g_rows, dtype=params.dtype)
-    rows = g_rows.shape[0]
+    if g_rows.shape != (rows, cfg.t_f):
+        raise ShapeError(f"gradient rows {g_rows.shape} != the forward's {(rows, cfg.t_f)}")
     ws = _workspace(workspace, params, rows)
     grads = ws.chunk_grad.tensors
     ones = ws.ones
@@ -543,14 +544,14 @@ def backward_batch(
 
     gz, g_free, g_next = (g[:rows] for g in ws.g)
     linear_backward(
-        cache["z_list"][-1],
+        ws.z[-1][:rows],
         params.layer("fc_regress"),
         g_rows,
         out=(gz, *param_out("fc_regress")),
         ones=ones,
     )
     for i in reversed(range(cfg.n_layers)):
-        r = cache["r_list"][i]
+        r = ws.r[i][:rows]
         gs, _, _ = linear_backward(
             r,
             params.layer(f"encoder.{i}.fc2"),
@@ -560,7 +561,7 @@ def backward_batch(
         )
         ga = relu_backward(r, gs, out=gs, mask=ws.mask[:rows])
         gz_in, _, _ = linear_backward(
-            cache["z_list"][i],
+            ws.z[i][:rows],
             params.layer(f"encoder.{i}.fc1"),
             ga,
             out=(g_next, *param_out(f"encoder.{i}.fc1")),
@@ -575,9 +576,9 @@ def backward_batch(
             gz.reshape(n_batch, rows_per_window, cfg.d), ones, out=g_free[:n_batch]
         )
         for name, idx in (
-            ("table_hour", cache["hours"]),
-            ("table_day", cache["days"]),
-            ("table_month", cache["months"]),
+            ("table_hour", inputs["hours"]),
+            ("table_day", inputs["days"]),
+            ("table_month", inputs["months"]),
         ):
             g_table = grads[name]
             g_table[...] = 0.0
@@ -593,13 +594,13 @@ def backward_batch(
         g_station = np.sum(per_var, axis=1, out=g_next[:n_stations])  # [N, d]
         if cfg.spatial_encoding == "absolute":
             linear_param_grads(
-                cache["coords_norm"], g_station, out=param_out("fc_spatial"), ones=ones
+                inputs["coords_norm"], g_station, out=param_out("fc_spatial"), ones=ones
             )
         else:
             grads["station_table"][...] = g_station
 
     gw_e, gb_e = param_out("fc_embed")
-    linear_weight_grad(cache["x_rows"], gz, out=gw_e)
+    linear_weight_grad(inputs["x_rows"], gz, out=gw_e)
     row_sum(gz if g_station is None else g_station, ones, out=gb_e)
     return dict(grads)
 
@@ -645,17 +646,14 @@ def loss_and_grads(
     abs_sum = 0.0
     for lo in range(0, len(hours), step):
         w, r = slice(lo, lo + step), slice(lo * rows, (lo + step) * rows)
-        pred, cache = forward_rows(
-            x_rows[r], coords_norm, hours[w], days[w], months[w], params,
-            want_cache=True, workspace=ws,
-        )
-        diff = pred  # the workspace's prediction buffer, not in the cache
+        pred, _ = forward_rows(x_rows[r], coords_norm, hours[w], days[w], months[w], params, ws)
+        diff = pred  # the workspace's prediction buffer, which backward_batch does not read
         diff -= np.asarray(future_rows[r], dtype=pred.dtype)
         abs_diff = np.abs(diff, out=ws.abs_err[: len(diff)])
         abs_sum += abs_diff.sum(dtype=np.float64)
         # the sign overwrites the spent |diff|: np.sign in place runs several
         # times slower than into another buffer
-        backward_batch(np.sign(diff, out=abs_diff), cache, params, ws)
+        backward_batch(np.sign(diff, out=abs_diff), ws, params)
         if lo == 0:
             np.copyto(total, ws.chunk_grad.vector)
         else:
@@ -671,16 +669,15 @@ def forward_batch(
     days,
     months,
     params: ModelParams,
-    want_cache: bool = False,
 ):
     """forward_rows on a batch of windows in [B, T, N, C] layout, the only
     entry that takes that layout.
 
     history: [B, T_h, N, C]; coords_norm: normalized [N, 3]; hours/days/
     months: per-window calendar indices [B]. Returns predictions
-    [B, T_f, N, C] in params.dtype and, when want_cache is set, the cache
-    backward_batch needs (else None). history is laid out as rows and cast
-    to params.dtype; a value that is not finite after the cast (one that
+    [B, T_f, N, C] in params.dtype and the fresh workspace that records the
+    pass (see forward_rows). history is laid out as rows and cast to
+    params.dtype; a value that is not finite after the cast (one that
     overflows float32) is a ValidationError.
     """
     cfg = params.config
@@ -695,9 +692,9 @@ def forward_batch(
         )
     if not np.isfinite(x_rows).all():
         raise ValidationError(f"history contains values that are not finite in {params.dtype}")
-    y_rows, cache = forward_rows(x_rows, coords_norm, hours, days, months, params, want_cache)
+    y_rows, ws = forward_rows(x_rows, coords_norm, hours, days, months, params)
     pred = y_rows.reshape(n_batch, n_stations, n_vars, cfg.t_f).transpose(0, 3, 1, 2)
-    return np.ascontiguousarray(pred), cache
+    return np.ascontiguousarray(pred), ws
 
 
 def forward(

@@ -135,24 +135,13 @@ def linear_param_grads(
     out: tuple[np.ndarray, np.ndarray] | None = None,
     ones: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weight and bias gradients of linear_forward, without grad_x.
-
-    grad_weight = grad_out outer x, grad_bias = grad_out; for stacked rows
-    [n, d] both sum over the stack (linear_weight_grad and row_sum, which
-    takes `ones`). `out` is (grad_weight, grad_bias) when given. For a
-    layer whose input needs no gradient (the spatial encoding's).
+    """Weight and bias gradients of linear_forward over stacked rows x
+    [n, d_in] and grad_out [n, d_out], without grad_x: linear_weight_grad
+    and row_sum (which takes `ones`), each summed over the rows. `out` is
+    (grad_weight, grad_bias) when given. For a layer whose input needs no
+    gradient (the spatial encoding's).
     """
-    x = as_float(x)
-    grad_out = as_float(grad_out)
-    if x.ndim != grad_out.ndim or x.shape[:-1] != grad_out.shape[:-1]:
-        raise ShapeError(
-            f"x shape {x.shape} and grad_out shape {grad_out.shape} disagree"
-        )
     out_w, out_b = (None, None) if out is None else out
-    if x.ndim == 1:
-        grad_bias = np.empty_like(grad_out) if out_b is None else out_b
-        grad_bias[...] = grad_out
-        return np.outer(grad_out, x, out=out_w), grad_bias
     return linear_weight_grad(x, grad_out, out_w), row_sum(grad_out, ones, out_b)
 
 
@@ -163,10 +152,11 @@ def linear_backward(
     out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ones: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reverse-mode rule for linear_forward: (grad_x, grad_weight, grad_bias),
-    written to `out`, the same triple, when given.
+    """Reverse-mode rule for linear_forward over stacked rows x [n, d_in]
+    and grad_out [n, d_out]: (grad_x, grad_weight, grad_bias), written to
+    `out`, the same triple, when given. Any other rank is a ShapeError.
 
-    grad_x = W^T grad_out; the weight/bias gradients are linear_param_grads
+    grad_x = grad_out W; the weight/bias gradients are linear_param_grads
     (which takes `ones`).
     """
     x = as_float(x)
@@ -244,7 +234,6 @@ def adam_step(
     grad: np.ndarray,
     state: AdamState,
     lr: float,
-    name: str = "param",
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One Adam update with bias-corrected moments; returns the new param,
@@ -256,21 +245,22 @@ def adam_step(
     m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
     param - lr*m_hat / (sqrt(v_hat) + eps) in that order, so `out` changes
     no bit. The cast gradient and every intermediate live in the state's
-    scratch vectors. A non-finite gradient is an OptimizerError naming
-    `name`, raised before param, out, m, v or step is written.
+    scratch vectors. A non-finite gradient is an OptimizerError, raised
+    before param, out, m, v or step is written; training.fit names the
+    tensor that holds it.
     """
     grad = np.asarray(grad)
     target = param if out is None else out
     if not param.shape == grad.shape == state.m.shape == target.shape:
         raise ShapeError(
-            f"{name}: param {param.shape}, grad {grad.shape}, "
+            f"param {param.shape}, grad {grad.shape}, "
             f"state {state.m.shape}, out {target.shape} disagree"
         )
     g, tmp = state.scratch
     np.copyto(g, grad)  # the gradient in the param's dtype
     # max |g| is inf or NaN exactly when some entry is (without a bool array)
     if not np.isfinite(np.abs(g, out=tmp).max(initial=0.0)):
-        raise OptimizerError(f"non-finite gradient for parameter '{name}'")
+        raise OptimizerError("non-finite gradient")
     state.step += 1
     m, v = state.m, state.v
     np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from lightweather import cli, errors
 from lightweather.checkpoint import MAGIC, checkpoint_load, checkpoint_save
 from lightweather.data import load_observations_csv, load_stations_csv
-from lightweather.model import ModelConfig, init_params, tensor_spec
+from lightweather.model import ModelConfig, init_params, parameter_count, tensor_spec
 
 LONG_NAME = "n" * 300  # longer than any file system allows one name to be
 
@@ -412,6 +412,19 @@ def test_train_whose_loss_overflows_is_one_line_training_error(synth_dir, tmp_pa
     assert cli.main(["train", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("training error: non-finite loss") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_of_a_model_too_large_to_allocate_is_one_line_config_error(
+    synth_dir, tmp_path, capsys
+):
+    # 2e18 float64 parameters: numpy cannot even size the array
+    cfg = data_config(synth_dir, tmp_path / "big.cfg", out_dir=tmp_path / "out", d=10**9)
+    n_params = parameter_count(replace(TINY_MODEL, d=10**9))
+    assert cli.main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: a model of {n_params} parameters is too large to allocate\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

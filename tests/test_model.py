@@ -206,16 +206,17 @@ def test_time_feature_ranges():
         TimeFeature(hour=0, day_index=0, month_index=12)
 
 
-# --- fusion: the encoder input forward_batch caches as z_list[0] ------------
+# --- fusion: the encoder input forward_batch leaves in its workspace's z[0] -
 
 
 def fusion(p, seed, n_batch=2, n_st=3):
-    """forward_batch's fused rows z_list[0] [B*N*C, d] and its five addends,
-    each written out from the tensors and broadcast to the same rows: the
-    embedding, the spatial row and the hour, day and month rows."""
+    """forward_batch's fused rows, its workspace's z[0] [B*N*C, d], and
+    their five addends, each written out from the tensors and broadcast to
+    the same rows: the embedding, the spatial row and the hour, day and
+    month rows."""
     cfg = p.config
     hist, _, cn, hours, days, months = _random_batch(cfg, n_batch, n_st, seed)
-    _, cache = forward_batch(hist, cn, hours, days, months, p, want_cache=True)
+    _, workspace = forward_batch(hist, cn, hours, days, months, p)
     shape = (n_batch, n_st, cfg.n_vars, cfg.d)
     x_rows = hist.transpose(0, 2, 3, 1).reshape(-1, cfg.t_h)
     e = (x_rows @ p.tensors["fc_embed.weight"].T + p.tensors["fc_embed.bias"]).reshape(shape)
@@ -223,7 +224,7 @@ def fusion(p, seed, n_batch=2, n_st=3):
     terms = [e, np.broadcast_to(s[None, :, None, :], shape)]
     for name, idx in zip(TABLES, (hours, days, months)):
         terms.append(np.broadcast_to(p.tensors[name][idx][:, None, None, :], shape))
-    return cache["z_list"][0], [a.reshape(-1, cfg.d) for a in terms]
+    return workspace.z[0], [a.reshape(-1, cfg.d) for a in terms]
 
 
 def test_fuse_zeros_give_back_embedding():
@@ -414,10 +415,11 @@ def test_doubling_loss_scale_doubles_gradients():
     cfg = small_config()
     p = init_params(cfg, seed=25)
     hist, fut, cn, hours, days, months = _batch_for(cfg)
-    pred, cache = forward_rows(to_rows(hist), cn, hours, days, months, p, want_cache=True)
+    pred, workspace = forward_rows(to_rows(hist), cn, hours, days, months, p)
     g = np.sign(pred - to_rows(fut)) / pred.size
-    grads1 = backward_batch(g, cache, p)
-    grads2 = backward_batch(2.0 * g, cache, p)
+    # results are views of the workspace, which the second call overwrites
+    grads1 = {name: grad.copy() for name, grad in backward_batch(g, workspace, p).items()}
+    grads2 = backward_batch(2.0 * g, workspace, p)
     for name in grads1:
         assert_array_equal(grads2[name], 2.0 * grads1[name])
 
@@ -609,22 +611,20 @@ def _check_batch_path_mutates_nothing(n_batch, n_st, n_vars, encoding, seed, dty
     inputs_before = copy.deepcopy((batch, step_inputs))
     params_before = copy.deepcopy(p.tensors)
 
-    plain, no_cache = forward_batch(hist, cn, hours, days, months, p)
-    pred, cache = forward_batch(hist, cn, hours, days, months, p, want_cache=True)
-    assert no_cache is None
-    assert plain.dtype == pred.dtype == dtype
-    assert plain.tobytes() == pred.tobytes()
+    pred, workspace = forward_batch(hist, cn, hours, days, months, p)
+    assert pred.dtype == dtype
+    x_rows = workspace.inputs["x_rows"]
     if dtype == np.float64 and n_batch == n_st == n_vars == 1:
-        assert np.shares_memory(cache["x_rows"], hist)  # the aliasing case
-    cache_before = copy.deepcopy(cache)
+        assert np.shares_memory(x_rows, hist)  # the aliasing case
+    record = (workspace.inputs, workspace.z, workspace.r)  # what backward_batch reads
+    record_before = copy.deepcopy(record)
     loss_and_grads(p, *step_inputs)
-    backward_batch(to_rows(np.sign(pred - fut) / pred.size), cache, p)
+    backward_batch(to_rows(np.sign(pred - fut) / pred.size), workspace, p)
 
     _assert_unchanged(inputs_before, (batch, step_inputs))
     _assert_unchanged(params_before, p.tensors)
-    _assert_unchanged(cache_before, cache)
+    _assert_unchanged(record_before, record)
 
-    x_rows = cache["x_rows"]
     y = linear_forward(x_rows, p.layer("fc_embed"))
     for arg in (x_rows, hist, p.tensors["fc_embed.weight"], p.tensors["fc_embed.bias"]):
         assert not np.shares_memory(y, arg)
@@ -874,14 +874,29 @@ def test_reused_workspace_leaves_no_state_behind(spatial, temporal, monkeypatch)
     _, grads = loss_and_grads(p32, *batch_a, ws)
     assert all(np.shares_memory(g, ws.grad.vector) for g in grads.values())
     x_rows, future_rows, coords, *calendar = batch_a
-    pred, cache = forward_rows(x_rows, coords, *calendar, p32, want_cache=True)
+    pred, fresh = forward_rows(x_rows, coords, *calendar, p32)
     plain = [
         *loss_and_grads(p32, *batch_a)[1].values(),
         pred,
-        *backward_batch(np.sign(pred - future_rows), cache, p32).values(),
+        *backward_batch(np.sign(pred - future_rows), fresh, p32).values(),
     ]
     for result in plain:
         assert not any(np.shares_memory(result, buf) for buf in _workspace_arrays(ws))
+
+
+def test_backward_batch_rejects_what_its_workspace_did_not_run():
+    cfg = small_config()
+    p = init_params(cfg, seed=67)
+    x_rows, _, cn, *calendar = row_batch(*_random_batch(cfg, 3, 2, seed=68))  # 6 rows
+    ws = Workspace(cfg, 6, p.dtype)
+    g = np.ones((6, cfg.t_f))
+    with pytest.raises(ShapeError, match="forward_rows has run"):
+        backward_batch(g, ws, p)
+    forward_rows(x_rows[:4], cn, *(c[:2] for c in calendar), p, ws)  # 2 windows, 4 rows
+    for wrong in (g, g[:4, 1:], g[:4].reshape(-1)):
+        with pytest.raises(ShapeError, match=r"the forward's \(4, 3\)"):
+            backward_batch(wrong, ws, p)
+    backward_batch(g[:4], ws, p)
 
 
 def test_workspace_rejects_what_it_was_not_made_for():

@@ -49,13 +49,13 @@ def test_linear_forward_shape_error():
 
 def test_linear_backward_zero_grad():
     layer = LinearLayer(weight=np.full((2, 3), 1.5), bias=np.zeros(2))
-    gx, gw, gb = linear_backward(np.ones(3), layer, np.zeros(2))
+    gx, gw, gb = linear_backward(np.ones((1, 3)), layer, np.zeros((1, 2)))
     assert not gx.any() and not gw.any() and not gb.any()
 
 
 def test_linear_backward_scalar_chain_rule():
     layer = LinearLayer(weight=np.array([[2.0]]), bias=np.array([0.0]))
-    gx, gw, gb = linear_backward(np.array([3.0]), layer, np.array([1.0]))
+    gx, gw, gb = linear_backward(np.array([[3.0]]), layer, np.array([[1.0]]))
     assert gx == 2.0 and gw == 3.0 and gb == 1.0
 
 
@@ -74,15 +74,15 @@ def _signed_unit(rng, shape):
 def test_linear_backward_matches_finite_differences(d_in, d_out, seed):
     rng = np.random.default_rng(seed)
     layer = LinearLayer(weight=_signed_unit(rng, (d_out, d_in)), bias=_signed_unit(rng, d_out))
-    x = _signed_unit(rng, d_in)
+    x = _signed_unit(rng, (1, d_in))  # one row
     # scalar probe loss: dot(probe, Wx + b)
-    probe = _signed_unit(rng, d_out)
+    probe = _signed_unit(rng, (1, d_out))
 
     def loss_and_grad(params):
         probed = LinearLayer(weight=params["w"], bias=params["b"])
         y = linear_forward(x, probed)
         _, gw, gb = linear_backward(x, probed, probe)
-        return float(probe @ y), {"w": gw, "b": gb}
+        return float(probe[0] @ y[0]), {"w": gw, "b": gb}
 
     # the probe loss is exactly linear in the parameters, so a large step has
     # no truncation error and keeps rounding noise well below the tolerance
@@ -194,7 +194,7 @@ def test_out_argument_writes_only_out():
 def test_linear_param_grads_match_linear_backward():
     rng = np.random.default_rng(3)
     layer = LinearLayer(weight=rng.normal(size=(4, 3)), bias=rng.normal(size=4))
-    for shape in ((3,), (5, 3)):
+    for shape in ((1, 3), (5, 3)):
         x = rng.normal(size=shape)
         g = rng.normal(size=shape[:-1] + (4,))
         _, gw, gb = linear_backward(x, layer, g)
@@ -203,6 +203,9 @@ def test_linear_param_grads_match_linear_backward():
         assert_array_equal(pb, gb)
     with pytest.raises(ShapeError):
         linear_param_grads(np.zeros((5, 3)), np.zeros((6, 4)))
+    for grads in (linear_param_grads, lambda x, g: linear_backward(x, layer, g)):
+        with pytest.raises(ShapeError):  # a single vector is not rows
+            grads(np.zeros(3), np.zeros(4))
 
 
 def test_adam_zero_grad_keeps_param():
@@ -241,11 +244,12 @@ def test_adam_lr_zero_is_identity(seed):
     assert_array_equal(out, p)
 
 
-def test_adam_nonfinite_grad_names_param():
+def test_adam_nonfinite_grad_is_optimizer_error():
+    # adam_step sees one flat vector; training.fit names the tensor
     p = np.zeros(2)
     state = AdamState.zeros_like(p)
-    with pytest.raises(OptimizerError, match="fc_embed.weight"):
-        adam_step(p, np.array([np.nan, 0.0]), state, lr=1e-3, name="fc_embed.weight")
+    with pytest.raises(OptimizerError, match="^non-finite gradient$"):
+        adam_step(p, np.array([np.nan, 0.0]), state, lr=1e-3)
 
 
 @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])

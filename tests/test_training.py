@@ -235,9 +235,9 @@ def test_fit_computes_in_float32_and_returns_float64(tmp_path, monkeypatch):
     forward_rows = training.model_ops.forward_rows
 
     def recording_forward(*args, **kwargs):
-        pred, cache = forward_rows(*args, **kwargs)
+        pred, workspace = forward_rows(*args, **kwargs)
         seen.add(pred.dtype)
-        return pred, cache
+        return pred, workspace
 
     monkeypatch.setattr(training.model_ops, "forward_rows", recording_forward)
     obs = tiny_dataset()
@@ -296,7 +296,7 @@ def test_fit_epoch_equals_a_hand_loop_on_the_float64_gather(spatial, temporal):
         )
         abs_err_sum += loss * len(idx)
         for name, tensor in params.tensors.items():
-            adam_step(tensor, grads[name], states[name], config.lr, name, out=tensor)
+            adam_step(tensor, grads[name], states[name], config.lr, out=tensor)
     for name, arr in params.tensors.items():
         assert arr.tobytes() == result.params.tensors[name].tobytes(), name
     assert result.history[0]["train_mae"] == abs_err_sum / len(train)
