@@ -192,8 +192,12 @@ def tensor_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]
     manifest order and the order init_params draws from its generator.
     Linear layers are `<name>.weight` [d_out, d_in] and `<name>.bias`
     [d_out], both bounded by 1/sqrt(d_in); embedding tables by 1/sqrt(d).
+    A model whose float64 vector cannot be sized is a ConfigError, raised
+    before any entry is built.
     """
-    config.validate()
+    size = parameter_count(config)  # validates the config
+    if size > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"a model of {size} parameters is too large to size an array")
     d = config.d
     table_bound = 1.0 / np.sqrt(d)
 
@@ -272,12 +276,24 @@ class ModelParams:
 
 
 def parameter_count(config: ModelConfig) -> int:
-    """Exact enumerated parameter count for the configured variant.
+    """Exact enumerated parameter count for the configured variant: the
+    sizes of tensor_spec's entries summed, counted without building it.
 
     For the base (absolute/absolute) variant this is
     d(T_h+1) + 4d + 67d + 2*L*d*(d+1) + T_f(d+1).
     """
-    return sum(math.prod(shape) for _, shape, _ in tensor_spec(config))
+    config.validate()
+    # Python ints: numpy integers would wrap on a huge count
+    d, n_layers, t_h, t_f = (int(v) for v in (config.d, config.n_layers, config.t_h, config.t_f))
+    spatial = {"absolute": 4 * d, "relative": int(config.n_stations or 0) * d, "none": 0}
+    temporal = {"absolute": (HOURS_PER_DAY + DAYS_PER_MONTH + MONTHS_PER_YEAR) * d, "none": 0}
+    return (
+        d * (t_h + 1)
+        + spatial[config.spatial_encoding]
+        + temporal[config.temporal_encoding]
+        + 2 * n_layers * d * (d + 1)
+        + t_f * (d + 1)
+    )
 
 
 def closed_form_count(config: ModelConfig) -> int:

@@ -12,6 +12,20 @@ and month tables and all three coordinates of the spatial encoder. The
 first len(alpha) warm-up steps are standard-normal draws so the AR part is
 observable from step one. Per-station noise streams are seeded by
 (seed, station index), making generation order-independent.
+
+Layout: `generate` writes into its one [T, N] float64 `values` array and
+builds no other full-size grid. It draws STATION_BLOCK stations' streams
+at a time into a station-major buffer and copies them, transposed, down
+their columns of `values`, scaled by noise_std after the warm-up rows.
+G is held as its parts (`_Forcing`): a diurnal table over the distinct
+hour-of-day values (at most 24 x N), the annual term per step and the
+elevation term per station. ROW_BLOCK rows of G at a time are gathered
+from those parts and added, or, with AR terms, run through the recurrence
+row by row in place. So generation holds `values`, one [STATION_BLOCK, T]
+buffer and then one [ROW_BLOCK, N] buffer, the T timestamps and a few
+arrays of length T or N. Every value is the same floating-point operation
+on the same inputs as on the full grid, so the data do not depend on the
+block sizes.
 """
 
 from __future__ import annotations
@@ -27,6 +41,10 @@ from .errors import ConfigError
 from .model import StationCoord
 
 DEFAULT_START = datetime(2019, 1, 1, 0, 0, 0)
+HOUR = timedelta(hours=1)
+# stations per noise buffer and forcing rows per block (see the layout above)
+STATION_BLOCK = 64
+ROW_BLOCK = 256
 
 
 @dataclass
@@ -45,6 +63,18 @@ class SynthConfig:
     def validate(self, t_h: int | None = None, t_f: int | None = None) -> None:
         if self.n_stations < 1 or self.n_steps < 1 or self.interval_hours < 1:
             raise ConfigError("n_stations, n_steps, interval_hours must be >= 1")
+        # in hours: a timedelta of the whole span could itself overflow
+        hours_left = (datetime.max.replace(tzinfo=self.start.tzinfo) - self.start) // HOUR
+        if (self.n_steps - 1) * self.interval_hours > hours_left:
+            raise ConfigError(
+                f"{self.n_steps} steps of {self.interval_hours} h from "
+                f"{self.start.isoformat()} run past the year {datetime.max.year}"
+            )
+        for name in ("noise_std", "amp_diurnal", "amp_annual", "amp_elev"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not all(math.isfinite(a) for a in self.alpha):
+            raise ConfigError(f"alpha must be finite, got {','.join(map(str, self.alpha))}")
         if self.noise_std < 0:
             raise ConfigError("noise_std must be >= 0")
         if self.seed < 0:
@@ -76,36 +106,71 @@ def g_function(coord: StationCoord, ts: datetime, config: SynthConfig) -> float:
     return diurnal + annual + config.amp_elev * (coord.elevation / 1000.0)
 
 
+class _Forcing:
+    """G on the [T, N] grid, held as its parts. The diurnal term depends on
+    t only through the hour of day, so it is a table over the distinct hour
+    values (at most 24 in `generate`, whose steps are whole hours); the
+    annual term is one value per step and the elevation term one per
+    station."""
+
+    def __init__(
+        self, coords: list[StationCoord], timestamps: list[datetime], config: SynthConfig
+    ):
+        hour = np.array([ts.hour + ts.minute / 60.0 for ts in timestamps])
+        doy = np.array([ts.timetuple().tm_yday for ts in timestamps], dtype=np.float64)
+        lat = np.array([c.latitude for c in coords])
+        lon = np.array([c.longitude for c in coords])
+        elev = np.array([c.elevation for c in coords])
+        hours, self.hour_index = np.unique(hour, return_inverse=True)
+        self.diurnal = config.amp_diurnal * np.sin(
+            2.0 * np.pi * hours[:, None] / 24.0 + lon[None, :] * np.pi / 180.0
+        ) * np.cos(lat[None, :] * np.pi / 180.0)
+        self.annual = config.amp_annual * np.sin(2.0 * np.pi * doy / 365.25)
+        self.elev = config.amp_elev * (elev / 1000.0)
+
+    def rows(self, t0: int, t1: int, out: np.ndarray) -> np.ndarray:
+        """G at steps t0..t1-1, written into out[: t1 - t0] as
+        (diurnal + annual) + elevation; returns that view."""
+        out = out[: t1 - t0]
+        np.take(self.diurnal, self.hour_index[t0:t1], axis=0, out=out)
+        out += self.annual[t0:t1, None]
+        out += self.elev
+        return out
+
+
 def g_matrix(
     coords: list[StationCoord], timestamps: list[datetime], config: SynthConfig
 ) -> np.ndarray:
     """g_function evaluated on the full [T, N] grid."""
-    hour = np.array([ts.hour + ts.minute / 60.0 for ts in timestamps])
-    doy = np.array([ts.timetuple().tm_yday for ts in timestamps], dtype=np.float64)
-    lat = np.array([c.latitude for c in coords])
-    lon = np.array([c.longitude for c in coords])
-    elev = np.array([c.elevation for c in coords])
-    diurnal = config.amp_diurnal * np.sin(
-        2.0 * np.pi * hour[:, None] / 24.0 + lon[None, :] * np.pi / 180.0
-    ) * np.cos(lat[None, :] * np.pi / 180.0)
-    annual = config.amp_annual * np.sin(2.0 * np.pi * doy / 365.25)
-    return diurnal + annual[:, None] + config.amp_elev * (elev[None, :] / 1000.0)
+    grid = np.empty((len(timestamps), len(coords)))
+    return _Forcing(coords, timestamps, config).rows(0, len(timestamps), grid)
 
 
 def random_station_coords(n: int, seed: int) -> tuple[list[str], list[StationCoord]]:
     """Deterministic station layout spread over latitudes, longitudes, and
-    elevations so the forcing term differs visibly across stations."""
+    elevations so the forcing term differs visibly across stations. Each
+    station draws its latitude, longitude and elevation in turn."""
     rng = np.random.default_rng([seed, 7919])
     ids = [f"s{i:04d}" for i in range(n)]
-    coords = [
-        StationCoord(
-            latitude=float(rng.uniform(-75.0, 75.0)),
-            longitude=float(rng.uniform(-180.0, 180.0)),
-            elevation=float(rng.uniform(0.0, 3000.0)),
-        )
-        for _ in range(n)
-    ]
+    drawn = rng.uniform([-75.0, -180.0, 0.0], [75.0, 180.0, 3000.0], size=(n, 3))
+    coords = [StationCoord(lat, lon, elev) for lat, lon, elev in drawn.tolist()]
     return ids, coords
+
+
+def _draw_noise(config: SynthConfig, values: np.ndarray, p: int) -> None:
+    """Each station's stream down its column of `values`: the first p steps
+    as drawn (the warm-up), the rest times noise_std. Streams are drawn
+    STATION_BLOCK at a time into one station-major buffer."""
+    n_steps, n_stations = values.shape
+    draws = np.empty((min(STATION_BLOCK, n_stations), n_steps))
+    for s0 in range(0, n_stations, STATION_BLOCK):
+        s1 = min(s0 + STATION_BLOCK, n_stations)
+        for si in range(s0, s1):
+            rng = np.random.default_rng([config.seed, si])
+            rng.standard_normal(n_steps, out=draws[si - s0])
+        block = draws[: s1 - s0].T
+        values[:p, s0:s1] = block[:p]  # warm-up, unit-variance
+        np.multiply(block[p:], config.noise_std, out=values[p:, s0:s1])
 
 
 def generate(config: SynthConfig, coords: list[StationCoord]) -> ObservationSet:
@@ -116,24 +181,25 @@ def generate(config: SynthConfig, coords: list[StationCoord]) -> ObservationSet:
             f"got {len(coords)} coords for n_stations={config.n_stations}"
         )
     n_steps, n_stations = config.n_steps, config.n_stations
-    step = timedelta(hours=config.interval_hours)
+    step = config.interval_hours * HOUR
     timestamps = [config.start + i * step for i in range(n_steps)]
-    forcing = g_matrix(coords, timestamps, config)  # [T, N]
-
-    draws = np.empty((n_steps, n_stations))
-    for si in range(n_stations):
-        draws[:, si] = np.random.default_rng([config.seed, si]).standard_normal(n_steps)
+    forcing = _Forcing(coords, timestamps, config)
 
     p = len(config.alpha)
     alpha = np.asarray(config.alpha, dtype=np.float64)
     values = np.empty((n_steps, n_stations))
-    values[:p] = draws[:p]  # warm-up, unit-variance
-    if p == 0:
-        values[:] = forcing + config.noise_std * draws
-    else:
-        for t in range(p, n_steps):
+    _draw_noise(config, values, p)
+    rows = np.empty((min(ROW_BLOCK, n_steps), n_stations))
+    for t0 in range(p, n_steps, ROW_BLOCK):
+        t1 = min(t0 + ROW_BLOCK, n_steps)
+        f = forcing.rows(t0, t1, rows)
+        if p == 0:
+            values[t0:t1] += f
+            continue
+        for t in range(t0, t1):
             ar = alpha @ values[t - p : t][::-1]  # v[t-1], v[t-2], ..., v[t-p]
-            values[t] = ar + forcing[t] + config.noise_std * draws[t]
+            ar += f[t - t0]
+            values[t] += ar
 
     ids = [f"s{i:04d}" for i in range(n_stations)]
     return ObservationSet(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightweather import cli, errors
+from lightweather import cli, errors, model
 from lightweather.checkpoint import MAGIC, checkpoint_load, checkpoint_save
 from lightweather.data import load_observations_csv, load_stations_csv
 from lightweather.model import ModelConfig, init_params, parameter_count, tensor_spec
@@ -168,6 +168,20 @@ def test_usage_error_exit_code_1():
         # a name the file system rejects must not escape as an OSError
         ("synth", {}, LONG_NAME, 1, "config error: cannot create out_dir"),
         ("train", {}, LONG_NAME, 1, "config error: cannot create out_dir"),
+        # a span past datetime.max, checked in hours before any timestamp is made
+        (
+            "synth",
+            dict(synth_interval_hours=100000, synth_steps=1000),
+            None,
+            1,
+            "config error: 1000 steps of 100000 h from 2019-01-01T00:00:00 run past the year 9999",
+        ),
+        ("synth", dict(synth_noise_std="nan"), None, 1, "config error: noise_std must be finite"),
+        ("synth", dict(synth_amp_diurnal="inf"), None, 1, "config error: amp_diurnal must be finite"),
+        ("synth", dict(synth_amp_annual="-inf"), None, 1, "config error: amp_annual must be finite"),
+        ("synth", dict(synth_amp_elev="nan"), None, 1, "config error: amp_elev must be finite"),
+        ("synth", dict(synth_alpha="0.1,nan"), None, 1, "config error: alpha must be finite"),
+        ("synth", dict(synth_alpha="inf"), None, 1, "config error: alpha must be finite"),
     ],
     ids=[
         "relative-param-count-missing-stations",
@@ -185,6 +199,13 @@ def test_usage_error_exit_code_1():
         "ablate-lr-minus-inf",
         "synth-out-name-too-long",
         "train-out-name-too-long",
+        "synth-span-past-year-9999",
+        "synth-noise-std-nan",
+        "synth-amp-diurnal-inf",
+        "synth-amp-annual-minus-inf",
+        "synth-amp-elev-nan",
+        "synth-alpha-nan",
+        "synth-alpha-inf",
     ],
 )
 def test_bad_input_is_one_line_error(
@@ -823,6 +844,19 @@ def test_param_count_defaults(capsys):
     out = capsys.readouterr().out
     assert "enumerated: 25880" in out
     assert "closed_form: 25870" in out
+
+
+def test_param_count_of_a_huge_layer_count_builds_no_spec(tmp_path, capsys, monkeypatch):
+    # 100,000 layers: a spec of 400,000 entries; the count is arithmetic
+    def must_not_run(config):
+        raise AssertionError("param-count built the tensor spec")
+
+    monkeypatch.setattr(model, "tensor_spec", must_not_run)
+    cfg = write_config(tmp_path / "pc.cfg", "layers = 100000\n")
+    assert cli.main(["param-count", "--config", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert "enumerated: 832009240" in out
+    assert "closed_form: 832009230" in out
 
 
 def test_param_count_d32(tmp_path, capsys):

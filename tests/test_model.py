@@ -1,4 +1,5 @@
 import copy
+import math
 import struct
 import tracemalloc
 
@@ -15,6 +16,8 @@ from lightweather.data import split_windows
 from lightweather.errors import ConfigError, ShapeError, ValidationError
 from lightweather.checkpoint import MAGIC, checkpoint_load, checkpoint_save
 from lightweather.model import (
+    SPATIAL_MODES,
+    TEMPORAL_MODES,
     ModelConfig,
     ModelParams,
     StationCoord,
@@ -950,6 +953,43 @@ def test_parameter_count_matches_actual_tensors(d, n_layers, t_h, t_f):
     assert sum(a.size for a in p.tensors.values()) == enumerated
     # documented bookkeeping gap between the enumeration and the closed form
     assert enumerated - closed_form_count(cfg) == 2 * d - t_h - 70
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spatial=st.sampled_from(SPATIAL_MODES),
+    temporal=st.sampled_from(TEMPORAL_MODES),
+    d=st.integers(1, 64),
+    n_layers=st.integers(1, 5),
+    t_h=st.integers(1, 96),
+    t_f=st.integers(1, 48),
+    n_stations=st.integers(1, 500),
+)
+def test_parameter_count_is_the_sum_of_the_spec_sizes(
+    spatial, temporal, d, n_layers, t_h, t_f, n_stations
+):
+    cfg = ModelConfig(
+        d=d,
+        n_layers=n_layers,
+        t_h=t_h,
+        t_f=t_f,
+        spatial_encoding=spatial,
+        temporal_encoding=temporal,
+        n_stations=n_stations if spatial == "relative" else None,
+    )
+    assert parameter_count(cfg) == sum(math.prod(shape) for _, shape, _ in tensor_spec(cfg))
+
+
+def test_a_model_too_large_to_size_is_rejected_by_its_spec():
+    # a huge d rather than a huge layer count: should the check go missing,
+    # the spec is a few entries and the test fails at once
+    cfg = ModelConfig(d=2**40, n_layers=1)
+    size = parameter_count(cfg)
+    assert size * 8 > np.iinfo(np.intp).max
+    with pytest.raises(ConfigError, match=f"a model of {size} parameters is too large"):
+        tensor_spec(cfg)
+    with pytest.raises(ConfigError, match="too large"):
+        ModelParams.zeros(cfg)
 
 
 def test_relative_variant_count_difference():

@@ -1,9 +1,15 @@
-from datetime import datetime, timedelta
+import tracemalloc
+from datetime import datetime, timedelta, timezone
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from lightweather import synthetic
+from lightweather.data import ObservationSet
 from lightweather.errors import ConfigError
 from lightweather.model import StationCoord
 from lightweather.synthetic import (
@@ -134,6 +140,20 @@ def test_config_validation_bounds():
     SynthConfig(n_steps=720).validate(t_h=48, t_f=24)
 
 
+def test_span_may_end_at_the_last_hour_before_year_10000():
+    last_day = datetime(9999, 12, 31, 0, 30)
+    SynthConfig(n_steps=24, start=last_day).validate()  # ends at 23:30
+    with pytest.raises(ConfigError, match="past the year 9999"):
+        SynthConfig(n_steps=25, start=last_day).validate()
+    # the span in hours is far beyond what a timedelta can hold
+    with pytest.raises(ConfigError, match="past the year 9999"):
+        SynthConfig(n_steps=10, interval_hours=10**20).validate()
+    aware = datetime(9999, 12, 31, tzinfo=timezone(timedelta(hours=5)))
+    SynthConfig(n_steps=24, start=aware).validate()
+    with pytest.raises(ConfigError, match="past the year 9999"):
+        SynthConfig(n_steps=25, start=aware).validate()
+
+
 def test_generate_rejects_wrong_coord_count():
     cfg = SynthConfig(n_stations=3, n_steps=100)
     with pytest.raises(ConfigError):
@@ -157,3 +177,151 @@ def test_observation_set_interchangeable_with_loader(tmp_path):
     again = load_observations_csv(tmp_path / "observations.csv", back_ids, back_coords)
     assert_array_equal(again.values, obs.values)
     assert again.timestamps == obs.timestamps
+
+
+# --- the blocked generator against the full-grid reference ----------------
+
+
+def reference_g_matrix(coords, timestamps, config):
+    """The full-grid forcing that generate used to build, kept verbatim."""
+    hour = np.array([ts.hour + ts.minute / 60.0 for ts in timestamps])
+    doy = np.array([ts.timetuple().tm_yday for ts in timestamps], dtype=np.float64)
+    lat = np.array([c.latitude for c in coords])
+    lon = np.array([c.longitude for c in coords])
+    elev = np.array([c.elevation for c in coords])
+    diurnal = config.amp_diurnal * np.sin(
+        2.0 * np.pi * hour[:, None] / 24.0 + lon[None, :] * np.pi / 180.0
+    ) * np.cos(lat[None, :] * np.pi / 180.0)
+    annual = config.amp_annual * np.sin(2.0 * np.pi * doy / 365.25)
+    return diurnal + annual[:, None] + config.amp_elev * (elev[None, :] / 1000.0)
+
+
+def reference_random_station_coords(n, seed):
+    """The per-station coordinate loop, kept verbatim."""
+    rng = np.random.default_rng([seed, 7919])
+    ids = [f"s{i:04d}" for i in range(n)]
+    coords = [
+        StationCoord(
+            latitude=float(rng.uniform(-75.0, 75.0)),
+            longitude=float(rng.uniform(-180.0, 180.0)),
+            elevation=float(rng.uniform(0.0, 3000.0)),
+        )
+        for _ in range(n)
+    ]
+    return ids, coords
+
+
+def reference_generate(config, coords):
+    """The generator that built full [T, N] forcing and draw grids, kept
+    verbatim as the reference whose bits generate must equal."""
+    config.validate()
+    if len(coords) != config.n_stations:
+        raise ConfigError(
+            f"got {len(coords)} coords for n_stations={config.n_stations}"
+        )
+    n_steps, n_stations = config.n_steps, config.n_stations
+    step = timedelta(hours=config.interval_hours)
+    timestamps = [config.start + i * step for i in range(n_steps)]
+    forcing = reference_g_matrix(coords, timestamps, config)  # [T, N]
+
+    draws = np.empty((n_steps, n_stations))
+    for si in range(n_stations):
+        draws[:, si] = np.random.default_rng([config.seed, si]).standard_normal(n_steps)
+
+    p = len(config.alpha)
+    alpha = np.asarray(config.alpha, dtype=np.float64)
+    values = np.empty((n_steps, n_stations))
+    values[:p] = draws[:p]  # warm-up, unit-variance
+    if p == 0:
+        values[:] = forcing + config.noise_std * draws
+    else:
+        for t in range(p, n_steps):
+            ar = alpha @ values[t - p : t][::-1]  # v[t-1], v[t-2], ..., v[t-p]
+            values[t] = ar + forcing[t] + config.noise_std * draws[t]
+
+    ids = [f"s{i:04d}" for i in range(n_stations)]
+    return ObservationSet(
+        timestamps=timestamps,
+        station_ids=ids,
+        coords=list(coords),
+        values=values[:, :, None],
+        var_names=["v"],
+        interval=step,
+    )
+
+
+amplitude = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 3.0]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def synth_configs(draw):
+    p = draw(st.integers(0, 3))
+    share = draw(st.floats(0.0, 0.999))  # of the stability limit sum |alpha| < 1
+    alpha = tuple(
+        a * share / p for a in draw(st.lists(st.floats(-1.0, 1.0), min_size=p, max_size=p))
+    )
+    start = datetime(
+        draw(st.integers(1990, 2030)),
+        draw(st.integers(1, 12)),
+        draw(st.integers(1, 28)),
+        draw(st.integers(0, 23)),
+        draw(st.integers(0, 59)),
+        tzinfo=draw(st.sampled_from([None, timezone(timedelta(hours=5, minutes=30))])),
+    )
+    return SynthConfig(
+        n_stations=draw(st.integers(1, 150)),
+        n_steps=draw(st.integers(10 * max(p, 1), 600)),
+        interval_hours=draw(st.integers(1, 29)),
+        alpha=alpha,
+        amp_diurnal=draw(amplitude),
+        amp_annual=draw(amplitude),
+        amp_elev=draw(amplitude),
+        noise_std=draw(st.one_of(st.just(0.0), st.floats(0.0, 10.0))),
+        seed=draw(st.integers(0, 2**32)),
+        start=start,
+    )
+
+
+def bits(coord: StationCoord) -> tuple[str, str, str]:
+    return coord.latitude.hex(), coord.longitude.hex(), coord.elevation.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config=synth_configs(),
+    station_block=st.sampled_from([synthetic.STATION_BLOCK, 1, 7]),
+    row_block=st.sampled_from([synthetic.ROW_BLOCK, 1, 13]),
+)
+def test_generate_equals_the_full_grid_reference(config, station_block, row_block):
+    ids, coords = random_station_coords(config.n_stations, config.seed)
+    ref_ids, ref_coords = reference_random_station_coords(config.n_stations, config.seed)
+    assert ids == ref_ids
+    assert [bits(c) for c in coords] == [bits(c) for c in ref_coords]
+    expected = reference_generate(config, ref_coords)
+    # small blocks put block boundaries inside the warm-up and the recurrence
+    with patch.object(synthetic, "STATION_BLOCK", station_block), patch.object(
+        synthetic, "ROW_BLOCK", row_block
+    ):
+        got = generate(config, coords)
+    assert got.values.tobytes() == expected.values.tobytes()
+    assert got.values.shape == expected.values.shape
+    assert got.timestamps == expected.timestamps
+    assert got.interval == expected.interval
+    forcing = g_matrix(coords, got.timestamps, config)
+    assert forcing.tobytes() == reference_g_matrix(coords, got.timestamps, config).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [(), (0.5, 0.3)], ids=["forcing-and-noise", "ar"])
+def test_generate_peak_memory_is_at_most_one_and_a_half_values(alpha):
+    config = SynthConfig(n_stations=400, n_steps=2000, alpha=alpha, noise_std=0.5, seed=1)
+    coords = coords_for(400)
+    tracemalloc.start()
+    try:
+        obs = generate(config, coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * obs.values.nbytes, (peak, obs.values.nbytes)
