@@ -7,7 +7,10 @@ The writer lists tensors in model.tensor_spec order, so its data section
 is the bytes of ModelParams.vector; the reader accepts them in any order
 and fills one vector in spec order. Round-trips are
 bit-exact. A truncated or malformed file, shapes unlike its config's or
-the caller's, or a value not finite in float32 is a CheckpointError.
+the caller's, or a value not finite in float32 is a CheckpointError. The
+size of the data section is checked against the config's parameter count
+before the config's tensor spec is built, so a manifest that claims a
+huge model fails at once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .model import ModelConfig, ModelParams, tensor_spec
+from .model import ModelConfig, ModelParams, parameter_count, tensor_spec
 
 MAGIC = b"LWCKPT1"
 _DTYPES = {"float64": "<f8", "float32": "<f4"}
@@ -62,11 +65,18 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelPa
     try:
         manifest = json.loads(raw[body : body + mlen].decode("utf-8"))
         config = ModelConfig(**manifest["config"])
-        expected_own = _shapes(config)  # validates the config
+        count = parameter_count(config)  # validates the config, builds no spec
         entries = [(e["name"], tuple(e["shape"]), e["dtype"]) for e in manifest["tensors"]]
         declared = {name: shape for name, shape, _ in entries}
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: bad manifest: {exc}") from exc
+    data = len(raw) - body - mlen
+    if not 4 * count <= data <= 8 * count:  # float32 to float64 each
+        raise CheckpointError(
+            f"{path}: data section of {data} bytes cannot hold the {count} "
+            f"parameters of its config"
+        )
+    expected_own = _shapes(config)  # count <= data / 4: no larger than the file
 
     checks = [("manifest inconsistent with its config", expected_own)]
     if expected_config is not None:

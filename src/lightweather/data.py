@@ -23,27 +23,31 @@ ingestion error naming its line.
 load_observations_csv reads the observation rows column-wise from the
 file's bytes, _CSV_BLOCK bytes of whole lines at a time (a longer line
 makes a longer block); a file whose bytes hold a quote or a bare CR is
-tokenized by csv.reader instead, from the block that holds one. Its memory
-is one block and its columns, 8 bytes per row plus 8 per value for the
-rows read so far, one byte per (timestamp, station) cell for the duplicate
-check, and the [T, N, C] float64 result: on 473,040 rows of one variable
-(27 stations x 17,520 hours), a tracemalloc peak of 18 MB against 79 MB
-for the per-row csv loop it replaced.
+tokenized by csv.reader instead, from the block that holds one. Each
+block's rows are scattered straight into the float64 [T, N, C] result
+(_ObservationGrid), which grows in place as new timestamps appear and is
+put in time order once at the end, when the file's first uses were not.
+So its memory is that grid (with up to an eighth to spare), one byte per
+(timestamp, station) cell for the duplicate check, 16 bytes per distinct
+timestamp and one block with its columns: on 473,040 rows of one variable
+(27 stations x 17,520 hours) a tracemalloc peak of 1.6 times the 3.8 MB
+result, against 21 times for the per-row csv loop it replaced.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, IngestionError, ValidationError
-from .model import COMPUTE_DTYPE, StationCoord, TimeFeature
+from .model import COMPUTE_DTYPE, StationCoord
 
 STATIONS_HEADER = ["station_id", "lat", "lon", "elev"]
 _STORE_BLOCK = 256  # steps series_rows normalizes at a time
@@ -165,6 +169,59 @@ def _parse_timestamp(raw: str, path, lineno: int) -> datetime:
         raise IngestionError(f"{path}: line {lineno}: bad timestamp {raw!r}") from exc
 
 
+_US = timedelta(microseconds=1)
+_EPOCH = datetime(1970, 1, 1)
+_UTC_EPOCH = _EPOCH.replace(tzinfo=timezone.utc)
+_BAD = np.iinfo(np.int64).min  # the key of a field that is no timestamp
+# `YYYY-MM-DDTHH:MM:SS` byte by byte: the least and the greatest byte each
+# place takes, and each digit's weight in year, month, day, hour, minute
+# and second
+_ISO_LO = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)
+_ISO_HI = np.frombuffer(b"9999-99-99T99:99:99", np.uint8)
+_ISO_PARTS = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2), (17, 2))  # (first byte, digits)
+_ISO_WEIGHTS = np.array(
+    [[10.0 ** (at + n - 1 - i) if at <= i < at + n else 0.0 for at, n in _ISO_PARTS] for i in range(19)]
+)
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _timestamp_key(ts: datetime) -> int:
+    """The grid key of `ts`: microseconds since 1970 (on its wall clock when
+    naive, in UTC when aware) times two, plus one when aware. Keys are equal
+    when the datetimes are: aware ones at the same instant, and a naive one
+    never equals an aware one."""
+    if ts.tzinfo is None:
+        return (ts - _EPOCH) // _US * 2
+    return (ts - _UTC_EPOCH) // _US * 2 + 1
+
+
+def _key_datetime(key: int, aware: datetime | None) -> datetime:
+    """The datetime of `key`: `aware` when given, else the naive one."""
+    return aware if aware is not None else _EPOCH + int(key) // 2 * _US
+
+
+def _iso_keys(m: np.ndarray) -> np.ndarray:
+    """Keys of the rows of [n, 19] uint8 matrix `m` that read
+    `YYYY-MM-DDTHH:MM:SS` with every part in the range fromisoformat
+    allows; _BAD for every other row."""
+    ok = ((m >= _ISO_LO) & (m <= _ISO_HI)).all(axis=1)
+    parts = ((m - _ISO_LO) @ _ISO_WEIGHTS).astype(np.int64)
+    year, month, day, hour, minute, second = parts.T
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+    ok &= day <= _DAYS_IN_MONTH[np.where(ok, month, 0)] + ((month == 2) & leap)
+    ok &= (hour < 24) & (minute < 60) & (second < 60)
+    # days since 1970-01-01 in the proleptic Gregorian calendar, counted in
+    # 400-year eras of years that start in March
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    seconds = ((days * 24 + hour) * 60 + minute) * 60 + second
+    return np.where(ok, seconds * 2_000_000, _BAD)
+
+
 def _needs_csv(raw: bytes) -> bool:
     """True when `raw` holds a quote or a CR that does not end a CRLF:
     bytes that only csv.reader tokenizes as csv does."""
@@ -173,38 +230,40 @@ def _needs_csv(raw: bytes) -> bool:
 
 def _line_blocks(fh, offset: int):
     """(byte offset, bytes) of the whole lines of binary `fh` from `offset`
-    on, about _CSV_BLOCK bytes at a time. A line longer than that makes a
-    longer block; the file's last line may lack its newline."""
+    on, about _CSV_BLOCK bytes at a time: a block that ends inside a line
+    takes the rest of it, so a longer line makes a longer block. The file's
+    last line may lack its newline."""
     fh.seek(offset)
-    tail = b""
-    while chunk := fh.read(_CSV_BLOCK):
-        buf = tail + chunk
-        cut = buf.rfind(b"\n") + 1
-        if cut:
-            yield offset, buf[:cut]
-            offset += cut
-        tail = buf[cut:]
-    if tail:
-        yield offset, tail
-
-
-def _grown(a: np.ndarray, size: int, fill) -> np.ndarray:
-    """`a`, or a copy at least twice as long, padded with `fill`, when it is
-    shorter than `size`."""
-    if len(a) >= size:
-        return a
-    out = np.full(max(size, 2 * len(a)), fill, a.dtype)
-    out[: len(a)] = a
-    return out
+    while block := fh.read(_CSV_BLOCK):
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+        yield offset, block
+        offset += len(block)
 
 
 def _fixed_width(pad: np.ndarray, start: np.ndarray, width: np.ndarray, min_width: int = 1):
-    """The fields pad[start : start + width] as one NUL-padded bytes array;
-    `pad` runs at least _FIELD_WIDTH bytes past every field's start."""
-    w = max(int(width.max(initial=0)), min_width)
-    out = sliding_window_view(pad, w)[start]
-    out[np.arange(w) >= width[:, None]] = 0
-    return out.view(f"S{w}").ravel()
+    """The fields pad[start : start + width] as one bytes array, NUL-padded
+    to a whole number of 8-byte words, so that its items also read as
+    little-endian uint64 words; `pad` runs at least _FIELD_WIDTH + 8 bytes
+    past every field's start."""
+    w = -(-max(int(width.max(initial=0)), min_width) // 8) * 8
+    # the w bytes from each byte of pad, as items: a gather copies each field
+    # in one piece
+    out = np.ndarray((len(pad) - w + 1,), f"S{w}", pad, 0, (1,))[start]
+    if not len(out):
+        return out
+    if (width == width[0]).all():
+        mask = _byte_masks(w)[width[0]]
+    else:
+        mask = _byte_masks(w).view(f"S{w}").ravel()[width].view(np.uint8).reshape(-1, w)
+    np.bitwise_and(out.view(np.uint8).reshape(-1, w), mask, out=out.view(np.uint8).reshape(-1, w))
+    return out
+
+
+@functools.cache
+def _byte_masks(w: int) -> np.ndarray:
+    """[w + 1, w] uint8: row k keeps the first k bytes of a w-byte item."""
+    return np.tril(np.full((w + 1, w), 0xFF, np.uint8), -1)
 
 
 def _parse_floats(col: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -223,10 +282,17 @@ def _parse_floats(col: np.ndarray, out: np.ndarray) -> np.ndarray:
     return ok
 
 
-class _ObservationRows:
-    """The rows of one observations file, checked line by line in file
-    order and kept as compact per-row arrays (timestamp id, station index,
-    values), a block of lines at a time."""
+class _ObservationGrid:
+    """The rows of one observations file, checked line by line in file order
+    and scattered, a block of lines at a time, into a float64 grid
+    [timestamp id, station, variable].
+
+    A timestamp id counts distinct timestamps in the order of the first row
+    that holds each; rows find theirs through an integer key per timestamp
+    (_timestamp_key). The grid and its [id, station] `seen` mask grow in
+    place (ndarray.resize) by an eighth or more as new timestamps appear,
+    and `finish` puts the ids in time order.
+    """
 
     def __init__(self, path, station_ids: list[str], n_vars: int):
         self.path = path
@@ -242,35 +308,51 @@ class _ObservationRows:
         )
         self.known = np.array([raw for raw, _ in exact], dtype=bytes)
         self.known_index = np.array([i for _, i in exact], dtype=np.intp)
-        self.string_ids: dict[bytes, int] = {}  # raw timestamp field -> string id
-        self.string_ts: list[datetime | None] = []  # string id -> datetime, None if bad
-        self.string_step = np.empty(0, np.intp)  # string id -> timestamp id, -1 if unused
-        # timestamp -> id, in the order of the first row that holds it
-        self.timestamp_ids: dict[datetime, int] = {}
-        self.seen = np.zeros(0, bool)  # [timestamp id * N + station index]
-        self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        # and those of at most 8 bytes as the uint64 word of an 8-byte field
+        short = sorted(
+            (int.from_bytes(raw, "little"), i) for raw, i in exact if len(raw) <= 8
+        )
+        self.known8 = np.array([word for word, _ in short], dtype=np.uint64)
+        self.known8_index = np.array([i for _, i in short], dtype=np.intp)
+        self.n_ids = 0
+        self.sorted_keys = np.empty(0, np.int64)  # every key seen, ascending
+        self.sorted_ids = np.empty(0, np.intp)  # and the id of each
+        self.aware: dict[int, datetime] = {}  # id -> first datetime, aware ids only
+        self.values = np.empty((0, len(station_ids), n_vars))
+        self.seen = np.zeros((0, len(station_ids)), bool)
 
-    def _string_id(self, raw: bytes, ts: datetime | None = None) -> int:
-        """The id of timestamp field `raw`, parsed once; -1 if it is not one."""
-        sid = self.string_ids.get(raw)
-        if sid is None:
-            if ts is None:
+    def _timestamp_column(self, col: np.ndarray, width: np.ndarray):
+        """Keys of a column of timestamp fields (_BAD for a field that is no
+        timestamp) and, per field, its datetime when aware, else None. A run
+        of equal fields is parsed once: `YYYY-MM-DDTHH:MM:SS` by arithmetic
+        (_iso_keys), any other form with fromisoformat once per distinct
+        field."""
+        change = np.ones(len(col), bool)
+        change[1:] = False
+        words = col.view("<u8").reshape(len(col), col.itemsize // 8)
+        for k in range(words.shape[1]):
+            change[1:] |= words[1:, k] != words[:-1, k]
+        heads = np.flatnonzero(change)
+        col, width = col[heads], width[heads]
+        keys = np.full(len(col), _BAD)
+        iso = np.flatnonzero(width == 19)
+        if len(iso):
+            keys[iso] = _iso_keys(col[iso].view(np.uint8).reshape(len(iso), -1)[:, :19])
+        aware = np.full(len(col), None, object)
+        slow = np.flatnonzero(keys == _BAD)
+        if len(slow):
+            uniq, inv = np.unique(col[slow], return_inverse=True)
+            parsed = []
+            for raw in uniq.tolist():
                 try:
                     ts = datetime.fromisoformat(raw.decode("utf-8").strip())
+                    parsed.append((_timestamp_key(ts), ts if ts.tzinfo is not None else None))
                 except ValueError:
-                    pass
-            sid = self.string_ids[raw] = len(self.string_ts)
-            self.string_ts.append(ts)
-        return sid if self.string_ts[sid] is not None else -1
-
-    def _timestamp_column(self, col: np.ndarray) -> np.ndarray:
-        """String ids of a column of timestamp fields, each distinct field
-        looked up once (a run of equal fields counts once)."""
-        change = np.ones(len(col), bool)
-        change[1:] = col[1:] != col[:-1]
-        uniq, inv = np.unique(col[change], return_inverse=True)
-        ids = np.array([self._string_id(raw) for raw in uniq.tolist()], dtype=np.intp)
-        return ids[inv][np.cumsum(change) - 1]
+                    parsed.append((_BAD, None))
+            keys[slow] = np.array([k for k, _ in parsed], np.int64)[inv]
+            aware[slow] = np.array([ts for _, ts in parsed], object)[inv]
+        run = np.cumsum(change) - 1
+        return keys[run], aware[run]
 
     def _station_column(self, col: np.ndarray) -> np.ndarray:
         """Station indices of a column of station fields, -1 if unknown; a
@@ -278,10 +360,13 @@ class _ObservationRows:
         once per distinct value."""
         out = np.full(len(col), -1, np.intp)
         hit = np.zeros(len(col), bool)
-        if len(self.known):
-            pos = np.searchsorted(self.known, col).clip(max=len(self.known) - 1)
-            hit = self.known[pos] == col
-            out[hit] = self.known_index[pos[hit]]
+        known, index, fields = self.known, self.known_index, col
+        if col.itemsize == 8:  # one word per field: look the words up
+            known, index, fields = self.known8, self.known8_index, col.view("<u8")
+        if len(known):
+            pos = np.searchsorted(known, fields).clip(max=len(known) - 1)
+            hit = known[pos] == fields
+            out[hit] = index[pos[hit]]
         if not hit.all():
             uniq, inv = np.unique(col[~hit], return_inverse=True)
             found = [self.sid_index.get(raw.decode("utf-8").strip(), -1) for raw in uniq.tolist()]
@@ -308,7 +393,8 @@ class _ObservationRows:
                 vals.append(float(raw))
             except ValueError as exc:
                 raise IngestionError(f"{path}: line {lineno}: {exc}") from exc
-        return lineno, self._string_id(row[0].encode("utf-8"), ts), self.sid_index[sid], vals
+        aware = ts if ts.tzinfo is not None else None
+        return lineno, _timestamp_key(ts), aware, self.sid_index[sid], vals
 
     def parse_records(self, records) -> None:
         """Take csv records (line number, fields) one at a time."""
@@ -328,12 +414,26 @@ class _ObservationRows:
         if error is not None:
             raise error
 
-    def parse_block(self, block: bytes, lineno: int) -> None:
-        """Take `block`, whole lines with no quote and no bare CR, the first
-        of them line `lineno`. The columnar pass takes the lines with the
-        right field count whose fields all parse; every other non-blank
-        line is read again by parse_record, in line order, so the first
-        offending line raises its error."""
+    def parse_block(self, block: bytes, lineno: int) -> int | None:
+        """Take `block`, whole lines, the first of them line `lineno`, and
+        return the number of newlines in it; or take nothing and return None
+        when it holds a quote or a CR that does not end a CRLF, bytes that
+        only csv.reader tokenizes as csv does. The columnar pass takes the
+        lines with the right field count whose fields all parse; every other
+        non-blank line is read again by parse_record, in line order, so the
+        first offending line raises its error."""
+        if b'"' in block:
+            return None
+        a = np.frombuffer(block, np.uint8)
+        delim = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
+        newline = a[delim] == ord("\n")
+        ends = delim[newline]
+        n_newlines = len(ends)
+        crlf = None
+        if b"\r" in block:
+            crlf = (ends > 0) & (a[ends - 1] == ord("\r"))
+            if np.count_nonzero(a == ord("\r")) != np.count_nonzero(crlf):
+                return None
         if not block.isascii():
             try:
                 block.decode("utf-8")
@@ -342,38 +442,51 @@ class _ObservationRows:
                 if cut:
                     self.parse_block(block[:cut], lineno)  # an earlier error first
                 raise _not_utf8(self.path, exc) from exc
-        a = np.frombuffer(block, np.uint8)
-        ends = np.flatnonzero(a == ord("\n"))
         if not block.endswith(b"\n"):
             ends = np.append(ends, len(a))
+            delim = np.append(delim, len(a))
+            newline = np.append(newline, True)
         starts = np.zeros_like(ends)
         starts[1:] = ends[:-1] + 1
-        commas = np.flatnonzero(a == ord(","))
-        upto = np.searchsorted(commas, ends)  # commas before each line's end
+        # the delimiter that ends each field of each line: when there are
+        # n_cols per line and every n_cols-th is a newline, every line holds
+        # n_cols - 1 commas
         n_cols = 2 + self.n_vars
-        regular = np.diff(upto, prepend=0) == n_cols - 1
+        regular = np.ones(len(ends), bool)
+        if len(delim) == n_cols * len(ends) and newline[n_cols - 1 :: n_cols].all():
+            field_end = delim.reshape(-1, n_cols)
+        else:
+            commas = delim[~newline]
+            upto = np.searchsorted(commas, ends)  # commas before each line's end
+            regular = np.diff(upto, prepend=0) == n_cols - 1
+            field_end = np.zeros((len(ends), n_cols), np.intp)
+            first = upto[regular] - (n_cols - 1)
+            field_end[regular, :-1] = commas[first[:, None] + np.arange(n_cols - 1)]
         if b"\0" in block:
             regular[np.searchsorted(ends, np.flatnonzero(a == 0))] = False
-        if b"\r" in block:  # each CR ends a CRLF: drop it
-            ends = ends - ((ends > starts) & (a[ends - 1] == ord("\r")))
+        if crlf is not None:  # each CR ends a CRLF: drop it
+            ends[:n_newlines] -= crlf
         filled = ends > starts  # a blank line is skipped, but counted
 
         idx = np.flatnonzero(regular & filled)
-        cut = commas[(upto[idx] - (n_cols - 1))[:, None] + np.arange(n_cols - 1)]
-        lo = np.concatenate([starts[idx, None], cut + 1], axis=1)
-        width = np.concatenate([cut, ends[idx, None]], axis=1) - lo
-        narrow = (width <= _FIELD_WIDTH).all(axis=1)
-        idx, lo, width = idx[narrow], lo[narrow], width[narrow]
-        pad = np.zeros(len(a) + _FIELD_WIDTH, np.uint8)
+        sel = slice(None) if len(idx) == len(ends) else idx  # no copy when all are
+        field_end = field_end[sel]
+        lo = [starts[sel]] + [field_end[:, j] + 1 for j in range(n_cols - 1)]
+        width = [field_end[:, j] - lo[j] for j in range(n_cols - 1)] + [ends[sel] - lo[-1]]
+        if max(int(w.max(initial=0)) for w in width) > _FIELD_WIDTH:
+            narrow = np.logical_and.reduce([w <= _FIELD_WIDTH for w in width])
+            idx, lo, width = idx[narrow], [x[narrow] for x in lo], [w[narrow] for w in width]
+        pad = np.zeros(len(a) + _FIELD_WIDTH + 8, np.uint8)
         pad[: len(a)] = a
-        string_id = self._timestamp_column(_fixed_width(pad, lo[:, 0], width[:, 0]))
-        station = self._station_column(_fixed_width(pad, lo[:, 1], width[:, 1]))
-        ok = (string_id >= 0) & (station >= 0)
+        keys, aware = self._timestamp_column(_fixed_width(pad, lo[0], width[0]), width[0])
+        station = self._station_column(_fixed_width(pad, lo[1], width[1]))
+        ok = (keys != _BAD) & (station >= 0)
         values = np.empty((len(idx), self.n_vars))
         for j in range(2, n_cols):
-            col = _fixed_width(pad, lo[:, j], width[:, j], min_width=3)
-            col[width[:, j] == 0] = b"nan"  # an empty cell is missing
+            col = _fixed_width(pad, lo[j], width[j], min_width=3)
+            col[width[j] == 0] = b"nan"  # an empty cell is missing
             ok &= _parse_floats(col, values[:, j - 2])
+        del pad, col, lo, width  # freed before the grid grows
 
         taken = np.zeros(len(ends), bool)
         taken[idx[ok]] = True
@@ -391,55 +504,127 @@ class _ObservationRows:
             except IngestionError as exc:
                 error, error_line = exc, lineno + i
                 break
-        keep = slice(None) if error_line is None else lines < error_line
-        self._commit(lines[keep], string_id[ok][keep], station[ok][keep], values[ok][keep], rows)
+        keep = np.flatnonzero(ok)
+        if error_line is not None:
+            keep = keep[lines < error_line]
+            lines = lines[lines < error_line]
+        self._commit(lines, keys[keep], aware[keep], station[keep], values[keep], rows)
         if error_line is not None:
             raise error
+        return n_newlines
 
     def _commit_records(self, rows: list[tuple]) -> None:
         empty = np.empty(0, np.intp)
-        self._commit(empty, empty, empty, np.empty((0, self.n_vars)), rows)
+        none = np.empty(0, object)
+        self._commit(empty, empty, none, empty, np.empty((0, self.n_vars)), rows)
 
-    def _commit(self, lines, string_id, station, values, rows: list[tuple]) -> None:
-        """Keep valid rows, given as arrays plus parse_record tuples; a row
-        whose (timestamp, station) an earlier line holds is an error."""
+    def _ids(self, keys: np.ndarray, aware: np.ndarray) -> np.ndarray:
+        """The timestamp id of each key, given in line order: a key not seen
+        before takes the next id, in the order of its first row, and keeps
+        that row's datetime when aware. A run of equal keys is looked up
+        once."""
+        change = np.ones(len(keys), bool)
+        change[1:] = keys[1:] != keys[:-1]
+        heads = np.flatnonzero(change)
+        uniq, first, inv = np.unique(keys[heads], return_index=True, return_inverse=True)
+        first = heads[first]
+        pos = np.searchsorted(self.sorted_keys, uniq)
+        found = pos < len(self.sorted_keys)
+        found[found] = self.sorted_keys[pos[found]] == uniq[found]
+        ids = np.empty(len(uniq), np.intp)
+        ids[found] = self.sorted_ids[pos[found]]
+        new = np.flatnonzero(~found)
+        if len(new):
+            by_use = new[np.argsort(first[new])]
+            ids[by_use] = np.arange(self.n_ids, self.n_ids + len(new))
+            self.n_ids += len(new)
+            for u in by_use[uniq[by_use] & 1 == 1].tolist():
+                self.aware[int(ids[u])] = aware[first[u]]
+            self.sorted_keys = np.insert(self.sorted_keys, pos[new], uniq[new])
+            self.sorted_ids = np.insert(self.sorted_ids, pos[new], ids[new])
+        return ids[inv][np.cumsum(change) - 1]
+
+    def _commit(self, lines, keys, aware, station, values, rows: list[tuple]) -> None:
+        """Scatter valid rows, given as arrays plus parse_record tuples, into
+        the grid; a row whose (timestamp, station) an earlier line holds is
+        an error."""
         if rows:
-            more = [np.array(c) for c in zip(*rows)]
-            lines, string_id, station = (
-                np.concatenate([x, y]) for x, y in zip((lines, string_id, station), more)
-            )
-            values = np.concatenate([values, more[3].reshape(-1, self.n_vars)])
+            more_lines, more_keys, more_aware, more_station, more_values = zip(*rows)
+            lines = np.concatenate([lines, more_lines])
+            keys = np.concatenate([keys, more_keys])
+            aware = np.concatenate([aware, np.array(more_aware, object)])
+            station = np.concatenate([station, more_station])
+            values = np.concatenate([values, np.array(more_values).reshape(-1, self.n_vars)])
             order = np.argsort(lines, kind="stable")
-            lines, string_id, station, values = (
-                x[order] for x in (lines, string_id, station, values)
+            lines, keys, aware, station, values = (
+                x[order] for x in (lines, keys, aware, station, values)
             )
         if not len(lines):
             return
-        # timestamp ids in order of first use, as the reference's dict keys
-        self.string_step = _grown(self.string_step, len(self.string_ts), -1)
-        step = self.string_step[string_id]
-        new = string_id[step < 0]
-        if len(new):
-            for s in new[np.sort(np.unique(new, return_index=True)[1])].tolist():
-                ts = self.string_ts[s]
-                self.string_step[s] = self.timestamp_ids.setdefault(ts, len(self.timestamp_ids))
-            step = self.string_step[string_id]
+        ids = self._ids(keys, aware)
         n_stations = len(self.station_ids)
-        self.seen = _grown(self.seen, len(self.timestamp_ids) * n_stations, False)
-        key = step * n_stations + station
-        dup = self.seen[key]
-        if (np.diff(key) <= 0).any():  # a key may repeat inside this chunk
-            later = np.ones(len(key), bool)
-            later[np.unique(key, return_index=True)[1]] = False
+        if self.n_ids > len(self.seen):
+            cap = max(self.n_ids, len(self.seen) * 9 // 8)
+            self.values.resize((cap, n_stations, self.n_vars), refcheck=False)
+            self.seen.resize((cap, n_stations), refcheck=False)
+        cell = ids * n_stations + station
+        seen = self.seen.reshape(-1)
+        dup = seen[cell]
+        if (np.diff(cell) <= 0).any():  # a cell may repeat inside this chunk
+            later = np.ones(len(cell), bool)
+            later[np.unique(cell, return_index=True)[1]] = False
             dup |= later
         if dup.any():
             r = int(np.argmax(dup))
             raise IngestionError(
                 f"{self.path}: line {lines[r]}: duplicate "
-                f"({self.string_ts[string_id[r]].isoformat()}, {self.station_ids[station[r]]})"
+                f"({_key_datetime(keys[r], aware[r]).isoformat()}, {self.station_ids[station[r]]})"
             )
-        self.seen[key] = True
-        self.chunks.append((step.astype(np.int32), station.astype(np.int32), values))
+        seen[cell] = True
+        self.values.reshape(-1, self.n_vars)[cell] = values
+
+    def finish(self) -> tuple[list[datetime], timedelta, np.ndarray]:
+        """The sorted timestamps, their interval and the [T, N, C] values in
+        time order, NaN where no row gave a cell; the grid's checks (at
+        least two timestamps, one kind, one interval) in the per-row loop's
+        order and words."""
+        path = self.path
+        if not self.n_ids:
+            raise IngestionError(f"{path}: no observations")
+        is_aware = self.sorted_keys & 1 == 1
+        if self.aware and not is_aware.all():  # aware and naive datetimes do not compare
+            naive = np.flatnonzero(~is_aware)
+            first = naive[np.argmin(self.sorted_ids[naive])]
+            raise IngestionError(
+                f"{path}: timestamps mix timezone-aware "
+                f"({self.aware[min(self.aware)].isoformat()}) and "
+                f"naive ({_key_datetime(self.sorted_keys[first], None).isoformat()}) values"
+            )
+        if self.n_ids < 2:
+            raise IngestionError(f"{path}: need at least 2 timestamps to fix the interval")
+        if self.aware:
+            timestamps = [self.aware[i] for i in self.sorted_ids.tolist()]
+        else:
+            timestamps = (self.sorted_keys // 2).astype("datetime64[us]").tolist()
+        steps = np.diff(self.sorted_keys // 2)
+        interval = timedelta(microseconds=int(steps[0]))
+        uneven = np.flatnonzero(steps != steps[0])
+        if len(uneven):
+            t = int(uneven[0])
+            raise IngestionError(
+                f"{path}: non-uniform timestamp grid at {timestamps[t + 1].isoformat()} "
+                f"(step {timedelta(microseconds=int(steps[t]))}, expected {interval})"
+            )
+
+        n_stations = len(self.station_ids)
+        values, seen = self.values, self.seen
+        values.resize((self.n_ids, n_stations, self.n_vars), refcheck=False)
+        seen.resize((self.n_ids, n_stations), refcheck=False)
+        if not seen.all():
+            values[~seen] = np.nan
+        if (np.diff(self.sorted_ids) != 1).any():  # first use was not time order
+            values = values[self.sorted_ids]
+        return timestamps, interval, values
 
 
 def load_observations_csv(
@@ -475,53 +660,25 @@ def load_observations_csv(
                 )
             var_names = [h.strip() for h in header[2:]]
             n_vars = len(var_names)
-            rows = _ObservationRows(path, station_ids, n_vars)
+            grid = _ObservationGrid(path, station_ids, n_vars)
             if _needs_csv(first):
-                rows.parse_records(records)
+                grid.parse_records(records)
             else:
                 text.detach()
                 lineno = 2
                 for offset, block in _line_blocks(fh, len(first)):
-                    if _needs_csv(block):
+                    taken = grid.parse_block(block, lineno)
+                    if taken is None:  # csv.reader tokenizes the rest
                         fh.seek(offset)
                         text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
-                        rows.parse_records(_csv_records(text, path, lineno))
+                        grid.parse_records(_csv_records(text, path, lineno))
                         break
-                    rows.parse_block(block, lineno)
-                    lineno += block.count(b"\n")
+                    lineno += taken
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
 
-    if not rows.timestamp_ids:
-        raise IngestionError(f"{path}: no observations")
-    try:
-        timestamps = sorted(rows.timestamp_ids)
-    except TypeError as exc:  # aware and naive datetimes do not compare
-        aware = next(ts for ts in rows.timestamp_ids if ts.tzinfo is not None)
-        naive = next(ts for ts in rows.timestamp_ids if ts.tzinfo is None)
-        raise IngestionError(
-            f"{path}: timestamps mix timezone-aware ({aware.isoformat()}) and "
-            f"naive ({naive.isoformat()}) values"
-        ) from exc
-    if len(timestamps) < 2:
-        raise IngestionError(f"{path}: need at least 2 timestamps to fix the interval")
-    interval = timestamps[1] - timestamps[0]
-    if interval <= timedelta(0):
-        raise IngestionError(f"{path}: non-increasing timestamps")
-    for a, b in zip(timestamps, timestamps[1:]):
-        if b - a != interval:
-            raise IngestionError(
-                f"{path}: non-uniform timestamp grid at {b.isoformat()} "
-                f"(step {b - a}, expected {interval})"
-            )
-
-    n_steps, n_stations = len(timestamps), len(station_ids)
-    grid = {ts: t for t, ts in enumerate(timestamps)}
-    to_grid = np.array([grid[ts] for ts in rows.timestamp_ids], dtype=np.intp)
-    values = np.full((n_steps, n_stations, n_vars), np.nan)
-    while rows.chunks:  # one scatter per chunk of rows, each freed once placed
-        steps, stations, vals = rows.chunks.pop()
-        values[to_grid[steps], stations] = vals
+    timestamps, interval, values = grid.finish()
+    n_steps = len(timestamps)
     infinite = np.argwhere(np.isinf(values))
     if len(infinite):
         t, si, vi = infinite[0]
@@ -621,10 +778,10 @@ class WindowSet:
         self.t_f = t_f
         self._history = _windows(store, t_h)  # [s] -> rows of steps s .. s+T_h-1
         self._future = _windows(store[:, t_h:], t_f)  # [s] -> s+T_h .. s+T_h+T_f-1
-        feats = [TimeFeature.from_timestamp(timestamps[s + t_h]) for s in self.starts]
-        self.hours = np.array([f.hour for f in feats], dtype=np.intp)
-        self.days = np.array([f.day_index for f in feats], dtype=np.intp)
-        self.months = np.array([f.month_index for f in feats], dtype=np.intp)
+        # the calendar of each window's first forecast step (model.TimeFeature)
+        first = span.start + t_h
+        calendar = [(ts.hour, ts.day - 1, ts.month - 1) for ts in timestamps[first : first + n_windows]]
+        self.hours, self.days, self.months = np.array(calendar, np.intp).reshape(-1, 3).T.copy()
 
     def __len__(self) -> int:
         return len(self.starts)

@@ -4,6 +4,8 @@ Each class carries its CLI exit code and the label that starts its one-line
 stderr message; cli.main prints and returns those of the error it catches.
 """
 
+from contextlib import contextmanager
+
 
 class LightWeatherError(Exception):
     """Base class for all errors raised by this package."""
@@ -16,6 +18,17 @@ class ConfigError(LightWeatherError):
     """Invalid configuration value, file, or combination."""
 
     exit_code, label = 1, "config error"
+
+
+@contextmanager
+def allocating(what: str):
+    """Run the allocation of `what`: numpy's failure to make it (MemoryError,
+    or ValueError for a size it cannot even represent) becomes the one-line
+    ConfigError "<what> is too large to allocate"."""
+    try:
+        yield
+    except (MemoryError, ValueError):
+        raise ConfigError(f"{what} is too large to allocate") from None
 
 
 class ShapeError(LightWeatherError):

@@ -66,7 +66,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, ValidationError
+from .errors import ConfigError, ShapeError, ValidationError, allocating
 from .numerics import (
     LinearLayer,
     linear_backward,
@@ -248,14 +248,13 @@ class ModelParams:
             lo = hi
 
     @classmethod
-    def zeros(cls, config: ModelConfig) -> "ModelParams":
-        """float64 zeros, to be filled in place; a ConfigError when numpy
-        cannot allocate that many."""
+    def zeros(cls, config: ModelConfig, dtype=np.float64) -> "ModelParams":
+        """Zeros in `dtype`, to be filled in place; a ConfigError when numpy
+        cannot allocate that many. Every parameter-sized vector is made
+        here or in numerics.AdamState."""
         size = parameter_count(config)
-        try:
-            vector = np.zeros(size)
-        except (MemoryError, ValueError):  # ValueError: too big to size at all
-            raise ConfigError(f"a model of {size} parameters is too large to allocate") from None
+        with allocating(f"a model of {size} parameters"):
+            vector = np.zeros(size, dtype)
         return cls(config, vector)
 
     def layer(self, prefix: str) -> LinearLayer:
@@ -268,11 +267,13 @@ class ModelParams:
         return self.vector.dtype
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, self.vector.copy())
+        return self.astype(self.dtype)
 
     def astype(self, dtype) -> "ModelParams":
         """A copy with the vector cast to `dtype`."""
-        return ModelParams(self.config, self.vector.astype(dtype))
+        out = ModelParams.zeros(self.config, dtype)
+        np.copyto(out.vector, self.vector)
+        return out
 
 
 def parameter_count(config: ModelConfig) -> int:
@@ -346,9 +347,8 @@ class Workspace:
         self.config = config
         self.dtype = np.dtype(dtype)
         self.rows = rows
-        size = parameter_count(config)
-        self.grad = ModelParams(config, np.zeros(size, self.dtype))
-        self.chunk_grad = ModelParams(config, np.zeros(size, self.dtype))
+        self.grad = ModelParams.zeros(config, self.dtype)
+        self.chunk_grad = ModelParams.zeros(config, self.dtype)
         self.z = [np.empty((rows, config.d), dtype) for _ in range(config.n_layers + 1)]
         self.r = [np.empty((rows, config.d), dtype) for _ in range(config.n_layers)]
         self.y = np.empty((rows, config.t_f), dtype)

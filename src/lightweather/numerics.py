@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OptimizerError, ShapeError
+from .errors import OptimizerError, ShapeError, allocating
 
 # Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -222,11 +222,15 @@ class AdamState:
     scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
+        with allocating(f"a model of {self.m.size} parameters"):
+            self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def zeros_like(cls, param: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(param), v=np.zeros_like(param))
+        """Zero moments; a ConfigError when numpy cannot allocate them."""
+        with allocating(f"a model of {param.size} parameters"):
+            m, v = np.zeros_like(param), np.zeros_like(param)
+        return cls(m=m, v=v)
 
 
 def adam_step(

@@ -37,7 +37,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .data import ObservationSet
-from .errors import ConfigError
+from .errors import ConfigError, allocating
 from .model import StationCoord
 
 DEFAULT_START = datetime(2019, 1, 1, 0, 0, 0)
@@ -149,10 +149,13 @@ def g_matrix(
 def random_station_coords(n: int, seed: int) -> tuple[list[str], list[StationCoord]]:
     """Deterministic station layout spread over latitudes, longitudes, and
     elevations so the forcing term differs visibly across stations. Each
-    station draws its latitude, longitude and elevation in turn."""
+    station draws its latitude, longitude and elevation in turn. The draw
+    comes before the ids, so that a count too large to allocate is a
+    ConfigError before any id is made."""
     rng = np.random.default_rng([seed, 7919])
+    with allocating(f"the coordinates of {n} stations"):
+        drawn = rng.uniform([-75.0, -180.0, 0.0], [75.0, 180.0, 3000.0], size=(n, 3))
     ids = [f"s{i:04d}" for i in range(n)]
-    drawn = rng.uniform([-75.0, -180.0, 0.0], [75.0, 180.0, 3000.0], size=(n, 3))
     coords = [StationCoord(lat, lon, elev) for lat, lon, elev in drawn.tolist()]
     return ids, coords
 
@@ -181,13 +184,14 @@ def generate(config: SynthConfig, coords: list[StationCoord]) -> ObservationSet:
             f"got {len(coords)} coords for n_stations={config.n_stations}"
         )
     n_steps, n_stations = config.n_steps, config.n_stations
+    with allocating(f"a grid of {n_steps} x {n_stations} values"):
+        values = np.empty((n_steps, n_stations))
     step = config.interval_hours * HOUR
     timestamps = [config.start + i * step for i in range(n_steps)]
     forcing = _Forcing(coords, timestamps, config)
 
     p = len(config.alpha)
     alpha = np.asarray(config.alpha, dtype=np.float64)
-    values = np.empty((n_steps, n_stations))
     _draw_noise(config, values, p)
     rows = np.empty((min(ROW_BLOCK, n_steps), n_stations))
     for t0 in range(p, n_steps, ROW_BLOCK):

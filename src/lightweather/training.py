@@ -184,7 +184,7 @@ def fit(
         raise ConfigError("train and val splits must both contain windows")
 
     state = AdamState.zeros_like(params.vector)
-    compute = ModelParams(params.config, np.empty_like(params.vector, COMPUTE_DTYPE))
+    compute = ModelParams.zeros(params.config, COMPUTE_DTYPE)
     rows_per_window = train_windows.n_stations * train_windows.n_vars
     chunk = min(config.batch_size, model_ops.chunk_windows(rows_per_window))
     workspace = model_ops.Workspace(params.config, chunk * rows_per_window)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightweather import cli, errors, model
+from lightweather import checkpoint, cli, errors, model
 from lightweather.checkpoint import MAGIC, checkpoint_load, checkpoint_save
 from lightweather.data import load_observations_csv, load_stations_csv
 from lightweather.model import ModelConfig, init_params, parameter_count, tensor_spec
@@ -232,6 +232,15 @@ def test_bad_input_is_one_line_error(
 
 
 # --- synth -----------------------------------------------------------------
+
+
+def test_synth_of_a_grid_too_large_to_allocate_is_one_line_error(tmp_path, capsys, fail_allocation):
+    fail_allocation(220 * 2, lambda k: True)
+    cfg = write_config(tmp_path / "synth.cfg", TINY, out_dir=tmp_path / "out")
+    assert cli.main(["synth", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: a grid of 220 x 2 values is too large to allocate\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_outputs_load_back(synth_dir):
@@ -608,6 +617,33 @@ def test_evaluate_checkpoint_with_malformed_manifest_is_one_line_error(
             checkpoint_load(path, expected)
     err = fails_in_one_line(synth_dir, tmp_path, capsys, "evaluate", path, spatial=spatial)
     assert err.startswith("checkpoint error:")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "forecast"])
+def test_checkpoint_of_a_huge_layer_count_builds_no_spec(
+    synth_dir, tmp_path, capsys, monkeypatch, command
+):
+    # 10**9 layers: a spec of 4e9 entries; the data section is compared with
+    # the parameter count first
+    real_spec = checkpoint.tensor_spec
+
+    def small_specs_only(config):
+        assert config.n_layers < 1000, "checkpoint_load built the manifest's spec"
+        return real_spec(config)
+
+    monkeypatch.setattr(checkpoint, "tensor_spec", small_specs_only)
+    source = tmp_path / "source.bin"
+    checkpoint_save(source, init_params(TINY_MODEL, 0))
+
+    def huge(manifest):
+        manifest["config"]["n_layers"] = 10**9
+        return manifest
+
+    path = edited_checkpoint(source, tmp_path / "huge.bin", huge)
+    with pytest.raises(errors.CheckpointError, match="cannot hold the 40000000327 parameters"):
+        checkpoint_load(path)
+    err = fails_in_one_line(synth_dir, tmp_path, capsys, command, path)
+    assert err.startswith("checkpoint error:") and "cannot hold" in err
 
 
 @pytest.mark.parametrize("command", ["evaluate", "forecast"])

@@ -1,4 +1,5 @@
 import csv
+import re
 import tracemalloc
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
@@ -7,7 +8,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
@@ -184,6 +185,49 @@ def test_mixed_timezones_rejected(tmp_path):
     p = write(tmp_path / "o.csv", obs_csv_text(rows))
     with pytest.raises(IngestionError, match="timezone-aware .* naive"):
         load_observations_csv(p, *STATIONS)
+
+
+@pytest.mark.parametrize("block", [data._CSV_BLOCK, 64])
+def test_mixed_timezones_name_the_first_used_of_each_kind(tmp_path, block):
+    # neither the first aware nor the first naive timestamp is the earliest
+    # of its kind, and with 64-byte blocks each line is a block of its own
+    p = write(tmp_path / "o.csv", obs_csv_text([
+        ("2020-01-01T03:00:00", "s1", 1.0),
+        ("2020-01-01T01:00:00+00:00", "s1", 1.0),
+        ("2020-01-01T00:00:00+00:00", "s1", 1.0),
+        ("2020-01-01T02:00:00", "s1", 1.0),
+        ("2020-01-01T06:00:00+05:00", "s2", 1.0),
+    ]))
+    expected = load_outcome(reference_load_observations_csv, p, STATIONS[0])
+    assert expected[1].endswith(
+        "mix timezone-aware (2020-01-01T01:00:00+00:00) and naive (2020-01-01T03:00:00) values"
+    )
+    with patch.object(data, "_CSV_BLOCK", block):
+        assert load_outcome(load_observations_csv, p, STATIONS[0]) == expected
+
+
+@pytest.mark.parametrize("ids", [["a", "station8"], ["a", "station8", "station12abc"]])
+def test_clean_fields_of_unequal_width_take_no_per_line_path(tmp_path, monkeypatch, ids):
+    # station ids of 1 and 8 bytes (each field one lookup word), or of 1, 8
+    # and 12 bytes; values of unequal length; CRLF. The columnar pass reads
+    # every line: parse_record reads only the lines it cannot, and would
+    # give the same tensor, so only this test sees a field cut wrongly.
+    def must_not_run(*args):
+        raise AssertionError("a clean line took the per-line path")
+
+    monkeypatch.setattr(data._ObservationGrid, "parse_record", must_not_run)
+    rng = np.random.default_rng(0)
+    digits = rng.integers(0, 17, size=(300, len(ids))).tolist()
+    normal = rng.normal(size=(300, len(ids))).tolist()
+    values = np.array([[round(v, k) for v, k in zip(*row)] for row in zip(normal, digits)])
+    lines = ["timestamp,station_id,v"]
+    for ts, row in zip(hourly_timestamps(300), values.tolist()):
+        lines += [f"{ts.isoformat()},{sid},{v!r}" for sid, v in zip(ids, row)]
+    path = tmp_path / "o.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+    with patch.object(data, "_CSV_BLOCK", 2000):
+        obs = load_observations_csv(path, ids, [StationCoord(0.0, 0.0, 0.0)] * len(ids))
+    assert obs.values[:, :, 0].tobytes() == values.tobytes()
 
 
 def gap_rows(s2_value_at_7):
@@ -524,23 +568,65 @@ SPLICE_TOKENS = [
 ]
 
 
+# the stations of a spliced file: ids of one width, and of three widths
+# (one longer than the 8 bytes that a field's lookup word holds)
+SPLICE_STATIONS = [["s0", "s1", "s2"], ["s0", "s10", "station-2-long"]]
+
+
+def timestamp_forms(ts: datetime) -> list[str]:
+    """Renderings of `ts` that fromisoformat reads as an equal datetime,
+    `YYYY-MM-DDTHH:MM:SS` (with its offset, when aware) first."""
+    forms = [ts.isoformat(), ts.isoformat(sep=" "), ts.isoformat(timespec="minutes")]
+    forms.append(ts.isoformat(timespec="microseconds"))
+    if ts.tzinfo is not None:  # the same instant at another offset
+        forms.append(ts.astimezone(timezone(timedelta(hours=-3))).isoformat())
+    return forms
+
+
 @st.composite
 def spliced_csv(draw):
-    """A small valid observations CSV (3 stations x 12 hourly steps, 1-2
-    variables, LF or CRLF) with 1-3 splices. A splice inserts a token, a
-    copy of a data line or an unknown station's line over 0-2 characters,
+    """A small observations CSV (3 stations x 12 steps, 1-2 variables, LF or
+    CRLF) and its station ids, with 0-3 splices. A splice inserts a token, a
+    line of the table again (its timestamp in any form of timestamp_forms)
+    or an unknown station's line over 0-2 characters,
     at any character or where a field starts or ends, or puts one field in
-    quotes."""
+    quotes.
+
+    Before the splices the table may differ from an hourly, time-ordered,
+    naive one: its ids of unequal width; its timestamps aware, or each
+    written in one of several equal forms (timestamp_forms); one step left
+    out or moved by half an hour (a non-uniform grid); and its lines
+    shuffled, or the first step's lines moved to the end (a timestamp first
+    seen in a later block)."""
     n_vars = draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lines = ["timestamp,station_id," + ",".join(f"v{i}" for i in range(n_vars))]
-    for k in range(12):
-        for sid in ("s0", "s1", "s2"):
-            cells = [repr(float(v)) for v in rng.normal(size=n_vars).round(rng.integers(0, 17))]
-            lines.append(f"2020-01-01T{k:02d}:00:00,{sid}," + ",".join(cells))
+    ids = draw(st.sampled_from(SPLICE_STATIONS))
+    tz = draw(st.sampled_from([None, timezone.utc, timezone(timedelta(hours=5, minutes=30))]))
+    steps = [datetime(2020, 1, 1, tzinfo=tz) + timedelta(hours=k) for k in range(12)]
+    grid = draw(st.sampled_from(["uniform", "gap", "uneven"]))
+    if grid == "gap":
+        del steps[5]
+    elif grid == "uneven":
+        steps[7] += timedelta(minutes=30)
+    mixed_forms = draw(st.booleans())
+    table = []  # (timestamp, station, cells) of each line
+    lines = []
+    for ts in steps:
+        for sid in ids:
+            forms = timestamp_forms(ts)
+            when = str(rng.choice(forms)) if mixed_forms else forms[0]
+            cells = ",".join(repr(float(v)) for v in rng.normal(size=n_vars).round(rng.integers(0, 17)))
+            table.append((ts, sid, cells))
+            lines.append(f"{when},{sid},{cells}")
+    order = draw(st.sampled_from(["time", "shuffled", "first step last"]))
+    if order == "shuffled":
+        lines = [lines[i] for i in rng.permutation(len(lines))]
+    elif order == "first step last":
+        lines = lines[len(ids) :] + lines[: len(ids)]
+    lines.insert(0, "timestamp,station_id," + ",".join(f"v{i}" for i in range(n_vars)))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     text = eol.join(lines) + eol
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["token", "duplicate", "unknown", "quote"]))
         ends = [i for i, ch in enumerate(text) if ch in ",\r\n"]  # where fields end
         bounds = [0] + [i + 1 for i, ch in enumerate(text) if ch in ",\n"]  # and start
@@ -551,28 +637,29 @@ def spliced_csv(draw):
             continue
         if kind == "token":
             token = draw(st.sampled_from(SPLICE_TOKENS))
-        else:
-            line = str(rng.choice(lines[1:]))
-            token = (line if kind == "duplicate" else line.replace(",s", ",x", 1)) + eol
+        else:  # a table line again, its timestamp in any form
+            ts, sid, cells = table[rng.integers(len(table))]
+            sid = sid if kind == "duplicate" else "x" + sid[1:]
+            token = f"{rng.choice(timestamp_forms(ts))},{sid},{cells}{eol}"
         at = draw(st.sampled_from(["anywhere", "field start", "field end"]))
         if at == "anywhere":
             pos = int(rng.integers(0, len(text) + 1))
         else:
             pos = int(rng.choice(bounds if at == "field start" else ends))
         text = text[:pos] + token + text[pos + draw(st.integers(0, 2)) :]
-    return text
+    return text, ids
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
-    text=spliced_csv(),
+    spliced=spliced_csv(),
     block=st.sampled_from([data._CSV_BLOCK, 97, 400]),
     field_width=st.sampled_from([data._FIELD_WIDTH, 12]),
 )
-def test_columnar_parser_equals_the_per_row_reference(tmp_path_factory, text, block, field_width):
+def test_columnar_parser_equals_the_per_row_reference(tmp_path_factory, spliced, block, field_width):
+    text, ids = spliced
     path = tmp_path_factory.mktemp("splice") / "o.csv"
     path.write_bytes(text.encode("utf-8"))
-    ids = ["s0", "s1", "s2"]
     expected = load_outcome(reference_load_observations_csv, path, ids)
     # small blocks put boundaries (and the switch to csv) mid-file; narrow
     # fields send every timestamp line through the per-line path
@@ -582,6 +669,47 @@ def test_columnar_parser_equals_the_per_row_reference(tmp_path_factory, text, bl
         assert got[0] == "error"
     else:
         assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    parts=st.tuples(
+        # leap years and their exceptions, the epoch, and the range's ends
+        st.sampled_from([1, 4, 100, 1600, 1900, 1969, 1970, 2000, 2024, 2100, 9999]) | st.integers(0, 10000),
+        st.just(2) | st.integers(0, 13),
+        st.sampled_from([28, 29, 30, 31]) | st.integers(0, 32),
+        st.integers(0, 25),
+        st.integers(0, 61),
+        st.integers(0, 61),
+    ),
+    edit=st.one_of(
+        st.none(), st.tuples(st.integers(0, 18), st.sampled_from(list(b" /:T-+.0129az\x00\xff")))
+    ),
+)
+@example(parts=(1900, 2, 29, 0, 0, 0), edit=None)
+@example(parts=(2000, 2, 29, 0, 0, 0), edit=None)
+@example(parts=(2023, 2, 29, 0, 0, 0), edit=None)
+@example(parts=(2024, 2, 29, 23, 59, 59), edit=None)
+@example(parts=(1, 1, 1, 0, 0, 0), edit=None)
+@example(parts=(9999, 12, 31, 23, 59, 59), edit=None)
+def test_iso_keys_equal_fromisoformat(parts, edit):
+    """The arithmetic read of `YYYY-MM-DDTHH:MM:SS` fields gives the key of
+    fromisoformat's datetime. It gives no key (_BAD, left to fromisoformat)
+    exactly where fromisoformat raises or the field has another form."""
+    raw = bytearray(b"%04d-%02d-%02dT%02d:%02d:%02d" % parts)
+    if edit is not None:
+        raw[edit[0]] = edit[1]
+    if len(raw) != 19:  # a year past 9999 takes a fifth digit
+        return
+    got = data._iso_keys(np.frombuffer(bytes(raw), np.uint8).reshape(1, 19))[0]
+    try:
+        expected = data._timestamp_key(datetime.fromisoformat(raw.decode("latin-1")))
+    except ValueError:
+        expected = data._BAD
+    if re.fullmatch(rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", raw):
+        assert got == expected
+    else:
+        assert got == data._BAD
 
 
 aware_or_naive = st.sampled_from(
@@ -656,6 +784,26 @@ def test_loader_peak_memory_is_at_most_half_the_per_row_reference(tmp_path):
     new = traced_peak(lambda: load_observations_csv(path, ids, coords))
     ref = traced_peak(lambda: reference_load_observations_csv(path, ids, coords))
     assert new <= ref / 2, (new, ref)
+
+
+def test_loader_peak_memory_is_at_most_twice_the_values(tmp_path):
+    """Each block of rows is scattered into the growing grid as it is read,
+    so over ~100 blocks the tracemalloc peak of a load is the grid, its
+    [T, N] mask and one block's columns: at most 2x the loaded values."""
+    n_steps, n_stations = 1200, 500  # 600,000 rows, 27 MB
+    ids = [f"st{i:05d}" for i in range(n_stations)]
+    values = np.random.default_rng(0).normal(size=(n_steps, n_stations))
+    with open(tmp_path / "o.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("timestamp,station_id,v\r\n")
+        for t, ts in enumerate(hourly_timestamps(n_steps)):
+            stamp = ts.isoformat()
+            fh.write("".join(f"{stamp},{sid},{v!r}\r\n" for sid, v in zip(ids, values[t].tolist())))
+    coords = [StationCoord(0.0, 0.0, 0.0)] * n_stations
+    assert (tmp_path / "o.csv").stat().st_size > 80 * data._CSV_BLOCK
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(load_observations_csv(tmp_path / "o.csv", ids, coords)))
+    assert loaded[0].values.tobytes() == values.tobytes()
+    assert peak <= 2 * loaded[0].values.nbytes, peak / loaded[0].values.nbytes
 
 
 # --- splits ----------------------------------------------------------------

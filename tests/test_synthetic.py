@@ -325,3 +325,27 @@ def test_generate_peak_memory_is_at_most_one_and_a_half_values(alpha):
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * obs.values.nbytes, (peak, obs.values.nbytes)
+
+
+def test_a_grid_too_large_to_allocate_is_a_config_error(fail_allocation):
+    cfg = SynthConfig(n_stations=7, n_steps=300, noise_std=0.5)
+    calls = fail_allocation(300 * 7, lambda k: True)
+    with pytest.raises(ConfigError, match="a grid of 300 x 7 values is too large to allocate"):
+        generate(cfg, coords_for(7))
+    assert calls == ["empty"]  # the grid is the first array of that size
+
+
+def test_station_coordinates_are_drawn_before_the_ids(monkeypatch):
+    class NoRoom:
+        def uniform(self, low, high, size):
+            raise MemoryError(f"no room for {size}")
+
+    monkeypatch.setattr(synthetic.np.random, "default_rng", lambda seed: NoRoom())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="the coordinates of 1000000 stations"):
+            random_station_coords(1_000_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a million ids would hold ~60 MB

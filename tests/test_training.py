@@ -24,6 +24,7 @@ from lightweather.model import (
     init_params,
     loss_and_grads,
     normalize_coords,
+    parameter_count,
     tensor_spec,
 )
 from lightweather.numerics import AdamState, adam_step
@@ -117,6 +118,37 @@ def test_fit_lr_zero_keeps_params():
     )
     for name, arr in result.params.tensors.items():
         assert_array_equal(arr, before[name])
+
+
+def test_each_parameter_sized_allocation_of_fit_is_a_config_error(fail_allocation):
+    # Adam's moments and scratch, the float32 copy, the workspace's two
+    # gradients, the best params and evaluate's float32 copy: whichever numpy
+    # cannot allocate is the one-line error of ModelParams.zeros
+    obs = tiny_dataset()
+    prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
+    size = parameter_count(SMALL)
+    params = init_params(SMALL, seed=1)
+
+    def run():
+        fit(
+            params.copy(),
+            prepared.train,
+            prepared.val,
+            normalize_coords(obs.coords),
+            TrainConfig(lr=5e-4, max_epochs=1, patience=1, seed=0),
+            prepared.normalizer,
+        )
+
+    calls = fail_allocation(size, lambda k: False)
+    run()
+    assert calls.count("zeros_like") == 2 and calls.count("empty_like") == 2  # Adam
+    # params.copy(), the float32 copy, the two gradients, the best params at
+    # the start and after the first epoch, evaluate's float32 copy
+    assert calls.count("zeros") == 7
+    for nth in range(len(calls)):
+        fail_allocation(size, lambda k: k == nth)
+        with pytest.raises(ConfigError, match=f"a model of {size} parameters is too large to allocate"):
+            run()
 
 
 def test_fit_deterministic_given_seed(tmp_path):
