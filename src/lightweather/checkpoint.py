@@ -10,7 +10,9 @@ bit-exact. A truncated or malformed file, shapes unlike its config's or
 the caller's, or a value not finite in float32 is a CheckpointError. The
 size of the data section is checked against the config's parameter count
 before the config's tensor spec is built, so a manifest that claims a
-huge model fails at once.
+huge model fails at once. checkpoint_save writes a temp file beside the
+path and renames it over the path when it is whole, so a reader never
+sees a partly written checkpoint.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
+from .files import write_atomically
 from .model import ModelConfig, ModelParams, parameter_count, tensor_spec
 
 MAGIC = b"LWCKPT1"
@@ -34,7 +37,9 @@ def _shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def checkpoint_save(path, params: ModelParams) -> None:
-    """Write every tensor as float64; the reader also accepts float32."""
+    """Write every tensor as float64; the reader also accepts float32. The
+    file is replaced whole (files.write_atomically): a save that fails
+    raises and leaves the old checkpoint as it was."""
     manifest = {
         "config": asdict(params.config),
         "tensors": [
@@ -43,7 +48,7 @@ def checkpoint_save(path, params: ModelParams) -> None:
         ],
     }
     blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with write_atomically(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

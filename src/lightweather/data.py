@@ -31,15 +31,49 @@ So its memory is that grid (with up to an eighth to spare), one byte per
 (timestamp, station) cell for the duplicate check, 16 bytes per distinct
 timestamp and one block with its columns: on 473,040 rows of one variable
 (27 stations x 17,520 hours) a tracemalloc peak of 1.6 times the 3.8 MB
-result, against 21 times for the per-row csv loop it replaced.
+result, against 21 times for the per-row csv loop it replaced. A file
+with gaps is forward-filled in place, a step at a time, and one whose
+first uses are out of time order is put in order in place, one row of
+scratch per cycle of the permutation.
+
+Each loaded result is cached beside its file, in `<file>.lwcache`, keyed
+by a format version (_SIDECAR_VERSION), the SHA-256 of the file's bytes,
+the station ids and csv.field_size_limit(). A load hashes the file
+(about 25 ms on narrow-train's 21.7 MB); when the sidecar's key matches
+and its CRC32 holds it reads the result from there and parses nothing,
+else it parses the file and writes the sidecar through a temp file and
+os.replace, if the file's size and mtime did not change during the load.
+A missing, short, corrupt, foreign or stale sidecar is a miss and a
+sidecar that cannot be written is skipped: neither is an error. A file
+that fails to load writes none, so its error is raised on every load.
+Layout: the magic `LWCACHE`, a little-endian uint32 manifest size and
+uint32 CRC32 of the manifest and the data, a JSON manifest (the key, the
+step count, whether the timestamps are timezone-aware, the variable
+names), then the timestamps as int64 microseconds since 1970 (in UTC when
+aware), each step's UTC offset in microseconds when aware, and the
+float64 [T, N, C] values, all little-endian: 8 bytes per cell and 8 (16
+when aware) per step. A hit reads the values with np.fromfile into the
+one array it returns. Deleting the sidecar clears the cache; changing
+what the loader accepts or returns must bump _SIDECAR_VERSION.
+
+write_observations_csv writes the bytes csv.writer writes a row at a
+time, formatting a block of _WRITE_ROWS rows with one join and one write.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import io
-from contextlib import contextmanager
+import itertools
+import json
+import math
+import os
+import stat
+import struct
+import zlib
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -47,12 +81,19 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, IngestionError, ValidationError
+from .files import write_atomically
 from .model import COMPUTE_DTYPE, StationCoord
 
 STATIONS_HEADER = ["station_id", "lat", "lon", "elev"]
 _STORE_BLOCK = 256  # steps series_rows normalizes at a time
 _CSV_BLOCK = 1 << 18  # bytes of whole lines load_observations_csv parses at a time
 _FIELD_WIDTH = 64  # longer fields are parsed line by line, not column-wise
+_WRITE_ROWS = 1 << 14  # rows write_observations_csv formats at a time
+_HASH_CHUNK = 1 << 20  # bytes _sha256 reads at a time
+_SIDECAR = ".lwcache"  # load_observations_csv's cache: the file's path + this
+_SIDECAR_VERSION = 1  # bump when what the loader accepts or returns changes
+_SIDECAR_MAGIC = b"LWCACHE"
+_SIDECAR_HEAD = struct.Struct("<7sII")  # magic, manifest size, CRC32 of manifest and data
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> IngestionError:
@@ -583,11 +624,12 @@ class _ObservationGrid:
         seen[cell] = True
         self.values.reshape(-1, self.n_vars)[cell] = values
 
-    def finish(self) -> tuple[list[datetime], timedelta, np.ndarray]:
-        """The sorted timestamps, their interval and the [T, N, C] values in
-        time order, NaN where no row gave a cell; the grid's checks (at
-        least two timestamps, one kind, one interval) in the per-row loop's
-        order and words."""
+    def finish(self) -> tuple[np.ndarray, list[datetime], timedelta, np.ndarray]:
+        """The sorted timestamps, as int64 microseconds since 1970 (in UTC
+        when aware) and as datetimes, their interval and the [T, N, C]
+        values, put in time order in place, NaN where no row gave a cell;
+        the grid's checks (at least two timestamps, one kind, one interval)
+        in the per-row loop's order and words."""
         path = self.path
         if not self.n_ids:
             raise IngestionError(f"{path}: no observations")
@@ -622,9 +664,28 @@ class _ObservationGrid:
         seen.resize((self.n_ids, n_stations), refcheck=False)
         if not seen.all():
             values[~seen] = np.nan
-        if (np.diff(self.sorted_ids) != 1).any():  # first use was not time order
-            values = values[self.sorted_ids]
-        return timestamps, interval, values
+        _take_rows_in_place(values, self.sorted_ids)
+        return self.sorted_keys // 2, timestamps, interval, values
+
+
+def _take_rows_in_place(a: np.ndarray, order: np.ndarray) -> None:
+    """a[:] = a[order] for a permutation `order` of a's rows, in place:
+    each cycle of the permutation is followed with one row of scratch."""
+    moved = np.flatnonzero(order != np.arange(len(order)))
+    if not len(moved):
+        return
+    order, done, row = order.tolist(), set(), np.empty_like(a[0])
+    for start in moved.tolist():
+        if start in done:
+            continue
+        row[...] = a[start]
+        i = start
+        while order[i] != start:
+            a[i] = a[order[i]]
+            done.add(i)
+            i = order[i]
+        a[i] = row
+        done.add(i)
 
 
 def load_observations_csv(
@@ -634,6 +695,45 @@ def load_observations_csv(
 
     Stations are ordered per the station table; rows may arrive in any
     order but each (timestamp, station) pair at most once.
+
+    The result is cached beside the file, in `<path>.lwcache`: a load of a
+    file whose bytes have the SHA-256 that the sidecar was written for, with
+    the same station ids, reads the tensor from the sidecar and parses
+    nothing (_read_sidecar). Every other load parses the file
+    (_parse_observations) and then writes the sidecar, unless the file's
+    size or mtime changed meanwhile. A sidecar that cannot be read or
+    written is a miss, never an error, and a file that fails to load
+    writes none.
+    """
+    state = _regular_file_state(path)
+    key = None
+    if state is not None:  # not a pipe or a device, whose bytes read once
+        key = {
+            "version": _SIDECAR_VERSION,
+            "sha256": _sha256(path),
+            "station_ids": list(station_ids),
+            "field_size_limit": csv.field_size_limit(),
+        }
+    loaded = _read_sidecar(path, key) if key is not None else None
+    if loaded is None:
+        loaded = _parse_observations(path, station_ids)
+        if key is not None and _regular_file_state(path) == state:
+            _write_sidecar(path, key, *loaded)
+    _, timestamps, interval, values, var_names = loaded
+    return ObservationSet(
+        timestamps=timestamps,
+        station_ids=list(station_ids),
+        coords=list(coords),
+        values=values,
+        var_names=var_names,
+        interval=interval,
+    )
+
+
+def _parse_observations(path, station_ids: list[str]):
+    """Parse the observations file: (the sorted timestamps as int64
+    microseconds since 1970, in UTC when aware; the timestamps; their
+    interval; the forward-filled [T, N, C] values; the variable names).
 
     The header is read by csv. The rows are read from the file's bytes in
     blocks of whole lines, column-wise, unless the bytes hold a quote or a
@@ -677,7 +777,7 @@ def load_observations_csv(
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
 
-    timestamps, interval, values = grid.finish()
+    keys, timestamps, interval, values = grid.finish()
     n_steps = len(timestamps)
     infinite = np.argwhere(np.isinf(values))
     if len(infinite):
@@ -687,46 +787,159 @@ def load_observations_csv(
             f"non-finite value {values[t, si, vi]} at {timestamps[t].isoformat()}"
         )
 
-    # forward fill, bounded by the 10% rule (min propagates NaN: no full-size
-    # temporary for a file without gaps)
+    # forward fill in place, bounded by the 10% rule: each step with a gap
+    # takes the step before it where it has one, and its gaps are counted
+    # (min propagates NaN: a file without gaps skips this)
     if np.isnan(values.min()):
-        missing = np.isnan(values)
-        counts = missing.sum(axis=(0, 2))
+        first = np.isnan(values[0])  # [N, C]: no earlier step to take from
+        counts = np.zeros(len(station_ids), np.intp)
+        for lo in range(0, n_steps, _STORE_BLOCK):
+            gappy = np.isnan(values[lo : lo + _STORE_BLOCK]).any(axis=(1, 2))
+            for t in (lo + np.flatnonzero(gappy)).tolist():
+                gap = np.isnan(values[t])
+                counts += gap.sum(axis=1)
+                if t:
+                    np.copyto(values[t], values[t - 1], where=gap)
         too_many = counts > 0.10 * n_steps * n_vars
-        for si in np.flatnonzero(too_many | missing[0].any(axis=1)):  # the first raises
+        for si in np.flatnonzero(too_many | first.any(axis=1)):  # the first raises
             if too_many[si]:
                 raise IngestionError(
                     f"{path}: station {station_ids[si]}: {counts[si]} missing cells exceed 10%"
                 )
-            vi = np.flatnonzero(missing[0, si])[0]
+            vi = np.flatnonzero(first[si])[0]
             raise IngestionError(
                 f"{path}: station {station_ids[si]}: variable {var_names[vi]} missing at the "
                 f"first timestamp; cannot forward fill"
             )
-        last = np.where(missing, 0, np.arange(n_steps)[:, None, None])  # observed steps
-        np.maximum.accumulate(last, axis=0, out=last)  # the last at or before each cell
-        values = np.take_along_axis(values, last, axis=0)
+    return keys, timestamps, interval, values, var_names
 
-    return ObservationSet(
-        timestamps=timestamps,
-        station_ids=list(station_ids),
-        coords=list(coords),
-        values=values,
-        var_names=var_names,
-        interval=interval,
-    )
+
+def _regular_file_state(path) -> tuple[int, int] | None:
+    """(size, mtime_ns) of `path` when it is a regular file, else None."""
+    try:
+        st = os.stat(path)
+    except OSError:  # the parse reports it
+        return None
+    return (st.st_size, st.st_mtime_ns) if stat.S_ISREG(st.st_mode) else None
+
+
+def _sha256(path) -> str:
+    """The SHA-256 of the file's bytes, read _HASH_CHUNK bytes at a time
+    (hashlib.file_digest needs Python 3.11)."""
+    digest = hashlib.sha256()
+    buf = bytearray(_HASH_CHUNK)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(view[:n])
+    return digest.hexdigest()
+
+
+def _sidecar_path(path) -> str:
+    return os.fspath(path) + _SIDECAR
+
+
+def _read_sidecar(path, key: dict):
+    """What _parse_observations returned for the file, read from its
+    sidecar when the sidecar's manifest holds `key` and its CRC32 holds;
+    None for a missing, short, corrupt, foreign or stale sidecar. The
+    sidecar's size is checked against its manifest's shape before any
+    array is read, so a manifest that claims a huge shape allocates
+    nothing. (The CRC32 catches corruption, not a forged sidecar: that
+    takes write access to the file's directory, as editing the file does.)
+    """
+    try:
+        with open(_sidecar_path(path), "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(_SIDECAR_HEAD.size)
+            if len(head) != _SIDECAR_HEAD.size:
+                return None
+            magic, manifest_size, crc = _SIDECAR_HEAD.unpack(head)
+            if magic != _SIDECAR_MAGIC or _SIDECAR_HEAD.size + manifest_size > size:
+                return None
+            blob = fh.read(manifest_size)
+            manifest = json.loads(blob)
+            if not isinstance(manifest, dict) or any(manifest.get(k) != v for k, v in key.items()):
+                return None
+            n_steps, var_names = manifest["n_steps"], manifest["var_names"]
+            if type(n_steps) is not int or n_steps < 2:
+                return None
+            aware = manifest["aware"] is True
+            shape = (n_steps, len(key["station_ids"]), len(var_names))
+            per_step = 2 if aware else 1  # the key, and the UTC offset when aware
+            data = 8 * n_steps * (per_step + shape[1] * shape[2])
+            if size != _SIDECAR_HEAD.size + manifest_size + data:
+                return None
+            steps = np.fromfile(fh, "<i8", per_step * n_steps)
+            values = np.fromfile(fh, "<f8", math.prod(shape))
+        if zlib.crc32(values, zlib.crc32(steps, zlib.crc32(blob))) != crc:
+            return None
+        keys = steps[:n_steps]
+        if aware:
+            offsets = steps[n_steps:].tolist()
+            zones = {off: timezone(off * _US) for off in set(offsets)}
+            walls = (keys + steps[n_steps:]).astype("datetime64[us]").tolist()
+            timestamps = [wall.replace(tzinfo=zones[off]) for wall, off in zip(walls, offsets)]
+        else:
+            timestamps = keys.astype("datetime64[us]").tolist()
+        interval = timedelta(microseconds=int(keys[1] - keys[0]))
+        values = values.astype(np.float64, copy=False).reshape(shape)
+        return keys, timestamps, interval, values, var_names
+    except (OSError, ValueError, TypeError, KeyError, AttributeError, OverflowError):
+        return None
+
+
+def _write_sidecar(path, key: dict, keys, timestamps, interval, values, var_names) -> None:
+    """Write what _parse_observations returned to the file's sidecar,
+    under `key`: a magic, the manifest's size and the CRC32 of the
+    manifest and the data (_SIDECAR_HEAD), a JSON manifest (the key, the
+    step count, whether the timestamps are aware and the variable names),
+    then little-endian int64 keys, each step's UTC offset in microseconds
+    when aware, and the float64 values. It replaces the sidecar whole
+    (files.write_atomically); a write that fails leaves none and raises
+    nothing."""
+    aware = timestamps[0].tzinfo is not None
+    if aware:
+        keys = np.concatenate([keys, [ts.utcoffset() // _US for ts in timestamps]])
+    manifest = {**key, "n_steps": len(timestamps), "aware": aware, "var_names": var_names}
+    blob = json.dumps(manifest).encode("utf-8")
+    steps = np.ascontiguousarray(keys, "<i8")
+    values = np.ascontiguousarray(values, "<f8")
+    crc = zlib.crc32(values, zlib.crc32(steps, zlib.crc32(blob)))
+    with suppress(OSError), write_atomically(_sidecar_path(path)) as fh:
+        fh.write(_SIDECAR_HEAD.pack(_SIDECAR_MAGIC, len(blob), crc))
+        fh.write(blob)
+        fh.write(steps)
+        fh.write(values)
+
+
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it after another field of its row."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(["t", text])
+    return buf.getvalue()[2:-2]
 
 
 def write_observations_csv(path, obs: ObservationSet) -> None:
+    """Write `obs` as csv.writer writes it a row at a time, byte for byte
+    (the repr of each value, csv's quoting of station ids, CRLF line ends),
+    but formatted _WRITE_ROWS rows at a time: one isoformat per timestamp,
+    one repr per value and one write per block."""
+    n_steps, n_stations, n_vars = obs.values.shape
+    sep = "," if n_vars else ""
+    sids = [_csv_field(sid) + sep for sid in obs.station_ids]
+    per_block = max(1, _WRITE_ROWS // max(1, n_stations))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "station_id"] + list(obs.var_names))
-        for t, ts in enumerate(obs.timestamps):
-            for si, sid in enumerate(obs.station_ids):
-                writer.writerow(
-                    [ts.isoformat(), sid]
-                    + [repr(float(v)) for v in obs.values[t, si, :]]
-                )
+        csv.writer(fh).writerow(["timestamp", "station_id"] + list(obs.var_names))
+        for lo in range(0, n_steps, per_block):
+            cells = map(repr, obs.values[lo : lo + per_block].ravel().tolist())
+            rows = map(",".join, zip(*[cells] * n_vars)) if n_vars else itertools.repeat("")
+            lines = []
+            for ts in obs.timestamps[lo : lo + per_block]:
+                stamp = ts.isoformat() + ","
+                lines += [stamp + sid + row for sid, row in zip(sids, rows)]
+            if lines:
+                fh.write("\r\n".join(lines) + "\r\n")
 
 
 def chronological_split(

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightweather import checkpoint, cli, errors, model
+from lightweather import checkpoint, cli, data, errors, model
 from lightweather.checkpoint import MAGIC, checkpoint_load, checkpoint_save
 from lightweather.data import load_observations_csv, load_stations_csv
 from lightweather.model import ModelConfig, init_params, parameter_count, tensor_spec
@@ -842,6 +842,36 @@ def test_forecast_matches_evaluate_window(synth_dir, trained_dir, tmp_path):
         for step in range(3):
             assert got[(sid, step)] == exact[step, si, 0]
             assert again.values[step, si, 0] == exact[step, si, 0]
+
+
+def test_forecast_from_the_cached_data_writes_the_same_bytes(
+    synth_dir, trained_dir, tmp_path, monkeypatch
+):
+    """The first forecast parses a fresh copy of the data and caches it
+    beside it; the second reads the cache, parses nothing, and writes
+    byte-identical forecasts.csv and forecast_obs.csv."""
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for name in ("stations.csv", "observations.csv"):
+        (data_dir / name).write_bytes((synth_dir / name).read_bytes())
+    outputs = []
+    for run in ("miss", "hit"):
+        if run == "hit":
+            assert (data_dir / "observations.csv.lwcache").exists()
+            for method in ("parse_block", "parse_records"):
+                monkeypatch.setattr(data._ObservationGrid, method, None)  # calling it raises
+        cfg = data_config(
+            data_dir,
+            tmp_path / f"{run}.cfg",
+            out_dir=tmp_path / run,
+            checkpoint=trained_dir / "run" / "checkpoint.bin",
+        )
+        argv = ["forecast", "--config", str(cfg), "--timestamp", "2019-01-05T04:00:00"]
+        assert cli.main(argv) == 0
+        outputs.append(
+            [(tmp_path / run / name).read_bytes() for name in ("forecasts.csv", "forecast_obs.csv")]
+        )
+    assert outputs[0] == outputs[1]
 
 
 # --- ablate / sweep / param-count -------------------------------------------

@@ -1,7 +1,11 @@
 import csv
+import io
+import json
+import os
 import re
+import threading
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest.mock import patch
@@ -786,24 +790,366 @@ def test_loader_peak_memory_is_at_most_half_the_per_row_reference(tmp_path):
     assert new <= ref / 2, (new, ref)
 
 
+def check_load_peaks(tmp_path, layout):
+    """Load a file of 500 stations x 1200 steps in `layout` twice: a miss
+    whose tracemalloc peak is at most 2x the loaded values, then a hit (the
+    sidecar) at most 1.2x; both give the expected values."""
+    n_steps, n_stations = 1200, 500  # 600,000 rows, 27 MB
+    ids = [f"st{i:05d}" for i in range(n_stations)]
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(n_steps, n_stations))
+    cells = [[repr(v) for v in row] for row in values.tolist()]
+    expected = values.copy()
+    if layout == "2% gaps":  # none at the first step; within the 10% rule
+        for t, si in zip(*np.nonzero(rng.random((n_steps, n_stations)) < 0.02)):
+            if t:
+                cells[t][si] = ""
+                expected[t, si] = expected[t - 1, si]
+    order = range(n_steps - 1, -1, -1) if layout == "reversed" else range(n_steps)
+    timestamps = hourly_timestamps(n_steps)
+    with open(tmp_path / "o.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("timestamp,station_id,v\r\n")
+        for t in order:
+            stamp = timestamps[t].isoformat()
+            fh.write("".join(f"{stamp},{sid},{v}\r\n" for sid, v in zip(ids, cells[t])))
+    coords = [StationCoord(0.0, 0.0, 0.0)] * n_stations
+    assert (tmp_path / "o.csv").stat().st_size > 80 * data._CSV_BLOCK
+    for bound in (2.0, 1.2):  # a miss, then a hit
+        loaded = []
+        peak = traced_peak(lambda: loaded.append(load_observations_csv(tmp_path / "o.csv", ids, coords)))
+        assert sidecar(tmp_path / "o.csv").exists()
+        assert loaded[0].values.tobytes() == expected.tobytes()
+        assert peak <= bound * loaded[0].values.nbytes, (bound, peak / loaded[0].values.nbytes)
+
+
 def test_loader_peak_memory_is_at_most_twice_the_values(tmp_path):
     """Each block of rows is scattered into the growing grid as it is read,
     so over ~100 blocks the tracemalloc peak of a load is the grid, its
-    [T, N] mask and one block's columns: at most 2x the loaded values."""
-    n_steps, n_stations = 1200, 500  # 600,000 rows, 27 MB
-    ids = [f"st{i:05d}" for i in range(n_stations)]
-    values = np.random.default_rng(0).normal(size=(n_steps, n_stations))
-    with open(tmp_path / "o.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("timestamp,station_id,v\r\n")
-        for t, ts in enumerate(hourly_timestamps(n_steps)):
-            stamp = ts.isoformat()
-            fh.write("".join(f"{stamp},{sid},{v!r}\r\n" for sid, v in zip(ids, values[t].tolist())))
-    coords = [StationCoord(0.0, 0.0, 0.0)] * n_stations
-    assert (tmp_path / "o.csv").stat().st_size > 80 * data._CSV_BLOCK
-    loaded = []
-    peak = traced_peak(lambda: loaded.append(load_observations_csv(tmp_path / "o.csv", ids, coords)))
-    assert loaded[0].values.tobytes() == values.tobytes()
-    assert peak <= 2 * loaded[0].values.nbytes, peak / loaded[0].values.nbytes
+    [T, N] mask and one block's columns: at most 2x the loaded values. A
+    second load reads the sidecar: the values and little else."""
+    check_load_peaks(tmp_path, "time order")
+
+
+@pytest.mark.parametrize("layout", ["2% gaps", "reversed"])
+def test_loader_peak_memory_with_gaps_or_out_of_order_is_at_most_twice_the_values(
+    tmp_path, layout
+):
+    """Gaps are forward-filled in place, a step at a time, and a file out
+    of time order is put in order in place: neither needs a second grid."""
+    check_load_peaks(tmp_path, layout)
+
+
+# --- the sidecar cache -----------------------------------------------------
+
+
+def sidecar(path) -> Path:
+    return Path(f"{path}.lwcache")
+
+
+def loaded_fields(path, station_ids, load=None):
+    """What a load of `path` gives, to the bit: ("error", message) for an
+    IngestionError, ("csv.Error",) when csv raises past it, or the values'
+    bits, dtype and shape, each timestamp's isoformat and UTC offset, the
+    ids, the variables and the interval."""
+    try:
+        obs = (load or load_observations_csv)(
+            path, station_ids, [StationCoord(0.0, 0.0, 0.0)] * len(station_ids)
+        )
+    except IngestionError as exc:
+        return "error", str(exc)
+    except csv.Error:
+        return ("csv.Error",)
+    return (
+        "ok",
+        obs.values.tobytes(),
+        obs.values.dtype,
+        obs.values.shape,
+        [(ts.isoformat(), ts.utcoffset()) for ts in obs.timestamps],
+        obs.station_ids,
+        obs.var_names,
+        obs.interval,
+    )
+
+
+@contextmanager
+def parses_counted():
+    """Counts, in the yielded list, the blocks and csv record runs the
+    loads inside it parse."""
+    calls = []
+    block, records = data._ObservationGrid.parse_block, data._ObservationGrid.parse_records
+
+    def counted(real):
+        def run(*args):
+            calls.append(real.__name__)
+            return real(*args)
+
+        return run
+
+    with patch.object(data._ObservationGrid, "parse_block", counted(block)), patch.object(
+        data._ObservationGrid, "parse_records", counted(records)
+    ):
+        yield calls
+
+
+@contextmanager
+def no_parse():
+    """Loads inside it fail if they parse."""
+
+    def refuse(*args):
+        raise AssertionError("parsed although the sidecar fits")
+
+    with patch.object(data._ObservationGrid, "parse_block", refuse), patch.object(
+        data._ObservationGrid, "parse_records", refuse
+    ):
+        yield
+
+
+@settings(max_examples=200, deadline=None)
+@given(spliced=spliced_csv())
+def test_a_cache_hit_equals_a_miss_and_the_per_row_reference(tmp_path_factory, spliced):
+    """Over aware and naive files in every timestamp form, a first load (a
+    miss), a second (a hit, which parses nothing) and the per-row loader
+    give the same result; a file that fails to load gives the same error
+    every time and leaves no sidecar."""
+    text, ids = spliced
+    path = tmp_path_factory.mktemp("cache") / "o.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = loaded_fields(path, ids, reference_load_observations_csv)
+    miss = loaded_fields(path, ids)
+    if miss[0] != "ok":
+        assert miss == expected or expected == ("csv.Error",)  # Python 3.10 and a NUL
+        assert loaded_fields(path, ids) == miss
+        assert not sidecar(path).exists()
+        return
+    assert miss == expected
+    assert sidecar(path).exists()
+    with no_parse():
+        assert loaded_fields(path, ids) == miss
+
+
+def aware_gap_csv(path):
+    """20 hourly steps of s1 and s2 at +05:30, s2 missing at 07:00 (line 17),
+    and its ids."""
+    rows = [(f"{ts}+05:30", sid, val) for ts, sid, val in gap_rows("")]
+    return write(path, obs_csv_text(rows)), ["s1", "s2"]
+
+
+def set_manifest(raw: bytes, **fields) -> bytes:
+    """The sidecar `raw` with `fields` set in its manifest; the data and
+    the CRC32 as they were."""
+    head = data._SIDECAR_HEAD
+    magic, size, crc = head.unpack_from(raw)
+    manifest = json.loads(raw[head.size : head.size + size])
+    blob = json.dumps({**manifest, **fields}).encode()
+    return head.pack(magic, len(blob), crc) + blob + raw[head.size + size :]
+
+
+def flip(raw: bytes, at: int) -> bytes:
+    return raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1 :]
+
+
+HUGE = 10**9  # steps a manifest may claim: 16 GB of data for 2 stations x 1 variable
+SIDECAR_EDITS = {
+    "truncated": lambda raw: raw[:-5],
+    "flipped data byte": lambda raw: flip(raw, len(raw) - 3),
+    "flipped manifest byte": lambda raw: flip(raw, raw.index(b'"var_0"') + 4),
+    "wrong magic": lambda raw: b"LWCKPT1" + raw[7:],
+    "huge shape": lambda raw: set_manifest(raw, n_steps=HUGE),
+    "empty": lambda raw: b"",
+    "not json": lambda raw: raw.replace(b'{"version"', b'["version"'),
+    "another version": lambda raw: set_manifest(raw, version=data._SIDECAR_VERSION + 1),
+}
+
+
+@pytest.mark.parametrize("edit", list(SIDECAR_EDITS))
+def test_a_sidecar_that_does_not_fit_is_a_miss(tmp_path, monkeypatch, fail_allocation, edit):
+    """A truncated, corrupt or foreign sidecar, or one that claims a huge
+    shape, never raises: the load parses the file again, gives the same
+    result and rewrites the sidecar, which the next load reads. No array
+    larger than the sidecar is asked for."""
+    path, ids = aware_gap_csv(tmp_path / "o.csv")
+    expected = loaded_fields(path, ids)
+    assert expected[0] == "ok" and expected[4][0] == ("2020-01-01T00:00:00+05:30", timedelta(hours=5, minutes=30))
+    sidecar(path).write_bytes(SIDECAR_EDITS[edit](sidecar(path).read_bytes()))
+    fail_allocation(HUGE * 2, lambda k: True)
+    real_fromfile = np.fromfile
+
+    def fromfile(fh, dtype, count):
+        size = sidecar(path).stat().st_size
+        assert 8 * count <= size, f"asked for {count} items from a {size}-byte sidecar"
+        return real_fromfile(fh, dtype, count)
+
+    monkeypatch.setattr(np, "fromfile", fromfile)
+    with parses_counted() as parsed:
+        assert loaded_fields(path, ids) == expected
+    assert parsed
+    with no_parse():
+        assert loaded_fields(path, ids) == expected
+
+
+def test_an_edit_that_keeps_the_size_and_mtime_is_a_miss(tmp_path):
+    path, ids = aware_gap_csv(tmp_path / "o.csv")
+    loaded_fields(path, ids)
+    before = path.stat()
+    path.write_bytes(path.read_bytes().replace(b",s1,3.0", b",s1,4.0"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size and path.stat().st_mtime_ns == before.st_mtime_ns
+    expected = loaded_fields(path, ids, reference_load_observations_csv)
+    with parses_counted() as parsed:
+        assert loaded_fields(path, ids) == expected
+    assert parsed
+    with no_parse():
+        assert loaded_fields(path, ids) == expected
+
+
+def test_another_station_list_is_a_miss(tmp_path):
+    path, ids = aware_gap_csv(tmp_path / "o.csv")
+    loaded_fields(path, ids)
+    expected = loaded_fields(path, ids[::-1], reference_load_observations_csv)
+    with parses_counted() as parsed:
+        assert loaded_fields(path, ids[::-1]) == expected
+    assert parsed
+    with no_parse():
+        assert loaded_fields(path, ids[::-1]) == expected
+
+
+def test_another_csv_field_limit_is_a_miss(tmp_path):
+    """csv.field_size_limit() decides whether a file loads, so a sidecar
+    written under one limit does not answer a load under another."""
+    path, ids = aware_gap_csv(tmp_path / "o.csv")
+    write(path, path.read_text(encoding="utf-8").replace(",s1,3.0", ",s1,3.0" + " " * 100))
+    assert loaded_fields(path, ids)[0] == "ok"
+    limit = csv.field_size_limit(100)  # s1's field at 03:00, line 8, is longer
+    try:
+        got = loaded_fields(path, ids)
+        expected = loaded_fields(path, ids, reference_load_observations_csv)
+    finally:
+        csv.field_size_limit(limit)
+    assert got == ("error", f"{path}: line 8: field larger than field limit (100)")
+    assert expected == ("csv.Error",)  # the per-row loader lets csv's error through
+    with no_parse():
+        assert loaded_fields(path, ids)[0] == "ok"
+
+
+def test_a_file_changed_during_its_load_writes_no_sidecar(tmp_path, monkeypatch):
+    path, ids = aware_gap_csv(tmp_path / "o.csv")
+    real = data._parse_observations
+
+    def parse_then_touch(*args):
+        out = real(*args)
+        os.utime(path, ns=(0, path.stat().st_mtime_ns + 1))
+        return out
+
+    monkeypatch.setattr(data, "_parse_observations", parse_then_touch)
+    assert loaded_fields(path, ids)[0] == "ok"
+    assert not sidecar(path).exists()
+
+
+@pytest.mark.parametrize("after", [None, 0, 2, 3])
+def test_a_sidecar_that_cannot_be_written_is_skipped(tmp_path, fail_write, after):
+    """Whether the temp file cannot be made (None) or write call number
+    `after` fails, the load succeeds and leaves no file behind."""
+    path, ids = aware_gap_csv(tmp_path / "o.csv")
+    expected = loaded_fields(path, ids, reference_load_observations_csv)
+    fail_write(after)
+    assert loaded_fields(path, ids) == expected
+    assert [p.name for p in tmp_path.iterdir()] == ["o.csv"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda t: t.replace("station_id", "station"), "expected header"),
+        (lambda t: t.replace(",s2,", ",s9,", 1), "line 3: unknown station 's9'"),
+        (lambda t: t.replace(",s2,\n", ",s1,1.0\n"), "line 17: duplicate (2020-01-01T07:00:00+05:30, s1)"),
+        (lambda t: t.replace(",s1,3.0", ",s1,inf"), "non-finite value inf at 2020-01-01T03:00:00+05:30"),
+        (lambda t: t.replace(",s2,10.0", ",s2,").replace(",s2,11.0", ",s2,").replace(",s2,12.0", ",s2,"), "4 missing cells exceed 10%"),
+        (lambda t: t.replace("T05:00:00", "T05:30:00"), "non-uniform timestamp grid"),
+    ],
+    ids=["header", "unknown-station", "duplicate", "infinite", "too-many-missing", "grid"],
+)
+def test_a_file_that_fails_to_load_leaves_no_sidecar(tmp_path, edit, message):
+    path, ids = aware_gap_csv(tmp_path / "o.csv")
+    write(path, edit(path.read_text(encoding="utf-8")))
+    errors = [loaded_fields(path, ids) for _ in range(2)]
+    assert errors[0] == errors[1] == loaded_fields(path, ids, reference_load_observations_csv)
+    assert errors[0][0] == "error" and message in errors[0][1]
+    assert [p.name for p in tmp_path.iterdir()] == ["o.csv"]
+
+
+def test_a_pipe_is_not_hashed(tmp_path):
+    """A pipe's bytes can be read once: the load leaves them to the parser,
+    which cannot read a pipe (it seeks), and writes no sidecar."""
+    path, _ = aware_gap_csv(tmp_path / "o.csv")
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh, suppress(BrokenPipeError):
+            fh.write(path.read_bytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    with pytest.raises(io.UnsupportedOperation):
+        load_observations_csv(fifo, ["s1", "s2"], STATIONS[1])
+    writer.join(timeout=10)
+    assert not writer.is_alive() and not sidecar(fifo).exists()
+
+
+# --- the writer against the per-row reference ------------------------------
+
+
+def reference_write_observations_csv(path, obs: ObservationSet) -> None:
+    """The per-row writer that write_observations_csv replaced, kept
+    verbatim (csv.writer, one row at a time) as the reference its bytes
+    must equal."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "station_id"] + list(obs.var_names))
+        for t, ts in enumerate(obs.timestamps):
+            for si, sid in enumerate(obs.station_ids):
+                writer.writerow(
+                    [ts.isoformat(), sid]
+                    + [repr(float(v)) for v in obs.values[t, si, :]]
+                )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_steps=st.integers(0, 12),
+    n_vars=st.integers(1, 3),
+    ids=st.lists(
+        st.sampled_from(["s0", "s 1", "a,b", 'q"t', "line\nbreak", "cr\r", "", "x" * 20, "é"]),
+        min_size=1,
+        max_size=4,
+        unique=True,
+    ),
+    tz=aware_or_naive,
+    interval=st.sampled_from([timedelta(hours=1), timedelta(days=1), timedelta(microseconds=1500)]),
+    fortran=st.booleans(),
+    block=st.sampled_from([data._WRITE_ROWS, 1, 5]),
+    data_=st.data(),
+)
+def test_writer_equals_the_per_row_reference(
+    tmp_path_factory, n_steps, n_vars, ids, tz, interval, fortran, block, data_
+):
+    special = st.sampled_from([np.nan, -0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1e308, np.inf])
+    values = data_.draw(
+        arrays(np.float64, (n_steps, len(ids), n_vars), elements=st.floats() | special)
+    )
+    obs = ObservationSet(
+        timestamps=[datetime(2020, 2, 28, 23, tzinfo=tz) + k * interval for k in range(n_steps)],
+        station_ids=ids,
+        coords=[StationCoord(0.0, 0.0, 0.0)] * len(ids),
+        values=np.asfortranarray(values) if fortran else values,
+        var_names=[f"v{i}" for i in range(n_vars)],
+        interval=interval,
+    )
+    root = tmp_path_factory.mktemp("writer")
+    reference_write_observations_csv(root / "ref.csv", obs)
+    with patch.object(data, "_WRITE_ROWS", block):
+        write_observations_csv(root / "new.csv", obs)
+    assert (root / "new.csv").read_bytes() == (root / "ref.csv").read_bytes()
 
 
 # --- splits ----------------------------------------------------------------

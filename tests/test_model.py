@@ -1100,6 +1100,24 @@ def test_params_are_views_of_one_vector_in_spec_order(spatial, temporal, tmp_pat
     assert vec.tobytes() == before.tobytes()
 
 
+@pytest.mark.parametrize("after", [None, 0, 1, 2, 3])
+def test_a_checkpoint_save_that_fails_leaves_the_old_checkpoint(tmp_path, fail_write, after):
+    """A save that cannot create its temp file (None), or whose write call
+    number `after` fails (magic, manifest size, manifest, data), raises and
+    leaves the old file whole and no temp file."""
+    cfg = small_config()
+    path = tmp_path / "ck.bin"
+    checkpoint_save(path, init_params(cfg, 0))
+    before = path.read_bytes()
+    made = fail_write(after)
+    with pytest.raises(OSError):
+        checkpoint_save(path, init_params(cfg, 1))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+    assert len(made) == (after is not None)  # the temp file was made, then removed
+    assert checkpoint_load(path, cfg).vector.tobytes() == init_params(cfg, 0).vector.tobytes()
+
+
 def test_params_reject_a_vector_of_the_wrong_size():
     cfg = small_config()
     with pytest.raises(ShapeError, match=str(parameter_count(cfg))):
