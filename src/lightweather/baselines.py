@@ -39,9 +39,9 @@ def evaluate_hi(windows, batch_size: int = 32) -> Metrics:
     """Pooled HI metrics over a window set, in original data units.
 
     Each batch gathers from raw_values only the steps HI reads: the last
-    T_f history steps, then the T_f future steps. Batches are as evaluate
-    takes them: batch_size windows, or fewer when a chunk of CHUNK_ROWS rows
-    holds fewer.
+    T_f history steps, then the T_f future steps. Its sums are pooled as
+    evaluate pools them, a chunk at a time: batch_size windows, or fewer
+    when a chunk of CHUNK_ROWS rows holds fewer.
     """
     if len(windows) == 0:
         raise ConfigError("empty split: no windows for the HI baseline")

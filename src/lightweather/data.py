@@ -514,8 +514,12 @@ class _ObservationGrid:
         field_end = field_end[sel]
         lo = [starts[sel]] + [field_end[:, j] + 1 for j in range(n_cols - 1)]
         width = [field_end[:, j] - lo[j] for j in range(n_cols - 1)] + [ends[sel] - lo[-1]]
-        if max(int(w.max(initial=0)) for w in width) > _FIELD_WIDTH:
-            narrow = np.logical_and.reduce([w <= _FIELD_WIDTH for w in width])
+        # a field over the csv limit is not narrow, so parse_record reads its
+        # line and raises the limit's error
+        limit = csv.field_size_limit()
+        widest = min(_FIELD_WIDTH, limit)
+        if max(int(w.max(initial=0)) for w in width) > widest:
+            narrow = np.logical_and.reduce([w <= widest for w in width])
             idx, lo, width = idx[narrow], [x[narrow] for x in lo], [w[narrow] for w in width]
         pad = np.zeros(len(a) + _FIELD_WIDTH + 8, np.uint8)
         pad[: len(a)] = a
@@ -533,7 +537,6 @@ class _ObservationGrid:
         taken[idx[ok]] = True
         lines = lineno + idx[ok]
         rows, error_line = [], None
-        limit = csv.field_size_limit()
         for i in np.flatnonzero(filled & ~taken).tolist():
             row = block[starts[i] : ends[i]].decode("utf-8").split(",")
             try:
@@ -991,6 +994,8 @@ class WindowSet:
         self.t_f = t_f
         self._history = _windows(store, t_h)  # [s] -> rows of steps s .. s+T_h-1
         self._future = _windows(store[:, t_h:], t_f)  # [s] -> s+T_h .. s+T_h+T_f-1
+        # [s] -> original-unit rows of steps s .. s+T_f-1, from a [N*C, T] view
+        self._raw = _windows(raw_values.reshape(len(raw_values), store.shape[0]).T, t_f)
         # the calendar of each window's first forecast step (model.TimeFeature)
         first = span.start + t_h
         calendar = [(ts.hour, ts.day - 1, ts.month - 1) for ts in timestamps[first : first + n_windows]]
@@ -1007,23 +1012,39 @@ class WindowSet:
     def n_vars(self) -> int:
         return self.raw_values.shape[2]
 
-    def batch(self, idx, raw_future: bool = False) -> dict:
+    def batch(self, idx, out: dict | None = None) -> dict:
         """Gather windows idx: "history", the model's rows [B*N*C, T_h]
-        ordered (window, station, variable); the calendar indices "hours",
-        "days" and "months" [B]; and either "future", the target rows
-        [B*N*C, T_f] that fit's loss reads, or with raw_future
-        "future_raw", the original-unit float64 target rows [B*N*C, T_f],
-        in the same row order, that evaluate scores."""
-        idx = np.asarray(idx, dtype=np.intp)
-        s = self.starts[idx]
-        out = {"history": self._history[s].reshape(-1, self.t_h)}
-        if raw_future:
-            raw = self.raw_values[s[:, None] + self.t_h + np.arange(self.t_f)]
-            out["future_raw"] = np.ascontiguousarray(raw.transpose(0, 2, 3, 1)).reshape(-1, self.t_f)
+        ordered (window, station, variable); "future", the target rows
+        [B*N*C, T_f] that fit's loss reads; and the calendar indices
+        "hours", "days" and "months" [B].
+
+        With `out`, a dict of buffers of at least B*N*C rows, idx is a slice
+        of consecutive windows (as evaluate takes them), gathered without
+        temporaries: the history rows are copied into out["history"] and,
+        when it is there, the original-unit float64 target rows [B*N*C,
+        T_f], in the same row order, into out["future_raw"], both from
+        strided views. The result holds views of those buffers' first rows
+        and the calendar, and no "future"."""
+        if out is None:
+            idx = np.asarray(idx, dtype=np.intp)
+            s = self.starts[idx]
+            got = {
+                "history": self._history[s].reshape(-1, self.t_h),
+                "future": self._future[s].reshape(-1, self.t_f),
+            }
         else:
-            out["future"] = self._future[s].reshape(-1, self.t_f)
-        out.update(hours=self.hours[idx], days=self.days[idx], months=self.months[idx])
-        return out
+            lo, hi, _ = idx.indices(len(self))
+            first = self.starts[lo]
+            views = {"history": self._history[first : first + hi - lo]}
+            if "future_raw" in out:
+                views["future_raw"] = self._raw[first + self.t_h : first + self.t_h + hi - lo]
+            got = {}
+            for key, view in views.items():
+                rows = out[key][: view.shape[0] * view.shape[1]]
+                np.copyto(rows.reshape(view.shape), view)
+                got[key] = rows
+        got.update(hours=self.hours[idx], days=self.days[idx], months=self.months[idx])
+        return got
 
 
 def series_rows(values: np.ndarray, norm: Normalizer) -> np.ndarray:
@@ -1073,8 +1094,17 @@ def normalize_apply(values: np.ndarray, norm: Normalizer, out=None) -> np.ndarra
     return out
 
 
-def normalize_invert(values: np.ndarray, norm: Normalizer) -> np.ndarray:
-    return values * norm.std + norm.mean
+def normalize_invert(values: np.ndarray, norm: Normalizer, out=None) -> np.ndarray:
+    """values * std + mean, written into `out` when given. values is cast
+    into `out` first and scaled there, with the same bits: a multiply that
+    casts as it goes allocates a 64 KiB buffer per call."""
+    if out is None:
+        out = np.multiply(values, norm.std)
+    else:
+        np.copyto(out, values)
+        out *= norm.std
+    out += norm.mean
+    return out
 
 
 @dataclass

@@ -41,26 +41,42 @@ most CHUNK_ROWS rows each (chunk_windows), and adds up the chunks' float64
 loss sums and their gradients. Activation memory is then bounded by a
 chunk, not by the batch. The chunk's arrays live in a Workspace, which is
 also the only record of its forward pass: forward_rows leaves its inputs
-and activations there, and backward_batch reads them back. Training
-makes one per fit, sized for a full chunk, and every chunk, batch and
-validation pass writes into the first rows of the same buffers through
-the numerics kernels' `out=` forms, so a warm step allocates almost
-nothing and its speed does not rest on malloc reusing freed blocks. A
-forward without a workspace makes its own, so its results share memory
-with nothing the caller holds. Sums over rows (bias gradients, a window's
-or a station's rows) are row_sum GEMVs against the workspace's ones vector.
-The loss's sign is back-propagated unscaled, and the batch's gradient is
-divided by the element count once. A batch of one chunk runs exactly one
-pass; over several chunks each gradient is a sum of per-chunk sums,
-rounded once per chunk, so it differs from the one-pass sum in its last
-bits. CHUNK_ROWS is a fixed constant, so the split, and every bit, is the
-same on every run with the same BLAS build and thread count (the weight
-gradients' GEMMs split their sums by thread).
+and activations there, and backward_batch reads them back. Every chunk,
+batch and validation pass writes into the first rows of the same buffers
+through the numerics kernels' `out=` forms, so a warm step allocates
+almost nothing and its speed does not rest on malloc reusing freed
+blocks. A forward without a workspace makes its own, so its results share
+memory with nothing the caller holds. Sums over rows (bias gradients, a
+window's or a station's rows) are row_sum GEMVs against the workspace's
+ones vector. The loss's sign is back-propagated unscaled, and the batch's
+gradient is divided by the element count once.
+
+Workers is the one chunk dispatcher, for loss_and_grads and
+training.evaluate; training makes one per fit, with one workspace per
+worker. A batch of one chunk runs on the caller at the caller's BLAS
+thread count, exactly one pass. The chunks of a larger batch run side by
+side on min(usable CPUs, chunks) worker threads, each in its own
+workspace, with OpenBLAS pinned to one thread for the whole batch
+(numerics.single_threaded_blas): numpy's elementwise passes then use
+every core too, and one-thread GEMMs do not oversubscribe them. The
+caller adds the chunks' results in chunk order, whichever worker
+finishes first, so each gradient is a sum of per-chunk sums, rounded once
+per chunk, and differs from the one-pass sum in its last bits. CHUNK_ROWS
+is a fixed constant, so the split, and every bit of a multi-chunk batch,
+is the same on every run with the same BLAS build, at any BLAS thread or
+worker count. A one-chunk batch's weight gradients still depend on the
+BLAS thread count, which splits their GEMM sums by thread. Where OpenBLAS's
+thread count cannot be pinned (numpy on another BLAS), the chunks run one
+after another on the caller at the BLAS's own thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -69,6 +85,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError, ValidationError, allocating
 from .numerics import (
     LinearLayer,
+    blas_threads,
     linear_backward,
     linear_forward,
     linear_param_grads,
@@ -76,6 +93,7 @@ from .numerics import (
     relu,
     relu_backward,
     row_sum,
+    single_threaded_blas,
 )
 
 SPATIAL_MODES = ("absolute", "relative", "none")
@@ -91,8 +109,9 @@ COMPUTE_DTYPE = np.float32
 
 # The most rows one pass of the batch path holds (loss_and_grads,
 # training.evaluate, baselines.evaluate_hi). Fixed, never derived from free
-# memory or threads, so every run splits each sum alike.
-CHUNK_ROWS = 16384
+# memory or threads, so every run splits each sum alike. Two workers'
+# workspaces at this size hold what one held at 16384.
+CHUNK_ROWS = 8192
 
 
 @dataclass
@@ -335,6 +354,11 @@ class Workspace:
     loss_and_grads accumulates the batch's into grad. Both gradients are
     ModelParams in this dtype: one flat vector in tensor_spec layout with
     named views. `ones` is the ones vector that row_sum reduces against.
+    training.evaluate gathers a chunk's history rows into x and its float64
+    target rows into truth, and scores it in err. Those three lie in the
+    same block of memory as g[1:], which a forward leaves alone, so an
+    evaluate after training steps writes to pages they have touched
+    already instead of growing the resident set.
 
     A chunk uses the first rows of each buffer, so a ragged last chunk or a
     smaller batch needs nothing new; a chunk of more rows is a ShapeError.
@@ -353,10 +377,167 @@ class Workspace:
         self.r = [np.empty((rows, config.d), dtype) for _ in range(config.n_layers)]
         self.y = np.empty((rows, config.t_f), dtype)
         self.abs_err = np.empty((rows, config.t_f), dtype)
-        self.g = [np.empty((rows, config.d), dtype) for _ in range(3)]
         self.mask = np.empty((rows, config.d), bool)
         self.ones = np.ones(rows, dtype)
         self.inputs: dict | None = None
+
+        def size(width, itemsize):  # bytes of [rows, width], rounded up to 64
+            return -(-rows * width * itemsize // 64) * 64
+
+        g_size, x_size = size(config.d, self.dtype.itemsize), size(config.t_h, self.dtype.itemsize)
+        f_size = size(config.t_f, 8)
+        block = np.empty(g_size + max(2 * g_size, x_size + 2 * f_size), np.uint8)
+
+        def carve(offset, width, dtype):
+            n = rows * width * np.dtype(dtype).itemsize
+            return block[offset : offset + n].view(dtype).reshape(rows, width)
+
+        self.g = [carve(i * g_size, config.d, dtype) for i in range(3)]
+        self.x = carve(g_size, config.t_h, dtype)
+        self.truth = carve(g_size + x_size, config.t_f, np.float64)
+        self.err = carve(g_size + x_size + f_size, config.t_f, np.float64)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class Workers:
+    """Where the chunks of a batch run: `workspaces`, one Workspace per
+    worker, and with more than one, a pool of as many threads.
+
+    run is the one chunk dispatcher. A batch of one chunk runs on the
+    caller, in the first workspace, at the caller's BLAS thread count.
+    A batch of several runs with OpenBLAS pinned to one thread
+    (numerics.single_threaded_blas), its chunks spread over the workers,
+    at most one chunk per workspace at a time; the caller takes each
+    chunk's result in chunk order, whichever worker finishes first. A
+    chunk whose result lives in its workspace (a gradient) holds it until
+    the caller has added that result; one whose result is a few numbers
+    (evaluate's sums) frees it at once. So a multi-chunk batch's bits
+    depend on neither the BLAS thread count nor the worker count. Where
+    the pin cannot be made, its chunks run one after another on the
+    caller, unpinned.
+
+    Make one per fit or evaluate call and close it (it is a context
+    manager): closing waits for the pool's threads to end.
+    """
+
+    def __init__(self, workspaces: list[Workspace]):
+        self.workspaces = workspaces
+        self._pool = ThreadPoolExecutor(len(workspaces)) if len(workspaces) > 1 else None
+
+    @classmethod
+    def for_batches(
+        cls, config: ModelConfig, rows_per_window: int, batch_windows: int, dtype=COMPUTE_DTYPE
+    ) -> "Workers":
+        """Workers for batches of up to `batch_windows` windows of
+        `rows_per_window` rows: W = min(usable CPUs, chunks per batch)
+        workspaces, each sized for a chunk, or one where OpenBLAS's thread
+        count cannot be pinned."""
+        per_chunk = min(batch_windows, chunk_windows(rows_per_window))
+        count = 1
+        if blas_threads() is not None:
+            count = min(usable_cpus(), -(-batch_windows // per_chunk))
+        return cls([Workspace(config, per_chunk * rows_per_window, dtype) for _ in range(count)])
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def __enter__(self) -> "Workers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def run(self, n_chunks: int, task, add=None) -> list | None:
+        """task(i, workspace) for each chunk i in range(n_chunks). With
+        `add`, add(i, result, workspace) runs on the caller in chunk order,
+        before that workspace takes another chunk, and run returns None.
+        Without, a workspace takes the next chunk as soon as its task
+        returns, so a result must not refer to its workspace, and run
+        returns the results in chunk order. Each task runs under the
+        caller's np.geterr(). An exception from a chunk is raised here
+        unchanged, the first in chunk order, once the chunks already
+        running have finished and the BLAS thread count is restored."""
+        keep = add is None
+        results = [None] * n_chunks
+        if keep:
+
+            def add(i, result, ws):
+                results[i] = result
+
+        first, w = self.workspaces[0], min(len(self.workspaces), n_chunks)
+        errstate = np.geterr()
+
+        def run_chunk(i, ws):
+            with np.errstate(**errstate):
+                return task(i, ws)
+
+        with single_threaded_blas() if n_chunks > 1 else nullcontext(False) as pinned:
+            if not pinned or w == 1:
+                for i in range(n_chunks):
+                    add(i, task(i, first), first)
+            elif keep:
+                results = self._drain(n_chunks, run_chunk, w)
+            else:
+                self._in_order(n_chunks, run_chunk, add, w)
+        return results if keep else None
+
+    def _in_order(self, n_chunks, run_chunk, add, w) -> None:
+        """Chunk i on workspace i % w, each added on the caller in chunk
+        order before its workspace takes chunk i + w."""
+        running = {i: self._pool.submit(run_chunk, i, self.workspaces[i]) for i in range(w)}
+        try:
+            for i in range(n_chunks):
+                ws = self.workspaces[i % w]
+                add(i, running.pop(i).result(), ws)
+                if i + w < n_chunks:
+                    running[i + w] = self._pool.submit(run_chunk, i + w, ws)
+        finally:
+            wait(running.values())
+
+    def _drain(self, n_chunks, run_chunk, w) -> list:
+        """The results of all chunks, in chunk order: each of w workers
+        takes the next chunk as soon as it is free. After a failure no
+        worker takes another chunk; every chunk before the failed one was
+        taken already, so the first failing chunk always runs, and its
+        error is the one raised."""
+        results, failed = [None] * n_chunks, []
+        chunks, lock = iter(range(n_chunks)), threading.Lock()
+
+        def drain(ws):
+            while not failed:
+                with lock:
+                    i = next(chunks, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = run_chunk(i, ws)
+                except BaseException as error:  # raised on the caller below
+                    failed.append((i, error))
+
+        wait([self._pool.submit(drain, ws) for ws in self.workspaces[:w]])
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
+        return results
+
+
+def as_workers(workspace, params: ModelParams, rows_per_window: int, batch_windows: int) -> Workers:
+    """The Workers a batch of `batch_windows` windows runs on: `workspace`
+    itself when it is Workers, a Workers of that one Workspace, or of one
+    fresh Workspace, sized for a chunk, when it is None. Each workspace is
+    checked against params and for room for a chunk."""
+    chunk_rows = min(batch_windows, chunk_windows(rows_per_window)) * rows_per_window
+    if isinstance(workspace, Workers):
+        for ws in workspace.workspaces:
+            _workspace(ws, params, chunk_rows)
+        return workspace
+    return Workers([_workspace(workspace, params, chunk_rows)])
 
 
 def _workspace(workspace: Workspace | None, params: ModelParams, rows: int) -> Workspace:
@@ -629,7 +810,7 @@ def loss_and_grads(
     hours,
     days,
     months,
-    workspace: Workspace | None = None,
+    workspace: Workspace | Workers | None = None,
 ) -> tuple[float, dict]:
     """Mean absolute error of a batch of rows and its gradients for every
     tensor: history rows [B*N*C, T_h] and target rows [B*N*C, T_f], laid
@@ -639,10 +820,12 @@ def loss_and_grads(
     i.e. the per-window 1/(N*C*T_f) normalization averaged over windows, so
     batch gradients are averages of per-window gradients. forward_rows and
     backward_batch run on consecutive chunks of chunk_windows(N*C) whole
-    windows, in `workspace` (a fresh one when it is None). Each chunk
-    takes pred - truth in place and |pred - truth| into the workspace's
+    windows, dispatched by Workers.run: on `workspace` when it is Workers,
+    on that one Workspace, or on a fresh one when it is None. Each chunk
+    takes pred - truth in place and |pred - truth| into its workspace's
     abs_err buffer, sums that in float64, and overwrites it with the sign,
-    which it back-propagates unscaled; the chunks' gradients are summed into the
+    which it back-propagates unscaled. The caller adds the chunks' loss
+    sums and gradients in chunk order, the gradients into the first
     workspace's grad vector, which is divided by the element count once
     per batch. The gradients, in params.dtype, are returned as views of
     that vector (in tensor_spec layout: training hands it to adam_step).
@@ -657,25 +840,35 @@ def loss_and_grads(
             f"future shape {future_rows.shape} != pred shape {(x_rows.shape[0], cfg.t_f)}"
         )
     step = chunk_windows(rows)
-    ws = _workspace(workspace, params, min(step, len(hours)) * rows)
-    total = ws.grad.vector
     abs_sum = 0.0
-    for lo in range(0, len(hours), step):
+
+    def chunk(i, ws):
+        lo = i * step
         w, r = slice(lo, lo + step), slice(lo * rows, (lo + step) * rows)
         pred, _ = forward_rows(x_rows[r], coords_norm, hours[w], days[w], months[w], params, ws)
         diff = pred  # the workspace's prediction buffer, which backward_batch does not read
         diff -= np.asarray(future_rows[r], dtype=pred.dtype)
         abs_diff = np.abs(diff, out=ws.abs_err[: len(diff)])
-        abs_sum += abs_diff.sum(dtype=np.float64)
+        chunk_sum = abs_diff.sum(dtype=np.float64)
         # the sign overwrites the spent |diff|: np.sign in place runs several
         # times slower than into another buffer
         backward_batch(np.sign(diff, out=abs_diff), ws, params)
-        if lo == 0:
+        return chunk_sum
+
+    workers = as_workers(workspace, params, rows, len(hours))
+    total = workers.workspaces[0].grad.vector
+
+    def add(i, chunk_sum, ws):
+        nonlocal abs_sum
+        abs_sum += chunk_sum
+        if i == 0:
             np.copyto(total, ws.chunk_grad.vector)
         else:
-            total += ws.chunk_grad.vector
+            np.add(total, ws.chunk_grad.vector, out=total)
+
+    workers.run(-(-len(hours) // step), chunk, add)
     total /= future_rows.size  # one rounding per entry: the exact mean, rounded
-    return float(abs_sum / future_rows.size), dict(ws.grad.tensors)
+    return float(abs_sum / future_rows.size), dict(workers.workspaces[0].grad.tensors)
 
 
 def forward_batch(

@@ -29,12 +29,19 @@ moments and scratch vectors in place (single writer: one training loop
 owns one state) and, given `out`, writes the new param there: training
 passes the flat parameter vector as both param and out, so one call
 updates the whole model in place and allocates nothing.
+
+single_threaded_blas pins OpenBLAS to one thread for a block of work, so
+that threads of our own can run BLAS calls side by side (model.Workers)
+and every GEMM's bits are those of one thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -44,6 +51,70 @@ from .errors import OptimizerError, ShapeError, allocating
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+
+# OpenBLAS's process-wide thread-count setter and getter, under the names
+# the scipy-openblas wheels (64-bit and 32-bit integer builds) and a plain
+# OpenBLAS export them
+_OPENBLAS_THREADS = [
+    (f"{prefix}openblas_set_num_threads{suffix}", f"{prefix}openblas_get_num_threads{suffix}")
+    for prefix in ("scipy_", "")
+    for suffix in ("64_", "")
+]
+
+
+@functools.cache
+def _openblas_thread_count():
+    """(set, get) for the thread count of the OpenBLAS that numpy loaded,
+    found by ctypes in the libraries this process has mapped, or None: no
+    /proc/self/maps, numpy built on another BLAS, or no setter exported."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREADS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextmanager
+def single_threaded_blas() -> Iterator[bool]:
+    """Pin OpenBLAS to one thread for the block, then restore its old count,
+    also when the block raises. Yields whether the pin was made: False
+    where numpy's BLAS offers no setter (MKL, Accelerate), and the block
+    then runs at the BLAS's own thread count.
+
+    The count is process-wide, so the block pins every thread's BLAS calls:
+    threads that run GEMMs side by side then each run them on one thread
+    instead of oversubscribing the cores, and each GEMM's sums are those of
+    one thread, whatever the thread count outside."""
+    found = _openblas_thread_count()
+    if found is None:
+        yield False
+        return
+    set_threads, get_threads = found
+    old = get_threads()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(old)
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS's current thread count, or None where no getter is found."""
+    found = _openblas_thread_count()
+    return None if found is None else found[1]()
 
 
 def as_float(a) -> np.ndarray:

@@ -7,29 +7,37 @@ halves the bytes every activation moves, on float64 master weights. Each
 batch runs the model on a float32 copy of the params, cast into one
 buffer that fit allocates once and refills for every batch, over float32
 rows that WindowSet.batch gathers from the split's stored series. fit
-also makes one model.Workspace, sized for a full chunk, that every batch
-and every validation pass runs in: loss_and_grads leaves the batch's
-gradient in its flat float32 vector, in the params' tensor_spec layout,
-and one adam_step applies that vector to the float64 parameter vector
-and Adam moments in place, in float64 math. Metrics are
-accumulated in float64 and in original data units (predictions inverted
-through the split's Normalizer, the identity when normalization is off),
-against the float64 raw series. The params fit returns, and so every
-checkpoint, stay float64.
+also makes one model.Workers, one Workspace per worker sized for a full
+chunk, that every batch and every validation pass runs in:
+loss_and_grads leaves the batch's gradient in the first workspace's flat
+float32 grad vector, in the params' tensor_spec layout, and one adam_step
+applies that vector to the float64 parameter vector and Adam moments in
+place, in float64 math. Metrics are accumulated in float64 and in
+original data units (predictions inverted through the split's
+Normalizer, the identity when normalization is off), against the float64
+raw series. The params fit returns, and so every checkpoint, stay
+float64.
 
-Chunks: a batch of more than model.CHUNK_ROWS rows (N*C rows per window)
-runs in chunks of whole windows. loss_and_grads sums the chunks'
-gradients, so a multi-chunk batch's gradient is rounded once per chunk and
-differs in its last bits from a one-pass sum; evaluate takes at most a
-chunk of windows per batch, so its float64 sums are split likewise.
+Chunks: fit and evaluate take batch_size windows per batch, and a batch
+of more than model.CHUNK_ROWS rows (N*C rows per window) runs in chunks
+of whole windows, dispatched by model.Workers: one chunk on the caller,
+several side by side on worker threads with OpenBLAS pinned to one
+thread. loss_and_grads adds the chunks' gradients, and evaluate pools
+the chunks' float64 error sums, in chunk order, so a multi-chunk batch's
+gradient is rounded once per chunk and differs in its last bits from a
+one-pass sum, and evaluate's sums are split likewise.
 
-Determinism contract: with the same config, seed, BLAS build and thread
-count, batch order, every update, and the resulting best checkpoint are
-all reproducible exactly; the chunk size is a constant, so chunking keeps
-this. The thread count matters because BLAS splits the weight gradients'
-GEMM sums (g.T @ x) by thread: one wide batch's gradient bits differ
-between one and two OpenBLAS threads. The row sums (numerics.row_sum) do
-not. The only non-reproducible history column is the per-epoch wall time.
+Determinism contract: with the same config, seed and BLAS build, batch
+order, every update, and the resulting best checkpoint are all
+reproducible exactly; the chunk size is a constant, so chunking keeps
+this. A batch of several chunks gives the same bits at any BLAS thread
+count and any worker count: each chunk's GEMMs run on one BLAS thread and
+the chunks are summed in chunk order. A batch of one chunk runs at the
+caller's BLAS thread count, which splits the weight gradients' GEMM sums
+(g.T @ x) by thread, so when a fit has one-chunk batches (a ragged last
+batch can be one) its checkpoint also depends on that count. The row
+sums (numerics.row_sum) do not. The only non-reproducible history column
+is the per-epoch wall time.
 """
 
 from __future__ import annotations
@@ -90,14 +98,25 @@ class MetricAccumulator:
 
     def add(self, pred: np.ndarray, truth: np.ndarray) -> None:
         diff = np.asarray(pred, dtype=np.float64) - np.asarray(truth, dtype=np.float64)
-        self.sum_sq += float((diff * diff).sum())
-        self.sum_abs += float(np.abs(diff).sum())
-        self.n += diff.size
+        self.add_sums(*error_sums(diff, np.empty_like(diff)), diff.size)
+
+    def add_sums(self, sum_sq: float, sum_abs: float, n: int) -> None:
+        """Pool the error_sums of n more points."""
+        self.sum_sq += sum_sq
+        self.sum_abs += sum_abs
+        self.n += n
 
     def result(self) -> Metrics:
         if self.n == 0:
             raise EvaluationError("no points accumulated")
         return Metrics(mse=self.sum_sq / self.n, mae=self.sum_abs / self.n, n_points=self.n)
+
+
+def error_sums(diff: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
+    """The squared and the absolute sums of the float64 errors `diff`, each
+    taken in `scratch`, an array of diff's shape."""
+    sum_sq = float(np.multiply(diff, diff, out=scratch).sum())
+    return sum_sq, float(np.abs(diff, out=scratch).sum())
 
 
 def _first_nonfinite(tensors: dict, grads: dict) -> str:
@@ -123,35 +142,53 @@ def evaluate(
     coords_norm: np.ndarray,
     normalizer: Normalizer,
     batch_size: int = 32,
-    workspace: model_ops.Workspace | None = None,
+    workspace: model_ops.Workspace | model_ops.Workers | None = None,
 ) -> Metrics:
     """Pooled test metrics in original data units, from a COMPUTE_DTYPE copy
-    of the params. Windows are taken batch_size at a time, or fewer when a
-    chunk of CHUNK_ROWS rows holds fewer (model.chunk_windows), and every
-    batch runs in `workspace`, or in one made for this call."""
+    of the params. Windows are taken batch_size at a time, as fit takes
+    them, and each batch runs in chunks of model.chunk_windows windows,
+    dispatched by Workers.run: on `workspace` when it is Workers, on that
+    one Workspace, or on Workers made for this call.
+
+    A chunk gathers its history rows and float64 target rows into its
+    workspace's x and truth buffers (WindowSet.batch with `out`), inverts
+    its prediction rows into the err buffer, subtracts the targets there
+    and takes error_sums in truth, so it allocates nothing; the caller
+    pools the chunks' sums in chunk order."""
     if len(windows) == 0:
         raise EvaluationError("empty split: no windows to evaluate")
-    params = params.astype(COMPUTE_DTYPE)
-    acc = MetricAccumulator()
     n_vars, t_f = windows.n_vars, windows.t_f
     rows_per_window = windows.n_stations * n_vars
-    step = min(batch_size, model_ops.chunk_windows(rows_per_window))
     if workspace is None:
-        workspace = model_ops.Workspace(params.config, step * rows_per_window)
-    for idx in _batches(np.arange(len(windows)), step):
-        b = windows.batch(idx, raw_future=True)
-        y_rows, _ = model_ops.forward_rows(
-            b["history"],
-            coords_norm,
-            b["hours"],
-            b["days"],
-            b["months"],
-            params,
-            workspace=workspace,
-        )
-        # rows viewed with the variable axis last, as normalize_invert takes them
-        pred = normalize_invert(y_rows.reshape(-1, n_vars, t_f).swapaxes(1, 2), normalizer)
-        acc.add(pred, b["future_raw"].reshape(-1, n_vars, t_f).swapaxes(1, 2))
+        with model_ops.Workers.for_batches(params.config, rows_per_window, batch_size) as workers:
+            return evaluate(params, windows, coords_norm, normalizer, batch_size, workers)
+    params = params.astype(COMPUTE_DTYPE)
+    acc = MetricAccumulator()
+    step = model_ops.chunk_windows(rows_per_window)
+    workers = model_ops.as_workers(workspace, params, rows_per_window, batch_size)
+    for first in range(0, len(windows), batch_size):
+        last = min(first + batch_size, len(windows))
+
+        def chunk(i, ws):
+            lo = first + i * step
+            b = windows.batch(
+                slice(lo, min(lo + step, last)), out={"history": ws.x, "future_raw": ws.truth}
+            )
+            y_rows, _ = model_ops.forward_rows(
+                b["history"], coords_norm, b["hours"], b["days"], b["months"], params, ws
+            )
+            err, truth = ws.err[: len(y_rows)], b["future_raw"]
+            # rows viewed with the variable axis last, as normalize_invert takes them
+            normalize_invert(
+                y_rows.reshape(-1, n_vars, t_f).swapaxes(1, 2),
+                normalizer,
+                out=err.reshape(-1, n_vars, t_f).swapaxes(1, 2),
+            )
+            err -= truth
+            return (*error_sums(err, truth), err.size)
+
+        for sums in workers.run(-(-(last - first) // step), chunk):
+            acc.add_sums(*sums)
     return acc.result()
 
 
@@ -186,70 +223,72 @@ def fit(
     state = AdamState.zeros_like(params.vector)
     compute = ModelParams.zeros(params.config, COMPUTE_DTYPE)
     rows_per_window = train_windows.n_stations * train_windows.n_vars
-    chunk = min(config.batch_size, model_ops.chunk_windows(rows_per_window))
-    workspace = model_ops.Workspace(params.config, chunk * rows_per_window)
     best_params = params.copy()
     best_val = np.inf
     best_epoch = -1
     epochs_since_best = 0
     history: list[dict] = []
 
-    for epoch in range(config.max_epochs):
-        t0 = time.perf_counter()
-        perm = np.random.default_rng([config.seed, epoch]).permutation(
-            len(train_windows)
-        )
-        abs_err_sum = 0.0
-        n_samples = 0
-        for bi, idx in enumerate(_batches(perm, config.batch_size)):
-            b = train_windows.batch(idx)
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is named below
-                np.copyto(compute.vector, params.vector)
-                loss, grads = loss_and_grads(
-                    compute,
-                    b["history"],
-                    b["future"],
-                    coords_norm,
-                    b["hours"],
-                    b["days"],
-                    b["months"],
-                    workspace,
-                )
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {bi}; "
-                    f"{_first_nonfinite(compute.tensors, grads)}"
-                )
-            try:  # grads are views of workspace.grad, one vector in spec layout
-                adam_step(params.vector, workspace.grad.vector, state, config.lr, out=params.vector)
-            except OptimizerError:
-                name = next(n for n in compute.tensors if not np.isfinite(grads[n]).all())
-                raise OptimizerError(f"non-finite gradient for parameter '{name}'") from None
-            abs_err_sum += loss * len(idx)
-            n_samples += len(idx)
+    with model_ops.Workers.for_batches(
+        params.config, rows_per_window, config.batch_size
+    ) as workers:
+        grad = workers.workspaces[0].grad  # loss_and_grads leaves each batch's there
+        for epoch in range(config.max_epochs):
+            t0 = time.perf_counter()
+            perm = np.random.default_rng([config.seed, epoch]).permutation(
+                len(train_windows)
+            )
+            abs_err_sum = 0.0
+            n_samples = 0
+            for bi, idx in enumerate(_batches(perm, config.batch_size)):
+                b = train_windows.batch(idx)
+                with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is named below
+                    np.copyto(compute.vector, params.vector)
+                    loss, grads = loss_and_grads(
+                        compute,
+                        b["history"],
+                        b["future"],
+                        coords_norm,
+                        b["hours"],
+                        b["days"],
+                        b["months"],
+                        workers,
+                    )
+                if not np.isfinite(loss):
+                    raise TrainingError(
+                        f"non-finite loss at epoch {epoch}, batch {bi}; "
+                        f"{_first_nonfinite(compute.tensors, grads)}"
+                    )
+                try:  # one vector in spec layout
+                    adam_step(params.vector, grad.vector, state, config.lr, out=params.vector)
+                except OptimizerError:
+                    name = next(n for n in compute.tensors if not np.isfinite(grads[n]).all())
+                    raise OptimizerError(f"non-finite gradient for parameter '{name}'") from None
+                abs_err_sum += loss * len(idx)
+                n_samples += len(idx)
 
-        val_metrics = evaluate(
-            params, val_windows, coords_norm, normalizer, config.batch_size, workspace
-        )
-        seconds = time.perf_counter() - t0
-        history.append(
-            {
-                "epoch": epoch,
-                "train_mae": abs_err_sum / n_samples,
-                "val_mae": val_metrics.mae,
-                "val_mse": val_metrics.mse,
-                "seconds": seconds,
-            }
-        )
-        if val_metrics.mae < best_val:
-            best_val = val_metrics.mae
-            best_epoch = epoch
-            best_params = params.copy()
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= config.patience:
-                break
+            val_metrics = evaluate(
+                params, val_windows, coords_norm, normalizer, config.batch_size, workers
+            )
+            seconds = time.perf_counter() - t0
+            history.append(
+                {
+                    "epoch": epoch,
+                    "train_mae": abs_err_sum / n_samples,
+                    "val_mae": val_metrics.mae,
+                    "val_mse": val_metrics.mse,
+                    "seconds": seconds,
+                }
+            )
+            if val_metrics.mae < best_val:
+                best_val = val_metrics.mae
+                best_epoch = epoch
+                best_params = params.copy()
+                epochs_since_best = 0
+            else:
+                epochs_since_best += 1
+                if epochs_since_best >= config.patience:
+                    break
 
     return FitResult(
         params=best_params,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lightweather import checkpoint, cli, data, errors, model
+from lightweather import checkpoint, cli, data, errors, model, numerics
 from lightweather.checkpoint import MAGIC, checkpoint_load, checkpoint_save
 from lightweather.data import load_observations_csv, load_stations_csv
 from lightweather.model import ModelConfig, init_params, parameter_count, tensor_spec
@@ -443,6 +443,22 @@ def test_train_whose_loss_overflows_is_one_line_training_error(synth_dir, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("training error: non-finite loss") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_multi_chunk_train_whose_loss_overflows_is_one_line_training_error(
+    synth_dir, tmp_path, capsys, monkeypatch
+):
+    # the same overflow with each 16-window batch in 4 chunks of 4 windows,
+    # which run on worker threads under the caller's np.errstate; the BLAS
+    # thread count the batch pinned is restored
+    monkeypatch.setattr(model, "CHUNK_ROWS", 8)
+    before = numerics.blas_threads()
+    cfg = data_config(synth_dir, tmp_path / "lr.cfg", out_dir=tmp_path / "out", lr="1e20")
+    assert cli.main(["train", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("training error: non-finite loss") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    assert numerics.blas_threads() == before
 
 
 def test_train_of_a_model_too_large_to_allocate_is_one_line_config_error(

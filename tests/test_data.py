@@ -1031,6 +1031,32 @@ def test_another_csv_field_limit_is_a_miss(tmp_path):
         assert loaded_fields(path, ids)[0] == "ok"
 
 
+def test_a_field_limit_below_the_columnar_width_fails_the_line_csv_fails(tmp_path):
+    """A field over csv.field_size_limit() fails its line also when it is
+    narrow enough for the columnar pass: the parser and a load whose
+    sidecar was written under the default limit (a miss) report the line
+    on which csv.reader, as the per-row reference reads the file, fails."""
+    path, ids = aware_gap_csv(tmp_path / "o.csv")  # 25-byte timestamps
+    assert loaded_fields(path, ids)[0] == "ok"
+    limit = csv.field_size_limit(10)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                for _ in reader:
+                    pass
+            line = reader.line_num
+        with pytest.raises(IngestionError) as parsed:
+            data._parse_observations(path, ids)
+        with parses_counted() as calls:
+            got = loaded_fields(path, ids)
+    finally:
+        csv.field_size_limit(limit)
+    message = f"{path}: line {line}: field larger than field limit (10)"
+    assert line == 2 and str(parsed.value) == message
+    assert got == ("error", message) and calls
+
+
 def test_a_file_changed_during_its_load_writes_no_sidecar(tmp_path, monkeypatch):
     path, ids = aware_gap_csv(tmp_path / "o.csv")
     real = data._parse_observations
@@ -1303,11 +1329,11 @@ def test_split_windows_pipeline():
     assert len(prepared.train) == 84 - 9 + 1
     assert prepared.normalizer is not None
     # model-space values are normalized, metric-space values are original
-    b = prepared.test.batch([0], raw_future=True)
+    future_raw = prepared.test.batch(
+        slice(0, 1), out={"history": np.empty((1, 6), np.float32), "future_raw": np.empty((1, 3))}
+    )["future_raw"]
     start = prepared.test.starts[0]
-    assert_allclose(
-        b["future_raw"][0], obs.values[start + 6 : start + 9, 0, 0], rtol=0, atol=0
-    )
+    assert_allclose(future_raw[0], obs.values[start + 6 : start + 9, 0, 0], rtol=0, atol=0)
 
 
 def observation_set(values, start=datetime(2020, 1, 1)):
@@ -1348,7 +1374,6 @@ def test_batch_rows_equal_the_series_slices(
         drawn = data.draw(st.lists(st.integers(0, len(ws) - 1), max_size=4))
         idx = np.array([0, len(ws) - 1] + drawn)
         b = ws.batch(idx)
-        b_raw = ws.batch(idx, raw_future=True)
         s = ws.starts[idx][:, None]
         hist = model_values[s + np.arange(t_h)]  # [B, T_h, N, C]
         fut = model_values[s + t_h + np.arange(t_f)]
@@ -1356,14 +1381,24 @@ def test_batch_rows_equal_the_series_slices(
             rows = want.transpose(0, 2, 3, 1).reshape(-1, steps).astype(np.float32)
             assert got.dtype == np.float32 and got.shape == rows.shape
             assert got.tobytes() == rows.tobytes()
-        assert_array_equal(b_raw["history"], b["history"])
-        raw_rows = raw[s + t_h + np.arange(t_f)].transpose(0, 2, 3, 1).reshape(-1, t_f)
-        assert b_raw["future_raw"].dtype == np.float64
-        assert b_raw["future_raw"].shape == raw_rows.shape
-        assert b_raw["future_raw"].tobytes() == raw_rows.tobytes()
-        assert "future" not in b_raw and "future_raw" not in b
         for key in ("hours", "days", "months"):
             assert_array_equal(b[key], getattr(ws, key)[idx])
+        # consecutive windows lo..hi-1 gathered into buffers: the same
+        # history rows, and the float64 targets in the same row order
+        lo = data.draw(st.integers(0, len(ws) - 1))
+        hi = data.draw(st.integers(lo + 1, len(ws)))
+        rows = (hi - lo) * n_stations * n_vars
+        out = {"history": np.empty((rows + 3, t_h), np.float32), "future_raw": np.empty((rows + 3, t_f))}
+        b_out = ws.batch(slice(lo, hi), out=out)
+        assert b_out.keys() == {"history", "future_raw", "hours", "days", "months"}
+        for key, buf in out.items():
+            assert b_out[key].shape[0] == rows and np.shares_memory(b_out[key], buf)
+        assert b_out["history"].tobytes() == ws.batch(np.arange(lo, hi))["history"].tobytes()
+        s = ws.starts[lo:hi, None]
+        raw_rows = raw[s + t_h + np.arange(t_f)].transpose(0, 2, 3, 1).reshape(-1, t_f)
+        assert b_out["future_raw"].tobytes() == raw_rows.tobytes()
+        for key in ("hours", "days", "months"):
+            assert_array_equal(b_out[key], getattr(ws, key)[lo:hi])
 
 
 @pytest.mark.parametrize("normalize", [False, True])

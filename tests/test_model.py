@@ -1,6 +1,8 @@
 import copy
 import math
 import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import lightweather as lw
 from lightweather import model as lw_model
+from lightweather import numerics as lw_numerics
 from lightweather.baselines import evaluate_hi
 from lightweather.data import split_windows
 from lightweather.errors import ConfigError, ShapeError, ValidationError
@@ -37,7 +40,13 @@ from lightweather.model import (
     tensor_spec,
     Workspace,
 )
-from lightweather.numerics import finite_diff_check, linear_forward, relu
+from lightweather.numerics import (
+    blas_threads,
+    finite_diff_check,
+    linear_forward,
+    relu,
+    single_threaded_blas,
+)
 from lightweather.synthetic import SynthConfig, generate, random_station_coords
 from lightweather.training import evaluate
 
@@ -699,7 +708,9 @@ def test_forward_rows_takes_whole_windows_of_rows():
 # --- chunks of whole windows ----------------------------------------------
 # A batch of more than model.CHUNK_ROWS rows runs in chunks of
 # chunk_windows(N*C) whole windows. The tests lower CHUNK_ROWS so that tiny
-# batches span several chunks, the last one ragged.
+# batches span several chunks, the last one ragged. Those chunks run on
+# worker threads, which start them in chunk order but may call forward_rows
+# in any order, so a multi-chunk batch's sizes are compared sorted.
 
 
 def _chunk_sizes(monkeypatch):
@@ -726,7 +737,7 @@ def test_chunked_step_agrees_with_one_chunk(spatial, temporal, monkeypatch):
     loss1, grads1 = loss_and_grads(p, *batch)
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 30)
     loss3, grads3 = loss_and_grads(p, *batch)
-    assert sizes == [7, 3, 3, 1]
+    assert sizes[0] == 7 and sorted(sizes[1:]) == [1, 3, 3]
     assert loss3 == pytest.approx(loss1, rel=F32_TOL, abs=0)
     assert grads3.keys() == grads1.keys() == p.tensors.keys()
     for name, g in grads3.items():
@@ -749,7 +760,7 @@ def test_chunked_step_passes_the_gradient_check(spatial, temporal, monkeypatch):
         return loss_and_grads(p, *batch)
 
     err = finite_diff_check(lg, p.tensors, 1e-6)
-    assert sizes[:3] == [2, 2, 1]
+    assert sorted(sizes[:3]) == [1, 2, 2]
     assert err < 1e-4
 
 
@@ -772,11 +783,14 @@ def test_chunked_evaluate_matches_one_chunk(spatial, temporal, monkeypatch):
         ]
 
     one = metrics()
-    assert set(sizes[:-1]) == {16}
+    n_test = len(prepared.test)
+    batches = [min(16, n_test - lo) for lo in range(0, n_test, 16)]
+    assert sizes == batches
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 20)  # 5 windows of 4 rows
     sizes.clear()
     chunked = metrics()
-    assert set(sizes[:-1]) == {5} and 0 < sizes[-1] <= 5
+    # each batch of 16 windows (the last one ragged) runs in chunks of 5
+    assert sorted(sizes) == sorted(min(5, n - lo) for n in batches for lo in range(0, n, 5))
     for a, b in zip(chunked, one):
         assert a.n_points == b.n_points
         assert a.mse == pytest.approx(b.mse, rel=1e-12, abs=0)
@@ -834,6 +848,158 @@ def test_warm_step_allocates_less_than_one_chunk_activation(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1000 * cfg.d * 4  # one chunk activation in float32
+
+
+def test_warm_step_on_workers_allocates_less_than_one_chunk_activation(monkeypatch):
+    # the set-up of test_warm_step_allocates_less_than_one_chunk_activation
+    # in chunks of 4 windows, on one worker per CPU; tracemalloc traces every
+    # thread. Each worker's numpy calls allocate a few small transients (a
+    # broadcast bias add takes a 32 KiB buffer), so the bound, one chunk's
+    # activation, holds up to 8 workers at this chunk size
+    cfg = ModelConfig(d=64, n_layers=2, t_h=48, t_f=24)
+    p = init_params(cfg, seed=55).astype(np.float32)
+    n_st = 500
+    cn = normalize_coords(random_coords(n_st, 56))
+    rng = np.random.default_rng(57)
+    x_rows = rng.normal(size=(32 * n_st, cfg.t_h)).astype(np.float32)
+    future_rows = rng.normal(size=(32 * n_st, cfg.t_f)).astype(np.float32)
+    calendar = [rng.integers(0, hi, size=32) for hi in (24, 31, 12)]
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 2000)
+    with lw_model.Workers.for_batches(cfg, n_st, 32) as workers:
+        loss, _ = loss_and_grads(p, x_rows, future_rows, cn, *calendar, workers)
+        tracemalloc.start()
+        try:
+            again, _ = loss_and_grads(p, x_rows, future_rows, cn, *calendar, workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert again == loss
+    assert peak < 2000 * cfg.d * 4  # one chunk activation in float32
+
+
+def test_warm_evaluate_chunks_allocate_less_than_one_chunk_activation(monkeypatch):
+    # 32-window batches of 500 stations in chunks of 4 windows, on one worker
+    # per CPU: each chunk gathers its rows into its workspace and scores them
+    # there. The bound holds up to 8 workers, as in the training step's test
+    cfg = ModelConfig(d=64, n_layers=2, t_h=48, t_f=24)
+    n_st = 500
+    obs = generate(
+        SynthConfig(n_stations=n_st, n_steps=760, noise_std=0.3, seed=58),
+        random_station_coords(n_st, 58)[1],
+    )
+    prepared = split_windows(obs, cfg.t_h, cfg.t_f)
+    test = prepared.test
+    assert len(test) > 64
+    cn = normalize_coords(obs.coords)
+    p = init_params(cfg, seed=59)
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 2000)
+    with lw_model.Workers.for_batches(cfg, n_st, 32) as workers:
+        cold = evaluate(p, test, cn, prepared.normalizer, 32, workers)
+        tracemalloc.start()
+        try:
+            warm = evaluate(p, test, cn, prepared.normalizer, 32, workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert warm == cold == evaluate(p, test, cn, prepared.normalizer, 32)
+    assert peak < 2000 * cfg.d * 4  # one chunk activation in float32
+
+
+def test_the_blas_pin_is_found_and_restored():
+    # the workers run only where numpy's OpenBLAS thread count can be
+    # pinned, so Tier-1 must not be testing the fallback
+    before = blas_threads()
+    assert before is not None and before >= 1
+    with single_threaded_blas() as pinned:
+        assert pinned and blas_threads() == 1
+    assert blas_threads() == before
+    with pytest.raises(KeyError):
+        with single_threaded_blas():
+            raise KeyError("inside")
+    assert blas_threads() == before
+
+
+def test_an_error_in_one_chunk_reaches_the_caller_unchanged(monkeypatch):
+    cfg = small_config()
+    p32 = init_params(cfg, seed=71).astype(np.float32)
+    batch = row_batch(*_random_batch(cfg, 7, 5, seed=72))  # 7 windows x 5 rows
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 10)  # chunks of 2, 2, 2 and 1 windows
+    monkeypatch.setattr(lw_model, "usable_cpus", lambda: 2)
+    error = ShapeError("the third chunk fails")
+    forward_rows = lw_model.forward_rows
+    started = []
+
+    def failing(x_rows, coords_norm, hours, *args, **kwargs):
+        started.append(len(hours))
+        if len(started) == 3:
+            raise error
+        return forward_rows(x_rows, coords_norm, hours, *args, **kwargs)
+
+    monkeypatch.setattr(lw_model, "forward_rows", failing)
+    before = blas_threads()
+    with lw_model.Workers.for_batches(cfg, 5, 7, np.float32) as workers:
+        assert len(workers.workspaces) == 2
+        with pytest.raises(ShapeError) as raised:
+            loss_and_grads(p32, *batch, workers)
+        assert raised.value is error
+        assert blas_threads() == before
+        started.clear()
+        monkeypatch.setattr(lw_model, "forward_rows", forward_rows)
+        loss_and_grads(p32, *batch, workers)  # the workers run on
+
+
+def test_without_a_blas_pin_chunks_run_on_the_caller(monkeypatch):
+    # numpy on a BLAS whose thread count cannot be set: one workspace, the
+    # chunks in order on the calling thread, and the pinned path's bits
+    # wherever one-thread and default GEMMs agree (as at these sizes)
+    cfg = small_config(n_vars=2)
+    p32 = init_params(cfg, seed=73).astype(np.float32)
+    batch = row_batch(*_random_batch(cfg, 7, 5, seed=74))
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 30)
+    pinned = loss_and_grads(p32, *batch)
+    pinned = (pinned[0], {n: g.copy() for n, g in pinned[1].items()})
+    monkeypatch.setattr(lw_numerics, "_openblas_thread_count", lambda: None)
+    threads = []
+    forward_rows = lw_model.forward_rows
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return forward_rows(*args, **kwargs)
+
+    monkeypatch.setattr(lw_model, "forward_rows", recording)
+    with lw_model.Workers.for_batches(cfg, 10, 7, np.float32) as workers:
+        assert len(workers.workspaces) == 1
+        loss, grads = loss_and_grads(p32, *batch, workers)
+    assert threads == [threading.get_ident()] * 3
+    assert loss == pinned[0]
+    for name, g in grads.items():
+        assert g.tobytes() == pinned[1][name].tobytes(), name
+
+
+def test_more_workers_than_cores_give_the_bits_of_one(monkeypatch):
+    # 9 chunks on 4 workers that switch threads every microsecond: a chunk
+    # run in a workspace another chunk still holds, or results added out of
+    # chunk order, would change the bits of the one-worker run
+    cfg = small_config(n_vars=2)
+    p32 = init_params(cfg, seed=75).astype(np.float32)
+    batch = row_batch(*_random_batch(cfg, 9, 5, seed=76))  # 9 windows x 10 rows
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 10)
+    one = lw_model.Workers([Workspace(cfg, 10, np.float32)])
+    loss1, grads1 = loss_and_grads(p32, *batch, one)
+    grads1 = {n: g.copy() for n, g in grads1.items()}
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with lw_model.Workers([Workspace(cfg, 10, np.float32) for _ in range(4)]) as many:
+            for _ in range(20):
+                loss, grads = loss_and_grads(p32, *batch, many)
+                assert loss == loss1
+                for name, g in grads.items():
+                    assert g.tobytes() == grads1[name].tobytes(), name
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads  # closing ended the pool's threads
 
 
 def _workspace_arrays(ws):

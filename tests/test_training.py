@@ -1,5 +1,13 @@
+import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -18,9 +26,14 @@ from lightweather.errors import (
     OptimizerError,
     TrainingError,
 )
-from lightweather import cli, training
+import lightweather
+from lightweather import cli, numerics, training
+from lightweather import model as lw_model
+from lightweather.data import normalize_invert
 from lightweather.model import (
+    COMPUTE_DTYPE,
     ModelConfig,
+    forward_rows,
     init_params,
     loss_and_grads,
     normalize_coords,
@@ -97,6 +110,73 @@ def test_evaluate_perfect_predictor_zero_error():
     empty.starts = empty.starts[:0]
     with pytest.raises(EvaluationError):
         evaluate(params, empty, normalize_coords(obs.coords), prepared.normalizer)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 12])
+def test_evaluate_pools_each_chunk_as_the_metric_accumulator_does(chunk_rows, monkeypatch):
+    # 3 stations x 2 variables, normalized; with chunk_rows, each 5-window
+    # batch runs in chunks of 2, 2 and 1 windows. The sums of each chunk,
+    # scored in the workspace's scratch rows, have the bits of
+    # MetricAccumulator.add on the inverted prediction and a gather of the
+    # raw targets, pooled in chunk order
+    if chunk_rows is not None:
+        monkeypatch.setattr(lw_model, "CHUNK_ROWS", chunk_rows)
+    obs = tiny_dataset(n_stations=3, seed=9)
+    obs.values[..., 0] *= 3.0
+    obs.values = np.concatenate([obs.values, 5.0 - 2.0 * obs.values], axis=2)
+    obs.var_names = ["a", "b"]
+    prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
+    cfg = replace(SMALL, n_vars=2)
+    params = init_params(cfg, seed=10)
+    cn = normalize_coords(obs.coords)
+    test = prepared.test
+    step = lw_model.chunk_windows(6)
+    acc = MetricAccumulator()
+    p32 = params.astype(COMPUTE_DTYPE)
+    for lo in range(0, len(test), 5):
+        for c in range(lo, min(lo + 5, len(test)), step):
+            idx = np.arange(c, min(c + step, lo + 5, len(test)))
+            b = test.batch(idx)
+            y_rows, _ = forward_rows(b["history"], cn, b["hours"], b["days"], b["months"], p32)
+            pred = normalize_invert(y_rows.reshape(-1, 2, SMALL.t_f).swapaxes(1, 2), prepared.normalizer)
+            raw = obs.values[test.starts[idx][:, None] + SMALL.t_h + np.arange(SMALL.t_f)]
+            truth = np.ascontiguousarray(raw.transpose(0, 2, 3, 1)).reshape(-1, SMALL.t_f)
+            acc.add(pred, truth.reshape(-1, 2, SMALL.t_f).swapaxes(1, 2))
+    threads = threading.active_count()
+    got = evaluate(params, test, cn, prepared.normalizer, batch_size=5)
+    assert got == acc.result()
+    assert threading.active_count() == threads  # evaluate's workers have ended
+
+
+def test_the_first_failing_evaluate_chunk_raises_its_error_unchanged(monkeypatch):
+    # 5-window batches in chunks of 2, 2 and 1 windows on two workers that
+    # take the next chunk as soon as they are free. The second chunk fails
+    # after the third, which the first chunk's worker takes meanwhile, and
+    # the second one's error is raised
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 6)
+    monkeypatch.setattr(lw_model, "usable_cpus", lambda: 2)
+    obs = tiny_dataset(n_stations=3, seed=9)
+    prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
+    params = init_params(SMALL, seed=10)
+    cn = normalize_coords(obs.coords)
+    test = prepared.test
+    errors = {2: EvaluationError("second chunk"), 4: EvaluationError("third chunk")}
+    forward = lw_model.forward_rows
+
+    def failing(x_rows, coords_norm, hours, *args):
+        first = (hours.__array_interface__["data"][0] - test.hours.ctypes.data) // hours.itemsize
+        if first in errors:
+            time.sleep(0.05 if first == 2 else 0)
+            raise errors[first]
+        return forward(x_rows, coords_norm, hours, *args)
+
+    monkeypatch.setattr(lw_model, "forward_rows", failing)
+    before = numerics.blas_threads()
+    for _ in range(5):
+        with pytest.raises(EvaluationError) as raised:
+            evaluate(params, test, cn, prepared.normalizer, batch_size=5)
+        assert raised.value is errors[2]
+        assert numerics.blas_threads() == before
 
 
 # --- fit -------------------------------------------------------------------
@@ -378,6 +458,64 @@ def test_train_with_a_nonfinite_gradient_is_one_line_exit_3(tmp_path, capsys, mo
         "training error: non-finite gradient for parameter 'encoder.1.fc2.bias'\n"
     )
     assert not out.exists()
+
+
+# Each child process trains at a shape whose batches span 4 chunks of 8000
+# rows (1000 stations, 32-window batches, chunks of 8 windows): chunks large
+# enough that, summed in one GEMM, their weight gradients take other bits
+# under 2 OpenBLAS threads than under 1 (a checkpoint made before the chunks
+# ran on single-threaded workers differed). The first argument is the set
+# of CPUs the child may run on, or "" for its parent's.
+_TRAIN_IN_CHILD = """
+import os, sys
+if sys.argv[1]:
+    os.sched_setaffinity(0, {int(c) for c in sys.argv[1].split(",")})
+from lightweather import cli
+sys.exit(cli.main(["train", "--config", sys.argv[2], "--out", sys.argv[3]]))
+"""
+
+
+def test_multi_chunk_checkpoints_do_not_depend_on_blas_or_worker_threads(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        textwrap.dedent(
+            f"""\
+            d = 64
+            layers = 2
+            t_h = 12
+            t_f = 6
+            batch_size = 32
+            max_epochs = 1
+            patience = 1
+            seed = 0
+            synth_stations = 1000
+            synth_steps = 200
+            synth_noise_std = 0.5
+            stations_csv = {tmp_path}/stations.csv
+            observations_csv = {tmp_path}/observations.csv
+            """
+        )
+    )
+    assert cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    src = str(Path(lightweather.__file__).resolve().parent.parent)
+    cpus = sorted(os.sched_getaffinity(0))
+    runs = [("1", ""), ("2", "")]  # (OpenBLAS threads, CPUs)
+    if len(cpus) >= 2:  # one worker against two
+        runs += [(None, f"{cpus[0]}"), (None, f"{cpus[0]},{cpus[1]}")]
+    digests = []
+    for i, (threads, affinity) in enumerate(runs):
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+            if threads is not None:
+                env[var] = threads
+        out = tmp_path / f"out{i}"
+        subprocess.run(
+            [sys.executable, "-c", _TRAIN_IN_CHILD, affinity, str(cfg), str(out)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        digests.append(hashlib.sha256((out / "checkpoint.bin").read_bytes()).hexdigest())
+    assert len(set(digests)) == 1, list(zip(runs, digests))
 
 
 def test_train_config_validation():
