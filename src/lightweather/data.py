@@ -80,7 +80,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, IngestionError, ValidationError
+from .errors import ConfigError, IngestionError, ShapeError, ValidationError
 from .files import write_atomically
 from .model import COMPUTE_DTYPE, StationCoord
 
@@ -994,8 +994,8 @@ class WindowSet:
         self.t_f = t_f
         self._history = _windows(store, t_h)  # [s] -> rows of steps s .. s+T_h-1
         self._future = _windows(store[:, t_h:], t_f)  # [s] -> s+T_h .. s+T_h+T_f-1
-        # [s] -> original-unit rows of steps s .. s+T_f-1, from a [N*C, T] view
-        self._raw = _windows(raw_values.reshape(len(raw_values), store.shape[0]).T, t_f)
+        # [s] -> original-unit rows of steps s+T_h .. s+T_h+T_f-1, from a [N*C, T] view
+        self._raw = _windows(raw_values.reshape(len(raw_values), store.shape[0]).T[:, t_h:], t_f)
         # the calendar of each window's first forecast step (model.TimeFeature)
         first = span.start + t_h
         calendar = [(ts.hour, ts.day - 1, ts.month - 1) for ts in timestamps[first : first + n_windows]]
@@ -1013,36 +1013,45 @@ class WindowSet:
         return self.raw_values.shape[2]
 
     def batch(self, idx, out: dict | None = None) -> dict:
-        """Gather windows idx: "history", the model's rows [B*N*C, T_h]
-        ordered (window, station, variable); "future", the target rows
-        [B*N*C, T_f] that fit's loss reads; and the calendar indices
-        "hours", "days" and "months" [B].
-
-        With `out`, a dict of buffers of at least B*N*C rows, idx is a slice
-        of consecutive windows (as evaluate takes them), gathered without
-        temporaries: the history rows are copied into out["history"] and,
-        when it is there, the original-unit float64 target rows [B*N*C,
-        T_f], in the same row order, into out["future_raw"], both from
-        strided views. The result holds views of those buffers' first rows
-        and the calendar, and no "future"."""
-        if out is None:
-            idx = np.asarray(idx, dtype=np.intp)
-            s = self.starts[idx]
-            got = {
-                "history": self._history[s].reshape(-1, self.t_h),
-                "future": self._future[s].reshape(-1, self.t_f),
-            }
-        else:
+        """Gather windows idx, an index array or a slice of consecutive
+        windows, into the first rows of the buffers in `out`, a dict of
+        arrays of at least B*N*C rows each, under the keys to gather:
+        "history", the model's rows [B*N*C, T_h] ordered (window, station,
+        variable); "future", the target rows [B*N*C, T_f] that fit's loss
+        reads; "future_raw", the original-unit float64 target rows in the
+        same row order. Without `out`, history and future are gathered into
+        fresh arrays. A slice is copied in one pass from strided views, an
+        index array window by window, so no temporary is made (numpy's take
+        would materialize the windows' view). Returns those rows and the
+        calendar indices "hours", "days" and "months" [B]. A buffer too
+        short or of another width is a ShapeError.
+        """
+        if isinstance(idx, slice):
             lo, hi, _ = idx.indices(len(self))
-            first = self.starts[lo]
-            views = {"history": self._history[first : first + hi - lo]}
-            if "future_raw" in out:
-                views["future_raw"] = self._raw[first + self.t_h : first + self.t_h + hi - lo]
-            got = {}
-            for key, view in views.items():
-                rows = out[key][: view.shape[0] * view.shape[1]]
-                np.copyto(rows.reshape(view.shape), view)
-                got[key] = rows
+            n, first = hi - lo, self.starts[lo]
+            pieces = [(slice(None), slice(first, first + n))]  # (batch windows, view windows)
+        else:
+            starts = self.starts[np.asarray(idx, dtype=np.intp)].tolist()
+            n, pieces = len(starts), list(enumerate(starts))
+        sources = {"history": self._history, "future": self._future, "future_raw": self._raw}
+        if out is None:
+            out = {
+                key: np.empty((n * sources[key].shape[1], width), self.store.dtype)
+                for key, width in (("history", self.t_h), ("future", self.t_f))
+            }
+        got = {}
+        for key, buf in out.items():
+            view = sources[key]
+            _, n_rows, width = view.shape
+            if buf.ndim != 2 or buf.shape[0] < n * n_rows or buf.shape[1] != width:
+                raise ShapeError(
+                    f"out[{key!r}] {buf.shape} cannot hold {n} windows of {n_rows} rows x {width}"
+                )
+            rows = buf[: n * n_rows]
+            windows = rows.reshape(n, n_rows, width)
+            for to, at in pieces:
+                windows[to] = view[at]
+            got[key] = rows
         got.update(hours=self.hours[idx], days=self.days[idx], months=self.months[idx])
         return got
 

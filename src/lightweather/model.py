@@ -10,12 +10,14 @@ and a batch of B windows is [B*N*C, T] rows in that order. forward_rows
 embeds (fc_embed), adds spatial_rows and temporal_rows, runs
 encoder_forward and regresses (fc_regress); backward_batch is its
 gradient from the prediction rows and the Workspace the forward ran in,
-and loss_and_grads the training step over history and target rows. fit
-and evaluate feed them the rows WindowSet.batch gathers. forward_batch is
-the one entry that takes a [B, T, N, C] history: it checks and casts it,
-lays it out as rows for forward_rows and lays the prediction back out;
-forward is forward_batch on one window. The three stage kernels are public
-so that each stage can be checked on its own.
+and loss_and_grads the training step over a batch: a RowBatch of history
+and target rows, or a WindowBatch of a WindowSet's windows, as fit gives
+it. In fit and evaluate each chunk gathers its own rows into its
+workspace (WindowSet.batch). forward_batch is the one entry that takes a
+[B, T, N, C] history: it checks and casts it, lays it out as rows for
+forward_rows and lays the prediction back out; forward is forward_batch
+on one window. The three stage kernels are public so that each stage can
+be checked on its own.
 
 Variants used by the ablation harness are expressed through ModelConfig:
 spatial_encoding may be "absolute" (a 3 -> d layer over normalized
@@ -51,23 +53,27 @@ window's or a station's rows) are row_sum GEMVs against the workspace's
 ones vector. The loss's sign is back-propagated unscaled, and the batch's
 gradient is divided by the element count once.
 
-Workers is the one chunk dispatcher, for loss_and_grads and
-training.evaluate; training makes one per fit, with one workspace per
-worker. A batch of one chunk runs on the caller at the caller's BLAS
-thread count, exactly one pass. The chunks of a larger batch run side by
-side on min(usable CPUs, chunks) worker threads, each in its own
-workspace, with OpenBLAS pinned to one thread for the whole batch
-(numerics.single_threaded_blas): numpy's elementwise passes then use
-every core too, and one-thread GEMMs do not oversubscribe them. The
-caller adds the chunks' results in chunk order, whichever worker
-finishes first, so each gradient is a sum of per-chunk sums, rounded once
-per chunk, and differs from the one-pass sum in its last bits. CHUNK_ROWS
-is a fixed constant, so the split, and every bit of a multi-chunk batch,
-is the same on every run with the same BLAS build, at any BLAS thread or
-worker count. A one-chunk batch's weight gradients still depend on the
-BLAS thread count, which splits their GEMM sums by thread. Where OpenBLAS's
-thread count cannot be pinned (numpy on another BLAS), the chunks run one
-after another on the caller at the BLAS's own thread count.
+Workers is the one chunk scheduler, for the chunks of a training batch
+and for every chunk of an evaluated split; training makes one per fit,
+with one workspace per usable CPU. A single chunk runs on the caller at
+the caller's BLAS thread count, exactly one pass. Several run side by side
+on the worker threads, each in its own workspace, with OpenBLAS pinned to
+one thread while they run (numerics.single_threaded_blas): numpy's
+elementwise passes then use every core too, and one-thread GEMMs do not
+oversubscribe them. Each worker takes the next chunk as soon as its last
+one returns, because no result stays in a workspace: evaluate's chunks
+return a few sums, and a training chunk hands its gradient to
+ChunkGradients, which adds it into the batch's gradient at once when
+every earlier chunk's is added, and otherwise parks it in a spare vector
+until they are. Either way the results are added in chunk order, so each
+gradient is a sum of per-chunk sums, rounded once per chunk, and differs
+from the one-pass sum in its last bits. CHUNK_ROWS is a fixed constant, so
+the split, and every bit of a multi-chunk batch, is the same on every run
+with the same BLAS build, at any BLAS thread or worker count. A one-chunk
+batch's weight gradients still depend on the BLAS thread count, which
+splits their GEMM sums by thread. Where OpenBLAS's thread count cannot be
+pinned (numpy on another BLAS), the chunks run one after another on the
+caller at the BLAS's own thread count.
 """
 
 from __future__ import annotations
@@ -342,23 +348,26 @@ class Workspace:
     """The buffers of the batch path for one chunk of up to `rows` rows, in
     `dtype`, reused by every chunk and batch that is given it.
 
+    Each chunk gathers its history rows into x, which overlaps no other
+    buffer: backward_batch reads them after it has overwritten g.
     forward_rows writes its activations into z (the embedding, then each
     residual block's output) and r (each block's ReLU output), its
     prediction into y, and what it ran on into `inputs` (None until then):
     x_rows, coords_norm, hours, days, months and dims (B, N, C), the record
-    backward_batch reads. The training loss takes |pred - truth| into
-    abs_err; backward_batch writes the activation gradients into g (three
-    buffers it rotates through, also borrowed for forward_rows's spatial
-    rows and for the per-window and per-station sums), the ReLU masks into
-    mask, and each chunk's parameter gradients into chunk_grad, from which
-    loss_and_grads accumulates the batch's into grad. Both gradients are
-    ModelParams in this dtype: one flat vector in tensor_spec layout with
-    named views. `ones` is the ones vector that row_sum reduces against.
-    training.evaluate gathers a chunk's history rows into x and its float64
-    target rows into truth, and scores it in err. Those three lie in the
-    same block of memory as g[1:], which a forward leaves alone, so an
-    evaluate after training steps writes to pages they have touched
-    already instead of growing the resident set.
+    backward_batch reads. The training step gathers the chunk's target rows
+    into abs_err, subtracts them from the prediction and then takes
+    |pred - truth| there; backward_batch writes the activation gradients
+    into g (three buffers it rotates through, also borrowed for
+    forward_rows's spatial rows and for the per-window and per-station
+    sums), the ReLU masks into mask, and each chunk's parameter gradients
+    into chunk_grad, which loss_and_grads adds into the first workspace's
+    grad. Both gradients are ModelParams in this dtype: one flat vector in
+    tensor_spec layout with named views. `ones` is the ones vector that
+    row_sum reduces against. training.evaluate gathers a chunk's float64
+    target rows into truth and scores it in err. Those two lie in the same
+    block of memory as g[1:], which a forward leaves alone, so an evaluate
+    after training steps writes to pages they have touched already instead
+    of growing the resident set.
 
     A chunk uses the first rows of each buffer, so a ragged last chunk or a
     smaller batch needs nothing new; a chunk of more rows is a ShapeError.
@@ -373,6 +382,7 @@ class Workspace:
         self.rows = rows
         self.grad = ModelParams.zeros(config, self.dtype)
         self.chunk_grad = ModelParams.zeros(config, self.dtype)
+        self.x = np.empty((rows, config.t_h), dtype)
         self.z = [np.empty((rows, config.d), dtype) for _ in range(config.n_layers + 1)]
         self.r = [np.empty((rows, config.d), dtype) for _ in range(config.n_layers)]
         self.y = np.empty((rows, config.t_f), dtype)
@@ -384,18 +394,16 @@ class Workspace:
         def size(width, itemsize):  # bytes of [rows, width], rounded up to 64
             return -(-rows * width * itemsize // 64) * 64
 
-        g_size, x_size = size(config.d, self.dtype.itemsize), size(config.t_h, self.dtype.itemsize)
-        f_size = size(config.t_f, 8)
-        block = np.empty(g_size + max(2 * g_size, x_size + 2 * f_size), np.uint8)
+        g_size, f_size = size(config.d, self.dtype.itemsize), size(config.t_f, 8)
+        block = np.empty(g_size + 2 * max(g_size, f_size), np.uint8)
 
         def carve(offset, width, dtype):
             n = rows * width * np.dtype(dtype).itemsize
             return block[offset : offset + n].view(dtype).reshape(rows, width)
 
         self.g = [carve(i * g_size, config.d, dtype) for i in range(3)]
-        self.x = carve(g_size, config.t_h, dtype)
-        self.truth = carve(g_size + x_size, config.t_f, np.float64)
-        self.err = carve(g_size + x_size + f_size, config.t_f, np.float64)
+        self.truth = carve(g_size, config.t_f, np.float64)
+        self.err = carve(g_size + f_size, config.t_f, np.float64)
 
 
 def usable_cpus() -> int:
@@ -406,20 +414,20 @@ def usable_cpus() -> int:
 
 
 class Workers:
-    """Where the chunks of a batch run: `workspaces`, one Workspace per
-    worker, and with more than one, a pool of as many threads.
+    """Where chunks run: `workspaces`, one Workspace per worker, and with
+    more than one, a pool of as many threads.
 
-    run is the one chunk dispatcher. A batch of one chunk runs on the
-    caller, in the first workspace, at the caller's BLAS thread count.
-    A batch of several runs with OpenBLAS pinned to one thread
-    (numerics.single_threaded_blas), its chunks spread over the workers,
-    at most one chunk per workspace at a time; the caller takes each
-    chunk's result in chunk order, whichever worker finishes first. A
-    chunk whose result lives in its workspace (a gradient) holds it until
-    the caller has added that result; one whose result is a few numbers
-    (evaluate's sums) frees it at once. So a multi-chunk batch's bits
-    depend on neither the BLAS thread count nor the worker count. Where
-    the pin cannot be made, its chunks run one after another on the
+    run is the one chunk scheduler, for the chunks of a training batch and
+    for every chunk of an evaluated split. One chunk runs on the caller, in
+    the first workspace, at the caller's BLAS thread count. Several run
+    with OpenBLAS pinned to one thread (numerics.single_threaded_blas),
+    spread over the workers, one chunk per workspace at a time: each takes
+    the next chunk as soon as its last one returns, and the results come
+    back in chunk order. A result therefore must not stay in a workspace:
+    a training chunk hands its gradient to a ChunkGradients, which adds it
+    in chunk order or parks it until the chunks before it are added. So
+    the bits depend on neither the BLAS thread count nor the worker count.
+    Where the pin cannot be made, the chunks run one after another on the
     caller, unpinned.
 
     Make one per fit or evaluate call and close it (it is a context
@@ -428,6 +436,9 @@ class Workers:
 
     def __init__(self, workspaces: list[Workspace]):
         self.workspaces = workspaces
+        # gradient vectors that parked chunks have given back, for the next
+        # chunk that finishes before an earlier one (ChunkGradients)
+        self.spare_grads: list[ModelParams] = []
         self._pool = ThreadPoolExecutor(len(workspaces)) if len(workspaces) > 1 else None
 
     @classmethod
@@ -435,13 +446,13 @@ class Workers:
         cls, config: ModelConfig, rows_per_window: int, batch_windows: int, dtype=COMPUTE_DTYPE
     ) -> "Workers":
         """Workers for batches of up to `batch_windows` windows of
-        `rows_per_window` rows: W = min(usable CPUs, chunks per batch)
-        workspaces, each sized for a chunk, or one where OpenBLAS's thread
-        count cannot be pinned."""
+        `rows_per_window` rows: one workspace per usable CPU, each sized
+        for a chunk (at most CHUNK_ROWS rows, or one window), or one where
+        OpenBLAS's thread count cannot be pinned. Every worker is used:
+        evaluate runs a whole split's chunks at once, however few chunks a
+        training batch has."""
         per_chunk = min(batch_windows, chunk_windows(rows_per_window))
-        count = 1
-        if blas_threads() is not None:
-            count = min(usable_cpus(), -(-batch_windows // per_chunk))
+        count = usable_cpus() if blas_threads() is not None else 1
         return cls([Workspace(config, per_chunk * rows_per_window, dtype) for _ in range(count)])
 
     def close(self) -> None:
@@ -454,54 +465,21 @@ class Workers:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def run(self, n_chunks: int, task, add=None) -> list | None:
-        """task(i, workspace) for each chunk i in range(n_chunks). With
-        `add`, add(i, result, workspace) runs on the caller in chunk order,
-        before that workspace takes another chunk, and run returns None.
-        Without, a workspace takes the next chunk as soon as its task
-        returns, so a result must not refer to its workspace, and run
-        returns the results in chunk order. Each task runs under the
-        caller's np.geterr(). An exception from a chunk is raised here
-        unchanged, the first in chunk order, once the chunks already
-        running have finished and the BLAS thread count is restored."""
-        keep = add is None
-        results = [None] * n_chunks
-        if keep:
-
-            def add(i, result, ws):
-                results[i] = result
-
+    def run(self, n_chunks: int, task) -> list:
+        """task(i, workspace) for each chunk i in range(n_chunks); returns
+        the results in chunk order. A workspace takes its next chunk as
+        soon as its task returns, so a result must not refer to it. Each
+        task runs under the caller's np.geterr(). An exception from a chunk
+        is raised here unchanged, the first in chunk order, once the chunks
+        already running have finished and the BLAS thread count is
+        restored."""
         first, w = self.workspaces[0], min(len(self.workspaces), n_chunks)
-        errstate = np.geterr()
-
-        def run_chunk(i, ws):
-            with np.errstate(**errstate):
-                return task(i, ws)
-
         with single_threaded_blas() if n_chunks > 1 else nullcontext(False) as pinned:
             if not pinned or w == 1:
-                for i in range(n_chunks):
-                    add(i, task(i, first), first)
-            elif keep:
-                results = self._drain(n_chunks, run_chunk, w)
-            else:
-                self._in_order(n_chunks, run_chunk, add, w)
-        return results if keep else None
+                return [task(i, first) for i in range(n_chunks)]
+            return self._drain(n_chunks, task, w)
 
-    def _in_order(self, n_chunks, run_chunk, add, w) -> None:
-        """Chunk i on workspace i % w, each added on the caller in chunk
-        order before its workspace takes chunk i + w."""
-        running = {i: self._pool.submit(run_chunk, i, self.workspaces[i]) for i in range(w)}
-        try:
-            for i in range(n_chunks):
-                ws = self.workspaces[i % w]
-                add(i, running.pop(i).result(), ws)
-                if i + w < n_chunks:
-                    running[i + w] = self._pool.submit(run_chunk, i + w, ws)
-        finally:
-            wait(running.values())
-
-    def _drain(self, n_chunks, run_chunk, w) -> list:
+    def _drain(self, n_chunks, task, w) -> list:
         """The results of all chunks, in chunk order: each of w workers
         takes the next chunk as soon as it is free. After a failure no
         worker takes another chunk; every chunk before the failed one was
@@ -509,22 +487,62 @@ class Workers:
         error is the one raised."""
         results, failed = [None] * n_chunks, []
         chunks, lock = iter(range(n_chunks)), threading.Lock()
+        errstate = np.geterr()
 
         def drain(ws):
-            while not failed:
-                with lock:
-                    i = next(chunks, None)
-                if i is None:
-                    return
-                try:
-                    results[i] = run_chunk(i, ws)
-                except BaseException as error:  # raised on the caller below
-                    failed.append((i, error))
+            with np.errstate(**errstate):
+                while not failed:
+                    with lock:
+                        i = next(chunks, None)
+                    if i is None:
+                        return
+                    try:
+                        results[i] = task(i, ws)
+                    except BaseException as error:  # raised on the caller below
+                        failed.append((i, error))
 
         wait([self._pool.submit(drain, ws) for ws in self.workspaces[:w]])
         if failed:
             raise min(failed, key=lambda f: f[0])[1]
         return results
+
+
+class ChunkGradients:
+    """The gradient of one batch, summed from its chunks' gradients into
+    the first workspace's grad in chunk order (a copy of chunk 0's, then
+    each later one added), as the chunks finish: a finished chunk whose
+    predecessors are all added is added at once, on its own thread, and
+    so is every parked chunk that follows it. A chunk that finishes before
+    an earlier one parks its gradient, and its workspace takes a spare
+    vector in its place (one from Workers.spare_grads, or a new one), so
+    no worker waits for another. Parked vectors go back to the spares
+    once added: they number at most the chunks that finish out of order
+    at once, not the chunks of a batch."""
+
+    def __init__(self, workers: Workers):
+        self.total = workers.workspaces[0].grad
+        self._spare = workers.spare_grads
+        self._parked: dict[int, ModelParams] = {}
+        self._next = 0  # the chunk to add next
+        self._lock = threading.Lock()
+
+    def add(self, i: int, ws: Workspace) -> None:
+        """Take chunk i's gradient, which is in ws.chunk_grad."""
+        with self._lock:
+            if i != self._next:
+                spare = self._spare.pop() if self._spare else ModelParams.zeros(ws.config, ws.dtype)
+                self._parked[i], ws.chunk_grad = ws.chunk_grad, spare
+                return
+            grad, total = ws.chunk_grad, self.total.vector
+            while grad is not None:
+                if self._next == 0:
+                    np.copyto(total, grad.vector)
+                else:
+                    np.add(total, grad.vector, out=total)
+                if grad is not ws.chunk_grad:
+                    self._spare.append(grad)
+                self._next += 1
+                grad = self._parked.pop(self._next, None)
 
 
 def as_workers(workspace, params: ModelParams, rows_per_window: int, batch_windows: int) -> Workers:
@@ -802,73 +820,116 @@ def backward_batch(g_rows: np.ndarray, workspace: Workspace, params: ModelParams
     return dict(grads)
 
 
+class RowBatch:
+    """A training batch of B windows already laid out as rows, as
+    forward_rows reads them: history rows [B*N*C, T_h], target rows
+    [B*N*C, T_f] and the windows' calendar indices [B]. Each chunk of the
+    step reads its windows' rows in place."""
+
+    def __init__(self, x_rows, future_rows, hours, days, months):
+        self.x_rows, self.future_rows = np.asarray(x_rows), np.asarray(future_rows)
+        self.hours, self.days, self.months = hours, days, months
+
+    def rows_per_window(self, cfg: ModelConfig) -> int:
+        """N*C, checked against the rows' shapes."""
+        rows = self.x_rows.shape[0]
+        per_window = _stations_of_rows(self.x_rows, np.size(self.hours), cfg) * cfg.n_vars
+        if self.future_rows.shape != (rows, cfg.t_f):
+            raise ShapeError(
+                f"future shape {self.future_rows.shape} != pred shape {(rows, cfg.t_f)}"
+            )
+        return per_window
+
+    def gather(self, windows: slice, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+        """The history and target rows of the batch's windows `windows`."""
+        per_window = self.x_rows.shape[0] // np.size(self.hours)
+        r = slice(windows.start * per_window, windows.stop * per_window)
+        return self.x_rows[r], self.future_rows[r]
+
+
+class WindowBatch:
+    """The windows `ids` of a data.WindowSet as a training batch, as fit
+    takes it: each chunk of the step gathers its windows' rows into its
+    workspace (WindowSet.batch with `out`), the history into x and the
+    targets into abs_err, which the step reads before it overwrites it
+    with |pred - truth|."""
+
+    def __init__(self, windows, ids):
+        self.windows, self.ids = windows, np.asarray(ids, dtype=np.intp)
+        if self.ids.ndim != 1:
+            raise ShapeError(f"window ids of shape {self.ids.shape}, not [B]")
+        self.hours, self.days, self.months = (
+            getattr(windows, key)[self.ids] for key in ("hours", "days", "months")
+        )
+
+    def rows_per_window(self, cfg: ModelConfig) -> int:
+        """N*C, with C checked against the config."""
+        if self.windows.n_vars != cfg.n_vars:
+            raise ShapeError(f"windows of {self.windows.n_vars} variables, config C={cfg.n_vars}")
+        return self.windows.n_stations * cfg.n_vars
+
+    def gather(self, windows: slice, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+        """The history and target rows of the batch's windows `windows`,
+        gathered into ws."""
+        b = self.windows.batch(self.ids[windows], out={"history": ws.x, "future": ws.abs_err})
+        return b["history"], b["future"]
+
+
 def loss_and_grads(
     params: ModelParams,
-    x_rows: np.ndarray,
-    future_rows: np.ndarray,
+    batch: RowBatch | WindowBatch,
     coords_norm: np.ndarray,
-    hours,
-    days,
-    months,
     workspace: Workspace | Workers | None = None,
 ) -> tuple[float, dict]:
-    """Mean absolute error of a batch of rows and its gradients for every
-    tensor: history rows [B*N*C, T_h] and target rows [B*N*C, T_f], laid
-    out as forward_rows reads them.
+    """Mean absolute error of a batch of windows and its gradients for
+    every tensor. `batch` is a RowBatch, rows in memory, or a WindowBatch,
+    windows of a WindowSet, as fit gives it: the step runs the same on
+    either, asking it for each chunk's history and target rows (gather).
 
     The loss is the plain mean of |pred - truth| over all batch elements,
     i.e. the per-window 1/(N*C*T_f) normalization averaged over windows, so
     batch gradients are averages of per-window gradients. forward_rows and
     backward_batch run on consecutive chunks of chunk_windows(N*C) whole
-    windows, dispatched by Workers.run: on `workspace` when it is Workers,
+    windows, scheduled by Workers.run: on `workspace` when it is Workers,
     on that one Workspace, or on a fresh one when it is None. Each chunk
     takes pred - truth in place and |pred - truth| into its workspace's
-    abs_err buffer, sums that in float64, and overwrites it with the sign,
-    which it back-propagates unscaled. The caller adds the chunks' loss
-    sums and gradients in chunk order, the gradients into the first
-    workspace's grad vector, which is divided by the element count once
+    abs_err buffer, sums that in float64, overwrites it with the sign,
+    which it back-propagates unscaled, and hands its gradient to a
+    ChunkGradients, which sums the chunks' gradients in chunk order into
+    the first workspace's grad vector. The caller adds the chunks' loss
+    sums in chunk order and divides the gradient by the element count once
     per batch. The gradients, in params.dtype, are returned as views of
     that vector (in tensor_spec layout: training hands it to adam_step).
     """
     cfg = params.config
-    hours, days, months = _check_time_indices(hours, days, months, np.size(hours))
-    x_rows = np.asarray(x_rows)
-    rows = _stations_of_rows(x_rows, len(hours), cfg) * cfg.n_vars
-    future_rows = np.asarray(future_rows)
-    if future_rows.shape != (x_rows.shape[0], cfg.t_f):
-        raise ShapeError(
-            f"future shape {future_rows.shape} != pred shape {(x_rows.shape[0], cfg.t_f)}"
-        )
+    hours, days, months = _check_time_indices(
+        batch.hours, batch.days, batch.months, np.size(batch.hours)
+    )
+    rows = batch.rows_per_window(cfg)
     step = chunk_windows(rows)
-    abs_sum = 0.0
+    workers = as_workers(workspace, params, rows, len(hours))
+    grads = ChunkGradients(workers)
 
     def chunk(i, ws):
-        lo = i * step
-        w, r = slice(lo, lo + step), slice(lo * rows, (lo + step) * rows)
-        pred, _ = forward_rows(x_rows[r], coords_norm, hours[w], days[w], months[w], params, ws)
+        w = slice(i * step, (i + 1) * step)
+        x, future = batch.gather(w, ws)
+        pred, _ = forward_rows(x, coords_norm, hours[w], days[w], months[w], params, ws)
         diff = pred  # the workspace's prediction buffer, which backward_batch does not read
-        diff -= np.asarray(future_rows[r], dtype=pred.dtype)
+        diff -= np.asarray(future, dtype=pred.dtype)
         abs_diff = np.abs(diff, out=ws.abs_err[: len(diff)])
         chunk_sum = abs_diff.sum(dtype=np.float64)
         # the sign overwrites the spent |diff|: np.sign in place runs several
         # times slower than into another buffer
         backward_batch(np.sign(diff, out=abs_diff), ws, params)
+        grads.add(i, ws)
         return chunk_sum
 
-    workers = as_workers(workspace, params, rows, len(hours))
-    total = workers.workspaces[0].grad.vector
-
-    def add(i, chunk_sum, ws):
-        nonlocal abs_sum
+    abs_sum = 0.0
+    for chunk_sum in workers.run(-(-len(hours) // step), chunk):  # in chunk order
         abs_sum += chunk_sum
-        if i == 0:
-            np.copyto(total, ws.chunk_grad.vector)
-        else:
-            np.add(total, ws.chunk_grad.vector, out=total)
-
-    workers.run(-(-len(hours) // step), chunk, add)
-    total /= future_rows.size  # one rounding per entry: the exact mean, rounded
-    return float(abs_sum / future_rows.size), dict(workers.workspaces[0].grad.tensors)
+    n_elements = len(hours) * rows * cfg.t_f
+    grads.total.vector /= n_elements  # one rounding per entry: the exact mean, rounded
+    return float(abs_sum / n_elements), dict(grads.total.tensors)
 
 
 def forward_batch(

@@ -6,26 +6,31 @@ Precision: fit and evaluate compute in COMPUTE_DTYPE (float32), which
 halves the bytes every activation moves, on float64 master weights. Each
 batch runs the model on a float32 copy of the params, cast into one
 buffer that fit allocates once and refills for every batch, over float32
-rows that WindowSet.batch gathers from the split's stored series. fit
-also makes one model.Workers, one Workspace per worker sized for a full
-chunk, that every batch and every validation pass runs in:
-loss_and_grads leaves the batch's gradient in the first workspace's flat
-float32 grad vector, in the params' tensor_spec layout, and one adam_step
-applies that vector to the float64 parameter vector and Adam moments in
-place, in float64 math. Metrics are accumulated in float64 and in
-original data units (predictions inverted through the split's
-Normalizer, the identity when normalization is off), against the float64
-raw series. The params fit returns, and so every checkpoint, stay
-float64.
+rows that each chunk gathers from the split's stored series into its
+workspace (WindowSet.batch with `out`). fit also makes one model.Workers,
+one Workspace per usable CPU sized for a full chunk, that every batch and
+every validation pass runs in: loss_and_grads leaves the batch's gradient
+in the first workspace's flat float32 grad vector, in the params'
+tensor_spec layout, and one adam_step applies that vector to the float64
+parameter vector and Adam moments in place, in float64 math. Metrics are
+accumulated in float64 and in original data units (predictions inverted
+through the split's Normalizer, the identity when normalization is off),
+against the float64 raw series. The params fit returns, and so every
+checkpoint, stay float64.
 
 Chunks: fit and evaluate take batch_size windows per batch, and a batch
 of more than model.CHUNK_ROWS rows (N*C rows per window) runs in chunks
-of whole windows, dispatched by model.Workers: one chunk on the caller,
-several side by side on worker threads with OpenBLAS pinned to one
-thread. loss_and_grads adds the chunks' gradients, and evaluate pools
-the chunks' float64 error sums, in chunk order, so a multi-chunk batch's
-gradient is rounded once per chunk and differs in its last bits from a
-one-pass sum, and evaluate's sums are split likewise.
+of whole windows, scheduled by model.Workers.run: one chunk on the
+caller, several side by side on worker threads with OpenBLAS pinned to
+one thread, each worker taking the next chunk as soon as it is free. fit
+runs one batch's chunks at a time (a model.WindowBatch), and
+loss_and_grads adds their gradients in chunk order, parking a gradient
+that is done before an earlier chunk's (model.ChunkGradients). evaluate
+runs the whole split's chunks at once, so the workers share even a
+split of one-chunk batches; its chunks still never cross a batch
+boundary, and it pools their float64 error sums in chunk order. So a
+multi-chunk batch's gradient is rounded once per chunk and differs in its
+last bits from a one-pass sum, and evaluate's sums are split likewise.
 
 Determinism contract: with the same config, seed and BLAS build, batch
 order, every update, and the resulting best checkpoint are all
@@ -33,11 +38,11 @@ reproducible exactly; the chunk size is a constant, so chunking keeps
 this. A batch of several chunks gives the same bits at any BLAS thread
 count and any worker count: each chunk's GEMMs run on one BLAS thread and
 the chunks are summed in chunk order. A batch of one chunk runs at the
-caller's BLAS thread count, which splits the weight gradients' GEMM sums
-(g.T @ x) by thread, so when a fit has one-chunk batches (a ragged last
-batch can be one) its checkpoint also depends on that count. The row
-sums (numerics.row_sum) do not. The only non-reproducible history column
-is the per-epoch wall time.
+caller's BLAS thread count, which can split its reductions over rows by
+thread: the weight gradients' GEMM sums (g.T @ x), and at some shapes the
+row_sum GEMVs too. So when a fit has one-chunk batches (a ragged last
+batch can be one) its checkpoint can also depend on that count. The only
+non-reproducible history column is the per-epoch wall time.
 """
 
 from __future__ import annotations
@@ -146,9 +151,9 @@ def evaluate(
 ) -> Metrics:
     """Pooled test metrics in original data units, from a COMPUTE_DTYPE copy
     of the params. Windows are taken batch_size at a time, as fit takes
-    them, and each batch runs in chunks of model.chunk_windows windows,
-    dispatched by Workers.run: on `workspace` when it is Workers, on that
-    one Workspace, or on Workers made for this call.
+    them, and each batch in chunks of model.chunk_windows windows; the
+    whole split's chunks run in one Workers.run: on `workspace` when it is
+    Workers, on that one Workspace, or on Workers made for this call.
 
     A chunk gathers its history rows and float64 target rows into its
     workspace's x and truth buffers (WindowSet.batch with `out`), inverts
@@ -163,32 +168,30 @@ def evaluate(
         with model_ops.Workers.for_batches(params.config, rows_per_window, batch_size) as workers:
             return evaluate(params, windows, coords_norm, normalizer, batch_size, workers)
     params = params.astype(COMPUTE_DTYPE)
-    acc = MetricAccumulator()
     step = model_ops.chunk_windows(rows_per_window)
     workers = model_ops.as_workers(workspace, params, rows_per_window, batch_size)
-    for first in range(0, len(windows), batch_size):
-        last = min(first + batch_size, len(windows))
+    # the windows of each chunk, which never crosses a batch boundary
+    chunks = [c for b in _batches(np.arange(len(windows)), batch_size) for c in _batches(b, step)]
 
-        def chunk(i, ws):
-            lo = first + i * step
-            b = windows.batch(
-                slice(lo, min(lo + step, last)), out={"history": ws.x, "future_raw": ws.truth}
-            )
-            y_rows, _ = model_ops.forward_rows(
-                b["history"], coords_norm, b["hours"], b["days"], b["months"], params, ws
-            )
-            err, truth = ws.err[: len(y_rows)], b["future_raw"]
-            # rows viewed with the variable axis last, as normalize_invert takes them
-            normalize_invert(
-                y_rows.reshape(-1, n_vars, t_f).swapaxes(1, 2),
-                normalizer,
-                out=err.reshape(-1, n_vars, t_f).swapaxes(1, 2),
-            )
-            err -= truth
-            return (*error_sums(err, truth), err.size)
+    def chunk(i, ws):
+        ids = slice(chunks[i][0], chunks[i][-1] + 1)
+        b = windows.batch(ids, out={"history": ws.x, "future_raw": ws.truth})
+        y_rows, _ = model_ops.forward_rows(
+            b["history"], coords_norm, b["hours"], b["days"], b["months"], params, ws
+        )
+        err, truth = ws.err[: len(y_rows)], b["future_raw"]
+        # rows viewed with the variable axis last, as normalize_invert takes them
+        normalize_invert(
+            y_rows.reshape(-1, n_vars, t_f).swapaxes(1, 2),
+            normalizer,
+            out=err.reshape(-1, n_vars, t_f).swapaxes(1, 2),
+        )
+        err -= truth
+        return (*error_sums(err, truth), err.size)
 
-        for sums in workers.run(-(-(last - first) // step), chunk):
-            acc.add_sums(*sums)
+    acc = MetricAccumulator()
+    for sums in workers.run(len(chunks), chunk):
+        acc.add_sums(*sums)
     return acc.result()
 
 
@@ -241,18 +244,10 @@ def fit(
             abs_err_sum = 0.0
             n_samples = 0
             for bi, idx in enumerate(_batches(perm, config.batch_size)):
-                b = train_windows.batch(idx)
                 with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is named below
                     np.copyto(compute.vector, params.vector)
-                    loss, grads = loss_and_grads(
-                        compute,
-                        b["history"],
-                        b["future"],
-                        coords_norm,
-                        b["hours"],
-                        b["days"],
-                        b["months"],
-                        workers,
+                    loss, grads = loss_and_grads(  # each chunk gathers its own windows
+                        compute, model_ops.WindowBatch(train_windows, idx), coords_norm, workers
                     )
                 if not np.isfinite(loss):
                     raise TrainingError(

@@ -32,6 +32,7 @@ from lightweather.data import (
 )
 from lightweather.model import (
     ModelConfig,
+    RowBatch,
     StationCoord,
     closed_form_count,
     forward_batch,
@@ -80,7 +81,7 @@ def test_criterion_1_gradient_fidelity():
     fut_rows = fut.transpose(0, 2, 3, 1).reshape(-1, cfg.t_f)
 
     def lg(_):
-        return loss_and_grads(params, x_rows, fut_rows, cn, hours, days, months)
+        return loss_and_grads(params, RowBatch(x_rows, fut_rows, hours, days, months), cn)
 
     t0 = time.perf_counter()
     err = finite_diff_check(lg, params.tensors, 1e-6)

@@ -33,7 +33,7 @@ from lightweather.data import (
     write_observations_csv,
     write_stations_csv,
 )
-from lightweather.errors import ConfigError, IngestionError, ValidationError
+from lightweather.errors import ConfigError, IngestionError, ShapeError, ValidationError
 from lightweather.model import StationCoord
 
 
@@ -1399,6 +1399,41 @@ def test_batch_rows_equal_the_series_slices(
         assert b_out["future_raw"].tobytes() == raw_rows.tobytes()
         for key in ("hours", "days", "months"):
             assert_array_equal(b_out[key], getattr(ws, key)[lo:hi])
+
+
+def test_batch_gathers_an_index_array_into_out():
+    # shuffled window ids in chunks of 4, the last one ragged, as the
+    # training step's chunks gather them: each chunk's rows are written into
+    # the same buffers window by window, and are the stored series' slices
+    t_h, t_f, n_stations, n_vars = 6, 3, 3, 2
+    raw = np.random.default_rng(5).normal(size=(122, n_stations, n_vars)) * 4.0
+    train = split_windows(observation_set(raw), t_h, t_f).train
+    rows_per_window = n_stations * n_vars
+    ids = np.random.default_rng(6).permutation(len(train))
+    assert len(ids) % 4
+    out = {
+        "history": np.empty((4 * rows_per_window, t_h), np.float32),
+        "future": np.empty((4 * rows_per_window, t_f), np.float32),
+        "future_raw": np.empty((4 * rows_per_window, t_f)),
+    }
+    for lo in range(0, len(ids), 4):
+        chunk = ids[lo : lo + 4]
+        rows = len(chunk) * rows_per_window
+        got = train.batch(chunk, out=out)
+        starts = train.starts[chunk]
+        want = {
+            "history": [train.store[:, s : s + t_h] for s in starts],
+            "future": [train.store[:, s + t_h : s + t_h + t_f] for s in starts],
+            "future_raw": [raw[s + t_h : s + t_h + t_f].reshape(t_f, -1).T for s in starts],
+        }
+        for key, slices in want.items():
+            assert np.shares_memory(got[key], out[key]) and got[key].shape[0] == rows
+            assert got[key].tobytes() == np.concatenate(slices).tobytes()
+        for key in ("hours", "days", "months"):
+            assert_array_equal(got[key], getattr(train, key)[chunk])
+    for key, buf in (("history", out["history"][:-1]), ("future", out["history"])):
+        with pytest.raises(ShapeError, match=key):
+            train.batch(ids[:4], out={key: buf})
 
 
 @pytest.mark.parametrize("normalize", [False, True])

@@ -3,6 +3,7 @@ import math
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from lightweather.model import (
     TEMPORAL_MODES,
     ModelConfig,
     ModelParams,
+    RowBatch,
     StationCoord,
     TimeFeature,
     backward_batch,
@@ -38,6 +40,7 @@ from lightweather.model import (
     spatial_rows,
     temporal_rows,
     tensor_spec,
+    WindowBatch,
     Workspace,
 )
 from lightweather.numerics import (
@@ -76,8 +79,9 @@ def to_rows(a):
 
 
 def row_batch(hist, fut, cn, hours, days, months):
-    """A [B, T, N, C] batch as loss_and_grads's arguments after the params."""
-    return to_rows(hist), to_rows(fut), cn, hours, days, months
+    """A [B, T, N, C] batch as loss_and_grads's arguments after the params:
+    a RowBatch and the coordinates."""
+    return RowBatch(to_rows(hist), to_rows(fut), hours, days, months), cn
 
 
 # --- embedding: fc_embed, as forward_rows applies it ------------------------
@@ -418,7 +422,7 @@ def test_hour_table_gradient_sparsity():
     p = init_params(cfg, seed=24)
     hist, fut, cn, _, days, months = _batch_for(cfg)
     hours = np.array([5, 5])
-    _, grads = loss_and_grads(p, to_rows(hist), to_rows(fut), cn, hours, days, months)
+    _, grads = loss_and_grads(p, *row_batch(hist, fut, cn, hours, days, months))
     nonzero_rows = np.nonzero(np.abs(grads["table_hour"]).sum(axis=1))[0]
     assert_array_equal(nonzero_rows, [5])
 
@@ -583,6 +587,8 @@ def _assert_unchanged(before, after):
         assert len(before) == len(after)
         for b, a in zip(before, after):
             _assert_unchanged(b, a)
+    elif isinstance(before, RowBatch):
+        _assert_unchanged(vars(before), vars(after))
     else:
         assert before == after
 
@@ -814,7 +820,7 @@ def test_chunked_step_memory_is_bounded_by_a_chunk(monkeypatch):
         windows = [c[:n_batch] for c in calendar]
         tracemalloc.start()
         try:
-            loss_and_grads(p, x_rows[kept], future_rows[kept], cn, *windows)
+            loss_and_grads(p, RowBatch(x_rows[kept], future_rows[kept], *windows), cn)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -828,8 +834,9 @@ def test_chunked_step_memory_is_bounded_by_a_chunk(monkeypatch):
 
 def test_warm_step_allocates_less_than_one_chunk_activation(monkeypatch):
     # the set-up of test_chunked_step_memory_is_bounded_by_a_chunk: 32 windows
-    # of 500 rows in chunks of 2 windows; a second call in the same workspace
-    # reuses its buffers instead of allocating chunk-sized arrays
+    # of 500 rows in chunks of 2 windows; a second call in the same workspace,
+    # given alone or as Workers of one, reuses its buffers instead of
+    # allocating chunk-sized arrays
     cfg = ModelConfig(d=64, n_layers=2, t_h=48, t_f=24)
     p = init_params(cfg, seed=55).astype(np.float32)
     n_st = 500
@@ -838,24 +845,28 @@ def test_warm_step_allocates_less_than_one_chunk_activation(monkeypatch):
     x_rows = rng.normal(size=(32 * n_st, cfg.t_h)).astype(np.float32)
     future_rows = rng.normal(size=(32 * n_st, cfg.t_f)).astype(np.float32)
     calendar = [rng.integers(0, hi, size=32) for hi in (24, 31, 12)]
+    batch = RowBatch(x_rows, future_rows, *calendar)
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 1000)
     ws = Workspace(cfg, 1000, np.float32)
-    loss_and_grads(p, x_rows, future_rows, cn, *calendar, ws)
-    tracemalloc.start()
-    try:
-        loss_and_grads(p, x_rows, future_rows, cn, *calendar, ws)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1000 * cfg.d * 4  # one chunk activation in float32
+    for workspace in (ws, lw_model.Workers([ws])):
+        loss_and_grads(p, batch, cn, workspace)
+        tracemalloc.start()
+        try:
+            loss_and_grads(p, batch, cn, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * cfg.d * 4  # one chunk activation in float32
 
 
 def test_warm_step_on_workers_allocates_less_than_one_chunk_activation(monkeypatch):
     # the set-up of test_warm_step_allocates_less_than_one_chunk_activation
     # in chunks of 4 windows, on one worker per CPU; tracemalloc traces every
-    # thread. Each worker's numpy calls allocate a few small transients (a
-    # broadcast bias add takes a 32 KiB buffer), so the bound, one chunk's
-    # activation, holds up to 8 workers at this chunk size
+    # thread. The step runs on a RowBatch, and as fit runs it, on a
+    # WindowBatch of shuffled window ids, each chunk gathering its own windows
+    # window by window into its workspace. Each worker's numpy calls allocate a few
+    # small transients (a broadcast bias add takes a 32 KiB buffer), so the
+    # bound, one chunk's activation, holds up to 8 workers at this chunk size
     cfg = ModelConfig(d=64, n_layers=2, t_h=48, t_f=24)
     p = init_params(cfg, seed=55).astype(np.float32)
     n_st = 500
@@ -864,17 +875,24 @@ def test_warm_step_on_workers_allocates_less_than_one_chunk_activation(monkeypat
     x_rows = rng.normal(size=(32 * n_st, cfg.t_h)).astype(np.float32)
     future_rows = rng.normal(size=(32 * n_st, cfg.t_f)).astype(np.float32)
     calendar = [rng.integers(0, hi, size=32) for hi in (24, 31, 12)]
+    obs = generate(
+        SynthConfig(n_stations=n_st, n_steps=760, noise_std=0.3, seed=58),
+        random_station_coords(n_st, 58)[1],
+    )
+    train = split_windows(obs, cfg.t_h, cfg.t_f).train
+    ids = rng.permutation(len(train))[:32]
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 2000)
-    with lw_model.Workers.for_batches(cfg, n_st, 32) as workers:
-        loss, _ = loss_and_grads(p, x_rows, future_rows, cn, *calendar, workers)
-        tracemalloc.start()
-        try:
-            again, _ = loss_and_grads(p, x_rows, future_rows, cn, *calendar, workers)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert again == loss
-    assert peak < 2000 * cfg.d * 4  # one chunk activation in float32
+    for batch in (RowBatch(x_rows, future_rows, *calendar), WindowBatch(train, ids)):
+        with lw_model.Workers.for_batches(cfg, n_st, 32) as workers:
+            loss, _ = loss_and_grads(p, batch, cn, workers)
+            tracemalloc.start()
+            try:
+                again, _ = loss_and_grads(p, batch, cn, workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert again == loss
+        assert peak < 2000 * cfg.d * 4  # one chunk activation in float32
 
 
 def test_warm_evaluate_chunks_allocate_less_than_one_chunk_activation(monkeypatch):
@@ -917,6 +935,31 @@ def test_the_blas_pin_is_found_and_restored():
         with single_threaded_blas():
             raise KeyError("inside")
     assert blas_threads() == before
+
+
+def test_the_pin_ends_openblas_server_threads_that_busy_wait():
+    # after a multithreaded GEMM OpenBLAS's server threads busy-wait for
+    # about 0.1 s, on the cores the pinned workers want: entering the pin
+    # ends them, so a block that only sleeps uses almost no CPU time, and
+    # after it multithreaded GEMMs run again with the same bits. Only the
+    # OpenBLAS builds this was checked on are asked to end them
+    found = lw_numerics._openblas_thread_count()
+    if found is None or found[2] is None:
+        pytest.skip("no OpenBLAS build whose server threads the pin ends")
+    set_threads, get_threads, _ = found
+    before = get_threads()
+    a = np.random.default_rng(81).normal(size=(400, 400)).astype(np.float32)
+    set_threads(2)
+    try:
+        want = a @ a
+        with single_threaded_blas():
+            cpu = time.process_time()
+            time.sleep(0.05)
+            cpu = time.process_time() - cpu
+        assert cpu < 0.02
+        assert blas_threads() == 2 and (a @ a).tobytes() == want.tobytes()
+    finally:
+        set_threads(before)
 
 
 def test_an_error_in_one_chunk_reaches_the_caller_unchanged(monkeypatch):
@@ -1002,8 +1045,82 @@ def test_more_workers_than_cores_give_the_bits_of_one(monkeypatch):
     assert threading.active_count() == threads  # closing ended the pool's threads
 
 
+def _slow_first_chunk(monkeypatch, first_rows):
+    """Make forward_rows sleep 0.1 s on the chunk whose history rows are
+    `first_rows`; returns the list that records, for each chunk as it
+    finishes its forward pass, whether it was that chunk."""
+    forward_rows = lw_model.forward_rows
+    finished = []
+
+    def slow_first(x_rows, *args, **kwargs):
+        first = np.asarray(x_rows).tobytes() == first_rows.tobytes()
+        if first:
+            time.sleep(0.1)
+        result = forward_rows(x_rows, *args, **kwargs)
+        finished.append(first)
+        return result
+
+    monkeypatch.setattr(lw_model, "forward_rows", slow_first)
+    return finished
+
+
+def test_chunks_that_finish_out_of_order_keep_the_bits(monkeypatch):
+    # two free-running workers, and chunk 0 of each batch sleeps in its
+    # forward pass: the other worker finishes later chunks first and parks
+    # their gradients, so it never waits, and the sums in chunk order give
+    # the one-worker bits. The step runs on a RowBatch and on a WindowBatch
+    cfg = small_config(n_vars=2)
+    p32 = init_params(cfg, seed=77).astype(np.float32)
+    rows, cn = row_batch(*_random_batch(cfg, 7, 5, seed=78))  # 7 windows x 10 rows
+    obs = generate(SynthConfig(n_stations=5, n_steps=300, seed=79), random_station_coords(5, 79)[1])
+    obs.values = np.concatenate([obs.values, 2.0 - obs.values], axis=2)
+    train = split_windows(obs, cfg.t_h, cfg.t_f).train
+    windows = WindowBatch(train, np.random.default_rng(80).permutation(len(train))[:7])
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 20)  # chunks of 2, 2, 2 and 1 windows
+    monkeypatch.setattr(lw_model, "usable_cpus", lambda: 2)
+    forward_rows = lw_model.forward_rows
+    for batch, first_rows in (
+        (rows, rows.x_rows[:20]),
+        (windows, train.batch(windows.ids[:2])["history"]),
+    ):
+        one = lw_model.Workers([Workspace(cfg, 20, np.float32)])
+        loss1, grads1 = loss_and_grads(p32, batch, cn, one)
+        grads1 = {n: g.copy() for n, g in grads1.items()}
+        assert one.spare_grads == []  # one worker finishes its chunks in order
+        threads = threading.active_count()
+        finished = _slow_first_chunk(monkeypatch, first_rows)
+        with lw_model.Workers.for_batches(cfg, 10, 7, np.float32) as two:
+            assert len(two.workspaces) == 2
+            loss, grads = loss_and_grads(p32, batch, cn, two)
+            assert two.spare_grads  # parked gradients, given back once added
+        monkeypatch.setattr(lw_model, "forward_rows", forward_rows)
+        assert len(finished) == 4 and finished.index(True) > 0  # chunk 0 finished late
+        assert loss == loss1
+        for name, g in grads.items():
+            assert g.tobytes() == grads1[name].tobytes(), name
+        assert threading.active_count() == threads
+
+
+def test_a_gradient_parked_without_memory_is_a_config_error(monkeypatch, fail_allocation):
+    # chunk 0 sleeps, so chunk 1 finishes first and parks its gradient in a
+    # new vector: where numpy cannot allocate it, the step fails with
+    # ModelParams.zeros's one-line ConfigError
+    cfg = small_config(n_vars=2)
+    p32 = init_params(cfg, seed=77).astype(np.float32)
+    rows, cn = row_batch(*_random_batch(cfg, 7, 5, seed=78))
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 20)
+    monkeypatch.setattr(lw_model, "usable_cpus", lambda: 2)
+    _slow_first_chunk(monkeypatch, rows.x_rows[:20])
+    size = parameter_count(cfg)
+    with lw_model.Workers.for_batches(cfg, 10, 7, np.float32) as two:
+        calls = fail_allocation(size, lambda k: True)
+        with pytest.raises(ConfigError, match=f"a model of {size} parameters is too large"):
+            loss_and_grads(p32, rows, cn, two)
+    assert calls == ["zeros"]
+
+
 def _workspace_arrays(ws):
-    singles = [ws.y, ws.abs_err, ws.mask, ws.ones, ws.grad.vector, ws.chunk_grad.vector]
+    singles = [ws.x, ws.y, ws.abs_err, ws.mask, ws.ones, ws.grad.vector, ws.chunk_grad.vector]
     return [*ws.z, *ws.r, *ws.g, *singles]
 
 
@@ -1042,8 +1159,9 @@ def test_reused_workspace_leaves_no_state_behind(spatial, temporal, monkeypatch)
     # results of a call with the workspace are views of it; without one, none is
     _, grads = loss_and_grads(p32, *batch_a, ws)
     assert all(np.shares_memory(g, ws.grad.vector) for g in grads.values())
-    x_rows, future_rows, coords, *calendar = batch_a
-    pred, fresh = forward_rows(x_rows, coords, *calendar, p32)
+    rows, coords = batch_a
+    x_rows, future_rows = rows.x_rows, rows.future_rows
+    pred, fresh = forward_rows(x_rows, coords, rows.hours, rows.days, rows.months, p32)
     plain = [
         *loss_and_grads(p32, *batch_a)[1].values(),
         pred,
@@ -1056,7 +1174,8 @@ def test_reused_workspace_leaves_no_state_behind(spatial, temporal, monkeypatch)
 def test_backward_batch_rejects_what_its_workspace_did_not_run():
     cfg = small_config()
     p = init_params(cfg, seed=67)
-    x_rows, _, cn, *calendar = row_batch(*_random_batch(cfg, 3, 2, seed=68))  # 6 rows
+    rows, cn = row_batch(*_random_batch(cfg, 3, 2, seed=68))  # 6 rows
+    x_rows, calendar = rows.x_rows, (rows.hours, rows.days, rows.months)
     ws = Workspace(cfg, 6, p.dtype)
     g = np.ones((6, cfg.t_f))
     with pytest.raises(ShapeError, match="forward_rows has run"):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -386,14 +387,19 @@ def test_out_forms_same_bits_as_allocating_forms(dtype):
 # The reduction runs in a fresh interpreter for each BLAS thread count,
 # which OpenBLAS reads when numpy loads: bias gradients (one [n, d] block),
 # per-window sums ([B, rows, d]) and per-station sums ([B, rows * d]) at the
-# wide benchmark's chunk of 4 windows of 3850 rows.
+# wide benchmark's chunk of 2 windows of 3850 rows (CHUNK_ROWS = 8192), and
+# at the chunk of 4 windows it had at CHUNK_ROWS = 16384. Only these shapes
+# are checked: others can split by thread (ones[16] @ a[16, 32000] does).
 _ROW_SUM_DIGEST = """
 import hashlib
 import numpy as np
 from lightweather.numerics import row_sum
 g = np.random.default_rng(15).normal(size=(15_400, 64)).astype(np.float32)
 ones = np.ones(len(g), np.float32)
-sums = [row_sum(g, ones), row_sum(g.reshape(4, 3850, 64), ones), row_sum(g.reshape(4, -1), ones)]
+sums = []
+for b in (2, 4):
+    gb = g[: b * 3850]
+    sums += [row_sum(gb, ones), row_sum(gb.reshape(b, 3850, 64), ones), row_sum(gb.reshape(b, -1), ones)]
 print(hashlib.sha256(b"".join(s.tobytes() for s in sums)).hexdigest())
 """
 
@@ -411,3 +417,32 @@ def test_row_sum_bits_do_not_depend_on_the_blas_thread_count():
         )
         digests.append(run.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+def test_the_pin_ends_server_threads_only_in_checked_openblas_builds():
+    # blas_thread_shutdown_ is not public API: the pin calls it only in a
+    # pthreads build (openblas_get_parallel() == 1) of a version it was
+    # checked on, and elsewhere ends no threads
+    from lightweather.numerics import _openblas_shutdown
+
+    def lib(parallel, config, shutdown=True):
+        def fn(value):
+            return lambda: value
+
+        names = dict(openblas_get_parallel64_=fn(parallel), openblas_get_config64_=fn(config))
+        if shutdown:
+            names["blas_thread_shutdown_"] = fn(0)
+        return types.SimpleNamespace(**names)
+
+    checked = lib(1, b"OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH SkylakeX")
+    assert _openblas_shutdown(checked, "", "64_") is checked.blas_thread_shutdown_
+    assert _openblas_shutdown(checked, "scipy_", "64_") is None  # not its names
+    for other in (
+        lib(2, b"OpenBLAS 0.3.31 OpenMP"),
+        lib(0, b"OpenBLAS 0.3.31"),
+        lib(1, b"OpenBLAS 0.3.30.0"),
+        lib(1, b"OpenBLAS 0.3.310"),
+        lib(1, b""),
+        lib(1, b"OpenBLAS 0.3.31", shutdown=False),
+    ):
+        assert _openblas_shutdown(other, "", "64_") is None

@@ -33,6 +33,7 @@ from lightweather.data import normalize_invert
 from lightweather.model import (
     COMPUTE_DTYPE,
     ModelConfig,
+    RowBatch,
     forward_rows,
     init_params,
     loss_and_grads,
@@ -179,6 +180,37 @@ def test_the_first_failing_evaluate_chunk_raises_its_error_unchanged(monkeypatch
         assert numerics.blas_threads() == before
 
 
+def test_evaluate_streams_one_chunk_batches_over_the_workers(monkeypatch):
+    # 5-window batches of 3 stations are one chunk each, as narrow-train's
+    # are: evaluate runs the whole split's chunks in one Workers.run, so the
+    # two workers share them (each chunk sleeps, so that neither takes them
+    # all), and the sums pooled in chunk order give the one-worker bits
+    monkeypatch.setattr(lw_model, "usable_cpus", lambda: 2)
+    obs = tiny_dataset(n_stations=3, seed=9)
+    prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
+    params = init_params(SMALL, seed=10)
+    cn = normalize_coords(obs.coords)
+    test = prepared.test
+    assert len(test) > 4 * 5 and lw_model.chunk_windows(3) > 5
+    one = lw_model.Workers([lw_model.Workspace(SMALL, 15)])
+    alone = evaluate(params, test, cn, prepared.normalizer, 5, one)
+    forward = lw_model.forward_rows
+    threads = []
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        time.sleep(0.002)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(lw_model, "forward_rows", recording)
+    running = threading.active_count()
+    streamed = evaluate(params, test, cn, prepared.normalizer, batch_size=5)
+    assert len(threads) == -(-len(test) // 5) and len(set(threads)) == 2
+    assert threading.get_ident() not in threads
+    assert streamed == alone
+    assert threading.active_count() == running  # evaluate's workers have ended
+
+
 # --- fit -------------------------------------------------------------------
 
 
@@ -200,10 +232,12 @@ def test_fit_lr_zero_keeps_params():
         assert_array_equal(arr, before[name])
 
 
-def test_each_parameter_sized_allocation_of_fit_is_a_config_error(fail_allocation):
-    # Adam's moments and scratch, the float32 copy, the workspace's two
-    # gradients, the best params and evaluate's float32 copy: whichever numpy
-    # cannot allocate is the one-line error of ModelParams.zeros
+def test_each_parameter_sized_allocation_of_fit_is_a_config_error(fail_allocation, monkeypatch):
+    # Adam's moments and scratch, the float32 copy, each workspace's two
+    # gradients (one workspace per usable CPU), the best params and
+    # evaluate's float32 copy: whichever numpy cannot allocate is the
+    # one-line error of ModelParams.zeros. The batches here are one chunk
+    # each, so no gradient is parked (test_model checks that allocation)
     obs = tiny_dataset()
     prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
     size = parameter_count(SMALL)
@@ -219,16 +253,18 @@ def test_each_parameter_sized_allocation_of_fit_is_a_config_error(fail_allocatio
             prepared.normalizer,
         )
 
-    calls = fail_allocation(size, lambda k: False)
-    run()
-    assert calls.count("zeros_like") == 2 and calls.count("empty_like") == 2  # Adam
-    # params.copy(), the float32 copy, the two gradients, the best params at
-    # the start and after the first epoch, evaluate's float32 copy
-    assert calls.count("zeros") == 7
-    for nth in range(len(calls)):
-        fail_allocation(size, lambda k: k == nth)
-        with pytest.raises(ConfigError, match=f"a model of {size} parameters is too large to allocate"):
-            run()
+    for cpus in (1, 2):
+        monkeypatch.setattr(lw_model, "usable_cpus", lambda: cpus)
+        calls = fail_allocation(size, lambda k: False)
+        run()
+        assert calls.count("zeros_like") == 2 and calls.count("empty_like") == 2  # Adam
+        # params.copy(), the float32 copy, the workspaces' gradients, the best
+        # params at the start and after the first epoch, evaluate's float32 copy
+        assert calls.count("zeros") == 5 + 2 * cpus
+        for nth in range(len(calls)):
+            fail_allocation(size, lambda k: k == nth)
+            with pytest.raises(ConfigError, match=f"a model of {size} parameters is too large to allocate"):
+                run()
 
 
 def test_fit_deterministic_given_seed(tmp_path):
@@ -397,15 +433,14 @@ def test_fit_epoch_equals_a_hand_loop_on_the_float64_gather(spatial, temporal):
         s = train.starts[idx][:, None]
         hist = values[s + np.arange(cfg.t_h)]  # [B, T_h, N, C]
         fut = values[s + cfg.t_h + np.arange(cfg.t_f)]
-        loss, grads = loss_and_grads(
-            params.astype(np.float32),
+        rows = RowBatch(
             hist.transpose(0, 2, 3, 1).reshape(-1, cfg.t_h),
             fut.transpose(0, 2, 3, 1).reshape(-1, cfg.t_f),
-            coords_norm,
             train.hours[idx],
             train.days[idx],
             train.months[idx],
         )
+        loss, grads = loss_and_grads(params.astype(np.float32), rows, coords_norm)
         abs_err_sum += loss * len(idx)
         for name, tensor in params.tensors.items():
             adam_step(tensor, grads[name], states[name], config.lr, out=tensor)
