@@ -11,8 +11,8 @@ import numpy as np
 
 from .data import ObservationSet, split_windows
 from .errors import ConfigError
-from .model import ModelConfig, chunk_windows, init_params, normalize_coords
-from .training import Metrics, MetricAccumulator, TrainConfig, _batches, evaluate, fit
+from .model import ModelConfig, chunk_slices, init_params, normalize_coords
+from .training import Metrics, MetricAccumulator, TrainConfig, evaluate, fit
 
 # Ablation rows in reporting order: each tuple is (spatial, temporal).
 ABLATION_GRID = [
@@ -38,19 +38,19 @@ def hi_forecast(history: np.ndarray, t_f: int) -> np.ndarray:
 def evaluate_hi(windows, batch_size: int = 32) -> Metrics:
     """Pooled HI metrics over a window set, in original data units.
 
-    Each batch gathers from raw_values only the steps HI reads: the last
-    T_f history steps, then the T_f future steps. Its sums are pooled as
-    evaluate pools them, a chunk at a time: batch_size windows, or fewer
-    when a chunk of CHUNK_ROWS rows holds fewer.
+    Each chunk (chunk_slices, as evaluate takes them; batch_size < 1 is a
+    ConfigError) gathers from raw_values only the steps HI reads: the last
+    T_f history steps, then the T_f future steps. Its sums are pooled in
+    chunk order, as evaluate pools them.
     """
     if len(windows) == 0:
         raise ConfigError("empty split: no windows for the HI baseline")
+    chunks = chunk_slices(len(windows), batch_size, windows.n_stations * windows.n_vars)
     n_hist = min(windows.t_f, windows.t_h)  # fewer than T_f: hi_forecast raises
     steps = np.arange(windows.t_h - n_hist, windows.t_h + windows.t_f)
     acc = MetricAccumulator()
-    step = min(batch_size, chunk_windows(windows.n_stations * windows.n_vars))
-    for idx in _batches(np.arange(len(windows)), step):
-        raw = windows.raw_values[windows.starts[idx][:, None] + steps]
+    for ids in chunks:
+        raw = windows.raw_values[windows.starts[ids][:, None] + steps]
         acc.add(hi_forecast(raw[:, :n_hist], windows.t_f), raw[:, n_hist:])
     return acc.result()
 

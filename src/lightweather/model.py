@@ -15,9 +15,9 @@ and target rows, or a WindowBatch of a WindowSet's windows, as fit gives
 it. In fit and evaluate each chunk gathers its own rows into its
 workspace (WindowSet.batch). forward_batch is the one entry that takes a
 [B, T, N, C] history: it checks and casts it, lays it out as rows for
-forward_rows and lays the prediction back out; forward is forward_batch
-on one window. The three stage kernels are public so that each stage can
-be checked on its own.
+forward_rows in a Workspace of its own and lays the prediction back out;
+forward is forward_batch on one window. The three stage kernels are
+public so that each stage can be checked on its own.
 
 Variants used by the ablation harness are expressed through ModelConfig:
 spatial_encoding may be "absolute" (a 3 -> d layer over normalized
@@ -47,11 +47,11 @@ and activations there, and backward_batch reads them back. Every chunk,
 batch and validation pass writes into the first rows of the same buffers
 through the numerics kernels' `out=` forms, so a warm step allocates
 almost nothing and its speed does not rest on malloc reusing freed
-blocks. A forward without a workspace makes its own, so its results share
-memory with nothing the caller holds. Sums over rows (bias gradients, a
-window's or a station's rows) are row_sum GEMVs against the workspace's
-ones vector. The loss's sign is back-propagated unscaled, and the batch's
-gradient is divided by the element count once.
+blocks. The batch path is given its buffers: a Workers to loss_and_grads,
+a Workspace to forward_rows and encoder_forward. Sums over rows (bias
+gradients, a window's or a station's rows) are row_sum GEMVs against the
+workspace's ones vector. The loss's sign is back-propagated unscaled, and
+the batch's gradient is divided by the element count once.
 
 Workers is the one chunk scheduler, for the chunks of a training batch
 and for every chunk of an evaluated split; training makes one per fit,
@@ -360,9 +360,9 @@ class Workspace:
     into g (three buffers it rotates through, also borrowed for
     forward_rows's spatial rows and for the per-window and per-station
     sums), the ReLU masks into mask, and each chunk's parameter gradients
-    into chunk_grad, which loss_and_grads adds into the first workspace's
-    grad. Both gradients are ModelParams in this dtype: one flat vector in
-    tensor_spec layout with named views. `ones` is the ones vector that
+    into chunk_grad, which loss_and_grads adds into its Workers' batch
+    gradient (Workers.grad): a ModelParams in this dtype, one flat vector
+    in tensor_spec layout with named views. `ones` is the ones vector that
     row_sum reduces against. training.evaluate gathers a chunk's float64
     target rows into truth and scores it in err. Those two lie in the same
     block of memory as g[1:], which a forward leaves alone, so an evaluate
@@ -380,7 +380,6 @@ class Workspace:
         self.config = config
         self.dtype = np.dtype(dtype)
         self.rows = rows
-        self.grad = ModelParams.zeros(config, self.dtype)
         self.chunk_grad = ModelParams.zeros(config, self.dtype)
         self.x = np.empty((rows, config.t_h), dtype)
         self.z = [np.empty((rows, config.d), dtype) for _ in range(config.n_layers + 1)]
@@ -415,7 +414,8 @@ def usable_cpus() -> int:
 
 class Workers:
     """Where chunks run: `workspaces`, one Workspace per worker, and with
-    more than one, a pool of as many threads.
+    more than one, a pool of as many threads; and `grad`, the one batch
+    gradient that loss_and_grads sums the chunks' gradients into.
 
     run is the one chunk scheduler, for the chunks of a training batch and
     for every chunk of an evaluated split. One chunk runs on the caller, in
@@ -436,6 +436,7 @@ class Workers:
 
     def __init__(self, workspaces: list[Workspace]):
         self.workspaces = workspaces
+        self.grad = ModelParams.zeros(workspaces[0].config, workspaces[0].dtype)
         # gradient vectors that parked chunks have given back, for the next
         # chunk that finishes before an earlier one (ChunkGradients)
         self.spare_grads: list[ModelParams] = []
@@ -454,6 +455,11 @@ class Workers:
         per_chunk = min(batch_windows, chunk_windows(rows_per_window))
         count = usable_cpus() if blas_threads() is not None else 1
         return cls([Workspace(config, per_chunk * rows_per_window, dtype) for _ in range(count)])
+
+    def check(self, params: ModelParams, rows: int) -> None:
+        """Check every workspace against params and for room for `rows` rows."""
+        for ws in self.workspaces:
+            _workspace(ws, params, rows)
 
     def close(self) -> None:
         if self._pool is not None:
@@ -509,7 +515,7 @@ class Workers:
 
 class ChunkGradients:
     """The gradient of one batch, summed from its chunks' gradients into
-    the first workspace's grad in chunk order (a copy of chunk 0's, then
+    Workers.grad in chunk order (a copy of chunk 0's, then
     each later one added), as the chunks finish: a finished chunk whose
     predecessors are all added is added at once, on its own thread, and
     so is every parked chunk that follows it. A chunk that finishes before
@@ -520,7 +526,7 @@ class ChunkGradients:
     at once, not the chunks of a batch."""
 
     def __init__(self, workers: Workers):
-        self.total = workers.workspaces[0].grad
+        self.total = workers.grad
         self._spare = workers.spare_grads
         self._parked: dict[int, ModelParams] = {}
         self._next = 0  # the chunk to add next
@@ -545,24 +551,8 @@ class ChunkGradients:
                 grad = self._parked.pop(self._next, None)
 
 
-def as_workers(workspace, params: ModelParams, rows_per_window: int, batch_windows: int) -> Workers:
-    """The Workers a batch of `batch_windows` windows runs on: `workspace`
-    itself when it is Workers, a Workers of that one Workspace, or of one
-    fresh Workspace, sized for a chunk, when it is None. Each workspace is
-    checked against params and for room for a chunk."""
-    chunk_rows = min(batch_windows, chunk_windows(rows_per_window)) * rows_per_window
-    if isinstance(workspace, Workers):
-        for ws in workspace.workspaces:
-            _workspace(ws, params, chunk_rows)
-        return workspace
-    return Workers([_workspace(workspace, params, chunk_rows)])
-
-
-def _workspace(workspace: Workspace | None, params: ModelParams, rows: int) -> Workspace:
-    """`workspace`, checked against params and for room for `rows` rows, or
-    a fresh one of `rows` rows when it is None."""
-    if workspace is None:
-        return Workspace(params.config, rows, params.dtype)
+def _workspace(workspace: Workspace, params: ModelParams, rows: int) -> Workspace:
+    """`workspace`, checked against params and for room for `rows` rows."""
     if workspace.config != params.config or workspace.dtype != params.dtype:
         raise ShapeError(
             f"workspace for {workspace.config} in {workspace.dtype} cannot run "
@@ -621,11 +611,10 @@ def temporal_rows(hours, days, months, params: ModelParams) -> np.ndarray | None
     return t["table_hour"][hours] + t["table_day"][days] + t["table_month"][months]
 
 
-def encoder_forward(z: np.ndarray, params: ModelParams, workspace: Workspace | None = None):
+def encoder_forward(z: np.ndarray, params: ModelParams, workspace: Workspace):
     """The L residual blocks z <- fc2(relu(fc1(z))) + z over rows [..., d],
     in params.dtype, written into the workspace's r (each block's ReLU
-    output, fc2's input) and z[1:] (each block's output) buffers, those of
-    a fresh workspace when none is given."""
+    output, fc2's input) and z[1:] (each block's output) buffers."""
     cfg = params.config
     z = np.asarray(z, dtype=params.dtype)
     if z.shape[-1] != cfg.d:
@@ -651,6 +640,20 @@ def chunk_windows(rows_per_window: int) -> int:
     return max(1, CHUNK_ROWS // max(1, rows_per_window))
 
 
+def chunk_slices(n_windows: int, batch_size: int, rows_per_window: int) -> list[slice]:
+    """The chunks of n_windows windows taken batch_size at a time, as fit
+    takes them: slices of at most chunk_windows(rows_per_window) windows
+    that never cross a batch boundary. batch_size < 1 is a ConfigError."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    step = chunk_windows(rows_per_window)
+    return [
+        slice(lo, min(lo + step, start + batch_size, n_windows))
+        for start in range(0, n_windows, batch_size)
+        for lo in range(start, min(start + batch_size, n_windows), step)
+    ]
+
+
 def _stations_of_rows(x_rows: np.ndarray, n_batch: int, cfg: ModelConfig) -> int:
     """N of history rows [B*N*C, T_h] that hold `n_batch` whole windows."""
     if x_rows.ndim != 2 or x_rows.shape[1] != cfg.t_h or n_batch == 0:
@@ -670,7 +673,7 @@ def forward_rows(
     days,
     months,
     params: ModelParams,
-    workspace: Workspace | None = None,
+    workspace: Workspace,
 ):
     """The forward pass over rows: embed, add spatial_rows and
     temporal_rows, encoder_forward, then the regression head.
@@ -678,10 +681,9 @@ def forward_rows(
     x_rows: [B*N*C, T_h] history rows ordered (window, station, variable),
     where B = len(hours) and C = config.n_vars; coords_norm: normalized
     [N, 3]; hours/days/months: per-window calendar indices [B]. Returns
-    prediction rows [B*N*C, T_f] in params.dtype and the workspace that
-    records the pass for backward_batch: `workspace`, or a fresh one when
-    it is None, so that without one the results share no memory with
-    anything the caller holds. x_rows and coords_norm are cast to
+    prediction rows [B*N*C, T_f] in params.dtype, a view of the
+    workspace's y, and leaves the record of the pass that backward_batch
+    reads in the workspace. x_rows and coords_norm are cast to
     params.dtype (no copy when they have it); x_rows must be finite in it,
     which split_windows checks once for the whole series and forward_batch
     for each batch. The workspace keeps x_rows as a reference, so the
@@ -722,7 +724,7 @@ def forward_rows(
         months=months,
         dims=(n_batch, n_stations, n_vars),
     )
-    return y_rows, ws
+    return y_rows
 
 
 def backward_batch(g_rows: np.ndarray, workspace: Workspace, params: ModelParams) -> dict:
@@ -879,7 +881,7 @@ def loss_and_grads(
     params: ModelParams,
     batch: RowBatch | WindowBatch,
     coords_norm: np.ndarray,
-    workspace: Workspace | Workers | None = None,
+    workers: Workers,
 ) -> tuple[float, dict]:
     """Mean absolute error of a batch of windows and its gradients for
     every tensor. `batch` is a RowBatch, rows in memory, or a WindowBatch,
@@ -890,13 +892,13 @@ def loss_and_grads(
     i.e. the per-window 1/(N*C*T_f) normalization averaged over windows, so
     batch gradients are averages of per-window gradients. forward_rows and
     backward_batch run on consecutive chunks of chunk_windows(N*C) whole
-    windows, scheduled by Workers.run: on `workspace` when it is Workers,
-    on that one Workspace, or on a fresh one when it is None. Each chunk
+    windows, scheduled by workers.run once Workers.check has found each
+    workspace made for params, with room for a chunk. Each chunk
     takes pred - truth in place and |pred - truth| into its workspace's
     abs_err buffer, sums that in float64, overwrites it with the sign,
     which it back-propagates unscaled, and hands its gradient to a
     ChunkGradients, which sums the chunks' gradients in chunk order into
-    the first workspace's grad vector. The caller adds the chunks' loss
+    workers.grad. The caller adds the chunks' loss
     sums in chunk order and divides the gradient by the element count once
     per batch. The gradients, in params.dtype, are returned as views of
     that vector (in tensor_spec layout: training hands it to adam_step).
@@ -907,13 +909,13 @@ def loss_and_grads(
     )
     rows = batch.rows_per_window(cfg)
     step = chunk_windows(rows)
-    workers = as_workers(workspace, params, rows, len(hours))
+    workers.check(params, min(len(hours), step) * rows)
     grads = ChunkGradients(workers)
 
     def chunk(i, ws):
         w = slice(i * step, (i + 1) * step)
         x, future = batch.gather(w, ws)
-        pred, _ = forward_rows(x, coords_norm, hours[w], days[w], months[w], params, ws)
+        pred = forward_rows(x, coords_norm, hours[w], days[w], months[w], params, ws)
         diff = pred  # the workspace's prediction buffer, which backward_batch does not read
         diff -= np.asarray(future, dtype=pred.dtype)
         abs_diff = np.abs(diff, out=ws.abs_err[: len(diff)])
@@ -962,7 +964,8 @@ def forward_batch(
         )
     if not np.isfinite(x_rows).all():
         raise ValidationError(f"history contains values that are not finite in {params.dtype}")
-    y_rows, ws = forward_rows(x_rows, coords_norm, hours, days, months, params)
+    ws = Workspace(cfg, x_rows.shape[0], params.dtype)
+    y_rows = forward_rows(x_rows, coords_norm, hours, days, months, params, ws)
     pred = y_rows.reshape(n_batch, n_stations, n_vars, cfg.t_f).transpose(0, 3, 1, 2)
     return np.ascontiguousarray(pred), ws
 

@@ -10,7 +10,7 @@ rows that each chunk gathers from the split's stored series into its
 workspace (WindowSet.batch with `out`). fit also makes one model.Workers,
 one Workspace per usable CPU sized for a full chunk, that every batch and
 every validation pass runs in: loss_and_grads leaves the batch's gradient
-in the first workspace's flat float32 grad vector, in the params'
+in the Workers' one flat float32 grad vector, in the params'
 tensor_spec layout, and one adam_step applies that vector to the float64
 parameter vector and Adam moments in place, in float64 math. Metrics are
 accumulated in float64 and in original data units (predictions inverted
@@ -28,9 +28,10 @@ loss_and_grads adds their gradients in chunk order, parking a gradient
 that is done before an earlier chunk's (model.ChunkGradients). evaluate
 runs the whole split's chunks at once, so the workers share even a
 split of one-chunk batches; its chunks still never cross a batch
-boundary, and it pools their float64 error sums in chunk order. So a
-multi-chunk batch's gradient is rounded once per chunk and differs in its
-last bits from a one-pass sum, and evaluate's sums are split likewise.
+boundary (model.chunk_slices, the HI baseline's rule too), and it pools
+their float64 error sums in chunk order. So a multi-chunk batch's
+gradient is rounded once per chunk and differs in its last bits from a
+one-pass sum, and evaluate's sums are split likewise.
 
 Determinism contract: with the same config, seed and BLAS build, batch
 order, every update, and the resulting best checkpoint are all
@@ -136,24 +137,20 @@ def _first_nonfinite(tensors: dict, grads: dict) -> str:
     return "every value and gradient is finite"
 
 
-def _batches(order: np.ndarray, batch_size: int):
-    for lo in range(0, len(order), batch_size):
-        yield order[lo : lo + batch_size]
-
-
 def evaluate(
     params: ModelParams,
     windows: WindowSet,
     coords_norm: np.ndarray,
     normalizer: Normalizer,
     batch_size: int = 32,
-    workspace: model_ops.Workspace | model_ops.Workers | None = None,
+    workers: model_ops.Workers | None = None,
 ) -> Metrics:
     """Pooled test metrics in original data units, from a COMPUTE_DTYPE copy
     of the params. Windows are taken batch_size at a time, as fit takes
-    them, and each batch in chunks of model.chunk_windows windows; the
-    whole split's chunks run in one Workers.run: on `workspace` when it is
-    Workers, on that one Workspace, or on Workers made for this call.
+    them, and each batch in chunks (model.chunk_slices: a batch_size below
+    1 is a ConfigError, before anything is allocated); the whole split's
+    chunks run in one Workers.run: on `workers`, or on Workers made for
+    this call when it is None.
 
     A chunk gathers its history rows and float64 target rows into its
     workspace's x and truth buffers (WindowSet.batch with `out`), inverts
@@ -164,19 +161,16 @@ def evaluate(
         raise EvaluationError("empty split: no windows to evaluate")
     n_vars, t_f = windows.n_vars, windows.t_f
     rows_per_window = windows.n_stations * n_vars
-    if workspace is None:
+    chunks = model_ops.chunk_slices(len(windows), batch_size, rows_per_window)
+    if workers is None:
         with model_ops.Workers.for_batches(params.config, rows_per_window, batch_size) as workers:
             return evaluate(params, windows, coords_norm, normalizer, batch_size, workers)
     params = params.astype(COMPUTE_DTYPE)
-    step = model_ops.chunk_windows(rows_per_window)
-    workers = model_ops.as_workers(workspace, params, rows_per_window, batch_size)
-    # the windows of each chunk, which never crosses a batch boundary
-    chunks = [c for b in _batches(np.arange(len(windows)), batch_size) for c in _batches(b, step)]
+    workers.check(params, max(c.stop - c.start for c in chunks) * rows_per_window)
 
     def chunk(i, ws):
-        ids = slice(chunks[i][0], chunks[i][-1] + 1)
-        b = windows.batch(ids, out={"history": ws.x, "future_raw": ws.truth})
-        y_rows, _ = model_ops.forward_rows(
+        b = windows.batch(chunks[i], out={"history": ws.x, "future_raw": ws.truth})
+        y_rows = model_ops.forward_rows(
             b["history"], coords_norm, b["hours"], b["days"], b["months"], params, ws
         )
         err, truth = ws.err[: len(y_rows)], b["future_raw"]
@@ -235,7 +229,7 @@ def fit(
     with model_ops.Workers.for_batches(
         params.config, rows_per_window, config.batch_size
     ) as workers:
-        grad = workers.workspaces[0].grad  # loss_and_grads leaves each batch's there
+        grad = workers.grad  # loss_and_grads leaves each batch's there
         for epoch in range(config.max_epochs):
             t0 = time.perf_counter()
             perm = np.random.default_rng([config.seed, epoch]).permutation(
@@ -243,7 +237,8 @@ def fit(
             )
             abs_err_sum = 0.0
             n_samples = 0
-            for bi, idx in enumerate(_batches(perm, config.batch_size)):
+            for bi, lo in enumerate(range(0, len(perm), config.batch_size)):
+                idx = perm[lo : lo + config.batch_size]
                 with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is named below
                     np.copyto(compute.vector, params.vector)
                     loss, grads = loss_and_grads(  # each chunk gathers its own windows

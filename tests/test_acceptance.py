@@ -40,6 +40,8 @@ from lightweather.model import (
     loss_and_grads,
     normalize_coords,
     parameter_count,
+    Workers,
+    Workspace,
 )
 from lightweather.numerics import finite_diff_check
 from lightweather.synthetic import SynthConfig, generate, random_station_coords
@@ -81,7 +83,8 @@ def test_criterion_1_gradient_fidelity():
     fut_rows = fut.transpose(0, 2, 3, 1).reshape(-1, cfg.t_f)
 
     def lg(_):
-        return loss_and_grads(params, RowBatch(x_rows, fut_rows, hours, days, months), cn)
+        one = Workers([Workspace(cfg, len(x_rows), params.dtype)])
+        return loss_and_grads(params, RowBatch(x_rows, fut_rows, hours, days, months), cn, one)
 
     t0 = time.perf_counter()
     err = finite_diff_check(lg, params.tensors, 1e-6)

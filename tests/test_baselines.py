@@ -10,6 +10,7 @@ from lightweather.baselines import (
     run_ablation_suite,
     summarize_ablation,
 )
+from lightweather import model
 from lightweather.data import Normalizer, series_rows, split_windows
 from lightweather.errors import ConfigError
 from lightweather.model import (
@@ -20,7 +21,7 @@ from lightweather.model import (
     parameter_count,
 )
 from lightweather.synthetic import SynthConfig, generate, random_station_coords
-from lightweather.training import TrainConfig
+from lightweather.training import MetricAccumulator, TrainConfig
 
 SMALL = ModelConfig(d=8, n_layers=1, t_h=6, t_f=3, n_vars=1)
 
@@ -91,6 +92,32 @@ def test_evaluate_hi_equals_numpy_on_raw_values():
     batched = evaluate_hi(ws, batch_size=5)
     assert batched.mse == pytest.approx(metrics.mse, rel=1e-12)
     assert batched.mae == pytest.approx(metrics.mae, rel=1e-12)
+
+
+def test_evaluate_hi_pools_chunks_that_never_cross_a_batch(monkeypatch):
+    # 7-window batches of 3 stations in chunks of at most 3 windows: each
+    # batch is chunks of 3, 3 and 1, as evaluate takes it, and the chunks'
+    # sums are pooled in order. Chunks of 3 that ran across the batches
+    # would pool these windows to other bits
+    monkeypatch.setattr(model, "CHUNK_ROWS", 9)
+    ws = split_windows(dataset(), 6, 3).test
+    n = len(ws)
+    acc = MetricAccumulator()
+    for lo in range(0, n, 7):
+        for c in range(lo, min(lo + 7, n), 3):
+            s = ws.starts[c : min(c + 3, lo + 7, n), None]
+            acc.add(ws.raw_values[s + np.arange(3, 6)], ws.raw_values[s + np.arange(6, 9)])
+    want, got = acc.result(), evaluate_hi(ws, batch_size=7)
+    assert (got.mse.hex(), got.mae.hex(), got.n_points) == (
+        want.mse.hex(), want.mae.hex(), want.n_points
+    )
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_hi_batch_size_below_one_is_a_config_error(batch_size):
+    ws = split_windows(dataset(), 6, 3).test
+    with pytest.raises(ConfigError, match=f"^batch_size must be >= 1, got {batch_size}$"):
+        evaluate_hi(ws, batch_size)
 
 
 def test_hi_zero_horizon_is_empty():

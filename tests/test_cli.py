@@ -523,6 +523,19 @@ def test_evaluate_mismatched_checkpoint_dims(synth_dir, trained_dir, tmp_path, c
     assert "checkpoint error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_evaluate_batch_size_below_one_is_one_line_config_error(
+    synth_dir, trained_dir, tmp_path, capsys, batch_size
+):
+    out = tmp_path / "out"
+    cfg = data_config(synth_dir, tmp_path / "e.cfg", out_dir=out, batch_size=batch_size)
+    argv = ["evaluate", "--config", str(cfg), "--checkpoint", str(trained(trained_dir))]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: batch_size must be >= 1, got {batch_size}\n"
+    assert not out.exists()
+
+
 def edited_checkpoint(source, path, edit):
     """The checkpoint file `source` written to `path` with `edit` applied to
     its manifest; `edit` returns the manifest to write."""

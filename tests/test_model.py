@@ -84,6 +84,14 @@ def row_batch(hist, fut, cn, hours, days, months):
     return RowBatch(to_rows(hist), to_rows(fut), hours, days, months), cn
 
 
+def one_worker(p, batch):
+    """Workers of one fresh Workspace in p's dtype, sized for a chunk of
+    `batch` (a RowBatch or WindowBatch): its chunks run on the caller."""
+    per_window = batch.rows_per_window(p.config)
+    rows = min(len(batch.hours), lw_model.chunk_windows(per_window)) * per_window
+    return lw_model.Workers([Workspace(p.config, rows, p.dtype)])
+
+
 # --- embedding: fc_embed, as forward_rows applies it ------------------------
 
 
@@ -281,7 +289,7 @@ def test_encoder_residual_identity_when_fc2_zeroed():
         p.layer(f"encoder.{i}.fc2").weight[:] = 0.0
         p.layer(f"encoder.{i}.fc2").bias[:] = 0.0
     h = np.random.default_rng(12).normal(size=8)
-    assert_array_equal(encoder_forward(h, p), h)
+    assert_array_equal(encoder_forward(h, p, Workspace(p.config, 1, p.dtype)), h)
 
 
 def test_encoder_scalar_case():
@@ -290,26 +298,28 @@ def test_encoder_scalar_case():
     p.layer("encoder.0.fc1").bias[:] = 0.0
     p.layer("encoder.0.fc2").weight[:] = 1.0
     p.layer("encoder.0.fc2").bias[:] = 0.0
-    assert_array_equal(encoder_forward(np.array([2.0]), p), [4.0])
+    assert_array_equal(encoder_forward(np.array([2.0]), p, Workspace(p.config, 1, p.dtype)), [4.0])
 
 
 def test_encoder_finite_over_random_draws():
     cfg = small_config(d=4, n_layers=2)
     h = np.linspace(-2, 2, 4)
+    ws = Workspace(cfg, 1, np.float64)
     for seed in range(10_000):
         p = init_params(cfg, seed=seed)
-        out = encoder_forward(h, p)
+        out = encoder_forward(h, p, ws)
         assert np.isfinite(out).all()
 
 
 def test_encoder_row_equals_its_row_in_a_stack():
     p = init_params(small_config(), seed=14)
     rows = np.random.default_rng(15).normal(size=(5, 8))
-    stacked = encoder_forward(rows, p)
+    stacked = encoder_forward(rows, p, Workspace(p.config, 5, p.dtype))
+    row = Workspace(p.config, 1, p.dtype)
     for k in range(5):  # a vector product and a matrix product may round differently
-        assert_allclose(encoder_forward(rows[k], p), stacked[k], rtol=0, atol=1e-12)
+        assert_allclose(encoder_forward(rows[k], p, row), stacked[k], rtol=0, atol=1e-12)
     with pytest.raises(ShapeError):
-        encoder_forward(np.zeros(7), p)
+        encoder_forward(np.zeros(7), p, row)
 
 
 # --- full forward ----------------------------------------------------------
@@ -398,7 +408,7 @@ def test_full_model_gradient_check():
     batch = row_batch(*_batch_for(cfg))
 
     def lg(_):
-        return loss_and_grads(p, *batch)
+        return loss_and_grads(p, *batch, one_worker(p, batch[0]))
 
     err = finite_diff_check(lg, p.tensors, 1e-6)
     assert err < 1e-4
@@ -411,7 +421,7 @@ def test_variant_gradient_check(spatial, temporal):
     batch = row_batch(*_batch_for(cfg))
 
     def lg(_):
-        return loss_and_grads(p, *batch)
+        return loss_and_grads(p, *batch, one_worker(p, batch[0]))
 
     err = finite_diff_check(lg, p.tensors, 1e-6)
     assert err < 1e-4
@@ -422,7 +432,8 @@ def test_hour_table_gradient_sparsity():
     p = init_params(cfg, seed=24)
     hist, fut, cn, _, days, months = _batch_for(cfg)
     hours = np.array([5, 5])
-    _, grads = loss_and_grads(p, *row_batch(hist, fut, cn, hours, days, months))
+    rows, cn = row_batch(hist, fut, cn, hours, days, months)
+    _, grads = loss_and_grads(p, rows, cn, one_worker(p, rows))
     nonzero_rows = np.nonzero(np.abs(grads["table_hour"]).sum(axis=1))[0]
     assert_array_equal(nonzero_rows, [5])
 
@@ -431,7 +442,8 @@ def test_doubling_loss_scale_doubles_gradients():
     cfg = small_config()
     p = init_params(cfg, seed=25)
     hist, fut, cn, hours, days, months = _batch_for(cfg)
-    pred, workspace = forward_rows(to_rows(hist), cn, hours, days, months, p)
+    workspace = Workspace(cfg, 4, p.dtype)  # 2 windows x 2 stations
+    pred = forward_rows(to_rows(hist), cn, hours, days, months, p, workspace)
     g = np.sign(pred - to_rows(fut)) / pred.size
     # results are views of the workspace, which the second call overwrites
     grads1 = {name: grad.copy() for name, grad in backward_batch(g, workspace, p).items()}
@@ -564,7 +576,8 @@ def test_batch_path_same_bits_as_reference(spatial, temporal, n_batch, n_st, n_v
 
     pred, _ = forward_batch(hist, cn, hours, days, months, p)
     assert_same_bits(pred, ref_pred)
-    loss, grads = loss_and_grads(p, *row_batch(*batch))
+    rows, cn = row_batch(*batch)
+    loss, grads = loss_and_grads(p, rows, cn, one_worker(p, rows))
     assert loss.hex() == ref_loss.hex()
     assert grads.keys() == ref_grads.keys() == p.tensors.keys()
     for name, g in grads.items():
@@ -636,7 +649,7 @@ def _check_batch_path_mutates_nothing(n_batch, n_st, n_vars, encoding, seed, dty
         assert np.shares_memory(x_rows, hist)  # the aliasing case
     record = (workspace.inputs, workspace.z, workspace.r)  # what backward_batch reads
     record_before = copy.deepcopy(record)
-    loss_and_grads(p, *step_inputs)
+    loss_and_grads(p, *step_inputs, one_worker(p, step_inputs[0]))
     backward_batch(to_rows(np.sign(pred - fut) / pred.size), workspace, p)
 
     _assert_unchanged(inputs_before, (batch, step_inputs))
@@ -678,8 +691,9 @@ def test_float32_batch_path_agrees_with_float64(spatial, temporal):
     pred64, _ = forward_batch(hist, cn, hours, days, months, p64)
     pred32, _ = forward_batch(hist, cn, hours, days, months, p32)
     _assert_close_f32(pred32, pred64)
-    loss64, grads64 = loss_and_grads(p64, *row_batch(*batch))
-    loss32, grads32 = loss_and_grads(p32, *row_batch(*batch))
+    rows, cn = row_batch(*batch)
+    loss64, grads64 = loss_and_grads(p64, rows, cn, one_worker(p64, rows))
+    loss32, grads32 = loss_and_grads(p32, rows, cn, one_worker(p32, rows))
     assert isinstance(loss32, float)
     assert loss32 == pytest.approx(loss64, rel=F32_TOL, abs=0)
     assert grads32.keys() == grads64.keys()
@@ -702,13 +716,14 @@ def test_forward_rows_takes_whole_windows_of_rows():
     p = init_params(cfg, seed=45)
     hist, _, cn, hours, days, months = _random_batch(cfg, 2, 3, seed=46)
     x_rows = to_rows(hist)
-    y_rows, _ = forward_rows(x_rows, cn, hours, days, months, p)
+    ws = Workspace(cfg, len(x_rows), p.dtype)
+    y_rows = forward_rows(x_rows, cn, hours, days, months, p, ws)
     pred, _ = forward_batch(hist, cn, hours, days, months, p)
     assert_same_bits(y_rows, to_rows(pred))
     with pytest.raises(ShapeError, match="not 2 windows"):
-        forward_rows(x_rows[:-1], cn, hours, days, months, p)
+        forward_rows(x_rows[:-1], cn, hours, days, months, p, ws)
     with pytest.raises(ShapeError, match="T_h=6"):
-        forward_rows(x_rows[:, 1:], cn, hours, days, months, p)
+        forward_rows(x_rows[:, 1:], cn, hours, days, months, p, ws)
 
 
 # --- chunks of whole windows ----------------------------------------------
@@ -740,9 +755,9 @@ def test_chunked_step_agrees_with_one_chunk(spatial, temporal, monkeypatch):
     p = init_params(cfg, seed=51).astype(np.float32)
     batch = row_batch(*_random_batch(cfg, 7, 5, seed=52))  # 7 windows x 10 rows
     sizes = _chunk_sizes(monkeypatch)
-    loss1, grads1 = loss_and_grads(p, *batch)
+    loss1, grads1 = loss_and_grads(p, *batch, one_worker(p, batch[0]))
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 30)
-    loss3, grads3 = loss_and_grads(p, *batch)
+    loss3, grads3 = loss_and_grads(p, *batch, one_worker(p, batch[0]))
     assert sizes[0] == 7 and sorted(sizes[1:]) == [1, 3, 3]
     assert loss3 == pytest.approx(loss1, rel=F32_TOL, abs=0)
     assert grads3.keys() == grads1.keys() == p.tensors.keys()
@@ -763,7 +778,7 @@ def test_chunked_step_passes_the_gradient_check(spatial, temporal, monkeypatch):
     sizes = _chunk_sizes(monkeypatch)
 
     def lg(_):
-        return loss_and_grads(p, *batch)
+        return loss_and_grads(p, *batch, one_worker(p, batch[0]))
 
     err = finite_diff_check(lg, p.tensors, 1e-6)
     assert sorted(sizes[:3]) == [1, 2, 2]
@@ -803,6 +818,18 @@ def test_chunked_evaluate_matches_one_chunk(spatial, temporal, monkeypatch):
         assert a.mae == pytest.approx(b.mae, rel=1e-12, abs=0)
 
 
+def test_chunk_slices_never_cross_a_batch_boundary():
+    # 300 stations: chunks of 27 windows, so each 32-window batch is 27 + 5
+    assert lw_model.chunk_slices(70, 32, 300) == [
+        slice(0, 27), slice(27, 32), slice(32, 59), slice(59, 64), slice(64, 70)
+    ]
+    assert lw_model.chunk_slices(5, 32, 3) == [slice(0, 5)]
+    assert lw_model.chunk_slices(0, 32, 3) == []
+    for batch_size in (0, -3):
+        with pytest.raises(ConfigError, match=f"^batch_size must be >= 1, got {batch_size}$"):
+            lw_model.chunk_slices(5, batch_size, 3)
+
+
 def test_chunked_step_memory_is_bounded_by_a_chunk(monkeypatch):
     # tracemalloc sees numpy's buffers; the inputs are allocated before it
     # starts, so each peak is what one loss_and_grads call allocates
@@ -820,7 +847,8 @@ def test_chunked_step_memory_is_bounded_by_a_chunk(monkeypatch):
         windows = [c[:n_batch] for c in calendar]
         tracemalloc.start()
         try:
-            loss_and_grads(p, RowBatch(x_rows[kept], future_rows[kept], *windows), cn)
+            rows = RowBatch(x_rows[kept], future_rows[kept], *windows)
+            loss_and_grads(p, rows, cn, one_worker(p, rows))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -834,9 +862,8 @@ def test_chunked_step_memory_is_bounded_by_a_chunk(monkeypatch):
 
 def test_warm_step_allocates_less_than_one_chunk_activation(monkeypatch):
     # the set-up of test_chunked_step_memory_is_bounded_by_a_chunk: 32 windows
-    # of 500 rows in chunks of 2 windows; a second call in the same workspace,
-    # given alone or as Workers of one, reuses its buffers instead of
-    # allocating chunk-sized arrays
+    # of 500 rows in chunks of 2 windows; a second call on the same Workers of
+    # one workspace reuses its buffers instead of allocating chunk-sized arrays
     cfg = ModelConfig(d=64, n_layers=2, t_h=48, t_f=24)
     p = init_params(cfg, seed=55).astype(np.float32)
     n_st = 500
@@ -847,16 +874,15 @@ def test_warm_step_allocates_less_than_one_chunk_activation(monkeypatch):
     calendar = [rng.integers(0, hi, size=32) for hi in (24, 31, 12)]
     batch = RowBatch(x_rows, future_rows, *calendar)
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 1000)
-    ws = Workspace(cfg, 1000, np.float32)
-    for workspace in (ws, lw_model.Workers([ws])):
-        loss_and_grads(p, batch, cn, workspace)
-        tracemalloc.start()
-        try:
-            loss_and_grads(p, batch, cn, workspace)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1000 * cfg.d * 4  # one chunk activation in float32
+    workers = lw_model.Workers([Workspace(cfg, 1000, np.float32)])
+    loss_and_grads(p, batch, cn, workers)
+    tracemalloc.start()
+    try:
+        loss_and_grads(p, batch, cn, workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * cfg.d * 4  # one chunk activation in float32
 
 
 def test_warm_step_on_workers_allocates_less_than_one_chunk_activation(monkeypatch):
@@ -999,7 +1025,7 @@ def test_without_a_blas_pin_chunks_run_on_the_caller(monkeypatch):
     p32 = init_params(cfg, seed=73).astype(np.float32)
     batch = row_batch(*_random_batch(cfg, 7, 5, seed=74))
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 30)
-    pinned = loss_and_grads(p32, *batch)
+    pinned = loss_and_grads(p32, *batch, one_worker(p32, batch[0]))
     pinned = (pinned[0], {n: g.copy() for n, g in pinned[1].items()})
     monkeypatch.setattr(lw_numerics, "_openblas_thread_count", lambda: None)
     threads = []
@@ -1119,9 +1145,12 @@ def test_a_gradient_parked_without_memory_is_a_config_error(monkeypatch, fail_al
     assert calls == ["zeros"]
 
 
-def _workspace_arrays(ws):
-    singles = [ws.x, ws.y, ws.abs_err, ws.mask, ws.ones, ws.grad.vector, ws.chunk_grad.vector]
-    return [*ws.z, *ws.r, *ws.g, *singles]
+def _workers_arrays(workers):
+    arrays = [workers.grad.vector]
+    for ws in workers.workspaces:
+        singles = [ws.x, ws.y, ws.abs_err, ws.mask, ws.ones, ws.chunk_grad.vector]
+        arrays += [*ws.z, *ws.r, *ws.g, *singles]
+    return arrays
 
 
 @pytest.mark.parametrize("spatial,temporal", ENCODINGS)
@@ -1130,7 +1159,8 @@ def test_reused_workspace_leaves_no_state_behind(spatial, temporal, monkeypatch)
     p = init_params(cfg, seed=61)
     p32 = p.astype(np.float32)
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 20)
-    batch_a = row_batch(*_random_batch(cfg, 7, 5, seed=62))  # chunks of 4 + 3 windows
+    raw_a = _random_batch(cfg, 7, 5, seed=62)
+    batch_a = row_batch(*raw_a)  # chunks of 4 + 3 windows
     # B: 3 stations (chunks of 6 + 1 windows), or 5 (4 + 3) where the
     # station table fixes the station count
     batch_b = row_batch(*_random_batch(cfg, 7, 5 if spatial == "relative" else 3, seed=63))
@@ -1139,16 +1169,17 @@ def test_reused_workspace_leaves_no_state_behind(spatial, temporal, monkeypatch)
     prepared = split_windows(obs, cfg.t_h, cfg.t_f)
     cn = normalize_coords(obs.coords)
 
-    def run(batch, workspace=None):
-        loss, grads = loss_and_grads(p32, *batch, workspace)
+    def run(batch, workers):
+        loss, grads = loss_and_grads(p32, *batch, workers)
         return loss, {name: g.copy() for name, g in grads.items()}
 
-    ws = Workspace(cfg, 20, np.float32)
-    first = run(batch_a, ws)
-    run(batch_b, ws)
-    reused_metrics = evaluate(p, prepared.test, cn, prepared.normalizer, 16, ws)
-    again = run(batch_a, ws)
-    for other in (run(batch_a, Workspace(cfg, 20, np.float32)), run(batch_a)):
+    workers = lw_model.Workers([Workspace(cfg, 20, np.float32)])
+    first = run(batch_a, workers)
+    run(batch_b, workers)
+    reused_metrics = evaluate(p, prepared.test, cn, prepared.normalizer, 16, workers)
+    again = run(batch_a, workers)
+    fresh = lw_model.Workers([Workspace(cfg, 20, np.float32)])
+    for other in (run(batch_a, fresh), run(batch_a, one_worker(p32, batch_a[0]))):
         for got in (first, again):
             assert got[0].hex() == other[0].hex()
             assert got[1].keys() == other[1].keys() == p.tensors.keys()
@@ -1156,19 +1187,15 @@ def test_reused_workspace_leaves_no_state_behind(spatial, temporal, monkeypatch)
                 assert got[1][name].tobytes() == other[1][name].tobytes(), name
     assert reused_metrics == evaluate(p, prepared.test, cn, prepared.normalizer, 16)
 
-    # results of a call with the workspace are views of it; without one, none is
-    _, grads = loss_and_grads(p32, *batch_a, ws)
-    assert all(np.shares_memory(g, ws.grad.vector) for g in grads.values())
-    rows, coords = batch_a
-    x_rows, future_rows = rows.x_rows, rows.future_rows
-    pred, fresh = forward_rows(x_rows, coords, rows.hours, rows.days, rows.months, p32)
-    plain = [
-        *loss_and_grads(p32, *batch_a)[1].values(),
-        pred,
-        *backward_batch(np.sign(pred - future_rows), fresh, p32).values(),
-    ]
+    # results of a call with the workers are views of their gradient;
+    # forward_batch makes its own workspace, so its results share none of theirs
+    _, grads = loss_and_grads(p32, *batch_a, workers)
+    assert all(np.shares_memory(g, workers.grad.vector) for g in grads.values())
+    hist, fut, coords, hours, days, months = raw_a
+    pred, own = forward_batch(hist, coords, hours, days, months, p32)
+    plain = [pred, *backward_batch(to_rows(np.sign(pred - fut)), own, p32).values()]
     for result in plain:
-        assert not any(np.shares_memory(result, buf) for buf in _workspace_arrays(ws))
+        assert not any(np.shares_memory(result, buf) for buf in _workers_arrays(workers))
 
 
 def test_backward_batch_rejects_what_its_workspace_did_not_run():
@@ -1188,17 +1215,31 @@ def test_backward_batch_rejects_what_its_workspace_did_not_run():
 
 
 def test_workspace_rejects_what_it_was_not_made_for():
+    # every workspace of the Workers is checked, not only the one a chunk
+    # would run in, by the training step and by evaluate alike
     cfg = small_config()
-    p32 = init_params(cfg, seed=65).astype(np.float32)
+    p = init_params(cfg, seed=65)
+    p32 = p.astype(np.float32)
     batch = row_batch(*_random_batch(cfg, 3, 2, seed=66))  # one chunk of 6 rows
-    loss_and_grads(p32, *batch, Workspace(cfg, 6, np.float32))
-    for ws, match in (
+    obs = generate(SynthConfig(n_stations=2, n_steps=300, seed=66), random_station_coords(2, 66)[1])
+    prepared = split_windows(obs, cfg.t_h, cfg.t_f)
+    cn = normalize_coords(obs.coords)
+    assert len(prepared.test) > 3  # 3-window batches of 2 stations: chunks of 6 rows
+    good = Workspace(cfg, 6, np.float32)
+    loss_and_grads(p32, *batch, lw_model.Workers([good]))
+    evaluate(p, prepared.test, cn, prepared.normalizer, 3, lw_model.Workers([good]))
+    for bad, match in (
         (Workspace(cfg, 5, np.float32), "6 rows"),
         (Workspace(cfg, 6, np.float64), "float64"),
         (Workspace(small_config(d=4), 6, np.float32), "workspace for"),
     ):
-        with pytest.raises(ShapeError, match=match):
-            loss_and_grads(p32, *batch, ws)
+        for workspaces in ([bad], [good, bad]):
+            with lw_model.Workers(workspaces) as workers:
+                with pytest.raises(ShapeError, match=match) as step:
+                    loss_and_grads(p32, *batch, workers)
+                with pytest.raises(ShapeError) as scored:
+                    evaluate(p, prepared.test, cn, prepared.normalizer, 3, workers)
+            assert str(scored.value) == str(step.value)
 
 
 # --- parameter counting ----------------------------------------------------

@@ -113,6 +113,24 @@ def test_evaluate_perfect_predictor_zero_error():
         evaluate(params, empty, normalize_coords(obs.coords), prepared.normalizer)
 
 
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_evaluate_batch_size_below_one_is_a_config_error_before_any_allocation(
+    batch_size, monkeypatch
+):
+    obs = tiny_dataset()
+    prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
+    params = init_params(SMALL, seed=0)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("allocated before the batch_size check")
+
+    monkeypatch.setattr(lw_model, "Workspace", must_not_run)
+    monkeypatch.setattr(lw_model.ModelParams, "zeros", must_not_run)
+    cn = normalize_coords(obs.coords)
+    with pytest.raises(ConfigError, match=f"^batch_size must be >= 1, got {batch_size}$"):
+        evaluate(params, prepared.test, cn, prepared.normalizer, batch_size)
+
+
 @pytest.mark.parametrize("chunk_rows", [None, 12])
 def test_evaluate_pools_each_chunk_as_the_metric_accumulator_does(chunk_rows, monkeypatch):
     # 3 stations x 2 variables, normalized; with chunk_rows, each 5-window
@@ -138,7 +156,8 @@ def test_evaluate_pools_each_chunk_as_the_metric_accumulator_does(chunk_rows, mo
         for c in range(lo, min(lo + 5, len(test)), step):
             idx = np.arange(c, min(c + step, lo + 5, len(test)))
             b = test.batch(idx)
-            y_rows, _ = forward_rows(b["history"], cn, b["hours"], b["days"], b["months"], p32)
+            ws = lw_model.Workspace(cfg, len(b["history"]), p32.dtype)
+            y_rows = forward_rows(b["history"], cn, b["hours"], b["days"], b["months"], p32, ws)
             pred = normalize_invert(y_rows.reshape(-1, 2, SMALL.t_f).swapaxes(1, 2), prepared.normalizer)
             raw = obs.values[test.starts[idx][:, None] + SMALL.t_h + np.arange(SMALL.t_f)]
             truth = np.ascontiguousarray(raw.transpose(0, 2, 3, 1)).reshape(-1, SMALL.t_f)
@@ -233,11 +252,12 @@ def test_fit_lr_zero_keeps_params():
 
 
 def test_each_parameter_sized_allocation_of_fit_is_a_config_error(fail_allocation, monkeypatch):
-    # Adam's moments and scratch, the float32 copy, each workspace's two
-    # gradients (one workspace per usable CPU), the best params and
-    # evaluate's float32 copy: whichever numpy cannot allocate is the
-    # one-line error of ModelParams.zeros. The batches here are one chunk
-    # each, so no gradient is parked (test_model checks that allocation)
+    # Adam's moments and scratch, the float32 copy, the Workers' batch
+    # gradient, each workspace's chunk gradient (one workspace per usable
+    # CPU), the best params and evaluate's float32 copy: whichever numpy
+    # cannot allocate is the one-line error of ModelParams.zeros. The batches
+    # here are one chunk each, so no gradient is parked (test_model checks
+    # that allocation)
     obs = tiny_dataset()
     prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
     size = parameter_count(SMALL)
@@ -258,9 +278,10 @@ def test_each_parameter_sized_allocation_of_fit_is_a_config_error(fail_allocatio
         calls = fail_allocation(size, lambda k: False)
         run()
         assert calls.count("zeros_like") == 2 and calls.count("empty_like") == 2  # Adam
-        # params.copy(), the float32 copy, the workspaces' gradients, the best
-        # params at the start and after the first epoch, evaluate's float32 copy
-        assert calls.count("zeros") == 5 + 2 * cpus
+        # params.copy(), the float32 copy, the batch gradient, the workspaces'
+        # chunk gradients, the best params at the start and after the first
+        # epoch, evaluate's float32 copy
+        assert calls.count("zeros") == 6 + cpus
         for nth in range(len(calls)):
             fail_allocation(size, lambda k: k == nth)
             with pytest.raises(ConfigError, match=f"a model of {size} parameters is too large to allocate"):
@@ -383,9 +404,9 @@ def test_fit_computes_in_float32_and_returns_float64(tmp_path, monkeypatch):
     forward_rows = training.model_ops.forward_rows
 
     def recording_forward(*args, **kwargs):
-        pred, workspace = forward_rows(*args, **kwargs)
+        pred = forward_rows(*args, **kwargs)
         seen.add(pred.dtype)
-        return pred, workspace
+        return pred
 
     monkeypatch.setattr(training.model_ops, "forward_rows", recording_forward)
     obs = tiny_dataset()
@@ -440,7 +461,8 @@ def test_fit_epoch_equals_a_hand_loop_on_the_float64_gather(spatial, temporal):
             train.days[idx],
             train.months[idx],
         )
-        loss, grads = loss_and_grads(params.astype(np.float32), rows, coords_norm)
+        one = lw_model.Workers([lw_model.Workspace(cfg, rows.x_rows.shape[0])])
+        loss, grads = loss_and_grads(params.astype(np.float32), rows, coords_norm, one)
         abs_err_sum += loss * len(idx)
         for name, tensor in params.tensors.items():
             adam_step(tensor, grads[name], states[name], config.lr, out=tensor)
