@@ -55,25 +55,23 @@ the batch's gradient is divided by the element count once.
 
 Workers is the one chunk scheduler, for the chunks of a training batch
 and for every chunk of an evaluated split; training makes one per fit,
-with one workspace per usable CPU. A single chunk runs on the caller at
-the caller's BLAS thread count, exactly one pass. Several run side by side
-on the worker threads, each in its own workspace, with OpenBLAS pinned to
-one thread while they run (numerics.single_threaded_blas): numpy's
-elementwise passes then use every core too, and one-thread GEMMs do not
-oversubscribe them. Each worker takes the next chunk as soon as its last
-one returns, because no result stays in a workspace: evaluate's chunks
-return a few sums, and a training chunk hands its gradient to
-ChunkGradients, which adds it into the batch's gradient at once when
-every earlier chunk's is added, and otherwise parks it in a spare vector
-until they are. Either way the results are added in chunk order, so each
-gradient is a sum of per-chunk sums, rounded once per chunk, and differs
-from the one-pass sum in its last bits. CHUNK_ROWS is a fixed constant, so
-the split, and every bit of a multi-chunk batch, is the same on every run
-with the same BLAS build, at any BLAS thread or worker count. A one-chunk
-batch's weight gradients still depend on the BLAS thread count, which
-splits their GEMM sums by thread. Where OpenBLAS's thread count cannot be
-pinned (numpy on another BLAS), the chunks run one after another on the
-caller at the BLAS's own thread count.
+with one workspace per usable CPU. Every chunk runs with OpenBLAS pinned
+to one thread (numerics.single_threaded_blas): a single chunk on the
+caller, several side by side on the worker threads, each in its own
+workspace, so that numpy's elementwise passes use every core too and
+one-thread GEMMs do not oversubscribe them. Each worker takes the next
+chunk as soon as its last one returns, because no result stays in a
+workspace: evaluate's chunks return a few sums, and a training chunk
+hands its gradient to ChunkGradients, which adds it into the batch's
+gradient at once when every earlier chunk's is added, and otherwise parks
+it in a spare vector until they are. Either way the results are added in
+chunk order, so each gradient is a sum of per-chunk sums, rounded once
+per chunk, and differs from the one-pass sum in its last bits. CHUNK_ROWS
+is a fixed constant, so the split, and every bit of a batch, is the same
+on every run with the same BLAS build, at any BLAS thread or worker
+count. Where OpenBLAS's thread count cannot be pinned (numpy on another
+BLAS), the chunks run one after another on the caller at the BLAS's own
+thread count.
 """
 
 from __future__ import annotations
@@ -82,7 +80,6 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -418,17 +415,17 @@ class Workers:
     gradient that loss_and_grads sums the chunks' gradients into.
 
     run is the one chunk scheduler, for the chunks of a training batch and
-    for every chunk of an evaluated split. One chunk runs on the caller, in
-    the first workspace, at the caller's BLAS thread count. Several run
-    with OpenBLAS pinned to one thread (numerics.single_threaded_blas),
-    spread over the workers, one chunk per workspace at a time: each takes
-    the next chunk as soon as its last one returns, and the results come
-    back in chunk order. A result therefore must not stay in a workspace:
-    a training chunk hands its gradient to a ChunkGradients, which adds it
-    in chunk order or parks it until the chunks before it are added. So
-    the bits depend on neither the BLAS thread count nor the worker count.
-    Where the pin cannot be made, the chunks run one after another on the
-    caller, unpinned.
+    for every chunk of an evaluated split. Every chunk runs with OpenBLAS
+    pinned to one thread (numerics.single_threaded_blas): one chunk on the
+    caller, in the first workspace, and several spread over the workers,
+    one chunk per workspace at a time: each takes the next chunk as soon
+    as its last one returns, and the results come back in chunk order. A
+    result therefore must not stay in a workspace: a training chunk hands
+    its gradient to a ChunkGradients, which adds it in chunk order or
+    parks it until the chunks before it are added. So the bits depend on
+    neither the BLAS thread count nor the worker count. Where the pin
+    cannot be made, the chunks run one after another on the caller,
+    unpinned.
 
     Make one per fit or evaluate call and close it (it is a context
     manager): closing waits for the pool's threads to end.
@@ -473,14 +470,15 @@ class Workers:
 
     def run(self, n_chunks: int, task) -> list:
         """task(i, workspace) for each chunk i in range(n_chunks); returns
-        the results in chunk order. A workspace takes its next chunk as
+        the results in chunk order, each chunk's BLAS calls on one thread
+        (one chunk on the caller). A workspace takes its next chunk as
         soon as its task returns, so a result must not refer to it. Each
         task runs under the caller's np.geterr(). An exception from a chunk
         is raised here unchanged, the first in chunk order, once the chunks
         already running have finished and the BLAS thread count is
         restored."""
         first, w = self.workspaces[0], min(len(self.workspaces), n_chunks)
-        with single_threaded_blas() if n_chunks > 1 else nullcontext(False) as pinned:
+        with single_threaded_blas() as pinned:
             if not pinned or w == 1:
                 return [task(i, first) for i in range(n_chunks)]
             return self._drain(n_chunks, task, w)

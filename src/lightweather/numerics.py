@@ -32,9 +32,8 @@ updates the whole model in place and allocates nothing.
 
 single_threaded_blas pins OpenBLAS to one thread for a block of work, so
 that threads of our own can run BLAS calls side by side (model.Workers)
-and every GEMM's bits are those of one thread, and, in the OpenBLAS
-builds where that was checked, ends OpenBLAS's own server threads, which
-would otherwise busy-wait on those cores.
+and every GEMM's and GEMV's bits are those of one thread, whatever
+OpenBLAS's thread count outside the block.
 """
 
 from __future__ import annotations
@@ -58,22 +57,13 @@ ADAM_EPS = 1e-8
 # The (prefix, suffix) of the names the scipy-openblas wheels (64-bit and
 # 32-bit integer builds) and a plain OpenBLAS export their functions under
 _OPENBLAS_NAMES = [(prefix, suffix) for prefix in ("scipy_", "") for suffix in ("64_", "")]
-# Ends OpenBLAS's server threads (its fork handler calls it); its next
-# multithreaded call, or a thread count set, starts them again. It is not
-# public API, so it is called only in the builds it was checked on: the
-# pthreads build (openblas_get_parallel() == 1) of these versions
-_OPENBLAS_SHUTDOWN = "blas_thread_shutdown_"
-_OPENBLAS_SHUTDOWN_CHECKED = {"0.3.31"}
 
 
 @functools.cache
 def _openblas_thread_count():
-    """(set, get, stop) for the thread count of the OpenBLAS that numpy
-    loaded, found by ctypes in the libraries this process has mapped, or
-    None: no /proc/self/maps, numpy built on another BLAS, or no setter
-    exported. stop ends OpenBLAS's server threads where _OPENBLAS_SHUTDOWN
-    was checked (a pthreads build of a _OPENBLAS_SHUTDOWN_CHECKED version)
-    and is None elsewhere."""
+    """(set, get) for the thread count of the OpenBLAS that numpy loaded,
+    found by ctypes in the libraries this process has mapped, or None: no
+    /proc/self/maps, numpy built on another BLAS, or no setter exported."""
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
             paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
@@ -91,25 +81,8 @@ def _openblas_thread_count():
             setter, getter = (getattr(lib, name) for name in names)
             setter.argtypes, setter.restype = [ctypes.c_int], None
             getter.argtypes, getter.restype = [], ctypes.c_int
-            return setter, getter, _openblas_shutdown(lib, prefix, suffix)
+            return setter, getter
     return None
-
-
-def _openblas_shutdown(lib, prefix: str, suffix: str):
-    """lib's _OPENBLAS_SHUTDOWN where it was checked, else None."""
-    parallel, config = (f"{prefix}openblas_get_{f}{suffix}" for f in ("parallel", "config"))
-    if not all(hasattr(lib, name) for name in (parallel, config, _OPENBLAS_SHUTDOWN)):
-        return None
-    get_parallel, get_config = getattr(lib, parallel), getattr(lib, config)
-    get_parallel.argtypes, get_parallel.restype = [], ctypes.c_int
-    get_config.argtypes, get_config.restype = [], ctypes.c_char_p
-    name, version = (get_config().decode("ascii", "replace").split() + ["", ""])[:2]
-    checked = name == "OpenBLAS" and ".".join(version.split(".")[:3]) in _OPENBLAS_SHUTDOWN_CHECKED
-    if get_parallel() != 1 or not checked:
-        return None
-    stop = getattr(lib, _OPENBLAS_SHUTDOWN)
-    stop.argtypes, stop.restype = [], ctypes.c_int
-    return stop
 
 
 @contextmanager
@@ -122,23 +95,17 @@ def single_threaded_blas() -> Iterator[bool]:
     The count is process-wide, so the block pins every thread's BLAS calls:
     threads that run GEMMs side by side then each run them on one thread
     instead of oversubscribing the cores, and each GEMM's sums are those of
-    one thread, whatever the thread count outside. In the OpenBLAS builds
-    where that was checked (_openblas_thread_count), entering also ends
-    OpenBLAS's server threads, which after a multithreaded call busy-wait
-    for about 0.1 s (2**28 cycles, its default thread timeout) on the cores
-    the block's own threads want; restoring the count starts them again.
-    So enter it only while no other thread is inside a BLAS call, as
-    model.Workers.run does: it enters before its workers take a chunk and
-    leaves after the last has returned."""
+    one thread, whatever the thread count outside. Enter it only while no
+    other thread is inside a BLAS call, as model.Workers.run does: it
+    enters before its workers take a chunk and leaves after the last has
+    returned."""
     found = _openblas_thread_count()
     if found is None:
         yield False
         return
-    set_threads, get_threads, stop_servers = found
+    set_threads, get_threads = found
     old = get_threads()
     set_threads(1)
-    if stop_servers is not None:
-        stop_servers()
     try:
         yield True
     finally:
@@ -211,9 +178,9 @@ def row_sum(
     a.sum(axis=-2) on the batch path's float32 rows. `ones` holds at least
     n ones in a's dtype (model.Workspace keeps one); one is allocated when
     it is not given. Whether OpenBLAS splits the sum by thread depends on
-    the shape: at a wide chunk's sums (2 or 4 windows of 3850 rows x 64,
-    which tests/test_numerics.py runs under 1 and 2 threads) the bits are
-    the same at any thread count, but ones[16] @ a[16, 32000] differs."""
+    the shape (ones[16] @ a[16, 32000] differs at 1 and 2 threads), so the
+    batch path takes its row sums inside single_threaded_blas, like its
+    GEMMs."""
     a = as_float(a)
     n = a.shape[-2]
     ones = np.ones(n, a.dtype) if ones is None else ones[:n]

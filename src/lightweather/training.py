@@ -20,9 +20,9 @@ checkpoint, stay float64.
 
 Chunks: fit and evaluate take batch_size windows per batch, and a batch
 of more than model.CHUNK_ROWS rows (N*C rows per window) runs in chunks
-of whole windows, scheduled by model.Workers.run: one chunk on the
-caller, several side by side on worker threads with OpenBLAS pinned to
-one thread, each worker taking the next chunk as soon as it is free. fit
+of whole windows, scheduled by model.Workers.run with OpenBLAS pinned to
+one thread: one chunk on the caller, several side by side on worker
+threads, each worker taking the next chunk as soon as it is free. fit
 runs one batch's chunks at a time (a model.WindowBatch), and
 loss_and_grads adds their gradients in chunk order, parking a gradient
 that is done before an earlier chunk's (model.ChunkGradients). evaluate
@@ -36,13 +36,10 @@ one-pass sum, and evaluate's sums are split likewise.
 Determinism contract: with the same config, seed and BLAS build, batch
 order, every update, and the resulting best checkpoint are all
 reproducible exactly; the chunk size is a constant, so chunking keeps
-this. A batch of several chunks gives the same bits at any BLAS thread
-count and any worker count: each chunk's GEMMs run on one BLAS thread and
-the chunks are summed in chunk order. A batch of one chunk runs at the
-caller's BLAS thread count, which can split its reductions over rows by
-thread: the weight gradients' GEMM sums (g.T @ x), and at some shapes the
-row_sum GEMVs too. So when a fit has one-chunk batches (a ragged last
-batch can be one) its checkpoint can also depend on that count. The only
+this. Where OpenBLAS's thread count can be pinned, every batch gives the
+same bits at any BLAS thread count and any worker count: each chunk's
+GEMMs and row_sum GEMVs run on one BLAS thread, so no reduction over rows
+is split by thread, and the chunks are summed in chunk order. The only
 non-reproducible history column is the per-epoch wall time.
 """
 

@@ -196,22 +196,27 @@ def test_criterion_4_synthetic_recovery():
 
 # --- 5. ablation ordering ----------------------------------------------------
 
-# Daily-interval forcing-dominated data (forcing variance ~24.5 vs noise
-# variance 16) where both encodings are load-bearing: the calendar carries
-# the annual phase across the 24-step horizon, which a 4-step history
-# window cannot reveal, and coordinates carry the per-station level, which
-# a 4-step window estimates poorly under this noise. Stations sit on a
-# regional patch so the spatial term is near-affine in normalized
-# coordinates: the shared 3->d layer expresses it exactly and its gradients
-# average over all stations, while the relative variant's table rows are
-# estimated from their own noisy gradients and pay an optimization-noise
-# penalty at this learning rate. Direction validated on held-out seeds
-# (3,4,5) in addition to the asserted ones.
+# Daily-interval data where both encodings are load-bearing: the calendar
+# carries the annual phase across the 24-step horizon, which a 4-step
+# history window cannot reveal, and coordinates carry the per-station
+# level. At a daily interval the diurnal and elevation terms are constant
+# per station, so a per-station table can fit that level too; the full
+# model beats the relative one only for the paper's reason. Coordinates
+# share knowledge across stations: stations sit on a regional patch, so
+# the level is near-affine in normalized coordinates, and the shared 3->d
+# layer learns it from every station's windows at once. A relative table
+# row learns only from its own station's noisy windows. So the spatial
+# term is large (amp_elev 3: up to 9 units over the 3000 m range) and so
+# is the noise (std 8), where one station's windows estimate its level
+# measurably worse than all stations' do; the ordering holds on held-out
+# seeds (3, 4, 5) as well as the asserted ones. At noise std 4 and
+# amp_elev 0.5, full and relative differ by 0.001 in the seed mean, inside
+# the ~0.003 that one rounding change moves a seed's MSE.
 ABLATION_SETUP = dict(
     n_stations=300,
     n_steps=800,
-    noise_std=4.0,
-    amps=(6.0, 7.0, 0.5),
+    noise_std=8.0,
+    amps=(6.0, 7.0, 3.0),
     lat=(30.0, 50.0),
     lon=(10.0, 40.0),
     elev=(0.0, 3000.0),

@@ -963,29 +963,39 @@ def test_the_blas_pin_is_found_and_restored():
     assert blas_threads() == before
 
 
-def test_the_pin_ends_openblas_server_threads_that_busy_wait():
-    # after a multithreaded GEMM OpenBLAS's server threads busy-wait for
-    # about 0.1 s, on the cores the pinned workers want: entering the pin
-    # ends them, so a block that only sleeps uses almost no CPU time, and
-    # after it multithreaded GEMMs run again with the same bits. Only the
-    # OpenBLAS builds this was checked on are asked to end them
+def test_no_openblas_server_thread_busy_waits_after_a_step_or_a_pin():
+    # after a multithreaded call OpenBLAS's server threads busy-wait for
+    # about 0.1 s (2**28 cycles, its default thread timeout) on the cores
+    # the next chunks want. Every chunk runs on one BLAS thread, so even at
+    # 2 OpenBLAS threads a one-chunk training step (narrow-train's shape,
+    # 864 rows) wakes none of them, and neither does a pin whose count is
+    # restored: a sleep right after either uses almost no CPU time
     found = lw_numerics._openblas_thread_count()
-    if found is None or found[2] is None:
-        pytest.skip("no OpenBLAS build whose server threads the pin ends")
-    set_threads, get_threads, _ = found
+    if found is None:
+        pytest.skip("no OpenBLAS thread count setter found")
+    set_threads, get_threads = found
+    cfg = ModelConfig(d=64, n_layers=2, t_h=48, t_f=24)
+    p32 = init_params(cfg, seed=81).astype(np.float32)
+    batch = row_batch(*_random_batch(cfg, 32, 27, seed=82))
+    workers = one_worker(p32, batch[0])
+
+    def sleep_cpu():
+        cpu = time.process_time()
+        time.sleep(0.05)
+        return time.process_time() - cpu
+
     before = get_threads()
-    a = np.random.default_rng(81).normal(size=(400, 400)).astype(np.float32)
     set_threads(2)
     try:
-        want = a @ a
+        time.sleep(0.3)  # server threads woken by earlier tests time out
+        loss_and_grads(p32, *batch, workers)
+        after_step = sleep_cpu()
         with single_threaded_blas():
-            cpu = time.process_time()
-            time.sleep(0.05)
-            cpu = time.process_time() - cpu
-        assert cpu < 0.02
-        assert blas_threads() == 2 and (a @ a).tobytes() == want.tobytes()
+            pass
+        after_pin = sleep_cpu()
     finally:
         set_threads(before)
+    assert after_step < 0.02 and after_pin < 0.02, (after_step, after_pin)
 
 
 def test_an_error_in_one_chunk_reaches_the_caller_unchanged(monkeypatch):

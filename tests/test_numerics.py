@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import types
 from pathlib import Path
 
 import numpy as np
@@ -417,32 +416,3 @@ def test_row_sum_bits_do_not_depend_on_the_blas_thread_count():
         )
         digests.append(run.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
-
-
-def test_the_pin_ends_server_threads_only_in_checked_openblas_builds():
-    # blas_thread_shutdown_ is not public API: the pin calls it only in a
-    # pthreads build (openblas_get_parallel() == 1) of a version it was
-    # checked on, and elsewhere ends no threads
-    from lightweather.numerics import _openblas_shutdown
-
-    def lib(parallel, config, shutdown=True):
-        def fn(value):
-            return lambda: value
-
-        names = dict(openblas_get_parallel64_=fn(parallel), openblas_get_config64_=fn(config))
-        if shutdown:
-            names["blas_thread_shutdown_"] = fn(0)
-        return types.SimpleNamespace(**names)
-
-    checked = lib(1, b"OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH SkylakeX")
-    assert _openblas_shutdown(checked, "", "64_") is checked.blas_thread_shutdown_
-    assert _openblas_shutdown(checked, "scipy_", "64_") is None  # not its names
-    for other in (
-        lib(2, b"OpenBLAS 0.3.31 OpenMP"),
-        lib(0, b"OpenBLAS 0.3.31"),
-        lib(1, b"OpenBLAS 0.3.30.0"),
-        lib(1, b"OpenBLAS 0.3.310"),
-        lib(1, b""),
-        lib(1, b"OpenBLAS 0.3.31", shutdown=False),
-    ):
-        assert _openblas_shutdown(other, "", "64_") is None

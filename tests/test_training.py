@@ -517,12 +517,13 @@ def test_train_with_a_nonfinite_gradient_is_one_line_exit_3(tmp_path, capsys, mo
     assert not out.exists()
 
 
-# Each child process trains at a shape whose batches span 4 chunks of 8000
-# rows (1000 stations, 32-window batches, chunks of 8 windows): chunks large
-# enough that, summed in one GEMM, their weight gradients take other bits
-# under 2 OpenBLAS threads than under 1 (a checkpoint made before the chunks
-# ran on single-threaded workers differed). The first argument is the set
-# of CPUs the child may run on, or "" for its parent's.
+# Each child process trains 1000 stations, whose chunks hold 8 windows of
+# 1000 rows: at batch_size 32 every batch spans 4 chunks of 8000 rows, and
+# at batch_size 8 every batch is one such chunk. Chunks that large, summed
+# in one GEMM, take other bits under 2 OpenBLAS threads than under 1 (a
+# checkpoint made before every chunk ran on one BLAS thread differed, at
+# both batch sizes). The first argument is the set of CPUs the child may
+# run on, or "" for its parent's.
 _TRAIN_IN_CHILD = """
 import os, sys
 if sys.argv[1]:
@@ -532,7 +533,8 @@ sys.exit(cli.main(["train", "--config", sys.argv[2], "--out", sys.argv[3]]))
 """
 
 
-def test_multi_chunk_checkpoints_do_not_depend_on_blas_or_worker_threads(tmp_path):
+@pytest.mark.parametrize("batch_size", [32, 8])
+def test_checkpoints_do_not_depend_on_blas_or_worker_threads(tmp_path, batch_size):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         textwrap.dedent(
@@ -541,7 +543,7 @@ def test_multi_chunk_checkpoints_do_not_depend_on_blas_or_worker_threads(tmp_pat
             layers = 2
             t_h = 12
             t_f = 6
-            batch_size = 32
+            batch_size = {batch_size}
             max_epochs = 1
             patience = 1
             seed = 0
