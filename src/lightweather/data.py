@@ -138,7 +138,7 @@ def _csv_records(fh, path, lineno: int = 1):
 
 def load_stations_csv(path) -> tuple[list[str], list[StationCoord]]:
     """Read the station table; order is preserved."""
-    ids: list[str] = []
+    ids: dict[str, None] = {}  # in file order, with a constant-time duplicate check
     coords: list[StationCoord] = []
     with _utf8_text(path) as fh:
         records = _csv_records(fh, path)
@@ -164,11 +164,11 @@ def load_stations_csv(path) -> tuple[list[str], list[StationCoord]]:
                 raise IngestionError(f"{path}: line {lineno}: {exc}") from exc
             if sid in ids:
                 raise IngestionError(f"{path}: line {lineno}: duplicate station {sid}")
-            ids.append(sid)
+            ids[sid] = None
             coords.append(coord)
     if not ids:
         raise IngestionError(f"{path}: no stations")
-    return ids, coords
+    return list(ids), coords
 
 
 def write_stations_csv(path, ids: list[str], coords: list[StationCoord]) -> None:

@@ -61,12 +61,12 @@ caller, several side by side on the worker threads, each in its own
 workspace, so that numpy's elementwise passes use every core too and
 one-thread GEMMs do not oversubscribe them. Each worker takes the next
 chunk as soon as its last one returns, because no result stays in a
-workspace: evaluate's chunks return a few sums, and a training chunk
-hands its gradient to ChunkGradients, which adds it into the batch's
-gradient at once when every earlier chunk's is added, and otherwise parks
-it in a spare vector until they are. Either way the results are added in
-chunk order, so each gradient is a sum of per-chunk sums, rounded once
-per chunk, and differs from the one-pass sum in its last bits. CHUNK_ROWS
+workspace: evaluate's chunks return a few sums, and a training chunk its
+loss sum and a gradient vector of its own. Workers.run is the one place
+that orders results: it hands each chunk's result to the caller's `add`
+in chunk order, holding one that finishes early until every earlier one
+is added. So each gradient is a sum of per-chunk sums, rounded once per
+chunk, and differs from the one-pass sum in its last bits. CHUNK_ROWS
 is a fixed constant, so the split, and every bit of a batch, is the same
 on every run with the same BLAS build, at any BLAS thread or worker
 count. Where OpenBLAS's thread count cannot be pinned (numpy on another
@@ -356,10 +356,7 @@ class Workspace:
     |pred - truth| there; backward_batch writes the activation gradients
     into g (three buffers it rotates through, also borrowed for
     forward_rows's spatial rows and for the per-window and per-station
-    sums), the ReLU masks into mask, and each chunk's parameter gradients
-    into chunk_grad, which loss_and_grads adds into its Workers' batch
-    gradient (Workers.grad): a ModelParams in this dtype, one flat vector
-    in tensor_spec layout with named views. `ones` is the ones vector that
+    sums) and the ReLU masks into mask. `ones` is the ones vector that
     row_sum reduces against. training.evaluate gathers a chunk's float64
     target rows into truth and scores it in err. Those two lie in the same
     block of memory as g[1:], which a forward leaves alone, so an evaluate
@@ -377,7 +374,6 @@ class Workspace:
         self.config = config
         self.dtype = np.dtype(dtype)
         self.rows = rows
-        self.chunk_grad = ModelParams.zeros(config, self.dtype)
         self.x = np.empty((rows, config.t_h), dtype)
         self.z = [np.empty((rows, config.d), dtype) for _ in range(config.n_layers + 1)]
         self.r = [np.empty((rows, config.d), dtype) for _ in range(config.n_layers)]
@@ -411,21 +407,20 @@ def usable_cpus() -> int:
 
 class Workers:
     """Where chunks run: `workspaces`, one Workspace per worker, and with
-    more than one, a pool of as many threads; and `grad`, the one batch
-    gradient that loss_and_grads sums the chunks' gradients into.
+    more than one, a pool of as many threads. loss_and_grads keeps its
+    gradients here too: `grad`, the one batch gradient, made by its first
+    call, and `spare_grads`, the chunk gradient vectors no chunk holds.
 
     run is the one chunk scheduler, for the chunks of a training batch and
     for every chunk of an evaluated split. Every chunk runs with OpenBLAS
     pinned to one thread (numerics.single_threaded_blas): one chunk on the
     caller, in the first workspace, and several spread over the workers,
     one chunk per workspace at a time: each takes the next chunk as soon
-    as its last one returns, and the results come back in chunk order. A
-    result therefore must not stay in a workspace: a training chunk hands
-    its gradient to a ChunkGradients, which adds it in chunk order or
-    parks it until the chunks before it are added. So the bits depend on
-    neither the BLAS thread count nor the worker count. Where the pin
-    cannot be made, the chunks run one after another on the caller,
-    unpinned.
+    as its last one returns, and the results are added in chunk order. A
+    result therefore must not stay in a workspace: a training chunk returns
+    a gradient vector of its own. So the bits depend on neither the BLAS
+    thread count nor the worker count. Where the pin cannot be made, the
+    chunks run one after another on the caller, unpinned.
 
     Make one per fit or evaluate call and close it (it is a context
     manager): closing waits for the pool's threads to end.
@@ -433,9 +428,7 @@ class Workers:
 
     def __init__(self, workspaces: list[Workspace]):
         self.workspaces = workspaces
-        self.grad = ModelParams.zeros(workspaces[0].config, workspaces[0].dtype)
-        # gradient vectors that parked chunks have given back, for the next
-        # chunk that finishes before an earlier one (ChunkGradients)
+        self.grad: ModelParams | None = None
         self.spare_grads: list[ModelParams] = []
         self._pool = ThreadPoolExecutor(len(workspaces)) if len(workspaces) > 1 else None
 
@@ -468,32 +461,38 @@ class Workers:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def run(self, n_chunks: int, task) -> list:
-        """task(i, workspace) for each chunk i in range(n_chunks); returns
-        the results in chunk order, each chunk's BLAS calls on one thread
-        (one chunk on the caller). A workspace takes its next chunk as
-        soon as its task returns, so a result must not refer to it. Each
-        task runs under the caller's np.geterr(). An exception from a chunk
-        is raised here unchanged, the first in chunk order, once the chunks
-        already running have finished and the BLAS thread count is
-        restored."""
+    def run(self, n_chunks: int, task, add) -> None:
+        """task(i, workspace) for each chunk i in range(n_chunks), each
+        chunk's BLAS calls on one thread (one chunk on the caller), and
+        add(i, result) for each chunk in chunk order, as soon as every
+        earlier chunk's result is added; a result that is done early is
+        held until then. A workspace takes its next chunk as soon as its
+        task returns, so a result must not refer to it. Each task and add
+        runs under the caller's np.geterr(), one add at a time. An
+        exception from a chunk's task or add is raised here unchanged, the
+        first in chunk order, once the chunks already running have finished
+        and the BLAS thread count is restored."""
         first, w = self.workspaces[0], min(len(self.workspaces), n_chunks)
         with single_threaded_blas() as pinned:
             if not pinned or w == 1:
-                return [task(i, first) for i in range(n_chunks)]
-            return self._drain(n_chunks, task, w)
+                for i in range(n_chunks):
+                    add(i, task(i, first))
+            else:
+                self._drain(n_chunks, task, add, w)
 
-    def _drain(self, n_chunks, task, w) -> list:
-        """The results of all chunks, in chunk order: each of w workers
-        takes the next chunk as soon as it is free. After a failure no
-        worker takes another chunk; every chunk before the failed one was
-        taken already, so the first failing chunk always runs, and its
-        error is the one raised."""
-        results, failed = [None] * n_chunks, []
+    def _drain(self, n_chunks, task, add, w) -> None:
+        """Each of w workers takes the next chunk as soon as it is free,
+        and then adds every held result that is next in chunk order. After
+        a failure no worker takes another chunk; every chunk before the
+        failed one was taken already, so the first failing chunk always
+        runs, and its error is the one raised."""
+        held, failed = {}, []
         chunks, lock = iter(range(n_chunks)), threading.Lock()
+        added = 0  # the chunks added so far
         errstate = np.geterr()
 
         def drain(ws):
+            nonlocal added
             with np.errstate(**errstate):
                 while not failed:
                     with lock:
@@ -501,52 +500,19 @@ class Workers:
                     if i is None:
                         return
                     try:
-                        results[i] = task(i, ws)
+                        result = task(i, ws)
+                        with lock:
+                            held[i] = result
+                            while added in held:
+                                i = added  # an add's error is its chunk's
+                                add(i, held.pop(i))
+                                added += 1
                     except BaseException as error:  # raised on the caller below
                         failed.append((i, error))
 
         wait([self._pool.submit(drain, ws) for ws in self.workspaces[:w]])
         if failed:
             raise min(failed, key=lambda f: f[0])[1]
-        return results
-
-
-class ChunkGradients:
-    """The gradient of one batch, summed from its chunks' gradients into
-    Workers.grad in chunk order (a copy of chunk 0's, then
-    each later one added), as the chunks finish: a finished chunk whose
-    predecessors are all added is added at once, on its own thread, and
-    so is every parked chunk that follows it. A chunk that finishes before
-    an earlier one parks its gradient, and its workspace takes a spare
-    vector in its place (one from Workers.spare_grads, or a new one), so
-    no worker waits for another. Parked vectors go back to the spares
-    once added: they number at most the chunks that finish out of order
-    at once, not the chunks of a batch."""
-
-    def __init__(self, workers: Workers):
-        self.total = workers.grad
-        self._spare = workers.spare_grads
-        self._parked: dict[int, ModelParams] = {}
-        self._next = 0  # the chunk to add next
-        self._lock = threading.Lock()
-
-    def add(self, i: int, ws: Workspace) -> None:
-        """Take chunk i's gradient, which is in ws.chunk_grad."""
-        with self._lock:
-            if i != self._next:
-                spare = self._spare.pop() if self._spare else ModelParams.zeros(ws.config, ws.dtype)
-                self._parked[i], ws.chunk_grad = ws.chunk_grad, spare
-                return
-            grad, total = ws.chunk_grad, self.total.vector
-            while grad is not None:
-                if self._next == 0:
-                    np.copyto(total, grad.vector)
-                else:
-                    np.add(total, grad.vector, out=total)
-                if grad is not ws.chunk_grad:
-                    self._spare.append(grad)
-                self._next += 1
-                grad = self._parked.pop(self._next, None)
 
 
 def _workspace(workspace: Workspace, params: ModelParams, rows: int) -> Workspace:
@@ -725,11 +691,14 @@ def forward_rows(
     return y_rows
 
 
-def backward_batch(g_rows: np.ndarray, workspace: Workspace, params: ModelParams) -> dict:
+def backward_batch(
+    g_rows: np.ndarray, workspace: Workspace, params: ModelParams, out: ModelParams
+) -> dict:
     """The reverse-mode pass of the forward_rows call that `workspace`
-    records, from the gradient of its prediction rows [B*N*C, T_f]; returns
-    gradients keyed like ModelParams.tensors, as views of the workspace's
-    chunk_grad vector.
+    records, from the gradient of its prediction rows [B*N*C, T_f]; writes
+    every parameter gradient into `out`, a ModelParams of params' config
+    and dtype, and returns them keyed like ModelParams.tensors, as views
+    of out's vector.
 
     The activations are read from the workspace's z and r, and the inputs
     from its `inputs`; a workspace no forward has run in, or gradient rows
@@ -751,7 +720,7 @@ def backward_batch(g_rows: np.ndarray, workspace: Workspace, params: ModelParams
     if g_rows.shape != (rows, cfg.t_f):
         raise ShapeError(f"gradient rows {g_rows.shape} != the forward's {(rows, cfg.t_f)}")
     ws = _workspace(workspace, params, rows)
-    grads = ws.chunk_grad.tensors
+    grads = out.tensors
     ones = ws.ones
 
     def param_out(prefix):
@@ -894,12 +863,14 @@ def loss_and_grads(
     workspace made for params, with room for a chunk. Each chunk
     takes pred - truth in place and |pred - truth| into its workspace's
     abs_err buffer, sums that in float64, overwrites it with the sign,
-    which it back-propagates unscaled, and hands its gradient to a
-    ChunkGradients, which sums the chunks' gradients in chunk order into
-    workers.grad. The caller adds the chunks' loss
-    sums in chunk order and divides the gradient by the element count once
-    per batch. The gradients, in params.dtype, are returned as views of
-    that vector (in tensor_spec layout: training hands it to adam_step).
+    which it back-propagates unscaled into a gradient vector of its own
+    (one of workers.spare_grads, or a new one), and returns both. The
+    chunks' loss sums and gradients are added in chunk order, a copy of
+    chunk 0's gradient and then each later one added into workers.grad,
+    and each vector goes back to the spares. The gradient is divided by
+    the element count once per batch. The gradients, in params.dtype, are
+    returned as views of workers.grad (in tensor_spec layout: training
+    hands its vector to adam_step).
     """
     cfg = params.config
     hours, days, months = _check_time_indices(
@@ -908,7 +879,10 @@ def loss_and_grads(
     rows = batch.rows_per_window(cfg)
     step = chunk_windows(rows)
     workers.check(params, min(len(hours), step) * rows)
-    grads = ChunkGradients(workers)
+    if workers.grad is None:
+        workers.grad = ModelParams.zeros(cfg, params.dtype)
+    total, spare = workers.grad.vector, workers.spare_grads
+    abs_sum = 0.0
 
     def chunk(i, ws):
         w = slice(i * step, (i + 1) * step)
@@ -918,18 +892,29 @@ def loss_and_grads(
         diff -= np.asarray(future, dtype=pred.dtype)
         abs_diff = np.abs(diff, out=ws.abs_err[: len(diff)])
         chunk_sum = abs_diff.sum(dtype=np.float64)
+        try:  # list.pop is atomic, so no two chunks take one vector
+            grad = spare.pop()
+        except IndexError:
+            grad = ModelParams.zeros(cfg, params.dtype)
         # the sign overwrites the spent |diff|: np.sign in place runs several
         # times slower than into another buffer
-        backward_batch(np.sign(diff, out=abs_diff), ws, params)
-        grads.add(i, ws)
-        return chunk_sum
+        backward_batch(np.sign(diff, out=abs_diff), ws, params, grad)
+        return chunk_sum, grad
 
-    abs_sum = 0.0
-    for chunk_sum in workers.run(-(-len(hours) // step), chunk):  # in chunk order
+    def add(i, result):
+        nonlocal abs_sum
+        chunk_sum, grad = result
         abs_sum += chunk_sum
+        if i == 0:
+            np.copyto(total, grad.vector)
+        else:
+            np.add(total, grad.vector, out=total)
+        spare.append(grad)
+
+    workers.run(-(-len(hours) // step), chunk, add)
     n_elements = len(hours) * rows * cfg.t_f
-    grads.total.vector /= n_elements  # one rounding per entry: the exact mean, rounded
-    return float(abs_sum / n_elements), dict(grads.total.tensors)
+    total /= n_elements  # one rounding per entry: the exact mean, rounded
+    return float(abs_sum / n_elements), dict(workers.grad.tensors)
 
 
 def forward_batch(

@@ -11,7 +11,8 @@ workspace (WindowSet.batch with `out`). fit also makes one model.Workers,
 one Workspace per usable CPU sized for a full chunk, that every batch and
 every validation pass runs in: loss_and_grads leaves the batch's gradient
 in the Workers' one flat float32 grad vector, in the params'
-tensor_spec layout, and one adam_step applies that vector to the float64
+tensor_spec layout (each chunk's gradient goes to a vector of its own
+first), and one adam_step applies that vector to the float64
 parameter vector and Adam moments in place, in float64 math. Metrics are
 accumulated in float64 and in original data units (predictions inverted
 through the split's Normalizer, the identity when normalization is off),
@@ -22,14 +23,14 @@ Chunks: fit and evaluate take batch_size windows per batch, and a batch
 of more than model.CHUNK_ROWS rows (N*C rows per window) runs in chunks
 of whole windows, scheduled by model.Workers.run with OpenBLAS pinned to
 one thread: one chunk on the caller, several side by side on worker
-threads, each worker taking the next chunk as soon as it is free. fit
-runs one batch's chunks at a time (a model.WindowBatch), and
-loss_and_grads adds their gradients in chunk order, parking a gradient
-that is done before an earlier chunk's (model.ChunkGradients). evaluate
-runs the whole split's chunks at once, so the workers share even a
-split of one-chunk batches; its chunks still never cross a batch
-boundary (model.chunk_slices, the HI baseline's rule too), and it pools
-their float64 error sums in chunk order. So a multi-chunk batch's
+threads, each worker taking the next chunk as soon as it is free, and
+each chunk's result added in chunk order, a result that is done early
+held until the chunks before it are added. fit runs one batch's chunks
+at a time (a model.WindowBatch), and loss_and_grads adds their loss
+sums and gradients. evaluate runs the whole split's chunks at once, so
+the workers share even a split of one-chunk batches; its chunks still
+never cross a batch boundary (model.chunk_slices, the HI baseline's rule
+too), and it pools their float64 error sums. So a multi-chunk batch's
 gradient is rounded once per chunk and differs in its last bits from a
 one-pass sum, and evaluate's sums are split likewise.
 
@@ -152,8 +153,8 @@ def evaluate(
     A chunk gathers its history rows and float64 target rows into its
     workspace's x and truth buffers (WindowSet.batch with `out`), inverts
     its prediction rows into the err buffer, subtracts the targets there
-    and takes error_sums in truth, so it allocates nothing; the caller
-    pools the chunks' sums in chunk order."""
+    and takes error_sums in truth, so it allocates nothing; Workers.run
+    hands the chunks' sums to the accumulator in chunk order."""
     if len(windows) == 0:
         raise EvaluationError("empty split: no windows to evaluate")
     n_vars, t_f = windows.n_vars, windows.t_f
@@ -181,8 +182,7 @@ def evaluate(
         return (*error_sums(err, truth), err.size)
 
     acc = MetricAccumulator()
-    for sums in workers.run(len(chunks), chunk):
-        acc.add_sums(*sums)
+    workers.run(len(chunks), chunk, lambda i, sums: acc.add_sums(*sums))
     return acc.result()
 
 
@@ -226,7 +226,6 @@ def fit(
     with model_ops.Workers.for_batches(
         params.config, rows_per_window, config.batch_size
     ) as workers:
-        grad = workers.grad  # loss_and_grads leaves each batch's there
         for epoch in range(config.max_epochs):
             t0 = time.perf_counter()
             perm = np.random.default_rng([config.seed, epoch]).permutation(
@@ -246,8 +245,8 @@ def fit(
                         f"non-finite loss at epoch {epoch}, batch {bi}; "
                         f"{_first_nonfinite(compute.tensors, grads)}"
                     )
-                try:  # one vector in spec layout
-                    adam_step(params.vector, grad.vector, state, config.lr, out=params.vector)
+                try:  # one vector in spec layout, where loss_and_grads leaves it
+                    adam_step(params.vector, workers.grad.vector, state, config.lr, out=params.vector)
                 except OptimizerError:
                     name = next(n for n in compute.tensors if not np.isfinite(grads[n]).all())
                     raise OptimizerError(f"non-finite gradient for parameter '{name}'") from None

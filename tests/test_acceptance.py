@@ -267,12 +267,28 @@ def test_criterion_5_ablation_ordering():
     no_spatial = mse[("none", "absolute")]
     no_temporal = mse[("absolute", "none")]
     relative = mse[("relative", "absolute")]
+    by_seed = {(r["spatial"], r["temporal"], r["seed"]): r["mse"] for r in rows}
+    # each seed's variant-minus-full MSE margin: the ordering holds on the
+    # mean; these show whether it holds seed by seed
+    margins = "; ".join(
+        f"seed {seed}: "
+        + ", ".join(
+            f"{name} {by_seed[(*variant, seed)] - by_seed[('absolute', 'absolute', seed)]:+.3f}"
+            for name, variant in (
+                ("relative", ("relative", "absolute")),
+                ("no-spatial", ("none", "absolute")),
+                ("no-temporal", ("absolute", "none")),
+            )
+        )
+        for seed in (0, 1, 2)
+    )
     check(
         5,
         "ablation ordering",
         full < no_spatial and full < no_temporal and full < relative,
         f"full {full:.3f} vs no-spatial {no_spatial:.3f}, "
-        f"no-temporal {no_temporal:.3f}, relative {relative:.3f}",
+        f"no-temporal {no_temporal:.3f}, relative {relative:.3f}; "
+        f"per-seed margins (variant - full) {margins}",
     )
 
 

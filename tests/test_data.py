@@ -70,6 +70,15 @@ def test_unparsable_number_names_line(tmp_path):
         load_stations_csv(p)
 
 
+def test_a_late_duplicate_station_names_its_line(tmp_path):
+    # 3000 stations, then s7 again on line 3002 (the header is line 1)
+    rows = "".join(f"s{i},0,0,0\n" for i in range(3000))
+    p = write(tmp_path / "s.csv", f"station_id,lat,lon,elev\n{rows}s7,1,1,1\n")
+    with pytest.raises(IngestionError) as raised:
+        load_stations_csv(p)
+    assert str(raised.value) == f"{p}: line 3002: duplicate station s7"
+
+
 def test_stations_roundtrip(tmp_path):
     ids = ["a", "b"]
     coords = [StationCoord(12.5, -33.25, 478.0), StationCoord(-5.0, 170.0, 0.0)]

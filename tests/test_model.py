@@ -445,9 +445,10 @@ def test_doubling_loss_scale_doubles_gradients():
     workspace = Workspace(cfg, 4, p.dtype)  # 2 windows x 2 stations
     pred = forward_rows(to_rows(hist), cn, hours, days, months, p, workspace)
     g = np.sign(pred - to_rows(fut)) / pred.size
-    # results are views of the workspace, which the second call overwrites
-    grads1 = {name: grad.copy() for name, grad in backward_batch(g, workspace, p).items()}
-    grads2 = backward_batch(2.0 * g, workspace, p)
+    # results are views of `out`, which the second call overwrites
+    out = ModelParams.zeros(cfg)
+    grads1 = {name: grad.copy() for name, grad in backward_batch(g, workspace, p, out).items()}
+    grads2 = backward_batch(2.0 * g, workspace, p, out)
     for name in grads1:
         assert_array_equal(grads2[name], 2.0 * grads1[name])
 
@@ -650,7 +651,8 @@ def _check_batch_path_mutates_nothing(n_batch, n_st, n_vars, encoding, seed, dty
     record = (workspace.inputs, workspace.z, workspace.r)  # what backward_batch reads
     record_before = copy.deepcopy(record)
     loss_and_grads(p, *step_inputs, one_worker(p, step_inputs[0]))
-    backward_batch(to_rows(np.sign(pred - fut) / pred.size), workspace, p)
+    g_rows = to_rows(np.sign(pred - fut) / pred.size)
+    backward_batch(g_rows, workspace, p, ModelParams.zeros(cfg, dtype))
 
     _assert_unchanged(inputs_before, (batch, step_inputs))
     _assert_unchanged(params_before, p.tensors)
@@ -1122,13 +1124,13 @@ def test_chunks_that_finish_out_of_order_keep_the_bits(monkeypatch):
         one = lw_model.Workers([Workspace(cfg, 20, np.float32)])
         loss1, grads1 = loss_and_grads(p32, batch, cn, one)
         grads1 = {n: g.copy() for n, g in grads1.items()}
-        assert one.spare_grads == []  # one worker finishes its chunks in order
+        assert len(one.spare_grads) == 1  # one worker's chunks, added in turn, share one vector
         threads = threading.active_count()
         finished = _slow_first_chunk(monkeypatch, first_rows)
         with lw_model.Workers.for_batches(cfg, 10, 7, np.float32) as two:
             assert len(two.workspaces) == 2
             loss, grads = loss_and_grads(p32, batch, cn, two)
-            assert two.spare_grads  # parked gradients, given back once added
+            assert len(two.spare_grads) > 1  # held chunks' vectors, given back once added
         monkeypatch.setattr(lw_model, "forward_rows", forward_rows)
         assert len(finished) == 4 and finished.index(True) > 0  # chunk 0 finished late
         assert loss == loss1
@@ -1138,9 +1140,10 @@ def test_chunks_that_finish_out_of_order_keep_the_bits(monkeypatch):
 
 
 def test_a_gradient_parked_without_memory_is_a_config_error(monkeypatch, fail_allocation):
-    # chunk 0 sleeps, so chunk 1 finishes first and parks its gradient in a
-    # new vector: where numpy cannot allocate it, the step fails with
-    # ModelParams.zeros's one-line ConfigError
+    # chunk 0 sleeps, so chunk 1 finishes first and is held, its gradient
+    # parked in its own vector, and chunk 2 needs a new one: where numpy
+    # cannot allocate it, the step fails with ModelParams.zeros's one-line
+    # ConfigError. The batch gradient and chunk 1's vector are made first
     cfg = small_config(n_vars=2)
     p32 = init_params(cfg, seed=77).astype(np.float32)
     rows, cn = row_batch(*_random_batch(cfg, 7, 5, seed=78))
@@ -1149,16 +1152,18 @@ def test_a_gradient_parked_without_memory_is_a_config_error(monkeypatch, fail_al
     _slow_first_chunk(monkeypatch, rows.x_rows[:20])
     size = parameter_count(cfg)
     with lw_model.Workers.for_batches(cfg, 10, 7, np.float32) as two:
-        calls = fail_allocation(size, lambda k: True)
+        calls = fail_allocation(size, lambda k: k > 1)
         with pytest.raises(ConfigError, match=f"a model of {size} parameters is too large"):
             loss_and_grads(p32, rows, cn, two)
-    assert calls == ["zeros"]
+    # the batch gradient, chunk 1's vector, chunk 2's (the failure), and
+    # chunk 0's, which it asks for once its forward pass is done
+    assert calls == ["zeros"] * 4
 
 
 def _workers_arrays(workers):
-    arrays = [workers.grad.vector]
+    arrays = [workers.grad.vector, *(g.vector for g in workers.spare_grads)]
     for ws in workers.workspaces:
-        singles = [ws.x, ws.y, ws.abs_err, ws.mask, ws.ones, ws.chunk_grad.vector]
+        singles = [ws.x, ws.y, ws.abs_err, ws.mask, ws.ones]
         arrays += [*ws.z, *ws.r, *ws.g, *singles]
     return arrays
 
@@ -1203,7 +1208,8 @@ def test_reused_workspace_leaves_no_state_behind(spatial, temporal, monkeypatch)
     assert all(np.shares_memory(g, workers.grad.vector) for g in grads.values())
     hist, fut, coords, hours, days, months = raw_a
     pred, own = forward_batch(hist, coords, hours, days, months, p32)
-    plain = [pred, *backward_batch(to_rows(np.sign(pred - fut)), own, p32).values()]
+    grads = backward_batch(to_rows(np.sign(pred - fut)), own, p32, ModelParams.zeros(cfg, p32.dtype))
+    plain = [pred, *grads.values()]
     for result in plain:
         assert not any(np.shares_memory(result, buf) for buf in _workers_arrays(workers))
 
@@ -1213,15 +1219,15 @@ def test_backward_batch_rejects_what_its_workspace_did_not_run():
     p = init_params(cfg, seed=67)
     rows, cn = row_batch(*_random_batch(cfg, 3, 2, seed=68))  # 6 rows
     x_rows, calendar = rows.x_rows, (rows.hours, rows.days, rows.months)
-    ws = Workspace(cfg, 6, p.dtype)
+    ws, out = Workspace(cfg, 6, p.dtype), ModelParams.zeros(cfg)
     g = np.ones((6, cfg.t_f))
     with pytest.raises(ShapeError, match="forward_rows has run"):
-        backward_batch(g, ws, p)
+        backward_batch(g, ws, p, out)
     forward_rows(x_rows[:4], cn, *(c[:2] for c in calendar), p, ws)  # 2 windows, 4 rows
     for wrong in (g, g[:4, 1:], g[:4].reshape(-1)):
         with pytest.raises(ShapeError, match=r"the forward's \(4, 3\)"):
-            backward_batch(wrong, ws, p)
-    backward_batch(g[:4], ws, p)
+            backward_batch(wrong, ws, p, out)
+    backward_batch(g[:4], ws, p, out)
 
 
 def test_workspace_rejects_what_it_was_not_made_for():

@@ -253,11 +253,12 @@ def test_fit_lr_zero_keeps_params():
 
 def test_each_parameter_sized_allocation_of_fit_is_a_config_error(fail_allocation, monkeypatch):
     # Adam's moments and scratch, the float32 copy, the Workers' batch
-    # gradient, each workspace's chunk gradient (one workspace per usable
-    # CPU), the best params and evaluate's float32 copy: whichever numpy
-    # cannot allocate is the one-line error of ModelParams.zeros. The batches
-    # here are one chunk each, so no gradient is parked (test_model checks
-    # that allocation)
+    # gradient, the chunks' gradient vector, the best params and evaluate's
+    # float32 copy: whichever numpy cannot allocate is the one-line error of
+    # ModelParams.zeros. The batches here are one chunk each, so each chunk's
+    # vector is added and given back before the next chunk takes one, and no
+    # gradient is parked (test_model checks that allocation). Workers that
+    # only evaluate, and forward_batch, make no gradient at all
     obs = tiny_dataset()
     prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
     size = parameter_count(SMALL)
@@ -278,14 +279,20 @@ def test_each_parameter_sized_allocation_of_fit_is_a_config_error(fail_allocatio
         calls = fail_allocation(size, lambda k: False)
         run()
         assert calls.count("zeros_like") == 2 and calls.count("empty_like") == 2  # Adam
-        # params.copy(), the float32 copy, the batch gradient, the workspaces'
-        # chunk gradients, the best params at the start and after the first
-        # epoch, evaluate's float32 copy
-        assert calls.count("zeros") == 6 + cpus
+        # params.copy(), the float32 copy, the batch gradient, the one chunk
+        # gradient, the best params at the start and after the first epoch,
+        # evaluate's float32 copy
+        assert calls.count("zeros") == 7
         for nth in range(len(calls)):
             fail_allocation(size, lambda k: k == nth)
             with pytest.raises(ConfigError, match=f"a model of {size} parameters is too large to allocate"):
                 run()
+        calls = fail_allocation(size, lambda k: False)
+        evaluate(params, prepared.test, normalize_coords(obs.coords), prepared.normalizer)
+        assert calls == ["zeros"]  # the float32 copy, on Workers made for this call
+        n_st = obs.n_stations
+        lw_model.forward_batch(np.zeros((2, SMALL.t_h, n_st, 1)), np.zeros((n_st, 3)), *[[0, 1]] * 3, params)
+        assert calls == ["zeros"]
 
 
 def test_fit_deterministic_given_seed(tmp_path):
