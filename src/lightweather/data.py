@@ -1022,10 +1022,13 @@ class WindowSet:
         same row order. Without `out`, history and future are gathered into
         fresh arrays. A slice is copied in one pass from strided views, an
         index array window by window, so no temporary is made (numpy's take
-        would materialize the windows' view). Returns those rows and the
-        calendar indices "hours", "days" and "months" [B]. A buffer too
+        would materialize the windows' view); a slice whose step is not 1
+        is gathered as the index array it selects. Returns those rows and
+        the calendar indices "hours", "days" and "months" [B]. A buffer too
         short or of another width is a ShapeError.
         """
+        if isinstance(idx, slice) and idx.indices(len(self))[2] != 1:
+            idx = np.arange(len(self))[idx]
         if isinstance(idx, slice):
             lo, hi, _ = idx.indices(len(self))
             n, first = hi - lo, self.starts[lo]

@@ -39,7 +39,7 @@ inputs are cast to that dtype and the loss is summed in float64 either way.
 Rows are independent until the parameter-gradient sums, so a training step
 need not hold a whole batch's activations: loss_and_grads runs
 forward_rows and backward_batch on consecutive chunks of whole windows, at
-most CHUNK_ROWS rows each (chunk_windows), and adds up the chunks' float64
+most CHUNK_ROWS rows each (chunk_slices), and adds up the chunks' float64
 loss sums and their gradients. Activation memory is then bounded by a
 chunk, not by the batch. The chunk's arrays live in a Workspace, which is
 also the only record of its forward pass: forward_rows leaves its inputs
@@ -56,13 +56,13 @@ the batch's gradient is divided by the element count once.
 Workers is the one chunk scheduler, for the chunks of a training batch
 and for every chunk of an evaluated split; training makes one per fit,
 with one workspace per usable CPU. Every chunk runs with OpenBLAS pinned
-to one thread (numerics.single_threaded_blas): a single chunk on the
-caller, several side by side on the worker threads, each in its own
-workspace, so that numpy's elementwise passes use every core too and
-one-thread GEMMs do not oversubscribe them. Each worker takes the next
-chunk as soon as its last one returns, because no result stays in a
-workspace: evaluate's chunks return a few sums, and a training chunk its
-loss sum and a gradient vector of its own. Workers.run is the one place
+to one thread (numerics.single_threaded_blas). The caller is the first
+worker and a pool of threads runs the others, all in one drain loop and
+each in its own workspace, so that numpy's elementwise passes use every
+core too and one-thread GEMMs do not oversubscribe them. Each worker
+takes the next chunk as soon as its last one returns, because no result
+stays in a workspace: evaluate's chunks return a few sums, and a
+training chunk its loss sum and a gradient vector of its own. Workers.run is the one place
 that orders results: it hands each chunk's result to the caller's `add`
 in chunk order, holding one that finishes early until every earlier one
 is added. So each gradient is a sum of per-chunk sums, rounded once per
@@ -406,19 +406,18 @@ def usable_cpus() -> int:
 
 
 class Workers:
-    """Where chunks run: `workspaces`, one Workspace per worker, and with
-    more than one, a pool of as many threads. loss_and_grads keeps its
+    """Where chunks run: `workspaces`, one Workspace per worker, the first
+    the caller's and the others a pool's threads'. loss_and_grads keeps its
     gradients here too: `grad`, the one batch gradient, made by its first
     call, and `spare_grads`, the chunk gradient vectors no chunk holds.
 
     run is the one chunk scheduler, for the chunks of a training batch and
     for every chunk of an evaluated split. Every chunk runs with OpenBLAS
-    pinned to one thread (numerics.single_threaded_blas): one chunk on the
-    caller, in the first workspace, and several spread over the workers,
-    one chunk per workspace at a time: each takes the next chunk as soon
-    as its last one returns, and the results are added in chunk order. A
-    result therefore must not stay in a workspace: a training chunk returns
-    a gradient vector of its own. So the bits depend on neither the BLAS
+    pinned to one thread (numerics.single_threaded_blas), one chunk per
+    workspace at a time: each worker takes the next chunk as soon as its
+    last one returns, and the results are added in chunk order. A result
+    therefore must not stay in a workspace: a training chunk returns a
+    gradient vector of its own. So the bits depend on neither the BLAS
     thread count nor the worker count. Where the pin cannot be made, the
     chunks run one after another on the caller, unpinned.
 
@@ -430,7 +429,8 @@ class Workers:
         self.workspaces = workspaces
         self.grad: ModelParams | None = None
         self.spare_grads: list[ModelParams] = []
-        self._pool = ThreadPoolExecutor(len(workspaces)) if len(workspaces) > 1 else None
+        # one thread fewer than workspaces; a pool spawns no thread until a submit
+        self._pool = ThreadPoolExecutor(max(1, len(workspaces) - 1))
 
     @classmethod
     def for_batches(
@@ -452,8 +452,7 @@ class Workers:
             _workspace(ws, params, rows)
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
+        self._pool.shutdown()
 
     def __enter__(self) -> "Workers":
         return self
@@ -463,29 +462,19 @@ class Workers:
 
     def run(self, n_chunks: int, task, add) -> None:
         """task(i, workspace) for each chunk i in range(n_chunks), each
-        chunk's BLAS calls on one thread (one chunk on the caller), and
-        add(i, result) for each chunk in chunk order, as soon as every
-        earlier chunk's result is added; a result that is done early is
-        held until then. A workspace takes its next chunk as soon as its
-        task returns, so a result must not refer to it. Each task and add
-        runs under the caller's np.geterr(), one add at a time. An
-        exception from a chunk's task or add is raised here unchanged, the
-        first in chunk order, once the chunks already running have finished
-        and the BLAS thread count is restored."""
-        first, w = self.workspaces[0], min(len(self.workspaces), n_chunks)
-        with single_threaded_blas() as pinned:
-            if not pinned or w == 1:
-                for i in range(n_chunks):
-                    add(i, task(i, first))
-            else:
-                self._drain(n_chunks, task, add, w)
-
-    def _drain(self, n_chunks, task, add, w) -> None:
-        """Each of w workers takes the next chunk as soon as it is free,
-        and then adds every held result that is next in chunk order. After
-        a failure no worker takes another chunk; every chunk before the
-        failed one was taken already, so the first failing chunk always
-        runs, and its error is the one raised."""
+        chunk's BLAS calls on one thread, and add(i, result) for each chunk
+        in chunk order, as soon as every earlier chunk's result is added; a
+        result that is done early is held until then. The caller is worker
+        0, in the first workspace, and pool threads run the other
+        min(len(workspaces), n_chunks) - 1 (none where the pin cannot be
+        made), all in one loop: take the next chunk as soon as free, run
+        it, add every held result that is next. A workspace takes its next
+        chunk as soon as its task returns, so a result must not refer to
+        it. Each task and add runs under the caller's np.geterr(), one add
+        at a time. After a failure in a task or add no worker takes another
+        chunk; every earlier chunk was taken already, so the first failing
+        chunk always runs, and its exception is raised here unchanged, once
+        every worker has returned and the BLAS thread count is restored."""
         held, failed = {}, []
         chunks, lock = iter(range(n_chunks)), threading.Lock()
         added = 0  # the chunks added so far
@@ -510,7 +499,11 @@ class Workers:
                     except BaseException as error:  # raised on the caller below
                         failed.append((i, error))
 
-        wait([self._pool.submit(drain, ws) for ws in self.workspaces[:w]])
+        with single_threaded_blas() as pinned:
+            w = min(len(self.workspaces), n_chunks) if pinned else 1
+            others = [self._pool.submit(drain, ws) for ws in self.workspaces[1:w]]
+            drain(self.workspaces[0])
+            wait(others)
         if failed:
             raise min(failed, key=lambda f: f[0])[1]
 
@@ -539,7 +532,10 @@ def _check_time_indices(hours, days, months, batch: int):
         ("days", days, DAYS_PER_MONTH),
         ("months", months, MONTHS_PER_YEAR),
     ):
-        a = np.asarray(a, dtype=np.intp).reshape(-1)
+        a = np.asarray(a)
+        if a.size and not np.issubdtype(a.dtype, np.integer):
+            raise ValidationError(f"{name} must be integer indices, got {a.dtype}")
+        a = a.astype(np.intp, copy=False).reshape(-1)
         if a.shape != (batch,):
             raise ShapeError(f"{name} has shape {a.shape}, expected ({batch},)")
         if a.size and (a.min() < 0 or a.max() >= hi):
@@ -607,7 +603,9 @@ def chunk_windows(rows_per_window: int) -> int:
 def chunk_slices(n_windows: int, batch_size: int, rows_per_window: int) -> list[slice]:
     """The chunks of n_windows windows taken batch_size at a time, as fit
     takes them: slices of at most chunk_windows(rows_per_window) windows
-    that never cross a batch boundary. batch_size < 1 is a ConfigError."""
+    that never cross a batch boundary, the first of them the largest: the
+    one chunk rule, for loss_and_grads, training.evaluate and the HI
+    baseline. batch_size < 1 is a ConfigError."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     step = chunk_windows(rows_per_window)
@@ -857,10 +855,11 @@ def loss_and_grads(
 
     The loss is the plain mean of |pred - truth| over all batch elements,
     i.e. the per-window 1/(N*C*T_f) normalization averaged over windows, so
-    batch gradients are averages of per-window gradients. forward_rows and
-    backward_batch run on consecutive chunks of chunk_windows(N*C) whole
-    windows, scheduled by workers.run once Workers.check has found each
-    workspace made for params, with room for a chunk. Each chunk
+    batch gradients are averages of per-window gradients; a batch of no
+    windows is a ShapeError. forward_rows and backward_batch run on the
+    chunks chunk_slices(B, B, N*C) gives, scheduled by workers.run once
+    Workers.check has found each workspace made for params, with room for
+    the first chunk, the largest. Each chunk
     takes pred - truth in place and |pred - truth| into its workspace's
     abs_err buffer, sums that in float64, overwrites it with the sign,
     which it back-propagates unscaled into a gradient vector of its own
@@ -876,16 +875,18 @@ def loss_and_grads(
     hours, days, months = _check_time_indices(
         batch.hours, batch.days, batch.months, np.size(batch.hours)
     )
+    if len(hours) == 0:
+        raise ShapeError("a training batch needs at least one window")
     rows = batch.rows_per_window(cfg)
-    step = chunk_windows(rows)
-    workers.check(params, min(len(hours), step) * rows)
+    chunks = chunk_slices(len(hours), len(hours), rows)
+    workers.check(params, chunks[0].stop * rows)  # the first chunk is the largest
     if workers.grad is None:
         workers.grad = ModelParams.zeros(cfg, params.dtype)
     total, spare = workers.grad.vector, workers.spare_grads
     abs_sum = 0.0
 
     def chunk(i, ws):
-        w = slice(i * step, (i + 1) * step)
+        w = chunks[i]
         x, future = batch.gather(w, ws)
         pred = forward_rows(x, coords_norm, hours[w], days[w], months[w], params, ws)
         diff = pred  # the workspace's prediction buffer, which backward_batch does not read
@@ -911,7 +912,7 @@ def loss_and_grads(
             np.add(total, grad.vector, out=total)
         spare.append(grad)
 
-    workers.run(-(-len(hours) // step), chunk, add)
+    workers.run(len(chunks), chunk, add)
     n_elements = len(hours) * rows * cfg.t_f
     total /= n_elements  # one rounding per entry: the exact mean, rounded
     return float(abs_sum / n_elements), dict(workers.grad.tensors)

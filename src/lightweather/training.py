@@ -22,17 +22,17 @@ checkpoint, stay float64.
 Chunks: fit and evaluate take batch_size windows per batch, and a batch
 of more than model.CHUNK_ROWS rows (N*C rows per window) runs in chunks
 of whole windows, scheduled by model.Workers.run with OpenBLAS pinned to
-one thread: one chunk on the caller, several side by side on worker
-threads, each worker taking the next chunk as soon as it is free, and
-each chunk's result added in chunk order, a result that is done early
-held until the chunks before it are added. fit runs one batch's chunks
-at a time (a model.WindowBatch), and loss_and_grads adds their loss
-sums and gradients. evaluate runs the whole split's chunks at once, so
-the workers share even a split of one-chunk batches; its chunks still
-never cross a batch boundary (model.chunk_slices, the HI baseline's rule
-too), and it pools their float64 error sums. So a multi-chunk batch's
-gradient is rounded once per chunk and differs in its last bits from a
-one-pass sum, and evaluate's sums are split likewise.
+one thread: the caller and the pool's threads run one drain loop, each
+worker taking the next chunk as soon as it is free, and each chunk's
+result added in chunk order, a result that is done early held until the
+chunks before it are added. fit runs one batch's chunks at a time (a
+model.WindowBatch), and loss_and_grads adds their loss sums and
+gradients. evaluate runs the whole split's chunks at once, so the
+workers share even a split of one-chunk batches, and pools their float64
+error sums. Every chunk, of fit, evaluate or the HI baseline, comes from
+model.chunk_slices, so none crosses a batch boundary. So a multi-chunk
+batch's gradient is rounded once per chunk and differs in its last bits
+from a one-pass sum, and evaluate's sums are split likewise.
 
 Determinism contract: with the same config, seed and BLAS build, batch
 order, every update, and the resulting best checkpoint are all
@@ -164,7 +164,7 @@ def evaluate(
         with model_ops.Workers.for_batches(params.config, rows_per_window, batch_size) as workers:
             return evaluate(params, windows, coords_norm, normalizer, batch_size, workers)
     params = params.astype(COMPUTE_DTYPE)
-    workers.check(params, max(c.stop - c.start for c in chunks) * rows_per_window)
+    workers.check(params, chunks[0].stop * rows_per_window)  # the first chunk is the largest
 
     def chunk(i, ws):
         b = windows.batch(chunks[i], out={"history": ws.x, "future_raw": ws.truth})

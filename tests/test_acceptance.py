@@ -356,7 +356,7 @@ def test_criterion_7_determinism(tmp_path):
 
 def test_criterion_7_determinism_across_chunks(tmp_path, monkeypatch):
     # 3 stations x 1 variable: chunks of 2 windows, so each 16-window batch,
-    # in training and in evaluate, runs in 8 chunks on worker threads
+    # in training and in evaluate, runs in 8 chunks on the workers
     monkeypatch.setattr(model, "CHUNK_ROWS", 6)
     assert model.chunk_windows(3) == 2
     _check_determinism(tmp_path)

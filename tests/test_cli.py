@@ -449,7 +449,7 @@ def test_multi_chunk_train_whose_loss_overflows_is_one_line_training_error(
     synth_dir, tmp_path, capsys, monkeypatch
 ):
     # the same overflow with each 16-window batch in 4 chunks of 4 windows,
-    # which run on worker threads under the caller's np.errstate; the BLAS
+    # which run on the workers under the caller's np.errstate; the BLAS
     # thread count the batch pinned is restored
     monkeypatch.setattr(model, "CHUNK_ROWS", 8)
     before = numerics.blas_threads()

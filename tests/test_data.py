@@ -1408,6 +1408,16 @@ def test_batch_rows_equal_the_series_slices(
         assert b_out["future_raw"].tobytes() == raw_rows.tobytes()
         for key in ("hours", "days", "months"):
             assert_array_equal(b_out[key], getattr(ws, key)[lo:hi])
+        # a stepped slice gathers the windows it selects, as their index array
+        bound = st.none() | st.integers(-len(ws) - 1, len(ws) + 1)
+        stepped = slice(
+            data.draw(bound), data.draw(bound), data.draw(st.sampled_from([-3, -2, -1, 2, 3]))
+        )
+        b_step, b_ids = ws.batch(stepped), ws.batch(np.arange(len(ws))[stepped])
+        assert b_step.keys() == b_ids.keys()
+        for key in b_ids:
+            assert b_step[key].shape == b_ids[key].shape, (stepped, key)
+            assert b_step[key].tobytes() == b_ids[key].tobytes(), (stepped, key)
 
 
 def test_batch_gathers_an_index_array_into_out():

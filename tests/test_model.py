@@ -726,14 +726,17 @@ def test_forward_rows_takes_whole_windows_of_rows():
         forward_rows(x_rows[:-1], cn, hours, days, months, p, ws)
     with pytest.raises(ShapeError, match="T_h=6"):
         forward_rows(x_rows[:, 1:], cn, hours, days, months, p, ws)
+    with pytest.raises(ValidationError, match="hours must be integer indices"):
+        forward_rows(x_rows, cn, hours + 0.7, days, months, p, ws)  # was run as hours
 
 
 # --- chunks of whole windows ----------------------------------------------
 # A batch of more than model.CHUNK_ROWS rows runs in chunks of
 # chunk_windows(N*C) whole windows. The tests lower CHUNK_ROWS so that tiny
 # batches span several chunks, the last one ragged. Those chunks run on
-# worker threads, which start them in chunk order but may call forward_rows
-# in any order, so a multi-chunk batch's sizes are compared sorted.
+# the workers (the caller and pool threads), which start them in chunk order
+# but may call forward_rows in any order, so a multi-chunk batch's sizes are
+# compared sorted.
 
 
 def _chunk_sizes(monkeypatch):
@@ -1060,7 +1063,8 @@ def test_without_a_blas_pin_chunks_run_on_the_caller(monkeypatch):
 def test_more_workers_than_cores_give_the_bits_of_one(monkeypatch):
     # 9 chunks on 4 workers that switch threads every microsecond: a chunk
     # run in a workspace another chunk still holds, or results added out of
-    # chunk order, would change the bits of the one-worker run
+    # chunk order, would change the bits of the one-worker run. The caller
+    # is one of the 4 workers, so the run adds at most 3 threads
     cfg = small_config(n_vars=2)
     p32 = init_params(cfg, seed=75).astype(np.float32)
     batch = row_batch(*_random_batch(cfg, 9, 5, seed=76))  # 9 windows x 10 rows
@@ -1069,6 +1073,14 @@ def test_more_workers_than_cores_give_the_bits_of_one(monkeypatch):
     loss1, grads1 = loss_and_grads(p32, *batch, one)
     grads1 = {n: g.copy() for n, g in grads1.items()}
     threads = threading.active_count()
+    ran_on = set()
+    forward_rows = lw_model.forward_rows
+
+    def recording(*args, **kwargs):
+        ran_on.add(threading.get_ident())
+        return forward_rows(*args, **kwargs)
+
+    monkeypatch.setattr(lw_model, "forward_rows", recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1078,8 +1090,10 @@ def test_more_workers_than_cores_give_the_bits_of_one(monkeypatch):
                 assert loss == loss1
                 for name, g in grads.items():
                     assert g.tobytes() == grads1[name].tobytes(), name
+            assert threading.active_count() - threads <= 3
     finally:
         sys.setswitchinterval(interval)
+    assert threading.get_ident() in ran_on and len(ran_on) <= 4
     assert threading.active_count() == threads  # closing ended the pool's threads
 
 
@@ -1242,6 +1256,15 @@ def test_workspace_rejects_what_it_was_not_made_for():
     cn = normalize_coords(obs.coords)
     assert len(prepared.test) > 3  # 3-window batches of 2 stations: chunks of 6 rows
     good = Workspace(cfg, 6, np.float32)
+    rows, _ = batch
+    for empty in (
+        WindowBatch(prepared.test, []),
+        RowBatch(rows.x_rows[:0], rows.future_rows[:0], [], [], []),
+    ):
+        workers = lw_model.Workers([good])
+        with pytest.raises(ShapeError, match="at least one window"):
+            loss_and_grads(p32, empty, cn, workers)
+        assert workers.grad is None
     loss_and_grads(p32, *batch, lw_model.Workers([good]))
     evaluate(p, prepared.test, cn, prepared.normalizer, 3, lw_model.Workers([good]))
     for bad, match in (

@@ -225,7 +225,7 @@ def test_evaluate_streams_one_chunk_batches_over_the_workers(monkeypatch):
     running = threading.active_count()
     streamed = evaluate(params, test, cn, prepared.normalizer, batch_size=5)
     assert len(threads) == -(-len(test) // 5) and len(set(threads)) == 2
-    assert threading.get_ident() not in threads
+    assert threading.get_ident() in threads  # the caller is one of the two workers
     assert streamed == alone
     assert threading.active_count() == running  # evaluate's workers have ended
 
