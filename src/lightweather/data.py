@@ -1022,16 +1022,17 @@ class WindowSet:
         same row order. Without `out`, history and future are gathered into
         fresh arrays. A slice is copied in one pass from strided views, an
         index array window by window, so no temporary is made (numpy's take
-        would materialize the windows' view); a slice whose step is not 1
-        is gathered as the index array it selects. Returns those rows and
-        the calendar indices "hours", "days" and "months" [B]. A buffer too
-        short or of another width is a ShapeError.
+        would materialize the windows' view); a slice whose step is not 1,
+        or that selects nothing, is gathered as the index array it selects.
+        Returns those rows and the calendar indices "hours", "days" and
+        "months" [B]. A buffer too short or of another width is a ShapeError.
         """
-        if isinstance(idx, slice) and idx.indices(len(self))[2] != 1:
-            idx = np.arange(len(self))[idx]
         if isinstance(idx, slice):
-            lo, hi, _ = idx.indices(len(self))
-            n, first = hi - lo, self.starts[lo]
+            r = range(len(self))[idx]  # the windows it selects
+            if r.step != 1 or not r:
+                idx = np.arange(r.start, r.stop, r.step)
+        if isinstance(idx, slice):
+            n, first = len(r), self.starts[r.start]
             pieces = [(slice(None), slice(first, first + n))]  # (batch windows, view windows)
         else:
             starts = self.starts[np.asarray(idx, dtype=np.intp)].tolist()

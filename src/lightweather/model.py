@@ -6,18 +6,19 @@ Every (station, variable) series is processed independently by shared
 weights; spatial information enters only through the coordinate encoding,
 so the parameter count does not depend on the station count. The math is
 written once, over rows: one row is one (window, station, variable) series,
-and a batch of B windows is [B*N*C, T] rows in that order. forward_rows
-embeds (fc_embed), adds spatial_rows and temporal_rows, runs
-encoder_forward and regresses (fc_regress); backward_batch is its
-gradient from the prediction rows and the Workspace the forward ran in,
-and loss_and_grads the training step over a batch: a RowBatch of history
-and target rows, or a WindowBatch of a WindowSet's windows, as fit gives
-it. In fit and evaluate each chunk gathers its own rows into its
-workspace (WindowSet.batch). forward_batch is the one entry that takes a
-[B, T, N, C] history: it checks and casts it, lays it out as rows for
-forward_rows in a Workspace of its own and lays the prediction back out;
-forward is forward_batch on one window. The three stage kernels are
-public so that each stage can be checked on its own.
+and a batch of B windows is [B*N*C, T] rows in that order. positions
+checks a call's calendar and makes its [N, d] spatial_rows, once per
+batch, split or forecast. forward_rows embeds (fc_embed), adds those and
+temporal_rows, runs encoder_forward and regresses (fc_regress);
+backward_batch is its gradient from the prediction rows and the Workspace
+the forward ran in, and loss_and_grads the training step over a batch: a
+RowBatch of history and target rows, or a WindowBatch of a WindowSet's
+windows, as fit gives it. In fit and evaluate each chunk gathers its own
+rows into its workspace (WindowSet.batch). forward_batch is the one entry
+that takes a [B, T, N, C] history: it checks and casts it, lays it out as
+rows for forward_rows in a Workspace of its own and lays the prediction
+back out; forward is forward_batch on one window. The three stage kernels
+are public so that each stage can be checked on its own.
 
 Variants used by the ablation harness are expressed through ModelConfig:
 spatial_encoding may be "absolute" (a 3 -> d layer over normalized
@@ -82,6 +83,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from datetime import datetime
+from typing import NamedTuple
 
 import numpy as np
 
@@ -350,18 +352,17 @@ class Workspace:
     forward_rows writes its activations into z (the embedding, then each
     residual block's output) and r (each block's ReLU output), its
     prediction into y, and what it ran on into `inputs` (None until then):
-    x_rows, coords_norm, hours, days, months and dims (B, N, C), the record
+    x_rows, the chunk's Positions and dims (B, N, C), the record
     backward_batch reads. The training step gathers the chunk's target rows
     into abs_err, subtracts them from the prediction and then takes
     |pred - truth| there; backward_batch writes the activation gradients
-    into g (three buffers it rotates through, also borrowed for
-    forward_rows's spatial rows and for the per-window and per-station
-    sums) and the ReLU masks into mask. `ones` is the ones vector that
-    row_sum reduces against. training.evaluate gathers a chunk's float64
-    target rows into truth and scores it in err. Those two lie in the same
-    block of memory as g[1:], which a forward leaves alone, so an evaluate
-    after training steps writes to pages they have touched already instead
-    of growing the resident set.
+    into g (three buffers it rotates through, also borrowed for the
+    per-window and per-station sums) and the ReLU masks into mask. `ones`
+    is the ones vector that row_sum reduces against. training.evaluate
+    gathers a chunk's float64 target rows into truth and scores it in err.
+    Those two lie in the same block of memory as g[1:], which a forward
+    leaves alone, so an evaluate after training steps writes to pages they
+    have touched already instead of growing the resident set.
 
     A chunk uses the first rows of each buffer, so a ragged last chunk or a
     smaller batch needs nothing new; a chunk of more rows is a ShapeError.
@@ -525,8 +526,28 @@ def _workspace(workspace: Workspace, params: ModelParams, rows: int) -> Workspac
 # ---------------------------------------------------------------------------
 
 
-def _check_time_indices(hours, days, months, batch: int):
-    arrs = []
+class Positions(NamedTuple):
+    """A call's positional inputs, as positions makes them: coords_norm
+    [N, 3] in params.dtype (None unless absolute), the spatial_rows [N, d]
+    and the windows' calendar indices [B] as intp."""
+
+    coords_norm: np.ndarray | None
+    spatial: np.ndarray | None
+    hours: np.ndarray
+    days: np.ndarray
+    months: np.ndarray
+
+    def windows(self, w: slice) -> "Positions":
+        """A chunk's view: the calendar of windows `w`, the same rows."""
+        return self._replace(hours=self.hours[w], days=self.days[w], months=self.months[w])
+
+
+def positions(coords_norm, hours, days, months, params: ModelParams) -> Positions:
+    """The Positions of one batch, split or forecast for params, which all
+    its chunks read: the calendar indices checked (integers in range, as
+    many days and months as hours) and the spatial rows made on one BLAS
+    thread, like every chunk's GEMMs."""
+    calendar = []
     for name, a, hi in (
         ("hours", hours, HOURS_PER_DAY),
         ("days", days, DAYS_PER_MONTH),
@@ -536,26 +557,28 @@ def _check_time_indices(hours, days, months, batch: int):
         if a.size and not np.issubdtype(a.dtype, np.integer):
             raise ValidationError(f"{name} must be integer indices, got {a.dtype}")
         a = a.astype(np.intp, copy=False).reshape(-1)
-        if a.shape != (batch,):
-            raise ShapeError(f"{name} has shape {a.shape}, expected ({batch},)")
+        if a.shape != (np.size(hours),):
+            raise ShapeError(f"{name} has shape {a.shape}, expected ({np.size(hours)},)")
         if a.size and (a.min() < 0 or a.max() >= hi):
             raise ValidationError(f"{name} index outside [0, {hi})")
-        arrs.append(a)
-    return arrs
+        calendar.append(a)
+    absolute = params.config.spatial_encoding == "absolute"
+    coords_norm = np.asarray(coords_norm, dtype=params.dtype) if absolute else None
+    with single_threaded_blas():
+        spatial = spatial_rows(coords_norm, params)
+    return Positions(coords_norm, spatial, *calendar)
 
 
-def spatial_rows(
-    coords_norm: np.ndarray, params: ModelParams, out: np.ndarray | None = None
-) -> np.ndarray | None:
+def spatial_rows(coords_norm: np.ndarray, params: ModelParams) -> np.ndarray | None:
     """The spatial encoding's [N, d] rows, in params.dtype: fc_spatial over
-    normalized [N, 3] coordinates (absolute), written to `out` when given,
-    the station table itself (relative), or None (none)."""
+    normalized [N, 3] coordinates (absolute), the station table itself
+    (relative), or None (none)."""
     cfg = params.config
     if cfg.spatial_encoding == "absolute":
         coords_norm = np.asarray(coords_norm)
         if coords_norm.ndim != 2 or coords_norm.shape[1] != 3:
             raise ShapeError(f"coords shape {coords_norm.shape}, expected [N, 3]")
-        return linear_forward(coords_norm, params.layer("fc_spatial"), out=out)
+        return linear_forward(coords_norm, params.layer("fc_spatial"))
     if cfg.spatial_encoding == "relative":
         return params.tensors["station_table"]
     return None
@@ -564,7 +587,7 @@ def spatial_rows(
 def temporal_rows(hours, days, months, params: ModelParams) -> np.ndarray | None:
     """The temporal encoding's [B, d] rows, hour + day + month table rows
     for each window's calendar indices (in range: the caller checks them,
-    as forward_rows does), or None when the model has none."""
+    as positions does), or None when the model has none."""
     if params.config.temporal_encoding != "absolute":
         return None
     t = params.tensors
@@ -628,64 +651,42 @@ def _stations_of_rows(x_rows: np.ndarray, n_batch: int, cfg: ModelConfig) -> int
     return n_stations
 
 
-def forward_rows(
-    x_rows: np.ndarray,
-    coords_norm: np.ndarray,
-    hours,
-    days,
-    months,
-    params: ModelParams,
-    workspace: Workspace,
-):
-    """The forward pass over rows: embed, add spatial_rows and
+def forward_rows(x_rows: np.ndarray, pos: Positions, params: ModelParams, workspace: Workspace):
+    """The forward pass over rows: embed, add the spatial rows and
     temporal_rows, encoder_forward, then the regression head.
 
     x_rows: [B*N*C, T_h] history rows ordered (window, station, variable),
-    where B = len(hours) and C = config.n_vars; coords_norm: normalized
-    [N, 3]; hours/days/months: per-window calendar indices [B]. Returns
+    where C = config.n_vars; pos: positions of these params for the B
+    windows (a chunk's is a view, Positions.windows), of N stations. Returns
     prediction rows [B*N*C, T_f] in params.dtype, a view of the
     workspace's y, and leaves the record of the pass that backward_batch
-    reads in the workspace. x_rows and coords_norm are cast to
-    params.dtype (no copy when they have it); x_rows must be finite in it,
-    which split_windows checks once for the whole series and forward_batch
-    for each batch. The workspace keeps x_rows as a reference, so the
-    caller must not change it before backward_batch.
+    reads in the workspace. x_rows is cast to params.dtype (no copy when it
+    has it) and must be finite in it, which split_windows checks once for
+    the whole series and forward_batch for each batch. The workspace keeps
+    x_rows as a reference, so the caller must not change it before
+    backward_batch.
     """
     cfg = params.config
-    dtype = params.dtype
-    x_rows = np.asarray(x_rows, dtype=dtype)
-    hours, days, months = _check_time_indices(hours, days, months, np.size(hours))
-    n_batch, n_vars = len(hours), cfg.n_vars
+    x_rows = np.asarray(x_rows, dtype=params.dtype)
+    n_batch, n_vars = len(pos.hours), cfg.n_vars
     n_stations = _stations_of_rows(x_rows, n_batch, cfg)
     rows = x_rows.shape[0]
     ws = _workspace(workspace, params, rows)
-    coords_norm = (
-        np.asarray(coords_norm, dtype=dtype) if cfg.spatial_encoding == "absolute" else None
-    )
 
     e = linear_forward(x_rows, params.layer("fc_embed"), out=ws.z[0][:rows])
     h4 = e.reshape(n_batch, n_stations, n_vars, cfg.d)
-    # the gradient buffers are free until backward_batch
-    s_rows = spatial_rows(coords_norm, params, out=ws.g[0][:n_stations])
-    if s_rows is not None:
-        if s_rows.shape[0] != n_stations:
-            raise ShapeError(f"{n_stations} stations but {s_rows.shape[0]} spatial rows")
-        h4 += s_rows[None, :, None, :]
-    time_rows = temporal_rows(hours, days, months, params)
+    if pos.spatial is not None:
+        if pos.spatial.shape[0] != n_stations:
+            raise ShapeError(f"{n_stations} stations but {pos.spatial.shape[0]} spatial rows")
+        h4 += pos.spatial[None, :, None, :]
+    time_rows = temporal_rows(pos.hours, pos.days, pos.months, params)
     if time_rows is not None:
         h4 += time_rows[:, None, None, :]
 
     y_rows = linear_forward(
         encoder_forward(e, params, ws), params.layer("fc_regress"), out=ws.y[:rows]
     )
-    ws.inputs = dict(
-        x_rows=x_rows,
-        coords_norm=coords_norm,
-        hours=hours,
-        days=days,
-        months=months,
-        dims=(n_batch, n_stations, n_vars),
-    )
+    ws.inputs = dict(x_rows=x_rows, positions=pos, dims=(n_batch, n_stations, n_vars))
     return y_rows
 
 
@@ -699,8 +700,9 @@ def backward_batch(
     of out's vector.
 
     The activations are read from the workspace's z and r, and the inputs
-    from its `inputs`; a workspace no forward has run in, or gradient rows
-    of another shape than that forward's prediction, is a ShapeError.
+    (x_rows and the Positions) from its `inputs`; a workspace no forward has
+    run in, or gradient rows of another shape than that forward's
+    prediction, is a ShapeError.
     Activation gradients go to the workspace's g buffers. Each bias
     gradient, and each sum over the rows of a window or of a station, is
     one row_sum GEMV. fc_embed's bias gradient, the sum of every row's, is
@@ -711,7 +713,7 @@ def backward_batch(
     inputs = workspace.inputs
     if inputs is None:
         raise ShapeError("backward_batch needs a workspace that forward_rows has run in")
-    cfg = params.config
+    cfg, pos = params.config, inputs["positions"]
     n_batch, n_stations, n_vars = inputs["dims"]
     rows = n_batch * n_stations * n_vars
     g_rows = np.asarray(g_rows, dtype=params.dtype)
@@ -757,11 +759,8 @@ def backward_batch(
         g_window = row_sum(  # [B, d]
             gz.reshape(n_batch, rows_per_window, cfg.d), ones, out=g_free[:n_batch]
         )
-        for name, idx in (
-            ("table_hour", inputs["hours"]),
-            ("table_day", inputs["days"]),
-            ("table_month", inputs["months"]),
-        ):
+        calendar = pos.hours, pos.days, pos.months
+        for name, idx in zip(("table_hour", "table_day", "table_month"), calendar):
             g_table = grads[name]
             g_table[...] = 0.0
             np.add.at(g_table, idx, g_window)
@@ -776,7 +775,7 @@ def backward_batch(
         g_station = np.sum(per_var, axis=1, out=g_next[:n_stations])  # [N, d]
         if cfg.spatial_encoding == "absolute":
             linear_param_grads(
-                inputs["coords_norm"], g_station, out=param_out("fc_spatial"), ones=ones
+                pos.coords_norm, g_station, out=param_out("fc_spatial"), ones=ones
             )
         else:
             grads["station_table"][...] = g_station
@@ -856,8 +855,9 @@ def loss_and_grads(
     The loss is the plain mean of |pred - truth| over all batch elements,
     i.e. the per-window 1/(N*C*T_f) normalization averaged over windows, so
     batch gradients are averages of per-window gradients; a batch of no
-    windows is a ShapeError. forward_rows and backward_batch run on the
-    chunks chunk_slices(B, B, N*C) gives, scheduled by workers.run once
+    windows is a ShapeError. positions runs once per batch, and
+    forward_rows and backward_batch on the chunks chunk_slices(B, B, N*C)
+    gives, each on its windows' view, scheduled by workers.run once
     Workers.check has found each workspace made for params, with room for
     the first chunk, the largest. Each chunk
     takes pred - truth in place and |pred - truth| into its workspace's
@@ -872,13 +872,12 @@ def loss_and_grads(
     hands its vector to adam_step).
     """
     cfg = params.config
-    hours, days, months = _check_time_indices(
-        batch.hours, batch.days, batch.months, np.size(batch.hours)
-    )
-    if len(hours) == 0:
+    pos = positions(coords_norm, batch.hours, batch.days, batch.months, params)
+    n_batch = len(pos.hours)
+    if n_batch == 0:
         raise ShapeError("a training batch needs at least one window")
     rows = batch.rows_per_window(cfg)
-    chunks = chunk_slices(len(hours), len(hours), rows)
+    chunks = chunk_slices(n_batch, n_batch, rows)
     workers.check(params, chunks[0].stop * rows)  # the first chunk is the largest
     if workers.grad is None:
         workers.grad = ModelParams.zeros(cfg, params.dtype)
@@ -888,7 +887,7 @@ def loss_and_grads(
     def chunk(i, ws):
         w = chunks[i]
         x, future = batch.gather(w, ws)
-        pred = forward_rows(x, coords_norm, hours[w], days[w], months[w], params, ws)
+        pred = forward_rows(x, pos.windows(w), params, ws)
         diff = pred  # the workspace's prediction buffer, which backward_batch does not read
         diff -= np.asarray(future, dtype=pred.dtype)
         abs_diff = np.abs(diff, out=ws.abs_err[: len(diff)])
@@ -913,7 +912,7 @@ def loss_and_grads(
         spare.append(grad)
 
     workers.run(len(chunks), chunk, add)
-    n_elements = len(hours) * rows * cfg.t_f
+    n_elements = n_batch * rows * cfg.t_f
     total /= n_elements  # one rounding per entry: the exact mean, rounded
     return float(abs_sum / n_elements), dict(workers.grad.tensors)
 
@@ -941,7 +940,9 @@ def forward_batch(
     if history.ndim != 4 or history.shape[1] != cfg.t_h or history.shape[3] != cfg.n_vars:
         raise ShapeError(f"history {history.shape} is not [B, T_h={cfg.t_h}, N, C={cfg.n_vars}]")
     n_batch, _, n_stations, n_vars = history.shape
-    hours, days, months = _check_time_indices(hours, days, months, n_batch)
+    pos = positions(coords_norm, hours, days, months, params)
+    if len(pos.hours) != n_batch:
+        raise ShapeError(f"hours has shape {pos.hours.shape}, expected ({n_batch},)")
     with np.errstate(over="ignore"):  # an overflow is reported below
         x_rows = np.ascontiguousarray(
             history.transpose(0, 2, 3, 1).reshape(-1, cfg.t_h), dtype=params.dtype
@@ -949,7 +950,7 @@ def forward_batch(
     if not np.isfinite(x_rows).all():
         raise ValidationError(f"history contains values that are not finite in {params.dtype}")
     ws = Workspace(cfg, x_rows.shape[0], params.dtype)
-    y_rows = forward_rows(x_rows, coords_norm, hours, days, months, params, ws)
+    y_rows = forward_rows(x_rows, pos, params, ws)
     pred = y_rows.reshape(n_batch, n_stations, n_vars, cfg.t_f).transpose(0, 3, 1, 2)
     return np.ascontiguousarray(pred), ws
 
@@ -965,12 +966,6 @@ def forward(
     if history.ndim != 3:
         raise ShapeError(f"history must be [T_h, N, C], got {history.shape}")
     coords_norm = normalize_coords(coords) if coords is not None else None
-    pred, _ = forward_batch(
-        history[None],
-        coords_norm,
-        np.array([tf.hour]),
-        np.array([tf.day_index]),
-        np.array([tf.month_index]),
-        params,
-    )
+    calendar = [tf.hour], [tf.day_index], [tf.month_index]
+    pred, _ = forward_batch(history[None], coords_norm, *calendar, params)
     return pred[0]

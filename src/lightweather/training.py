@@ -148,7 +148,7 @@ def evaluate(
     them, and each batch in chunks (model.chunk_slices: a batch_size below
     1 is a ConfigError, before anything is allocated); the whole split's
     chunks run in one Workers.run: on `workers`, or on Workers made for
-    this call when it is None.
+    this call when it is None. model.positions runs once, for the split.
 
     A chunk gathers its history rows and float64 target rows into its
     workspace's x and truth buffers (WindowSet.batch with `out`), inverts
@@ -165,12 +165,11 @@ def evaluate(
             return evaluate(params, windows, coords_norm, normalizer, batch_size, workers)
     params = params.astype(COMPUTE_DTYPE)
     workers.check(params, chunks[0].stop * rows_per_window)  # the first chunk is the largest
+    pos = model_ops.positions(coords_norm, windows.hours, windows.days, windows.months, params)
 
     def chunk(i, ws):
         b = windows.batch(chunks[i], out={"history": ws.x, "future_raw": ws.truth})
-        y_rows = model_ops.forward_rows(
-            b["history"], coords_norm, b["hours"], b["days"], b["months"], params, ws
-        )
+        y_rows = model_ops.forward_rows(b["history"], pos.windows(chunks[i]), params, ws)
         err, truth = ws.err[: len(y_rows)], b["future_raw"]
         # rows viewed with the variable axis last, as normalize_invert takes them
         normalize_invert(

@@ -37,6 +37,7 @@ from lightweather.model import (
     loss_and_grads,
     normalize_coords,
     parameter_count,
+    positions,
     spatial_rows,
     temporal_rows,
     tensor_spec,
@@ -443,7 +444,7 @@ def test_doubling_loss_scale_doubles_gradients():
     p = init_params(cfg, seed=25)
     hist, fut, cn, hours, days, months = _batch_for(cfg)
     workspace = Workspace(cfg, 4, p.dtype)  # 2 windows x 2 stations
-    pred = forward_rows(to_rows(hist), cn, hours, days, months, p, workspace)
+    pred = forward_rows(to_rows(hist), positions(cn, hours, days, months, p), p, workspace)
     g = np.sign(pred - to_rows(fut)) / pred.size
     # results are views of `out`, which the second call overwrites
     out = ModelParams.zeros(cfg)
@@ -719,15 +720,60 @@ def test_forward_rows_takes_whole_windows_of_rows():
     hist, _, cn, hours, days, months = _random_batch(cfg, 2, 3, seed=46)
     x_rows = to_rows(hist)
     ws = Workspace(cfg, len(x_rows), p.dtype)
-    y_rows = forward_rows(x_rows, cn, hours, days, months, p, ws)
+    pos = positions(cn, hours, days, months, p)
+    y_rows = forward_rows(x_rows, pos, p, ws)
     pred, _ = forward_batch(hist, cn, hours, days, months, p)
     assert_same_bits(y_rows, to_rows(pred))
     with pytest.raises(ShapeError, match="not 2 windows"):
-        forward_rows(x_rows[:-1], cn, hours, days, months, p, ws)
+        forward_rows(x_rows[:-1], pos, p, ws)
     with pytest.raises(ShapeError, match="T_h=6"):
-        forward_rows(x_rows[:, 1:], cn, hours, days, months, p, ws)
+        forward_rows(x_rows[:, 1:], pos, p, ws)
     with pytest.raises(ValidationError, match="hours must be integer indices"):
-        forward_rows(x_rows, cn, hours + 0.7, days, months, p, ws)  # was run as hours
+        positions(cn, hours + 0.7, days, months, p)  # was run as hours
+
+
+@pytest.mark.parametrize("spatial", SPATIAL_MODES)
+def test_positions_reject_what_forward_rows_rejected(spatial):
+    # the calendar and the coordinates are checked where a call's positions
+    # are made, once; the station count where each chunk's rows meet them
+    cfg = small_config(n_vars=2, spatial_encoding=spatial, n_stations=3)
+    p = init_params(cfg, seed=47)
+    hist, fut, cn, hours, days, months = _random_batch(cfg, 2, 3, seed=48)
+    rows = RowBatch(to_rows(hist), to_rows(fut), hours + 0.7, days, months)
+    with pytest.raises(ValidationError, match="hours must be integer indices"):
+        loss_and_grads(p, rows, cn, one_worker(p, rows))
+    for bad in (
+        (hours + 0.7, days, months),
+        (hours, days.astype(float), months),
+        (np.array([0, 24]), days, months),
+        (hours, np.array([-1, 0]), months),
+        (hours, days, np.array([12, 0])),
+    ):
+        with pytest.raises(ValidationError):
+            positions(cn, *bad, p)
+        with pytest.raises(ValidationError):
+            forward_batch(hist, cn, *bad, p)
+    for bad in ((hours, days[:1], months), (hours, days, np.append(months, 0))):
+        with pytest.raises(ShapeError, match="has shape"):
+            positions(cn, *bad, p)
+    with pytest.raises(ShapeError, match=r"hours has shape \(3,\), expected \(2,\)"):
+        forward_batch(hist, cn, *(np.append(c, 0) for c in (hours, days, months)), p)
+    x_rows = to_rows(hist)
+    ws = Workspace(cfg, len(x_rows), p.dtype)
+    if spatial == "absolute":
+        for coords in (cn[:, :2], cn[0], cn.reshape(1, 3, 3)):
+            with pytest.raises(ShapeError, match=r"expected \[N, 3\]"):
+                positions(coords, hours, days, months, p)
+        pos = positions(cn[:2], hours, days, months, p)  # 2 stations' rows for 3
+    elif spatial == "relative":
+        p = init_params(small_config(n_vars=2, spatial_encoding=spatial, n_stations=4), 47)
+        pos = positions(cn, hours, days, months, p)
+        ws = Workspace(p.config, len(x_rows), p.dtype)
+    else:
+        forward_rows(x_rows, positions(cn[:2], hours, days, months, p), p, ws)  # no rows to match
+        return
+    with pytest.raises(ShapeError, match="3 stations but . spatial rows"):
+        forward_rows(x_rows, pos, p, ws)
 
 
 # --- chunks of whole windows ----------------------------------------------
@@ -744,9 +790,9 @@ def _chunk_sizes(monkeypatch):
     sizes = []
     forward_rows = lw_model.forward_rows
 
-    def recording(x_rows, coords_norm, hours, *args, **kwargs):
-        sizes.append(len(hours))
-        return forward_rows(x_rows, coords_norm, hours, *args, **kwargs)
+    def recording(x_rows, pos, *args, **kwargs):
+        sizes.append(len(pos.hours))
+        return forward_rows(x_rows, pos, *args, **kwargs)
 
     monkeypatch.setattr(lw_model, "forward_rows", recording)
     return sizes
@@ -770,6 +816,51 @@ def test_chunked_step_agrees_with_one_chunk(spatial, temporal, monkeypatch):
         assert g.dtype == np.float32
         scale = max(float(np.abs(grads1[name]).max()), 1e-30)
         assert_allclose(g, grads1[name], rtol=0, atol=F32_TOL * scale, err_msg=name)
+
+
+@pytest.mark.parametrize("spatial,temporal", ENCODINGS)
+def test_positions_are_made_once_per_call(spatial, temporal, monkeypatch):
+    # a batch of 4 chunks and a split of many: each entry checks the
+    # calendar and makes the spatial rows once, and every chunk reads them
+    cfg = small_config(spatial_encoding=spatial, temporal_encoding=temporal, n_stations=5)
+    p = init_params(cfg, seed=81)
+    p32 = p.astype(np.float32)
+    hist, fut, cn, hours, days, months = _random_batch(cfg, 7, 5, seed=82)
+    rows = RowBatch(to_rows(hist), to_rows(fut), hours, days, months)
+    obs = generate(SynthConfig(n_stations=5, n_steps=300, seed=83), random_station_coords(5, 83)[1])
+    prepared = split_windows(obs, cfg.t_h, cfg.t_f)
+    obs_cn, test = normalize_coords(obs.coords), prepared.test
+    windows = WindowBatch(prepared.train, np.arange(7))
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 10)  # chunks of 2, 2, 2 and 1 windows
+    made = {"spatial_rows": 0, "positions": 0}
+
+    def counted(name):
+        fn = getattr(lw_model, name)
+
+        def counting(*args):
+            made[name] += 1
+            return fn(*args)
+
+        return counting
+
+    for name in made:
+        monkeypatch.setattr(lw_model, name, counted(name))
+    sizes = _chunk_sizes(monkeypatch)
+    split_chunks = len(lw_model.chunk_slices(len(test), 7, 5))
+    assert split_chunks > 10
+    with lw_model.Workers.for_batches(cfg, 5, 7, np.float32) as workers:
+        for call, chunks in (
+            (lambda: loss_and_grads(p32, rows, cn, workers), 4),
+            (lambda: loss_and_grads(p32, windows, obs_cn, workers), 4),
+            (lambda: evaluate(p, test, obs_cn, prepared.normalizer, 7, workers), split_chunks),
+            (lambda: evaluate(p, test, obs_cn, prepared.normalizer, 7), split_chunks),
+            (lambda: forward_batch(hist, cn, hours, days, months, p32), 1),
+        ):
+            made.update(spatial_rows=0, positions=0)
+            sizes.clear()
+            call()
+            assert len(sizes) == chunks
+            assert made == {"spatial_rows": 1, "positions": 1}
 
 
 @pytest.mark.parametrize("spatial,temporal", ENCODINGS)
@@ -1013,11 +1104,11 @@ def test_an_error_in_one_chunk_reaches_the_caller_unchanged(monkeypatch):
     forward_rows = lw_model.forward_rows
     started = []
 
-    def failing(x_rows, coords_norm, hours, *args, **kwargs):
-        started.append(len(hours))
+    def failing(x_rows, pos, *args, **kwargs):
+        started.append(len(pos.hours))
         if len(started) == 3:
             raise error
-        return forward_rows(x_rows, coords_norm, hours, *args, **kwargs)
+        return forward_rows(x_rows, pos, *args, **kwargs)
 
     monkeypatch.setattr(lw_model, "forward_rows", failing)
     before = blas_threads()
@@ -1237,7 +1328,7 @@ def test_backward_batch_rejects_what_its_workspace_did_not_run():
     g = np.ones((6, cfg.t_f))
     with pytest.raises(ShapeError, match="forward_rows has run"):
         backward_batch(g, ws, p, out)
-    forward_rows(x_rows[:4], cn, *(c[:2] for c in calendar), p, ws)  # 2 windows, 4 rows
+    forward_rows(x_rows[:4], positions(cn, *(c[:2] for c in calendar), p), p, ws)  # 2 windows
     for wrong in (g, g[:4, 1:], g[:4].reshape(-1)):
         with pytest.raises(ShapeError, match=r"the forward's \(4, 3\)"):
             backward_batch(wrong, ws, p, out)

@@ -39,6 +39,7 @@ from lightweather.model import (
     loss_and_grads,
     normalize_coords,
     parameter_count,
+    positions,
     tensor_spec,
 )
 from lightweather.numerics import AdamState, adam_step
@@ -157,7 +158,8 @@ def test_evaluate_pools_each_chunk_as_the_metric_accumulator_does(chunk_rows, mo
             idx = np.arange(c, min(c + step, lo + 5, len(test)))
             b = test.batch(idx)
             ws = lw_model.Workspace(cfg, len(b["history"]), p32.dtype)
-            y_rows = forward_rows(b["history"], cn, b["hours"], b["days"], b["months"], p32, ws)
+            pos = positions(cn, b["hours"], b["days"], b["months"], p32)
+            y_rows = forward_rows(b["history"], pos, p32, ws)
             pred = normalize_invert(y_rows.reshape(-1, 2, SMALL.t_f).swapaxes(1, 2), prepared.normalizer)
             raw = obs.values[test.starts[idx][:, None] + SMALL.t_h + np.arange(SMALL.t_f)]
             truth = np.ascontiguousarray(raw.transpose(0, 2, 3, 1)).reshape(-1, SMALL.t_f)
@@ -183,12 +185,13 @@ def test_the_first_failing_evaluate_chunk_raises_its_error_unchanged(monkeypatch
     errors = {2: EvaluationError("second chunk"), 4: EvaluationError("third chunk")}
     forward = lw_model.forward_rows
 
-    def failing(x_rows, coords_norm, hours, *args):
+    def failing(x_rows, pos, *args):
+        hours = pos.hours  # a view of the split's calendar, from the chunk's first window
         first = (hours.__array_interface__["data"][0] - test.hours.ctypes.data) // hours.itemsize
         if first in errors:
             time.sleep(0.05 if first == 2 else 0)
             raise errors[first]
-        return forward(x_rows, coords_norm, hours, *args)
+        return forward(x_rows, pos, *args)
 
     monkeypatch.setattr(lw_model, "forward_rows", failing)
     before = numerics.blas_threads()
