@@ -1024,8 +1024,9 @@ class WindowSet:
         index array window by window, so no temporary is made (numpy's take
         would materialize the windows' view); a slice whose step is not 1,
         or that selects nothing, is gathered as the index array it selects.
-        Returns those rows and the calendar indices "hours", "days" and
-        "months" [B]. A buffer too short or of another width is a ShapeError.
+        Returns those rows under the same keys; the calendar indices are the
+        windows' entries of hours, days and months. A buffer too short or of
+        another width is a ShapeError.
         """
         if isinstance(idx, slice):
             r = range(len(self))[idx]  # the windows it selects
@@ -1056,7 +1057,6 @@ class WindowSet:
             for to, at in pieces:
                 windows[to] = view[at]
             got[key] = rows
-        got.update(hours=self.hours[idx], days=self.days[idx], months=self.months[idx])
         return got
 
 

@@ -58,21 +58,22 @@ Workers is the one chunk scheduler, for the chunks of a training batch
 and for every chunk of an evaluated split; training makes one per fit,
 with one workspace per usable CPU. Every chunk runs with OpenBLAS pinned
 to one thread (numerics.single_threaded_blas). The caller is the first
-worker and a pool of threads runs the others, all in one drain loop and
-each in its own workspace, so that numpy's elementwise passes use every
-core too and one-thread GEMMs do not oversubscribe them. Each worker
-takes the next chunk as soon as its last one returns, because no result
-stays in a workspace: evaluate's chunks return a few sums, and a
-training chunk its loss sum and a gradient vector of its own. Workers.run is the one place
-that orders results: it hands each chunk's result to the caller's `add`
-in chunk order, holding one that finishes early until every earlier one
-is added. So each gradient is a sum of per-chunk sums, rounded once per
-chunk, and differs from the one-pass sum in its last bits. CHUNK_ROWS
-is a fixed constant, so the split, and every bit of a batch, is the same
-on every run with the same BLAS build, at any BLAS thread or worker
-count. Where OpenBLAS's thread count cannot be pinned (numpy on another
-BLAS), the chunks run one after another on the caller at the BLAS's own
-thread count.
+worker and threads that Workers.run starts, and joins before it returns,
+run the others, all in one drain loop and each in its own workspace, so
+that numpy's elementwise passes use every core too and one-thread GEMMs
+do not oversubscribe them; no thread outlives a run. Each worker takes
+the next chunk as soon as its last one returns, because no result stays
+in a workspace: evaluate's chunks return a few sums, and a training
+chunk its loss sum and a gradient vector of its own. Workers.run is the
+one place that orders results: it hands each chunk's result to the
+caller's `add` in chunk order, holding one that finishes early until
+every earlier one is added. So each gradient is a sum of per-chunk sums,
+rounded once per chunk, and differs from the one-pass sum in its last
+bits. CHUNK_ROWS is a fixed constant, so the split, and every bit of a
+batch, is the same on every run with the same BLAS build, at any BLAS
+thread or worker count. Where OpenBLAS's thread count cannot be pinned
+(numpy on another BLAS), the chunks run one after another on the caller
+at the BLAS's own thread count.
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import NamedTuple
@@ -408,9 +408,10 @@ def usable_cpus() -> int:
 
 class Workers:
     """Where chunks run: `workspaces`, one Workspace per worker, the first
-    the caller's and the others a pool's threads'. loss_and_grads keeps its
-    gradients here too: `grad`, the one batch gradient, made by its first
-    call, and `spare_grads`, the chunk gradient vectors no chunk holds.
+    the caller's and the others those of the threads run starts.
+    loss_and_grads keeps its gradients here too: `grad`, the one batch
+    gradient, made by its first call, and `spare_grads`, the chunk gradient
+    vectors no chunk holds.
 
     run is the one chunk scheduler, for the chunks of a training batch and
     for every chunk of an evaluated split. Every chunk runs with OpenBLAS
@@ -422,71 +423,63 @@ class Workers:
     thread count nor the worker count. Where the pin cannot be made, the
     chunks run one after another on the caller, unpinned.
 
-    Make one per fit or evaluate call and close it (it is a context
-    manager): closing waits for the pool's threads to end.
+    A Workers holds no thread: run starts its helper threads and joins them
+    before it returns, so one is a plain value, made once per fit or
+    evaluate call and dropped with it.
     """
 
     def __init__(self, workspaces: list[Workspace]):
         self.workspaces = workspaces
         self.grad: ModelParams | None = None
         self.spare_grads: list[ModelParams] = []
-        # one thread fewer than workspaces; a pool spawns no thread until a submit
-        self._pool = ThreadPoolExecutor(max(1, len(workspaces) - 1))
 
     @classmethod
-    def for_batches(
-        cls, config: ModelConfig, rows_per_window: int, batch_windows: int, dtype=COMPUTE_DTYPE
-    ) -> "Workers":
+    def for_batches(cls, config: ModelConfig, rows_per_window: int, batch_windows: int) -> "Workers":
         """Workers for batches of up to `batch_windows` windows of
-        `rows_per_window` rows: one workspace per usable CPU, each sized
-        for a chunk (at most CHUNK_ROWS rows, or one window), or one where
-        OpenBLAS's thread count cannot be pinned. Every worker is used:
-        evaluate runs a whole split's chunks at once, however few chunks a
-        training batch has."""
+        `rows_per_window` rows: one COMPUTE_DTYPE workspace per usable CPU,
+        each sized for a chunk (at most CHUNK_ROWS rows, or one window), or
+        one where OpenBLAS's thread count cannot be pinned. Every worker is
+        used: evaluate runs a whole split's chunks at once, however few
+        chunks a training batch has."""
         per_chunk = min(batch_windows, chunk_windows(rows_per_window))
         count = usable_cpus() if blas_threads() is not None else 1
-        return cls([Workspace(config, per_chunk * rows_per_window, dtype) for _ in range(count)])
+        return cls([Workspace(config, per_chunk * rows_per_window) for _ in range(count)])
 
     def check(self, params: ModelParams, rows: int) -> None:
         """Check every workspace against params and for room for `rows` rows."""
         for ws in self.workspaces:
             _workspace(ws, params, rows)
 
-    def close(self) -> None:
-        self._pool.shutdown()
-
-    def __enter__(self) -> "Workers":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def run(self, n_chunks: int, task, add) -> None:
         """task(i, workspace) for each chunk i in range(n_chunks), each
         chunk's BLAS calls on one thread, and add(i, result) for each chunk
         in chunk order, as soon as every earlier chunk's result is added; a
         result that is done early is held until then. The caller is worker
-        0, in the first workspace, and pool threads run the other
-        min(len(workspaces), n_chunks) - 1 (none where the pin cannot be
-        made), all in one loop: take the next chunk as soon as free, run
-        it, add every held result that is next. A workspace takes its next
-        chunk as soon as its task returns, so a result must not refer to
-        it. Each task and add runs under the caller's np.geterr(), one add
-        at a time. After a failure in a task or add no worker takes another
-        chunk; every earlier chunk was taken already, so the first failing
-        chunk always runs, and its exception is raised here unchanged, once
-        every worker has returned and the BLAS thread count is restored."""
+        0, in the first workspace: it takes the first chunk, then starts
+        threads that run the other min(len(workspaces), n_chunks) - 1 (none
+        where the pin cannot be made, or for one chunk), all in one loop:
+        take the next chunk as soon as free, run it, add every held result
+        that is next. A workspace takes its next chunk as soon as its task
+        returns, so a result must not refer to it. Each task and add runs
+        under the caller's np.geterr(), one add at a time. After a failure
+        in a task or add no worker takes another chunk; every earlier chunk
+        was taken already, so the first failing chunk always runs, and its
+        exception is raised here unchanged, once every thread started here
+        has ended and the BLAS thread count is restored."""
         held, failed = {}, []
         chunks, lock = iter(range(n_chunks)), threading.Lock()
         added = 0  # the chunks added so far
         errstate = np.geterr()
 
-        def drain(ws):
+        def drain(ws, helpers=()):
             nonlocal added
             with np.errstate(**errstate):
                 while not failed:
                     with lock:
                         i = next(chunks, None)
+                    for thread in helpers:  # the caller's, started once it holds a chunk
+                        thread.start()
+                    helpers = ()
                     if i is None:
                         return
                     try:
@@ -502,9 +495,13 @@ class Workers:
 
         with single_threaded_blas() as pinned:
             w = min(len(self.workspaces), n_chunks) if pinned else 1
-            others = [self._pool.submit(drain, ws) for ws in self.workspaces[1:w]]
-            drain(self.workspaces[0])
-            wait(others)
+            helpers = [threading.Thread(target=drain, args=(ws,)) for ws in self.workspaces[1:w]]
+            try:
+                drain(self.workspaces[0], helpers)
+            finally:  # join every helper that started, even if a later start failed
+                for thread in helpers:
+                    if thread.is_alive():
+                        thread.join()
         if failed:
             raise min(failed, key=lambda f: f[0])[1]
 

@@ -22,17 +22,19 @@ checkpoint, stay float64.
 Chunks: fit and evaluate take batch_size windows per batch, and a batch
 of more than model.CHUNK_ROWS rows (N*C rows per window) runs in chunks
 of whole windows, scheduled by model.Workers.run with OpenBLAS pinned to
-one thread: the caller and the pool's threads run one drain loop, each
-worker taking the next chunk as soon as it is free, and each chunk's
-result added in chunk order, a result that is done early held until the
-chunks before it are added. fit runs one batch's chunks at a time (a
-model.WindowBatch), and loss_and_grads adds their loss sums and
-gradients. evaluate runs the whole split's chunks at once, so the
-workers share even a split of one-chunk batches, and pools their float64
-error sums. Every chunk, of fit, evaluate or the HI baseline, comes from
-model.chunk_slices, so none crosses a batch boundary. So a multi-chunk
-batch's gradient is rounded once per chunk and differs in its last bits
-from a one-pass sum, and evaluate's sums are split likewise.
+one thread: the caller and the threads that the run starts and joins run
+one drain loop, each worker taking the next chunk as soon as it is free,
+and each chunk's result added in chunk order, a result that is done early
+held until the chunks before it are added. No thread outlives a run: fit's
+Workers is a plain value, its workspaces and the batch gradient. fit runs
+one batch's chunks at a time (a model.WindowBatch), and loss_and_grads
+adds their loss sums and gradients. evaluate runs the whole split's
+chunks at once, so the workers share even a split of one-chunk batches,
+and pools their float64 error sums. Every chunk, of fit, evaluate or the
+HI baseline, comes from model.chunk_slices, so none crosses a batch
+boundary. So a multi-chunk batch's gradient is rounded once per chunk
+and differs in its last bits from a one-pass sum, and evaluate's sums
+are split likewise.
 
 Determinism contract: with the same config, seed and BLAS build, batch
 order, every update, and the resulting best checkpoint are all
@@ -161,8 +163,7 @@ def evaluate(
     rows_per_window = windows.n_stations * n_vars
     chunks = model_ops.chunk_slices(len(windows), batch_size, rows_per_window)
     if workers is None:
-        with model_ops.Workers.for_batches(params.config, rows_per_window, batch_size) as workers:
-            return evaluate(params, windows, coords_norm, normalizer, batch_size, workers)
+        workers = model_ops.Workers.for_batches(params.config, rows_per_window, batch_size)
     params = params.astype(COMPUTE_DTYPE)
     workers.check(params, chunks[0].stop * rows_per_window)  # the first chunk is the largest
     pos = model_ops.positions(coords_norm, windows.hours, windows.days, windows.months, params)
@@ -222,58 +223,52 @@ def fit(
     epochs_since_best = 0
     history: list[dict] = []
 
-    with model_ops.Workers.for_batches(
-        params.config, rows_per_window, config.batch_size
-    ) as workers:
-        for epoch in range(config.max_epochs):
-            t0 = time.perf_counter()
-            perm = np.random.default_rng([config.seed, epoch]).permutation(
-                len(train_windows)
-            )
-            abs_err_sum = 0.0
-            n_samples = 0
-            for bi, lo in enumerate(range(0, len(perm), config.batch_size)):
-                idx = perm[lo : lo + config.batch_size]
-                with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is named below
-                    np.copyto(compute.vector, params.vector)
-                    loss, grads = loss_and_grads(  # each chunk gathers its own windows
-                        compute, model_ops.WindowBatch(train_windows, idx), coords_norm, workers
-                    )
-                if not np.isfinite(loss):
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch}, batch {bi}; "
-                        f"{_first_nonfinite(compute.tensors, grads)}"
-                    )
-                try:  # one vector in spec layout, where loss_and_grads leaves it
-                    adam_step(params.vector, workers.grad.vector, state, config.lr, out=params.vector)
-                except OptimizerError:
-                    name = next(n for n in compute.tensors if not np.isfinite(grads[n]).all())
-                    raise OptimizerError(f"non-finite gradient for parameter '{name}'") from None
-                abs_err_sum += loss * len(idx)
-                n_samples += len(idx)
+    workers = model_ops.Workers.for_batches(params.config, rows_per_window, config.batch_size)
+    for epoch in range(config.max_epochs):
+        t0 = time.perf_counter()
+        perm = np.random.default_rng([config.seed, epoch]).permutation(len(train_windows))
+        abs_err_sum = 0.0
+        n_samples = 0
+        for bi, lo in enumerate(range(0, len(perm), config.batch_size)):
+            idx = perm[lo : lo + config.batch_size]
+            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is named below
+                np.copyto(compute.vector, params.vector)
+                loss, grads = loss_and_grads(  # each chunk gathers its own windows
+                    compute, model_ops.WindowBatch(train_windows, idx), coords_norm, workers
+                )
+            if not np.isfinite(loss):
+                raise TrainingError(
+                    f"non-finite loss at epoch {epoch}, batch {bi}; "
+                    f"{_first_nonfinite(compute.tensors, grads)}"
+                )
+            try:  # one vector in spec layout, where loss_and_grads leaves it
+                adam_step(params.vector, workers.grad.vector, state, config.lr, out=params.vector)
+            except OptimizerError:
+                name = next(n for n in compute.tensors if not np.isfinite(grads[n]).all())
+                raise OptimizerError(f"non-finite gradient for parameter '{name}'") from None
+            abs_err_sum += loss * len(idx)
+            n_samples += len(idx)
 
-            val_metrics = evaluate(
-                params, val_windows, coords_norm, normalizer, config.batch_size, workers
-            )
-            seconds = time.perf_counter() - t0
-            history.append(
-                {
-                    "epoch": epoch,
-                    "train_mae": abs_err_sum / n_samples,
-                    "val_mae": val_metrics.mae,
-                    "val_mse": val_metrics.mse,
-                    "seconds": seconds,
-                }
-            )
-            if val_metrics.mae < best_val:
-                best_val = val_metrics.mae
-                best_epoch = epoch
-                best_params = params.copy()
-                epochs_since_best = 0
-            else:
-                epochs_since_best += 1
-                if epochs_since_best >= config.patience:
-                    break
+        val_metrics = evaluate(params, val_windows, coords_norm, normalizer, config.batch_size, workers)
+        seconds = time.perf_counter() - t0
+        history.append(
+            {
+                "epoch": epoch,
+                "train_mae": abs_err_sum / n_samples,
+                "val_mae": val_metrics.mae,
+                "val_mse": val_metrics.mse,
+                "seconds": seconds,
+            }
+        )
+        if val_metrics.mae < best_val:
+            best_val = val_metrics.mae
+            best_epoch = epoch
+            best_params = params.copy()
+            epochs_since_best = 0
+        else:
+            epochs_since_best += 1
+            if epochs_since_best >= config.patience:
+                break
 
     return FitResult(
         params=best_params,

@@ -850,9 +850,8 @@ def test_forecast_matches_evaluate_window(synth_dir, trained_dir, tmp_path):
     history = normalize_apply(obs.values[start : start + 6], prepared.normalizer)
     b = ws.batch([k])  # the window evaluate scores is this history, in float32 rows
     assert b["history"].tobytes() == history.transpose(1, 2, 0).astype(np.float32).tobytes()
-    pred, _ = forward_batch(
-        history[None], normalize_coords(obs.coords), b["hours"], b["days"], b["months"], params
-    )
+    calendar = (ws.hours[[k]], ws.days[[k]], ws.months[[k]])
+    pred, _ = forward_batch(history[None], normalize_coords(obs.coords), *calendar, params)
     expected = normalize_invert(pred[0], prepared.normalizer)
 
     got = {}

@@ -1235,7 +1235,7 @@ def test_single_window_when_exact_fit():
     b = ws.batch([0])
     assert_array_equal(b["history"], [np.arange(6.0)])
     assert_array_equal(b["future"], [[6.0, 7.0, 8.0]])
-    assert b["hours"][0] == 6
+    assert ws.hours[0] == 6
 
 
 def test_window_count_100_48_24():
@@ -1390,8 +1390,7 @@ def test_batch_rows_equal_the_series_slices(
             rows = want.transpose(0, 2, 3, 1).reshape(-1, steps).astype(np.float32)
             assert got.dtype == np.float32 and got.shape == rows.shape
             assert got.tobytes() == rows.tobytes()
-        for key in ("hours", "days", "months"):
-            assert_array_equal(b[key], getattr(ws, key)[idx])
+        assert b.keys() == {"history", "future"}
         # consecutive windows lo..hi-1 gathered into buffers: the same
         # history rows, and the float64 targets in the same row order
         lo = data.draw(st.integers(0, len(ws) - 1))
@@ -1399,15 +1398,13 @@ def test_batch_rows_equal_the_series_slices(
         rows = (hi - lo) * n_stations * n_vars
         out = {"history": np.empty((rows + 3, t_h), np.float32), "future_raw": np.empty((rows + 3, t_f))}
         b_out = ws.batch(slice(lo, hi), out=out)
-        assert b_out.keys() == {"history", "future_raw", "hours", "days", "months"}
+        assert b_out.keys() == {"history", "future_raw"}
         for key, buf in out.items():
             assert b_out[key].shape[0] == rows and np.shares_memory(b_out[key], buf)
         assert b_out["history"].tobytes() == ws.batch(np.arange(lo, hi))["history"].tobytes()
         s = ws.starts[lo:hi, None]
         raw_rows = raw[s + t_h + np.arange(t_f)].transpose(0, 2, 3, 1).reshape(-1, t_f)
         assert b_out["future_raw"].tobytes() == raw_rows.tobytes()
-        for key in ("hours", "days", "months"):
-            assert_array_equal(b_out[key], getattr(ws, key)[lo:hi])
         # a stepped slice gathers the windows it selects, as their index
         # array, and so does an empty one, whatever its bounds
         bound = st.none() | st.integers(-len(ws) - 1, len(ws) + 1)
@@ -1420,7 +1417,7 @@ def test_batch_rows_equal_the_series_slices(
         for drawn in (stepped, *empties):
             b_step, b_ids = ws.batch(drawn), ws.batch(np.arange(len(ws))[drawn])
             assert b_step.keys() == b_ids.keys()
-            assert drawn is stepped or len(b_step["hours"]) == 0
+            assert drawn is stepped or len(b_step["history"]) == 0
             for key in b_ids:
                 assert b_step[key].shape == b_ids[key].shape, (drawn, key)
                 assert b_step[key].tobytes() == b_ids[key].tobytes(), (drawn, key)
@@ -1454,8 +1451,7 @@ def test_batch_gathers_an_index_array_into_out():
         for key, slices in want.items():
             assert np.shares_memory(got[key], out[key]) and got[key].shape[0] == rows
             assert got[key].tobytes() == np.concatenate(slices).tobytes()
-        for key in ("hours", "days", "months"):
-            assert_array_equal(got[key], getattr(train, key)[chunk])
+        assert got.keys() == out.keys()
     for key, buf in (("history", out["history"][:-1]), ("future", out["history"])):
         with pytest.raises(ShapeError, match=key):
             train.batch(ids[:4], out={key: buf})

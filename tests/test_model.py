@@ -848,19 +848,19 @@ def test_positions_are_made_once_per_call(spatial, temporal, monkeypatch):
     sizes = _chunk_sizes(monkeypatch)
     split_chunks = len(lw_model.chunk_slices(len(test), 7, 5))
     assert split_chunks > 10
-    with lw_model.Workers.for_batches(cfg, 5, 7, np.float32) as workers:
-        for call, chunks in (
-            (lambda: loss_and_grads(p32, rows, cn, workers), 4),
-            (lambda: loss_and_grads(p32, windows, obs_cn, workers), 4),
-            (lambda: evaluate(p, test, obs_cn, prepared.normalizer, 7, workers), split_chunks),
-            (lambda: evaluate(p, test, obs_cn, prepared.normalizer, 7), split_chunks),
-            (lambda: forward_batch(hist, cn, hours, days, months, p32), 1),
-        ):
-            made.update(spatial_rows=0, positions=0)
-            sizes.clear()
-            call()
-            assert len(sizes) == chunks
-            assert made == {"spatial_rows": 1, "positions": 1}
+    workers = lw_model.Workers.for_batches(cfg, 5, 7)
+    for call, chunks in (
+        (lambda: loss_and_grads(p32, rows, cn, workers), 4),
+        (lambda: loss_and_grads(p32, windows, obs_cn, workers), 4),
+        (lambda: evaluate(p, test, obs_cn, prepared.normalizer, 7, workers), split_chunks),
+        (lambda: evaluate(p, test, obs_cn, prepared.normalizer, 7), split_chunks),
+        (lambda: forward_batch(hist, cn, hours, days, months, p32), 1),
+    ):
+        made.update(spatial_rows=0, positions=0)
+        sizes.clear()
+        call()
+        assert len(sizes) == chunks
+        assert made == {"spatial_rows": 1, "positions": 1}
 
 
 @pytest.mark.parametrize("spatial,temporal", ENCODINGS)
@@ -1005,14 +1005,14 @@ def test_warm_step_on_workers_allocates_less_than_one_chunk_activation(monkeypat
     ids = rng.permutation(len(train))[:32]
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 2000)
     for batch in (RowBatch(x_rows, future_rows, *calendar), WindowBatch(train, ids)):
-        with lw_model.Workers.for_batches(cfg, n_st, 32) as workers:
-            loss, _ = loss_and_grads(p, batch, cn, workers)
-            tracemalloc.start()
-            try:
-                again, _ = loss_and_grads(p, batch, cn, workers)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        workers = lw_model.Workers.for_batches(cfg, n_st, 32)
+        loss, _ = loss_and_grads(p, batch, cn, workers)
+        tracemalloc.start()
+        try:
+            again, _ = loss_and_grads(p, batch, cn, workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert again == loss
         assert peak < 2000 * cfg.d * 4  # one chunk activation in float32
 
@@ -1033,14 +1033,14 @@ def test_warm_evaluate_chunks_allocate_less_than_one_chunk_activation(monkeypatc
     cn = normalize_coords(obs.coords)
     p = init_params(cfg, seed=59)
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 2000)
-    with lw_model.Workers.for_batches(cfg, n_st, 32) as workers:
-        cold = evaluate(p, test, cn, prepared.normalizer, 32, workers)
-        tracemalloc.start()
-        try:
-            warm = evaluate(p, test, cn, prepared.normalizer, 32, workers)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    workers = lw_model.Workers.for_batches(cfg, n_st, 32)
+    cold = evaluate(p, test, cn, prepared.normalizer, 32, workers)
+    tracemalloc.start()
+    try:
+        warm = evaluate(p, test, cn, prepared.normalizer, 32, workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert warm == cold == evaluate(p, test, cn, prepared.normalizer, 32)
     assert peak < 2000 * cfg.d * 4  # one chunk activation in float32
 
@@ -1111,16 +1111,44 @@ def test_an_error_in_one_chunk_reaches_the_caller_unchanged(monkeypatch):
         return forward_rows(x_rows, pos, *args, **kwargs)
 
     monkeypatch.setattr(lw_model, "forward_rows", failing)
-    before = blas_threads()
-    with lw_model.Workers.for_batches(cfg, 5, 7, np.float32) as workers:
-        assert len(workers.workspaces) == 2
-        with pytest.raises(ShapeError) as raised:
-            loss_and_grads(p32, *batch, workers)
-        assert raised.value is error
-        assert blas_threads() == before
-        started.clear()
-        monkeypatch.setattr(lw_model, "forward_rows", forward_rows)
-        loss_and_grads(p32, *batch, workers)  # the workers run on
+    before, threads = blas_threads(), threading.active_count()
+    workers = lw_model.Workers.for_batches(cfg, 5, 7)
+    assert len(workers.workspaces) == 2
+    with pytest.raises(ShapeError) as raised:
+        loss_and_grads(p32, *batch, workers)
+    assert raised.value is error
+    assert blas_threads() == before
+    assert threading.active_count() == threads  # the failed run's thread has ended
+    started.clear()
+    monkeypatch.setattr(lw_model, "forward_rows", forward_rows)
+    loss_and_grads(p32, *batch, workers)  # the workers run on
+    assert threading.active_count() == threads
+
+
+def test_a_thread_that_cannot_start_fails_the_run_after_the_others_end(monkeypatch):
+    # 3 chunks of 0.05 s on 3 workers, and the second helper thread cannot
+    # start (as when the process is out of threads): the start's error
+    # reaches the caller once the first helper, still running its chunks,
+    # has ended and the BLAS thread count is restored. The caller's chunk
+    # never ran, so nothing was added
+    cfg = small_config()
+    workers = lw_model.Workers([Workspace(cfg, 10, np.float32) for _ in range(3)])
+    start, starts = threading.Thread.start, []
+
+    def failing_start(thread):
+        starts.append(thread)
+        if len(starts) == 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+    before, threads, added = blas_threads(), threading.active_count(), []
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        workers.run(3, lambda i, ws: time.sleep(0.05) or i, lambda i, result: added.append(result))
+    assert len(starts) == 2 and not starts[0].is_alive()
+    assert threading.active_count() == threads
+    assert blas_threads() == before
+    assert added == []
 
 
 def test_without_a_blas_pin_chunks_run_on_the_caller(monkeypatch):
@@ -1142,9 +1170,9 @@ def test_without_a_blas_pin_chunks_run_on_the_caller(monkeypatch):
         return forward_rows(*args, **kwargs)
 
     monkeypatch.setattr(lw_model, "forward_rows", recording)
-    with lw_model.Workers.for_batches(cfg, 10, 7, np.float32) as workers:
-        assert len(workers.workspaces) == 1
-        loss, grads = loss_and_grads(p32, *batch, workers)
+    workers = lw_model.Workers.for_batches(cfg, 10, 7)
+    assert len(workers.workspaces) == 1
+    loss, grads = loss_and_grads(p32, *batch, workers)
     assert threads == [threading.get_ident()] * 3
     assert loss == pinned[0]
     for name, g in grads.items():
@@ -1155,7 +1183,9 @@ def test_more_workers_than_cores_give_the_bits_of_one(monkeypatch):
     # 9 chunks on 4 workers that switch threads every microsecond: a chunk
     # run in a workspace another chunk still holds, or results added out of
     # chunk order, would change the bits of the one-worker run. The caller
-    # is one of the 4 workers, so the run adds at most 3 threads
+    # is one of the 4 workers and takes a chunk before it starts the other
+    # 3, so each run adds at most 3 threads, and it ends them before it
+    # returns
     cfg = small_config(n_vars=2)
     p32 = init_params(cfg, seed=75).astype(np.float32)
     batch = row_batch(*_random_batch(cfg, 9, 5, seed=76))  # 9 windows x 10 rows
@@ -1164,28 +1194,31 @@ def test_more_workers_than_cores_give_the_bits_of_one(monkeypatch):
     loss1, grads1 = loss_and_grads(p32, *batch, one)
     grads1 = {n: g.copy() for n, g in grads1.items()}
     threads = threading.active_count()
-    ran_on = set()
+    ran_on, running = set(), []
     forward_rows = lw_model.forward_rows
 
     def recording(*args, **kwargs):
         ran_on.add(threading.get_ident())
+        running.append(threading.active_count())
         return forward_rows(*args, **kwargs)
 
     monkeypatch.setattr(lw_model, "forward_rows", recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with lw_model.Workers([Workspace(cfg, 10, np.float32) for _ in range(4)]) as many:
-            for _ in range(20):
-                loss, grads = loss_and_grads(p32, *batch, many)
-                assert loss == loss1
-                for name, g in grads.items():
-                    assert g.tobytes() == grads1[name].tobytes(), name
-            assert threading.active_count() - threads <= 3
+        many = lw_model.Workers([Workspace(cfg, 10, np.float32) for _ in range(4)])
+        for _ in range(20):
+            ran_on.clear()
+            running.clear()
+            loss, grads = loss_and_grads(p32, *batch, many)
+            assert loss == loss1
+            for name, g in grads.items():
+                assert g.tobytes() == grads1[name].tobytes(), name
+            assert threading.get_ident() in ran_on and len(ran_on) <= 4
+            assert max(running) - threads <= 3
+            assert threading.active_count() == threads  # the run's threads have ended
     finally:
         sys.setswitchinterval(interval)
-    assert threading.get_ident() in ran_on and len(ran_on) <= 4
-    assert threading.active_count() == threads  # closing ended the pool's threads
 
 
 def _slow_first_chunk(monkeypatch, first_rows):
@@ -1232,10 +1265,10 @@ def test_chunks_that_finish_out_of_order_keep_the_bits(monkeypatch):
         assert len(one.spare_grads) == 1  # one worker's chunks, added in turn, share one vector
         threads = threading.active_count()
         finished = _slow_first_chunk(monkeypatch, first_rows)
-        with lw_model.Workers.for_batches(cfg, 10, 7, np.float32) as two:
-            assert len(two.workspaces) == 2
-            loss, grads = loss_and_grads(p32, batch, cn, two)
-            assert len(two.spare_grads) > 1  # held chunks' vectors, given back once added
+        two = lw_model.Workers.for_batches(cfg, 10, 7)
+        assert len(two.workspaces) == 2
+        loss, grads = loss_and_grads(p32, batch, cn, two)
+        assert len(two.spare_grads) > 1  # held chunks' vectors, given back once added
         monkeypatch.setattr(lw_model, "forward_rows", forward_rows)
         assert len(finished) == 4 and finished.index(True) > 0  # chunk 0 finished late
         assert loss == loss1
@@ -1256,10 +1289,10 @@ def test_a_gradient_parked_without_memory_is_a_config_error(monkeypatch, fail_al
     monkeypatch.setattr(lw_model, "usable_cpus", lambda: 2)
     _slow_first_chunk(monkeypatch, rows.x_rows[:20])
     size = parameter_count(cfg)
-    with lw_model.Workers.for_batches(cfg, 10, 7, np.float32) as two:
-        calls = fail_allocation(size, lambda k: k > 1)
-        with pytest.raises(ConfigError, match=f"a model of {size} parameters is too large"):
-            loss_and_grads(p32, rows, cn, two)
+    two = lw_model.Workers.for_batches(cfg, 10, 7)
+    calls = fail_allocation(size, lambda k: k > 1)
+    with pytest.raises(ConfigError, match=f"a model of {size} parameters is too large"):
+        loss_and_grads(p32, rows, cn, two)
     # the batch gradient, chunk 1's vector, chunk 2's (the failure), and
     # chunk 0's, which it asks for once its forward pass is done
     assert calls == ["zeros"] * 4
@@ -1364,11 +1397,11 @@ def test_workspace_rejects_what_it_was_not_made_for():
         (Workspace(small_config(d=4), 6, np.float32), "workspace for"),
     ):
         for workspaces in ([bad], [good, bad]):
-            with lw_model.Workers(workspaces) as workers:
-                with pytest.raises(ShapeError, match=match) as step:
-                    loss_and_grads(p32, *batch, workers)
-                with pytest.raises(ShapeError) as scored:
-                    evaluate(p, prepared.test, cn, prepared.normalizer, 3, workers)
+            workers = lw_model.Workers(workspaces)
+            with pytest.raises(ShapeError, match=match) as step:
+                loss_and_grads(p32, *batch, workers)
+            with pytest.raises(ShapeError) as scored:
+                evaluate(p, prepared.test, cn, prepared.normalizer, 3, workers)
             assert str(scored.value) == str(step.value)
 
 

@@ -158,7 +158,7 @@ def test_evaluate_pools_each_chunk_as_the_metric_accumulator_does(chunk_rows, mo
             idx = np.arange(c, min(c + step, lo + 5, len(test)))
             b = test.batch(idx)
             ws = lw_model.Workspace(cfg, len(b["history"]), p32.dtype)
-            pos = positions(cn, b["hours"], b["days"], b["months"], p32)
+            pos = positions(cn, test.hours[idx], test.days[idx], test.months[idx], p32)
             y_rows = forward_rows(b["history"], pos, p32, ws)
             pred = normalize_invert(y_rows.reshape(-1, 2, SMALL.t_f).swapaxes(1, 2), prepared.normalizer)
             raw = obs.values[test.starts[idx][:, None] + SMALL.t_h + np.arange(SMALL.t_f)]
@@ -194,12 +194,13 @@ def test_the_first_failing_evaluate_chunk_raises_its_error_unchanged(monkeypatch
         return forward(x_rows, pos, *args)
 
     monkeypatch.setattr(lw_model, "forward_rows", failing)
-    before = numerics.blas_threads()
+    before, threads = numerics.blas_threads(), threading.active_count()
     for _ in range(5):
         with pytest.raises(EvaluationError) as raised:
             evaluate(params, test, cn, prepared.normalizer, batch_size=5)
         assert raised.value is errors[2]
         assert numerics.blas_threads() == before
+        assert threading.active_count() == threads  # the failed run's thread has ended
 
 
 def test_evaluate_streams_one_chunk_batches_over_the_workers(monkeypatch):
@@ -231,6 +232,10 @@ def test_evaluate_streams_one_chunk_batches_over_the_workers(monkeypatch):
     assert threading.get_ident() in threads  # the caller is one of the two workers
     assert streamed == alone
     assert threading.active_count() == running  # evaluate's workers have ended
+    # Workers given to evaluate hold no thread once it returns
+    two = lw_model.Workers.for_batches(SMALL, 3, 5)
+    assert evaluate(params, test, cn, prepared.normalizer, 5, two) == alone
+    assert threading.active_count() == running
 
 
 # --- fit -------------------------------------------------------------------
