@@ -58,6 +58,13 @@ what the loader accepts or returns must bump _SIDECAR_VERSION.
 
 write_observations_csv writes the bytes csv.writer writes a row at a
 time, formatting a block of _WRITE_ROWS rows with one join and one write.
+
+split_windows makes no copy of the series. Each split (WindowSet) makes
+the float32 rows of its own span with series_rows the first time a batch
+gathers history or future rows from it, under its lock, so that of the
+workers that gather together only one makes them, and keeps them. A
+prepared dataset holds the float64 series alone until a split is read:
+forecast makes no rows, and evaluate only the test split's.
 """
 
 from __future__ import annotations
@@ -72,6 +79,7 @@ import math
 import os
 import stat
 import struct
+import threading
 import zlib
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -85,7 +93,7 @@ from .files import write_atomically
 from .model import COMPUTE_DTYPE, StationCoord
 
 STATIONS_HEADER = ["station_id", "lat", "lon", "elev"]
-_STORE_BLOCK = 256  # steps series_rows normalizes at a time
+_BLOCK_BYTES = 1 << 20  # float64 bytes in one block of steps (_block_steps)
 _CSV_BLOCK = 1 << 18  # bytes of whole lines load_observations_csv parses at a time
 _FIELD_WIDTH = 64  # longer fields are parsed line by line, not column-wise
 _WRITE_ROWS = 1 << 14  # rows write_observations_csv formats at a time
@@ -796,8 +804,9 @@ def _parse_observations(path, station_ids: list[str]):
     if np.isnan(values.min()):
         first = np.isnan(values[0])  # [N, C]: no earlier step to take from
         counts = np.zeros(len(station_ids), np.intp)
-        for lo in range(0, n_steps, _STORE_BLOCK):
-            gappy = np.isnan(values[lo : lo + _STORE_BLOCK]).any(axis=(1, 2))
+        block = _block_steps(values)
+        for lo in range(0, n_steps, block):
+            gappy = np.isnan(values[lo : lo + block]).any(axis=(1, 2))
             for t in (lo + np.flatnonzero(gappy)).tolist():
                 gap = np.isnan(values[t])
                 counts += gap.sum(axis=1)
@@ -977,29 +986,47 @@ class WindowSet:
     """Every stride-1 window fully inside one split's `span` of steps
     (len - T_h - T_f + 1 of them), served as index-gathered batches.
 
-    `store` is the series the model reads (series_rows): COMPUTE_DTYPE rows
-    [N*C, T], one per (station, variable), shared by the splits of one
-    dataset. `raw_values` keeps the original float64 [T, N, C] series for
-    metrics and the HI baseline. Windows are strided views of the store; a
+    `raw_values` is the original float64 [T, N, C] series, which metrics,
+    the HI baseline and forecast read. The model reads the split's rows
+    (rows): its span of the series normalized with `norm` into
+    COMPUTE_DTYPE, made by series_rows the first time a batch gathers
+    history or future rows and kept, so a split that is never trained on
+    or scored holds no copy. Windows are strided views of those rows, and
+    of the raw series for future_raw, indexed at start - span.start; a
     batch copies each window's rows once, already in the (window, station,
     variable) row order of model.forward_rows.
     """
 
-    def __init__(self, store, raw_values, timestamps, span: range, t_h: int, t_f: int):
-        self.store = store
+    def __init__(self, raw_values, norm, timestamps, span: range, t_h: int, t_f: int):
         self.raw_values = raw_values
+        self.norm = norm
+        self.span = span
         n_windows = max(len(span) - t_h - t_f + 1, 0)
         self.starts = np.arange(span.start, span.start + n_windows, dtype=np.intp)
         self.t_h = t_h
         self.t_f = t_f
-        self._history = _windows(store, t_h)  # [s] -> rows of steps s .. s+T_h-1
-        self._future = _windows(store[:, t_h:], t_f)  # [s] -> s+T_h .. s+T_h+T_f-1
-        # [s] -> original-unit rows of steps s+T_h .. s+T_h+T_f-1, from a [N*C, T] view
-        self._raw = _windows(raw_values.reshape(len(raw_values), store.shape[0]).T[:, t_h:], t_f)
+        raw = raw_values[span.start : span.stop]
+        # [k] -> original-unit rows of steps start+T_h .. start+T_h+T_f-1, from a [N*C, T] view
+        self._raw = _windows(raw.reshape(len(raw), self.n_stations * self.n_vars).T[:, t_h:], t_f)
+        self._views = None  # (rows, history windows, future windows), made by rows
+        self._lock = threading.Lock()  # the first of the workers to gather makes them
         # the calendar of each window's first forecast step (model.TimeFeature)
-        first = span.start + t_h
-        calendar = [(ts.hour, ts.day - 1, ts.month - 1) for ts in timestamps[first : first + n_windows]]
-        self.hours, self.days, self.months = np.array(calendar, np.intp).reshape(-1, 3).T.copy()
+        stamps = timestamps[span.start + t_h : span.start + t_h + n_windows]
+        self.hours = np.array([ts.hour for ts in stamps], np.intp)
+        self.days = np.array([ts.day - 1 for ts in stamps], np.intp)
+        self.months = np.array([ts.month - 1 for ts in stamps], np.intp)
+
+    def rows(self) -> np.ndarray:
+        """The split's model rows [N*C, len(span)], one per (station,
+        variable): series_rows of its span of raw_values, made on the first
+        call (once, whichever thread calls first) and kept."""
+        with self._lock:
+            if self._views is None:
+                rows = series_rows(self.raw_values[self.span.start : self.span.stop], self.norm)
+                history = _windows(rows, self.t_h)  # [k] -> rows of steps start .. start+T_h-1
+                future = _windows(rows[:, self.t_h :], self.t_f)  # [k] -> the T_f steps after
+                self._views = rows, history, future
+            return self._views[0]
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -1020,30 +1047,33 @@ class WindowSet:
         variable); "future", the target rows [B*N*C, T_f] that fit's loss
         reads; "future_raw", the original-unit float64 target rows in the
         same row order. Without `out`, history and future are gathered into
-        fresh arrays. A slice is copied in one pass from strided views, an
-        index array window by window, so no temporary is made (numpy's take
-        would materialize the windows' view); a slice whose step is not 1,
-        or that selects nothing, is gathered as the index array it selects.
-        Returns those rows under the same keys; the calendar indices are the
-        windows' entries of hours, days and months. A buffer too short or of
-        another width is a ShapeError.
+        fresh arrays. The first gather of history or future makes the
+        split's rows (rows). A slice is copied in one pass from strided
+        views, an index array window by window, so no temporary is made
+        (numpy's take would materialize the windows' view); a slice whose
+        step is not 1, or that selects nothing, is gathered as the index
+        array it selects. Returns those rows under the same keys. A buffer
+        too short or of another width is a ShapeError.
         """
         if isinstance(idx, slice):
             r = range(len(self))[idx]  # the windows it selects
             if r.step != 1 or not r:
                 idx = np.arange(r.start, r.stop, r.step)
         if isinstance(idx, slice):
-            n, first = len(r), self.starts[r.start]
-            pieces = [(slice(None), slice(first, first + n))]  # (batch windows, view windows)
+            n = len(r)
+            pieces = [(slice(None), slice(r.start, r.start + n))]  # (batch windows, view windows)
         else:
-            starts = self.starts[np.asarray(idx, dtype=np.intp)].tolist()
+            starts = (self.starts[np.asarray(idx, dtype=np.intp)] - self.span.start).tolist()
             n, pieces = len(starts), list(enumerate(starts))
-        sources = {"history": self._history, "future": self._future, "future_raw": self._raw}
         if out is None:
             out = {
-                key: np.empty((n * sources[key].shape[1], width), self.store.dtype)
+                key: np.empty((n * self.n_stations * self.n_vars, width), COMPUTE_DTYPE)
                 for key, width in (("history", self.t_h), ("future", self.t_f))
             }
+        sources = {"future_raw": self._raw}
+        if out.keys() & {"history", "future"}:
+            self.rows()
+            sources.update(history=self._views[1], future=self._views[2])
         got = {}
         for key, buf in out.items():
             view = sources[key]
@@ -1060,19 +1090,28 @@ class WindowSet:
         return got
 
 
+def _block_steps(values: np.ndarray) -> int:
+    """Steps of a [T, N, C] series in one block of _BLOCK_BYTES float64
+    bytes, at least one: a block's buffer stays small at any station count."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, math.prod(values.shape[1:]))))
+
+
 def series_rows(values: np.ndarray, norm: Normalizer) -> np.ndarray:
-    """The model's copy of a [T, N, C] series: COMPUTE_DTYPE rows [N*C, T],
-    one per (station, variable), z-scored with `norm`. Built a block of
-    steps at a time through one reused float64 buffer, so no float64 copy
-    of the whole series is made; each value is normalized in float64 and
-    then rounded, as normalize_apply followed by a cast would. A value that
+    """The model's copy of a [T, N, C] series, or of a split's span of it
+    (WindowSet.rows): COMPUTE_DTYPE rows [N*C, T], one per (station,
+    variable), z-scored with `norm`. Built a block of steps at a time
+    (_block_steps) through one reused float64 buffer, so no float64 copy
+    of the series is made; each value is normalized in float64 and then
+    rounded, as normalize_apply followed by a cast would, so a span's rows
+    are the bits of the whole series' rows over that span. A value that
     overflows COMPUTE_DTYPE becomes inf (split_windows rejects it)."""
     n_steps = values.shape[0]
-    rows = np.empty((values[0].size, n_steps), dtype=COMPUTE_DTYPE)
-    buf = np.empty((min(_STORE_BLOCK, n_steps), *values.shape[1:]))
+    rows = np.empty((math.prod(values.shape[1:]), n_steps), dtype=COMPUTE_DTYPE)
+    step = _block_steps(values)
+    buf = np.empty((min(step, n_steps), *values.shape[1:]))
     with np.errstate(over="ignore"):
-        for lo in range(0, n_steps, _STORE_BLOCK):
-            block = values[lo : lo + _STORE_BLOCK]
+        for lo in range(0, n_steps, step):
+            block = values[lo : lo + step]
             block = normalize_apply(block, norm, out=buf[: len(block)])
             rows[:, lo : lo + len(block)] = block.reshape(len(block), -1).T
     return rows
@@ -1132,27 +1171,40 @@ def split_windows(
     obs: ObservationSet, t_h: int, t_f: int, normalize: bool = True
 ) -> PreparedData:
     """Split 7:1:2, fit the normalizer on train (the identity when
-    `normalize` is off), store the model's series once (series_rows) and
-    window every split over it.
+    `normalize` is off) and window every split over the series. No copy
+    of the series is made here: each split makes its model rows on first
+    use (WindowSet.rows).
 
     A value that is finite in float64 but not in COMPUTE_DTYPE once
-    normalized (above about 3.4e38 for float32) is a ValidationError that
-    names its station, variable and timestamp.
+    normalized (above about 3.4e38 for float32), or a NaN, is a
+    ValidationError that names its station, variable and timestamp, the
+    earliest step's lowest (station, variable) row when there are several.
+    Normalization is monotone in each variable, so only each variable's
+    normalized min and max are checked, and the series is scanned a block
+    of steps at a time only when one of them is not finite.
     """
     train_span, val_span, test_span = chronological_split(obs.n_steps, t_h, t_f)
     norm = normalize_fit(obs.values, train_span) if normalize else Normalizer.identity(obs.n_vars)
-    store = series_rows(obs.values, norm)
-    if not np.isfinite(store).all():
-        t, row = np.argwhere(~np.isfinite(store.T))[0]  # the earliest step first
-        si, vi = divmod(int(row), obs.n_vars)
-        raise ValidationError(
-            f"station {obs.station_ids[si]}: variable {obs.var_names[vi]}: value "
-            f"{float(obs.values[t, si, vi])!r} at {obs.timestamps[t].isoformat()} is not "
-            f"finite in {np.dtype(COMPUTE_DTYPE)}"
-            + (" after normalization" if normalize else "")
+    with np.errstate(over="ignore", invalid="ignore"):
+        bounds = normalize_apply(
+            np.stack([obs.values.min(axis=(0, 1)), obs.values.max(axis=(0, 1))]), norm
         )
+        finite = np.isfinite(bounds.astype(COMPUTE_DTYPE)).all()
+    if not finite:
+        step = _block_steps(obs.values)
+        for lo in range(0, obs.n_steps, step):
+            bad = np.argwhere(~np.isfinite(series_rows(obs.values[lo : lo + step], norm).T))
+            if len(bad):
+                t, row = bad[0] + (lo, 0)  # the earliest step first, then the lowest row
+                si, vi = divmod(int(row), obs.n_vars)
+                raise ValidationError(
+                    f"station {obs.station_ids[si]}: variable {obs.var_names[vi]}: value "
+                    f"{float(obs.values[t, si, vi])!r} at {obs.timestamps[t].isoformat()} is "
+                    f"not finite in {np.dtype(COMPUTE_DTYPE)}"
+                    + (" after normalization" if normalize else "")
+                )
     sets = [
-        WindowSet(store, obs.values, obs.timestamps, span, t_h, t_f)
+        WindowSet(obs.values, norm, obs.timestamps, span, t_h, t_f)
         for span in (train_span, val_span, test_span)
     ]
     return PreparedData(train=sets[0], val=sets[1], test=sets[2], normalizer=norm)

@@ -14,7 +14,8 @@ backward_batch is its gradient from the prediction rows and the Workspace
 the forward ran in, and loss_and_grads the training step over a batch: a
 RowBatch of history and target rows, or a WindowBatch of a WindowSet's
 windows, as fit gives it. In fit and evaluate each chunk gathers its own
-rows into its workspace (WindowSet.batch). forward_batch is the one entry
+rows into its workspace (WindowSet.batch), from the split's float32 rows,
+which the first chunk to gather makes. forward_batch is the one entry
 that takes a [B, T, N, C] history: it checks and casts it, lays it out as
 rows for forward_rows in a Workspace of its own and lays the prediction
 back out; forward is forward_batch on one window. The three stage kernels
@@ -109,7 +110,7 @@ DAYS_PER_MONTH = 31
 MONTHS_PER_YEAR = 12
 
 # The dtype fit and evaluate run the batch path in, on float64 master
-# weights, and so the dtype of the model's stored copy of the series.
+# weights, and so the dtype of each split's rows of the series (data.WindowSet).
 COMPUTE_DTYPE = np.float32
 
 # The most rows one pass of the batch path holds (loss_and_grads,

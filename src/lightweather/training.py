@@ -6,18 +6,19 @@ Precision: fit and evaluate compute in COMPUTE_DTYPE (float32), which
 halves the bytes every activation moves, on float64 master weights. Each
 batch runs the model on a float32 copy of the params, cast into one
 buffer that fit allocates once and refills for every batch, over float32
-rows that each chunk gathers from the split's stored series into its
-workspace (WindowSet.batch with `out`). fit also makes one model.Workers,
-one Workspace per usable CPU sized for a full chunk, that every batch and
-every validation pass runs in: loss_and_grads leaves the batch's gradient
-in the Workers' one flat float32 grad vector, in the params'
-tensor_spec layout (each chunk's gradient goes to a vector of its own
-first), and one adam_step applies that vector to the float64
-parameter vector and Adam moments in place, in float64 math. Metrics are
-accumulated in float64 and in original data units (predictions inverted
-through the split's Normalizer, the identity when normalization is off),
-against the float64 raw series. The params fit returns, and so every
-checkpoint, stay float64.
+rows that each chunk gathers from the split's rows of the series into
+its workspace (WindowSet.batch with `out`); the first chunk to gather
+makes those rows, under the split's lock, and the split keeps them. fit
+also makes one model.Workers, one Workspace per usable CPU sized for a
+full chunk, that every batch and every validation pass runs in:
+loss_and_grads leaves the batch's gradient in the Workers' one flat
+float32 grad vector, in the params' tensor_spec layout (each chunk's
+gradient goes to a vector of its own first), and one adam_step applies
+that vector to the float64 parameter vector and Adam moments in place,
+in float64 math. Metrics are accumulated in float64 and in original
+data units (predictions inverted through the split's Normalizer, the
+identity when normalization is off), against the float64 raw series.
+The params fit returns, and so every checkpoint, stay float64.
 
 Chunks: fit and evaluate take batch_size windows per batch, and a batch
 of more than model.CHUNK_ROWS rows (N*C rows per window) runs in chunks

@@ -413,11 +413,10 @@ def test_criterion_8_overfit_sanity():
     mc = ModelConfig(d=64, n_layers=2, t_h=48, t_f=24, n_vars=1)
     # overfit oracle: the 200-step series is too short to carve out a
     # validation split, so train windows double as the validation set
-    from lightweather.data import WindowSet, normalize_fit, series_rows
+    from lightweather.data import WindowSet, normalize_fit
 
     norm = normalize_fit(obs.values)
-    store = series_rows(obs.values, norm)
-    windows = WindowSet(store, obs.values, obs.timestamps, range(0, 200), 48, 24)
+    windows = WindowSet(obs.values, norm, obs.timestamps, range(0, 200), 48, 24)
     cn = normalize_coords(obs.coords)
     # batch 8: the 129-window series needs more optimizer steps per epoch
     # than batch 32 provides to cross the 1e-2 line inside 200 epochs

@@ -82,7 +82,7 @@ def test_evaluate_hi_equals_numpy_on_raw_values():
     prepared = split_windows(dataset(), 6, 3, normalize=True)
     ws = prepared.test
     raw_rows = series_rows(ws.raw_values, Normalizer.identity(ws.n_vars))
-    assert not np.array_equal(ws.store, raw_rows)  # the model's is normalized
+    assert not np.array_equal(ws.rows(), raw_rows[:, ws.span.start : ws.span.stop])  # normalized
     starts = ws.starts[:, None]
     diff = ws.raw_values[starts + np.arange(3, 6)] - ws.raw_values[starts + np.arange(6, 9)]
     metrics = evaluate_hi(ws, batch_size=len(ws))

@@ -786,13 +786,16 @@ def test_corrupted_checkpoint_exits_0_with_finite_metrics_or_4_in_one_line(
 # --- forecast --------------------------------------------------------------
 
 
-def test_forecast_row_count_and_roundtrip(synth_dir, trained_dir, tmp_path):
+def test_forecast_row_count_and_roundtrip(synth_dir, trained_dir, tmp_path, monkeypatch):
     cfg = data_config(
         synth_dir,
         tmp_path / "f.cfg",
         out_dir=tmp_path / "fc",
         checkpoint=trained_dir / "run" / "checkpoint.bin",
     )
+    made = []  # forecast reads the float64 series: no split makes its rows
+    series_rows = data.series_rows
+    monkeypatch.setattr(data, "series_rows", lambda *args: made.append(args) or series_rows(*args))
     # timestamp 100 steps in: 2019-01-05T04:00
     assert (
         cli.main(
@@ -800,6 +803,7 @@ def test_forecast_row_count_and_roundtrip(synth_dir, trained_dir, tmp_path):
         )
         == 0
     )
+    assert made == []
     with open(tmp_path / "fc" / "forecasts.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["station_id", "step", "var", "value"]

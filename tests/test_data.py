@@ -1224,8 +1224,7 @@ def hourly_timestamps(n, start=datetime(2020, 1, 1)):
 def window_set(values, timestamps, span, t_h, t_f):
     """The windows inside `span` over `values` [T, N, C] taken as they are
     as the model series."""
-    store = series_rows(values, Normalizer.identity(values.shape[-1]))
-    return WindowSet(store, values, timestamps, span, t_h, t_f)
+    return WindowSet(values, Normalizer.identity(values.shape[-1]), timestamps, span, t_h, t_f)
 
 
 def test_single_window_when_exact_fit():
@@ -1429,7 +1428,9 @@ def test_batch_gathers_an_index_array_into_out():
     # the same buffers window by window, and are the stored series' slices
     t_h, t_f, n_stations, n_vars = 6, 3, 3, 2
     raw = np.random.default_rng(5).normal(size=(122, n_stations, n_vars)) * 4.0
-    train = split_windows(observation_set(raw), t_h, t_f).train
+    prepared = split_windows(observation_set(raw), t_h, t_f)
+    train = prepared.train
+    store = series_rows(raw, prepared.normalizer)  # the whole series' model rows
     rows_per_window = n_stations * n_vars
     ids = np.random.default_rng(6).permutation(len(train))
     assert len(ids) % 4
@@ -1444,8 +1445,8 @@ def test_batch_gathers_an_index_array_into_out():
         got = train.batch(chunk, out=out)
         starts = train.starts[chunk]
         want = {
-            "history": [train.store[:, s : s + t_h] for s in starts],
-            "future": [train.store[:, s + t_h : s + t_h + t_f] for s in starts],
+            "history": [store[:, s : s + t_h] for s in starts],
+            "future": [store[:, s + t_h : s + t_h + t_f] for s in starts],
             "future_raw": [raw[s + t_h : s + t_h + t_f].reshape(t_f, -1).T for s in starts],
         }
         for key, slices in want.items():
@@ -1455,6 +1456,83 @@ def test_batch_gathers_an_index_array_into_out():
     for key, buf in (("history", out["history"][:-1]), ("future", out["history"])):
         with pytest.raises(ShapeError, match=key):
             train.batch(ids[:4], out={key: buf})
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("n_vars", [1, 3])
+def test_each_split_makes_the_whole_series_rows_of_its_span(n_vars, normalize):
+    # a split's rows are series_rows of its own span, made on its first
+    # gather: the bits of the whole series' rows over that span, the one
+    # copy that every split once shared. Every batch, of a slice, an index
+    # array or nothing, is that whole copy's slices to the bit
+    t_h, t_f, n_stations = 6, 3, 3
+    rng = np.random.default_rng(11)
+    raw = rng.normal(size=(1500, n_stations, n_vars)) * 5.0 + rng.normal(size=n_vars) * 100.0
+    prepared = split_windows(observation_set(raw), t_h, t_f, normalize=normalize)
+    whole = series_rows(raw, prepared.normalizer)
+    for ws in (prepared.train, prepared.val, prepared.test):
+        n = len(ws)
+        selections = (
+            slice(0, n), slice(5, 17), slice(n - 1, None), slice(None, None, 3), slice(4, 4),
+            np.array([3, 0, n - 1, 3]), np.array([], np.intp),
+        )
+        for sel in selections:
+            b = ws.batch(sel)
+            starts = ws.starts[np.arange(n)[sel]]
+            for key, lo, width in (("history", 0, t_h), ("future", t_h, t_f)):
+                slices = [whole[:, s + lo : s + lo + width] for s in starts]
+                want = np.concatenate(slices) if slices else np.empty((0, width), np.float32)
+                assert b[key].dtype == want.dtype and b[key].shape == want.shape, (sel, key)
+                assert b[key].tobytes() == want.tobytes(), (sel, key)
+        rows = ws.rows()
+        assert rows.dtype == whole.dtype and rows.shape == (n_stations * n_vars, len(ws.span))
+        assert rows.tobytes() == whole[:, ws.span.start : ws.span.stop].tobytes()
+        assert ws.rows() is rows  # kept
+
+
+def test_split_windows_keeps_no_copy_of_the_series():
+    # the splits hold their windows' starts and calendars, a few bytes a
+    # step, and no rows until one is read: a float32 copy would be half
+    # the float64 values
+    values = np.random.default_rng(12).normal(size=(2000, 200, 1))
+    obs = observation_set(values)
+    tracemalloc.start()
+    try:
+        prepared = split_windows(obs, 48, 24)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(prepared.train) > 0
+    assert retained < 0.05 * values.nbytes
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        ({(650, 1, 0): 1e39}, (650, 1, 0)),  # a late step, in the eleventh block
+        ({(530, 0, 1): np.nan}, (530, 0, 1)),
+        ({(680, 0, 0): 1e39, (600, 1, 1): -1e39}, (600, 1, 1)),  # the earliest step
+        ({(640, 1, 1): 1e39, (640, 1, 0): np.nan}, (640, 1, 0)),  # then the lowest row
+    ],
+    ids=["late-step", "nan", "earliest-step", "lowest-row"],
+)
+def test_the_first_value_not_finite_in_float32_is_named(bad, named, normalize, monkeypatch):
+    # every bad cell lies after the 490-step train split, whose normalizer
+    # stays finite; the series is scanned in blocks of 64 steps, and the
+    # message names the earliest step's lowest (station, variable) row
+    monkeypatch.setattr(data, "_BLOCK_BYTES", 64 * 2 * 2 * 8)
+    raw = np.random.default_rng(13).normal(size=(700, 2, 2))
+    for cell, value in bad.items():
+        raw[cell] = value
+    obs = observation_set(raw)
+    with pytest.raises(ValidationError) as err:
+        split_windows(obs, 6, 3, normalize=normalize)
+    t, si, vi = named
+    assert (
+        f"station s{si}: variable var_{vi}: value {float(raw[named])!r} at "
+        f"{obs.timestamps[t].isoformat()} is not finite in float32"
+    ) in str(err.value)
 
 
 @pytest.mark.parametrize("normalize", [False, True])

@@ -28,6 +28,7 @@ from lightweather.errors import (
 )
 import lightweather
 from lightweather import cli, numerics, training
+from lightweather import data as lw_data
 from lightweather import model as lw_model
 from lightweather.data import normalize_invert
 from lightweather.model import (
@@ -236,6 +237,71 @@ def test_evaluate_streams_one_chunk_batches_over_the_workers(monkeypatch):
     two = lw_model.Workers.for_batches(SMALL, 3, 5)
     assert evaluate(params, test, cn, prepared.normalizer, 5, two) == alone
     assert threading.active_count() == running
+
+
+def counting_series_rows(monkeypatch, delay=0.0):
+    """Patch data.series_rows to record the step count of each series it
+    makes rows of, sleeping `delay` seconds first; returns the record."""
+    made, series_rows = [], lw_data.series_rows
+
+    def counting(values, norm):
+        made.append(len(values))
+        time.sleep(delay)
+        return series_rows(values, norm)
+
+    monkeypatch.setattr(lw_data, "series_rows", counting)
+    return made
+
+
+def test_a_split_makes_its_rows_on_first_use_and_keeps_them(monkeypatch):
+    # split_windows makes no rows; evaluate on fresh splits makes the test
+    # split's alone, a second evaluate none, and fit the train and val
+    # splits' once each, however many epochs and validation passes it runs
+    made = counting_series_rows(monkeypatch)
+    obs = tiny_dataset(n_stations=3, seed=9)
+    prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
+    assert made == []
+    params = init_params(SMALL, seed=10)
+    cn = normalize_coords(obs.coords)
+    first = evaluate(params, prepared.test, cn, prepared.normalizer, 5)
+    assert evaluate(params, prepared.test, cn, prepared.normalizer, 5) == first
+    assert made == [len(prepared.test.span)]
+    cfg = TrainConfig(lr=1e-3, batch_size=8, max_epochs=3, patience=3, seed=0)
+    result = fit(params, prepared.train, prepared.val, cn, cfg, prepared.normalizer)
+    assert len(result.history) == 3
+    assert made == [len(prepared.test.span), len(prepared.train.span), len(prepared.val.span)]
+
+
+def test_workers_that_gather_first_together_make_each_split_rows_once(monkeypatch):
+    # two-window chunks on more workers than CPUs, the interpreter switching
+    # threads every microsecond and every build slowed, so that the workers'
+    # first chunks ask for a split's rows together: the first to ask makes
+    # them while the others wait, and the results are a fresh unpatched
+    # run's bits
+    monkeypatch.setattr(lw_model, "CHUNK_ROWS", 2 * 3)
+    monkeypatch.setattr(lw_model, "usable_cpus", lambda: 4)
+    obs = tiny_dataset(n_stations=3, seed=9)
+    cn = normalize_coords(obs.coords)
+    cfg = TrainConfig(lr=1e-3, batch_size=8, max_epochs=1, patience=1, seed=0)
+
+    def run(prepared):  # fit steps the params it is given in place
+        params = init_params(SMALL, seed=10)
+        metrics = evaluate(params, prepared.test, cn, prepared.normalizer, 8)
+        fit(params, prepared.train, prepared.val, cn, cfg, prepared.normalizer)
+        return metrics, params.vector.tobytes()
+
+    want = run(split_windows(obs, SMALL.t_h, SMALL.t_f))
+    made = counting_series_rows(monkeypatch, delay=0.05)
+    prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run(prepared)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    spans = [len(ws.span) for ws in (prepared.test, prepared.train, prepared.val)]
+    assert made == spans
 
 
 # --- fit -------------------------------------------------------------------
