@@ -1129,10 +1129,58 @@ class Normalizer:
         return cls(mean=np.zeros(n_vars), std=np.ones(n_vars))
 
 
+def _pairwise_squares(flat: np.ndarray, mean: np.ndarray) -> np.float64:
+    """sum((flat - mean)**2) over a 1-D span as numpy sums it, pairwise:
+    n values split at n/2 rounded down to a multiple of 8, and each
+    subtree of at most one block summed by np.add.reduce on its own
+    squares."""
+    n = len(flat)
+    if n <= _BLOCK_BYTES // 8:
+        sq = np.subtract(flat, mean)
+        return np.add.reduce(np.multiply(sq, sq, out=sq))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_squares(flat[:half], mean) + _pairwise_squares(flat[half:], mean)
+
+
+def _squared_deviations(data: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """sum((data - mean)**2) over axes (0, 1) of a C-contiguous [T, N, C]
+    array, the sum numpy's std takes, a block of at most _BLOCK_BYTES at a
+    time instead of over one temporary of the whole array, with numpy's
+    summation order and so its bits. With C = 1 the reduction runs over
+    one contiguous span, which numpy sums pairwise (_pairwise_squares).
+    With C > 1 numpy adds each (step, station) row of C values into the
+    [C] sums in turn, so each block's rows are added after the sums so
+    far, which sit in the row before them."""
+    n_vars = data.shape[-1]
+    if n_vars == 1:
+        return np.array([_pairwise_squares(data.reshape(-1), mean)])
+    rows = data.reshape(-1, n_vars)
+    step = max(1, _BLOCK_BYTES // 8 // n_vars)
+    buf = np.zeros((1 + min(step, len(rows)), n_vars))  # row 0: the sums so far
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        sq = np.subtract(block, mean, out=buf[1 : 1 + len(block)])
+        np.multiply(sq, sq, out=sq)
+        buf[0] = np.add.reduce(buf[: 1 + len(block)], axis=0)
+    return buf[0].copy()
+
+
 def normalize_fit(values: np.ndarray, span: range | None = None) -> Normalizer:
+    """Mean and std per variable over `span`'s steps of a [T, N, C] series
+    (all of them when None), with the bits of numpy's
+    values[span].mean/std(axis=(0, 1)) but no temporary of the span:
+    _squared_deviations takes the variance's sum block by block in
+    numpy's summation order. numpy does not promise that order, so
+    tests/test_data.py checks the bits against numpy's own std, and a
+    numpy that sums otherwise fails there. numpy sums a series that is not
+    C-contiguous in its memory order, so such a series takes numpy's std.
+    Zero variance is an IngestionError."""
     data = values[span.start : span.stop] if span is not None else values
     mean = data.mean(axis=(0, 1))
-    std = data.std(axis=(0, 1))
+    if data.flags.c_contiguous:
+        std = np.sqrt(_squared_deviations(data, mean) / (data.shape[0] * data.shape[1]))
+    else:
+        std = data.std(axis=(0, 1))
     for vi, s in enumerate(std):
         if s <= 0.0:
             raise IngestionError(f"degenerate variable {vi}: zero variance")

@@ -14,9 +14,14 @@ observable from step one. Per-station noise streams are seeded by
 (seed, station index), making generation order-independent.
 
 Layout: `generate` writes into its one [T, N] float64 `values` array and
-builds no other full-size grid. It draws STATION_BLOCK stations' streams
-at a time into a station-major buffer and copies them, transposed, down
-their columns of `values`, scaled by noise_std after the warm-up rows.
+builds no other full-size grid. Station si's stream is
+np.random.default_rng([seed, si])'s, bit for bit: the SeedSequence words
+that seed its PCG64 are computed for all stations at once (_seed_words,
+numpy's published hash-mix in uint32 arithmetic) and handed to PCG64,
+so no SeedSequence is built per station. It draws STATION_BLOCK
+stations' streams at a time into a station-major buffer and copies them,
+transposed, down their columns of `values`, scaled by noise_std after
+the warm-up rows.
 G is held as its parts (`_Forcing`): a diurnal table over the distinct
 hour-of-day values (at most 24 x N), the annual term per step and the
 elevation term per station. ROW_BLOCK rows of G at a time are gathered
@@ -121,6 +126,8 @@ class _Forcing:
         lat = np.array([c.latitude for c in coords])
         lon = np.array([c.longitude for c in coords])
         elev = np.array([c.elevation for c in coords])
+        # np.unique's inverse indexes the table, so `rows` may take with
+        # mode="clip": mode="raise" copies every block through a buffer
         hours, self.hour_index = np.unique(hour, return_inverse=True)
         self.diurnal = config.amp_diurnal * np.sin(
             2.0 * np.pi * hours[:, None] / 24.0 + lon[None, :] * np.pi / 180.0
@@ -132,7 +139,7 @@ class _Forcing:
         """G at steps t0..t1-1, written into out[: t1 - t0] as
         (diurnal + annual) + elevation; returns that view."""
         out = out[: t1 - t0]
-        np.take(self.diurnal, self.hour_index[t0:t1], axis=0, out=out)
+        np.take(self.diurnal, self.hour_index[t0:t1], axis=0, out=out, mode="clip")
         out += self.annual[t0:t1, None]
         out += self.elev
         return out
@@ -160,16 +167,82 @@ def random_station_coords(n: int, seed: int) -> tuple[list[str], list[StationCoo
     return ids, coords
 
 
+# numpy's SeedSequence hash-mix constants (numpy/random/bit_generator.pyx)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_words(seed: int, stations: np.ndarray) -> np.ndarray:
+    """[len(stations), 4] uint64: row i is
+    SeedSequence([seed, stations[i]]).generate_state(4, np.uint64), the
+    words PCG64 seeds itself from, computed for every station at once in
+    uint32 arithmetic. SeedSequence coerces each entropy integer to its
+    32-bit words, low first, hashes them into a pool of 4 words and
+    hashes the pool out again. A station index fits one word: a grid of
+    2**32 stations would not fit in memory."""
+    entropy = []
+    while True:  # the seed's words, as SeedSequence coerces an integer
+        entropy.append(np.full(len(stations), seed & _M32, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy.append(stations.astype(np.uint32))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * _MULT_A) & _M32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ (result >> 16)
+
+    zero = np.zeros(len(stations), dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((len(stations), 8), dtype="<u4")
+    const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(const)
+        const = (const * _MULT_B) & _M32
+        value = value * np.uint32(const)
+        state[:, i] = value ^ (value >> 16)
+    return state.view("<u8").astype(np.uint64)
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 words made by _seed_words."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for 4 uint64
+        return self.words
+
+
 def _draw_noise(config: SynthConfig, values: np.ndarray, p: int) -> None:
     """Each station's stream down its column of `values`: the first p steps
-    as drawn (the warm-up), the rest times noise_std. Streams are drawn
-    STATION_BLOCK at a time into one station-major buffer."""
+    as drawn (the warm-up), the rest times noise_std. Station si draws
+    default_rng([seed, si])'s stream, from a PCG64 seeded with _seed_words.
+    Streams are drawn STATION_BLOCK at a time into one station-major
+    buffer."""
     n_steps, n_stations = values.shape
+    words = _seed_words(config.seed, np.arange(n_stations))
     draws = np.empty((min(STATION_BLOCK, n_stations), n_steps))
     for s0 in range(0, n_stations, STATION_BLOCK):
         s1 = min(s0 + STATION_BLOCK, n_stations)
         for si in range(s0, s1):
-            rng = np.random.default_rng([config.seed, si])
+            rng = np.random.Generator(np.random.PCG64(_SeedWords(words[si])))
             rng.standard_normal(n_steps, out=draws[si - s0])
         block = draws[: s1 - s0].T
         values[:p, s0:s1] = block[:p]  # warm-up, unit-variance

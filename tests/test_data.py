@@ -1310,6 +1310,73 @@ def test_normalizer_zero_variance_rejected():
         normalize_fit(values)
 
 
+BLOCK_VALUES = data._BLOCK_BYTES // 8  # float64 values in one block: 2**17
+
+
+@pytest.mark.parametrize(
+    "steps,stations,n_vars",
+    [
+        # C = 1: numpy sums the span pairwise, in blocks of 8 up to 128
+        # values and by halves rounded down to a multiple of 8 above
+        (1, 5, 1),
+        (7, 3, 1),
+        (13, 11, 1),
+        (1, BLOCK_VALUES - 1, 1),
+        (1, BLOCK_VALUES, 1),
+        (1, BLOCK_VALUES + 1, 1),
+        (3, BLOCK_VALUES // 3 + 5, 1),
+        (2, BLOCK_VALUES + 9, 1),
+        (9, 3 * BLOCK_VALUES // 9 + 7, 1),
+        # C > 1: numpy adds one (step, station) row of C values after another
+        (40, 3, 3),
+        (13, 7, 2),
+        (BLOCK_VALUES // 3, 1, 3),
+        (BLOCK_VALUES // 3 + 1, 1, 3),
+        (3, BLOCK_VALUES // 3 // 3 * 2 + 1, 3),
+    ],
+)
+@pytest.mark.parametrize("start", [0, 5])
+def test_normalize_fit_has_the_bits_of_numpys_mean_and_std(steps, stations, n_vars, start):
+    # normalize_fit reproduces numpy's summation order block by block, an
+    # order numpy does not promise: a numpy that sums otherwise fails here
+    # rather than moving every normalizer, checkpoint and metric
+    rng = np.random.default_rng([steps, stations, n_vars, start])
+    values = 40.0 + 7.0 * rng.standard_normal((start + steps + 3, stations, n_vars))
+    norm = normalize_fit(values, range(start, start + steps))
+    span = values[start : start + steps]
+    assert norm.mean.tobytes() == span.mean(axis=(0, 1)).tobytes()
+    assert norm.std.tobytes() == span.std(axis=(0, 1)).tobytes()
+
+
+@pytest.mark.parametrize("n_vars", [1, 3])
+def test_normalize_fit_of_a_series_not_c_contiguous_has_numpys_bits(n_vars):
+    # numpy sums such a series in its memory order, not the blocked one
+    values = np.asfortranarray(40.0 + 7.0 * np.random.default_rng(6).standard_normal((300, 500, n_vars)))
+    norm = normalize_fit(values, range(10, 290))
+    assert norm.std.tobytes() == values[10:290].std(axis=(0, 1)).tobytes()
+    strided = values[::2]
+    assert normalize_fit(strided).std.tobytes() == strided.std(axis=(0, 1)).tobytes()
+
+
+@pytest.mark.parametrize("n_vars", [1, 3])
+def test_normalize_fit_makes_no_temporary_of_the_span(n_vars):
+    values = np.random.default_rng(4).standard_normal((300, 2000, n_vars))
+    tracemalloc.start()
+    try:
+        normalize_fit(values, range(10, 290))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * data._BLOCK_BYTES, peak  # numpy's std: 0.93x the values
+
+
+def test_normalizer_zero_variance_of_one_variable_is_named():
+    values = np.random.default_rng(5).standard_normal((10, 2, 3))
+    values[:, :, 1] = 4.0
+    with pytest.raises(IngestionError, match="^degenerate variable 1: zero variance$"):
+        normalize_fit(values)
+
+
 def test_mse_scales_by_std_squared():
     rng = np.random.default_rng(1)
     truth = rng.normal(size=(30, 2, 1)) * 4.0 + 3.0

@@ -902,6 +902,11 @@ def test_chunked_evaluate_matches_one_chunk(spatial, temporal, monkeypatch):
     one = metrics()
     n_test = len(prepared.test)
     batches = [min(16, n_test - lo) for lo in range(0, n_test, 16)]
+    # workers may reach forward_rows in any order; one worker, in chunk order
+    assert sorted(sizes) == sorted(batches)
+    sizes.clear()
+    serial = lw_model.Workers([Workspace(model_cfg, 16 * 4)])
+    evaluate(p, prepared.test, cn, prepared.normalizer, 16, serial)
     assert sizes == batches
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 20)  # 5 windows of 4 rows
     sizes.clear()

@@ -349,3 +349,39 @@ def test_station_coordinates_are_drawn_before_the_ids(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000  # a million ids would hold ~60 MB
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100])
+def test_seed_words_are_the_seed_sequence_state(seed):
+    # the oracle is numpy's own SeedSequence; seeds of one to four 32-bit
+    # words put the entropy below, at and past the pool of four
+    stations = np.array([*range(301), 2**16])
+    words = synthetic._seed_words(seed, stations)
+    expected = [
+        np.random.SeedSequence([seed, int(si)]).generate_state(4, np.uint64) for si in stations
+    ]
+    assert words.dtype == np.uint64
+    assert words.tobytes() == np.array(expected).tobytes()
+    for i in (0, 300, 301):  # PCG64 seeded from the words is default_rng's
+        seeded = np.random.PCG64(synthetic._SeedWords(words[i]))
+        assert seeded.state == np.random.PCG64([seed, int(stations[i])]).state
+
+
+def test_forcing_rows_take_from_the_table_without_a_block_sized_copy():
+    # np.take with mode="raise" copies its whole output through a buffer,
+    # which puts generate's peak most of a [ROW_BLOCK, N] block above what
+    # the layout says it holds: values, the noise buffer, the diurnal table
+    # and one forcing block
+    n_stations, n_steps = 1000, 600
+    config = SynthConfig(n_stations=n_stations, n_steps=n_steps, noise_std=0.5, seed=3)
+    coords = coords_for(n_stations)
+    block = synthetic.ROW_BLOCK * n_stations * 8
+    held = (n_steps * n_stations + synthetic.STATION_BLOCK * n_steps + 24 * n_stations) * 8 + block
+    tracemalloc.start()
+    try:
+        obs = generate(config, coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert obs.values.nbytes == n_steps * n_stations * 8
+    assert peak - held < block / 2, (peak, held, block)
