@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from .data import ObservationSet, split_windows
-from .errors import ConfigError
+from .errors import ConfigError, LightWeatherError
 from .model import ModelConfig, chunk_slices, init_params, normalize_coords
 from .training import Metrics, MetricAccumulator, TrainConfig, evaluate, fit
 
@@ -65,7 +65,8 @@ def run_ablation_suite(
     """Train every encoding variant for every seed; report test metrics.
 
     Returns one row per (spatial, temporal, seed) with test MSE/MAE in
-    original units. Failures are re-raised annotated with the variant.
+    original units. This package's errors are re-raised naming the variant;
+    any other exception propagates unchanged.
     """
     if len(seeds) < 3:
         raise ConfigError(f"ablation needs >= 3 seeds, got {len(seeds)}")
@@ -94,7 +95,7 @@ def run_ablation_suite(
                     prepared.normalizer,
                     train_config.batch_size,
                 )
-            except Exception as exc:
+            except LightWeatherError as exc:  # each takes one message
                 raise type(exc)(
                     f"[spatial={spatial}, temporal={temporal}, seed={seed}] {exc}"
                 ) from exc

@@ -315,11 +315,12 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
             f"steps inside the observation range"
         )
     idx = index[when]
+    start = obs.timestamps[idx]  # the data's spelling of `when`, as evaluate reads it
     history = normalize_apply(obs.values[idx - model_cfg.t_h : idx], prepared.normalizer)
     # Written in float64, but it must be finite in COMPUTE_DTYPE, the dtype
     # evaluate runs the checkpoint in, so both commands reject the same ones.
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        pred = forward(history, obs.coords, TimeFeature.from_timestamp(when), params)
+        pred = forward(history, obs.coords, TimeFeature.from_timestamp(start), params)
         pred = normalize_invert(pred, prepared.normalizer)
         finite = np.isfinite(pred.astype(COMPUTE_DTYPE)).all()
     if not finite:
@@ -338,7 +339,7 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
     # same forecast in observations format, so it can be re-ingested
     future = replace(
         obs,
-        timestamps=[when + k * obs.interval for k in range(model_cfg.t_f)],
+        timestamps=[start + k * obs.interval for k in range(model_cfg.t_f)],
         values=pred,
     )
     write_observations_csv(out / "forecast_obs.csv", future)

@@ -90,7 +90,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, IngestionError, ShapeError, ValidationError
 from .files import write_atomically
-from .model import COMPUTE_DTYPE, StationCoord
+from .model import COMPUTE_DTYPE, StationCoord, calendar
 
 STATIONS_HEADER = ["station_id", "lat", "lon", "elev"]
 _BLOCK_BYTES = 1 << 20  # float64 bytes in one block of steps (_block_steps)
@@ -994,8 +994,8 @@ class WindowSet:
     or scored holds no copy. Windows are strided views of those rows, and
     of the raw series for future_raw, indexed at start - span.start; a
     batch copies each window's rows once, already in the (window, station,
-    variable) row order of model.forward_rows.
-    """
+    variable) row order of model.forward_rows. `calendar` is the
+    model.calendar of each window's first forecast step."""
 
     def __init__(self, raw_values, norm, timestamps, span: range, t_h: int, t_f: int):
         self.raw_values = raw_values
@@ -1010,11 +1010,7 @@ class WindowSet:
         self._raw = _windows(raw.reshape(len(raw), self.n_stations * self.n_vars).T[:, t_h:], t_f)
         self._views = None  # (rows, history windows, future windows), made by rows
         self._lock = threading.Lock()  # the first of the workers to gather makes them
-        # the calendar of each window's first forecast step (model.TimeFeature)
-        stamps = timestamps[span.start + t_h : span.start + t_h + n_windows]
-        self.hours = np.array([ts.hour for ts in stamps], np.intp)
-        self.days = np.array([ts.day - 1 for ts in stamps], np.intp)
-        self.months = np.array([ts.month - 1 for ts in stamps], np.intp)
+        self.calendar = calendar(timestamps[span.start + t_h : span.start + t_h + n_windows])
 
     def rows(self) -> np.ndarray:
         """The split's model rows [N*C, len(span)], one per (station,

@@ -6,9 +6,10 @@ Every (station, variable) series is processed independently by shared
 weights; spatial information enters only through the coordinate encoding,
 so the parameter count does not depend on the station count. The math is
 written once, over rows: one row is one (window, station, variable) series,
-and a batch of B windows is [B*N*C, T] rows in that order. positions
-checks a call's calendar and makes its [N, d] spatial_rows, once per
-batch, split or forecast. forward_rows embeds (fc_embed), adds those and
+and a batch of B windows is [B*N*C, T] rows in that order; its calendar
+is one [B, 3] array of CALENDAR table rows (calendar). positions checks a
+call's calendar, the one place one is checked, and makes its [N, d]
+spatial_rows, once per batch, split or forecast. forward_rows embeds (fc_embed), adds those and
 temporal_rows, runs encoder_forward and regresses (fc_regress);
 backward_batch is its gradient from the prediction rows and the Workspace
 the forward ran in, and loss_and_grads the training step over a batch: a
@@ -24,7 +25,7 @@ are public so that each stage can be checked on its own.
 Variants used by the ablation harness are expressed through ModelConfig:
 spatial_encoding may be "absolute" (a 3 -> d layer over normalized
 lat/lon/elevation), "relative" (a learnable station-index table), or
-"none"; temporal_encoding may be "absolute" (hour/day/month tables) or
+"none"; temporal_encoding may be "absolute" (the CALENDAR tables) or
 "none".
 
 tensor_spec(config) is the only place the parameter layout is written:
@@ -82,7 +83,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from datetime import datetime
 from typing import NamedTuple
 
@@ -105,9 +106,9 @@ from .numerics import (
 SPATIAL_MODES = ("absolute", "relative", "none")
 TEMPORAL_MODES = ("absolute", "none")
 
-HOURS_PER_DAY = 24
-DAYS_PER_MONTH = 31
-MONTHS_PER_YEAR = 12
+# The temporal encoding's tables as (name, rows), one per column of a
+# calendar: hour of day, day of month - 1 and month - 1.
+CALENDAR = (("table_hour", 24), ("table_day", 31), ("table_month", 12))
 
 # The dtype fit and evaluate run the batch path in, on float64 master
 # weights, and so the dtype of each split's rows of the series (data.WindowSet).
@@ -160,16 +161,22 @@ class TimeFeature:
     month_index: int  # month - 1
 
     def __post_init__(self):
-        if not 0 <= self.hour < HOURS_PER_DAY:
-            raise ValidationError(f"hour {self.hour} outside [0, 24)")
-        if not 0 <= self.day_index < DAYS_PER_MONTH:
-            raise ValidationError(f"day_index {self.day_index} outside [0, 31)")
-        if not 0 <= self.month_index < MONTHS_PER_YEAR:
-            raise ValidationError(f"month_index {self.month_index} outside [0, 12)")
+        for (name, rows), value in zip(CALENDAR, astuple(self)):
+            if not 0 <= value < rows:
+                raise ValidationError(f"{name} index {value} outside [0, {rows})")
 
     @classmethod
     def from_timestamp(cls, ts: datetime) -> "TimeFeature":
-        return cls(hour=ts.hour, day_index=ts.day - 1, month_index=ts.month - 1)
+        return cls(*calendar([ts])[0].tolist())
+
+
+def calendar(timestamps) -> np.ndarray:
+    """The [n, 3] intp calendar of n timestamps: for each, its row of every
+    CALENDAR table (hour, day of month - 1, month - 1)."""
+    hours = [ts.hour for ts in timestamps]
+    days = [ts.day - 1 for ts in timestamps]
+    months = [ts.month - 1 for ts in timestamps]
+    return np.stack([np.array(c, np.intp) for c in (hours, days, months)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -236,11 +243,7 @@ def tensor_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]
     elif config.spatial_encoding == "relative":
         spec.append(("station_table", (config.n_stations, d), table_bound))
     if config.temporal_encoding == "absolute":
-        spec += [
-            ("table_hour", (HOURS_PER_DAY, d), table_bound),
-            ("table_day", (DAYS_PER_MONTH, d), table_bound),
-            ("table_month", (MONTHS_PER_YEAR, d), table_bound),
-        ]
+        spec += [(name, (rows, d), table_bound) for name, rows in CALENDAR]
     for i in range(config.n_layers):
         spec += linear(f"encoder.{i}.fc1", d, d) + linear(f"encoder.{i}.fc2", d, d)
     spec += linear("fc_regress", config.t_f, d)
@@ -312,7 +315,7 @@ def parameter_count(config: ModelConfig) -> int:
     # Python ints: numpy integers would wrap on a huge count
     d, n_layers, t_h, t_f = (int(v) for v in (config.d, config.n_layers, config.t_h, config.t_f))
     spatial = {"absolute": 4 * d, "relative": int(config.n_stations or 0) * d, "none": 0}
-    temporal = {"absolute": (HOURS_PER_DAY + DAYS_PER_MONTH + MONTHS_PER_YEAR) * d, "none": 0}
+    temporal = {"absolute": sum(rows for _, rows in CALENDAR) * d, "none": 0}
     return (
         d * (t_h + 1)
         + spatial[config.spatial_encoding]
@@ -527,44 +530,37 @@ def _workspace(workspace: Workspace, params: ModelParams, rows: int) -> Workspac
 class Positions(NamedTuple):
     """A call's positional inputs, as positions makes them: coords_norm
     [N, 3] in params.dtype (None unless absolute), the spatial_rows [N, d]
-    and the windows' calendar indices [B] as intp."""
+    and the windows' calendar [B, 3] as intp."""
 
     coords_norm: np.ndarray | None
     spatial: np.ndarray | None
-    hours: np.ndarray
-    days: np.ndarray
-    months: np.ndarray
+    calendar: np.ndarray
 
     def windows(self, w: slice) -> "Positions":
         """A chunk's view: the calendar of windows `w`, the same rows."""
-        return self._replace(hours=self.hours[w], days=self.days[w], months=self.months[w])
+        return self._replace(calendar=self.calendar[w])
 
 
-def positions(coords_norm, hours, days, months, params: ModelParams) -> Positions:
+def positions(coords_norm, calendar, params: ModelParams) -> Positions:
     """The Positions of one batch, split or forecast for params, which all
-    its chunks read: the calendar indices checked (integers in range, as
-    many days and months as hours) and the spatial rows made on one BLAS
-    thread, like every chunk's GEMMs."""
-    calendar = []
-    for name, a, hi in (
-        ("hours", hours, HOURS_PER_DAY),
-        ("days", days, DAYS_PER_MONTH),
-        ("months", months, MONTHS_PER_YEAR),
-    ):
-        a = np.asarray(a)
-        if a.size and not np.issubdtype(a.dtype, np.integer):
-            raise ValidationError(f"{name} must be integer indices, got {a.dtype}")
-        a = a.astype(np.intp, copy=False).reshape(-1)
-        if a.shape != (np.size(hours),):
-            raise ShapeError(f"{name} has shape {a.shape}, expected ({np.size(hours)},)")
-        if a.size and (a.min() < 0 or a.max() >= hi):
-            raise ValidationError(f"{name} index outside [0, {hi})")
-        calendar.append(a)
+    its chunks read: the calendar checked in one pass (integer indices of
+    shape [B, 3], each column in its CALENDAR table's rows) and the spatial
+    rows made on one BLAS thread, like every chunk's GEMMs."""
+    calendar = np.asarray(calendar)
+    if calendar.size and not np.issubdtype(calendar.dtype, np.integer):
+        raise ValidationError(f"a calendar must be integer indices, got {calendar.dtype}")
+    calendar = calendar.astype(np.intp, copy=False)
+    if calendar.ndim != 2 or calendar.shape[1] != len(CALENDAR):
+        raise ShapeError(f"calendar has shape {calendar.shape}, expected (B, {len(CALENDAR)})")
+    if calendar.size:
+        for (name, rows), lo, hi in zip(CALENDAR, calendar.min(axis=0), calendar.max(axis=0)):
+            if lo < 0 or hi >= rows:
+                raise ValidationError(f"{name} index outside [0, {rows})")
     absolute = params.config.spatial_encoding == "absolute"
     coords_norm = np.asarray(coords_norm, dtype=params.dtype) if absolute else None
     with single_threaded_blas():
         spatial = spatial_rows(coords_norm, params)
-    return Positions(coords_norm, spatial, *calendar)
+    return Positions(coords_norm, spatial, calendar)
 
 
 def spatial_rows(coords_norm: np.ndarray, params: ModelParams) -> np.ndarray | None:
@@ -582,14 +578,14 @@ def spatial_rows(coords_norm: np.ndarray, params: ModelParams) -> np.ndarray | N
     return None
 
 
-def temporal_rows(hours, days, months, params: ModelParams) -> np.ndarray | None:
-    """The temporal encoding's [B, d] rows, hour + day + month table rows
-    for each window's calendar indices (in range: the caller checks them,
+def temporal_rows(calendar: np.ndarray, params: ModelParams) -> np.ndarray | None:
+    """The temporal encoding's [B, d] rows, the sum of each CALENDAR table's
+    rows at a [B, 3] calendar's indices (in range: the caller checks them,
     as positions does), or None when the model has none."""
     if params.config.temporal_encoding != "absolute":
         return None
-    t = params.tensors
-    return t["table_hour"][hours] + t["table_day"][days] + t["table_month"][months]
+    rows = [params.tensors[name][column] for (name, _), column in zip(CALENDAR, calendar.T)]
+    return sum(rows[1:], rows[0])  # hour + day + month
 
 
 def encoder_forward(z: np.ndarray, params: ModelParams, workspace: Workspace):
@@ -666,7 +662,7 @@ def forward_rows(x_rows: np.ndarray, pos: Positions, params: ModelParams, worksp
     """
     cfg = params.config
     x_rows = np.asarray(x_rows, dtype=params.dtype)
-    n_batch, n_vars = len(pos.hours), cfg.n_vars
+    n_batch, n_vars = len(pos.calendar), cfg.n_vars
     n_stations = _stations_of_rows(x_rows, n_batch, cfg)
     rows = x_rows.shape[0]
     ws = _workspace(workspace, params, rows)
@@ -677,7 +673,7 @@ def forward_rows(x_rows: np.ndarray, pos: Positions, params: ModelParams, worksp
         if pos.spatial.shape[0] != n_stations:
             raise ShapeError(f"{n_stations} stations but {pos.spatial.shape[0]} spatial rows")
         h4 += pos.spatial[None, :, None, :]
-    time_rows = temporal_rows(pos.hours, pos.days, pos.months, params)
+    time_rows = temporal_rows(pos.calendar, params)
     if time_rows is not None:
         h4 += time_rows[:, None, None, :]
 
@@ -757,8 +753,7 @@ def backward_batch(
         g_window = row_sum(  # [B, d]
             gz.reshape(n_batch, rows_per_window, cfg.d), ones, out=g_free[:n_batch]
         )
-        calendar = pos.hours, pos.days, pos.months
-        for name, idx in zip(("table_hour", "table_day", "table_month"), calendar):
+        for (name, _), idx in zip(CALENDAR, pos.calendar.T):
             g_table = grads[name]
             g_table[...] = 0.0
             np.add.at(g_table, idx, g_window)
@@ -787,17 +782,17 @@ def backward_batch(
 class RowBatch:
     """A training batch of B windows already laid out as rows, as
     forward_rows reads them: history rows [B*N*C, T_h], target rows
-    [B*N*C, T_f] and the windows' calendar indices [B]. Each chunk of the
-    step reads its windows' rows in place."""
+    [B*N*C, T_f] and the windows' calendar [B, 3]. Each chunk of the step
+    reads its windows' rows in place."""
 
-    def __init__(self, x_rows, future_rows, hours, days, months):
+    def __init__(self, x_rows, future_rows, calendar):
         self.x_rows, self.future_rows = np.asarray(x_rows), np.asarray(future_rows)
-        self.hours, self.days, self.months = hours, days, months
+        self.calendar = np.asarray(calendar)
 
     def rows_per_window(self, cfg: ModelConfig) -> int:
         """N*C, checked against the rows' shapes."""
         rows = self.x_rows.shape[0]
-        per_window = _stations_of_rows(self.x_rows, np.size(self.hours), cfg) * cfg.n_vars
+        per_window = _stations_of_rows(self.x_rows, len(self.calendar), cfg) * cfg.n_vars
         if self.future_rows.shape != (rows, cfg.t_f):
             raise ShapeError(
                 f"future shape {self.future_rows.shape} != pred shape {(rows, cfg.t_f)}"
@@ -806,25 +801,23 @@ class RowBatch:
 
     def gather(self, windows: slice, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
         """The history and target rows of the batch's windows `windows`."""
-        per_window = self.x_rows.shape[0] // np.size(self.hours)
+        per_window = self.x_rows.shape[0] // len(self.calendar)
         r = slice(windows.start * per_window, windows.stop * per_window)
         return self.x_rows[r], self.future_rows[r]
 
 
 class WindowBatch:
     """The windows `ids` of a data.WindowSet as a training batch, as fit
-    takes it: each chunk of the step gathers its windows' rows into its
-    workspace (WindowSet.batch with `out`), the history into x and the
-    targets into abs_err, which the step reads before it overwrites it
-    with |pred - truth|."""
+    takes it, with their rows of the set's calendar: each chunk of the step
+    gathers its windows' rows into its workspace (WindowSet.batch with
+    `out`), the history into x and the targets into abs_err, which the step
+    reads before it overwrites it with |pred - truth|."""
 
     def __init__(self, windows, ids):
         self.windows, self.ids = windows, np.asarray(ids, dtype=np.intp)
         if self.ids.ndim != 1:
             raise ShapeError(f"window ids of shape {self.ids.shape}, not [B]")
-        self.hours, self.days, self.months = (
-            getattr(windows, key)[self.ids] for key in ("hours", "days", "months")
-        )
+        self.calendar = windows.calendar[self.ids]
 
     def rows_per_window(self, cfg: ModelConfig) -> int:
         """N*C, with C checked against the config."""
@@ -870,8 +863,8 @@ def loss_and_grads(
     hands its vector to adam_step).
     """
     cfg = params.config
-    pos = positions(coords_norm, batch.hours, batch.days, batch.months, params)
-    n_batch = len(pos.hours)
+    pos = positions(coords_norm, batch.calendar, params)
+    n_batch = len(pos.calendar)
     if n_batch == 0:
         raise ShapeError("a training batch needs at least one window")
     rows = batch.rows_per_window(cfg)
@@ -927,7 +920,8 @@ def forward_batch(
     entry that takes that layout.
 
     history: [B, T_h, N, C]; coords_norm: normalized [N, 3]; hours/days/
-    months: per-window calendar indices [B]. Returns predictions
+    months: the windows' calendar columns, each [B], which it stacks into
+    the [B, 3] calendar positions checks. Returns predictions
     [B, T_f, N, C] in params.dtype and the fresh workspace that records the
     pass (see forward_rows). history is laid out as rows and cast to
     params.dtype; a value that is not finite after the cast (one that
@@ -938,9 +932,11 @@ def forward_batch(
     if history.ndim != 4 or history.shape[1] != cfg.t_h or history.shape[3] != cfg.n_vars:
         raise ShapeError(f"history {history.shape} is not [B, T_h={cfg.t_h}, N, C={cfg.n_vars}]")
     n_batch, _, n_stations, n_vars = history.shape
-    pos = positions(coords_norm, hours, days, months, params)
-    if len(pos.hours) != n_batch:
-        raise ShapeError(f"hours has shape {pos.hours.shape}, expected ({n_batch},)")
+    columns = [np.asarray(c) for c in (hours, days, months)]
+    for (name, _), column in zip(CALENDAR, columns):
+        if column.shape != (n_batch,):
+            raise ShapeError(f"{name} indices of shape {column.shape}, expected ({n_batch},)")
+    pos = positions(coords_norm, np.stack(columns, axis=1), params)
     with np.errstate(over="ignore"):  # an overflow is reported below
         x_rows = np.ascontiguousarray(
             history.transpose(0, 2, 3, 1).reshape(-1, cfg.t_h), dtype=params.dtype
@@ -964,6 +960,5 @@ def forward(
     if history.ndim != 3:
         raise ShapeError(f"history must be [T_h, N, C], got {history.shape}")
     coords_norm = normalize_coords(coords) if coords is not None else None
-    calendar = [tf.hour], [tf.day_index], [tf.month_index]
-    pred, _ = forward_batch(history[None], coords_norm, *calendar, params)
+    pred, _ = forward_batch(history[None], coords_norm, *([i] for i in astuple(tf)), params)
     return pred[0]

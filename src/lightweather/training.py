@@ -167,7 +167,7 @@ def evaluate(
         workers = model_ops.Workers.for_batches(params.config, rows_per_window, batch_size)
     params = params.astype(COMPUTE_DTYPE)
     workers.check(params, chunks[0].stop * rows_per_window)  # the first chunk is the largest
-    pos = model_ops.positions(coords_norm, windows.hours, windows.days, windows.months, params)
+    pos = model_ops.positions(coords_norm, windows.calendar, params)
 
     def chunk(i, ws):
         b = windows.batch(chunks[i], out={"history": ws.x, "future_raw": ws.truth})

@@ -84,7 +84,8 @@ def test_criterion_1_gradient_fidelity():
 
     def lg(_):
         one = Workers([Workspace(cfg, len(x_rows), params.dtype)])
-        return loss_and_grads(params, RowBatch(x_rows, fut_rows, hours, days, months), cn, one)
+        calendar = np.stack([hours, days, months], axis=1)
+        return loss_and_grads(params, RowBatch(x_rows, fut_rows, calendar), cn, one)
 
     t0 = time.perf_counter()
     err = finite_diff_check(lg, params.tensors, 1e-6)

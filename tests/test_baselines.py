@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from lightweather import baselines
 from lightweather.baselines import (
     evaluate_hi,
     hi_forecast,
@@ -12,7 +13,7 @@ from lightweather.baselines import (
 )
 from lightweather import model
 from lightweather.data import Normalizer, series_rows, split_windows
-from lightweather.errors import ConfigError
+from lightweather.errors import ConfigError, TrainingError
 from lightweather.model import (
     ModelConfig,
     forward_batch,
@@ -210,3 +211,25 @@ def test_ablation_suite_all_variants_finite():
         ("absolute", "absolute"),
     ]
     assert all(s["n_seeds"] == 3 for s in summary)
+
+
+def test_ablation_suite_annotates_its_own_errors_and_passes_others_on(monkeypatch):
+    # the package's errors take one message and come back as their own type
+    # naming the variant; any other exception is raised as it was, however
+    # its constructor is called
+    own = TrainingError("loss is not finite")
+    other = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+    obs, train = dataset(n_stations=2, n_steps=220), TrainConfig(max_epochs=1)
+    for error in (own, other):
+
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(baselines, "fit", failing)
+        with pytest.raises(type(error)) as raised:
+            run_ablation_suite(obs, SMALL, train, seeds=[0, 1, 2])
+        if error is own:
+            assert str(raised.value) == "[spatial=none, temporal=absolute, seed=0] loss is not finite"
+            assert type(raised.value) is TrainingError and raised.value.__cause__ is own
+        else:
+            assert raised.value is other

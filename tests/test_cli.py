@@ -854,8 +854,7 @@ def test_forecast_matches_evaluate_window(synth_dir, trained_dir, tmp_path):
     history = normalize_apply(obs.values[start : start + 6], prepared.normalizer)
     b = ws.batch([k])  # the window evaluate scores is this history, in float32 rows
     assert b["history"].tobytes() == history.transpose(1, 2, 0).astype(np.float32).tobytes()
-    calendar = (ws.hours[[k]], ws.days[[k]], ws.months[[k]])
-    pred, _ = forward_batch(history[None], normalize_coords(obs.coords), *calendar, params)
+    pred, _ = forward_batch(history[None], normalize_coords(obs.coords), *ws.calendar[[k]].T, params)
     expected = normalize_invert(pred[0], prepared.normalizer)
 
     got = {}
@@ -904,6 +903,29 @@ def test_forecast_from_the_cached_data_writes_the_same_bytes(
             [(tmp_path / run / name).read_bytes() for name in ("forecasts.csv", "forecast_obs.csv")]
         )
     assert outputs[0] == outputs[1]
+
+
+def test_forecast_of_one_instant_written_at_two_utc_offsets_writes_the_same_bytes(tmp_path):
+    """On UTC data, 04:00+00:00 and 05:00+01:00 name one step. The forecast
+    takes that step's calendar and timestamps from the data, as evaluate
+    does, so both spellings write the same forecasts.csv and
+    forecast_obs.csv."""
+    synth = write_config(
+        tmp_path / "synth.cfg", TINY, out_dir=tmp_path / "data", synth_start="2019-01-01T00:00:00+00:00"
+    )
+    assert cli.main(["synth", "--config", str(synth)]) == 0
+    checkpoint_save(tmp_path / "ck.bin", init_params(TINY_MODEL, 0))
+    outputs = []
+    for run, when in enumerate(("2019-01-05T04:00:00+00:00", "2019-01-05T05:00:00+01:00")):
+        cfg = data_config(
+            tmp_path / "data", tmp_path / f"{run}.cfg", out_dir=tmp_path / str(run), checkpoint=tmp_path / "ck.bin"
+        )
+        assert cli.main(["forecast", "--config", str(cfg), "--timestamp", when]) == 0
+        outputs.append(
+            [(tmp_path / str(run) / name).read_bytes() for name in ("forecasts.csv", "forecast_obs.csv")]
+        )
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].splitlines()[1].startswith(b"2019-01-05T04:00:00+00:00,")
 
 
 # --- ablate / sweep / param-count -------------------------------------------

@@ -1234,7 +1234,7 @@ def test_single_window_when_exact_fit():
     b = ws.batch([0])
     assert_array_equal(b["history"], [np.arange(6.0)])
     assert_array_equal(b["future"], [[6.0, 7.0, 8.0]])
-    assert ws.hours[0] == 6
+    assert ws.calendar[0, 0] == 6
 
 
 def test_window_count_100_48_24():

@@ -1,7 +1,7 @@
 import copy
 import math
+import re
 import struct
-import sys
 import threading
 import time
 import tracemalloc
@@ -20,6 +20,7 @@ from lightweather.data import split_windows
 from lightweather.errors import ConfigError, ShapeError, ValidationError
 from lightweather.checkpoint import MAGIC, checkpoint_load, checkpoint_save
 from lightweather.model import (
+    CALENDAR,
     SPATIAL_MODES,
     TEMPORAL_MODES,
     ModelConfig,
@@ -79,17 +80,22 @@ def to_rows(a):
     return np.ascontiguousarray(a.transpose(0, 2, 3, 1).reshape(-1, a.shape[1]))
 
 
+def stack(hours, days, months):
+    """Calendar columns, each [B], as the [B, 3] calendar the model takes."""
+    return np.stack([hours, days, months], axis=1)
+
+
 def row_batch(hist, fut, cn, hours, days, months):
     """A [B, T, N, C] batch as loss_and_grads's arguments after the params:
     a RowBatch and the coordinates."""
-    return RowBatch(to_rows(hist), to_rows(fut), hours, days, months), cn
+    return RowBatch(to_rows(hist), to_rows(fut), stack(hours, days, months)), cn
 
 
 def one_worker(p, batch):
     """Workers of one fresh Workspace in p's dtype, sized for a chunk of
     `batch` (a RowBatch or WindowBatch): its chunks run on the caller."""
     per_window = batch.rows_per_window(p.config)
-    rows = min(len(batch.hours), lw_model.chunk_windows(per_window)) * per_window
+    rows = min(len(batch.calendar), lw_model.chunk_windows(per_window)) * per_window
     return lw_model.Workers([Workspace(p.config, rows, p.dtype)])
 
 
@@ -170,19 +176,16 @@ def test_spatial_rows_per_variant():
 
 # --- temporal encoding: temporal_rows --------------------------------------
 
-TABLES = ("table_hour", "table_day", "table_month")
-
-
 def lookup(tf, p):
     """temporal_rows for one window at `tf`: hour + day + month rows."""
-    return temporal_rows([tf.hour], [tf.day_index], [tf.month_index], p)[0]
+    return temporal_rows(stack([tf.hour], [tf.day_index], [tf.month_index]), p)[0]
 
 
 def only(p, table):
     """A copy of p whose temporal tables other than `table` are zero, so
     that lookup returns that table's row."""
     q = p.copy()
-    for name in TABLES:
+    for name, _ in CALENDAR:
         if name != table:
             q.tensors[name][:] = 0.0
     return q
@@ -202,7 +205,7 @@ def test_lookup_is_pure():
     p = init_params(small_config(), seed=7)
     tables = copy.deepcopy(p.tensors)
     tf = TimeFeature(hour=13, day_index=30, month_index=11)
-    for q in (p, *(only(p, name) for name in TABLES)):
+    for q in (p, *(only(p, name) for name, _ in CALENDAR)):
         assert_array_equal(lookup(tf, q), lookup(tf, q))
     _assert_unchanged(tables, p.tensors)
 
@@ -219,7 +222,7 @@ def test_daily_resolution_has_constant_hour_row():
 
 def test_temporal_rows_none_without_tables():
     p = init_params(small_config(temporal_encoding="none"), seed=8)
-    assert temporal_rows([1], [2], [3], p) is None
+    assert temporal_rows(stack([1], [2], [3]), p) is None
 
 
 def test_time_feature_ranges():
@@ -247,14 +250,14 @@ def fusion(p, seed, n_batch=2, n_st=3):
     e = (x_rows @ p.tensors["fc_embed.weight"].T + p.tensors["fc_embed.bias"]).reshape(shape)
     s = cn @ p.tensors["fc_spatial.weight"].T + p.tensors["fc_spatial.bias"]
     terms = [e, np.broadcast_to(s[None, :, None, :], shape)]
-    for name, idx in zip(TABLES, (hours, days, months)):
+    for (name, _), idx in zip(CALENDAR, (hours, days, months)):
         terms.append(np.broadcast_to(p.tensors[name][idx][:, None, None, :], shape))
     return workspace.z[0], [a.reshape(-1, cfg.d) for a in terms]
 
 
 def test_fuse_zeros_give_back_embedding():
     p = init_params(small_config(), seed=9)
-    for name in ("fc_spatial.weight", "fc_spatial.bias", *TABLES):
+    for name in ("fc_spatial.weight", "fc_spatial.bias", *(name for name, _ in CALENDAR)):
         p.tensors[name][:] = 0.0
     z, (e, *_) = fusion(p, seed=9)
     assert_array_equal(z, e)
@@ -444,7 +447,7 @@ def test_doubling_loss_scale_doubles_gradients():
     p = init_params(cfg, seed=25)
     hist, fut, cn, hours, days, months = _batch_for(cfg)
     workspace = Workspace(cfg, 4, p.dtype)  # 2 windows x 2 stations
-    pred = forward_rows(to_rows(hist), positions(cn, hours, days, months, p), p, workspace)
+    pred = forward_rows(to_rows(hist), positions(cn, stack(hours, days, months), p), p, workspace)
     g = np.sign(pred - to_rows(fut)) / pred.size
     # results are views of `out`, which the second call overwrites
     out = ModelParams.zeros(cfg)
@@ -560,8 +563,8 @@ def _random_batch(cfg, n_batch, n_st, seed):
     hist = rng.normal(size=(n_batch, cfg.t_h, n_st, cfg.n_vars))
     fut = rng.normal(size=(n_batch, cfg.t_f, n_st, cfg.n_vars))
     cn = normalize_coords(random_coords(n_st, seed))
-    calendar = [rng.integers(0, hi, size=n_batch) for hi in (24, 31, 12)]
-    return hist, fut, cn, *calendar
+    columns = [rng.integers(0, rows, size=n_batch) for _, rows in CALENDAR]
+    return hist, fut, cn, *columns
 
 
 @pytest.mark.parametrize("spatial,temporal", ENCODINGS)
@@ -720,7 +723,8 @@ def test_forward_rows_takes_whole_windows_of_rows():
     hist, _, cn, hours, days, months = _random_batch(cfg, 2, 3, seed=46)
     x_rows = to_rows(hist)
     ws = Workspace(cfg, len(x_rows), p.dtype)
-    pos = positions(cn, hours, days, months, p)
+    calendar = stack(hours, days, months)
+    pos = positions(cn, calendar, p)
     y_rows = forward_rows(x_rows, pos, p, ws)
     pred, _ = forward_batch(hist, cn, hours, days, months, p)
     assert_same_bits(y_rows, to_rows(pred))
@@ -728,8 +732,8 @@ def test_forward_rows_takes_whole_windows_of_rows():
         forward_rows(x_rows[:-1], pos, p, ws)
     with pytest.raises(ShapeError, match="T_h=6"):
         forward_rows(x_rows[:, 1:], pos, p, ws)
-    with pytest.raises(ValidationError, match="hours must be integer indices"):
-        positions(cn, hours + 0.7, days, months, p)  # was run as hours
+    with pytest.raises(ValidationError, match="calendar must be integer indices, got float64"):
+        positions(cn, calendar + 0.7, p)  # was run as its integer parts
 
 
 @pytest.mark.parametrize("spatial", SPATIAL_MODES)
@@ -739,38 +743,45 @@ def test_positions_reject_what_forward_rows_rejected(spatial):
     cfg = small_config(n_vars=2, spatial_encoding=spatial, n_stations=3)
     p = init_params(cfg, seed=47)
     hist, fut, cn, hours, days, months = _random_batch(cfg, 2, 3, seed=48)
-    rows = RowBatch(to_rows(hist), to_rows(fut), hours + 0.7, days, months)
-    with pytest.raises(ValidationError, match="hours must be integer indices"):
+    calendar = stack(hours, days, months)
+    rows = RowBatch(to_rows(hist), to_rows(fut), calendar + 0.7)
+    with pytest.raises(ValidationError, match="calendar must be integer indices, got float64"):
         loss_and_grads(p, rows, cn, one_worker(p, rows))
-    for bad in (
-        (hours + 0.7, days, months),
-        (hours, days.astype(float), months),
-        (np.array([0, 24]), days, months),
-        (hours, np.array([-1, 0]), months),
-        (hours, days, np.array([12, 0])),
+    for bad, match in (
+        ((hours + 0.7, days, months), "calendar must be integer indices, got float64"),
+        ((hours, days.astype(float), months), "calendar must be integer indices, got float64"),
+        ((np.array([0, 24]), days, months), r"^table_hour index outside \[0, 24\)$"),
+        ((hours, np.array([-1, 0]), months), r"^table_day index outside \[0, 31\)$"),
+        ((hours, days, np.array([12, 0])), r"^table_month index outside \[0, 12\)$"),
     ):
-        with pytest.raises(ValidationError):
-            positions(cn, *bad, p)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=match):
+            positions(cn, stack(*bad), p)
+        with pytest.raises(ValidationError, match=match):
             forward_batch(hist, cn, *bad, p)
-    for bad in ((hours, days[:1], months), (hours, days, np.append(months, 0))):
-        with pytest.raises(ShapeError, match="has shape"):
-            positions(cn, *bad, p)
-    with pytest.raises(ShapeError, match=r"hours has shape \(3,\), expected \(2,\)"):
+    for bad in (calendar[:, :2], calendar.reshape(-1), calendar[None]):
+        with pytest.raises(ShapeError, match=re.escape(f"calendar has shape {bad.shape}, expected (B, 3)")):
+            positions(cn, bad, p)
+    for bad, match in (
+        ((hours, days[:1], months), r"table_day indices of shape \(1,\), expected \(2,\)"),
+        ((hours, days, np.append(months, 0)), r"table_month indices of shape \(3,\), expected \(2,\)"),
+    ):
+        with pytest.raises(ShapeError, match=match):
+            forward_batch(hist, cn, *bad, p)
+    with pytest.raises(ShapeError, match=r"table_hour indices of shape \(3,\), expected \(2,\)"):
         forward_batch(hist, cn, *(np.append(c, 0) for c in (hours, days, months)), p)
     x_rows = to_rows(hist)
     ws = Workspace(cfg, len(x_rows), p.dtype)
     if spatial == "absolute":
         for coords in (cn[:, :2], cn[0], cn.reshape(1, 3, 3)):
             with pytest.raises(ShapeError, match=r"expected \[N, 3\]"):
-                positions(coords, hours, days, months, p)
-        pos = positions(cn[:2], hours, days, months, p)  # 2 stations' rows for 3
+                positions(coords, calendar, p)
+        pos = positions(cn[:2], calendar, p)  # 2 stations' rows for 3
     elif spatial == "relative":
         p = init_params(small_config(n_vars=2, spatial_encoding=spatial, n_stations=4), 47)
-        pos = positions(cn, hours, days, months, p)
+        pos = positions(cn, calendar, p)
         ws = Workspace(p.config, len(x_rows), p.dtype)
     else:
-        forward_rows(x_rows, positions(cn[:2], hours, days, months, p), p, ws)  # no rows to match
+        forward_rows(x_rows, positions(cn[:2], calendar, p), p, ws)  # no rows to match
         return
     with pytest.raises(ShapeError, match="3 stations but . spatial rows"):
         forward_rows(x_rows, pos, p, ws)
@@ -780,36 +791,24 @@ def test_positions_reject_what_forward_rows_rejected(spatial):
 # A batch of more than model.CHUNK_ROWS rows runs in chunks of
 # chunk_windows(N*C) whole windows. The tests lower CHUNK_ROWS so that tiny
 # batches span several chunks, the last one ragged. Those chunks run on
-# the workers (the caller and pool threads), which start them in chunk order
-# but may call forward_rows in any order, so a multi-chunk batch's sizes are
-# compared sorted.
-
-
-def _chunk_sizes(monkeypatch):
-    """Windows per forward_rows call, recorded from now on."""
-    sizes = []
-    forward_rows = lw_model.forward_rows
-
-    def recording(x_rows, pos, *args, **kwargs):
-        sizes.append(len(pos.hours))
-        return forward_rows(x_rows, pos, *args, **kwargs)
-
-    monkeypatch.setattr(lw_model, "forward_rows", recording)
-    return sizes
+# the workers (the caller and helper threads), which take them in chunk
+# order but may call forward_rows in any order, so the tests compare
+# chunk_calls's {first window: windows} records, not the order of arrival.
 
 
 @pytest.mark.parametrize("spatial,temporal", ENCODINGS)
-def test_chunked_step_agrees_with_one_chunk(spatial, temporal, monkeypatch):
+def test_chunked_step_agrees_with_one_chunk(spatial, temporal, monkeypatch, chunk_calls):
     cfg = small_config(
         d=16, n_vars=2, spatial_encoding=spatial, temporal_encoding=temporal, n_stations=5
     )
     p = init_params(cfg, seed=51).astype(np.float32)
     batch = row_batch(*_random_batch(cfg, 7, 5, seed=52))  # 7 windows x 10 rows
-    sizes = _chunk_sizes(monkeypatch)
     loss1, grads1 = loss_and_grads(p, *batch, one_worker(p, batch[0]))
+    assert chunk_calls == {0: 7}
+    chunk_calls.clear()
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 30)
     loss3, grads3 = loss_and_grads(p, *batch, one_worker(p, batch[0]))
-    assert sizes[0] == 7 and sorted(sizes[1:]) == [1, 3, 3]
+    assert chunk_calls == {0: 3, 3: 3, 6: 1}
     assert loss3 == pytest.approx(loss1, rel=F32_TOL, abs=0)
     assert grads3.keys() == grads1.keys() == p.tensors.keys()
     for name, g in grads3.items():
@@ -819,14 +818,14 @@ def test_chunked_step_agrees_with_one_chunk(spatial, temporal, monkeypatch):
 
 
 @pytest.mark.parametrize("spatial,temporal", ENCODINGS)
-def test_positions_are_made_once_per_call(spatial, temporal, monkeypatch):
+def test_positions_are_made_once_per_call(spatial, temporal, monkeypatch, chunk_calls):
     # a batch of 4 chunks and a split of many: each entry checks the
     # calendar and makes the spatial rows once, and every chunk reads them
     cfg = small_config(spatial_encoding=spatial, temporal_encoding=temporal, n_stations=5)
     p = init_params(cfg, seed=81)
     p32 = p.astype(np.float32)
     hist, fut, cn, hours, days, months = _random_batch(cfg, 7, 5, seed=82)
-    rows = RowBatch(to_rows(hist), to_rows(fut), hours, days, months)
+    rows = RowBatch(to_rows(hist), to_rows(fut), stack(hours, days, months))
     obs = generate(SynthConfig(n_stations=5, n_steps=300, seed=83), random_station_coords(5, 83)[1])
     prepared = split_windows(obs, cfg.t_h, cfg.t_f)
     obs_cn, test = normalize_coords(obs.coords), prepared.test
@@ -845,44 +844,44 @@ def test_positions_are_made_once_per_call(spatial, temporal, monkeypatch):
 
     for name in made:
         monkeypatch.setattr(lw_model, name, counted(name))
-    sizes = _chunk_sizes(monkeypatch)
-    split_chunks = len(lw_model.chunk_slices(len(test), 7, 5))
-    assert split_chunks > 10
+    batch_chunks = {0: 2, 2: 2, 4: 2, 6: 1}
+    split_chunks = {w.start: w.stop - w.start for w in lw_model.chunk_slices(len(test), 7, 5)}
+    assert len(split_chunks) > 10
     workers = lw_model.Workers.for_batches(cfg, 5, 7)
     for call, chunks in (
-        (lambda: loss_and_grads(p32, rows, cn, workers), 4),
-        (lambda: loss_and_grads(p32, windows, obs_cn, workers), 4),
+        (lambda: loss_and_grads(p32, rows, cn, workers), batch_chunks),
+        (lambda: loss_and_grads(p32, windows, obs_cn, workers), batch_chunks),
         (lambda: evaluate(p, test, obs_cn, prepared.normalizer, 7, workers), split_chunks),
         (lambda: evaluate(p, test, obs_cn, prepared.normalizer, 7), split_chunks),
-        (lambda: forward_batch(hist, cn, hours, days, months, p32), 1),
+        (lambda: forward_batch(hist, cn, hours, days, months, p32), {0: 7}),
     ):
         made.update(spatial_rows=0, positions=0)
-        sizes.clear()
+        chunk_calls.clear()
         call()
-        assert len(sizes) == chunks
+        assert chunk_calls == chunks
         assert made == {"spatial_rows": 1, "positions": 1}
 
 
 @pytest.mark.parametrize("spatial,temporal", ENCODINGS)
-def test_chunked_step_passes_the_gradient_check(spatial, temporal, monkeypatch):
+def test_chunked_step_passes_the_gradient_check(spatial, temporal, monkeypatch, chunk_calls):
     cfg = small_config(spatial_encoding=spatial, temporal_encoding=temporal, n_stations=2)
     p = init_params(cfg, seed=GRAD_SEED)
     # 5 windows x 2 rows; the data seed, like GRAD_SEED, was verified free of
     # exact-zero analytic entries for every encoding at this chunking
     batch = row_batch(*_random_batch(cfg, 5, 2, seed=131))
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 4)
-    sizes = _chunk_sizes(monkeypatch)
 
     def lg(_):
+        chunk_calls.clear()  # each call's chunks
         return loss_and_grads(p, *batch, one_worker(p, batch[0]))
 
     err = finite_diff_check(lg, p.tensors, 1e-6)
-    assert sorted(sizes[:3]) == [1, 2, 2]
+    assert chunk_calls == {0: 2, 2: 2, 4: 1}
     assert err < 1e-4
 
 
 @pytest.mark.parametrize("spatial,temporal", ENCODINGS)
-def test_chunked_evaluate_matches_one_chunk(spatial, temporal, monkeypatch):
+def test_chunked_evaluate_matches_one_chunk(spatial, temporal, monkeypatch, chunk_calls):
     cfg = SynthConfig(n_stations=4, n_steps=300, noise_std=0.3, seed=53)
     obs = generate(cfg, random_station_coords(4, 53)[1])
     prepared = split_windows(obs, 6, 3)
@@ -891,7 +890,6 @@ def test_chunked_evaluate_matches_one_chunk(spatial, temporal, monkeypatch):
     )
     p = init_params(model_cfg, seed=54)
     cn = normalize_coords(obs.coords)
-    sizes = _chunk_sizes(monkeypatch)
 
     def metrics():
         return [
@@ -901,18 +899,20 @@ def test_chunked_evaluate_matches_one_chunk(spatial, temporal, monkeypatch):
 
     one = metrics()
     n_test = len(prepared.test)
-    batches = [min(16, n_test - lo) for lo in range(0, n_test, 16)]
+    batches = {lo: min(16, n_test - lo) for lo in range(0, n_test, 16)}
     # workers may reach forward_rows in any order; one worker, in chunk order
-    assert sorted(sizes) == sorted(batches)
-    sizes.clear()
+    assert chunk_calls == batches
+    chunk_calls.clear()
     serial = lw_model.Workers([Workspace(model_cfg, 16 * 4)])
     evaluate(p, prepared.test, cn, prepared.normalizer, 16, serial)
-    assert sizes == batches
+    assert list(chunk_calls.items()) == list(batches.items())
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 20)  # 5 windows of 4 rows
-    sizes.clear()
+    chunk_calls.clear()
     chunked = metrics()
     # each batch of 16 windows (the last one ragged) runs in chunks of 5
-    assert sorted(sizes) == sorted(min(5, n - lo) for n in batches for lo in range(0, n, 5))
+    assert chunk_calls == {
+        lo: min(5, start + n - lo) for start, n in batches.items() for lo in range(start, start + n, 5)
+    }
     for a, b in zip(chunked, one):
         assert a.n_points == b.n_points
         assert a.mse == pytest.approx(b.mse, rel=1e-12, abs=0)
@@ -941,14 +941,13 @@ def test_chunked_step_memory_is_bounded_by_a_chunk(monkeypatch):
     rng = np.random.default_rng(57)
     x_rows = rng.normal(size=(32 * n_st, cfg.t_h)).astype(np.float32)
     future_rows = rng.normal(size=(32 * n_st, cfg.t_f)).astype(np.float32)
-    calendar = [rng.integers(0, hi, size=32) for hi in (24, 31, 12)]
+    calendar = stack(*(rng.integers(0, rows, size=32) for _, rows in CALENDAR))
 
     def peak(n_batch):
         kept = slice(0, n_batch * n_st)
-        windows = [c[:n_batch] for c in calendar]
         tracemalloc.start()
         try:
-            rows = RowBatch(x_rows[kept], future_rows[kept], *windows)
+            rows = RowBatch(x_rows[kept], future_rows[kept], calendar[:n_batch])
             loss_and_grads(p, rows, cn, one_worker(p, rows))
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -972,8 +971,8 @@ def test_warm_step_allocates_less_than_one_chunk_activation(monkeypatch):
     rng = np.random.default_rng(57)
     x_rows = rng.normal(size=(32 * n_st, cfg.t_h)).astype(np.float32)
     future_rows = rng.normal(size=(32 * n_st, cfg.t_f)).astype(np.float32)
-    calendar = [rng.integers(0, hi, size=32) for hi in (24, 31, 12)]
-    batch = RowBatch(x_rows, future_rows, *calendar)
+    calendar = stack(*(rng.integers(0, rows, size=32) for _, rows in CALENDAR))
+    batch = RowBatch(x_rows, future_rows, calendar)
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 1000)
     workers = lw_model.Workers([Workspace(cfg, 1000, np.float32)])
     loss_and_grads(p, batch, cn, workers)
@@ -1001,7 +1000,7 @@ def test_warm_step_on_workers_allocates_less_than_one_chunk_activation(monkeypat
     rng = np.random.default_rng(57)
     x_rows = rng.normal(size=(32 * n_st, cfg.t_h)).astype(np.float32)
     future_rows = rng.normal(size=(32 * n_st, cfg.t_f)).astype(np.float32)
-    calendar = [rng.integers(0, hi, size=32) for hi in (24, 31, 12)]
+    calendar = stack(*(rng.integers(0, rows, size=32) for _, rows in CALENDAR))
     obs = generate(
         SynthConfig(n_stations=n_st, n_steps=760, noise_std=0.3, seed=58),
         random_station_coords(n_st, 58)[1],
@@ -1009,7 +1008,7 @@ def test_warm_step_on_workers_allocates_less_than_one_chunk_activation(monkeypat
     train = split_windows(obs, cfg.t_h, cfg.t_f).train
     ids = rng.permutation(len(train))[:32]
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 2000)
-    for batch in (RowBatch(x_rows, future_rows, *calendar), WindowBatch(train, ids)):
+    for batch in (RowBatch(x_rows, future_rows, calendar), WindowBatch(train, ids)):
         workers = lw_model.Workers.for_batches(cfg, n_st, 32)
         loss, _ = loss_and_grads(p, batch, cn, workers)
         tracemalloc.start()
@@ -1099,23 +1098,19 @@ def test_no_openblas_server_thread_busy_waits_after_a_step_or_a_pin():
     assert after_step < 0.02 and after_pin < 0.02, (after_step, after_pin)
 
 
-def test_an_error_in_one_chunk_reaches_the_caller_unchanged(monkeypatch):
+def test_an_error_in_one_chunk_reaches_the_caller_unchanged(monkeypatch, chunk_calls):
     cfg = small_config()
     p32 = init_params(cfg, seed=71).astype(np.float32)
     batch = row_batch(*_random_batch(cfg, 7, 5, seed=72))  # 7 windows x 5 rows
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 10)  # chunks of 2, 2, 2 and 1 windows
     monkeypatch.setattr(lw_model, "usable_cpus", lambda: 2)
     error = ShapeError("the third chunk fails")
-    forward_rows = lw_model.forward_rows
-    started = []
 
-    def failing(x_rows, pos, *args, **kwargs):
-        started.append(len(pos.hours))
-        if len(started) == 3:
+    def failing(first):
+        if first == 4:  # the third chunk's first window
             raise error
-        return forward_rows(x_rows, pos, *args, **kwargs)
 
-    monkeypatch.setattr(lw_model, "forward_rows", failing)
+    chunk_calls.before = failing
     before, threads = blas_threads(), threading.active_count()
     workers = lw_model.Workers.for_batches(cfg, 5, 7)
     assert len(workers.workspaces) == 2
@@ -1124,9 +1119,10 @@ def test_an_error_in_one_chunk_reaches_the_caller_unchanged(monkeypatch):
     assert raised.value is error
     assert blas_threads() == before
     assert threading.active_count() == threads  # the failed run's thread has ended
-    started.clear()
-    monkeypatch.setattr(lw_model, "forward_rows", forward_rows)
+    chunk_calls.clear()
+    chunk_calls.before = None
     loss_and_grads(p32, *batch, workers)  # the workers run on
+    assert chunk_calls == {0: 2, 2: 2, 4: 2, 6: 1}
     assert threading.active_count() == threads
 
 
@@ -1184,7 +1180,7 @@ def test_without_a_blas_pin_chunks_run_on_the_caller(monkeypatch):
         assert g.tobytes() == pinned[1][name].tobytes(), name
 
 
-def test_more_workers_than_cores_give_the_bits_of_one(monkeypatch):
+def test_more_workers_than_cores_give_the_bits_of_one(monkeypatch, switch_often):
     # 9 chunks on 4 workers that switch threads every microsecond: a chunk
     # run in a workspace another chunk still holds, or results added out of
     # chunk order, would change the bits of the one-worker run. The caller
@@ -1208,9 +1204,7 @@ def test_more_workers_than_cores_give_the_bits_of_one(monkeypatch):
         return forward_rows(*args, **kwargs)
 
     monkeypatch.setattr(lw_model, "forward_rows", recording)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
+    with switch_often():
         many = lw_model.Workers([Workspace(cfg, 10, np.float32) for _ in range(4)])
         for _ in range(20):
             ran_on.clear()
@@ -1222,30 +1216,16 @@ def test_more_workers_than_cores_give_the_bits_of_one(monkeypatch):
             assert threading.get_ident() in ran_on and len(ran_on) <= 4
             assert max(running) - threads <= 3
             assert threading.active_count() == threads  # the run's threads have ended
-    finally:
-        sys.setswitchinterval(interval)
 
 
-def _slow_first_chunk(monkeypatch, first_rows):
-    """Make forward_rows sleep 0.1 s on the chunk whose history rows are
-    `first_rows`; returns the list that records, for each chunk as it
-    finishes its forward pass, whether it was that chunk."""
-    forward_rows = lw_model.forward_rows
-    finished = []
-
-    def slow_first(x_rows, *args, **kwargs):
-        first = np.asarray(x_rows).tobytes() == first_rows.tobytes()
-        if first:
-            time.sleep(0.1)
-        result = forward_rows(x_rows, *args, **kwargs)
-        finished.append(first)
-        return result
-
-    monkeypatch.setattr(lw_model, "forward_rows", slow_first)
-    return finished
+def _slow_first_chunk(first):
+    """chunk_calls.before that makes chunk 0 sleep 0.1 s before its forward
+    pass, and before chunk_calls records it."""
+    if first == 0:
+        time.sleep(0.1)
 
 
-def test_chunks_that_finish_out_of_order_keep_the_bits(monkeypatch):
+def test_chunks_that_finish_out_of_order_keep_the_bits(monkeypatch, chunk_calls):
     # two free-running workers, and chunk 0 of each batch sleeps in its
     # forward pass: the other worker finishes later chunks first and parks
     # their gradients, so it never waits, and the sums in chunk order give
@@ -1259,30 +1239,28 @@ def test_chunks_that_finish_out_of_order_keep_the_bits(monkeypatch):
     windows = WindowBatch(train, np.random.default_rng(80).permutation(len(train))[:7])
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 20)  # chunks of 2, 2, 2 and 1 windows
     monkeypatch.setattr(lw_model, "usable_cpus", lambda: 2)
-    forward_rows = lw_model.forward_rows
-    for batch, first_rows in (
-        (rows, rows.x_rows[:20]),
-        (windows, train.batch(windows.ids[:2])["history"]),
-    ):
+    for batch in (rows, windows):
         one = lw_model.Workers([Workspace(cfg, 20, np.float32)])
         loss1, grads1 = loss_and_grads(p32, batch, cn, one)
         grads1 = {n: g.copy() for n, g in grads1.items()}
         assert len(one.spare_grads) == 1  # one worker's chunks, added in turn, share one vector
         threads = threading.active_count()
-        finished = _slow_first_chunk(monkeypatch, first_rows)
+        chunk_calls.clear()
+        chunk_calls.before = _slow_first_chunk
         two = lw_model.Workers.for_batches(cfg, 10, 7)
         assert len(two.workspaces) == 2
         loss, grads = loss_and_grads(p32, batch, cn, two)
         assert len(two.spare_grads) > 1  # held chunks' vectors, given back once added
-        monkeypatch.setattr(lw_model, "forward_rows", forward_rows)
-        assert len(finished) == 4 and finished.index(True) > 0  # chunk 0 finished late
+        chunk_calls.before = None
+        assert len(chunk_calls) == 4 and list(chunk_calls).index(0) > 0  # chunk 0 ran late
+        chunk_calls.clear()
         assert loss == loss1
         for name, g in grads.items():
             assert g.tobytes() == grads1[name].tobytes(), name
         assert threading.active_count() == threads
 
 
-def test_a_gradient_parked_without_memory_is_a_config_error(monkeypatch, fail_allocation):
+def test_a_gradient_parked_without_memory_is_a_config_error(monkeypatch, fail_allocation, chunk_calls):
     # chunk 0 sleeps, so chunk 1 finishes first and is held, its gradient
     # parked in its own vector, and chunk 2 needs a new one: where numpy
     # cannot allocate it, the step fails with ModelParams.zeros's one-line
@@ -1292,7 +1270,7 @@ def test_a_gradient_parked_without_memory_is_a_config_error(monkeypatch, fail_al
     rows, cn = row_batch(*_random_batch(cfg, 7, 5, seed=78))
     monkeypatch.setattr(lw_model, "CHUNK_ROWS", 20)
     monkeypatch.setattr(lw_model, "usable_cpus", lambda: 2)
-    _slow_first_chunk(monkeypatch, rows.x_rows[:20])
+    chunk_calls.before = _slow_first_chunk
     size = parameter_count(cfg)
     two = lw_model.Workers.for_batches(cfg, 10, 7)
     calls = fail_allocation(size, lambda k: k > 1)
@@ -1361,12 +1339,12 @@ def test_backward_batch_rejects_what_its_workspace_did_not_run():
     cfg = small_config()
     p = init_params(cfg, seed=67)
     rows, cn = row_batch(*_random_batch(cfg, 3, 2, seed=68))  # 6 rows
-    x_rows, calendar = rows.x_rows, (rows.hours, rows.days, rows.months)
+    x_rows, calendar = rows.x_rows, rows.calendar
     ws, out = Workspace(cfg, 6, p.dtype), ModelParams.zeros(cfg)
     g = np.ones((6, cfg.t_f))
     with pytest.raises(ShapeError, match="forward_rows has run"):
         backward_batch(g, ws, p, out)
-    forward_rows(x_rows[:4], positions(cn, *(c[:2] for c in calendar), p), p, ws)  # 2 windows
+    forward_rows(x_rows[:4], positions(cn, calendar[:2], p), p, ws)  # 2 windows
     for wrong in (g, g[:4, 1:], g[:4].reshape(-1)):
         with pytest.raises(ShapeError, match=r"the forward's \(4, 3\)"):
             backward_batch(wrong, ws, p, out)
@@ -1388,7 +1366,7 @@ def test_workspace_rejects_what_it_was_not_made_for():
     rows, _ = batch
     for empty in (
         WindowBatch(prepared.test, []),
-        RowBatch(rows.x_rows[:0], rows.future_rows[:0], [], [], []),
+        RowBatch(rows.x_rows[:0], rows.future_rows[:0], rows.calendar[:0]),
     ):
         workers = lw_model.Workers([good])
         with pytest.raises(ShapeError, match="at least one window"):

@@ -159,7 +159,7 @@ def test_evaluate_pools_each_chunk_as_the_metric_accumulator_does(chunk_rows, mo
             idx = np.arange(c, min(c + step, lo + 5, len(test)))
             b = test.batch(idx)
             ws = lw_model.Workspace(cfg, len(b["history"]), p32.dtype)
-            pos = positions(cn, test.hours[idx], test.days[idx], test.months[idx], p32)
+            pos = positions(cn, test.calendar[idx], p32)
             y_rows = forward_rows(b["history"], pos, p32, ws)
             pred = normalize_invert(y_rows.reshape(-1, 2, SMALL.t_f).swapaxes(1, 2), prepared.normalizer)
             raw = obs.values[test.starts[idx][:, None] + SMALL.t_h + np.arange(SMALL.t_f)]
@@ -171,7 +171,7 @@ def test_evaluate_pools_each_chunk_as_the_metric_accumulator_does(chunk_rows, mo
     assert threading.active_count() == threads  # evaluate's workers have ended
 
 
-def test_the_first_failing_evaluate_chunk_raises_its_error_unchanged(monkeypatch):
+def test_the_first_failing_evaluate_chunk_raises_its_error_unchanged(monkeypatch, chunk_calls):
     # 5-window batches in chunks of 2, 2 and 1 windows on two workers that
     # take the next chunk as soon as they are free. The second chunk fails
     # after the third, which the first chunk's worker takes meanwhile, and
@@ -184,19 +184,16 @@ def test_the_first_failing_evaluate_chunk_raises_its_error_unchanged(monkeypatch
     cn = normalize_coords(obs.coords)
     test = prepared.test
     errors = {2: EvaluationError("second chunk"), 4: EvaluationError("third chunk")}
-    forward = lw_model.forward_rows
 
-    def failing(x_rows, pos, *args):
-        hours = pos.hours  # a view of the split's calendar, from the chunk's first window
-        first = (hours.__array_interface__["data"][0] - test.hours.ctypes.data) // hours.itemsize
+    def failing(first):
         if first in errors:
             time.sleep(0.05 if first == 2 else 0)
             raise errors[first]
-        return forward(x_rows, pos, *args)
 
-    monkeypatch.setattr(lw_model, "forward_rows", failing)
+    chunk_calls.before = failing
     before, threads = numerics.blas_threads(), threading.active_count()
     for _ in range(5):
+        chunk_calls.clear()
         with pytest.raises(EvaluationError) as raised:
             evaluate(params, test, cn, prepared.normalizer, batch_size=5)
         assert raised.value is errors[2]
@@ -204,7 +201,7 @@ def test_the_first_failing_evaluate_chunk_raises_its_error_unchanged(monkeypatch
         assert threading.active_count() == threads  # the failed run's thread has ended
 
 
-def test_evaluate_streams_one_chunk_batches_over_the_workers(monkeypatch):
+def test_evaluate_streams_one_chunk_batches_over_the_workers(monkeypatch, chunk_calls):
     # 5-window batches of 3 stations are one chunk each, as narrow-train's
     # are: evaluate runs the whole split's chunks in one Workers.run, so the
     # two workers share them (each chunk sleeps, so that neither takes them
@@ -218,22 +215,24 @@ def test_evaluate_streams_one_chunk_batches_over_the_workers(monkeypatch):
     assert len(test) > 4 * 5 and lw_model.chunk_windows(3) > 5
     one = lw_model.Workers([lw_model.Workspace(SMALL, 15)])
     alone = evaluate(params, test, cn, prepared.normalizer, 5, one)
-    forward = lw_model.forward_rows
     threads = []
 
-    def recording(*args, **kwargs):
+    def recording(first):
         threads.append(threading.get_ident())
         time.sleep(0.002)
-        return forward(*args, **kwargs)
 
-    monkeypatch.setattr(lw_model, "forward_rows", recording)
+    chunk_calls.clear()
+    chunk_calls.before = recording
     running = threading.active_count()
     streamed = evaluate(params, test, cn, prepared.normalizer, batch_size=5)
     assert len(threads) == -(-len(test) // 5) and len(set(threads)) == 2
+    assert chunk_calls == {lo: min(5, len(test) - lo) for lo in range(0, len(test), 5)}
     assert threading.get_ident() in threads  # the caller is one of the two workers
     assert streamed == alone
     assert threading.active_count() == running  # evaluate's workers have ended
     # Workers given to evaluate hold no thread once it returns
+    chunk_calls.clear()
+    chunk_calls.before = None
     two = lw_model.Workers.for_batches(SMALL, 3, 5)
     assert evaluate(params, test, cn, prepared.normalizer, 5, two) == alone
     assert threading.active_count() == running
@@ -272,7 +271,7 @@ def test_a_split_makes_its_rows_on_first_use_and_keeps_them(monkeypatch):
     assert made == [len(prepared.test.span), len(prepared.train.span), len(prepared.val.span)]
 
 
-def test_workers_that_gather_first_together_make_each_split_rows_once(monkeypatch):
+def test_workers_that_gather_first_together_make_each_split_rows_once(monkeypatch, switch_often):
     # two-window chunks on more workers than CPUs, the interpreter switching
     # threads every microsecond and every build slowed, so that the workers'
     # first chunks ask for a split's rows together: the first to ask makes
@@ -293,12 +292,8 @@ def test_workers_that_gather_first_together_make_each_split_rows_once(monkeypatc
     want = run(split_windows(obs, SMALL.t_h, SMALL.t_f))
     made = counting_series_rows(monkeypatch, delay=0.05)
     prepared = split_windows(obs, SMALL.t_h, SMALL.t_f)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
+    with switch_often():
         got = run(prepared)
-    finally:
-        sys.setswitchinterval(interval)
     assert got == want
     spans = [len(ws.span) for ws in (prepared.test, prepared.train, prepared.val)]
     assert made == spans
@@ -538,9 +533,7 @@ def test_fit_epoch_equals_a_hand_loop_on_the_float64_gather(spatial, temporal):
         rows = RowBatch(
             hist.transpose(0, 2, 3, 1).reshape(-1, cfg.t_h),
             fut.transpose(0, 2, 3, 1).reshape(-1, cfg.t_f),
-            train.hours[idx],
-            train.days[idx],
-            train.months[idx],
+            train.calendar[idx],
         )
         one = lw_model.Workers([lw_model.Workspace(cfg, rows.x_rows.shape[0])])
         loss, grads = loss_and_grads(params.astype(np.float32), rows, coords_norm, one)
