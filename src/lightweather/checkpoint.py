@@ -69,8 +69,8 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelPa
         raise CheckpointError(f"{path}: truncated manifest")
     try:
         manifest = json.loads(raw[body : body + mlen].decode("utf-8"))
-        config = ModelConfig(**manifest["config"])
-        count = parameter_count(config)  # validates the config, builds no spec
+        config = ModelConfig(**manifest["config"])  # checks its values
+        count = parameter_count(config)  # builds no spec
         entries = [(e["name"], tuple(e["shape"]), e["dtype"]) for e in manifest["tensors"]]
         declared = {name: shape for name, shape, _ in entries}
     except (ValueError, KeyError, TypeError, ConfigError) as exc:

@@ -135,7 +135,7 @@ def _list(raw: str, what: str, kind: type) -> list:
 
 
 def _model_config(cfg: RunConfig, n_vars: int, n_stations: int | None) -> ModelConfig:
-    mc = ModelConfig(
+    return ModelConfig(
         d=cfg.d,
         n_layers=cfg.layers,
         t_h=cfg.t_h,
@@ -145,20 +145,16 @@ def _model_config(cfg: RunConfig, n_vars: int, n_stations: int | None) -> ModelC
         temporal_encoding=cfg.temporal,
         n_stations=n_stations,
     )
-    mc.validate()
-    return mc
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
-    tc = TrainConfig(
+    return TrainConfig(
         lr=cfg.lr,
         batch_size=cfg.batch_size,
         max_epochs=cfg.max_epochs,
         patience=cfg.patience,
         seed=cfg.seed,
     )
-    tc.validate()
-    return tc
 
 
 def _input_file(label: str, path: str) -> str:
@@ -308,6 +304,12 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
         when = datetime.fromisoformat(timestamp)
     except ValueError as exc:
         raise ConfigError(f"bad timestamp: {exc}") from exc
+    aware = obs.timestamps[0].tzinfo is not None  # all of them or none (data.py)
+    if (when.tzinfo is not None) != aware:  # a naive and an aware one never compare equal
+        raise ValidationError(
+            f"timestamp {timestamp} {'has no' if aware else 'has a'} UTC offset, but the "
+            f"observations' timestamps {'carry one' if aware else 'carry none'}"
+        )
     index = {ts: i for i, ts in enumerate(obs.timestamps)}
     if when not in index or index[when] < model_cfg.t_h:
         raise ValidationError(

@@ -162,13 +162,8 @@ def load_stations_csv(path) -> tuple[list[str], list[StationCoord]]:
                 raise IngestionError(f"{path}: line {lineno}: expected 4 columns")
             sid = row[0].strip()
             try:
-                lat, lon, elev = (float(v) for v in row[1:])
-            except ValueError as exc:
-                raise IngestionError(f"{path}: line {lineno}: {exc}") from exc
-            coord = StationCoord(latitude=lat, longitude=lon, elevation=elev)
-            try:
-                coord.validate()
-            except Exception as exc:
+                coord = StationCoord(*(float(v) for v in row[1:]))
+            except (ValueError, ValidationError) as exc:
                 raise IngestionError(f"{path}: line {lineno}: {exc}") from exc
             if sid in ids:
                 raise IngestionError(f"{path}: line {lineno}: duplicate station {sid}")

@@ -57,25 +57,16 @@ workspace's ones vector. The loss's sign is back-propagated unscaled, and
 the batch's gradient is divided by the element count once.
 
 Workers is the one chunk scheduler, for the chunks of a training batch
-and for every chunk of an evaluated split; training makes one per fit,
-with one workspace per usable CPU. Every chunk runs with OpenBLAS pinned
-to one thread (numerics.single_threaded_blas). The caller is the first
-worker and threads that Workers.run starts, and joins before it returns,
-run the others, all in one drain loop and each in its own workspace, so
-that numpy's elementwise passes use every core too and one-thread GEMMs
-do not oversubscribe them; no thread outlives a run. Each worker takes
-the next chunk as soon as its last one returns, because no result stays
-in a workspace: evaluate's chunks return a few sums, and a training
-chunk its loss sum and a gradient vector of its own. Workers.run is the
-one place that orders results: it hands each chunk's result to the
-caller's `add` in chunk order, holding one that finishes early until
-every earlier one is added. So each gradient is a sum of per-chunk sums,
-rounded once per chunk, and differs from the one-pass sum in its last
-bits. CHUNK_ROWS is a fixed constant, so the split, and every bit of a
-batch, is the same on every run with the same BLAS build, at any BLAS
-thread or worker count. Where OpenBLAS's thread count cannot be pinned
-(numpy on another BLAS), the chunks run one after another on the caller
-at the BLAS's own thread count.
+and for every chunk of an evaluated split; its docstring and
+Workers.run's give the whole account. It adds each chunk's result in
+chunk order, so a multi-chunk batch's gradient is a sum of per-chunk
+sums, rounded once per chunk, whose last bits differ from a one-pass
+sum's. CHUNK_ROWS is a fixed constant, so with the same BLAS build every
+bit of a batch is the same on every run, at any BLAS thread or worker
+count where OpenBLAS can be pinned; Workers says what runs where not.
+
+ModelConfig and StationCoord, like TimeFeature, check their values once,
+when they are made, so nothing that receives one checks it again.
 """
 
 from __future__ import annotations
@@ -121,9 +112,10 @@ COMPUTE_DTYPE = np.float32
 CHUNK_ROWS = 8192
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """Dimensions and encoding variant of one model instance."""
+    """Dimensions and encoding variant of one model instance, checked when
+    made: a ConfigError names the first value that is not valid."""
 
     d: int = 64
     n_layers: int = 2
@@ -134,7 +126,7 @@ class ModelConfig:
     temporal_encoding: str = "absolute"
     n_stations: int | None = None  # required only for relative spatial encoding
 
-    def validate(self) -> None:
+    def __post_init__(self):
         optional = () if self.n_stations is None else ("n_stations",)
         for name in ("d", "n_layers", "t_h", "t_f", "n_vars", *optional):
             value = getattr(self, name)
@@ -181,40 +173,27 @@ def calendar(timestamps) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StationCoord:
-    """Geographic position of one station (degrees, degrees, meters)."""
+    """Geographic position of one station (degrees, degrees, meters),
+    checked when made."""
 
     latitude: float
     longitude: float
     elevation: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not -90.0 <= self.latitude <= 90.0:
             raise ValidationError(f"latitude {self.latitude} outside [-90, 90]")
         if not -180.0 <= self.longitude <= 180.0:
             raise ValidationError(f"longitude {self.longitude} outside [-180, 180]")
-        if not np.isfinite(self.elevation):
+        if not math.isfinite(self.elevation):
             raise ValidationError(f"elevation {self.elevation} is not finite")
 
 
-def coord_matrix(coords: list[StationCoord]) -> np.ndarray:
-    """Stack coordinates into a raw [N, 3] (lat, lon, elev) array."""
-    return np.array(
-        [[c.latitude, c.longitude, c.elevation] for c in coords], dtype=np.float64
-    ).reshape(len(coords), 3)
-
-
-def normalize_coords(coords) -> np.ndarray:
-    """Map (lat, lon, elev) to O(1) inputs: lat/90, lon/180, elev/10000.
-
-    Accepts a list of StationCoord (validated) or a raw [N, 3] array.
-    """
-    if len(coords) and isinstance(coords[0], StationCoord):
-        for c in coords:
-            c.validate()
-        raw = coord_matrix(coords)
-    else:
-        raw = np.asarray(coords, dtype=np.float64).reshape(-1, 3)
-    return raw / np.array([90.0, 180.0, 10000.0])
+def normalize_coords(coords: list[StationCoord]) -> np.ndarray:
+    """The stations' [N, 3] (lat, lon, elev) mapped to O(1) inputs: lat/90,
+    lon/180, elev/10000."""
+    raw = np.array([[c.latitude, c.longitude, c.elevation] for c in coords], np.float64)
+    return raw.reshape(len(coords), 3) / np.array([90.0, 180.0, 10000.0])
 
 
 def tensor_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
@@ -227,7 +206,7 @@ def tensor_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]
     A model whose float64 vector cannot be sized is a ConfigError, raised
     before any entry is built.
     """
-    size = parameter_count(config)  # validates the config
+    size = parameter_count(config)
     if size > np.iinfo(np.intp).max // 8:
         raise ConfigError(f"a model of {size} parameters is too large to size an array")
     d = config.d
@@ -311,7 +290,6 @@ def parameter_count(config: ModelConfig) -> int:
     For the base (absolute/absolute) variant this is
     d(T_h+1) + 4d + 67d + 2*L*d*(d+1) + T_f(d+1).
     """
-    config.validate()
     # Python ints: numpy integers would wrap on a huge count
     d, n_layers, t_h, t_f = (int(v) for v in (config.d, config.n_layers, config.t_h, config.t_f))
     spatial = {"absolute": 4 * d, "relative": int(config.n_stations or 0) * d, "none": 0}
@@ -426,6 +404,14 @@ class Workers:
     gradient vector of its own. So the bits depend on neither the BLAS
     thread count nor the worker count. Where the pin cannot be made, the
     chunks run one after another on the caller, unpinned.
+
+    The caller is worker 0 and threads that run starts run the others, so
+    that numpy's elementwise passes use every core, not only the GEMMs, and
+    one-thread GEMMs side by side do not oversubscribe the cores. No
+    batch-path call is multithreaded, so OpenBLAS's own server threads,
+    which busy-wait for about 0.1 s after a multithreaded call, are never
+    woken to hold a core a worker needs. The chunk gradient vectors number
+    at most the chunks in flight or held at once.
 
     A Workers holds no thread: run starts its helper threads and joins them
     before it returns, so one is a plain value, made once per fit or

@@ -52,8 +52,10 @@ STATION_BLOCK = 64
 ROW_BLOCK = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
+    """The generator's settings, checked when made."""
+
     n_stations: int = 50
     n_steps: int = 20000
     interval_hours: int = 1
@@ -65,7 +67,7 @@ class SynthConfig:
     seed: int = 0
     start: datetime = field(default_factory=lambda: DEFAULT_START)
 
-    def validate(self, t_h: int | None = None, t_f: int | None = None) -> None:
+    def __post_init__(self):
         if self.n_stations < 1 or self.n_steps < 1 or self.interval_hours < 1:
             raise ConfigError("n_stations, n_steps, interval_hours must be >= 1")
         # in hours: a timedelta of the whole span could itself overflow
@@ -89,7 +91,11 @@ class SynthConfig:
             raise ConfigError(
                 f"unstable alpha: sum of |coefficients| is {gain}, must be < 1"
             )
-        # window sizes are only known downstream; enforce the 10x margin when given
+        self.validate()
+
+    def validate(self, t_h: int | None = None, t_f: int | None = None) -> None:
+        """n_steps must hold ten windows: of the model's T_h + T_f when both
+        are given (they are known only downstream), else of the AR order."""
         window = (t_h + t_f) if (t_h and t_f) else max(len(self.alpha), 1)
         if self.n_steps < 10 * window:
             raise ConfigError(
@@ -251,7 +257,6 @@ def _draw_noise(config: SynthConfig, values: np.ndarray, p: int) -> None:
 
 def generate(config: SynthConfig, coords: list[StationCoord]) -> ObservationSet:
     """Emit the recurrence as an ObservationSet (single variable "v")."""
-    config.validate()
     if len(coords) != config.n_stations:
         raise ConfigError(
             f"got {len(coords)} coords for n_stations={config.n_stations}"

@@ -22,18 +22,13 @@ The params fit returns, and so every checkpoint, stay float64.
 
 Chunks: fit and evaluate take batch_size windows per batch, and a batch
 of more than model.CHUNK_ROWS rows (N*C rows per window) runs in chunks
-of whole windows, scheduled by model.Workers.run with OpenBLAS pinned to
-one thread: the caller and the threads that the run starts and joins run
-one drain loop, each worker taking the next chunk as soon as it is free,
-and each chunk's result added in chunk order, a result that is done early
-held until the chunks before it are added. No thread outlives a run: fit's
-Workers is a plain value, its workspaces and the batch gradient. fit runs
-one batch's chunks at a time (a model.WindowBatch), and loss_and_grads
-adds their loss sums and gradients. evaluate runs the whole split's
-chunks at once, so the workers share even a split of one-chunk batches,
-and pools their float64 error sums. Every chunk, of fit, evaluate or the
-HI baseline, comes from model.chunk_slices, so none crosses a batch
-boundary. So a multi-chunk batch's gradient is rounded once per chunk
+of whole windows from model.chunk_slices, so none crosses a batch
+boundary, on fit's or evaluate's model.Workers (its docstring says how
+they are scheduled and added). fit runs one batch's chunks at a time (a
+model.WindowBatch), and loss_and_grads adds their loss sums and
+gradients. evaluate runs the whole split's chunks at once, so the
+workers share even a split of one-chunk batches, and pools their float64
+error sums. So a multi-chunk batch's gradient is rounded once per chunk
 and differs in its last bits from a one-pass sum, and evaluate's sums
 are split likewise.
 
@@ -65,15 +60,17 @@ from . import model as model_ops
 HISTORY_HEADER = ["epoch", "train_mae", "val_mae", "val_mse", "seconds"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Optimizer and early-stopping settings, checked when made."""
+
     lr: float = 5e-4
     batch_size: int = 32
     max_epochs: int = 100
     patience: int = 5
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if self.batch_size < 1:
@@ -211,7 +208,6 @@ def fit(
     (original units) drives early stopping: training stops after
     `patience` epochs without strict improvement or at max_epochs.
     """
-    config.validate()
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise ConfigError("train and val splits must both contain windows")
 

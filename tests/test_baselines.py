@@ -190,7 +190,7 @@ def test_relative_variant_needs_station_count():
 
 def test_ablation_suite_needs_three_seeds():
     with pytest.raises(ConfigError, match="3 seeds"):
-        run_ablation_suite(dataset(), SMALL, TrainConfig(max_epochs=1), seeds=[0, 1])
+        run_ablation_suite(dataset(), SMALL, TrainConfig(max_epochs=1, patience=1), seeds=[0, 1])
 
 
 def test_ablation_suite_all_variants_finite():
@@ -219,7 +219,7 @@ def test_ablation_suite_annotates_its_own_errors_and_passes_others_on(monkeypatc
     # its constructor is called
     own = TrainingError("loss is not finite")
     other = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
-    obs, train = dataset(n_stations=2, n_steps=220), TrainConfig(max_epochs=1)
+    obs, train = dataset(n_stations=2, n_steps=220), TrainConfig(max_epochs=1, patience=1)
     for error in (own, other):
 
         def failing(*args, **kwargs):

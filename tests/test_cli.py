@@ -4,6 +4,7 @@ import json
 import struct
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, replace
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,79 @@ def test_bad_input_is_one_line_error(
     assert err.startswith(prefix) and err.count("\n") == 1
     assert out is None or str(tmp_path / out) in err
     assert not (tmp_path / "out").exists()
+
+
+# text that stays on its config line, which str.splitlines would break at a
+# control or separator character, and that UTF-8 can write (no surrogates)
+ONE_LINE = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+
+
+def not_a(kind):
+    """Text on one config line that `kind` cannot parse."""
+
+    def parses(text):
+        try:
+            kind(text.strip())
+        except ValueError:
+            return False
+        return True
+
+    return ONE_LINE.filter(lambda text: not parses(text))
+
+
+BELOW_ONE = st.integers(max_value=0) | not_a(int)
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+NEGATIVE = st.floats(max_value=-1e-300)
+# one invalid value for each key: (command that reads it, values); TINY's
+# max_epochs is 2, so a patience of 3 or more exceeds it
+INVALID_VALUES = {
+    **{key: ("train", BELOW_ONE) for key in ("d", "layers", "t_h", "t_f", "batch_size", "max_epochs")},
+    "spatial": ("train", ONE_LINE.filter(lambda text: text.strip() not in model.SPATIAL_MODES)),
+    "temporal": ("train", ONE_LINE.filter(lambda text: text.strip() not in model.TEMPORAL_MODES)),
+    "lr": ("train", NON_FINITE | NEGATIVE | not_a(float)),
+    "patience": ("train", BELOW_ONE | st.integers(min_value=3)),
+    "seed": ("train", st.integers(max_value=-1) | not_a(int)),
+    **{key: ("synth", BELOW_ONE) for key in ("synth_stations", "synth_steps", "synth_interval_hours")},
+    "synth_start": ("synth", not_a(datetime.fromisoformat)),
+    "synth_alpha": (
+        "synth",
+        st.lists(st.floats(allow_nan=False), min_size=1, max_size=4)
+        .filter(lambda alpha: sum(abs(a) for a in alpha) >= 1)
+        .map(lambda alpha: ",".join(map(repr, alpha)))
+        | st.lists(NON_FINITE, min_size=1, max_size=2).map(lambda alpha: ",".join(map(repr, alpha)))
+        | not_a(float).filter(lambda text: "," not in text and text.strip()),
+    ),
+    **{
+        key: ("synth", NON_FINITE | not_a(float))
+        for key in ("synth_amp_diurnal", "synth_amp_annual", "synth_amp_elev")
+    },
+    "synth_noise_std": ("synth", NON_FINITE | NEGATIVE | not_a(float)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(INVALID_VALUES)).flatmap(
+        lambda key: st.tuples(st.just(key), INVALID_VALUES[key][1])
+    )
+)
+def test_an_invalid_config_value_is_one_line_config_error(synth_dir, tmp_path_factory, key_value):
+    """A valid config for the tiny dataset with one value made invalid: the
+    command that reads it exits 1 with one "config error: " line, before it
+    fits or generates anything and without making out_dir."""
+    key, value = key_value
+    work = tmp_path_factory.mktemp("invalid")
+    cfg = data_config(synth_dir, work / "run.cfg", out_dir=work / "out", **{key: value})
+    stderr = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        for name in ("generate", "fit"):
+            mp.setattr(cli, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+        code = cli.main([INVALID_VALUES[key][0], "--config", str(cfg)])
+    err = stderr.getvalue()
+    assert code == 1, err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err
+    assert not (work / "out").exists()
 
 
 # --- synth -----------------------------------------------------------------
@@ -926,6 +1000,45 @@ def test_forecast_of_one_instant_written_at_two_utc_offsets_writes_the_same_byte
         )
     assert outputs[0] == outputs[1]
     assert outputs[0][1].splitlines()[1].startswith(b"2019-01-05T04:00:00+00:00,")
+
+
+@pytest.mark.parametrize(
+    "synth_start, when, message",
+    [
+        (
+            "2019-01-01T00:00:00+00:00",
+            "2019-01-05T04:00:00",
+            "timestamp 2019-01-05T04:00:00 has no UTC offset, but the observations' "
+            "timestamps carry one",
+        ),
+        (
+            "2019-01-01T00:00:00",
+            "2019-01-05T04:00:00+00:00",
+            "timestamp 2019-01-05T04:00:00+00:00 has a UTC offset, but the observations' "
+            "timestamps carry none",
+        ),
+    ],
+    ids=["naive-on-aware-data", "aware-on-naive-data"],
+)
+def test_forecast_timestamp_whose_offset_kind_differs_from_the_data_is_one_line_error(
+    tmp_path, capsys, synth_start, when, message
+):
+    """Step 100 of the data, with 6 prior steps, written with a UTC offset
+    where the data has none or without one where it has: a naive and an
+    aware datetime never compare equal, so the error says which carries
+    the offset rather than that the step is out of range."""
+    synth = write_config(
+        tmp_path / "synth.cfg", TINY, out_dir=tmp_path / "data", synth_start=synth_start
+    )
+    assert cli.main(["synth", "--config", str(synth)]) == 0
+    checkpoint_save(tmp_path / "ck.bin", init_params(TINY_MODEL, 0))
+    cfg = data_config(
+        tmp_path / "data", tmp_path / "f.cfg", out_dir=tmp_path / "out", checkpoint=tmp_path / "ck.bin"
+    )
+    capsys.readouterr()
+    assert cli.main(["forecast", "--config", str(cfg), "--timestamp", when]) == 4
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 # --- ablate / sweep / param-count -------------------------------------------

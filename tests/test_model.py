@@ -1598,13 +1598,13 @@ def test_params_reject_a_vector_of_the_wrong_size():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ModelConfig(d=0).validate()
+        ModelConfig(d=0)
     with pytest.raises(ConfigError):
-        ModelConfig(spatial_encoding="relative").validate()
+        ModelConfig(spatial_encoding="relative")
     with pytest.raises(ConfigError):
-        ModelConfig(spatial_encoding="sideways").validate()
+        ModelConfig(spatial_encoding="sideways")
     biggest = int(np.iinfo(np.intp).max)  # the largest size an array axis can have
-    ModelConfig(d=biggest, n_stations=biggest).validate()
+    ModelConfig(d=biggest, n_stations=biggest)
     for name in ("d", "n_layers", "t_h", "t_f", "n_vars", "n_stations"):
         with pytest.raises(ConfigError, match=f"{name} {biggest + 1} is too large"):
-            ModelConfig(**{name: biggest + 1}).validate()
+            ModelConfig(**{name: biggest + 1})

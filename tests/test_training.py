@@ -654,11 +654,11 @@ def test_checkpoints_do_not_depend_on_blas_or_worker_threads(tmp_path, batch_siz
 def test_train_config_validation():
     for lr in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="lr"):
-            TrainConfig(lr=lr).validate()
+            TrainConfig(lr=lr)
     with pytest.raises(ConfigError):
-        TrainConfig(batch_size=0).validate()
+        TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
-        TrainConfig(patience=10, max_epochs=5).validate()
+        TrainConfig(patience=10, max_epochs=5)
 
 
 def test_history_csv_format(tmp_path):
