@@ -172,11 +172,20 @@ def _load_dataset(cfg: RunConfig):
     return load_observations_csv(observations, ids, coords)
 
 
+def _load_for_model(cfg: RunConfig):
+    """The dataset and its model config. The config's own model values (d,
+    layers, t_h, t_f and the encodings) are checked before the dataset is
+    read, so that a bad one is reported without reading the files; n_vars
+    and n_stations come from the data."""
+    checked = _model_config(cfg, 1, 1)
+    obs = _load_dataset(cfg)
+    return obs, replace(checked, n_vars=obs.n_vars, n_stations=obs.n_stations)
+
+
 def prepare(cfg: RunConfig):
     """Load the dataset and derive what every model command starts from:
     (observations, model config, chronological splits, normalized coords)."""
-    obs = _load_dataset(cfg)
-    model_cfg = _model_config(cfg, obs.n_vars, obs.n_stations)
+    obs, model_cfg = _load_for_model(cfg)
     prepared = split_windows(obs, model_cfg.t_h, model_cfg.t_f, cfg.normalize)
     return obs, model_cfg, prepared, normalize_coords(obs.coords)
 
@@ -231,7 +240,8 @@ def cmd_synth(cfg: RunConfig) -> int:
         seed=cfg.seed,
         start=start,
     )
-    sc.validate(cfg.t_h, cfg.t_f)
+    windows = ModelConfig(t_h=cfg.t_h, t_f=cfg.t_f)  # checked as a model checks them
+    sc.validate(windows.t_h, windows.t_f)
     ids, coords = random_station_coords(sc.n_stations, sc.seed)
     obs = generate(sc, coords)
     out.mkdir(parents=True, exist_ok=True)
@@ -354,8 +364,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     seeds = _list(cfg.ablate_seeds, "ablate_seeds", int)
     train_cfg = _train_config(cfg)
-    obs = _load_dataset(cfg)
-    model_cfg = _model_config(cfg, obs.n_vars, obs.n_stations)
+    obs, model_cfg = _load_for_model(cfg)
     rows = run_ablation_suite(obs, model_cfg, train_cfg, seeds, cfg.normalize)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "ablation.csv", "w", newline="", encoding="utf-8") as fh:

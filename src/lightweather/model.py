@@ -388,9 +388,19 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def worker_count() -> int:
+    """The workers Workers.run keeps busy: one per usable CPU, or one where
+    OpenBLAS's thread count cannot be pinned, as run then runs every chunk
+    on the caller."""
+    return usable_cpus() if blas_threads() is not None else 1
+
+
 class Workers:
-    """Where chunks run: `workspaces`, one Workspace per worker, the first
-    the caller's and the others those of the threads run starts.
+    """Where chunks run: `workspaces`, one per worker, the first the
+    caller's and the others those of the threads run starts. A workspace
+    may be any per-worker buffer: the batch path's are Workspaces, and
+    synthetic.generate schedules its noise and forcing blocks through run
+    with one array per worker.
     loss_and_grads keeps its gradients here too: `grad`, the one batch
     gradient, made by its first call, and `spare_grads`, the chunk gradient
     vectors no chunk holds.
@@ -432,8 +442,7 @@ class Workers:
         used: evaluate runs a whole split's chunks at once, however few
         chunks a training batch has."""
         per_chunk = min(batch_windows, chunk_windows(rows_per_window))
-        count = usable_cpus() if blas_threads() is not None else 1
-        return cls([Workspace(config, per_chunk * rows_per_window) for _ in range(count)])
+        return cls([Workspace(config, per_chunk * rows_per_window) for _ in range(worker_count())])
 
     def check(self, params: ModelParams, rows: int) -> None:
         """Check every workspace against params and for room for `rows` rows."""

@@ -18,19 +18,26 @@ builds no other full-size grid. Station si's stream is
 np.random.default_rng([seed, si])'s, bit for bit: the SeedSequence words
 that seed its PCG64 are computed for all stations at once (_seed_words,
 numpy's published hash-mix in uint32 arithmetic) and handed to PCG64,
-so no SeedSequence is built per station. It draws STATION_BLOCK
-stations' streams at a time into a station-major buffer and copies them,
-transposed, down their columns of `values`, scaled by noise_std after
-the warm-up rows.
+so no SeedSequence is built per station. Blocks of stations' streams are
+drawn into station-major buffers and copied, transposed, down their
+columns of `values`, scaled by noise_std after the warm-up rows.
 G is held as its parts (`_Forcing`): a diurnal table over the distinct
 hour-of-day values (at most 24 x N), the annual term per step and the
-elevation term per station. ROW_BLOCK rows of G at a time are gathered
-from those parts and added, or, with AR terms, run through the recurrence
-row by row in place. So generation holds `values`, one [STATION_BLOCK, T]
-buffer and then one [ROW_BLOCK, N] buffer, the T timestamps and a few
-arrays of length T or N. Every value is the same floating-point operation
-on the same inputs as on the full grid, so the data do not depend on the
-block sizes.
+elevation term per station. Blocks of rows of G are gathered from those
+parts and added, or, with AR terms, run through the recurrence row by row
+in place.
+The noise blocks, and the forcing blocks without AR terms, run on every
+CPU through model.Workers.run, the scheduler of training's and
+evaluation's chunks (_in_blocks). Of w workers, each holds one
+[STATION_BLOCK // w, T] noise buffer and then one [ROW_BLOCK // w, N]
+forcing buffer, all made on the calling thread before the run, and
+writes only its own block's columns or rows of `values`. The recurrence
+runs on the caller, in one [ROW_BLOCK, N] buffer. So generation holds
+`values`, at most one [STATION_BLOCK, T] of noise buffers and then at
+most one [ROW_BLOCK, N] of forcing buffers however many CPUs there are,
+the T timestamps and a few arrays of length T or N. Every value is the
+same floating-point operation on the same inputs as on the full grid, so
+the data depend on neither the block sizes nor the worker count.
 """
 
 from __future__ import annotations
@@ -43,11 +50,12 @@ import numpy as np
 
 from .data import ObservationSet
 from .errors import ConfigError, allocating
-from .model import StationCoord
+from .model import StationCoord, Workers, worker_count
 
 DEFAULT_START = datetime(2019, 1, 1, 0, 0, 0)
 HOUR = timedelta(hours=1)
-# stations per noise buffer and forcing rows per block (see the layout above)
+# stations and forcing rows that the workers' buffers hold together (see the
+# layout above)
 STATION_BLOCK = 64
 ROW_BLOCK = 256
 
@@ -236,23 +244,38 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+def _in_blocks(n: int, per_block: int, width: int, task) -> None:
+    """task(i0, i1, buffer) for blocks [i0, i1) that cover range(n), run by
+    model.Workers: each of w workers holds one [per_block // w, width]
+    buffer, made here before the run, so that the buffers together hold at
+    most one [per_block, width] block whatever the worker count. A task
+    writes only its own block's part of the output."""
+    size = min(per_block, n)
+    count = min(worker_count(), size)
+    b = size // count
+    workers = Workers([np.empty((b, width)) for _ in range(count)])
+    workers.run(
+        -(-n // b), lambda i, buf: task(i * b, min(i * b + b, n), buf), lambda i, _: None
+    )
+
+
 def _draw_noise(config: SynthConfig, values: np.ndarray, p: int) -> None:
     """Each station's stream down its column of `values`: the first p steps
     as drawn (the warm-up), the rest times noise_std. Station si draws
     default_rng([seed, si])'s stream, from a PCG64 seeded with _seed_words.
-    Streams are drawn STATION_BLOCK at a time into one station-major
-    buffer."""
+    Blocks of stations are drawn into station-major buffers (_in_blocks)."""
     n_steps, n_stations = values.shape
     words = _seed_words(config.seed, np.arange(n_stations))
-    draws = np.empty((min(STATION_BLOCK, n_stations), n_steps))
-    for s0 in range(0, n_stations, STATION_BLOCK):
-        s1 = min(s0 + STATION_BLOCK, n_stations)
+
+    def draw(s0, s1, draws):
         for si in range(s0, s1):
             rng = np.random.Generator(np.random.PCG64(_SeedWords(words[si])))
             rng.standard_normal(n_steps, out=draws[si - s0])
         block = draws[: s1 - s0].T
         values[:p, s0:s1] = block[:p]  # warm-up, unit-variance
         np.multiply(block[p:], config.noise_std, out=values[p:, s0:s1])
+
+    _in_blocks(n_stations, STATION_BLOCK, n_steps, draw)
 
 
 def generate(config: SynthConfig, coords: list[StationCoord]) -> ObservationSet:
@@ -269,19 +292,22 @@ def generate(config: SynthConfig, coords: list[StationCoord]) -> ObservationSet:
     forcing = _Forcing(coords, timestamps, config)
 
     p = len(config.alpha)
-    alpha = np.asarray(config.alpha, dtype=np.float64)
     _draw_noise(config, values, p)
-    rows = np.empty((min(ROW_BLOCK, n_steps), n_stations))
-    for t0 in range(p, n_steps, ROW_BLOCK):
-        t1 = min(t0 + ROW_BLOCK, n_steps)
-        f = forcing.rows(t0, t1, rows)
-        if p == 0:
-            values[t0:t1] += f
-            continue
-        for t in range(t0, t1):
-            ar = alpha @ values[t - p : t][::-1]  # v[t-1], v[t-2], ..., v[t-p]
-            ar += f[t - t0]
-            values[t] += ar
+    if p == 0:
+        def add(t0, t1, rows):
+            values[t0:t1] += forcing.rows(t0, t1, rows)
+
+        _in_blocks(n_steps, ROW_BLOCK, n_stations, add)
+    else:  # the recurrence, row by row
+        alpha = np.asarray(config.alpha, dtype=np.float64)
+        rows = np.empty((min(ROW_BLOCK, n_steps), n_stations))
+        for t0 in range(p, n_steps, ROW_BLOCK):
+            t1 = min(t0 + ROW_BLOCK, n_steps)
+            f = forcing.rows(t0, t1, rows)
+            for t in range(t0, t1):
+                ar = alpha @ values[t - p : t][::-1]  # v[t-1], v[t-2], ..., v[t-p]
+                ar += f[t - t0]
+                values[t] += ar
 
     ids = [f"s{i:04d}" for i in range(n_stations)]
     return ObservationSet(

@@ -305,6 +305,18 @@ def test_an_invalid_config_value_is_one_line_config_error(synth_dir, tmp_path_fa
     assert not (work / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "forecast", "ablate", "sweep"])
+def test_a_bad_model_value_is_reported_before_the_dataset_is_read(
+    synth_dir, tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.setattr(cli, "_load_dataset", lambda cfg: pytest.fail("the dataset was read"))
+    cfg = data_config(synth_dir, tmp_path / "run.cfg", out_dir=tmp_path / "out", d=0)
+    flags = ["--timestamp", "2019-01-05T04:00:00"] if command == "forecast" else []
+    assert cli.main([command, "--config", str(cfg), *flags]) == 1
+    assert capsys.readouterr().err == "config error: d must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 # --- synth -----------------------------------------------------------------
 
 
@@ -314,6 +326,29 @@ def test_synth_of_a_grid_too_large_to_allocate_is_one_line_error(tmp_path, capsy
     assert cli.main(["synth", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err == "config error: a grid of 220 x 2 values is too large to allocate\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "t_h, t_f, message",
+    [
+        (-40, 24, "t_h must be >= 1, got -40"),
+        (0, 24, "t_h must be >= 1, got 0"),
+        (6, 0, "t_f must be >= 1, got 0"),
+    ],
+    ids=["negative-t_h", "zero-t_h", "zero-t_f"],
+)
+def test_synth_for_model_windows_no_model_can_take_is_one_line_config_error(
+    tmp_path, capsys, monkeypatch, t_h, t_f, message
+):
+    # 20 steps pass the ten-window rule of a window of -16 steps, or of the
+    # AR order where a zero window drops the model's rule
+    monkeypatch.setattr(cli, "generate", lambda *args: pytest.fail("generate ran"))
+    cfg = write_config(
+        tmp_path / "synth.cfg", TINY, out_dir=tmp_path / "out", t_h=t_h, t_f=t_f, synth_steps=20
+    )
+    assert cli.main(["synth", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from unittest.mock import patch
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from lightweather import model as lw_model
 from lightweather import synthetic
 from lightweather.data import ObservationSet
 from lightweather.errors import ConfigError
@@ -314,17 +316,98 @@ def test_generate_equals_the_full_grid_reference(config, station_block, row_bloc
     assert forcing.tobytes() == reference_g_matrix(coords, got.timestamps, config).tobytes()
 
 
+def recording_workers(monkeypatch) -> list[list[tuple[int, int]]]:
+    """From now on, the shapes of the buffers of each Workers that generate
+    makes, one list a run."""
+    made = []
+
+    def workers(buffers):
+        made.append([b.shape for b in buffers])
+        return lw_model.Workers(buffers)
+
+    monkeypatch.setattr(synthetic, "Workers", workers)
+    return made
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+@pytest.mark.parametrize(
+    "alpha, station_block, row_block",
+    [
+        ((), synthetic.STATION_BLOCK, synthetic.ROW_BLOCK),
+        ((0.5, -0.3), synthetic.STATION_BLOCK, synthetic.ROW_BLOCK),
+        ((), 7, 13),
+        ((0.6,), 3, 13),
+    ],
+    ids=["noise-only", "ar", "small-blocks", "ar-blocks-below-the-cpus"],
+)
+def test_generate_equals_the_full_grid_reference_on_every_worker_count(
+    monkeypatch, switch_often, cpus, alpha, station_block, row_block
+):
+    # the noise blocks, and the forcing blocks without AR terms, run on
+    # `cpus` workers that switch threads every microsecond
+    config = SynthConfig(n_stations=150, n_steps=300, alpha=alpha, noise_std=0.5, seed=35)
+    coords = coords_for(150)
+    expected = reference_generate(config, coords)
+    monkeypatch.setattr(lw_model, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(synthetic, "STATION_BLOCK", station_block)
+    monkeypatch.setattr(synthetic, "ROW_BLOCK", row_block)
+    made = recording_workers(monkeypatch)
+    with switch_often():
+        got = generate(config, coords)
+    assert got.values.tobytes() == expected.values.tobytes()
+    workers = lw_model.worker_count()  # 1 where OpenBLAS cannot be pinned
+    blocks = [(station_block, 300)] + ([(row_block, 150)] if not alpha else [])
+    assert len(made) == len(blocks)
+    for shapes, (block, width) in zip(made, blocks):
+        assert len(shapes) == min(workers, block)
+        assert {w for _, w in shapes} == {width}
+        assert sum(rows for rows, _ in shapes) <= block  # together one block at most
+
+
+@pytest.mark.parametrize("phase", ["noise", "forcing"])
+def test_an_error_in_a_block_reaches_the_caller_unchanged(monkeypatch, phase):
+    monkeypatch.setattr(lw_model, "usable_cpus", lambda: 2)
+    config = SynthConfig(n_stations=300, n_steps=600, noise_std=0.5, seed=2)
+    error = RuntimeError("the block failed")
+    if phase == "noise":  # station 200, in a block after the first of each worker
+        failing = synthetic._seed_words(config.seed, np.array([200]))[0]
+        seed_words = synthetic._SeedWords
+
+        def fail_one_station(words):
+            if np.array_equal(words, failing):
+                raise error
+            return seed_words(words)
+
+        monkeypatch.setattr(synthetic, "_SeedWords", fail_one_station)
+    else:  # rows from step 300 on
+        rows = synthetic._Forcing.rows
+
+        def fail_late_rows(self, t0, t1, out):
+            if t0 >= 300:
+                raise error
+            return rows(self, t0, t1, out)
+
+        monkeypatch.setattr(synthetic._Forcing, "rows", fail_late_rows)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        generate(config, coords_for(300))
+    assert raised.value is error
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("alpha", [(), (0.5, 0.3)], ids=["forcing-and-noise", "ar"])
-def test_generate_peak_memory_is_at_most_one_and_a_half_values(alpha):
+def test_generate_peak_memory_is_at_most_one_and_a_half_values(monkeypatch, alpha):
     config = SynthConfig(n_stations=400, n_steps=2000, alpha=alpha, noise_std=0.5, seed=1)
     coords = coords_for(400)
-    tracemalloc.start()
-    try:
-        obs = generate(config, coords)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * obs.values.nbytes, (peak, obs.values.nbytes)
+    for cpus in (lw_model.usable_cpus(), 4):  # 4 as on CI runners
+        monkeypatch.setattr(lw_model, "usable_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            obs = generate(config, coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * obs.values.nbytes, (cpus, peak, obs.values.nbytes)
 
 
 def test_a_grid_too_large_to_allocate_is_a_config_error(fail_allocation):
@@ -367,21 +450,23 @@ def test_seed_words_are_the_seed_sequence_state(seed):
         assert seeded.state == np.random.PCG64([seed, int(stations[i])]).state
 
 
-def test_forcing_rows_take_from_the_table_without_a_block_sized_copy():
+def test_forcing_rows_take_from_the_table_without_a_block_sized_copy(monkeypatch):
     # np.take with mode="raise" copies its whole output through a buffer,
     # which puts generate's peak most of a [ROW_BLOCK, N] block above what
-    # the layout says it holds: values, the noise buffer, the diurnal table
-    # and one forcing block
+    # the layout says it holds: values, the noise buffers, the diurnal table
+    # and the forcing blocks, one of each in all, at any worker count
     n_stations, n_steps = 1000, 600
     config = SynthConfig(n_stations=n_stations, n_steps=n_steps, noise_std=0.5, seed=3)
     coords = coords_for(n_stations)
     block = synthetic.ROW_BLOCK * n_stations * 8
     held = (n_steps * n_stations + synthetic.STATION_BLOCK * n_steps + 24 * n_stations) * 8 + block
-    tracemalloc.start()
-    try:
-        obs = generate(config, coords)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert obs.values.nbytes == n_steps * n_stations * 8
-    assert peak - held < block / 2, (peak, held, block)
+    for cpus in (lw_model.usable_cpus(), 4):  # 4 as on CI runners
+        monkeypatch.setattr(lw_model, "usable_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            obs = generate(config, coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert obs.values.nbytes == n_steps * n_stations * 8
+        assert peak - held < block / 2, (cpus, peak, held, block)
