@@ -10,9 +10,11 @@ bit-exact. A truncated or malformed file, shapes unlike its config's or
 the caller's, or a value not finite in float32 is a CheckpointError. The
 size of the data section is checked against the config's parameter count
 before the config's tensor spec is built, so a manifest that claims a
-huge model fails at once. checkpoint_save writes a temp file beside the
-path and renames it over the path when it is whole, so a reader never
-sees a partly written checkpoint.
+huge model fails at once. checkpoint_save writes through
+files.write_atomically, as every output is written: a temp file beside the
+path, renamed over it when it is whole, so a reader never sees a partly
+written checkpoint, and a save that fails is the one-line ConfigError
+"cannot write <path>: <reason>".
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ def _shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 def checkpoint_save(path, params: ModelParams) -> None:
     """Write every tensor as float64; the reader also accepts float32. The
     file is replaced whole (files.write_atomically): a save that fails
-    raises and leaves the old checkpoint as it was."""
+    raises ConfigError ("cannot write <path>: <reason>") and leaves the old
+    checkpoint as it was."""
     manifest = {
         "config": asdict(params.config),
         "tensors": [

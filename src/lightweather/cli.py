@@ -5,12 +5,13 @@ file (# comments and blank lines allowed; unknown keys rejected); --seed and
 --out override the file. Exit codes: 0 success, 1 usage/config, 2 ingestion,
 3 training, 4 evaluation. Errors print one line to stderr: "<category>:
 <detail>"; each error class in errors.py carries its own code and category.
+Every output is written through files.write_atomically, so one that cannot
+be written is the config error "cannot write <path>: <reason>".
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -38,6 +39,7 @@ from .errors import (
     LightWeatherError,
     ValidationError,
 )
+from .files import write_atomically, write_csv
 from .model import (
     COMPUTE_DTYPE,
     ModelConfig,
@@ -199,9 +201,9 @@ def _checkpoint_path(cfg: RunConfig, flag: str | None) -> Path:
 
 def _out_dir(cfg: RunConfig) -> Path:
     """out_dir, checked before any data is read, generated or fitted: its
-    nearest existing ancestor, or itself, must be a directory. Commands
-    create it only when they write their outputs, so a failed command
-    leaves no directory behind."""
+    nearest existing ancestor, or itself, must be a directory. The writer
+    of a command's first output (files.write_atomically) creates it, so a
+    command that fails before then leaves no directory behind."""
     out = Path(cfg.out_dir)
     try:
         existing = next(p for p in (out, *out.parents) if p.exists())
@@ -244,10 +246,9 @@ def cmd_synth(cfg: RunConfig) -> int:
     sc.validate(windows.t_h, windows.t_f)
     ids, coords = random_station_coords(sc.n_stations, sc.seed)
     obs = generate(sc, coords)
-    out.mkdir(parents=True, exist_ok=True)
     write_stations_csv(out / "stations.csv", ids, coords)
     write_observations_csv(out / "observations.csv", obs)
-    with open(out / "synth_meta.txt", "w", encoding="utf-8") as fh:
+    with write_atomically(out / "synth_meta.txt", text=True) as fh:
         fh.write(f"seed = {sc.seed}\n")
         fh.write(f"n_stations = {sc.n_stations}\n")
         fh.write(f"n_steps = {sc.n_steps}\n")
@@ -271,9 +272,8 @@ def cmd_train(cfg: RunConfig) -> int:
     result = fit(
         params, prepared.train, prepared.val, coords_norm, train_cfg, prepared.normalizer
     )
-    out.mkdir(parents=True, exist_ok=True)
+    write_history_csv(out / "history.csv", result.history)  # no checkpoint without it
     checkpoint_save(out / "checkpoint.bin", result.params)
-    write_history_csv(out / "history.csv", result.history)
     print(f"best_epoch: {result.best_epoch}")
     print(f"best_val_mae: {result.best_val_mae:.6f}")
     print(f"checkpoint: {out / 'checkpoint.bin'}")
@@ -292,14 +292,9 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_flag: str | None) -> int:
     if not np.isfinite([model_metrics.mse, model_metrics.mae]).all():
         raise EvaluationError(f"non-finite metrics from the checkpoint: {model_metrics}")
     hi_metrics = evaluate_hi(prepared.test, cfg.batch_size)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "mse", "mae", "n_points"])
-        writer.writerow(
-            ["lightweather", repr(model_metrics.mse), repr(model_metrics.mae), model_metrics.n_points]
-        )
-        writer.writerow(["hi", repr(hi_metrics.mse), repr(hi_metrics.mae), hi_metrics.n_points])
+    both = (("lightweather", model_metrics), ("hi", hi_metrics))
+    rows = [[name, repr(m.mse), repr(m.mae), m.n_points] for name, m in both]
+    write_csv(out / "metrics.csv", [["model", "mse", "mae", "n_points"], *rows])
     print(f"lightweather: mse={model_metrics.mse:.6f} mae={model_metrics.mae:.6f}")
     print(f"hi: mse={hi_metrics.mse:.6f} mae={hi_metrics.mae:.6f}")
     print(f"metrics: {out / 'metrics.csv'}")
@@ -340,14 +335,13 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
             f"non-finite forecast from the checkpoint in {np.dtype(COMPUTE_DTYPE)}"
         )
 
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "forecasts.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["station_id", "step", "var", "value"])
-        for si, sid in enumerate(obs.station_ids):
-            for k in range(model_cfg.t_f):
-                for vi, var in enumerate(obs.var_names):
-                    writer.writerow([sid, k, var, repr(float(pred[k, si, vi]))])
+    rows = (
+        [sid, k, var, repr(float(pred[k, si, vi]))]
+        for si, sid in enumerate(obs.station_ids)
+        for k in range(model_cfg.t_f)
+        for vi, var in enumerate(obs.var_names)
+    )
+    write_csv(out / "forecasts.csv", [["station_id", "step", "var", "value"], *rows])
     # same forecast in observations format, so it can be re-ingested
     future = replace(
         obs,
@@ -366,14 +360,10 @@ def cmd_ablate(cfg: RunConfig) -> int:
     train_cfg = _train_config(cfg)
     obs, model_cfg = _load_for_model(cfg)
     rows = run_ablation_suite(obs, model_cfg, train_cfg, seeds, cfg.normalize)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["spatial", "temporal", "seed", "mse", "mae"])
-        for r in rows:
-            writer.writerow(
-                [r["spatial"], r["temporal"], r["seed"], repr(r["mse"]), repr(r["mae"])]
-            )
+    report = (
+        [r["spatial"], r["temporal"], r["seed"], repr(r["mse"]), repr(r["mae"])] for r in rows
+    )
+    write_csv(out / "ablation.csv", [["spatial", "temporal", "seed", "mse", "mae"], *report])
     print("spatial temporal mean_mse mean_mae n_seeds")
     for s in summarize_ablation(rows):
         print(
@@ -391,47 +381,46 @@ def cmd_sweep(cfg: RunConfig) -> int:
         raise ConfigError("sweep_d and sweep_layers must be non-empty comma-separated lists")
     train_cfg = _train_config(cfg)
     _, base_cfg, prepared, coords_norm = prepare(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d", "layers", "val_mse", "val_mae", "params", "epoch_seconds"])
-        for d in d_list:
-            for n_layers in layers_list:
-                model_cfg = replace(base_cfg, d=d, n_layers=n_layers)
-                n_params = parameter_count(model_cfg)
-                try:
-                    result = fit(
-                        init_params(model_cfg, cfg.seed),
-                        prepared.train,
-                        prepared.val,
-                        coords_norm,
-                        train_cfg,
-                        prepared.normalizer,
-                    )
-                    best = result.history[result.best_epoch]
-                    row = [
-                        d,
-                        n_layers,
-                        repr(best["val_mse"]),
-                        repr(best["val_mae"]),
-                        n_params,
-                        f"{np.mean([h['seconds'] for h in result.history]):.3f}",
-                    ]
-                except LightWeatherError as exc:
-                    print(f"sweep point d={d} layers={n_layers} failed: {exc}", file=sys.stderr)
-                    row = [d, n_layers, "nan", "nan", n_params, "nan"]
-                writer.writerow(row)
-                print(f"d={d} layers={n_layers} params={n_params} done")
+    rows = [["d", "layers", "val_mse", "val_mae", "params", "epoch_seconds"]]
+    for d in d_list:
+        for n_layers in layers_list:
+            model_cfg = replace(base_cfg, d=d, n_layers=n_layers)
+            n_params = parameter_count(model_cfg)
+            try:
+                result = fit(
+                    init_params(model_cfg, cfg.seed),
+                    prepared.train,
+                    prepared.val,
+                    coords_norm,
+                    train_cfg,
+                    prepared.normalizer,
+                )
+                best = result.history[result.best_epoch]
+                row = [
+                    d,
+                    n_layers,
+                    repr(best["val_mse"]),
+                    repr(best["val_mae"]),
+                    n_params,
+                    f"{np.mean([h['seconds'] for h in result.history]):.3f}",
+                ]
+            except LightWeatherError as exc:
+                print(f"sweep point d={d} layers={n_layers} failed: {exc}", file=sys.stderr)
+                row = [d, n_layers, "nan", "nan", n_params, "nan"]
+            rows.append(row)
+            print(f"d={d} layers={n_layers} params={n_params} done")
+    write_csv(out / "sweep.csv", rows)  # whole, when every point is done
     print(f"sweep: {out / 'sweep.csv'}")
     return 0
 
 
 def cmd_param_count(cfg: RunConfig) -> int:
+    checked = _model_config(cfg, 1, 1)  # before the station table is read
     n_stations = None
-    if cfg.spatial == "relative":  # the station table's size needs N
+    if checked.spatial_encoding == "relative":  # the station table's size needs N
         ids, _ = load_stations_csv(_input_file("stations_csv", cfg.stations_csv))
         n_stations = len(ids)
-    model_cfg = _model_config(cfg, 1, n_stations)
+    model_cfg = replace(checked, n_stations=n_stations)
     print(f"enumerated: {parameter_count(model_cfg)}")
     print(f"closed_form: {closed_form_count(model_cfg)}")
     return 0

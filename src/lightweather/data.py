@@ -89,7 +89,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, IngestionError, ShapeError, ValidationError
-from .files import write_atomically
+from .files import write_atomically, write_csv
 from .model import COMPUTE_DTYPE, StationCoord, calendar
 
 STATIONS_HEADER = ["station_id", "lat", "lon", "elev"]
@@ -175,11 +175,10 @@ def load_stations_csv(path) -> tuple[list[str], list[StationCoord]]:
 
 
 def write_stations_csv(path, ids: list[str], coords: list[StationCoord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STATIONS_HEADER)
-        for sid, c in zip(ids, coords):
-            writer.writerow([sid, repr(c.latitude), repr(c.longitude), repr(c.elevation)])
+    rows = (
+        [sid, repr(c.latitude), repr(c.longitude), repr(c.elevation)] for sid, c in zip(ids, coords)
+    )
+    write_csv(path, [STATIONS_HEADER, *rows])
 
 
 @dataclass
@@ -913,7 +912,7 @@ def _write_sidecar(path, key: dict, keys, timestamps, interval, values, var_name
     steps = np.ascontiguousarray(keys, "<i8")
     values = np.ascontiguousarray(values, "<f8")
     crc = zlib.crc32(values, zlib.crc32(steps, zlib.crc32(blob)))
-    with suppress(OSError), write_atomically(_sidecar_path(path)) as fh:
+    with suppress(ConfigError), write_atomically(_sidecar_path(path)) as fh:
         fh.write(_SIDECAR_HEAD.pack(_SIDECAR_MAGIC, len(blob), crc))
         fh.write(blob)
         fh.write(steps)
@@ -936,7 +935,7 @@ def write_observations_csv(path, obs: ObservationSet) -> None:
     sep = "," if n_vars else ""
     sids = [_csv_field(sid) + sep for sid in obs.station_ids]
     per_block = max(1, _WRITE_ROWS // max(1, n_stations))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with write_atomically(path, text=True) as fh:
         csv.writer(fh).writerow(["timestamp", "station_id"] + list(obs.var_names))
         for lo in range(0, n_steps, per_block):
             cells = map(repr, obs.values[lo : lo + per_block].ravel().tolist())

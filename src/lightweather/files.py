@@ -1,21 +1,29 @@
 """Files replaced whole: a reader of the path sees its old bytes or all of
-its new ones, never a part.
+its new ones, never a part. Every file the package writes goes through
+write_atomically: the checkpoint, the parse cache and every CSV and text
+output.
 
-write_atomically writes to a new temp file beside the path, named
-`.<name>.<12 hex digits>.tmp`, and renames it over the path (os.replace)
-only when every byte is written. A write that raises removes the temp
-file and leaves the path as it was. The rename is atomic against a crash
-of the writing process; the temp file is not fsynced, so after a power
-loss a file may be short, which the readers' size and checksum checks
-catch.
+write_atomically makes the path's directory, writes to a new temp file
+beside the path, named `.<name>.<12 hex digits>.tmp`, and renames it over
+the path (os.replace) only when every byte is written. A write that raises
+removes the temp file and leaves the path as it was; an OSError on the way
+(a full disk, a directory in the path's place, no permission) becomes the
+one-line ConfigError "cannot write <path>: <reason>". The rename is atomic
+against a crash of the writing process; the temp file is not fsynced, so
+after a power loss a file may be short, which the readers' size and
+checksum checks catch.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 import secrets
 from contextlib import contextmanager, suppress
 from pathlib import Path
+
+from .errors import ConfigError
 
 
 def _open_temp(path: Path):
@@ -27,16 +35,29 @@ def _open_temp(path: Path):
 
 
 @contextmanager
-def write_atomically(path):
-    """A binary file whose bytes replace `path` when the block ends; if the
-    block raises, the temp file is removed and the error goes on."""
+def write_atomically(path, text: bool = False):
+    """A file whose bytes replace `path` when the block ends: binary, or
+    with `text` UTF-8 text written as open(path, "w", newline="") writes
+    it. If the block raises, the temp file is removed and the error goes
+    on, an OSError as the ConfigError "cannot write <path>: <reason>"."""
     path = Path(path)
-    fh, tmp = _open_temp(path)
     try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh, tmp = _open_temp(path)
+        try:
+            with io.TextIOWrapper(fh, encoding="utf-8", newline="") if text else fh as out:
+                yield out
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def write_csv(path, rows) -> None:
+    """`rows` (the header first) as csv.writer writes them, CRLF line ends
+    included, replacing `path` whole (write_atomically)."""
+    with write_atomically(path, text=True) as fh:
+        csv.writer(fh).writerows(rows)

@@ -44,7 +44,6 @@ non-reproducible history column is the per-epoch wall time.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -53,6 +52,7 @@ import numpy as np
 
 from .data import Normalizer, WindowSet, normalize_invert
 from .errors import ConfigError, EvaluationError, OptimizerError, TrainingError
+from .files import write_csv
 from .model import COMPUTE_DTYPE, ModelParams, loss_and_grads
 from .numerics import AdamState, adam_step
 from . import model as model_ops
@@ -276,16 +276,8 @@ def fit(
 
 
 def write_history_csv(path, history: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(HISTORY_HEADER)
-        for row in history:
-            writer.writerow(
-                [
-                    row["epoch"],
-                    repr(float(row["train_mae"])),
-                    repr(float(row["val_mae"])),
-                    repr(float(row["val_mse"])),
-                    f"{row['seconds']:.3f}",
-                ]
-            )
+    rows = (
+        [r["epoch"], *(repr(float(r[k])) for k in HISTORY_HEADER[1:4]), f"{r['seconds']:.3f}"]
+        for r in history
+    )
+    write_csv(path, [HISTORY_HEADER, *rows])

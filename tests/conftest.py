@@ -113,7 +113,8 @@ def fail_allocation(monkeypatch):
 
 class _FailingFile:
     """A binary file whose write call number `after` (from 0) raises, as a
-    full disk makes it; the calls before it are written."""
+    full disk makes it; the calls before it are written. Every other
+    attribute is the file's, so that a text wrapper can write through it."""
 
     def __init__(self, fh, after: int):
         self.fh, self.after, self.calls = fh, after, 0
@@ -124,6 +125,9 @@ class _FailingFile:
         self.calls += 1
         return self.fh.write(b)
 
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
     def __enter__(self):
         return self
 
@@ -133,16 +137,20 @@ class _FailingFile:
 
 @pytest.fixture
 def fail_write(monkeypatch):
-    """fail_write(after): from then on files.write_atomically cannot create
-    its temp file (OSError) when `after` is None, or else its file's write
-    call number `after` (from 0) raises OSError. Returns the temp file
-    names made."""
+    """fail_write(after, name=None): from then on files.write_atomically
+    cannot create its temp file (OSError) when `after` is None, or else its
+    file's write call number `after` (from 0) raises OSError; with `name`,
+    only for a path of that name, and other paths are written. A text file
+    writes its bytes through in blocks of up to 8 KiB, so a small one makes
+    one write call, when it is closed. Returns the temp file names made."""
     real = files._open_temp
 
-    def install(after) -> list:
+    def install(after, name=None) -> list:
         made = []
 
         def open_temp(path):
+            if name is not None and path.name != name:
+                return real(path)
             if after is None:
                 raise OSError(errno.EACCES, "Permission denied")
             fh, tmp = real(path)

@@ -146,6 +146,14 @@ def test_usage_error_exit_code_1():
             2,
             "ingestion error: stations_csv file not found",
         ),
+        # the model values are checked before the station table is read
+        (
+            "param-count",
+            dict(d=0, spatial="relative", stations_csv="nope.csv"),
+            None,
+            1,
+            "config error: d must be >= 1, got 0",
+        ),
         ("synth", dict(synth_alpha="a,b"), None, 1, "config error: bad synth_alpha"),
         (
             "param-count",
@@ -186,6 +194,7 @@ def test_usage_error_exit_code_1():
     ],
     ids=[
         "relative-param-count-missing-stations",
+        "relative-param-count-d-zero-before-the-stations",
         "non-numeric-alpha",
         "param-count-d-too-large-for-an-array",
         "out-is-a-file",
@@ -315,6 +324,64 @@ def test_a_bad_model_value_is_reported_before_the_dataset_is_read(
     assert cli.main([command, "--config", str(cfg), *flags]) == 1
     assert capsys.readouterr().err == "config error: d must be >= 1, got 0\n"
     assert not (tmp_path / "out").exists()
+
+
+# every output of each command, in the order the command writes them
+OUTPUTS = {
+    "synth": ["stations.csv", "observations.csv", "synth_meta.txt"],
+    "train": ["history.csv", "checkpoint.bin"],
+    "evaluate": ["metrics.csv"],
+    "forecast": ["forecasts.csv", "forecast_obs.csv"],
+    "ablate": ["ablation.csv"],
+    "sweep": ["sweep.csv"],
+}
+
+
+@pytest.mark.parametrize("how", ["directory", "no-temp-file", "first-write"])
+@pytest.mark.parametrize("command, name", [(c, n) for c, names in OUTPUTS.items() for n in names])
+def test_an_output_that_cannot_be_written_is_one_line_config_error(
+    synth_dir, trained_dir, tmp_path, capsys, fail_write, command, name, how
+):
+    """An output with a directory in its place, whose temp file cannot be
+    made, or whose first write fails (a full disk): exit 1 with one line
+    "config error: cannot write <path>: <reason>" and no temp file left.
+    That output and those the command writes after it keep the bytes an
+    earlier run left (so a failed history.csv leaves no new checkpoint);
+    those it writes before it are new."""
+    out = tmp_path / "out"
+    out.mkdir()
+    old = b"an earlier run's bytes\n"
+    names = OUTPUTS[command]
+    for n in names:
+        (out / n).write_bytes(old)
+    if how == "directory":
+        (out / name).unlink()
+        (out / name).mkdir()
+    else:
+        fail_write(None if how == "no-temp-file" else 0, name)
+    cfg = data_config(
+        synth_dir,
+        tmp_path / "run.cfg",
+        out_dir=out,
+        checkpoint=trained_dir / "run" / "checkpoint.bin",
+        max_epochs=1,
+        patience=1,
+        sweep_d=2,
+        sweep_layers=1,
+    )
+    flags = ["--timestamp", "2019-01-05T04:00:00"] if command == "forecast" else []
+    assert cli.main([command, "--config", str(cfg), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / name}: "), err
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+    assert not list(out.glob(".*.tmp"))
+    i = names.index(name)
+    assert all((out / n).read_bytes() != old for n in names[:i])
+    assert [(out / n).read_bytes() for n in names[i + 1 :]] == [old] * len(names[i + 1 :])
+    if how == "directory":
+        assert not any((out / name).iterdir())
+    else:
+        assert (out / name).read_bytes() == old
 
 
 # --- synth -----------------------------------------------------------------

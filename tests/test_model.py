@@ -1575,14 +1575,14 @@ def test_params_are_views_of_one_vector_in_spec_order(spatial, temporal, tmp_pat
 @pytest.mark.parametrize("after", [None, 0, 1, 2, 3])
 def test_a_checkpoint_save_that_fails_leaves_the_old_checkpoint(tmp_path, fail_write, after):
     """A save that cannot create its temp file (None), or whose write call
-    number `after` fails (magic, manifest size, manifest, data), raises and
-    leaves the old file whole and no temp file."""
+    number `after` fails (magic, manifest size, manifest, data), raises the
+    one-line ConfigError and leaves the old file whole and no temp file."""
     cfg = small_config()
     path = tmp_path / "ck.bin"
     checkpoint_save(path, init_params(cfg, 0))
     before = path.read_bytes()
     made = fail_write(after)
-    with pytest.raises(OSError):
+    with pytest.raises(ConfigError, match="cannot write"):
         checkpoint_save(path, init_params(cfg, 1))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
