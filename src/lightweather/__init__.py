@@ -22,7 +22,7 @@ from .model import (
     init_params,
     parameter_count,
 )
-from .synthetic import SynthConfig, g_function, generate, random_station_coords
+from .synthetic import SynthConfig, generate, random_station_coords
 from .training import FitResult, Metrics, TrainConfig, evaluate, fit
 
 __version__ = "0.1.0"

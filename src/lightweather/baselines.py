@@ -55,6 +55,14 @@ def evaluate_hi(windows, batch_size: int = 32) -> Metrics:
     return acc.result()
 
 
+def check_ablation_seeds(seeds: list[int]) -> None:
+    """The ablation's seeds: at least three, none negative."""
+    if len(seeds) < 3:
+        raise ConfigError(f"ablation needs >= 3 seeds, got {len(seeds)}")
+    if min(seeds) < 0:
+        raise ConfigError(f"ablation seeds must be >= 0, got {min(seeds)}")
+
+
 def run_ablation_suite(
     obs: ObservationSet,
     config: ModelConfig,
@@ -68,10 +76,7 @@ def run_ablation_suite(
     original units. This package's errors are re-raised naming the variant;
     any other exception propagates unchanged.
     """
-    if len(seeds) < 3:
-        raise ConfigError(f"ablation needs >= 3 seeds, got {len(seeds)}")
-    if min(seeds) < 0:
-        raise ConfigError(f"ablation seeds must be >= 0, got {min(seeds)}")
+    check_ablation_seeds(seeds)
     base = replace(config, n_stations=obs.n_stations, n_vars=obs.n_vars)
     prepared = split_windows(obs, base.t_h, base.t_f, normalize=normalize)
     coords_norm = normalize_coords(obs.coords)

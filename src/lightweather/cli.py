@@ -6,7 +6,8 @@ file (# comments and blank lines allowed; unknown keys rejected); --seed and
 3 training, 4 evaluation. Errors print one line to stderr: "<category>:
 <detail>"; each error class in errors.py carries its own code and category.
 Every output is written through files.write_atomically, so one that cannot
-be written is the config error "cannot write <path>: <reason>".
+be written is the config error "cannot write <path>: <reason>". Each
+command checks the config values it reads before it reads the dataset.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import evaluate_hi, run_ablation_suite, summarize_ablation
+from .baselines import (
+    check_ablation_seeds,
+    evaluate_hi,
+    run_ablation_suite,
+    summarize_ablation,
+)
 from .checkpoint import checkpoint_load, checkpoint_save
 from .data import (
     load_observations_csv,
@@ -44,6 +50,7 @@ from .model import (
     COMPUTE_DTYPE,
     ModelConfig,
     TimeFeature,
+    check_batch_size,
     closed_form_count,
     forward,
     init_params,
@@ -283,6 +290,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_evaluate(cfg: RunConfig, checkpoint_flag: str | None) -> int:
     out = _out_dir(cfg)
+    check_batch_size(cfg.batch_size)
     _, model_cfg, prepared, coords_norm = prepare(cfg)
     params = checkpoint_load(_checkpoint_path(cfg, checkpoint_flag), model_cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
@@ -358,6 +366,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     seeds = _list(cfg.ablate_seeds, "ablate_seeds", int)
     train_cfg = _train_config(cfg)
+    check_ablation_seeds(seeds)
     obs, model_cfg = _load_for_model(cfg)
     rows = run_ablation_suite(obs, model_cfg, train_cfg, seeds, cfg.normalize)
     report = (
@@ -380,35 +389,37 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not d_list or not layers_list:
         raise ConfigError("sweep_d and sweep_layers must be non-empty comma-separated lists")
     train_cfg = _train_config(cfg)
+    checked = _model_config(cfg, 1, 1)  # each grid point, before the data is read
+    grid = [replace(checked, d=d, n_layers=n) for d in d_list for n in layers_list]
     _, base_cfg, prepared, coords_norm = prepare(cfg)
     rows = [["d", "layers", "val_mse", "val_mae", "params", "epoch_seconds"]]
-    for d in d_list:
-        for n_layers in layers_list:
-            model_cfg = replace(base_cfg, d=d, n_layers=n_layers)
-            n_params = parameter_count(model_cfg)
-            try:
-                result = fit(
-                    init_params(model_cfg, cfg.seed),
-                    prepared.train,
-                    prepared.val,
-                    coords_norm,
-                    train_cfg,
-                    prepared.normalizer,
-                )
-                best = result.history[result.best_epoch]
-                row = [
-                    d,
-                    n_layers,
-                    repr(best["val_mse"]),
-                    repr(best["val_mae"]),
-                    n_params,
-                    f"{np.mean([h['seconds'] for h in result.history]):.3f}",
-                ]
-            except LightWeatherError as exc:
-                print(f"sweep point d={d} layers={n_layers} failed: {exc}", file=sys.stderr)
-                row = [d, n_layers, "nan", "nan", n_params, "nan"]
-            rows.append(row)
-            print(f"d={d} layers={n_layers} params={n_params} done")
+    for point in grid:
+        d, n_layers = point.d, point.n_layers
+        model_cfg = replace(base_cfg, d=d, n_layers=n_layers)
+        n_params = parameter_count(model_cfg)
+        try:
+            result = fit(
+                init_params(model_cfg, cfg.seed),
+                prepared.train,
+                prepared.val,
+                coords_norm,
+                train_cfg,
+                prepared.normalizer,
+            )
+            best = result.history[result.best_epoch]
+            row = [
+                d,
+                n_layers,
+                repr(best["val_mse"]),
+                repr(best["val_mae"]),
+                n_params,
+                f"{np.mean([h['seconds'] for h in result.history]):.3f}",
+            ]
+        except LightWeatherError as exc:
+            print(f"sweep point d={d} layers={n_layers} failed: {exc}", file=sys.stderr)
+            row = [d, n_layers, "nan", "nan", n_params, "nan"]
+        rows.append(row)
+        print(f"d={d} layers={n_layers} params={n_params} done")
     write_csv(out / "sweep.csv", rows)  # whole, when every point is done
     print(f"sweep: {out / 'sweep.csv'}")
     return 0

@@ -460,23 +460,19 @@ class _ObservationGrid:
     def parse_block(self, block: bytes, lineno: int) -> int | None:
         """Take `block`, whole lines, the first of them line `lineno`, and
         return the number of newlines in it; or take nothing and return None
-        when it holds a quote or a CR that does not end a CRLF, bytes that
-        only csv.reader tokenizes as csv does. The columnar pass takes the
-        lines with the right field count whose fields all parse; every other
-        non-blank line is read again by parse_record, in line order, so the
-        first offending line raises its error."""
-        if b'"' in block:
+        when only csv.reader can tokenize it (_needs_csv). The columnar pass
+        takes the lines with the right field count whose fields all parse;
+        every other non-blank line is read again by parse_record, in line
+        order, so the first offending line raises its error."""
+        if _needs_csv(block):
             return None
         a = np.frombuffer(block, np.uint8)
         delim = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
         newline = a[delim] == ord("\n")
         ends = delim[newline]
         n_newlines = len(ends)
-        crlf = None
-        if b"\r" in block:
-            crlf = (ends > 0) & (a[ends - 1] == ord("\r"))
-            if np.count_nonzero(a == ord("\r")) != np.count_nonzero(crlf):
-                return None
+        # every CR ends a CRLF (_needs_csv): trim each from its line's end
+        crlf = (ends > 0) & (a[ends - 1] == ord("\r")) if b"\r" in block else None
         if not block.isascii():
             try:
                 block.decode("utf-8")

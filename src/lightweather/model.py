@@ -13,10 +13,10 @@ spatial_rows, once per batch, split or forecast. forward_rows embeds (fc_embed),
 temporal_rows, runs encoder_forward and regresses (fc_regress);
 backward_batch is its gradient from the prediction rows and the Workspace
 the forward ran in, and loss_and_grads the training step over a batch: a
-RowBatch of history and target rows, or a WindowBatch of a WindowSet's
-windows, as fit gives it. In fit and evaluate each chunk gathers its own
-rows into its workspace (WindowSet.batch), from the split's float32 rows,
-which the first chunk to gather makes. forward_batch is the one entry
+WindowBatch of a WindowSet's windows, as fit gives it, or anything else
+with its calendar, rows_per_window and gather. In fit and evaluate each
+chunk gathers its own rows into its workspace (WindowSet.batch), from the
+split's float32 rows, which the first chunk to gather makes. forward_batch is the one entry
 that takes a [B, T, N, C] history: it checks and casts it, lays it out as
 rows for forward_rows in a Workspace of its own and lays the prediction
 back out; forward is forward_batch on one window. The three stage kernels
@@ -612,14 +612,20 @@ def chunk_windows(rows_per_window: int) -> int:
     return max(1, CHUNK_ROWS // max(1, rows_per_window))
 
 
+def check_batch_size(batch_size: int) -> None:
+    """batch_size < 1 is a ConfigError: the one rule, for TrainConfig,
+    chunk_slices and the commands that read batch_size."""
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+
+
 def chunk_slices(n_windows: int, batch_size: int, rows_per_window: int) -> list[slice]:
     """The chunks of n_windows windows taken batch_size at a time, as fit
     takes them: slices of at most chunk_windows(rows_per_window) windows
     that never cross a batch boundary, the first of them the largest: the
     one chunk rule, for loss_and_grads, training.evaluate and the HI
-    baseline. batch_size < 1 is a ConfigError."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    baseline. batch_size is checked (check_batch_size)."""
+    check_batch_size(batch_size)
     step = chunk_windows(rows_per_window)
     return [
         slice(lo, min(lo + step, start + batch_size, n_windows))
@@ -774,33 +780,6 @@ def backward_batch(
     return dict(grads)
 
 
-class RowBatch:
-    """A training batch of B windows already laid out as rows, as
-    forward_rows reads them: history rows [B*N*C, T_h], target rows
-    [B*N*C, T_f] and the windows' calendar [B, 3]. Each chunk of the step
-    reads its windows' rows in place."""
-
-    def __init__(self, x_rows, future_rows, calendar):
-        self.x_rows, self.future_rows = np.asarray(x_rows), np.asarray(future_rows)
-        self.calendar = np.asarray(calendar)
-
-    def rows_per_window(self, cfg: ModelConfig) -> int:
-        """N*C, checked against the rows' shapes."""
-        rows = self.x_rows.shape[0]
-        per_window = _stations_of_rows(self.x_rows, len(self.calendar), cfg) * cfg.n_vars
-        if self.future_rows.shape != (rows, cfg.t_f):
-            raise ShapeError(
-                f"future shape {self.future_rows.shape} != pred shape {(rows, cfg.t_f)}"
-            )
-        return per_window
-
-    def gather(self, windows: slice, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
-        """The history and target rows of the batch's windows `windows`."""
-        per_window = self.x_rows.shape[0] // len(self.calendar)
-        r = slice(windows.start * per_window, windows.stop * per_window)
-        return self.x_rows[r], self.future_rows[r]
-
-
 class WindowBatch:
     """The windows `ids` of a data.WindowSet as a training batch, as fit
     takes it, with their rows of the set's calendar: each chunk of the step
@@ -829,14 +808,16 @@ class WindowBatch:
 
 def loss_and_grads(
     params: ModelParams,
-    batch: RowBatch | WindowBatch,
+    batch: WindowBatch,
     coords_norm: np.ndarray,
     workers: Workers,
 ) -> tuple[float, dict]:
     """Mean absolute error of a batch of windows and its gradients for
-    every tensor. `batch` is a RowBatch, rows in memory, or a WindowBatch,
-    windows of a WindowSet, as fit gives it: the step runs the same on
-    either, asking it for each chunk's history and target rows (gather).
+    every tensor. `batch` is a WindowBatch, windows of a WindowSet, as fit
+    gives it. The step asks it for three things only: its windows'
+    calendar, rows_per_window(config), which checks its shapes and gives
+    N*C, and gather, each chunk's history and target rows. So any batch
+    with those three, such as rows already in memory, runs the same.
 
     The loss is the plain mean of |pred - truth| over all batch elements,
     i.e. the per-window 1/(N*C*T_f) normalization averaged over windows, so

@@ -1,6 +1,5 @@
 """Dense real-matrix primitives: the fully connected layer with explicit
-forward/backward rules, the ReLU activation, the Adam optimizer, and a
-central finite-difference gradient checker.
+forward/backward rules, the ReLU activation and the Adam optimizer.
 
 All raw math lives here. Matrices are C-contiguous numpy arrays
 (row-major); vectors are 1-D arrays. Every function is deterministic.
@@ -10,8 +9,8 @@ dtype: linear_forward in the layer weight's (x is cast to it), the others
 in their arguments' own. Any other input (integers, lists) is taken as
 float64. Training computes in float32 on a float32 copy of float64 master
 weights; adam_step then applies the float32 gradient in the master
-weights' float64 (see training.py). finite_diff_check runs in float64; the
-model's stage kernels compute in their params' dtype.
+weights' float64 (see training.py). The model's stage kernels compute in
+their params' dtype.
 
 Without `out`, results are freshly allocated and never share memory with
 an argument. Every kernel of the batch path (linear_forward,
@@ -42,7 +41,7 @@ import ctypes
 import functools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -355,42 +354,3 @@ def adam_step(
     delta *= lr
     delta /= tmp
     return np.subtract(param, delta, out=out)
-
-
-LossAndGrad = Callable[[dict], tuple[float, dict]]
-
-
-def finite_diff_check(
-    loss_and_grad: LossAndGrad,
-    params: dict[str, np.ndarray],
-    perturbation: float = 1e-6,
-) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    loss_and_grad(params) must return (loss, grads) with grads mirroring the
-    params dict. Parameters are perturbed in place and restored. The relative
-    error per entry is |analytic - fd| / max(|analytic|, |fd|, 1e-8).
-    """
-    _, analytic = loss_and_grad(params)
-    worst = 0.0
-    for name, p in params.items():
-        flat = p.reshape(-1)
-        g = np.asarray(analytic[name]).reshape(-1)
-        if g.shape != flat.shape:
-            raise ShapeError(
-                f"gradient for '{name}' has {g.size} entries, "
-                f"parameter has {flat.size}"
-            )
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + perturbation
-            loss_plus, _ = loss_and_grad(params)
-            flat[k] = orig - perturbation
-            loss_minus, _ = loss_and_grad(params)
-            flat[k] = orig
-            fd = (loss_plus - loss_minus) / (2.0 * perturbation)
-            denom = max(abs(g[k]), abs(fd), 1e-8)
-            err = abs(g[k] - fd) / denom
-            if err > worst:
-                worst = err
-    return worst

@@ -112,19 +112,6 @@ class SynthConfig:
             )
 
 
-def g_function(coord: StationCoord, ts: datetime, config: SynthConfig) -> float:
-    """Deterministic spatial-temporal forcing at one station and time."""
-    hour = ts.hour + ts.minute / 60.0
-    doy = ts.timetuple().tm_yday
-    diurnal = (
-        config.amp_diurnal
-        * math.sin(2.0 * math.pi * hour / 24.0 + coord.longitude * math.pi / 180.0)
-        * math.cos(coord.latitude * math.pi / 180.0)
-    )
-    annual = config.amp_annual * math.sin(2.0 * math.pi * doy / 365.25)
-    return diurnal + annual + config.amp_elev * (coord.elevation / 1000.0)
-
-
 class _Forcing:
     """G on the [T, N] grid, held as its parts. The diurnal term depends on
     t only through the hour of day, so it is a table over the distinct hour
@@ -157,14 +144,6 @@ class _Forcing:
         out += self.annual[t0:t1, None]
         out += self.elev
         return out
-
-
-def g_matrix(
-    coords: list[StationCoord], timestamps: list[datetime], config: SynthConfig
-) -> np.ndarray:
-    """g_function evaluated on the full [T, N] grid."""
-    grid = np.empty((len(timestamps), len(coords)))
-    return _Forcing(coords, timestamps, config).rows(0, len(timestamps), grid)
 
 
 def random_station_coords(n: int, seed: int) -> tuple[list[str], list[StationCoord]]:

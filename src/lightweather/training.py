@@ -73,8 +73,7 @@ class TrainConfig:
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        model_ops.check_batch_size(self.batch_size)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.max_epochs < 1:

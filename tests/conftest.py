@@ -1,5 +1,6 @@
 import errno
 import math
+import os
 import sys
 import threading
 from contextlib import contextmanager
@@ -10,6 +11,13 @@ import pytest
 from lightweather import files, model
 
 ALLOCATORS = ("zeros", "empty", "zeros_like", "empty_like")
+
+# A child interpreter that a test starts imports the package from where this
+# one did: pyproject.toml's pythonpath puts src/ on sys.path, not in the
+# environment that children inherit.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (os.path.dirname(os.path.dirname(model.__file__)), os.environ.get("PYTHONPATH")))
+)
 
 # A test that asks for one of these records what worker threads do or makes
 # them switch often; CI re-runs the tests marked thread_order under stress.

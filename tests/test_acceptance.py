@@ -32,7 +32,6 @@ from lightweather.data import (
 )
 from lightweather.model import (
     ModelConfig,
-    RowBatch,
     StationCoord,
     closed_form_count,
     forward_batch,
@@ -43,9 +42,9 @@ from lightweather.model import (
     Workers,
     Workspace,
 )
-from lightweather.numerics import finite_diff_check
 from lightweather.synthetic import SynthConfig, generate, random_station_coords
 from lightweather.training import TrainConfig, evaluate, fit
+from oracles import RowBatch, finite_diff_check
 
 
 def check(num, name, condition, detail=""):

@@ -191,6 +191,18 @@ def test_usage_error_exit_code_1():
         ("synth", dict(synth_amp_elev="nan"), None, 1, "config error: amp_elev must be finite"),
         ("synth", dict(synth_alpha="0.1,nan"), None, 1, "config error: alpha must be finite"),
         ("synth", dict(synth_alpha="inf"), None, 1, "config error: alpha must be finite"),
+        # no data files are set: each value the command reads is checked before ingestion
+        ("sweep", dict(sweep_d="0"), None, 1, "config error: d must be >= 1, got 0"),
+        ("sweep", dict(sweep_layers="4,-1"), None, 1, "config error: n_layers must be >= 1, got -1"),
+        ("ablate", dict(ablate_seeds="0,1"), None, 1, "config error: ablation needs >= 3 seeds, got 2"),
+        (
+            "ablate",
+            dict(ablate_seeds="-1,0,1"),
+            None,
+            1,
+            "config error: ablation seeds must be >= 0, got -1",
+        ),
+        ("evaluate", dict(batch_size=0), None, 1, "config error: batch_size must be >= 1, got 0"),
     ],
     ids=[
         "relative-param-count-missing-stations",
@@ -216,6 +228,11 @@ def test_usage_error_exit_code_1():
         "synth-amp-elev-nan",
         "synth-alpha-nan",
         "synth-alpha-inf",
+        "sweep-d-zero",
+        "sweep-layers-negative",
+        "ablate-two-seeds",
+        "ablate-negative-seed",
+        "evaluate-batch-size-zero",
     ],
 )
 def test_bad_input_is_one_line_error(

@@ -25,7 +25,6 @@ from lightweather.model import (
     TEMPORAL_MODES,
     ModelConfig,
     ModelParams,
-    RowBatch,
     StationCoord,
     TimeFeature,
     backward_batch,
@@ -47,13 +46,13 @@ from lightweather.model import (
 )
 from lightweather.numerics import (
     blas_threads,
-    finite_diff_check,
     linear_forward,
     relu,
     single_threaded_blas,
 )
 from lightweather.synthetic import SynthConfig, generate, random_station_coords
 from lightweather.training import evaluate
+from oracles import RowBatch, finite_diff_check
 
 
 def small_config(**kw):

@@ -15,7 +15,6 @@ from lightweather.numerics import (
     AdamState,
     LinearLayer,
     adam_step,
-    finite_diff_check,
     linear_backward,
     linear_forward,
     linear_param_grads,
@@ -24,6 +23,7 @@ from lightweather.numerics import (
     row_sum,
 )
 import lightweather
+from oracles import finite_diff_check
 
 
 def test_linear_forward_identity():

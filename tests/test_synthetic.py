@@ -16,11 +16,10 @@ from lightweather.errors import ConfigError
 from lightweather.model import StationCoord
 from lightweather.synthetic import (
     SynthConfig,
-    g_function,
-    g_matrix,
     generate,
     random_station_coords,
 )
+from oracles import g_function, g_matrix
 
 
 def coords_for(n, seed=0):

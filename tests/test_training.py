@@ -34,7 +34,6 @@ from lightweather.data import normalize_invert
 from lightweather.model import (
     COMPUTE_DTYPE,
     ModelConfig,
-    RowBatch,
     forward_rows,
     init_params,
     loss_and_grads,
@@ -52,6 +51,7 @@ from lightweather.training import (
     fit,
     write_history_csv,
 )
+from oracles import RowBatch
 
 SMALL = ModelConfig(d=8, n_layers=2, t_h=6, t_f=3, n_vars=1)
 ENCODINGS = [
