@@ -200,6 +200,10 @@ def prepare(cfg: RunConfig):
 
 
 def _checkpoint_path(cfg: RunConfig, flag: str | None) -> Path:
+    """The checkpoint that evaluate and forecast read, found after the
+    config's own model values are checked and before the dataset is read,
+    so that a missing one costs no ingestion."""
+    _model_config(cfg, 1, 1)
     path = Path(flag or cfg.checkpoint or Path(cfg.out_dir) / "checkpoint.bin")
     if not os.path.isfile(path):
         raise CheckpointError(f"checkpoint not found: {path}")
@@ -291,8 +295,9 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_evaluate(cfg: RunConfig, checkpoint_flag: str | None) -> int:
     out = _out_dir(cfg)
     check_batch_size(cfg.batch_size)
+    checkpoint = _checkpoint_path(cfg, checkpoint_flag)
     _, model_cfg, prepared, coords_norm = prepare(cfg)
-    params = checkpoint_load(_checkpoint_path(cfg, checkpoint_flag), model_cfg)
+    params = checkpoint_load(checkpoint, model_cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         model_metrics = evaluate(
             params, prepared.test, coords_norm, prepared.normalizer, cfg.batch_size
@@ -311,12 +316,13 @@ def cmd_evaluate(cfg: RunConfig, checkpoint_flag: str | None) -> int:
 
 def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) -> int:
     out = _out_dir(cfg)
-    obs, model_cfg, prepared, _ = prepare(cfg)
-    params = checkpoint_load(_checkpoint_path(cfg, checkpoint_flag), model_cfg)
     try:
         when = datetime.fromisoformat(timestamp)
     except ValueError as exc:
         raise ConfigError(f"bad timestamp: {exc}") from exc
+    checkpoint = _checkpoint_path(cfg, checkpoint_flag)
+    obs, model_cfg, prepared, _ = prepare(cfg)
+    params = checkpoint_load(checkpoint, model_cfg)
     aware = obs.timestamps[0].tzinfo is not None  # all of them or none (data.py)
     if (when.tzinfo is not None) != aware:  # a naive and an aware one never compare equal
         raise ValidationError(

@@ -37,15 +37,20 @@ first uses are out of time order is put in order in place, one row of
 scratch per cycle of the permutation.
 
 Each loaded result is cached beside its file, in `<file>.lwcache`, keyed
-by a format version (_SIDECAR_VERSION), the SHA-256 of the file's bytes,
-the station ids and csv.field_size_limit(). A load hashes the file
-(about 25 ms on narrow-train's 21.7 MB); when the sidecar's key matches
-and its CRC32 holds it reads the result from there and parses nothing,
-else it parses the file and writes the sidecar through a temp file and
-os.replace, if the file's size and mtime did not change during the load.
-A missing, short, corrupt, foreign or stale sidecar is a miss and a
-sidecar that cannot be written is skipped: neither is an error. A file
-that fails to load writes none, so its error is raised on every load.
+by a format version (_SIDECAR_VERSION), the leaf-tree SHA-256 of the
+file's bytes (_leaf_sha256: each 1 MiB leaf hashed on its own, on every
+CPU, and the leaves' digests hashed in order with the leaf size and the
+byte count), the station ids and csv.field_size_limit(). A load hashes
+the file: on a 21.7 MB file of narrow-train's shape, 10.4-11.7 ms on 2
+free cores where one serial SHA-256 takes 17.3-21.7 ms, and about 1 ms
+more than the serial hash while the second core is busy elsewhere. When
+the sidecar's key matches and its CRC32 holds, the load reads the result
+from there and parses nothing, else it parses the file and writes the
+sidecar through a temp file and os.replace, if the file's size and mtime
+did not change during the load. A missing, short, corrupt, foreign or
+stale sidecar is a miss and a sidecar that cannot be written is skipped:
+neither is an error. A file that fails to load writes none, so its error
+is raised on every load.
 Layout: the magic `LWCACHE`, a little-endian uint32 manifest size and
 uint32 CRC32 of the manifest and the data, a JSON manifest (the key, the
 step count, whether the timestamps are timezone-aware, the variable
@@ -90,16 +95,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, IngestionError, ShapeError, ValidationError
 from .files import write_atomically, write_csv
-from .model import COMPUTE_DTYPE, StationCoord, calendar
+from .model import COMPUTE_DTYPE, StationCoord, Workers, calendar, worker_count
 
 STATIONS_HEADER = ["station_id", "lat", "lon", "elev"]
 _BLOCK_BYTES = 1 << 20  # float64 bytes in one block of steps (_block_steps)
 _CSV_BLOCK = 1 << 18  # bytes of whole lines load_observations_csv parses at a time
 _FIELD_WIDTH = 64  # longer fields are parsed line by line, not column-wise
 _WRITE_ROWS = 1 << 14  # rows write_observations_csv formats at a time
-_HASH_CHUNK = 1 << 20  # bytes _sha256 reads at a time
+_HASH_CHUNK = 1 << 20  # bytes in one leaf of _leaf_sha256's tree
 _SIDECAR = ".lwcache"  # load_observations_csv's cache: the file's path + this
-_SIDECAR_VERSION = 1  # bump when what the loader accepts or returns changes
+_SIDECAR_VERSION = 2  # bump when what the loader accepts or returns changes
 _SIDECAR_MAGIC = b"LWCACHE"
 _SIDECAR_HEAD = struct.Struct("<7sII")  # magic, manifest size, CRC32 of manifest and data
 
@@ -711,7 +716,7 @@ def load_observations_csv(
     if state is not None:  # not a pipe or a device, whose bytes read once
         key = {
             "version": _SIDECAR_VERSION,
-            "sha256": _sha256(path),
+            "sha256_leaves": _leaf_sha256(path),
             "station_ids": list(station_ids),
             "field_size_limit": csv.field_size_limit(),
         }
@@ -825,16 +830,34 @@ def _regular_file_state(path) -> tuple[int, int] | None:
     return (st.st_size, st.st_mtime_ns) if stat.S_ISREG(st.st_mode) else None
 
 
-def _sha256(path) -> str:
-    """The SHA-256 of the file's bytes, read _HASH_CHUNK bytes at a time
-    (hashlib.file_digest needs Python 3.11)."""
-    digest = hashlib.sha256()
-    buf = bytearray(_HASH_CHUNK)
-    view = memoryview(buf)
+def _leaf_sha256(path) -> str:
+    """The file's digest as a tree of _HASH_CHUNK-byte leaves: the SHA-256
+    of the leaf size and the byte count (two little-endian uint64) followed
+    by each leaf's SHA-256, in leaf order. Unlike the SHA-256 of the bytes,
+    the leaves hash on every CPU: model.Workers.run gives each worker one
+    leaf buffer, which it fills by positional reads from one descriptor and
+    hashes by update(), which releases the GIL; run adds the digests in
+    leaf order. The leaf size is fixed, so the digest is the same bytes at
+    any worker count, and any edit of the bytes changes it."""
     with open(path, "rb", buffering=0) as fh:
-        while n := fh.readinto(buf):
-            digest.update(view[:n])
-    return digest.hexdigest()
+        fd = fh.fileno()
+        size = os.fstat(fd).st_size
+        n_leaves = -(-size // _HASH_CHUNK)
+        outer = hashlib.sha256(struct.pack("<QQ", _HASH_CHUNK, size))
+
+        def leaf(i: int, buf: bytearray) -> bytes:
+            view = memoryview(buf)[: min(_HASH_CHUNK, size - i * _HASH_CHUNK)]
+            got = 0
+            while got < len(view) and (n := os.preadv(fd, [view[got:]], i * _HASH_CHUNK + got)):
+                got += n  # a file cut short meanwhile hashes what is left
+            digest = hashlib.sha256()
+            digest.update(view[:got])
+            return digest.digest()
+
+        count = min(worker_count(), max(n_leaves, 1))
+        workers = Workers([bytearray(min(_HASH_CHUNK, size)) for _ in range(count)])
+        workers.run(n_leaves, leaf, lambda i, digest: outer.update(digest))
+    return outer.hexdigest()
 
 
 def _sidecar_path(path) -> str:

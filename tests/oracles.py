@@ -6,7 +6,9 @@ computes another way:
   g_matrix, G on the full [T, N] grid as synthetic.generate builds it;
 - finite_diff_check, central differences against a hand-derived gradient;
 - RowBatch, a training batch already laid out as rows in memory, which
-  model.loss_and_grads takes as it takes the WindowBatch that fit gives it.
+  model.loss_and_grads takes as it takes the WindowBatch that fit gives it;
+- leaf_sha256, the sidecar key's leaf-tree digest of a file's bytes,
+  hashed serially from the bytes in memory.
 
 The module has no test_ prefix, so pytest does not collect it; test
 modules import it by name (pytest puts tests/ on the path).
@@ -14,7 +16,9 @@ modules import it by name (pytest puts tests/ on the path).
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from datetime import datetime
 from typing import Callable
 
@@ -110,3 +114,13 @@ class RowBatch:
         per_window = self.x_rows.shape[0] // len(self.calendar)
         r = slice(windows.start * per_window, windows.stop * per_window)
         return self.x_rows[r], self.future_rows[r]
+
+
+def leaf_sha256(raw: bytes, leaf: int) -> str:
+    """The SHA-256 of the leaf size and the byte count (two little-endian
+    uint64) followed by the SHA-256 of each `leaf`-byte piece of `raw`, in
+    order."""
+    outer = hashlib.sha256(struct.pack("<QQ", leaf, len(raw)))
+    for at in range(0, len(raw), leaf):
+        outer.update(hashlib.sha256(raw[at : at + leaf]).digest())
+    return outer.hexdigest()

@@ -1022,6 +1022,39 @@ def test_forecast_out_of_range_timestamp(synth_dir, trained_dir, tmp_path, capsy
     assert "validation error" in capsys.readouterr().err
 
 
+def test_a_bad_forecast_timestamp_is_reported_before_the_files_are_read(
+    trained_dir, tmp_path, capsys
+):
+    """--timestamp is parsed first: with a missing observations file it is
+    still a config error, exit 1, not an ingestion error."""
+    cfg = write_config(
+        tmp_path / "f.cfg",
+        TINY,
+        stations_csv=tmp_path / "nope.csv",
+        observations_csv=tmp_path / "also_nope.csv",
+        out_dir=tmp_path / "out",
+        checkpoint=trained_dir / "run" / "checkpoint.bin",
+    )
+    assert cli.main(["forecast", "--config", str(cfg), "--timestamp", "notatime"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad timestamp") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "forecast"])
+def test_a_missing_checkpoint_is_reported_before_the_dataset_is_read(
+    synth_dir, tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.setattr(cli, "_load_dataset", lambda cfg: pytest.fail("the dataset was read"))
+    cfg = data_config(
+        synth_dir, tmp_path / "run.cfg", out_dir=tmp_path / "out", checkpoint=tmp_path / "no.bin"
+    )
+    flags = ["--timestamp", "2019-01-05T04:00:00"] if command == "forecast" else []
+    assert cli.main([command, "--config", str(cfg), *flags]) == 4
+    assert capsys.readouterr().err == f"checkpoint error: checkpoint not found: {tmp_path / 'no.bin'}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_forecast_matches_evaluate_window(synth_dir, trained_dir, tmp_path):
     from lightweather.data import split_windows
     from lightweather.model import TimeFeature, forward, forward_batch, normalize_coords

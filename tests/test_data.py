@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 import os
 import re
 import threading
 import tracemalloc
+import zlib
 from contextlib import contextmanager, suppress
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -35,6 +37,7 @@ from lightweather.data import (
 )
 from lightweather.errors import ConfigError, IngestionError, ShapeError, ValidationError
 from lightweather.model import StationCoord
+from oracles import leaf_sha256
 
 
 def write(path, text):
@@ -1009,6 +1012,93 @@ def test_an_edit_that_keeps_the_size_and_mtime_is_a_miss(tmp_path):
     assert parsed
     with no_parse():
         assert loaded_fields(path, ids) == expected
+
+
+def parses_then_hits(path, ids, expected):
+    """The next load of `path` parses it and gives `expected`; the one
+    after that reads the sidecar and gives the same."""
+    with parses_counted() as parsed:
+        assert loaded_fields(path, ids) == expected
+    assert parsed
+    with no_parse():
+        assert loaded_fields(path, ids) == expected
+
+
+LEAF = data._HASH_CHUNK
+LEAF_SIZES = [0, 1, LEAF, LEAF + 1, 3 * LEAF + 17]
+
+
+@pytest.mark.parametrize("size", LEAF_SIZES)
+def test_the_leaf_digest_equals_the_serial_reference(tmp_path, size):
+    raw = np.random.default_rng(size).integers(0, 256, size, np.uint8).tobytes()
+    path = tmp_path / "f.bin"
+    path.write_bytes(raw)
+    assert data._leaf_sha256(path) == leaf_sha256(raw, LEAF)
+
+
+def test_the_leaf_digest_is_the_same_at_any_worker_count(tmp_path, monkeypatch, switch_often):
+    """One worker, two, and more workers than leaves or cores, with threads
+    switching every microsecond: the leaves' digests are added in leaf
+    order, so the key has the same bytes."""
+    raw = np.random.default_rng(0).integers(0, 256, 3 * LEAF + 17, np.uint8).tobytes()
+    path = tmp_path / "f.bin"
+    path.write_bytes(raw)
+    digests = []
+    with switch_often():
+        for count in (1, 2, 8):
+            monkeypatch.setattr(data, "worker_count", lambda: count)
+            digests.append(data._leaf_sha256(path))
+    assert digests == [leaf_sha256(raw, LEAF)] * 3
+
+
+def several_leaves_csv(path):
+    """An observations file of two stations that spans more than two
+    leaves, and its ids."""
+    steps = (5 * LEAF) // 2 // 56
+    start = datetime(2020, 1, 1)
+    rows = [
+        ((start + timedelta(hours=k)).isoformat(), sid, f"{k % 1000}.{si}")
+        for k in range(steps)
+        for si, sid in enumerate(["s1", "s2"])
+    ]
+    write(path, obs_csv_text(rows))
+    assert path.stat().st_size > 2 * LEAF
+    return path, ["s1", "s2"]
+
+
+def test_an_edit_in_the_last_leaf_that_keeps_the_size_and_mtime_is_a_miss(tmp_path):
+    path, ids = several_leaves_csv(tmp_path / "o.csv")
+    loaded_fields(path, ids)
+    before = path.stat()
+    raw = path.read_bytes()
+    at = raw.rindex(b",s2,") + 4  # the last row's value, in the last leaf
+    assert at // LEAF == (len(raw) - 1) // LEAF
+    path.write_bytes(raw[:at] + (b"8" if raw[at] == ord("9") else b"9") + raw[at + 1 :])
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size and path.stat().st_mtime_ns == before.st_mtime_ns
+    parses_then_hits(path, ids, loaded_fields(path, ids, reference_load_observations_csv))
+
+
+def test_a_version_1_sidecar_is_a_miss_and_is_rewritten(tmp_path):
+    """A sidecar as version 1 wrote it, keyed by the plain SHA-256 of the
+    file's bytes and with a CRC32 that holds, is a miss: the load parses
+    the file and writes a version-2 sidecar, which the next load reads."""
+    path, ids = aware_gap_csv(tmp_path / "o.csv")
+    expected = loaded_fields(path, ids)
+    head = data._SIDECAR_HEAD
+    raw = sidecar(path).read_bytes()
+    magic, size, _ = head.unpack_from(raw)
+    manifest = json.loads(raw[head.size : head.size + size])
+    del manifest["sha256_leaves"]
+    manifest.update(version=1, sha256=hashlib.sha256(path.read_bytes()).hexdigest())
+    blob = json.dumps(manifest).encode()
+    rest = raw[head.size + size :]
+    crc = zlib.crc32(rest, zlib.crc32(blob))
+    sidecar(path).write_bytes(head.pack(magic, len(blob), crc) + blob + rest)
+    parses_then_hits(path, ids, expected)
+    rewritten = sidecar(path).read_bytes()
+    size = head.unpack_from(rewritten)[1]
+    assert json.loads(rewritten[head.size : head.size + size])["version"] == 2
 
 
 def test_another_station_list_is_a_miss(tmp_path):

@@ -441,6 +441,31 @@ def test_hour_table_gradient_sparsity():
     assert_array_equal(nonzero_rows, [5])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_calendar_grads_equal_a_2d_add_at_per_table(dtype):
+    """The one flat np.add.at over the three tables gives the bits of a
+    2-D np.add.at per table, over windows that share rows (the hour 23
+    and the day and month 0 repeat) and gradients that hold -0.0 and NaN.
+    The tensors around the tables keep their values."""
+    cfg = small_config(d=4)
+    rng = np.random.default_rng(7)
+    calendar = np.array([[23, 0, 0], [5, 30, 11], [23, 0, 0], [23, 14, 0], [0, 0, 6]], np.intp)
+    g_window = rng.standard_normal((len(calendar), cfg.d)).astype(dtype)
+    g_window[0, 0] = g_window[2, 1] = -0.0
+    g_window[1, 2] = g_window[3, 3] = np.nan
+    out = ModelParams(cfg, rng.standard_normal(parameter_count(cfg)).astype(dtype))
+    before = out.vector.copy()
+    lw_model._calendar_grads(out, calendar, g_window)
+    for (name, rows), idx in zip(CALENDAR, calendar.T):
+        expected = np.zeros((rows, cfg.d), dtype)
+        np.add.at(expected, idx, g_window)
+        assert_array_equal(out.tensors[name].view(np.uint8), expected.view(np.uint8))
+    lo = out.offsets[CALENDAR[0][0]]
+    hi = out.offsets[CALENDAR[-1][0]] + CALENDAR[-1][1] * cfg.d
+    assert_array_equal(out.vector[:lo], before[:lo])
+    assert_array_equal(out.vector[hi:], before[hi:])
+
+
 def test_doubling_loss_scale_doubles_gradients():
     cfg = small_config()
     p = init_params(cfg, seed=25)
