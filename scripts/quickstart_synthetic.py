@@ -39,7 +39,7 @@ def main() -> int:
     work.mkdir(parents=True, exist_ok=True)
     data = work / "data"
     cfg_path = work / "run.cfg"
-    cfg_path.write_text(CONFIG.format(data=data, out=work / "out"))
+    cfg_path.write_text(CONFIG.format(data=data, out=work / "out"), encoding="utf-8")
 
     for step in (
         ["synth", "--config", str(cfg_path), "--out", str(data)],

@@ -6,7 +6,9 @@ file (# comments and blank lines allowed; unknown keys rejected); --seed and
 3 training, 4 evaluation. Errors print one line to stderr: "<category>:
 <detail>"; each error class in errors.py carries its own code and category.
 Every output is written through files.write_atomically, so one that cannot
-be written is the config error "cannot write <path>: <reason>". Each
+be written is the config error "cannot write <path>: <reason>"; a command
+with several outputs writes them together (files.written_together), so
+such an error leaves each with its earlier bytes. Each
 command checks the config values it reads before it reads the dataset.
 """
 
@@ -45,7 +47,7 @@ from .errors import (
     LightWeatherError,
     ValidationError,
 )
-from .files import write_atomically, write_csv
+from .files import write_atomically, write_csv, written_together
 from .model import (
     COMPUTE_DTYPE,
     ModelConfig,
@@ -257,19 +259,20 @@ def cmd_synth(cfg: RunConfig) -> int:
     sc.validate(windows.t_h, windows.t_f)
     ids, coords = random_station_coords(sc.n_stations, sc.seed)
     obs = generate(sc, coords)
-    write_stations_csv(out / "stations.csv", ids, coords)
-    write_observations_csv(out / "observations.csv", obs)
-    with write_atomically(out / "synth_meta.txt", text=True) as fh:
-        fh.write(f"seed = {sc.seed}\n")
-        fh.write(f"n_stations = {sc.n_stations}\n")
-        fh.write(f"n_steps = {sc.n_steps}\n")
-        fh.write(f"interval_hours = {sc.interval_hours}\n")
-        fh.write(f"start = {sc.start.isoformat()}\n")
-        fh.write(f"alpha = {','.join(repr(a) for a in sc.alpha)}\n")
-        fh.write(f"amp_diurnal = {sc.amp_diurnal!r}\n")
-        fh.write(f"amp_annual = {sc.amp_annual!r}\n")
-        fh.write(f"amp_elev = {sc.amp_elev!r}\n")
-        fh.write(f"noise_std = {sc.noise_std!r}\n")
+    with written_together():
+        write_stations_csv(out / "stations.csv", ids, coords)
+        write_observations_csv(out / "observations.csv", obs)
+        with write_atomically(out / "synth_meta.txt", text=True) as fh:
+            fh.write(f"seed = {sc.seed}\n")
+            fh.write(f"n_stations = {sc.n_stations}\n")
+            fh.write(f"n_steps = {sc.n_steps}\n")
+            fh.write(f"interval_hours = {sc.interval_hours}\n")
+            fh.write(f"start = {sc.start.isoformat()}\n")
+            fh.write(f"alpha = {','.join(repr(a) for a in sc.alpha)}\n")
+            fh.write(f"amp_diurnal = {sc.amp_diurnal!r}\n")
+            fh.write(f"amp_annual = {sc.amp_annual!r}\n")
+            fh.write(f"amp_elev = {sc.amp_elev!r}\n")
+            fh.write(f"noise_std = {sc.noise_std!r}\n")
     print(f"wrote {out / 'stations.csv'}")
     print(f"wrote {out / 'observations.csv'}")
     return 0
@@ -283,8 +286,9 @@ def cmd_train(cfg: RunConfig) -> int:
     result = fit(
         params, prepared.train, prepared.val, coords_norm, train_cfg, prepared.normalizer
     )
-    write_history_csv(out / "history.csv", result.history)  # no checkpoint without it
-    checkpoint_save(out / "checkpoint.bin", result.params)
+    with written_together():
+        write_history_csv(out / "history.csv", result.history)
+        checkpoint_save(out / "checkpoint.bin", result.params)
     print(f"best_epoch: {result.best_epoch}")
     print(f"best_val_mae: {result.best_val_mae:.6f}")
     print(f"checkpoint: {out / 'checkpoint.bin'}")
@@ -355,14 +359,15 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
         for k in range(model_cfg.t_f)
         for vi, var in enumerate(obs.var_names)
     )
-    write_csv(out / "forecasts.csv", [["station_id", "step", "var", "value"], *rows])
     # same forecast in observations format, so it can be re-ingested
     future = replace(
         obs,
         timestamps=[start + k * obs.interval for k in range(model_cfg.t_f)],
         values=pred,
     )
-    write_observations_csv(out / "forecast_obs.csv", future)
+    with written_together():
+        write_csv(out / "forecasts.csv", [["station_id", "step", "var", "value"], *rows])
+        write_observations_csv(out / "forecast_obs.csv", future)
     print(f"forecasts: {out / 'forecasts.csv'}")
     print(f"forecast_obs: {out / 'forecast_obs.csv'}")
     return 0

@@ -18,7 +18,9 @@ dialect: a field may be quoted (`"s0001"` is `s0001`), lines may end in
 LF, CRLF or a bare CR, and blank lines are skipped but counted in line
 numbers. Station ids and observation fields are stripped (str.strip)
 before they are parsed. A field longer than csv.field_size_limit() is an
-ingestion error naming its line.
+ingestion error naming its line. Text is decoded one way (_text), each
+undecodable byte kept as a lone surrogate that _csv_records reports (`line
+N: not UTF-8`) when its loop reaches that record, in line order.
 
 load_observations_csv reads the observation rows column-wise from the
 file's bytes, _CSV_BLOCK bytes of whole lines at a time (a longer line
@@ -86,7 +88,7 @@ import stat
 import struct
 import threading
 import zlib
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -109,42 +111,40 @@ _SIDECAR_MAGIC = b"LWCACHE"
 _SIDECAR_HEAD = struct.Struct("<7sII")  # magic, manifest size, CRC32 of manifest and data
 
 
-def _not_utf8(path, exc: UnicodeDecodeError) -> IngestionError:
-    """The error for a file whose bytes do not decode, naming the first line
-    that holds such bytes."""
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError:
-                break
-    return IngestionError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})")
-
-
-@contextmanager
-def _utf8_text(path):
-    """`path` opened as UTF-8 text for csv; bytes that do not decode are
-    an IngestionError naming the first line that holds them."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
+def _text(fh) -> io.TextIOWrapper:
+    """Binary `fh` as UTF-8 text for csv, each undecodable byte kept as a
+    lone surrogate (surrogateescape) for _csv_records to report."""
+    return io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline="")
 
 
 def _csv_records(fh, path, lineno: int = 1):
-    """(line number, fields) of each csv record of `fh`, numbered from
+    """(line number, fields) of each csv record of _text `fh`, numbered from
     `lineno`; a blank line is an empty record. What csv cannot tokenize (a
     field over csv.field_size_limit(), say) is an IngestionError naming its
-    line."""
-    reader = csv.reader(fh)
+    line, and so is a record whose bytes do not decode: `not UTF-8`, with
+    the reason the decoder gives for the record's bytes and line end."""
+    lines: list[str] = []  # the lines of the record csv is reading
+
+    def read():
+        for line in fh:
+            lines.append(line)
+            yield line
+
+    reader = csv.reader(read())
     while True:
+        lines.clear()
         try:
             row = next(reader)
         except StopIteration:
             return
         except csv.Error as exc:
             raise IngestionError(f"{path}: line {lineno}: {exc}") from exc
+        text = "".join(lines)
+        if not text.isascii():
+            try:
+                text.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise IngestionError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
         yield lineno, row
         lineno += 1
 
@@ -153,7 +153,7 @@ def load_stations_csv(path) -> tuple[list[str], list[StationCoord]]:
     """Read the station table; order is preserved."""
     ids: dict[str, None] = {}  # in file order, with a constant-time duplicate check
     coords: list[StationCoord] = []
-    with _utf8_text(path) as fh:
+    with open(path, "rb") as raw, _text(raw) as fh:
         records = _csv_records(fh, path)
         header = next(records, (1, None))[1]
         if header is None or [h.strip() for h in header] != STATIONS_HEADER:
@@ -456,8 +456,6 @@ class _ObservationGrid:
                     rows = []
         except IngestionError as exc:
             error = exc
-        except UnicodeDecodeError as exc:
-            error = _not_utf8(self.path, exc)
         self._commit_records(rows)  # a duplicate before the error comes first
         if error is not None:
             raise error
@@ -466,9 +464,10 @@ class _ObservationGrid:
         """Take `block`, whole lines, the first of them line `lineno`, and
         return the number of newlines in it; or take nothing and return None
         when only csv.reader can tokenize it (_needs_csv). The columnar pass
-        takes the lines with the right field count whose fields all parse;
-        every other non-blank line is read again by parse_record, in line
-        order, so the first offending line raises its error."""
+        takes the lines with the right field count whose fields all parse,
+        up to the first that does not decode; every other non-blank line is
+        read again in line order (that one by _csv_records), so the first
+        offending line raises its error."""
         if _needs_csv(block):
             return None
         a = np.frombuffer(block, np.uint8)
@@ -478,14 +477,12 @@ class _ObservationGrid:
         n_newlines = len(ends)
         # every CR ends a CRLF (_needs_csv): trim each from its line's end
         crlf = (ends > 0) & (a[ends - 1] == ord("\r")) if b"\r" in block else None
+        bad_byte = None  # the first byte that does not decode, if one does not
         if not block.isascii():
             try:
                 block.decode("utf-8")
             except UnicodeDecodeError as exc:
-                cut = block.rfind(b"\n", 0, exc.start) + 1
-                if cut:
-                    self.parse_block(block[:cut], lineno)  # an earlier error first
-                raise _not_utf8(self.path, exc) from exc
+                bad_byte = exc.start
         if not block.endswith(b"\n"):
             ends = np.append(ends, len(a))
             delim = np.append(delim, len(a))
@@ -508,6 +505,9 @@ class _ObservationGrid:
             field_end[regular, :-1] = commas[first[:, None] + np.arange(n_cols - 1)]
         if b"\0" in block:
             regular[np.searchsorted(ends, np.flatnonzero(a == 0))] = False
+        # the loop below reads the first line that does not decode, and reports it
+        bad = len(ends) if bad_byte is None else int(np.searchsorted(ends, bad_byte))
+        regular[bad:] = False
         if crlf is not None:  # each CR ends a CRLF: drop it
             ends[:n_newlines] -= crlf
         filled = ends > starts  # a blank line is skipped, but counted
@@ -541,8 +541,10 @@ class _ObservationGrid:
         lines = lineno + idx[ok]
         rows, error_line = [], None
         for i in np.flatnonzero(filled & ~taken).tolist():
-            row = block[starts[i] : ends[i]].decode("utf-8").split(",")
             try:
+                if i == bad:  # _csv_records reads the line, line end and all, and raises
+                    next(_csv_records(_text(io.BytesIO(block[starts[i] :])), self.path, lineno + i))
+                row = block[starts[i] : ends[i]].decode("utf-8").split(",")
                 if max(map(len, row)) > limit:  # as csv.reader would say
                     raise IngestionError(
                         f"{self.path}: line {lineno + i}: field larger than field limit ({limit})"
@@ -746,42 +748,39 @@ def _parse_observations(path, station_ids: list[str]):
     CR that does not end a CRLF: from the block that holds one (or from the
     header, when it does), csv.reader tokenizes the rest of the file. Either
     way each line is checked in the same order, with the same messages, and
-    the first offending line is the one reported.
+    the first offending line is the one reported, an undecodable one too.
     """
-    try:
-        with open(path, "rb") as fh:
-            first = fh.readline()
-            fh.seek(0)
-            text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
-            records = _csv_records(text, path)
-            header = next(records, (1, None))[1]
-            if (
-                header is None
-                or len(header) < 3
-                or header[0].strip() != "timestamp"
-                or header[1].strip() != "station_id"
-            ):
-                raise IngestionError(
-                    f"{path}: expected header timestamp,station_id,<var columns>, got {header}"
-                )
-            var_names = [h.strip() for h in header[2:]]
-            n_vars = len(var_names)
-            grid = _ObservationGrid(path, station_ids, n_vars)
-            if _needs_csv(first):
-                grid.parse_records(records)
-            else:
-                text.detach()
-                lineno = 2
-                for offset, block in _line_blocks(fh, len(first)):
-                    taken = grid.parse_block(block, lineno)
-                    if taken is None:  # csv.reader tokenizes the rest
-                        fh.seek(offset)
-                        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
-                        grid.parse_records(_csv_records(text, path, lineno))
-                        break
-                    lineno += taken
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from exc
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        fh.seek(0)
+        text = _text(fh)
+        records = _csv_records(text, path)
+        header = next(records, (1, None))[1]
+        if (
+            header is None
+            or len(header) < 3
+            or header[0].strip() != "timestamp"
+            or header[1].strip() != "station_id"
+        ):
+            raise IngestionError(
+                f"{path}: expected header timestamp,station_id,<var columns>, got {header}"
+            )
+        var_names = [h.strip() for h in header[2:]]
+        n_vars = len(var_names)
+        grid = _ObservationGrid(path, station_ids, n_vars)
+        if _needs_csv(first):
+            grid.parse_records(records)
+        else:
+            text.detach()
+            lineno = 2
+            for offset, block in _line_blocks(fh, len(first)):
+                taken = grid.parse_block(block, lineno)
+                if taken is None:  # csv.reader tokenizes the rest
+                    fh.seek(offset)
+                    text = _text(fh)  # held past parse_records: freeing it closes fh
+                    grid.parse_records(_csv_records(text, path, lineno))
+                    break
+                lineno += taken
 
     keys, timestamps, interval, values = grid.finish()
     n_steps = len(timestamps)

@@ -362,9 +362,10 @@ def test_an_output_that_cannot_be_written_is_one_line_config_error(
     """An output with a directory in its place, whose temp file cannot be
     made, or whose first write fails (a full disk): exit 1 with one line
     "config error: cannot write <path>: <reason>" and no temp file left.
-    That output and those the command writes after it keep the bytes an
-    earlier run left (so a failed history.csv leaves no new checkpoint);
-    those it writes before it are new."""
+    Every output keeps the bytes an earlier run left, those written before
+    the failed one too: a command's outputs replace the old ones together
+    (files.written_together), so a new history.csv never sits beside an old
+    checkpoint.bin."""
     out = tmp_path / "out"
     out.mkdir()
     old = b"an earlier run's bytes\n"
@@ -392,9 +393,8 @@ def test_an_output_that_cannot_be_written_is_one_line_config_error(
     assert err.startswith(f"config error: cannot write {out / name}: "), err
     assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
     assert not list(out.glob(".*.tmp"))
-    i = names.index(name)
-    assert all((out / n).read_bytes() != old for n in names[:i])
-    assert [(out / n).read_bytes() for n in names[i + 1 :]] == [old] * len(names[i + 1 :])
+    others = [n for n in names if n != name]
+    assert [(out / n).read_bytes() for n in others] == [old] * len(others)
     if how == "directory":
         assert not any((out / name).iterdir())
     else:

@@ -381,21 +381,25 @@ def test_observations_roundtrip(tmp_path):
 # --- the columnar parser against the per-row reference ---------------------
 
 
-@contextmanager
-def _reference_utf8_text(path):
-    """`path` opened as UTF-8 text for csv; bytes that do not decode are
-    an IngestionError naming the first line that holds them."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        with open(path, "rb") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    break
-        raise IngestionError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
+def _reference_records(fh, path):
+    """(line number, fields) of each csv record of text `fh`, read as
+    UTF-8 with each undecodable byte kept as a surrogate; a record whose
+    bytes, line end included, do not decode is an IngestionError when the
+    loop reaches it."""
+    record = []
+
+    def lines():
+        for line in fh:
+            record.append(line)
+            yield line
+
+    for lineno, row in enumerate(csv.reader(lines()), start=1):
+        try:
+            "".join(record).encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
+        record.clear()
+        yield lineno, row
 
 
 def _reference_parse_timestamp(raw: str, path, lineno: int) -> datetime:
@@ -410,11 +414,12 @@ def reference_load_observations_csv(
 ) -> ObservationSet:
     """The per-row loader that load_observations_csv replaced, kept verbatim
     (csv.reader, one row at a time) as the reference its results and its
-    errors must equal."""
+    errors must equal, but for its records (_reference_records): a line
+    that does not decode is reported when the loop reaches it."""
     sid_index = {sid: i for i, sid in enumerate(station_ids)}
-    with _reference_utf8_text(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        records = _reference_records(fh, path)
+        header = next(records, (1, None))[1]
         if (
             header is None
             or len(header) < 3
@@ -428,7 +433,7 @@ def reference_load_observations_csv(
         n_vars = len(var_names)
 
         cells: dict[datetime, dict[int, list[float]]] = {}
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records:
             if not row:
                 continue
             if len(row) != 2 + n_vars:
@@ -555,6 +560,60 @@ def test_what_bytes_cannot_tell_loads_as_csv_would(tmp_path, edit, expected):
         assert load_observations_csv(path, *STATIONS).values[7, 1, 0] == expected
 
 
+def faulty_observations(n_rows: int, header: bytes = b"timestamp,station_id,var_0") -> bytes:
+    """`header` and n_rows rows of s1 and s2, the last but one (line
+    n_rows) holding a bad value and the last (line n_rows + 1) a byte
+    0xFF."""
+    lines = [header]
+    for k in range(n_rows):
+        ts = (datetime(2020, 1, 1) + timedelta(hours=k // 2)).isoformat()
+        lines.append(f"{ts},s{k % 2 + 1},{k}.5".encode())
+    lines[-2] = lines[-2] + b"x"
+    lines[-1] = lines[-1].replace(b",s", b",\xffs")
+    return b"\n".join(lines) + b"\n"
+
+
+# (file bytes, stations file or not, the error's end): a bad value or
+# coordinate, then an undecodable byte on a later line; and a file of bare
+# CR line ends, each of which ends a record
+FIRST_OFFENDING_LINE = {
+    "short-file": (faulty_observations(4), False, "line 4: could not convert string to float: '2.5x'"),
+    "long-file": (faulty_observations(601), False, "line 601: could not convert string to float: '599.5x'"),
+    "quoted-header": (
+        faulty_observations(601, b'"timestamp",station_id,var_0'),
+        False,
+        "line 601: could not convert string to float: '599.5x'",
+    ),
+    "stations": (
+        b"station_id,lat,lon,elev\ns1,0,0,0\ns2,north,0,0\ns3,1,1,1\ns\xff4,2,2,2\n",
+        True,
+        "line 3: could not convert string to float: 'north'",
+    ),
+    "bare-cr-record-3": (
+        b"timestamp,station_id,var_0\r2020-01-01T00:00:00,s1,1\r2020-01-01T00:00:00,s\xff2,2\r",
+        False,
+        "line 3: not UTF-8 (invalid start byte)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FIRST_OFFENDING_LINE)
+def test_the_first_offending_line_is_reported_before_an_undecodable_one(tmp_path, name):
+    """Text decodes as csv reads it, a record at a time: a line that does
+    not decode is reported when the loop reaches it, so an earlier bad line
+    wins, whether the header reads ahead, the file spans many lines, csv
+    reads it (a quote, a bare CR) or it is the station table."""
+    raw, stations, message = FIRST_OFFENDING_LINE[name]
+    path = tmp_path / "f.csv"
+    path.write_bytes(raw)
+    with pytest.raises(IngestionError) as err:
+        if stations:
+            load_stations_csv(path)
+        else:
+            load_observations_csv(path, *STATIONS)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def load_outcome(load, path, station_ids):
     """What `load` makes of `path`: ("error", message) for an
     IngestionError, ("csv.Error",) when csv raises past it, or the loaded
@@ -577,10 +636,13 @@ def load_outcome(load, path, station_ids):
 
 
 # what the splices insert: bytes that change how a line is tokenized, cells
-# that parse differently per parser, and lines that break the table
+# that parse differently per parser, lines that break the table, and bytes
+# that do not decode as UTF-8 (surrogates, which the file's writer encodes
+# with surrogateescape: 0xFF, a lone 0xE9 and a cut 3-byte sequence)
 SPLICE_TOKENS = [
     "\x00", '"', "\r", "\r\n", "\n", "\n\n", " ", "  ", "\t", "\xa0", ",",
     "١٢", "٣", "nan", "inf", "e", "-", "1_0", "+", "zz", "s1", "+00:00", "+01:00",
+    "\udcff", "\udce9", "\udce2\udc82",
 ]
 
 
@@ -675,7 +737,7 @@ def spliced_csv(draw):
 def test_columnar_parser_equals_the_per_row_reference(tmp_path_factory, spliced, block, field_width):
     text, ids = spliced
     path = tmp_path_factory.mktemp("splice") / "o.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     expected = load_outcome(reference_load_observations_csv, path, ids)
     # small blocks put boundaries (and the switch to csv) mid-file; narrow
     # fields send every timestamp line through the per-line path
@@ -925,7 +987,7 @@ def test_a_cache_hit_equals_a_miss_and_the_per_row_reference(tmp_path_factory, s
     every time and leaves no sidecar."""
     text, ids = spliced
     path = tmp_path_factory.mktemp("cache") / "o.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     expected = loaded_fields(path, ids, reference_load_observations_csv)
     miss = loaded_fields(path, ids)
     if miss[0] != "ok":
