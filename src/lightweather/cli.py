@@ -31,6 +31,7 @@ from .baselines import (
 )
 from .checkpoint import checkpoint_load, checkpoint_save
 from .data import (
+    TimeAxis,
     load_observations_csv,
     load_stations_csv,
     normalize_apply,
@@ -327,19 +328,21 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
     checkpoint = _checkpoint_path(cfg, checkpoint_flag)
     obs, model_cfg, prepared, _ = prepare(cfg)
     params = checkpoint_load(checkpoint, model_cfg)
-    aware = obs.timestamps[0].tzinfo is not None  # all of them or none (data.py)
+    aware = obs.time_axis.offsets is not None  # all of them or none (data.py)
     if (when.tzinfo is not None) != aware:  # a naive and an aware one never compare equal
         raise ValidationError(
             f"timestamp {timestamp} {'has no' if aware else 'has a'} UTC offset, but the "
             f"observations' timestamps {'carry one' if aware else 'carry none'}"
         )
-    index = {ts: i for i, ts in enumerate(obs.timestamps)}
-    if when not in index or index[when] < model_cfg.t_h:
+    # the step at `when`'s instant (aware) or wall-clock time (naive), as
+    # datetimes compare, found on the sorted integer axis
+    keys, key = obs.time_axis.keys, TimeAxis.of([when]).keys[0]
+    idx = int(np.searchsorted(keys, key))
+    if idx == len(keys) or keys[idx] != key or idx < model_cfg.t_h:
         raise ValidationError(
             f"timestamp {timestamp} not resolvable: needs {model_cfg.t_h} prior "
             f"steps inside the observation range"
         )
-    idx = index[when]
     start = obs.timestamps[idx]  # the data's spelling of `when`, as evaluate reads it
     history = normalize_apply(obs.values[idx - model_cfg.t_h : idx], prepared.normalizer)
     # Written in float64, but it must be finite in COMPUTE_DTYPE, the dtype

@@ -66,6 +66,11 @@ what the loader accepts or returns must bump _SIDECAR_VERSION.
 write_observations_csv writes the bytes csv.writer writes a row at a
 time, formatting a block of _WRITE_ROWS rows with one join and one write.
 
+A load hands its steps to the ObservationSet as integers too (TimeAxis:
+the parse grid's sorted keys, or the sidecar's keys and offsets), and
+split_windows reads each window's calendar from them, so no step of a
+warm load makes a Python object for the model but the timestamps list.
+
 split_windows makes no copy of the series. Each split (WindowSet) makes
 the float32 rows of its own span with series_rows the first time a batch
 gathers history or future rows from it, under its lock, so that of the
@@ -89,7 +94,7 @@ import struct
 import threading
 import zlib
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -97,7 +102,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, IngestionError, ShapeError, ValidationError
 from .files import write_atomically, write_csv
-from .model import COMPUTE_DTYPE, StationCoord, Workers, calendar, worker_count
+from .model import (
+    COMPUTE_DTYPE,
+    StationCoord,
+    Workers,
+    calendar,
+    days_from_civil,
+    worker_count,
+)
 
 STATIONS_HEADER = ["station_id", "lat", "lon", "elev"]
 _BLOCK_BYTES = 1 << 20  # float64 bytes in one block of steps (_block_steps)
@@ -186,9 +198,42 @@ def write_stations_csv(path, ids: list[str], coords: list[StationCoord]) -> None
     write_csv(path, [STATIONS_HEADER, *rows])
 
 
+@dataclass(frozen=True)
+class TimeAxis:
+    """A series' steps as int64 microseconds since 1970-01-01T00:00: `keys`
+    in UTC when the timestamps are timezone-aware, on their wall clock when
+    naive, and `offsets` each aware step's UTC offset (None when naive)."""
+
+    keys: np.ndarray
+    offsets: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, timestamps: list[datetime]) -> TimeAxis:
+        """The axis of datetimes (aware when the first one is), a step at a
+        time: for data that no loader or generator gave an axis."""
+        if not timestamps or timestamps[0].tzinfo is None:
+            return cls(np.array([(ts - _EPOCH) // _US for ts in timestamps], np.int64))
+        keys = np.array([(ts - _UTC_EPOCH) // _US for ts in timestamps], np.int64)
+        return cls(keys, np.array([ts.utcoffset() // _US for ts in timestamps], np.int64))
+
+    @property
+    def wall(self) -> np.ndarray:
+        """Each step on its own wall clock, the axis model.calendar reads."""
+        return self.keys if self.offsets is None else self.keys + self.offsets
+
+
 @dataclass
 class ObservationSet:
-    """Aligned station metadata, timestamps, and a [T, N, C] value tensor."""
+    """Aligned station metadata, timestamps, and a [T, N, C] value tensor.
+
+    `timestamps` is the list of datetimes that messages and written files
+    spell; `time_axis` is the same steps as integers (TimeAxis), which the
+    calendar and forecast's lookup read. A loader or generator hands its
+    axis in as `axis`; without one (an ObservationSet built elsewhere, or
+    dataclasses.replace, which passes no `axis` on), or once `timestamps`
+    is assigned, it is made from `timestamps` when first read, so it never
+    describes other timestamps.
+    """
 
     timestamps: list[datetime]
     station_ids: list[str]
@@ -196,6 +241,21 @@ class ObservationSet:
     values: np.ndarray
     var_names: list[str]
     interval: timedelta
+    axis: InitVar[TimeAxis | None] = None
+
+    def __post_init__(self, axis: TimeAxis | None):
+        self._axis = axis
+
+    def __setattr__(self, name, value):
+        if name == "timestamps":  # other steps: their axis is made when first read
+            super().__setattr__("_axis", None)
+        super().__setattr__(name, value)
+
+    @property
+    def time_axis(self) -> TimeAxis:
+        if self._axis is None:
+            self._axis = TimeAxis.of(self.timestamps)
+        return self._axis
 
     @property
     def n_steps(self) -> int:
@@ -259,13 +319,7 @@ def _iso_keys(m: np.ndarray) -> np.ndarray:
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
     ok &= day <= _DAYS_IN_MONTH[np.where(ok, month, 0)] + ((month == 2) & leap)
     ok &= (hour < 24) & (minute < 60) & (second < 60)
-    # days since 1970-01-01 in the proleptic Gregorian calendar, counted in
-    # 400-year eras of years that start in March
-    y = year - (month <= 2)
-    era = y // 400
-    yoe = y - era * 400
-    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    days = days_from_civil(year, month, day)
     seconds = ((days * 24 + hour) * 60 + minute) * 60 + second
     return np.where(ok, seconds * 2_000_000, _BAD)
 
@@ -632,12 +686,12 @@ class _ObservationGrid:
         seen[cell] = True
         self.values.reshape(-1, self.n_vars)[cell] = values
 
-    def finish(self) -> tuple[np.ndarray, list[datetime], timedelta, np.ndarray]:
-        """The sorted timestamps, as int64 microseconds since 1970 (in UTC
-        when aware) and as datetimes, their interval and the [T, N, C]
-        values, put in time order in place, NaN where no row gave a cell;
-        the grid's checks (at least two timestamps, one kind, one interval)
-        in the per-row loop's order and words."""
+    def finish(self) -> tuple[TimeAxis, list[datetime], timedelta, np.ndarray]:
+        """The sorted timestamps, as a TimeAxis and as datetimes, their
+        interval and the [T, N, C] values, put in time order in place, NaN
+        where no row gave a cell; the grid's checks (at least two
+        timestamps, one kind, one interval) in the per-row loop's order and
+        words."""
         path = self.path
         if not self.n_ids:
             raise IngestionError(f"{path}: no observations")
@@ -673,7 +727,10 @@ class _ObservationGrid:
         if not seen.all():
             values[~seen] = np.nan
         _take_rows_in_place(values, self.sorted_ids)
-        return self.sorted_keys // 2, timestamps, interval, values
+        offsets = None
+        if self.aware:
+            offsets = np.array([ts.utcoffset() // _US for ts in timestamps], np.int64)
+        return TimeAxis(self.sorted_keys // 2, offsets), timestamps, interval, values
 
 
 def _take_rows_in_place(a: np.ndarray, order: np.ndarray) -> None:
@@ -727,7 +784,7 @@ def load_observations_csv(
         loaded = _parse_observations(path, station_ids)
         if key is not None and _regular_file_state(path) == state:
             _write_sidecar(path, key, *loaded)
-    _, timestamps, interval, values, var_names = loaded
+    axis, timestamps, interval, values, var_names = loaded
     return ObservationSet(
         timestamps=timestamps,
         station_ids=list(station_ids),
@@ -735,13 +792,14 @@ def load_observations_csv(
         values=values,
         var_names=var_names,
         interval=interval,
+        axis=axis,
     )
 
 
 def _parse_observations(path, station_ids: list[str]):
-    """Parse the observations file: (the sorted timestamps as int64
-    microseconds since 1970, in UTC when aware; the timestamps; their
-    interval; the forward-filled [T, N, C] values; the variable names).
+    """Parse the observations file: (the sorted timestamps' TimeAxis; the
+    timestamps; their interval; the forward-filled [T, N, C] values; the
+    variable names).
 
     The header is read by csv. The rows are read from the file's bytes in
     blocks of whole lines, column-wise, unless the bytes hold a quote or a
@@ -782,7 +840,7 @@ def _parse_observations(path, station_ids: list[str]):
                     break
                 lineno += taken
 
-    keys, timestamps, interval, values = grid.finish()
+    axis, timestamps, interval, values = grid.finish()
     n_steps = len(timestamps)
     infinite = np.argwhere(np.isinf(values))
     if len(infinite):
@@ -817,7 +875,7 @@ def _parse_observations(path, station_ids: list[str]):
                 f"{path}: station {station_ids[si]}: variable {var_names[vi]} missing at the "
                 f"first timestamp; cannot forward fill"
             )
-    return keys, timestamps, interval, values, var_names
+    return axis, timestamps, interval, values, var_names
 
 
 def _regular_file_state(path) -> tuple[int, int] | None:
@@ -898,22 +956,20 @@ def _read_sidecar(path, key: dict):
             values = np.fromfile(fh, "<f8", math.prod(shape))
         if zlib.crc32(values, zlib.crc32(steps, zlib.crc32(blob))) != crc:
             return None
-        keys = steps[:n_steps]
+        axis = TimeAxis(steps[:n_steps], steps[n_steps:] if aware else None)
+        timestamps = axis.wall.astype("datetime64[us]").tolist()
         if aware:
-            offsets = steps[n_steps:].tolist()
+            offsets = axis.offsets.tolist()
             zones = {off: timezone(off * _US) for off in set(offsets)}
-            walls = (keys + steps[n_steps:]).astype("datetime64[us]").tolist()
-            timestamps = [wall.replace(tzinfo=zones[off]) for wall, off in zip(walls, offsets)]
-        else:
-            timestamps = keys.astype("datetime64[us]").tolist()
-        interval = timedelta(microseconds=int(keys[1] - keys[0]))
+            timestamps = [wall.replace(tzinfo=zones[off]) for wall, off in zip(timestamps, offsets)]
+        interval = timedelta(microseconds=int(axis.keys[1] - axis.keys[0]))
         values = values.astype(np.float64, copy=False).reshape(shape)
-        return keys, timestamps, interval, values, var_names
+        return axis, timestamps, interval, values, var_names
     except (OSError, ValueError, TypeError, KeyError, AttributeError, OverflowError):
         return None
 
 
-def _write_sidecar(path, key: dict, keys, timestamps, interval, values, var_names) -> None:
+def _write_sidecar(path, key: dict, axis, timestamps, interval, values, var_names) -> None:
     """Write what _parse_observations returned to the file's sidecar,
     under `key`: a magic, the manifest's size and the CRC32 of the
     manifest and the data (_SIDECAR_HEAD), a JSON manifest (the key, the
@@ -922,12 +978,11 @@ def _write_sidecar(path, key: dict, keys, timestamps, interval, values, var_name
     when aware, and the float64 values. It replaces the sidecar whole
     (files.write_atomically); a write that fails leaves none and raises
     nothing."""
-    aware = timestamps[0].tzinfo is not None
-    if aware:
-        keys = np.concatenate([keys, [ts.utcoffset() // _US for ts in timestamps]])
+    aware = axis.offsets is not None
+    steps = np.concatenate([axis.keys, axis.offsets]) if aware else axis.keys
     manifest = {**key, "n_steps": len(timestamps), "aware": aware, "var_names": var_names}
     blob = json.dumps(manifest).encode("utf-8")
-    steps = np.ascontiguousarray(keys, "<i8")
+    steps = np.ascontiguousarray(steps, "<i8")
     values = np.ascontiguousarray(values, "<f8")
     crc = zlib.crc32(values, zlib.crc32(steps, zlib.crc32(blob)))
     with suppress(ConfigError), write_atomically(_sidecar_path(path)) as fh:
@@ -1007,9 +1062,10 @@ class WindowSet:
     of the raw series for future_raw, indexed at start - span.start; a
     batch copies each window's rows once, already in the (window, station,
     variable) row order of model.forward_rows. `calendar` is the
-    model.calendar of each window's first forecast step."""
+    model.calendar of each window's first forecast step, read from
+    `wall_us`, the series' steps on their wall clock (TimeAxis.wall)."""
 
-    def __init__(self, raw_values, norm, timestamps, span: range, t_h: int, t_f: int):
+    def __init__(self, raw_values, norm, wall_us, span: range, t_h: int, t_f: int):
         self.raw_values = raw_values
         self.norm = norm
         self.span = span
@@ -1022,7 +1078,7 @@ class WindowSet:
         self._raw = _windows(raw.reshape(len(raw), self.n_stations * self.n_vars).T[:, t_h:], t_f)
         self._views = None  # (rows, history windows, future windows), made by rows
         self._lock = threading.Lock()  # the first of the workers to gather makes them
-        self.calendar = calendar(timestamps[span.start + t_h : span.start + t_h + n_windows])
+        self.calendar = calendar(wall_us[span.start + t_h : span.start + t_h + n_windows])
 
     def rows(self) -> np.ndarray:
         """The split's model rows [N*C, len(span)], one per (station,
@@ -1259,8 +1315,9 @@ def split_windows(
                     f"not finite in {np.dtype(COMPUTE_DTYPE)}"
                     + (" after normalization" if normalize else "")
                 )
+    wall = obs.time_axis.wall
     sets = [
-        WindowSet(obs.values, norm, obs.timestamps, span, t_h, t_f)
+        WindowSet(obs.values, norm, wall, span, t_h, t_f)
         for span in (train_span, val_span, test_span)
     ]
     return PreparedData(train=sets[0], val=sets[1], test=sets[2], normalizer=norm)

@@ -75,7 +75,7 @@ import math
 import os
 import threading
 from dataclasses import astuple, dataclass, field
-from datetime import datetime
+from datetime import datetime, timedelta
 from typing import NamedTuple
 
 import numpy as np
@@ -162,16 +162,63 @@ class TimeFeature:
 
     @classmethod
     def from_timestamp(cls, ts: datetime) -> "TimeFeature":
-        return cls(*calendar([ts])[0].tolist())
+        return cls(*calendar([wall_microseconds(ts)])[0].tolist())
 
 
-def calendar(timestamps) -> np.ndarray:
-    """The [n, 3] intp calendar of n timestamps: for each, its row of every
-    CALENDAR table (hour, day of month - 1, month - 1)."""
-    hours = [ts.hour for ts in timestamps]
-    days = [ts.day - 1 for ts in timestamps]
-    months = [ts.month - 1 for ts in timestamps]
-    return np.stack([np.array(c, np.intp) for c in (hours, days, months)], axis=1)
+US_PER_HOUR = 3_600_000_000
+US_PER_DAY = 24 * US_PER_HOUR
+_EPOCH = datetime(1970, 1, 1)
+
+
+def wall_microseconds(ts: datetime) -> int:
+    """`ts` read on its own wall clock (its UTC offset, if any, dropped), as
+    microseconds since 1970-01-01T00:00: the axis calendar reads."""
+    return (ts.replace(tzinfo=None) - _EPOCH) // timedelta(microseconds=1)
+
+
+def days_from_civil(year, month, day):
+    """Days since 1970-01-01 of proleptic Gregorian dates (integers or
+    integer arrays), counted in 400-year eras of years that start in March:
+    exact integer arithmetic, for any year."""
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    return era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+
+
+def civil_from_days(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(year, month, day) of an int64 array of days since 1970-01-01, the
+    inverse of days_from_civil, by the same eras."""
+    z = days + 719468
+    era = z // 146097
+    doe = z - era * 146097  # day of the era, 0 .. 146096
+    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
+    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)  # from March 1
+    mp = (5 * doy + 2) // 153  # month from March, 0 .. 11
+    month = np.where(mp < 10, mp + 3, mp - 9)
+    return yoe + era * 400 + (month <= 2), month, doy - (153 * mp + 2) // 5 + 1
+
+
+def calendar(wall_us) -> np.ndarray:
+    """The [n, 3] intp calendar of n steps given as int64 microseconds since
+    1970 on their wall clock (wall_microseconds; data.TimeAxis.wall): for
+    each, its row of every CALENDAR table (hour, day of month - 1, month -
+    1), by integer arithmetic alone (civil_from_days). When the steps span
+    fewer days than there are steps (sub-daily data), each day's date is
+    computed once and gathered."""
+    days, us = np.divmod(np.asarray(wall_us, np.int64), US_PER_DAY)
+    lo, hi = (int(days.min()), int(days.max())) if len(days) else (0, -1)
+    if hi - lo < len(days):
+        _, month, day = civil_from_days(np.arange(lo, hi + 1, dtype=np.int64))
+        month, day = month[days - lo], day[days - lo]
+    else:
+        _, month, day = civil_from_days(days)
+    out = np.empty((len(days), len(CALENDAR)), np.intp)
+    out[:, 0] = us // US_PER_HOUR
+    out[:, 1] = day - 1
+    out[:, 2] = month - 1
+    return out
 
 
 @dataclass(frozen=True)

@@ -44,16 +44,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .data import ObservationSet
+from .data import ObservationSet, TimeAxis
 from .errors import ConfigError, allocating
-from .model import StationCoord, Workers, worker_count
+from .model import (
+    US_PER_DAY,
+    US_PER_HOUR,
+    StationCoord,
+    Workers,
+    civil_from_days,
+    days_from_civil,
+    wall_microseconds,
+    worker_count,
+)
 
 DEFAULT_START = datetime(2019, 1, 1, 0, 0, 0)
 HOUR = timedelta(hours=1)
+_US_PER_MINUTE = 60_000_000
 # stations and forcing rows that the workers' buffers hold together (see the
 # layout above)
 STATION_BLOCK = 64
@@ -117,13 +127,15 @@ class _Forcing:
     t only through the hour of day, so it is a table over the distinct hour
     values (at most 24 in `generate`, whose steps are whole hours); the
     annual term is one value per step and the elevation term one per
-    station."""
+    station. Hour (hour + minute / 60.0) and day of year come from the steps'
+    int64 wall-clock microseconds (data.TimeAxis.wall) by integer arithmetic,
+    the same floats that datetime's fields gave."""
 
-    def __init__(
-        self, coords: list[StationCoord], timestamps: list[datetime], config: SynthConfig
-    ):
-        hour = np.array([ts.hour + ts.minute / 60.0 for ts in timestamps])
-        doy = np.array([ts.timetuple().tm_yday for ts in timestamps], dtype=np.float64)
+    def __init__(self, coords: list[StationCoord], wall_us: np.ndarray, config: SynthConfig):
+        days, us = np.divmod(wall_us, US_PER_DAY)
+        hour = us // US_PER_HOUR + us % US_PER_HOUR // _US_PER_MINUTE / 60.0
+        year, _, _ = civil_from_days(days)
+        doy = (days - days_from_civil(year, 1, 1) + 1).astype(np.float64)
         lat = np.array([c.latitude for c in coords])
         lon = np.array([c.longitude for c in coords])
         elev = np.array([c.elevation for c in coords])
@@ -258,7 +270,12 @@ def _draw_noise(config: SynthConfig, values: np.ndarray, p: int) -> None:
 
 
 def generate(config: SynthConfig, coords: list[StationCoord]) -> ObservationSet:
-    """Emit the recurrence as an ObservationSet (single variable "v")."""
+    """Emit the recurrence as an ObservationSet (single variable "v").
+
+    Its steps are start + i * interval on start's wall clock, made once as
+    int64 microseconds: the timestamps list, the forcing's hour and day of
+    year and the set's TimeAxis all come from them (an aware start's UTC
+    offsets too, when its zone is a fixed offset)."""
     if len(coords) != config.n_stations:
         raise ConfigError(
             f"got {len(coords)} coords for n_stations={config.n_stations}"
@@ -267,8 +284,22 @@ def generate(config: SynthConfig, coords: list[StationCoord]) -> ObservationSet:
     with allocating(f"a grid of {n_steps} x {n_stations} values"):
         values = np.empty((n_steps, n_stations))
     step = config.interval_hours * HOUR
-    timestamps = [config.start + i * step for i in range(n_steps)]
-    forcing = _Forcing(coords, timestamps, config)
+    # start + i * step on the wall clock, as datetime adds (the UTC offset
+    # is left as it is)
+    wall = wall_microseconds(config.start) + np.arange(n_steps, dtype=np.int64) * (
+        config.interval_hours * US_PER_HOUR
+    )
+    timestamps = wall.astype("datetime64[us]").tolist()
+    axis = TimeAxis(wall)
+    if config.start.tzinfo is not None:
+        timestamps = [ts.replace(tzinfo=config.start.tzinfo) for ts in timestamps]
+        # a fixed offset is every step's; any other zone's offsets are read
+        # from the datetimes when the axis is first used
+        axis = None
+        if isinstance(config.start.tzinfo, timezone):
+            offset = config.start.utcoffset() // timedelta(microseconds=1)
+            axis = TimeAxis(wall - offset, np.full(n_steps, offset))
+    forcing = _Forcing(coords, wall, config)
 
     p = len(config.alpha)
     _draw_noise(config, values, p)
@@ -296,4 +327,5 @@ def generate(config: SynthConfig, coords: list[StationCoord]) -> ObservationSet:
         values=values[:, :, None],
         var_names=["v"],
         interval=step,
+        axis=axis,
     )

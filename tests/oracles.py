@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from lightweather.data import TimeAxis
 from lightweather.errors import ShapeError
 from lightweather.model import ModelConfig, StationCoord, Workspace, _stations_of_rows
 from lightweather.synthetic import SynthConfig, _Forcing
@@ -47,7 +48,7 @@ def g_matrix(
 ) -> np.ndarray:
     """g_function evaluated on the full [T, N] grid."""
     grid = np.empty((len(timestamps), len(coords)))
-    return _Forcing(coords, timestamps, config).rows(0, len(timestamps), grid)
+    return _Forcing(coords, TimeAxis.of(timestamps).wall, config).rows(0, len(timestamps), grid)
 
 
 LossAndGrad = Callable[[dict], tuple[float, dict]]

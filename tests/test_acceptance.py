@@ -416,7 +416,7 @@ def test_criterion_8_overfit_sanity():
     from lightweather.data import WindowSet, normalize_fit
 
     norm = normalize_fit(obs.values)
-    windows = WindowSet(obs.values, norm, obs.timestamps, range(0, 200), 48, 24)
+    windows = WindowSet(obs.values, norm, obs.time_axis.wall, range(0, 200), 48, 24)
     cn = normalize_coords(obs.coords)
     # batch 8: the 129-window series needs more optimizer steps per epoch
     # than batch 32 provides to cross the 1e-2 line inside 200 epochs

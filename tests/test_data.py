@@ -23,6 +23,7 @@ from lightweather import data
 from lightweather.data import (
     Normalizer,
     ObservationSet,
+    TimeAxis,
     WindowSet,
     chronological_split,
     load_observations_csv,
@@ -1376,7 +1377,8 @@ def hourly_timestamps(n, start=datetime(2020, 1, 1)):
 def window_set(values, timestamps, span, t_h, t_f):
     """The windows inside `span` over `values` [T, N, C] taken as they are
     as the model series."""
-    return WindowSet(values, Normalizer.identity(values.shape[-1]), timestamps, span, t_h, t_f)
+    wall = TimeAxis.of(timestamps).wall
+    return WindowSet(values, Normalizer.identity(values.shape[-1]), wall, span, t_h, t_f)
 
 
 def test_single_window_when_exact_fit():

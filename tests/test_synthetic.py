@@ -1,7 +1,9 @@
+import hashlib
 import threading
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from unittest.mock import patch
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from lightweather import model as lw_model
 from lightweather import synthetic
-from lightweather.data import ObservationSet
+from lightweather.data import ObservationSet, TimeAxis
 from lightweather.errors import ConfigError
 from lightweather.model import StationCoord
 from lightweather.synthetic import (
@@ -178,6 +180,38 @@ def test_observation_set_interchangeable_with_loader(tmp_path):
     again = load_observations_csv(tmp_path / "observations.csv", back_ids, back_coords)
     assert_array_equal(again.values, obs.values)
     assert again.timestamps == obs.timestamps
+
+
+def digest(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "tz",
+    [None, timezone(timedelta(hours=5, minutes=30)), ZoneInfo("Europe/Paris")],
+    ids=["naive", "fixed-offset", "zone"],
+)
+def test_hourly_values_across_a_leap_day_keep_their_bits(tz):
+    """Four days from 2024-02-28, with an AR term and noise: the digest of
+    the values that generate made from datetime's hour, minute and
+    tm_yday, before it read them from the integer axis."""
+    cfg = SynthConfig(
+        n_stations=6, n_steps=96, alpha=(0.3,), noise_std=0.5, seed=3,
+        start=datetime(2024, 2, 28, tzinfo=tz),
+    )
+    obs = generate(cfg, coords_for(6, 3))
+    assert digest(obs.values) == "e19a83ad33b36ef94b93d85a5c3dce6b5af74e978e61e725fa66d9f1328aaac1"
+    assert obs.timestamps == [cfg.start + k * synthetic.HOUR for k in range(96)]
+    assert_array_equal(obs.time_axis.keys, TimeAxis.of(obs.timestamps).keys)
+    assert_array_equal(obs.time_axis.offsets, TimeAxis.of(obs.timestamps).offsets)
+
+
+def test_half_hourly_forcing_across_a_leap_day_keeps_its_bits():
+    """The forcing at 30-minute steps, where minute / 60.0 is not zero: the
+    digest of the rows _Forcing made from datetime's fields."""
+    stamps = [datetime(2024, 2, 28) + k * timedelta(minutes=30) for k in range(192)]
+    grid = g_matrix(coords_for(6, 3), stamps, SynthConfig(n_stations=6, n_steps=96, seed=3))
+    assert digest(grid) == "ad27e48b24b18d77dcc77dd8f6066eade19ac01b162dc445ac795c4765f19121"
 
 
 # --- the blocked generator against the full-grid reference ----------------
