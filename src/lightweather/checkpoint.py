@@ -5,16 +5,16 @@ UTF-8 JSON manifest (model config plus one entry per tensor: name, shape,
 element type), then the raw tensor data little-endian in manifest order.
 The writer lists tensors in model.tensor_spec order, so its data section
 is the bytes of ModelParams.vector; the reader accepts them in any order
-and fills one vector in spec order. Round-trips are
-bit-exact. A truncated or malformed file, shapes unlike its config's or
-the caller's, or a value not finite in float32 is a CheckpointError. The
-size of the data section is checked against the config's parameter count
-before the config's tensor spec is built, so a manifest that claims a
-huge model fails at once. checkpoint_save writes through
-files.write_atomically, as every output is written: a temp file beside the
-path, renamed over it when it is whole, so a reader never sees a partly
-written checkpoint, and a save that fails is the one-line ConfigError
-"cannot write <path>: <reason>".
+and fills one vector in spec order. Round-trips are bit-exact. A
+truncated or malformed file, a manifest that lists a tensor twice, shapes
+unlike its config's or the caller's, or a value not finite in float32 is
+a CheckpointError. The size of the data section is checked against the
+config's parameter count before the config's tensor spec is built, so a
+manifest that claims a huge model fails at once. checkpoint_save writes
+through files.write_atomically, as every output is written: a temp file
+beside the path, renamed over it when it is whole, so a reader never sees
+a partly written checkpoint, and a save that fails is the one-line
+ConfigError "cannot write <path>: <reason>".
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections import Counter
 from dataclasses import asdict
 
 import numpy as np
@@ -78,6 +79,9 @@ def checkpoint_load(path, expected_config: ModelConfig | None = None) -> ModelPa
         declared = {name: shape for name, shape, _ in entries}
     except (ValueError, KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: bad manifest: {exc}") from exc
+    if len(declared) < len(entries):  # a second copy would overwrite the first
+        repeated = next(n for n, k in Counter(n for n, _, _ in entries).items() if k > 1)
+        raise CheckpointError(f"{path}: bad manifest: tensor {repeated} is listed twice")
     data = len(raw) - body - mlen
     if not 4 * count <= data <= 8 * count:  # float32 to float64 each
         raise CheckpointError(

@@ -18,7 +18,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, fields, replace
-from datetime import datetime
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -59,9 +59,12 @@ from .model import (
     init_params,
     normalize_coords,
     parameter_count,
+    wall_microseconds,
 )
 from .synthetic import SynthConfig, generate, random_station_coords
 from .training import TrainConfig, evaluate, fit, write_history_csv
+
+_US = timedelta(microseconds=1)
 
 
 @dataclass
@@ -234,7 +237,8 @@ def cmd_ingest_check(cfg: RunConfig) -> int:
     print(f"steps: {obs.n_steps}")
     print(f"variables: {','.join(obs.var_names)}")
     print(f"interval: {obs.interval}")
-    print(f"span: {obs.timestamps[0].isoformat()} .. {obs.timestamps[-1].isoformat()}")
+    first, last = obs.time_axis.datetimes(0, 1)[0], obs.time_axis.datetimes(-1)[0]
+    print(f"span: {first.isoformat()} .. {last.isoformat()}")
     return 0
 
 
@@ -328,7 +332,8 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
     checkpoint = _checkpoint_path(cfg, checkpoint_flag)
     obs, model_cfg, prepared, _ = prepare(cfg)
     params = checkpoint_load(checkpoint, model_cfg)
-    aware = obs.time_axis.offsets is not None  # all of them or none (data.py)
+    axis = obs.time_axis
+    aware = axis.offsets is not None  # all of them or none (data.py)
     if (when.tzinfo is not None) != aware:  # a naive and an aware one never compare equal
         raise ValidationError(
             f"timestamp {timestamp} {'has no' if aware else 'has a'} UTC offset, but the "
@@ -336,19 +341,20 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
         )
     # the step at `when`'s instant (aware) or wall-clock time (naive), as
     # datetimes compare, found on the sorted integer axis
-    keys, key = obs.time_axis.keys, TimeAxis.of([when]).keys[0]
-    idx = int(np.searchsorted(keys, key))
-    if idx == len(keys) or keys[idx] != key or idx < model_cfg.t_h:
+    key = wall_microseconds(when) - (when.utcoffset() // _US if aware else 0)
+    idx = int(np.searchsorted(axis.keys, key))
+    if idx == len(axis.keys) or axis.keys[idx] != key or idx < model_cfg.t_h:
         raise ValidationError(
             f"timestamp {timestamp} not resolvable: needs {model_cfg.t_h} prior "
             f"steps inside the observation range"
         )
-    start = obs.timestamps[idx]  # the data's spelling of `when`, as evaluate reads it
+    # the calendar of the data's spelling of `when`, as evaluate reads it
+    feature = TimeFeature.from_timestamp(axis.datetimes(idx, idx + 1)[0])
     history = normalize_apply(obs.values[idx - model_cfg.t_h : idx], prepared.normalizer)
     # Written in float64, but it must be finite in COMPUTE_DTYPE, the dtype
     # evaluate runs the checkpoint in, so both commands reject the same ones.
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        pred = forward(history, obs.coords, TimeFeature.from_timestamp(start), params)
+        pred = forward(history, obs.coords, feature, params)
         pred = normalize_invert(pred, prepared.normalizer)
         finite = np.isfinite(pred.astype(COMPUTE_DTYPE)).all()
     if not finite:
@@ -362,12 +368,11 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
         for k in range(model_cfg.t_f)
         for vi, var in enumerate(obs.var_names)
     )
-    # same forecast in observations format, so it can be re-ingested
-    future = replace(
-        obs,
-        timestamps=[start + k * obs.interval for k in range(model_cfg.t_f)],
-        values=pred,
-    )
+    # same forecast in observations format, so it can be re-ingested: steps
+    # idx, idx + 1, ... at the interval, all at step idx's UTC offset
+    ahead = axis.keys[idx] + np.arange(model_cfg.t_f) * (obs.interval // _US)
+    offsets = np.full(model_cfg.t_f, axis.offsets[idx]) if aware else None
+    future = replace(obs, time_axis=TimeAxis(ahead, offsets), values=pred)
     with written_together():
         write_csv(out / "forecasts.csv", [["station_id", "step", "var", "value"], *rows])
         write_observations_csv(out / "forecast_obs.csv", future)

@@ -66,10 +66,11 @@ what the loader accepts or returns must bump _SIDECAR_VERSION.
 write_observations_csv writes the bytes csv.writer writes a row at a
 time, formatting a block of _WRITE_ROWS rows with one join and one write.
 
-A load hands its steps to the ObservationSet as integers too (TimeAxis:
+A load hands its steps to the ObservationSet as integers only (TimeAxis:
 the parse grid's sorted keys, or the sidecar's keys and offsets), and
-split_windows reads each window's calendar from them, so no step of a
-warm load makes a Python object for the model but the timestamps list.
+split_windows reads each window's calendar from them, so a warm load
+makes no Python object per step. A step becomes a datetime only where a
+message or a writer spells it (TimeAxis.datetimes).
 
 split_windows makes no copy of the series. Each split (WindowSet) makes
 the float32 rows of its own span with series_rows the first time a batch
@@ -94,7 +95,7 @@ import struct
 import threading
 import zlib
 from contextlib import suppress
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -200,62 +201,51 @@ def write_stations_csv(path, ids: list[str], coords: list[StationCoord]) -> None
 
 @dataclass(frozen=True)
 class TimeAxis:
-    """A series' steps as int64 microseconds since 1970-01-01T00:00: `keys`
-    in UTC when the timestamps are timezone-aware, on their wall clock when
-    naive, and `offsets` each aware step's UTC offset (None when naive)."""
+    """A series' steps, the one record of them an ObservationSet holds, as
+    int64 microseconds since 1970-01-01T00:00: `keys` in UTC when the
+    timestamps are timezone-aware, on their wall clock when naive, and
+    `offsets` each aware step's UTC offset (None when naive). The calendar
+    and forecast's lookup read the integers; messages and writers spell
+    steps as datetimes (datetimes)."""
 
     keys: np.ndarray
     offsets: np.ndarray | None = None
-
-    @classmethod
-    def of(cls, timestamps: list[datetime]) -> TimeAxis:
-        """The axis of datetimes (aware when the first one is), a step at a
-        time: for data that no loader or generator gave an axis."""
-        if not timestamps or timestamps[0].tzinfo is None:
-            return cls(np.array([(ts - _EPOCH) // _US for ts in timestamps], np.int64))
-        keys = np.array([(ts - _UTC_EPOCH) // _US for ts in timestamps], np.int64)
-        return cls(keys, np.array([ts.utcoffset() // _US for ts in timestamps], np.int64))
 
     @property
     def wall(self) -> np.ndarray:
         """Each step on its own wall clock, the axis model.calendar reads."""
         return self.keys if self.offsets is None else self.keys + self.offsets
 
+    def datetimes(self, lo: int = 0, hi: int | None = None) -> list[datetime]:
+        """Steps lo .. hi - 1 as datetimes: naive, or aware in a fixed-offset
+        timezone of the step's offset, whose isoformat is the one of any
+        zone that gave the step that offset."""
+        walls = self.wall[lo:hi].astype("datetime64[us]").tolist()
+        if self.offsets is None:
+            return walls
+        offsets = self.offsets[lo:hi].tolist()
+        zones = {off: timezone(off * _US) for off in set(offsets)}
+        return [wall.replace(tzinfo=zones[off]) for wall, off in zip(walls, offsets)]
+
 
 @dataclass
 class ObservationSet:
-    """Aligned station metadata, timestamps, and a [T, N, C] value tensor.
+    """Aligned station metadata, time axis, and a [T, N, C] value tensor.
 
-    `timestamps` is the list of datetimes that messages and written files
-    spell; `time_axis` is the same steps as integers (TimeAxis), which the
-    calendar and forecast's lookup read. A loader or generator hands its
-    axis in as `axis`; without one (an ObservationSet built elsewhere, or
-    dataclasses.replace, which passes no `axis` on), or once `timestamps`
-    is assigned, it is made from `timestamps` when first read, so it never
-    describes other timestamps.
+    `time_axis` is the only record of the steps (TimeAxis); `timestamps`
+    spells them all as datetimes, a new list on every read.
     """
 
-    timestamps: list[datetime]
+    time_axis: TimeAxis
     station_ids: list[str]
     coords: list[StationCoord]
     values: np.ndarray
     var_names: list[str]
     interval: timedelta
-    axis: InitVar[TimeAxis | None] = None
-
-    def __post_init__(self, axis: TimeAxis | None):
-        self._axis = axis
-
-    def __setattr__(self, name, value):
-        if name == "timestamps":  # other steps: their axis is made when first read
-            super().__setattr__("_axis", None)
-        super().__setattr__(name, value)
 
     @property
-    def time_axis(self) -> TimeAxis:
-        if self._axis is None:
-            self._axis = TimeAxis.of(self.timestamps)
-        return self._axis
+    def timestamps(self) -> list[datetime]:
+        return self.time_axis.datetimes()
 
     @property
     def n_steps(self) -> int:
@@ -686,12 +676,11 @@ class _ObservationGrid:
         seen[cell] = True
         self.values.reshape(-1, self.n_vars)[cell] = values
 
-    def finish(self) -> tuple[TimeAxis, list[datetime], timedelta, np.ndarray]:
-        """The sorted timestamps, as a TimeAxis and as datetimes, their
-        interval and the [T, N, C] values, put in time order in place, NaN
-        where no row gave a cell; the grid's checks (at least two
-        timestamps, one kind, one interval) in the per-row loop's order and
-        words."""
+    def finish(self) -> tuple[TimeAxis, np.ndarray]:
+        """The sorted timestamps' TimeAxis and the [T, N, C] values, put in
+        time order in place, NaN where no row gave a cell; the grid's
+        checks (at least two timestamps, one kind, one interval) in the
+        per-row loop's order and words."""
         path = self.path
         if not self.n_ids:
             raise IngestionError(f"{path}: no observations")
@@ -706,17 +695,20 @@ class _ObservationGrid:
             )
         if self.n_ids < 2:
             raise IngestionError(f"{path}: need at least 2 timestamps to fix the interval")
+        offsets = None
         if self.aware:
-            timestamps = [self.aware[i] for i in self.sorted_ids.tolist()]
-        else:
-            timestamps = (self.sorted_keys // 2).astype("datetime64[us]").tolist()
-        steps = np.diff(self.sorted_keys // 2)
+            offsets = np.array(
+                [self.aware[i].utcoffset() // _US for i in self.sorted_ids.tolist()], np.int64
+            )
+        axis = TimeAxis(self.sorted_keys // 2, offsets)
+        steps = np.diff(axis.keys)
         interval = timedelta(microseconds=int(steps[0]))
         uneven = np.flatnonzero(steps != steps[0])
         if len(uneven):
             t = int(uneven[0])
+            at = axis.datetimes(t + 1, t + 2)[0]
             raise IngestionError(
-                f"{path}: non-uniform timestamp grid at {timestamps[t + 1].isoformat()} "
+                f"{path}: non-uniform timestamp grid at {at.isoformat()} "
                 f"(step {timedelta(microseconds=int(steps[t]))}, expected {interval})"
             )
 
@@ -727,10 +719,7 @@ class _ObservationGrid:
         if not seen.all():
             values[~seen] = np.nan
         _take_rows_in_place(values, self.sorted_ids)
-        offsets = None
-        if self.aware:
-            offsets = np.array([ts.utcoffset() // _US for ts in timestamps], np.int64)
-        return TimeAxis(self.sorted_keys // 2, offsets), timestamps, interval, values
+        return axis, values
 
 
 def _take_rows_in_place(a: np.ndarray, order: np.ndarray) -> None:
@@ -784,22 +773,20 @@ def load_observations_csv(
         loaded = _parse_observations(path, station_ids)
         if key is not None and _regular_file_state(path) == state:
             _write_sidecar(path, key, *loaded)
-    axis, timestamps, interval, values, var_names = loaded
+    axis, values, var_names = loaded
     return ObservationSet(
-        timestamps=timestamps,
+        time_axis=axis,
         station_ids=list(station_ids),
         coords=list(coords),
         values=values,
         var_names=var_names,
-        interval=interval,
-        axis=axis,
+        interval=timedelta(microseconds=int(axis.keys[1] - axis.keys[0])),
     )
 
 
 def _parse_observations(path, station_ids: list[str]):
-    """Parse the observations file: (the sorted timestamps' TimeAxis; the
-    timestamps; their interval; the forward-filled [T, N, C] values; the
-    variable names).
+    """Parse the observations file: (the sorted timestamps' TimeAxis, the
+    forward-filled [T, N, C] values, the variable names).
 
     The header is read by csv. The rows are read from the file's bytes in
     blocks of whole lines, column-wise, unless the bytes hold a quote or a
@@ -840,14 +827,15 @@ def _parse_observations(path, station_ids: list[str]):
                     break
                 lineno += taken
 
-    axis, timestamps, interval, values = grid.finish()
-    n_steps = len(timestamps)
+    axis, values = grid.finish()
+    n_steps = len(values)
     infinite = np.argwhere(np.isinf(values))
     if len(infinite):
         t, si, vi = infinite[0]
+        at = axis.datetimes(t, t + 1)[0]
         raise IngestionError(
             f"{path}: station {station_ids[si]}: variable {var_names[vi]}: "
-            f"non-finite value {values[t, si, vi]} at {timestamps[t].isoformat()}"
+            f"non-finite value {values[t, si, vi]} at {at.isoformat()}"
         )
 
     # forward fill in place, bounded by the 10% rule: each step with a gap
@@ -875,7 +863,7 @@ def _parse_observations(path, station_ids: list[str]):
                 f"{path}: station {station_ids[si]}: variable {var_names[vi]} missing at the "
                 f"first timestamp; cannot forward fill"
             )
-    return axis, timestamps, interval, values, var_names
+    return axis, values, var_names
 
 
 def _regular_file_state(path) -> tuple[int, int] | None:
@@ -957,19 +945,13 @@ def _read_sidecar(path, key: dict):
         if zlib.crc32(values, zlib.crc32(steps, zlib.crc32(blob))) != crc:
             return None
         axis = TimeAxis(steps[:n_steps], steps[n_steps:] if aware else None)
-        timestamps = axis.wall.astype("datetime64[us]").tolist()
-        if aware:
-            offsets = axis.offsets.tolist()
-            zones = {off: timezone(off * _US) for off in set(offsets)}
-            timestamps = [wall.replace(tzinfo=zones[off]) for wall, off in zip(timestamps, offsets)]
-        interval = timedelta(microseconds=int(axis.keys[1] - axis.keys[0]))
         values = values.astype(np.float64, copy=False).reshape(shape)
-        return axis, timestamps, interval, values, var_names
+        return axis, values, var_names
     except (OSError, ValueError, TypeError, KeyError, AttributeError, OverflowError):
         return None
 
 
-def _write_sidecar(path, key: dict, axis, timestamps, interval, values, var_names) -> None:
+def _write_sidecar(path, key: dict, axis, values, var_names) -> None:
     """Write what _parse_observations returned to the file's sidecar,
     under `key`: a magic, the manifest's size and the CRC32 of the
     manifest and the data (_SIDECAR_HEAD), a JSON manifest (the key, the
@@ -980,7 +962,7 @@ def _write_sidecar(path, key: dict, axis, timestamps, interval, values, var_name
     nothing."""
     aware = axis.offsets is not None
     steps = np.concatenate([axis.keys, axis.offsets]) if aware else axis.keys
-    manifest = {**key, "n_steps": len(timestamps), "aware": aware, "var_names": var_names}
+    manifest = {**key, "n_steps": len(axis.keys), "aware": aware, "var_names": var_names}
     blob = json.dumps(manifest).encode("utf-8")
     steps = np.ascontiguousarray(steps, "<i8")
     values = np.ascontiguousarray(values, "<f8")
@@ -1002,8 +984,9 @@ def _csv_field(text: str) -> str:
 def write_observations_csv(path, obs: ObservationSet) -> None:
     """Write `obs` as csv.writer writes it a row at a time, byte for byte
     (the repr of each value, csv's quoting of station ids, CRLF line ends),
-    but formatted _WRITE_ROWS rows at a time: one isoformat per timestamp,
-    one repr per value and one write per block."""
+    but formatted _WRITE_ROWS rows at a time: each block's steps spelled
+    from the time axis (TimeAxis.datetimes), one isoformat per step, one
+    repr per value and one write per block."""
     n_steps, n_stations, n_vars = obs.values.shape
     sep = "," if n_vars else ""
     sids = [_csv_field(sid) + sep for sid in obs.station_ids]
@@ -1014,7 +997,7 @@ def write_observations_csv(path, obs: ObservationSet) -> None:
             cells = map(repr, obs.values[lo : lo + per_block].ravel().tolist())
             rows = map(",".join, zip(*[cells] * n_vars)) if n_vars else itertools.repeat("")
             lines = []
-            for ts in obs.timestamps[lo : lo + per_block]:
+            for ts in obs.time_axis.datetimes(lo, lo + per_block):
                 stamp = ts.isoformat() + ","
                 lines += [stamp + sid + row for sid, row in zip(sids, rows)]
             if lines:
@@ -1309,9 +1292,10 @@ def split_windows(
             if len(bad):
                 t, row = bad[0] + (lo, 0)  # the earliest step first, then the lowest row
                 si, vi = divmod(int(row), obs.n_vars)
+                at = obs.time_axis.datetimes(t, t + 1)[0]
                 raise ValidationError(
                     f"station {obs.station_ids[si]}: variable {obs.var_names[vi]}: value "
-                    f"{float(obs.values[t, si, vi])!r} at {obs.timestamps[t].isoformat()} is "
+                    f"{float(obs.values[t, si, vi])!r} at {at.isoformat()} is "
                     f"not finite in {np.dtype(COMPUTE_DTYPE)}"
                     + (" after normalization" if normalize else "")
                 )

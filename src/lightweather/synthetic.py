@@ -35,9 +35,9 @@ writes only its own block's columns or rows of `values`. The recurrence
 runs on the caller, in one [ROW_BLOCK, N] buffer. So generation holds
 `values`, at most one [STATION_BLOCK, T] of noise buffers and then at
 most one [ROW_BLOCK, N] of forcing buffers however many CPUs there are,
-the T timestamps and a few arrays of length T or N. Every value is the
-same floating-point operation on the same inputs as on the full grid, so
-the data depend on neither the block sizes nor the worker count.
+and a few arrays of length T or N, the time axis among them. Every value
+is the same floating-point operation on the same inputs as on the full
+grid, so the data depend on neither the block sizes nor the worker count.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ from .model import (
 
 DEFAULT_START = datetime(2019, 1, 1, 0, 0, 0)
 HOUR = timedelta(hours=1)
+_US = timedelta(microseconds=1)
+_EPOCH = datetime(1970, 1, 1)
 _US_PER_MINUTE = 60_000_000
 # stations and forcing rows that the workers' buffers hold together (see the
 # layout above)
@@ -273,9 +275,10 @@ def generate(config: SynthConfig, coords: list[StationCoord]) -> ObservationSet:
     """Emit the recurrence as an ObservationSet (single variable "v").
 
     Its steps are start + i * interval on start's wall clock, made once as
-    int64 microseconds: the timestamps list, the forcing's hour and day of
-    year and the set's TimeAxis all come from them (an aware start's UTC
-    offsets too, when its zone is a fixed offset)."""
+    int64 microseconds: the forcing's hour and day of year and the set's
+    TimeAxis come from them. An aware start's UTC offsets are computed
+    here too: a fixed offset is every step's, and any other zone's is read
+    a step at a time from the zone."""
     if len(coords) != config.n_stations:
         raise ConfigError(
             f"got {len(coords)} coords for n_stations={config.n_stations}"
@@ -289,16 +292,18 @@ def generate(config: SynthConfig, coords: list[StationCoord]) -> ObservationSet:
     wall = wall_microseconds(config.start) + np.arange(n_steps, dtype=np.int64) * (
         config.interval_hours * US_PER_HOUR
     )
-    timestamps = wall.astype("datetime64[us]").tolist()
     axis = TimeAxis(wall)
-    if config.start.tzinfo is not None:
-        timestamps = [ts.replace(tzinfo=config.start.tzinfo) for ts in timestamps]
-        # a fixed offset is every step's; any other zone's offsets are read
-        # from the datetimes when the axis is first used
-        axis = None
-        if isinstance(config.start.tzinfo, timezone):
-            offset = config.start.utcoffset() // timedelta(microseconds=1)
-            axis = TimeAxis(wall - offset, np.full(n_steps, offset))
+    zone = config.start.tzinfo
+    if zone is not None:
+        if isinstance(zone, timezone):
+            offsets = np.full(n_steps, config.start.utcoffset() // _US)
+        else:
+            # the zone's offset at each step's wall time (fold 0, as
+            # datetime's addition gives), a step at a time
+            offsets = np.fromiter(
+                (zone.utcoffset(_EPOCH + w * _US) // _US for w in wall.tolist()), np.int64, n_steps
+            )
+        axis = TimeAxis(wall - offsets, offsets)
     forcing = _Forcing(coords, wall, config)
 
     p = len(config.alpha)
@@ -321,11 +326,10 @@ def generate(config: SynthConfig, coords: list[StationCoord]) -> ObservationSet:
 
     ids = [f"s{i:04d}" for i in range(n_stations)]
     return ObservationSet(
-        timestamps=timestamps,
+        time_axis=axis,
         station_ids=ids,
         coords=list(coords),
         values=values[:, :, None],
         var_names=["v"],
         interval=step,
-        axis=axis,
     )

@@ -8,7 +8,9 @@ computes another way:
 - RowBatch, a training batch already laid out as rows in memory, which
   model.loss_and_grads takes as it takes the WindowBatch that fit gives it;
 - leaf_sha256, the sidecar key's leaf-tree digest of a file's bytes,
-  hashed serially from the bytes in memory.
+  hashed serially from the bytes in memory;
+- time_axis_of, the data.TimeAxis of a list of datetimes a step at a
+  time, and observations_at, which builds an ObservationSet from one.
 
 The module has no test_ prefix, so pytest does not collect it; test
 modules import it by name (pytest puts tests/ on the path).
@@ -19,15 +21,36 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from typing import Callable
 
 import numpy as np
 
-from lightweather.data import TimeAxis
+from lightweather.data import ObservationSet, TimeAxis
 from lightweather.errors import ShapeError
 from lightweather.model import ModelConfig, StationCoord, Workspace, _stations_of_rows
 from lightweather.synthetic import SynthConfig, _Forcing
+
+
+_US = timedelta(microseconds=1)
+_EPOCH = datetime(1970, 1, 1)
+_UTC_EPOCH = _EPOCH.replace(tzinfo=timezone.utc)
+
+
+def time_axis_of(timestamps: list[datetime]) -> TimeAxis:
+    """The TimeAxis of datetimes (aware when the first one is), a step at a
+    time: microseconds since 1970 on the wall clock when naive, in UTC
+    and with each step's UTC offset when aware."""
+    if not timestamps or timestamps[0].tzinfo is None:
+        return TimeAxis(np.array([(ts - _EPOCH) // _US for ts in timestamps], np.int64))
+    keys = np.array([(ts - _UTC_EPOCH) // _US for ts in timestamps], np.int64)
+    return TimeAxis(keys, np.array([ts.utcoffset() // _US for ts in timestamps], np.int64))
+
+
+def observations_at(timestamps: list[datetime], *args, **fields) -> ObservationSet:
+    """An ObservationSet whose steps are `timestamps`; the other fields as
+    ObservationSet takes them, after its time axis."""
+    return ObservationSet(time_axis_of(timestamps), *args, **fields)
 
 
 def g_function(coord: StationCoord, ts: datetime, config: SynthConfig) -> float:
@@ -48,7 +71,7 @@ def g_matrix(
 ) -> np.ndarray:
     """g_function evaluated on the full [T, N] grid."""
     grid = np.empty((len(timestamps), len(coords)))
-    return _Forcing(coords, TimeAxis.of(timestamps).wall, config).rows(0, len(timestamps), grid)
+    return _Forcing(coords, time_axis_of(timestamps).wall, config).rows(0, len(timestamps), grid)
 
 
 LossAndGrad = Callable[[dict], tuple[float, dict]]

@@ -19,8 +19,6 @@ from numpy.testing import assert_array_equal
 
 from lightweather import data
 from lightweather.data import (
-    ObservationSet,
-    TimeAxis,
     load_observations_csv,
     split_windows,
     write_observations_csv,
@@ -33,6 +31,7 @@ from lightweather.model import (
     civil_from_days,
     days_from_civil,
 )
+from oracles import observations_at, time_axis_of
 
 PLUS_0545 = timezone(timedelta(hours=5, minutes=45))
 MINUS_0330 = timezone(timedelta(hours=-3, minutes=-30))
@@ -74,8 +73,9 @@ SERIES = {
 @pytest.mark.parametrize("name", list(SERIES))
 def test_calendar_of_the_axis_equals_datetime_fields(name):
     timestamps = SERIES[name]
-    axis = TimeAxis.of(timestamps)
+    axis = time_axis_of(timestamps)
     assert (axis.offsets is None) == (timestamps[0].tzinfo is None)
+    assert [ts.isoformat() for ts in axis.datetimes()] == [ts.isoformat() for ts in timestamps]
     assert_array_equal(calendar(axis.wall), reference(timestamps))
     features = [list(astuple(TimeFeature.from_timestamp(ts))) for ts in timestamps]
     assert features == reference(timestamps).tolist()
@@ -91,7 +91,7 @@ def test_calendar_of_the_axis_equals_datetime_fields(name):
 def test_calendar_of_any_instant_equals_datetime_fields(ts, offset_minutes):
     if offset_minutes is not None:
         ts = ts.replace(tzinfo=timezone(timedelta(minutes=offset_minutes)))
-    axis = TimeAxis.of([ts])
+    axis = time_axis_of([ts])
     assert_array_equal(calendar(axis.wall), reference([ts]))
     if ts.tzinfo is not None:  # the key is the instant
         assert axis.keys[0] == (ts - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(
@@ -114,23 +114,27 @@ def test_days_and_civil_dates_agree_with_date_every_day(years):
     assert_array_equal(days_from_civil(year, month, day), days)
 
 
-def test_replace_with_other_timestamps_carries_no_stale_axis():
-    """forecast writes forecast_obs.csv from replace(obs, timestamps=...):
-    the copy's axis is that of its own timestamps, not the loaded one; and
-    so is the axis of a set whose timestamps are assigned."""
+def test_replace_with_another_axis_is_spelled_with_its_steps(tmp_path):
+    """forecast writes forecast_obs.csv from replace(obs, time_axis=...):
+    TimeAxis.datetimes and write_observations_csv spell the copy's steps,
+    here aware ones whose offset changes, and the original keeps its own."""
     stamps = steps(datetime(2020, 2, 28, 22), 30)
-    obs = ObservationSet(
+    obs = observations_at(
         stamps, ["a"], [StationCoord(0.0, 0.0, 0.0)], np.zeros((30, 1, 1)), ["v"],
-        timedelta(hours=1), axis=TimeAxis.of(stamps),
+        timedelta(hours=1),
     )
-    later = steps(datetime(2031, 7, 4, 5, tzinfo=PLUS_0545), 3)
-    moved = replace(obs, timestamps=later, values=np.zeros((3, 1, 1)))
-    assert_array_equal(moved.time_axis.keys, TimeAxis.of(later).keys)
-    assert_array_equal(moved.time_axis.offsets, TimeAxis.of(later).offsets)
+    later = shifting(4)
+    moved = replace(obs, time_axis=time_axis_of(later), values=np.arange(4.0).reshape(4, 1, 1))
+    spelled = [ts.isoformat() for ts in later]
+    assert moved.timestamps == later
+    assert [ts.isoformat() for ts in moved.time_axis.datetimes()] == spelled
+    assert [ts.isoformat() for ts in moved.time_axis.datetimes(1, 3)] == spelled[1:3]
     assert_array_equal(calendar(moved.time_axis.wall), reference(later))
-    assert obs.time_axis.offsets is None and len(obs.time_axis.keys) == 30
-    obs.timestamps = later
-    assert_array_equal(obs.time_axis.keys, TimeAxis.of(later).keys)
+    write_observations_csv(tmp_path / "moved.csv", moved)
+    lines = (tmp_path / "moved.csv").read_bytes().decode("utf-8").split("\r\n")
+    rows = [f"{ts},a,{k}.0" for k, ts in enumerate(spelled)]
+    assert lines == ["timestamp,station_id,v", *rows, ""]
+    assert obs.timestamps == stamps and obs.time_axis.offsets is None
 
 
 @pytest.mark.parametrize("aware", [False, True], ids=["naive", "aware"])
@@ -141,7 +145,7 @@ def test_windows_calendar_is_the_same_parsed_or_read_from_the_sidecar(tmp_path, 
     stamps = shifting(n) if aware else steps(datetime(2000, 2, 25, 3), n)
     ids, coords = ["s1", "s2"], [StationCoord(10.0, 20.0, 5.0), StationCoord(-3.0, 40.0, 50.0)]
     values = np.random.default_rng(0).standard_normal((n, 2, 1))
-    obs = ObservationSet(stamps, ids, coords, values, ["v"], timedelta(hours=1))
+    obs = observations_at(stamps, ids, coords, values, ["v"], timedelta(hours=1))
     write_stations_csv(tmp_path / "stations.csv", ids, coords)
     write_observations_csv(tmp_path / "obs.csv", obs)
     parsed = load_observations_csv(tmp_path / "obs.csv", ids, coords)
@@ -150,8 +154,8 @@ def test_windows_calendar_is_the_same_parsed_or_read_from_the_sidecar(tmp_path, 
     cached = load_observations_csv(tmp_path / "obs.csv", ids, coords)
     assert parsed.timestamps == cached.timestamps == stamps
     for loaded in (parsed, cached):
-        assert_array_equal(loaded.time_axis.keys, TimeAxis.of(stamps).keys)
-        assert_array_equal(loaded.time_axis.offsets, TimeAxis.of(stamps).offsets)
+        assert_array_equal(loaded.time_axis.keys, time_axis_of(stamps).keys)
+        assert_array_equal(loaded.time_axis.offsets, time_axis_of(stamps).offsets)
     t_h, t_f = 6, 4
     a, b = split_windows(parsed, t_h, t_f), split_windows(cached, t_h, t_f)
     for name in ("train", "val", "test"):

@@ -23,7 +23,6 @@ from lightweather import data
 from lightweather.data import (
     Normalizer,
     ObservationSet,
-    TimeAxis,
     WindowSet,
     chronological_split,
     load_observations_csv,
@@ -38,7 +37,7 @@ from lightweather.data import (
 )
 from lightweather.errors import ConfigError, IngestionError, ShapeError, ValidationError
 from lightweather.model import StationCoord
-from oracles import leaf_sha256
+from oracles import leaf_sha256, observations_at, time_axis_of
 
 
 def write(path, text):
@@ -305,7 +304,7 @@ def test_forward_fill_equals_a_per_cell_loop(
             values[t, si, vi] = np.nan
     ids = [f"s{i}" for i in range(n_stations)]
     names = [f"v{i}" for i in range(n_vars)]
-    obs = ObservationSet(
+    obs = observations_at(
         timestamps=hourly_timestamps(n_steps),
         station_ids=ids,
         coords=[StationCoord(0.0, 0.0, 0.0)] * n_stations,
@@ -519,7 +518,7 @@ def reference_load_observations_csv(
         np.maximum.accumulate(last, axis=0, out=last)  # the last at or before each cell
         values = np.take_along_axis(values, last, axis=0)
 
-    return ObservationSet(
+    return observations_at(
         timestamps=timestamps,
         station_ids=list(station_ids),
         coords=list(coords),
@@ -819,7 +818,7 @@ def test_write_then_load_gives_the_same_bits(
         for t, vi in data_.draw(st.lists(st.sampled_from(cells), unique=True, max_size=limit)):
             values[t, si, vi] = np.nan
     start = datetime(2020, 2, 28, tzinfo=tz)
-    obs = ObservationSet(
+    obs = observations_at(
         timestamps=[start + k * interval for k in range(n_steps)],
         station_ids=[f"s{i}" for i in range(n_stations)],
         coords=[StationCoord(0.0, 0.0, 0.0)] * n_stations,
@@ -849,7 +848,7 @@ def traced_peak(fn) -> int:
 def test_loader_peak_memory_is_at_most_half_the_per_row_reference(tmp_path):
     n_steps, n_stations = 10_000, 10  # 100,000 rows
     rng = np.random.default_rng(0)
-    obs = ObservationSet(
+    obs = observations_at(
         timestamps=hourly_timestamps(n_steps),
         station_ids=[f"s{i:04d}" for i in range(n_stations)],
         coords=[StationCoord(0.0, 0.0, 0.0)] * n_stations,
@@ -1325,7 +1324,7 @@ def test_writer_equals_the_per_row_reference(
     values = data_.draw(
         arrays(np.float64, (n_steps, len(ids), n_vars), elements=st.floats() | special)
     )
-    obs = ObservationSet(
+    obs = observations_at(
         timestamps=[datetime(2020, 2, 28, 23, tzinfo=tz) + k * interval for k in range(n_steps)],
         station_ids=ids,
         coords=[StationCoord(0.0, 0.0, 0.0)] * len(ids),
@@ -1377,7 +1376,7 @@ def hourly_timestamps(n, start=datetime(2020, 1, 1)):
 def window_set(values, timestamps, span, t_h, t_f):
     """The windows inside `span` over `values` [T, N, C] taken as they are
     as the model series."""
-    wall = TimeAxis.of(timestamps).wall
+    wall = time_axis_of(timestamps).wall
     return WindowSet(values, Normalizer.identity(values.shape[-1]), wall, span, t_h, t_f)
 
 
@@ -1546,7 +1545,7 @@ def test_mse_scales_by_std_squared():
 def test_split_windows_pipeline():
     n = 120
     rng = np.random.default_rng(2)
-    obs = ObservationSet(
+    obs = observations_at(
         timestamps=hourly_timestamps(n),
         station_ids=["s1"],
         coords=[StationCoord(0.0, 0.0, 0.0)],
@@ -1567,7 +1566,7 @@ def test_split_windows_pipeline():
 
 def observation_set(values, start=datetime(2020, 1, 1)):
     n_steps, n_stations, n_vars = values.shape
-    return ObservationSet(
+    return observations_at(
         timestamps=hourly_timestamps(n_steps, start),
         station_ids=[f"s{i}" for i in range(n_stations)],
         coords=[StationCoord(0.0, 0.0, 0.0)] * n_stations,

@@ -13,7 +13,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from lightweather import model as lw_model
 from lightweather import synthetic
-from lightweather.data import ObservationSet, TimeAxis
 from lightweather.errors import ConfigError
 from lightweather.model import StationCoord
 from lightweather.synthetic import (
@@ -21,7 +20,7 @@ from lightweather.synthetic import (
     generate,
     random_station_coords,
 )
-from oracles import g_function, g_matrix
+from oracles import g_function, g_matrix, observations_at, time_axis_of
 
 
 def coords_for(n, seed=0):
@@ -202,8 +201,34 @@ def test_hourly_values_across_a_leap_day_keep_their_bits(tz):
     obs = generate(cfg, coords_for(6, 3))
     assert digest(obs.values) == "e19a83ad33b36ef94b93d85a5c3dce6b5af74e978e61e725fa66d9f1328aaac1"
     assert obs.timestamps == [cfg.start + k * synthetic.HOUR for k in range(96)]
-    assert_array_equal(obs.time_axis.keys, TimeAxis.of(obs.timestamps).keys)
-    assert_array_equal(obs.time_axis.offsets, TimeAxis.of(obs.timestamps).offsets)
+    assert_array_equal(obs.time_axis.keys, time_axis_of(obs.timestamps).keys)
+    assert_array_equal(obs.time_axis.offsets, time_axis_of(obs.timestamps).offsets)
+
+
+@pytest.mark.parametrize(
+    "start, n_steps, sha256",
+    [
+        (datetime(2024, 3, 29), 120, "b8b7fb8bbd7971e4741d937c5454e1d024a916deb8916ba386163092c16fa615"),
+        (datetime(2024, 10, 25, 20), 400, "371394125eaa60fee97741f43fd9c0283edc2013f6a60123745e84139925e6c7"),
+    ],
+    ids=["spring-forward", "fall-back"],
+)
+def test_a_zone_start_across_a_dst_change_writes_the_same_csv_bytes(
+    tmp_path, start, n_steps, sha256
+):
+    """A Europe/Paris start whose steps cross a DST change: the digest of
+    the CSV that generate wrote when it kept a datetime per step in the
+    zone, which the set's fixed-offset spelling must repeat byte for byte."""
+    from lightweather.data import write_observations_csv
+
+    cfg = SynthConfig(
+        n_stations=3, n_steps=n_steps, alpha=(0.5,), noise_std=0.5,
+        start=start.replace(tzinfo=ZoneInfo("Europe/Paris")),
+    )
+    obs = generate(cfg, random_station_coords(3, 0)[1])
+    assert len(set(obs.time_axis.offsets.tolist())) == 2  # +01:00 and +02:00
+    write_observations_csv(tmp_path / "o.csv", obs)
+    assert hashlib.sha256((tmp_path / "o.csv").read_bytes()).hexdigest() == sha256
 
 
 def test_half_hourly_forcing_across_a_leap_day_keeps_its_bits():
@@ -275,7 +300,7 @@ def reference_generate(config, coords):
             values[t] = ar + forcing[t] + config.noise_std * draws[t]
 
     ids = [f"s{i:04d}" for i in range(n_stations)]
-    return ObservationSet(
+    return observations_at(
         timestamps=timestamps,
         station_ids=ids,
         coords=list(coords),

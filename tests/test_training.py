@@ -689,13 +689,13 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def write_by_hand(path, tensors: dict, dtype: str):
-    """An LWCKPT1 file of SMALL's `tensors` in their dict order, as `dtype`."""
+def write_by_hand(path, tensors: dict, dtype: str, extra=()):
+    """An LWCKPT1 file of SMALL's `tensors` in their dict order, then the
+    (name, array) pairs of `extra`, as `dtype`."""
+    pairs = [*tensors.items(), *extra]
     manifest = {
         "config": asdict(SMALL),
-        "tensors": [
-            {"name": n, "shape": list(a.shape), "dtype": dtype} for n, a in tensors.items()
-        ],
+        "tensors": [{"name": n, "shape": list(a.shape), "dtype": dtype} for n, a in pairs],
     }
     blob = json.dumps(manifest).encode("utf-8")
     little = {"float64": "<f8", "float32": "<f4"}[dtype]
@@ -703,7 +703,7 @@ def write_by_hand(path, tensors: dict, dtype: str):
         MAGIC
         + struct.pack("<I", len(blob))
         + blob
-        + b"".join(a.astype(little).tobytes() for a in tensors.values())
+        + b"".join(a.astype(little).tobytes() for _, a in pairs)
     )
 
 
@@ -858,3 +858,17 @@ def test_checkpoint_float32_storage(tmp_path):
     path2 = tmp_path / "ck32b.bin"
     write_by_hand(path2, loaded.tensors, "float32")
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_checkpoint_listing_a_tensor_twice_is_checkpoint_error(tmp_path, dtype):
+    """A second fc_embed.weight entry with its own bytes appended. In
+    float32 the data section then still fits the parameter count and the
+    manifest's total, so only the repeat rejects the file; in float64 the
+    data bound would, but the message names the repeat in both."""
+    params = init_params(SMALL, seed=14)
+    path = tmp_path / "twice.bin"
+    second = ("fc_embed.weight", params.tensors["fc_embed.weight"] + 1.0)
+    write_by_hand(path, params.tensors, dtype, extra=[second])
+    with pytest.raises(CheckpointError, match="bad manifest: tensor fc_embed.weight is listed twice"):
+        checkpoint_load(path, SMALL)
