@@ -348,6 +348,12 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
             f"timestamp {timestamp} not resolvable: needs {model_cfg.t_h} prior "
             f"steps inside the observation range"
         )
+    # forecast_obs.csv spells every step; datetime ends with the year 9999
+    last = int(axis.wall[idx]) + (model_cfg.t_f - 1) * (obs.interval // _US)
+    if last > wall_microseconds(datetime.max):
+        raise ValidationError(
+            f"{model_cfg.t_f} forecast steps from {timestamp} run past the year {datetime.max.year}"
+        )
     # the calendar of the data's spelling of `when`, as evaluate reads it
     feature = TimeFeature.from_timestamp(axis.datetimes(idx, idx + 1)[0])
     history = normalize_apply(obs.values[idx - model_cfg.t_h : idx], prepared.normalizer)

@@ -46,22 +46,22 @@ byte count), the station ids and csv.field_size_limit(). A load hashes
 the file: on a 21.7 MB file of narrow-train's shape, 10.4-11.7 ms on 2
 free cores where one serial SHA-256 takes 17.3-21.7 ms, and about 1 ms
 more than the serial hash while the second core is busy elsewhere. When
-the sidecar's key matches and its CRC32 holds, the load reads the result
+the sidecar's key matches and its CRC32s hold, the load reads the result
 from there and parses nothing, else it parses the file and writes the
 sidecar through a temp file and os.replace, if the file's size and mtime
 did not change during the load. A missing, short, corrupt, foreign or
 stale sidecar is a miss and a sidecar that cannot be written is skipped:
 neither is an error. A file that fails to load writes none, so its error
 is raised on every load.
-Layout: the magic `LWCACHE`, a little-endian uint32 manifest size and
-uint32 CRC32 of the manifest and the data, a JSON manifest (the key, the
-step count, whether the timestamps are timezone-aware, the variable
-names), then the timestamps as int64 microseconds since 1970 (in UTC when
-aware), each step's UTC offset in microseconds when aware, and the
-float64 [T, N, C] values, all little-endian: 8 bytes per cell and 8 (16
-when aware) per step. A hit reads the values with np.fromfile into the
-one array it returns. Deleting the sidecar clears the cache; changing
-what the loader accepts or returns must bump _SIDECAR_VERSION.
+Layout: a container (container.py) of kind _SIDECAR_KIND. Its meta is the
+key and the variable names; its sections are `keys`, the timestamps as
+int64 microseconds since 1970 (in UTC when aware), `offsets`, each step's
+UTC offset in microseconds, present only when the steps are aware, and
+`values`, the float64 [T, N, C] values; each has a CRC32 per 1 MiB leaf.
+A hit reads each section straight into the array it returns, checks its
+leaves and checks the sections' shapes against each other and the key.
+Deleting the sidecar clears the cache; changing what the loader accepts
+or returns, or the sidecar's layout, must bump _SIDECAR_VERSION.
 
 write_observations_csv writes the bytes csv.writer writes a row at a
 time, formatting a block of _WRITE_ROWS rows with one join and one write.
@@ -87,13 +87,11 @@ import functools
 import hashlib
 import io
 import itertools
-import json
 import math
 import os
 import stat
 import struct
 import threading
-import zlib
 from contextlib import suppress
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -101,6 +99,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import container
 from .errors import ConfigError, IngestionError, ShapeError, ValidationError
 from .files import write_atomically, write_csv
 from .model import (
@@ -119,9 +118,8 @@ _FIELD_WIDTH = 64  # longer fields are parsed line by line, not column-wise
 _WRITE_ROWS = 1 << 14  # rows write_observations_csv formats at a time
 _HASH_CHUNK = 1 << 20  # bytes in one leaf of _leaf_sha256's tree
 _SIDECAR = ".lwcache"  # load_observations_csv's cache: the file's path + this
-_SIDECAR_VERSION = 2  # bump when what the loader accepts or returns changes
-_SIDECAR_MAGIC = b"LWCACHE"
-_SIDECAR_HEAD = struct.Struct("<7sII")  # magic, manifest size, CRC32 of manifest and data
+_SIDECAR_VERSION = 3  # bump when what the loader accepts or returns changes
+_SIDECAR_KIND = b"\x89LWCACH\n"  # the sidecar's container magic
 
 
 def _text(fh) -> io.TextIOWrapper:
@@ -905,73 +903,38 @@ def _leaf_sha256(path) -> str:
     return outer.hexdigest()
 
 
-def _sidecar_path(path) -> str:
-    return os.fspath(path) + _SIDECAR
-
-
 def _read_sidecar(path, key: dict):
     """What _parse_observations returned for the file, read from its
-    sidecar when the sidecar's manifest holds `key` and its CRC32 holds;
-    None for a missing, short, corrupt, foreign or stale sidecar. The
-    sidecar's size is checked against its manifest's shape before any
-    array is read, so a manifest that claims a huge shape allocates
-    nothing. (The CRC32 catches corruption, not a forged sidecar: that
-    takes write access to the file's directory, as editing the file does.)
-    """
+    sidecar when it is a whole container (container.read checks its sizes
+    before it makes an array, then every leaf's CRC32) whose meta holds
+    `key`, with `keys` of at least two steps, `offsets` of as many when
+    present, and `values` of those steps, the key's stations and the
+    meta's variables; None for a missing, short, corrupt, foreign or
+    stale sidecar."""
     try:
-        with open(_sidecar_path(path), "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            head = fh.read(_SIDECAR_HEAD.size)
-            if len(head) != _SIDECAR_HEAD.size:
-                return None
-            magic, manifest_size, crc = _SIDECAR_HEAD.unpack(head)
-            if magic != _SIDECAR_MAGIC or _SIDECAR_HEAD.size + manifest_size > size:
-                return None
-            blob = fh.read(manifest_size)
-            manifest = json.loads(blob)
-            if not isinstance(manifest, dict) or any(manifest.get(k) != v for k, v in key.items()):
-                return None
-            n_steps, var_names = manifest["n_steps"], manifest["var_names"]
-            if type(n_steps) is not int or n_steps < 2:
-                return None
-            aware = manifest["aware"] is True
-            shape = (n_steps, len(key["station_ids"]), len(var_names))
-            per_step = 2 if aware else 1  # the key, and the UTC offset when aware
-            data = 8 * n_steps * (per_step + shape[1] * shape[2])
-            if size != _SIDECAR_HEAD.size + manifest_size + data:
-                return None
-            steps = np.fromfile(fh, "<i8", per_step * n_steps)
-            values = np.fromfile(fh, "<f8", math.prod(shape))
-        if zlib.crc32(values, zlib.crc32(steps, zlib.crc32(blob))) != crc:
+        meta, sections = container.read(os.fspath(path) + _SIDECAR, _SIDECAR_KIND)
+        var_names, keys = meta["var_names"], sections["keys"]
+        steps, shape = ("<i8", (len(keys),)), (len(keys), len(key["station_ids"]), len(var_names))
+        want = {"keys": steps, "offsets": steps, "values": ("<f8", shape)}  # offsets when aware
+        fits = len(keys) > 1 and all(want[n] == (a.dtype.str, a.shape) for n, a in sections.items())
+        if not fits or any(meta[k] != v for k, v in key.items()):
             return None
-        axis = TimeAxis(steps[:n_steps], steps[n_steps:] if aware else None)
-        values = values.astype(np.float64, copy=False).reshape(shape)
-        return axis, values, var_names
-    except (OSError, ValueError, TypeError, KeyError, AttributeError, OverflowError):
+        return TimeAxis(keys, sections.get("offsets")), sections["values"], var_names
+    except (OSError, ValueError, TypeError, KeyError):
         return None
 
 
 def _write_sidecar(path, key: dict, axis, values, var_names) -> None:
-    """Write what _parse_observations returned to the file's sidecar,
-    under `key`: a magic, the manifest's size and the CRC32 of the
-    manifest and the data (_SIDECAR_HEAD), a JSON manifest (the key, the
-    step count, whether the timestamps are aware and the variable names),
-    then little-endian int64 keys, each step's UTC offset in microseconds
-    when aware, and the float64 values. It replaces the sidecar whole
-    (files.write_atomically); a write that fails leaves none and raises
-    nothing."""
-    aware = axis.offsets is not None
-    steps = np.concatenate([axis.keys, axis.offsets]) if aware else axis.keys
-    manifest = {**key, "n_steps": len(axis.keys), "aware": aware, "var_names": var_names}
-    blob = json.dumps(manifest).encode("utf-8")
-    steps = np.ascontiguousarray(steps, "<i8")
-    values = np.ascontiguousarray(values, "<f8")
-    crc = zlib.crc32(values, zlib.crc32(steps, zlib.crc32(blob)))
-    with suppress(ConfigError), write_atomically(_sidecar_path(path)) as fh:
-        fh.write(_SIDECAR_HEAD.pack(_SIDECAR_MAGIC, len(blob), crc))
-        fh.write(blob)
-        fh.write(steps)
-        fh.write(values)
+    """Write what _parse_observations returned to the file's sidecar, a
+    container (container.write) whose meta is `key` and the variable names
+    and whose sections are the int64 keys, each step's UTC offset in
+    microseconds when aware, and the float64 values. It replaces the
+    sidecar whole; a write that fails leaves none and raises nothing."""
+    sections = {"keys": axis.keys, "offsets": axis.offsets, "values": values}
+    sections = {name: a for name, a in sections.items() if a is not None}  # naive: no offsets
+    meta = {**key, "var_names": var_names}
+    with suppress(ConfigError):
+        container.write(os.fspath(path) + _SIDECAR, _SIDECAR_KIND, meta, sections)
 
 
 def _csv_field(text: str) -> str:

@@ -29,8 +29,9 @@ lat/lon/elevation), "relative" (a learnable station-index table), or
 "none".
 
 tensor_spec(config) is the only place the parameter layout is written:
-names, shapes and init bounds, in the order that init_params draws them and
-that the LWCKPT1 checkpoint manifest lists them. ModelParams holds the
+names, shapes and init bounds, in the order that init_params draws them,
+that the checkpoint's params section holds them and that an LWCKPT1
+checkpoint manifest lists them. ModelParams holds the
 tensors back to back in one flat vector in that order, with a dict of
 named views into it, so a copy, a cast or an optimizer step is one array
 operation.
@@ -249,8 +250,9 @@ def normalize_coords(coords: list[StationCoord]) -> np.ndarray:
 def tensor_spec(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float]]:
     """Every tensor of the configured variant as (name, shape, init_bound).
 
-    The one description of the parameter layout. Its order is the LWCKPT1
-    manifest order and the order init_params draws from its generator.
+    The one description of the parameter layout. Its order is the order of
+    the checkpoint's params section and of an LWCKPT1 manifest, and the
+    order init_params draws from its generator.
     Linear layers are `<name>.weight` [d_out, d_in] and `<name>.bias`
     [d_out], both bounded by 1/sqrt(d_in); embedding tables by 1/sqrt(d).
     A model whose float64 vector cannot be sized is a ConfigError, raised

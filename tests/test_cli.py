@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lightweather import checkpoint, cli, data, errors, model, numerics
-from lightweather.checkpoint import MAGIC, checkpoint_load, checkpoint_save
+from lightweather.checkpoint import LWCKPT1, checkpoint_load, checkpoint_save
 from lightweather.data import load_observations_csv, load_stations_csv
 from lightweather.model import ModelConfig, init_params, parameter_count, tensor_spec
+from oracles import container_corruptions, edit_container, lwckpt1_save
 
 LONG_NAME = "n" * 300  # longer than any file system allows one name to be
 
@@ -730,14 +731,24 @@ def test_evaluate_batch_size_below_one_is_one_line_config_error(
 
 
 def edited_checkpoint(source, path, edit):
-    """The checkpoint file `source` written to `path` with `edit` applied to
-    its manifest; `edit` returns the manifest to write."""
-    raw = Path(source).read_bytes()
-    body = len(MAGIC) + 4
-    (mlen,) = struct.unpack("<I", raw[len(MAGIC) : body])
+    """The params of the checkpoint file `source`, written to `path` as
+    LWCKPT1 by the reference writer, with `edit` applied to the manifest;
+    `edit` returns the manifest to write."""
+    lwckpt1_save(path, checkpoint_load(source))
+    raw = path.read_bytes()
+    body = len(LWCKPT1) + 4
+    (mlen,) = struct.unpack("<I", raw[len(LWCKPT1) : body])
     manifest = edit(json.loads(raw[body : body + mlen]))
     blob = json.dumps(manifest).encode("utf-8")
-    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[body + mlen :])
+    path.write_bytes(LWCKPT1 + struct.pack("<I", len(blob)) + blob + raw[body + mlen :])
+    return path
+
+
+def edited_container(source, path, edit):
+    """The checkpoint file `source` (a container) written to `path` with
+    `edit` applied to its manifest and the manifest's CRC32 recomputed;
+    `edit` returns the manifest to write."""
+    path.write_bytes(edit_container(Path(source).read_bytes(), edit))
     return path
 
 
@@ -762,16 +773,23 @@ def fails_in_one_line(synth_dir, tmp_path, capsys, command, checkpoint, **extra)
 def test_evaluate_checkpoint_without_dtype_is_one_line_error(
     synth_dir, trained_dir, tmp_path, capsys
 ):
-    def drop_dtype(manifest):
-        for entry in manifest["tensors"]:
-            del entry["dtype"]
-        return manifest
+    def drop_dtype(entries):
+        def edit(manifest):
+            for entry in manifest[entries]:
+                del entry["dtype"]
+            return manifest
 
-    path = edited_checkpoint(trained(trained_dir), tmp_path / "no_dtype.bin", drop_dtype)
+        return edit
+
+    paths = [
+        edited_checkpoint(trained(trained_dir), tmp_path / "no_dtype.bin", drop_dtype("tensors")),
+        edited_container(trained(trained_dir), tmp_path / "no_dtype2.bin", drop_dtype("sections")),
+    ]
     cfg = data_config(synth_dir, tmp_path / "e.cfg", out_dir=tmp_path / "out")
-    assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(path)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("checkpoint error:") and "dtype" in err and err.count("\n") == 1
+    for path in paths:
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and "dtype" in err and err.count("\n") == 1
 
 
 def test_evaluate_checkpoint_with_malformed_config_is_one_line_error(
@@ -781,11 +799,15 @@ def test_evaluate_checkpoint_with_malformed_config_is_one_line_error(
         manifest["config"]["d"] = "4"
         return manifest
 
-    path = edited_checkpoint(trained(trained_dir), tmp_path / "bad_config.bin", d_as_string)
+    paths = [
+        edited_checkpoint(trained(trained_dir), tmp_path / "bad_config.bin", d_as_string),
+        edited_container(trained(trained_dir), tmp_path / "bad2.bin", in_meta(d_as_string)),
+    ]
     cfg = data_config(synth_dir, tmp_path / "e.cfg", out_dir=tmp_path / "out")
-    assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(path)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("checkpoint error:") and err.count("\n") == 1
+    for path in paths:
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error:") and err.count("\n") == 1
 
 
 def test_evaluate_checkpoint_whose_config_differs_only_in_n_vars_runs(
@@ -795,17 +817,31 @@ def test_evaluate_checkpoint_whose_config_differs_only_in_n_vars_runs(
         manifest["config"]["n_vars"] = 4
         return manifest
 
-    path = edited_checkpoint(trained(trained_dir), tmp_path / "ck.bin", four_vars)
     cfg = data_config(synth_dir, tmp_path / "e.cfg", out_dir=tmp_path / "out")
-    assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(path)]) == 0
+    for path in (
+        edited_checkpoint(trained(trained_dir), tmp_path / "ck.bin", four_vars),
+        edited_container(trained(trained_dir), tmp_path / "ck2.bin", in_meta(four_vars)),
+    ):
+        assert cli.main(["evaluate", "--config", str(cfg), "--checkpoint", str(path)]) == 0
+
+
+def in_meta(edit):
+    """The LWCKPT1 manifest edit `edit`, made to a container's meta."""
+
+    def edit_meta(manifest):
+        manifest["meta"] = edit(manifest["meta"])
+        return manifest
+
+    return edit_meta
 
 
 def first_entry(**fields):
-    """A manifest edit that updates the first tensor entry with `fields`,
-    each a function of that entry."""
+    """A manifest edit that updates the first tensor entry (of an LWCKPT1
+    manifest) or section entry (of a container's) with `fields`, each a
+    function of that entry."""
 
     def edit(manifest):
-        entry = manifest["tensors"][0]
+        entry = manifest["tensors" if "tensors" in manifest else "sections"][0]
         entry.update({key: make(entry) for key, make in fields.items()})
         return manifest
 
@@ -833,12 +869,16 @@ def test_evaluate_checkpoint_with_malformed_manifest_is_one_line_error(
 ):
     source = tmp_path / "source.bin"
     checkpoint_save(source, init_params(replace(TINY_MODEL, spatial_encoding=spatial), 0))
-    path = edited_checkpoint(source, tmp_path / "bad.bin", edit)
-    for expected in (None, replace(TINY_MODEL, spatial_encoding=spatial)):
-        with pytest.raises(errors.CheckpointError):
-            checkpoint_load(path, expected)
-    err = fails_in_one_line(synth_dir, tmp_path, capsys, "evaluate", path, spatial=spatial)
-    assert err.startswith("checkpoint error:")
+    twin = in_meta(edit) if edit is relative_n_stations else edit
+    for path in (
+        edited_checkpoint(source, tmp_path / "bad.bin", edit),
+        edited_container(source, tmp_path / "bad2.bin", twin),
+    ):
+        for expected in (None, replace(TINY_MODEL, spatial_encoding=spatial)):
+            with pytest.raises(errors.CheckpointError):
+                checkpoint_load(path, expected)
+        err = fails_in_one_line(synth_dir, tmp_path, capsys, "evaluate", path, spatial=spatial)
+        assert err.startswith("checkpoint error:")
 
 
 @pytest.mark.parametrize("command", ["evaluate", "forecast"])
@@ -861,11 +901,14 @@ def test_checkpoint_of_a_huge_layer_count_builds_no_spec(
         manifest["config"]["n_layers"] = 10**9
         return manifest
 
-    path = edited_checkpoint(source, tmp_path / "huge.bin", huge)
-    with pytest.raises(errors.CheckpointError, match="cannot hold the 40000000327 parameters"):
-        checkpoint_load(path)
-    err = fails_in_one_line(synth_dir, tmp_path, capsys, command, path)
-    assert err.startswith("checkpoint error:") and "cannot hold" in err
+    for path in (
+        edited_checkpoint(source, tmp_path / "huge.bin", huge),
+        edited_container(source, tmp_path / "huge2.bin", in_meta(huge)),
+    ):
+        with pytest.raises(errors.CheckpointError, match="cannot hold the 40000000327 parameters"):
+            checkpoint_load(path)
+        err = fails_in_one_line(synth_dir, tmp_path, capsys, command, path)
+        assert err.startswith("checkpoint error:") and "cannot hold" in err
 
 
 @pytest.mark.parametrize("command", ["evaluate", "forecast"])
@@ -917,19 +960,32 @@ JSON_VALUES = st.recursive(
 )
 # where in the trained checkpoint's manifest a generated value goes: the
 # whole manifest, its config or tensor list, one config value, one tensor
-# entry, or one entry's name, shape or dtype
-MANIFEST_PLACES = [
-    (),
-    ("config",),
-    ("tensors",),
-    *(("config", key) for key in asdict(TINY_MODEL)),
-    *(("tensors", i) for i in range(len(tensor_spec(TINY_MODEL)))),
-    *(
-        ("tensors", i, key)
-        for i in range(len(tensor_spec(TINY_MODEL)))
-        for key in ("name", "shape", "dtype")
-    ),
-]
+# entry, or one entry's name, shape or dtype; in a container's manifest,
+# its meta or section list, the config, one config value, the params
+# section's entry, or one of that entry's fields
+MANIFEST_PLACES = {
+    "LWCKPT1": [
+        (),
+        ("config",),
+        ("tensors",),
+        *(("config", key) for key in asdict(TINY_MODEL)),
+        *(("tensors", i) for i in range(len(tensor_spec(TINY_MODEL)))),
+        *(
+            ("tensors", i, key)
+            for i in range(len(tensor_spec(TINY_MODEL)))
+            for key in ("name", "shape", "dtype")
+        ),
+    ],
+    "container": [
+        (),
+        ("meta",),
+        ("sections",),
+        ("meta", "config"),
+        *(("meta", "config", key) for key in asdict(TINY_MODEL)),
+        ("sections", 0),
+        *(("sections", 0, key) for key in ("name", "dtype", "shape", "offset", "crc32")),
+    ],
+}
 
 
 def put(manifest, place, value):
@@ -943,23 +999,33 @@ def put(manifest, place, value):
     return manifest
 
 
+@pytest.mark.parametrize("layout", list(MANIFEST_PLACES))
 @settings(max_examples=40, deadline=None)
 @given(
     corruption=st.one_of(
-        st.tuples(st.just("manifest"), st.sampled_from(MANIFEST_PLACES), JSON_VALUES),
+        st.tuples(st.just("manifest"), st.integers(0, 10**6), JSON_VALUES),
         st.tuples(st.just("byte"), st.integers(0, 2**32), st.integers(0, 255)),
     )
 )
 def test_corrupted_checkpoint_exits_0_with_finite_metrics_or_4_in_one_line(
-    synth_dir, trained_dir, tmp_path_factory, corruption
+    synth_dir, trained_dir, tmp_path_factory, layout, corruption
 ):
+    """The trained checkpoint as LWCKPT1 (the reference writer's) or as the
+    container, with a generated value at one place in its manifest (the
+    container's CRC32 recomputed) or one byte set."""
     work = tmp_path_factory.mktemp("corrupt")
     kind, where, value = corruption
     path = work / "checkpoint.bin"
     if kind == "manifest":
-        edited_checkpoint(trained(trained_dir), path, lambda m: put(m, where, value))
+        place = MANIFEST_PLACES[layout][where % len(MANIFEST_PLACES[layout])]
+        edit = edited_checkpoint if layout == "LWCKPT1" else edited_container
+        edit(trained(trained_dir), path, lambda m: put(m, place, value))
     else:
-        raw = bytearray(trained(trained_dir).read_bytes())
+        if layout == "LWCKPT1":
+            lwckpt1_save(path, checkpoint_load(trained(trained_dir)))
+        else:
+            path.write_bytes(trained(trained_dir).read_bytes())
+        raw = bytearray(path.read_bytes())
         raw[where % len(raw)] = value
         path.write_bytes(raw)
     out = work / "out"
@@ -1191,6 +1257,48 @@ def test_forecast_timestamp_whose_offset_kind_differs_from_the_data_is_one_line_
     assert cli.main(["forecast", "--config", str(cfg), "--timestamp", when]) == 4
     assert capsys.readouterr().err == f"validation error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_forecast_past_the_year_9999_is_one_line_validation_error(tmp_path, capsys):
+    """60 hourly steps from 9999-12-29T12:00 end at 9999-12-31T23:00. A
+    forecast of 2 steps at that step runs its second into the year 10000,
+    which no datetime holds: one validation line, exit 4, and no output.
+    A forecast whose last step is 23:00 is fine."""
+    short = dict(t_h=3, t_f=2)  # synth wants 10 windows of t_h + t_f steps
+    synth = write_config(
+        tmp_path / "synth.cfg", TINY, out_dir=tmp_path / "data", synth_start="9999-12-29T12:00:00", synth_steps=60, **short
+    )
+    assert cli.main(["synth", "--config", str(synth)]) == 0
+    checkpoint_save(tmp_path / "ck.bin", init_params(replace(TINY_MODEL, **short), 0))
+    out = tmp_path / "out"
+    cfg = data_config(tmp_path / "data", tmp_path / "f.cfg", out_dir=out, checkpoint=tmp_path / "ck.bin", **short)
+    capsys.readouterr()
+    argv = ["forecast", "--config", str(cfg), "--timestamp", "9999-12-31T23:00:00"]
+    assert cli.main(argv) == 4
+    assert capsys.readouterr().err == (
+        "validation error: 2 forecast steps from 9999-12-31T23:00:00 run past the year 9999\n"
+    )
+    assert not out.exists()
+    assert cli.main([*argv[:-1], "9999-12-31T22:00:00"]) == 0
+    lines = (out / "forecast_obs.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[-1].startswith("9999-12-31T23:00:00,")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "forecast"])
+def test_a_corrupt_container_checkpoint_exits_4_in_one_line(synth_dir, tmp_path, capsys, command):
+    """Every container corruption of a checkpoint (oracles), and a parse
+    cache in its place, is a one-line checkpoint error and leaves no
+    out_dir."""
+    path = tmp_path / "ck.bin"
+    checkpoint_save(path, init_params(TINY_MODEL, 0))
+    cases = container_corruptions(path.read_bytes())
+    axis = data.TimeAxis(np.arange(2) * 3_600_000_000)
+    data._write_sidecar(tmp_path / "o.csv", {"version": 3}, axis, np.zeros((2, 2, 1)), ["v"])
+    cases["a parse cache"] = (tmp_path / "o.csv.lwcache").read_bytes()
+    for name, raw in cases.items():
+        path.write_bytes(raw)
+        err = fails_in_one_line(synth_dir, tmp_path, capsys, command, path)
+        assert err.startswith(f"checkpoint error: {path}: "), (name, err)
 
 
 # --- ablate / sweep / param-count -------------------------------------------

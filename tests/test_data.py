@@ -4,6 +4,8 @@ import io
 import json
 import os
 import re
+import struct
+import tempfile
 import threading
 import tracemalloc
 import zlib
@@ -20,9 +22,11 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 from lightweather import data
+from lightweather.checkpoint import checkpoint_save
 from lightweather.data import (
     Normalizer,
     ObservationSet,
+    TimeAxis,
     WindowSet,
     chronological_split,
     load_observations_csv,
@@ -36,8 +40,18 @@ from lightweather.data import (
     write_stations_csv,
 )
 from lightweather.errors import ConfigError, IngestionError, ShapeError, ValidationError
-from lightweather.model import StationCoord
-from oracles import leaf_sha256, observations_at, time_axis_of
+from lightweather.model import ModelConfig, StationCoord, init_params
+from oracles import (
+    container_bytes,
+    container_corruptions,
+    container_parts,
+    edit_container,
+    flip,
+    leaf_sha256,
+    lwckpt1_save,
+    observations_at,
+    time_axis_of,
+)
 
 
 def write(path, text):
@@ -1008,18 +1022,28 @@ def aware_gap_csv(path):
     return write(path, obs_csv_text(rows)), ["s1", "s2"]
 
 
-def set_manifest(raw: bytes, **fields) -> bytes:
-    """The sidecar `raw` with `fields` set in its manifest; the data and
-    the CRC32 as they were."""
-    head = data._SIDECAR_HEAD
-    magic, size, crc = head.unpack_from(raw)
-    manifest = json.loads(raw[head.size : head.size + size])
-    blob = json.dumps({**manifest, **fields}).encode()
-    return head.pack(magic, len(blob), crc) + blob + raw[head.size + size :]
+def set_key(raw: bytes, **fields) -> bytes:
+    """The sidecar `raw` with `fields` set in its meta, its manifest's
+    CRC32 recomputed and its data as they were."""
+    return edit_container(raw, lambda manifest: manifest["meta"].update(fields))
 
 
-def flip(raw: bytes, at: int) -> bytes:
-    return raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1 :]
+def checkpoint_bytes(save) -> bytes:
+    """The bytes of a small checkpoint that `save` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        save(Path(tmp) / "ck.bin", init_params(ModelConfig(d=4, n_layers=1, t_h=6, t_f=3, n_vars=1), 0))
+        return (Path(tmp) / "ck.bin").read_bytes()
+
+
+def not_json(raw: bytes) -> bytes:
+    """The sidecar `raw` with a manifest that is not JSON but holds its CRC32."""
+    magic, version, manifest, body = container_parts(raw)
+    return container_bytes(magic, version, b'{"meta": [' + json.dumps(manifest).encode(), body)
+
+
+def huge_shape(manifest: dict) -> None:
+    for section in manifest["sections"]:
+        section["shape"][0] = HUGE
 
 
 HUGE = 10**9  # steps a manifest may claim: 16 GB of data for 2 stations x 1 variable
@@ -1027,38 +1051,89 @@ SIDECAR_EDITS = {
     "truncated": lambda raw: raw[:-5],
     "flipped data byte": lambda raw: flip(raw, len(raw) - 3),
     "flipped manifest byte": lambda raw: flip(raw, raw.index(b'"var_0"') + 4),
-    "wrong magic": lambda raw: b"LWCKPT1" + raw[7:],
-    "huge shape": lambda raw: set_manifest(raw, n_steps=HUGE),
+    "wrong magic": lambda raw: checkpoint_bytes(lwckpt1_save),
+    "a checkpoint": lambda raw: checkpoint_bytes(checkpoint_save),
+    "huge shape": lambda raw: edit_container(raw, huge_shape),
     "empty": lambda raw: b"",
-    "not json": lambda raw: raw.replace(b'{"version"', b'["version"'),
-    "another version": lambda raw: set_manifest(raw, version=data._SIDECAR_VERSION + 1),
+    "not json": not_json,
+    "another version": lambda raw: set_key(raw, version=data._SIDECAR_VERSION + 1),
 }
 
 
 @pytest.mark.parametrize("edit", list(SIDECAR_EDITS))
-def test_a_sidecar_that_does_not_fit_is_a_miss(tmp_path, monkeypatch, fail_allocation, edit):
-    """A truncated, corrupt or foreign sidecar, or one that claims a huge
-    shape, never raises: the load parses the file again, gives the same
-    result and rewrites the sidecar, which the next load reads. No array
-    larger than the sidecar is asked for."""
+def test_a_sidecar_that_does_not_fit_is_a_miss(tmp_path, fail_allocation, edit):
+    """A truncated, corrupt or foreign sidecar (a checkpoint of the earlier
+    or the current format in its place), or one that claims a huge shape,
+    never raises: the load parses the file again, gives the same result
+    and rewrites the sidecar, which the next load reads. No array of a
+    claimed huge shape is asked for."""
     path, ids = aware_gap_csv(tmp_path / "o.csv")
     expected = loaded_fields(path, ids)
     assert expected[0] == "ok" and expected[4][0] == ("2020-01-01T00:00:00+05:30", timedelta(hours=5, minutes=30))
-    sidecar(path).write_bytes(SIDECAR_EDITS[edit](sidecar(path).read_bytes()))
+    written = sidecar(path).read_bytes()
+    sidecar(path).write_bytes(SIDECAR_EDITS[edit](written))
+    assert sidecar(path).read_bytes() != written
     fail_allocation(HUGE * 2, lambda k: True)
-    real_fromfile = np.fromfile
-
-    def fromfile(fh, dtype, count):
-        size = sidecar(path).stat().st_size
-        assert 8 * count <= size, f"asked for {count} items from a {size}-byte sidecar"
-        return real_fromfile(fh, dtype, count)
-
-    monkeypatch.setattr(np, "fromfile", fromfile)
     with parses_counted() as parsed:
         assert loaded_fields(path, ids) == expected
-    assert parsed
+    assert parsed and sidecar(path).read_bytes() == written
     with no_parse():
         assert loaded_fields(path, ids) == expected
+
+
+def test_a_sidecar_broken_any_way_is_a_miss_and_is_rewritten(tmp_path, fail_allocation):
+    """Every container corruption of an aware sidecar (keys, offsets and
+    values): a flipped byte in each leaf and in the manifest, a manifest
+    that lies about a dtype, a shape, an offset or a size, a section
+    unaligned or overlapping another, the file cut short. Each load parses
+    the file, equals the parse bit for bit and writes the sidecar's bytes
+    again."""
+    path, ids = aware_gap_csv(tmp_path / "o.csv")
+    expected = loaded_fields(path, ids)
+    written = sidecar(path).read_bytes()
+    assert [s["name"] for s in container_parts(written)[2]["sections"]] == ["keys", "offsets", "values"]
+    fail_allocation(10**12, lambda k: True)
+    for name, raw in container_corruptions(written).items():
+        sidecar(path).write_bytes(raw)
+        with parses_counted() as parsed:
+            assert loaded_fields(path, ids) == expected, name
+        assert parsed, f"{name}: read from the broken sidecar"
+        assert sidecar(path).read_bytes() == written, f"{name}: not rewritten"
+    with no_parse():
+        assert loaded_fields(path, ids) == expected
+
+
+def test_a_flipped_byte_in_any_leaf_of_a_sidecar_is_a_miss(tmp_path):
+    """2 stations x 131,073 aware hourly steps: the keys and the offsets
+    span two 1 MiB leaves each and the values three. A byte flipped in any
+    of the seven leaves fails that leaf's CRC32, so the load parses the
+    file and rewrites the sidecar."""
+    steps = 131_073
+    keys = (np.datetime64("2020-01-01T00:00", "us").astype(np.int64) + np.arange(steps) * 3_600_000_000)
+    axis = TimeAxis(keys, np.full(steps, 19_800_000_000))  # +05:30
+    values = np.random.default_rng(0).integers(0, 100, (steps, 2, 1)) / 4
+    coords = [StationCoord(0.0, 0.0, 0.0)] * 2
+    obs = ObservationSet(axis, ["s1", "s2"], coords, values, ["v"], timedelta(hours=1))
+    path = tmp_path / "o.csv"
+    write_observations_csv(path, obs)
+
+    def fields():
+        got = load_observations_csv(path, ["s1", "s2"], coords)
+        axis = got.time_axis
+        return got.values.tobytes(), axis.keys.tobytes(), axis.offsets.tobytes(), got.interval
+
+    expected = fields()
+    assert expected == (values.tobytes(), keys.tobytes(), axis.offsets.tobytes(), timedelta(hours=1))
+    written = sidecar(path).read_bytes()
+    cases = {name: raw for name, raw in container_corruptions(written).items() if "leaf" in name}
+    assert sorted(cases) == sorted(
+        f"{name}: leaf {leaf} byte flipped" for name, n in [("keys", 2), ("offsets", 2), ("values", 3)] for leaf in range(n)
+    )
+    for name, raw in cases.items():
+        sidecar(path).write_bytes(raw)
+        with parses_counted() as parsed:
+            assert fields() == expected, name
+        assert parsed and sidecar(path).read_bytes() == written, name
 
 
 def test_an_edit_that_keeps_the_size_and_mtime_is_a_miss(tmp_path):
@@ -1141,26 +1216,37 @@ def test_an_edit_in_the_last_leaf_that_keeps_the_size_and_mtime_is_a_miss(tmp_pa
     parses_then_hits(path, ids, loaded_fields(path, ids, reference_load_observations_csv))
 
 
+def lwcache_bytes(manifest: dict, steps: np.ndarray, values: np.ndarray) -> bytes:
+    """A sidecar in the layout of versions 1 and 2: the magic LWCACHE, a
+    little-endian uint32 manifest size and uint32 CRC32 of the manifest and
+    the data, the JSON manifest, then the int64 steps and float64 values."""
+    blob = json.dumps(manifest).encode("utf-8")
+    steps, values = steps.astype("<i8").tobytes(), values.astype("<f8").tobytes()
+    crc = zlib.crc32(values, zlib.crc32(steps, zlib.crc32(blob)))
+    return struct.pack("<7sII", b"LWCACHE", len(blob), crc) + blob + steps + values
+
+
 def test_a_version_1_sidecar_is_a_miss_and_is_rewritten(tmp_path):
     """A sidecar as version 1 wrote it, keyed by the plain SHA-256 of the
-    file's bytes and with a CRC32 that holds, is a miss: the load parses
-    the file and writes a version-2 sidecar, which the next load reads."""
+    file's bytes, and one as version 2 wrote it, keyed by the leaf digest,
+    each in their layout and with a CRC32 that holds, is a miss: the load
+    parses the file and writes a version-3 container, which the next load
+    reads."""
     path, ids = aware_gap_csv(tmp_path / "o.csv")
     expected = loaded_fields(path, ids)
-    head = data._SIDECAR_HEAD
-    raw = sidecar(path).read_bytes()
-    magic, size, _ = head.unpack_from(raw)
-    manifest = json.loads(raw[head.size : head.size + size])
-    del manifest["sha256_leaves"]
-    manifest.update(version=1, sha256=hashlib.sha256(path.read_bytes()).hexdigest())
-    blob = json.dumps(manifest).encode()
-    rest = raw[head.size + size :]
-    crc = zlib.crc32(rest, zlib.crc32(blob))
-    sidecar(path).write_bytes(head.pack(magic, len(blob), crc) + blob + rest)
-    parses_then_hits(path, ids, expected)
-    rewritten = sidecar(path).read_bytes()
-    size = head.unpack_from(rewritten)[1]
-    assert json.loads(rewritten[head.size : head.size + size])["version"] == 2
+    axis, values, var_names = data._parse_observations(path, ids)
+    shared = {"station_ids": ids, "field_size_limit": csv.field_size_limit()}
+    body = {"n_steps": len(axis.keys), "aware": True, "var_names": var_names}
+    keys = [
+        {"version": 1, "sha256": hashlib.sha256(path.read_bytes()).hexdigest(), **shared},
+        {"version": 2, "sha256_leaves": data._leaf_sha256(path), **shared},
+    ]
+    for key in keys:
+        steps = np.concatenate([axis.keys, axis.offsets])
+        sidecar(path).write_bytes(lwcache_bytes({**key, **body}, steps, values))
+        parses_then_hits(path, ids, expected)
+        meta = container_parts(sidecar(path).read_bytes())[2]["meta"]
+        assert meta["version"] == data._SIDECAR_VERSION == 3
 
 
 def test_another_station_list_is_a_miss(tmp_path):

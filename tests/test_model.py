@@ -18,7 +18,7 @@ from lightweather import numerics as lw_numerics
 from lightweather.baselines import evaluate_hi
 from lightweather.data import split_windows
 from lightweather.errors import ConfigError, ShapeError, ValidationError
-from lightweather.checkpoint import MAGIC, checkpoint_load, checkpoint_save
+from lightweather.checkpoint import LWCKPT1, checkpoint_load, checkpoint_save
 from lightweather.model import (
     CALENDAR,
     SPATIAL_MODES,
@@ -52,7 +52,7 @@ from lightweather.numerics import (
 )
 from lightweather.synthetic import SynthConfig, generate, random_station_coords
 from lightweather.training import evaluate
-from oracles import RowBatch, finite_diff_check
+from oracles import RowBatch, container_parts, finite_diff_check, lwckpt1_save
 
 
 def small_config(**kw):
@@ -1530,7 +1530,8 @@ def test_init_respects_bounds():
 
 
 def test_tensor_spec_pins_the_checkpoint_manifest_order():
-    # LWCKPT1 manifests list tensors in this order; existing checkpoints rely on it
+    # checkpoints hold tensors in this order (the params section, and LWCKPT1
+    # manifests); existing checkpoints rely on it
     assert [(name, shape) for name, shape, _ in tensor_spec(small_config())] == [
         ("fc_embed.weight", (8, 6)),
         ("fc_embed.bias", (8,)),
@@ -1578,15 +1579,22 @@ def test_params_are_views_of_one_vector_in_spec_order(spatial, temporal, tmp_pat
         assert vec.tobytes() == before.tobytes()
     assert p.astype(np.float32).vector.tobytes() == before.astype(np.float32).tobytes()
 
+    # an LWCKPT1 file (the reference writer's) holds the vector after its
+    # manifest, and the container's one section holds it too
     path = tmp_path / "ckpt.bin"
-    checkpoint_save(path, p)
+    lwckpt1_save(path, p)
     raw = path.read_bytes()
-    (manifest_len,) = struct.unpack("<I", raw[len(MAGIC) : len(MAGIC) + 4])
-    data = raw[len(MAGIC) + 4 + manifest_len :]
+    (manifest_len,) = struct.unpack("<I", raw[len(LWCKPT1) : len(LWCKPT1) + 4])
+    data = raw[len(LWCKPT1) + 4 + manifest_len :]
     assert data == vec.astype("<f8").tobytes()
-    loaded = checkpoint_load(path, cfg)
-    assert loaded.vector.tobytes() == data
-    assert all(np.shares_memory(loaded.tensors[n], loaded.vector) for n in loaded.tensors)
+    checkpoint_save(tmp_path / "new.bin", p)
+    _, _, manifest, new_data = container_parts((tmp_path / "new.bin").read_bytes())
+    assert [(s["name"], s["shape"], s["offset"]) for s in manifest["sections"]] == [("params", [vec.size], 0)]
+    assert new_data == data
+    for file in (path, tmp_path / "new.bin"):
+        loaded = checkpoint_load(file, cfg)
+        assert loaded.vector.tobytes() == data
+        assert all(np.shares_memory(loaded.tensors[n], loaded.vector) for n in loaded.tensors)
 
     # a loss read from the vector sees each perturbation made through a view
     def loss_and_grad(_):
@@ -1599,7 +1607,8 @@ def test_params_are_views_of_one_vector_in_spec_order(spatial, temporal, tmp_pat
 @pytest.mark.parametrize("after", [None, 0, 1, 2, 3])
 def test_a_checkpoint_save_that_fails_leaves_the_old_checkpoint(tmp_path, fail_write, after):
     """A save that cannot create its temp file (None), or whose write call
-    number `after` fails (magic, manifest size, manifest, data), raises the
+    number `after` fails (the container's head, its manifest and padding,
+    the padding before the params section, the section), raises the
     one-line ConfigError and leaves the old file whole and no temp file."""
     cfg = small_config()
     path = tmp_path / "ck.bin"

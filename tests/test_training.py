@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
-from lightweather.checkpoint import MAGIC, checkpoint_load, checkpoint_save
+from lightweather.checkpoint import LWCKPT1, checkpoint_load, checkpoint_save
 from lightweather.data import normalize_apply, split_windows
 from lightweather.errors import (
     CheckpointError,
@@ -51,7 +51,7 @@ from lightweather.training import (
     fit,
     write_history_csv,
 )
-from oracles import RowBatch
+from oracles import RowBatch, edit_container, lwckpt1_save
 
 SMALL = ModelConfig(d=8, n_layers=2, t_h=6, t_f=3, n_vars=1)
 ENCODINGS = [
@@ -689,6 +689,27 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "spatial, temporal", [("absolute", "absolute"), ("relative", "none"), ("none", "absolute")]
+)
+def test_an_lwckpt1_checkpoint_loads_to_the_bits_of_a_round_trip(tmp_path, spatial, temporal):
+    """A file of the earlier format, as its writer wrote it (the reference
+    writer in oracles), loads to the params a container round trip gives:
+    the same config and vector bits, under the file's config and the
+    caller's."""
+    config = replace(RELATIVE, spatial_encoding=spatial, temporal_encoding=temporal)
+    params = init_params(config, seed=21)
+    lwckpt1_save(tmp_path / "old.bin", params)
+    checkpoint_save(tmp_path / "new.bin", params)
+    assert (tmp_path / "old.bin").read_bytes().startswith(LWCKPT1)
+    for expected in (None, config):
+        old = checkpoint_load(tmp_path / "old.bin", expected)
+        new = checkpoint_load(tmp_path / "new.bin", expected)
+        assert old.config == new.config == config
+        assert old.vector.dtype == new.vector.dtype == np.float64
+        assert old.vector.tobytes() == new.vector.tobytes() == params.vector.tobytes()
+
+
 def write_by_hand(path, tensors: dict, dtype: str, extra=()):
     """An LWCKPT1 file of SMALL's `tensors` in their dict order, then the
     (name, array) pairs of `extra`, as `dtype`."""
@@ -700,7 +721,7 @@ def write_by_hand(path, tensors: dict, dtype: str, extra=()):
     blob = json.dumps(manifest).encode("utf-8")
     little = {"float64": "<f8", "float32": "<f4"}[dtype]
     path.write_bytes(
-        MAGIC
+        LWCKPT1
         + struct.pack("<I", len(blob))
         + blob
         + b"".join(a.astype(little).tobytes() for _, a in pairs)
@@ -723,23 +744,28 @@ def test_checkpoint_with_permuted_manifest_loads_in_spec_order(tmp_path):
     assert resaved.read_bytes() == canonical.read_bytes()
 
 
+SAVERS = (checkpoint_save, lwckpt1_save)  # the container, and the earlier LWCKPT1
+
+
 def test_checkpoint_wrong_d_names_offending_tensor(tmp_path):
     params = init_params(SMALL, seed=12)
     path = tmp_path / "ck.bin"
-    checkpoint_save(path, params)
     other = ModelConfig(d=16, n_layers=2, t_h=6, t_f=3, n_vars=1)
-    with pytest.raises(CheckpointError, match="fc_embed.weight"):
-        checkpoint_load(path, other)
+    for save in SAVERS:
+        save(path, params)
+        with pytest.raises(CheckpointError, match="fc_embed.weight"):
+            checkpoint_load(path, other)
 
 
 def test_checkpoint_truncated_rejected(tmp_path):
     params = init_params(SMALL, seed=13)
     path = tmp_path / "ck.bin"
-    checkpoint_save(path, params)
-    blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) - 17])
-    with pytest.raises(CheckpointError, match="size|truncated"):
-        checkpoint_load(path)
+    for save in SAVERS:
+        save(path, params)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) - 17])
+        with pytest.raises(CheckpointError, match="size|truncated"):
+            checkpoint_load(path)
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):
@@ -750,20 +776,33 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
 
 
 def write_edited(path, params, edit):
-    """params saved, then `edit` applied to the manifest."""
-    checkpoint_save(path, params)
+    """params saved as LWCKPT1 by the reference writer, then `edit` applied
+    to the manifest."""
+    lwckpt1_save(path, params)
     raw = path.read_bytes()
-    body = len(MAGIC) + 4
-    (mlen,) = struct.unpack("<I", raw[len(MAGIC) : body])
+    body = len(LWCKPT1) + 4
+    (mlen,) = struct.unpack("<I", raw[len(LWCKPT1) : body])
     manifest = json.loads(raw[body : body + mlen])
     edit(manifest)
     blob = json.dumps(manifest).encode("utf-8")
-    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + raw[body + mlen :])
+    path.write_bytes(LWCKPT1 + struct.pack("<I", len(blob)) + blob + raw[body + mlen :])
 
 
 def write_with_config(path, params, **config):
-    """params saved with these keys of the manifest's config replaced."""
+    """params saved as LWCKPT1 with these keys of the manifest's config
+    replaced."""
     write_edited(path, params, lambda manifest: manifest["config"].update(config))
+
+
+def write_container_with_config(path, params, **config):
+    """params saved by checkpoint_save with these keys of the config in its
+    meta replaced, the manifest's CRC32 recomputed."""
+    checkpoint_save(path, params)
+    edit = lambda manifest: manifest["meta"]["config"].update(config)  # noqa: E731
+    path.write_bytes(edit_container(path.read_bytes(), edit))
+
+
+CONFIG_WRITERS = (write_with_config, write_container_with_config)
 
 
 RELATIVE = ModelConfig(
@@ -790,11 +829,12 @@ RELATIVE = ModelConfig(
 )
 def test_checkpoint_with_malformed_config_is_checkpoint_error(tmp_path, base, config):
     path = tmp_path / "ck.bin"
-    write_with_config(path, init_params(base, seed=16), **config)
-    with pytest.raises(CheckpointError, match="bad manifest"):
-        checkpoint_load(path)
-    with pytest.raises(CheckpointError, match="bad manifest"):
-        checkpoint_load(path, base)
+    for write in CONFIG_WRITERS:
+        write(path, init_params(base, seed=16), **config)
+        with pytest.raises(CheckpointError, match="bad manifest"):
+            checkpoint_load(path)
+        with pytest.raises(CheckpointError, match="bad manifest"):
+            checkpoint_load(path, base)
 
 
 def test_checkpoint_loads_under_the_callers_config(tmp_path):
@@ -802,12 +842,13 @@ def test_checkpoint_loads_under_the_callers_config(tmp_path):
     # the caller's model and runs under the caller's config
     path = tmp_path / "ck.bin"
     params = init_params(SMALL, seed=20)
-    write_with_config(path, params, n_vars=4)
-    assert checkpoint_load(path).config.n_vars == 4
-    loaded = checkpoint_load(path, SMALL)
-    assert loaded.config == SMALL
-    for name, arr in params.tensors.items():
-        assert_array_equal(loaded.tensors[name], arr)
+    for write in CONFIG_WRITERS:
+        write(path, params, n_vars=4)
+        assert checkpoint_load(path).config.n_vars == 4
+        loaded = checkpoint_load(path, SMALL)
+        assert loaded.config == SMALL
+        for name, arr in params.tensors.items():
+            assert_array_equal(loaded.tensors[name], arr)
 
 
 @pytest.mark.parametrize(
@@ -818,16 +859,22 @@ def test_checkpoint_loads_under_the_callers_config(tmp_path):
     ],
 )
 def test_checkpoint_value_outside_float32_range_is_checkpoint_error(tmp_path, dtype, value):
+    """In LWCKPT1 files of either element type and, for float64, in the
+    container checkpoint_save writes."""
     params = init_params(SMALL, seed=17)
-    params.tensors["fc_regress.bias"][1] = value
     path = tmp_path / "ck.bin"
-    write_by_hand(path, params.tensors, dtype)
-    with pytest.raises(CheckpointError, match="tensor fc_regress.bias is not finite in float32"):
-        checkpoint_load(path, SMALL)
-    # the largest float32 still loads
-    params.tensors["fc_regress.bias"][1] = np.finfo(np.float32).max
-    write_by_hand(path, params.tensors, dtype)
-    assert checkpoint_load(path, SMALL).tensors["fc_regress.bias"][1] == np.finfo(np.float32).max
+    writers = [lambda: write_by_hand(path, params.tensors, dtype)]
+    if dtype == "float64":
+        writers.append(lambda: checkpoint_save(path, params))
+    for write in writers:
+        params.tensors["fc_regress.bias"][1] = value
+        write()
+        with pytest.raises(CheckpointError, match="tensor fc_regress.bias is not finite in float32"):
+            checkpoint_load(path, SMALL)
+        # the largest float32 still loads
+        params.tensors["fc_regress.bias"][1] = np.finfo(np.float32).max
+        write()
+        assert checkpoint_load(path, SMALL).tensors["fc_regress.bias"][1] == np.finfo(np.float32).max
 
 
 def test_checkpoint_shape_written_as_floats_loads_with_the_spec_shape(tmp_path):
