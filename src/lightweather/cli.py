@@ -343,10 +343,15 @@ def cmd_forecast(cfg: RunConfig, checkpoint_flag: str | None, timestamp: str) ->
     # datetimes compare, found on the sorted integer axis
     key = wall_microseconds(when) - (when.utcoffset() // _US if aware else 0)
     idx = int(np.searchsorted(axis.keys, key))
-    if idx == len(axis.keys) or axis.keys[idx] != key or idx < model_cfg.t_h:
+    if idx == len(axis.keys) or axis.keys[idx] != key:  # spelled as ingest-check spells them
+        first, last = axis.datetimes(0, 1)[0], axis.datetimes(-1)[0]
         raise ValidationError(
-            f"timestamp {timestamp} not resolvable: needs {model_cfg.t_h} prior "
-            f"steps inside the observation range"
+            f"timestamp {timestamp} is not a step of the observations "
+            f"(span: {first.isoformat()} .. {last.isoformat()}, interval: {obs.interval})"
+        )
+    if idx < model_cfg.t_h:
+        raise ValidationError(
+            f"timestamp {timestamp} has {idx} prior steps; forecast needs {model_cfg.t_h}"
         )
     # forecast_obs.csv spells every step; datetime ends with the year 9999
     last = int(axis.wall[idx]) + (model_cfg.t_f - 1) * (obs.interval // _US)

@@ -30,13 +30,15 @@ block's rows are scattered straight into the float64 [T, N, C] result
 (_ObservationGrid), which grows in place as new timestamps appear and is
 put in time order once at the end, when the file's first uses were not.
 So its memory is that grid (with up to an eighth to spare), one byte per
-(timestamp, station) cell for the duplicate check, 16 bytes per distinct
-timestamp and one block with its columns: on 473,040 rows of one variable
-(27 stations x 17,520 hours) a tracemalloc peak of 1.6 times the 3.8 MB
-result, against 21 times for the per-row csv loop it replaced. A file
-with gaps is forward-filled in place, a step at a time, and one whose
-first uses are out of time order is put in order in place, one row of
-scratch per cycle of the permutation.
+(timestamp, station) cell for the duplicate check, 24 bytes per distinct
+timestamp (its key, id and first row's UTC offset, as int64; no datetime
+is kept) and one block with its columns: on 473,040 rows of one variable
+(27 stations x 17,520 hours) a tracemalloc peak of 1.67 times the 3.8 MB
+result when naive and 1.64 times when each timestamp carries a UTC offset
+(+05:30, read by fromisoformat), against 21 times for the per-row csv loop
+it replaced. A file with gaps is forward-filled in place, a step at a
+time, and one whose first uses are out of time order is put in order in
+place, one row of scratch per cycle of the permutation.
 
 Each loaded result is cached beside its file, in `<file>.lwcache`, keyed
 by a format version (_SIDECAR_VERSION), the leaf-tree SHA-256 of the
@@ -67,10 +69,11 @@ write_observations_csv writes the bytes csv.writer writes a row at a
 time, formatting a block of _WRITE_ROWS rows with one join and one write.
 
 A load hands its steps to the ObservationSet as integers only (TimeAxis:
-the parse grid's sorted keys, or the sidecar's keys and offsets), and
+the parse grid's sorted keys and offsets, or the sidecar's), and
 split_windows reads each window's calendar from them, so a warm load
-makes no Python object per step. A step becomes a datetime only where a
-message or a writer spells it (TimeAxis.datetimes).
+makes no Python object per step, and a cold one keeps none. A step becomes
+a datetime only where a message or a writer spells it (TimeAxis.datetimes),
+the parser's duplicate and time-zone-mix messages too.
 
 split_windows makes no copy of the series. Each split (WindowSet) makes
 the float32 rows of its own span with series_rows the first time a batch
@@ -108,6 +111,7 @@ from .model import (
     Workers,
     calendar,
     days_from_civil,
+    wall_microseconds,
     worker_count,
 )
 
@@ -266,8 +270,6 @@ def _parse_timestamp(raw: str, path, lineno: int) -> datetime:
 
 
 _US = timedelta(microseconds=1)
-_EPOCH = datetime(1970, 1, 1)
-_UTC_EPOCH = _EPOCH.replace(tzinfo=timezone.utc)
 _BAD = np.iinfo(np.int64).min  # the key of a field that is no timestamp
 # `YYYY-MM-DDTHH:MM:SS` byte by byte: the least and the greatest byte each
 # place takes, and each digit's weight in year, month, day, hour, minute
@@ -281,19 +283,24 @@ _ISO_WEIGHTS = np.array(
 _DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
-def _timestamp_key(ts: datetime) -> int:
-    """The grid key of `ts`: microseconds since 1970 (on its wall clock when
-    naive, in UTC when aware) times two, plus one when aware. Keys are equal
-    when the datetimes are: aware ones at the same instant, and a naive one
-    never equals an aware one."""
-    if ts.tzinfo is None:
-        return (ts - _EPOCH) // _US * 2
-    return (ts - _UTC_EPOCH) // _US * 2 + 1
+def _timestamp_key(ts: datetime) -> tuple[int, int]:
+    """The grid key of `ts` and its UTC offset in microseconds (0 when
+    naive). The key is microseconds since 1970 (on its wall clock when
+    naive, in UTC when aware) times two, plus one when aware, so keys are
+    equal when the datetimes are: aware ones at the same instant, and a
+    naive one never equals an aware one. Both are integer arithmetic on the
+    wall clock, so a step whose UTC instant lies outside datetime's range
+    (year 1 at a positive offset, say) has its key too."""
+    aware = ts.tzinfo is not None
+    offset = ts.utcoffset() // _US if aware else 0
+    return (wall_microseconds(ts) - offset) * 2 + aware, offset
 
 
-def _key_datetime(key: int, aware: datetime | None) -> datetime:
-    """The datetime of `key`: `aware` when given, else the naive one."""
-    return aware if aware is not None else _EPOCH + int(key) // 2 * _US
+def _isoformat(keys: np.ndarray, offsets: np.ndarray, i: int) -> str:
+    """Grid key keys[i], at UTC offset offsets[i] when it is aware, as
+    TimeAxis.datetimes spells it."""
+    aware = offsets[i : i + 1] if keys[i] & 1 else None
+    return TimeAxis(keys[i : i + 1] // 2, aware).datetimes()[0].isoformat()
 
 
 def _iso_keys(m: np.ndarray) -> np.ndarray:
@@ -379,9 +386,11 @@ class _ObservationGrid:
 
     A timestamp id counts distinct timestamps in the order of the first row
     that holds each; rows find theirs through an integer key per timestamp
-    (_timestamp_key). The grid and its [id, station] `seen` mask grow in
-    place (ndarray.resize) by an eighth or more as new timestamps appear,
-    and `finish` puts the ids in time order.
+    (_timestamp_key). The keys seen are kept sorted, each with its id and
+    the UTC offset of its first row, in int64 arrays, which `finish` hands
+    to the TimeAxis: the grid keeps no datetime. The grid and its [id,
+    station] `seen` mask grow in place (ndarray.resize) by an eighth or
+    more as new timestamps appear, and `finish` puts the ids in time order.
     """
 
     def __init__(self, path, station_ids: list[str], n_vars: int):
@@ -407,16 +416,17 @@ class _ObservationGrid:
         self.n_ids = 0
         self.sorted_keys = np.empty(0, np.int64)  # every key seen, ascending
         self.sorted_ids = np.empty(0, np.intp)  # and the id of each
-        self.aware: dict[int, datetime] = {}  # id -> first datetime, aware ids only
+        self.sorted_offsets = np.empty(0, np.int64)  # and its first row's UTC offset
         self.values = np.empty((0, len(station_ids), n_vars))
         self.seen = np.zeros((0, len(station_ids)), bool)
 
     def _timestamp_column(self, col: np.ndarray, width: np.ndarray):
         """Keys of a column of timestamp fields (_BAD for a field that is no
-        timestamp) and, per field, its datetime when aware, else None. A run
-        of equal fields is parsed once: `YYYY-MM-DDTHH:MM:SS` by arithmetic
-        (_iso_keys), any other form with fromisoformat once per distinct
-        field."""
+        timestamp) and their UTC offsets in microseconds (0 when naive), as
+        int64 arrays. A run of equal fields is parsed once:
+        `YYYY-MM-DDTHH:MM:SS` by arithmetic (_iso_keys), any other form with
+        fromisoformat once per distinct field, whose datetime is dropped once
+        _timestamp_key has read it."""
         change = np.ones(len(col), bool)
         change[1:] = False
         words = col.view("<u8").reshape(len(col), col.itemsize // 8)
@@ -428,21 +438,19 @@ class _ObservationGrid:
         iso = np.flatnonzero(width == 19)
         if len(iso):
             keys[iso] = _iso_keys(col[iso].view(np.uint8).reshape(len(iso), -1)[:, :19])
-        aware = np.full(len(col), None, object)
+        offsets = np.zeros(len(col), np.int64)
         slow = np.flatnonzero(keys == _BAD)
         if len(slow):
             uniq, inv = np.unique(col[slow], return_inverse=True)
-            parsed = []
-            for raw in uniq.tolist():
+            pairs = np.empty((len(uniq), 2), np.int64)  # (key, offset) of each
+            for i, raw in enumerate(uniq.tolist()):
                 try:
-                    ts = datetime.fromisoformat(raw.decode("utf-8").strip())
-                    parsed.append((_timestamp_key(ts), ts if ts.tzinfo is not None else None))
+                    pairs[i] = _timestamp_key(datetime.fromisoformat(raw.decode("utf-8").strip()))
                 except ValueError:
-                    parsed.append((_BAD, None))
-            keys[slow] = np.array([k for k, _ in parsed], np.int64)[inv]
-            aware[slow] = np.array([ts for _, ts in parsed], object)[inv]
+                    pairs[i] = _BAD, 0
+            keys[slow], offsets[slow] = pairs[inv].T
         run = np.cumsum(change) - 1
-        return keys[run], aware[run]
+        return keys[run], offsets[run]
 
     def _station_column(self, col: np.ndarray) -> np.ndarray:
         """Station indices of a column of station fields, -1 if unknown; a
@@ -483,8 +491,7 @@ class _ObservationGrid:
                 vals.append(float(raw))
             except ValueError as exc:
                 raise IngestionError(f"{path}: line {lineno}: {exc}") from exc
-        aware = ts if ts.tzinfo is not None else None
-        return lineno, _timestamp_key(ts), aware, self.sid_index[sid], vals
+        return (lineno, *_timestamp_key(ts), self.sid_index[sid], vals)
 
     def parse_records(self, records) -> None:
         """Take csv records (line number, fields) one at a time."""
@@ -568,7 +575,7 @@ class _ObservationGrid:
             idx, lo, width = idx[narrow], [x[narrow] for x in lo], [w[narrow] for w in width]
         pad = np.zeros(len(a) + _FIELD_WIDTH + 8, np.uint8)
         pad[: len(a)] = a
-        keys, aware = self._timestamp_column(_fixed_width(pad, lo[0], width[0]), width[0])
+        keys, offsets = self._timestamp_column(_fixed_width(pad, lo[0], width[0]), width[0])
         station = self._station_column(_fixed_width(pad, lo[1], width[1]))
         ok = (keys != _BAD) & (station >= 0)
         values = np.empty((len(idx), self.n_vars))
@@ -599,21 +606,20 @@ class _ObservationGrid:
         if error_line is not None:
             keep = keep[lines < error_line]
             lines = lines[lines < error_line]
-        self._commit(lines, keys[keep], aware[keep], station[keep], values[keep], rows)
+        self._commit(lines, keys[keep], offsets[keep], station[keep], values[keep], rows)
         if error_line is not None:
             raise error
         return n_newlines
 
     def _commit_records(self, rows: list[tuple]) -> None:
-        empty = np.empty(0, np.intp)
-        none = np.empty(0, object)
-        self._commit(empty, empty, none, empty, np.empty((0, self.n_vars)), rows)
+        empty = np.empty(0, np.int64)
+        self._commit(empty, empty, empty, empty, np.empty((0, self.n_vars)), rows)
 
-    def _ids(self, keys: np.ndarray, aware: np.ndarray) -> np.ndarray:
-        """The timestamp id of each key, given in line order: a key not seen
-        before takes the next id, in the order of its first row, and keeps
-        that row's datetime when aware. A run of equal keys is looked up
-        once."""
+    def _ids(self, keys: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """The timestamp id of each key, given in line order with each row's
+        UTC offset: a key not seen before takes the next id, in the order of
+        its first row, and keeps that row's offset. A run of equal keys is
+        looked up once."""
         change = np.ones(len(keys), bool)
         change[1:] = keys[1:] != keys[:-1]
         heads = np.flatnonzero(change)
@@ -629,30 +635,29 @@ class _ObservationGrid:
             by_use = new[np.argsort(first[new])]
             ids[by_use] = np.arange(self.n_ids, self.n_ids + len(new))
             self.n_ids += len(new)
-            for u in by_use[uniq[by_use] & 1 == 1].tolist():
-                self.aware[int(ids[u])] = aware[first[u]]
             self.sorted_keys = np.insert(self.sorted_keys, pos[new], uniq[new])
             self.sorted_ids = np.insert(self.sorted_ids, pos[new], ids[new])
+            self.sorted_offsets = np.insert(self.sorted_offsets, pos[new], offsets[first[new]])
         return ids[inv][np.cumsum(change) - 1]
 
-    def _commit(self, lines, keys, aware, station, values, rows: list[tuple]) -> None:
-        """Scatter valid rows, given as arrays plus parse_record tuples, into
-        the grid; a row whose (timestamp, station) an earlier line holds is
-        an error."""
+    def _commit(self, lines, keys, offsets, station, values, rows: list[tuple]) -> None:
+        """Scatter valid rows, given as int64 arrays (line, key, UTC offset,
+        station) and float64 values plus parse_record tuples, into the grid;
+        a row whose (timestamp, station) an earlier line holds is an error."""
         if rows:
-            more_lines, more_keys, more_aware, more_station, more_values = zip(*rows)
+            more_lines, more_keys, more_offsets, more_station, more_values = zip(*rows)
             lines = np.concatenate([lines, more_lines])
             keys = np.concatenate([keys, more_keys])
-            aware = np.concatenate([aware, np.array(more_aware, object)])
+            offsets = np.concatenate([offsets, more_offsets])
             station = np.concatenate([station, more_station])
             values = np.concatenate([values, np.array(more_values).reshape(-1, self.n_vars)])
             order = np.argsort(lines, kind="stable")
-            lines, keys, aware, station, values = (
-                x[order] for x in (lines, keys, aware, station, values)
+            lines, keys, offsets, station, values = (
+                x[order] for x in (lines, keys, offsets, station, values)
             )
         if not len(lines):
             return
-        ids = self._ids(keys, aware)
+        ids = self._ids(keys, offsets)
         n_stations = len(self.station_ids)
         if self.n_ids > len(self.seen):
             cap = max(self.n_ids, len(self.seen) * 9 // 8)
@@ -669,36 +674,34 @@ class _ObservationGrid:
             r = int(np.argmax(dup))
             raise IngestionError(
                 f"{self.path}: line {lines[r]}: duplicate "
-                f"({_key_datetime(keys[r], aware[r]).isoformat()}, {self.station_ids[station[r]]})"
+                f"({_isoformat(keys, offsets, r)}, {self.station_ids[station[r]]})"
             )
         seen[cell] = True
         self.values.reshape(-1, self.n_vars)[cell] = values
 
     def finish(self) -> tuple[TimeAxis, np.ndarray]:
-        """The sorted timestamps' TimeAxis and the [T, N, C] values, put in
-        time order in place, NaN where no row gave a cell; the grid's
-        checks (at least two timestamps, one kind, one interval) in the
-        per-row loop's order and words."""
+        """The sorted timestamps' TimeAxis, with each step's first-row UTC
+        offset when they are aware, and the [T, N, C] values, put in time
+        order in place, NaN where no row gave a cell; the grid's checks (at
+        least two timestamps, one kind, one interval) in the per-row loop's
+        order and words."""
         path = self.path
         if not self.n_ids:
             raise IngestionError(f"{path}: no observations")
-        is_aware = self.sorted_keys & 1 == 1
-        if self.aware and not is_aware.all():  # aware and naive datetimes do not compare
-            naive = np.flatnonzero(~is_aware)
-            first = naive[np.argmin(self.sorted_ids[naive])]
+        keys, offsets = self.sorted_keys, self.sorted_offsets
+        is_aware = keys & 1 == 1
+        if is_aware.any() and not is_aware.all():  # aware and naive datetimes do not compare
+            # the first step of each kind in file order
+            aware, naive = (
+                np.flatnonzero(m)[np.argmin(self.sorted_ids[m])] for m in (is_aware, ~is_aware)
+            )
             raise IngestionError(
-                f"{path}: timestamps mix timezone-aware "
-                f"({self.aware[min(self.aware)].isoformat()}) and "
-                f"naive ({_key_datetime(self.sorted_keys[first], None).isoformat()}) values"
+                f"{path}: timestamps mix timezone-aware ({_isoformat(keys, offsets, aware)}) "
+                f"and naive ({_isoformat(keys, offsets, naive)}) values"
             )
         if self.n_ids < 2:
             raise IngestionError(f"{path}: need at least 2 timestamps to fix the interval")
-        offsets = None
-        if self.aware:
-            offsets = np.array(
-                [self.aware[i].utcoffset() // _US for i in self.sorted_ids.tolist()], np.int64
-            )
-        axis = TimeAxis(self.sorted_keys // 2, offsets)
+        axis = TimeAxis(keys // 2, offsets if is_aware[0] else None)
         steps = np.diff(axis.keys)
         interval = timedelta(microseconds=int(steps[0]))
         uneven = np.flatnonzero(steps != steps[0])

@@ -11,6 +11,8 @@ computes another way:
   hashed serially from the bytes in memory;
 - time_axis_of, the data.TimeAxis of a list of datetimes a step at a
   time, and observations_at, which builds an ObservationSet from one;
+- timestamp_key, a timestamp's parse-grid key and UTC offset by datetime
+  arithmetic;
 - lwckpt1_save, the writer of the earlier checkpoint format, LWCKPT1, kept
   as it was, whose files checkpoint_load must still read;
 - container_parts and container_bytes, the container layout of
@@ -56,6 +58,16 @@ def time_axis_of(timestamps: list[datetime]) -> TimeAxis:
         return TimeAxis(np.array([(ts - _EPOCH) // _US for ts in timestamps], np.int64))
     keys = np.array([(ts - _UTC_EPOCH) // _US for ts in timestamps], np.int64)
     return TimeAxis(keys, np.array([ts.utcoffset() // _US for ts in timestamps], np.int64))
+
+
+def timestamp_key(ts: datetime) -> tuple[int, int]:
+    """data._timestamp_key's (grid key, UTC offset in microseconds) as
+    datetime arithmetic gives them: microseconds since the epoch times two
+    when naive, since the UTC epoch times two plus one when aware, and the
+    offset (0 when naive)."""
+    if ts.tzinfo is None:
+        return (ts - _EPOCH) // _US * 2, 0
+    return (ts - _UTC_EPOCH) // _US * 2 + 1, ts.utcoffset() // _US
 
 
 def observations_at(timestamps: list[datetime], *args, **fields) -> ObservationSet:

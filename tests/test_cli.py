@@ -1088,6 +1088,44 @@ def test_forecast_out_of_range_timestamp(synth_dir, trained_dir, tmp_path, capsy
     assert "validation error" in capsys.readouterr().err
 
 
+NOT_A_STEP = (
+    "is not a step of the observations (span: 2019-01-01T00:00:00{0} .. "
+    "2019-01-10T03:00:00{0}, interval: 1:00:00)"
+)
+
+
+@pytest.mark.parametrize("offset", ["", "+05:30"], ids=["naive", "aware"])
+@pytest.mark.parametrize(
+    "when, reason",
+    [
+        ("2019-01-05T04:00:00.5", NOT_A_STEP),
+        ("2019-01-10T04:00:00", NOT_A_STEP),
+        ("2018-12-31T23:00:00", NOT_A_STEP),
+        ("2019-01-01T03:00:00", "has 3 prior steps; forecast needs 6"),
+    ],
+    ids=["off-grid", "past-the-end", "before-the-start", "too-early"],
+)
+def test_forecast_at_a_timestamp_it_cannot_take_says_why(tmp_path, capsys, offset, when, reason):
+    """220 hourly steps from 2019-01-01T00:00, naive or at +05:30, and
+    t_h = 6. A timestamp off the grid, past the last step or before the
+    first is not a step, and the error gives the span and the interval as
+    ingest-check spells them; a step with fewer than t_h earlier steps
+    says how many it has. Each is one validation line, exit 4, and leaves
+    no out_dir."""
+    synth = write_config(
+        tmp_path / "synth.cfg", TINY, out_dir=tmp_path / "data", synth_start="2019-01-01T00:00:00" + offset
+    )
+    assert cli.main(["synth", "--config", str(synth)]) == 0
+    checkpoint_save(tmp_path / "ck.bin", init_params(TINY_MODEL, 0))
+    out = tmp_path / "out"
+    cfg = data_config(tmp_path / "data", tmp_path / "f.cfg", out_dir=out, checkpoint=tmp_path / "ck.bin")
+    capsys.readouterr()
+    assert cli.main(["forecast", "--config", str(cfg), "--timestamp", when + offset]) == 4
+    message = f"timestamp {when + offset} {reason.format(offset)}"
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not out.exists()
+
+
 def test_a_bad_forecast_timestamp_is_reported_before_the_files_are_read(
     trained_dir, tmp_path, capsys
 ):

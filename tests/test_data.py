@@ -51,6 +51,7 @@ from oracles import (
     lwckpt1_save,
     observations_at,
     time_axis_of,
+    timestamp_key,
 )
 
 
@@ -795,13 +796,38 @@ def test_iso_keys_equal_fromisoformat(parts, edit):
         return
     got = data._iso_keys(np.frombuffer(bytes(raw), np.uint8).reshape(1, 19))[0]
     try:
-        expected = data._timestamp_key(datetime.fromisoformat(raw.decode("latin-1")))
+        expected = data._timestamp_key(datetime.fromisoformat(raw.decode("latin-1")))[0]
     except ValueError:
         expected = data._BAD
     if re.fullmatch(rb"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", raw):
         assert got == expected
     else:
         assert got == data._BAD
+
+
+MAX_OFFSET = timedelta(hours=23, minutes=59)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ts=st.datetimes(
+        min_value=datetime(1, 1, 1),
+        max_value=datetime(9999, 12, 31, 23, 59, 59, 999999),
+        timezones=st.none() | st.builds(timezone, st.timedeltas(-MAX_OFFSET, MAX_OFFSET)),
+    )
+)
+@example(ts=datetime(1, 1, 1))
+@example(ts=datetime(1, 1, 1, tzinfo=timezone(MAX_OFFSET)))
+@example(ts=datetime(9999, 12, 31, 23, 59, 59, 999999))
+@example(ts=datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=timezone(-MAX_OFFSET)))
+@example(ts=datetime(1969, 12, 31, 23, 59, 59, 999999, tzinfo=timezone(timedelta(microseconds=-1))))
+def test_timestamp_key_equals_datetime_arithmetic(ts):
+    """The grid key and UTC offset of any naive datetime in years 1-9999,
+    or of any aware one at an offset within +-23:59, are what datetime
+    arithmetic gives (oracles.timestamp_key), also where the UTC instant
+    lies outside datetime's range: year 1 at a positive offset, year 9999
+    at a negative one."""
+    assert data._timestamp_key(ts) == timestamp_key(ts)
 
 
 aware_or_naive = st.sampled_from(
@@ -925,6 +951,33 @@ def test_loader_peak_memory_with_gaps_or_out_of_order_is_at_most_twice_the_value
     """Gaps are forward-filled in place, a step at a time, and a file out
     of time order is put in order in place: neither needs a second grid."""
     check_load_peaks(tmp_path, layout)
+
+
+def test_an_aware_file_parses_in_the_memory_of_its_naive_twin(tmp_path):
+    """10 stations x 12,000 hourly steps, written naive and at +05:30. The
+    parse grid holds each step's key and UTC offset as integers, so with
+    no sidecar the aware file's tracemalloc peak is at most 1.1x the naive
+    one's, though each of its fields is read by fromisoformat."""
+    n_steps, n_stations = 12_000, 10
+    values = np.random.default_rng(0).normal(size=(n_steps, n_stations, 1))
+    peaks = []
+    for start in (datetime(2019, 1, 1), datetime(2019, 1, 1, tzinfo=timezone(timedelta(hours=5, minutes=30)))):
+        obs = observations_at(
+            timestamps=hourly_timestamps(n_steps, start),
+            station_ids=[f"s{i:04d}" for i in range(n_stations)],
+            coords=[StationCoord(0.0, 0.0, 0.0)] * n_stations,
+            values=values,
+            var_names=["v"],
+            interval=timedelta(hours=1),
+        )
+        path = tmp_path / f"{len(peaks)}.csv"
+        write_observations_csv(path, obs)
+        loaded = []
+        peaks.append(traced_peak(lambda: loaded.append(load_observations_csv(path, obs.station_ids, obs.coords))))
+        assert loaded[0].values.tobytes() == values.tobytes()
+        assert (loaded[0].time_axis.offsets is None) == (start.tzinfo is None)
+    naive, aware = peaks
+    assert aware <= 1.1 * naive, (aware / values.nbytes, naive / values.nbytes)
 
 
 # --- the sidecar cache -----------------------------------------------------
